@@ -215,6 +215,17 @@ class DecisionTree:
         max_depth: int | None = None,
     ) -> "DecisionTree":
         _require_two_classes(y)
+        return self._grow(X, y, config, feature_rng, max_depth)
+
+    def _grow(
+        self,
+        X: np.ndarray,
+        y: np.ndarray,
+        config: TrainConfig,
+        feature_rng: random.Random | None = None,
+        max_depth: int | None = None,
+    ) -> "DecisionTree":
+        """fit without the class check: labels of one class grow a single leaf."""
         depth_cap = config.tree_max_depth if max_depth is None else max_depth
         self._min_split = config.tree_min_samples_split
         self._feature_rng = feature_rng
@@ -312,9 +323,8 @@ class RandomForest:
         for i in range(config.forest_trees):
             rng = random.Random(derive_seed(seed, "tree", i))
             sample = [rng.randrange(n) for _ in range(n)]
-            tree = DecisionTree().fit(
-                X[sample], y[sample], config, feature_rng=rng
-            )
+            # a bootstrap may draw one class only; that tree is one leaf
+            tree = DecisionTree()._grow(X[sample], y[sample], config, feature_rng=rng)
             self.trees.append(tree)
         return self
 

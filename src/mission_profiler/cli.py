@@ -8,11 +8,14 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import classifier, detector, diversity, metrics, scores, synth, topics
-from .features import N_FEATURES, feature_matrix, load_features
+from . import classifier, detector, diversity, scores, synth, topics
+from .features import feature_matrix, load_features
 from .ingest import load_corpus, load_timelines, save_corpus
-from .pipeline import PipelineError, RunConfig, load_labels_csv, parse_tox_gate, run_pipeline
-from .util import canonical_dumps, read_json, write_json
+from .pipeline import (
+    PipelineError, RunConfig, corpus_topic_aggregates, designate, group_matrices, group_profiles,
+    load_labels_csv, metric_rows, parse_tox_gate, run_pipeline, topic_vectors, write_groups, write_metrics,
+)
+from .util import read_json, write_json
 
 
 @click.group()
@@ -23,6 +26,10 @@ def main() -> None:
 def _fail(stage: str, exc: Exception) -> None:
     click.echo(f"error [{stage}]: {exc}", err=True)
     sys.exit(PipelineError(stage, str(exc)).exit_code)
+
+
+def _warn(message: str) -> None:
+    click.echo(f"warning: {message}", err=True)
 
 
 @main.command()
@@ -55,21 +62,21 @@ def ingest(tweets: str, profiles: str | None, strict: bool, out: str) -> None:
 @click.option("--rps", type=float, default=None, help="request rate limit per second")
 @click.option("--mock-value", type=float, default=0.5)
 def score(corpus_path, backend, toxicity_file, bot_file, toxicity_cache, bot_cache, rps, mock_value) -> None:
-    """Attach toxicity (and optionally bot) scores via the chosen backend."""
+    """Attach toxicity (and optionally bot) scores via the chosen backend.
+
+    The file backend stores the whole score table, as a pipeline run does."""
     corpus = load_corpus(corpus_path)
     cache = scores.ScoreCache()
-    if Path(toxicity_cache).exists():
-        cache = scores.ScoreCache.load(toxicity_cache)
     try:
-        if backend == "mock":
-            client = scores.MockToxicityClient(mock_value)
-        elif backend == "file":
+        if backend == "file":
             if not toxicity_file:
                 raise ValueError("--toxicity-file is required for the file backend")
-            client = scores.FileToxicityClient.from_path(toxicity_file)
+            cache = scores.load_score_source(toxicity_file)
         else:
-            client = scores.HTTPToxicityClient()
-        scores.score_toxicity(corpus, client, rate_limit=rps, cache=cache, backoff_base=0.0)
+            if Path(toxicity_cache).exists():
+                cache = scores.ScoreCache.load(toxicity_cache)
+            client = scores.MockToxicityClient(mock_value) if backend == "mock" else scores.HTTPToxicityClient()
+            scores.score_toxicity(corpus, client, rate_limit=rps, cache=cache, backoff_base=0.0)
     except scores.BackendUnavailable as exc:
         cache.save(toxicity_cache)
         _fail("score", exc)
@@ -79,19 +86,15 @@ def score(corpus_path, backend, toxicity_file, bot_file, toxicity_cache, bot_cac
     click.echo(f"toxicity: {len(cache.toxicity)} scored, {len(cache.missing)} missing")
     if bot_cache:
         bot = scores.ScoreCache()
-        if bot_file:
-            bot = _load_bot_cache(bot_file)
-        else:
-            scores.score_bots(corpus, scores.MockBotClient(), cache=bot)
+        try:
+            if bot_file:
+                bot = scores.load_score_source(bot_file)
+            else:
+                scores.score_bots(corpus, scores.MockBotClient(), cache=bot)
+        except Exception as exc:
+            _fail("score", exc)
         bot.save(bot_cache)
         click.echo(f"bots: {len(bot.bots)} profiles scored")
-
-
-def _load_bot_cache(path: str) -> scores.ScoreCache:
-    cache, rejects = scores.load_precomputed_scores(path)
-    if rejects:
-        raise ValueError(f"{len(rejects)} invalid bot score rows")
-    return cache
 
 
 @main.command("topics")
@@ -107,16 +110,12 @@ def topics_cmd(corpus_path, tpv_path, catalog_path, baseline, k_topics, seed, ou
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        if baseline:
-            if not corpus_path:
-                raise ValueError("--corpus is required with --baseline")
-            corpus = load_corpus(corpus_path)
-            tpvs = topics.baseline_topic_assigner(corpus, k_topics, seed)
-        else:
-            if not tpv_path:
-                raise ValueError("either --tpv or --baseline is required")
-            tpvs = topics.load_tpvs(tpv_path, k_topics)
-        catalog = topics.TopicCatalog.load(catalog_path) if catalog_path else topics.TopicCatalog.demo(k_topics)
+        if baseline and not corpus_path:
+            raise ValueError("--corpus is required with --baseline")
+        if not baseline and not tpv_path:
+            raise ValueError("either --tpv or --baseline is required")
+        corpus = load_corpus(corpus_path) if baseline else None
+        tpvs, catalog = topic_vectors(k_topics, seed, None if baseline else tpv_path, catalog_path, corpus)
     except Exception as exc:
         _fail("topics", exc)
     topics.save_tpvs(tpvs, out_dir / "tpvs.jsonl")
@@ -137,31 +136,12 @@ def group(corpus_path, tpv_path, catalog_path, k_topics, out, cdf_csv) -> None:
         corpus = load_corpus(corpus_path)
         catalog = topics.TopicCatalog.load(catalog_path) if catalog_path else topics.TopicCatalog.demo(k_topics)
         tpvs = topics.load_tpvs(tpv_path, catalog.K)
-        assignments = topics.assign_dominant_topics(tpvs)
-        profiles = {}
-        skipped = 0
-        for profile_id in sorted(corpus.profiles):
-            try:
-                profiles[profile_id] = diversity.diversity_profile(
-                    corpus.profiles[profile_id], catalog, assignments
-                )
-            except diversity.DiversityError:
-                skipped += 1
-        partition, cdf_rows = diversity.group_partition(profiles)
+        groups, cdf_rows = group_profiles(corpus, catalog, tpvs, _warn)
     except Exception as exc:
         _fail("group", exc)
-    write_json(out, {
-        "groups": partition,
-        "entropy": {p: profiles[p].entropy_H for p in sorted(profiles)},
-        "cpv": {p: list(profiles[p].cpv.cp) for p in sorted(profiles)},
-    })
-    if cdf_csv:
-        with open(cdf_csv, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["group", "H"])
-            writer.writerows((g, repr(h)) for g, h in cdf_rows)
-    sizes = {g: len(v) for g, v in partition.items() if v}
-    click.echo(f"group sizes: {sizes}" + (f" ({skipped} profiles uncovered)" if skipped else ""))
+    write_groups(groups, cdf_rows, out, cdf_csv)
+    sizes = {g: len(v) for g, v in groups["groups"].items() if v}
+    click.echo(f"group sizes: {sizes}")
 
 
 @main.command("metrics")
@@ -172,13 +152,10 @@ def metrics_cmd(corpus_path, toxicity_cache, out) -> None:
     """Compute the per-profile metric battery into metrics.jsonl."""
     try:
         corpus = load_corpus(corpus_path)
-        cache = scores.ScoreCache.load(toxicity_cache)
-        with open(out, "w", encoding="utf-8") as fh:
-            for profile_id in sorted(corpus.profiles):
-                bundle = metrics.compute_metric_bundle(corpus.profiles[profile_id], cache)
-                fh.write(canonical_dumps(metrics.bundle_to_dict(bundle)) + "\n")
+        rows = metric_rows(corpus, scores.ScoreCache.load(toxicity_cache), _warn)
     except Exception as exc:
         _fail("metrics", exc)
+    write_metrics(rows, out)
     click.echo(f"metrics for {len(corpus.profiles)} profiles -> {out}")
 
 
@@ -200,43 +177,16 @@ def detect(corpus_path, tpv_path, catalog_path, toxicity_cache, groups_path,
         corpus = load_corpus(corpus_path)
         catalog = topics.TopicCatalog.load(catalog_path) if catalog_path else topics.TopicCatalog.demo(k_topics)
         tpvs = topics.load_tpvs(tpv_path, catalog.K)
-        cache = scores.ScoreCache.load(toxicity_cache)
-        members = read_json(groups_path)["groups"].get(group_name, [])
-        if not members:
-            raise ValueError(f"entropy group {group_name} is empty")
-        assignments = topics.assign_dominant_topics(tpvs)
-        aggs = topics.topic_aggregates(assignments, cache, catalog.K)
-        global_avg = detector.global_topic_average(tpvs.values(), len(corpus.profiles))
-        ntpvs = {
-            p: detector.ntpv(
-                [tpvs[t.tweet_id] for t in corpus.profiles[p].tweets if t.tweet_id in tpvs],
-                global_avg, p,
-            )
-            for p in members
-        }
-        labels = detector.assign_topic_labels(ntpvs, catalog, aggs)
-        gate = parse_tox_gate(tox_gate)
-        metadata = {p: corpus.profiles[p].metadata for p in members}
-        clusters, designations = detector.detect_clusters(
-            members, labels, aggs, min_cluster=min_cluster, tox_gate=gate,
-            metadata=metadata, ntpvs=ntpvs,
+        aggs = corpus_topic_aggregates(corpus, tpvs, scores.ScoreCache.load(toxicity_cache), catalog.K, _warn)
+        partition = read_json(groups_path)["groups"]
+        payload = designate(
+            corpus, tpvs, catalog, aggs, partition, group_name, min_cluster, parse_tox_gate(tox_gate), _warn
         )
     except Exception as exc:
         _fail("detect", exc)
-    on = sum(1 for d in designations.values() if d.label == detector.ON_MISSION)
-    write_json(out, {
-        "group": group_name,
-        "designations": [
-            {"profile_id": d.profile_id, "label": d.label, "cluster_id": d.cluster_id, "evidence": d.evidence}
-            for d in (designations[p] for p in sorted(designations))
-        ],
-        "clusters": [
-            {"cluster_id": c.cluster_id, "topic_label": c.topic_label, "size": len(c.members),
-             "topic_median_toxicity": c.topic_median_toxicity, "on_mission": c.on_mission}
-            for c in clusters
-        ],
-    })
-    click.echo(f"{on} on-mission / {len(designations) - on} not-on-mission in group {group_name}")
+    write_json(out, payload)
+    on = sum(1 for d in payload["designations"] if d["label"] == detector.ON_MISSION)
+    click.echo(f"{on} on-mission / {len(payload['designations']) - on} not-on-mission in group {group_name}")
 
 
 @main.command()
@@ -357,21 +307,10 @@ def _parse_group_selection(selection: str | None, exclude: str) -> list[str]:
 def flag(model_path, features_path, groups_path, group_range, exclude_group, sample_n, seed, out) -> None:
     """Apply a trained model to the remaining entropy groups."""
     try:
-        vectors = load_features(features_path)
-        ids, X, _ = feature_matrix(vectors)
-        index_of = {pid: i for i, pid in enumerate(ids)}
+        ids, X, _ = feature_matrix(load_features(features_path))
         model = classifier.TrainedModel.load(model_path)
-        groups_payload = read_json(groups_path)["groups"]
-        selected = _parse_group_selection(group_range, exclude_group)
-        wild_groups = {}
-        for group_name, members in groups_payload.items():
-            if group_name not in selected:
-                continue
-            rows = [index_of[p] for p in members if p in index_of]
-            wild_groups[group_name] = (
-                [ids[i] for i in rows],
-                X[rows] if rows else np.zeros((0, N_FEATURES)),
-            )
+        partition = read_json(groups_path)["groups"]
+        wild_groups = group_matrices(ids, X, partition, _parse_group_selection(group_range, exclude_group))
         result = classifier.flag_in_wild(model, wild_groups, sample_n, seed)
     except Exception as exc:
         _fail("classify", exc)
@@ -383,23 +322,10 @@ def flag(model_path, features_path, groups_path, group_range, exclude_group, sam
 
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
-@click.option("--out", "out_dir", required=True, type=click.Path())
-def report(config_path, out_dir) -> None:
-    """(Re)build the report for a run; cached stages are reused."""
-    _run(config_path, out_dir, None)
-
-
-@main.command()
-@click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--seed", type=int, default=None, help="override the config seed")
-@click.option("--jobs", type=int, default=1, help="reserved; stages run sequentially")
 @click.option("--out", "out_dir", required=True, type=click.Path())
-def run(config_path, seed, jobs, out_dir) -> None:
-    """Run the full pipeline: ingest through report."""
-    _run(config_path, out_dir, seed)
-
-
-def _run(config_path: str, out_dir: str, seed: int | None) -> None:
+def run(config_path, seed, out_dir) -> None:
+    """Run the full pipeline: ingest through report; cached stages are reused."""
     try:
         config = RunConfig.from_file(config_path)
         if seed is not None:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ingest import ProfileMetadata
-from .metrics import MetricBundle
 from .topics import CATEGORIES
 from .util import canonical_dumps
 
@@ -66,6 +65,15 @@ FEATURE_GROUPS = (GROUP_CONTENT, GROUP_AUXILIARY, GROUP_ACTIVITY_PROFILE)
 N_FEATURES = len(FEATURE_CATALOG)
 
 
+# features read under the same name from a metrics row
+_ROW_FEATURES = (
+    "flesch_kincaid_grade", "flesch_ease", "linsear_write", "ari", "lexical_diversity_mtld",
+    "chars_per_tweet", "words_per_tweet", "total_hashtags", "unique_hashtags",
+    "hashtags_per_tweet", "total_urls", "unique_urls", "urls_per_tweet",
+    "n_tweets", "n_retweets", "n_unique", "burstiness", "median_delta_days",
+)
+
+
 def catalog_hash() -> str:
     text = "\n".join(f"{name}:{group}" for name, group in FEATURE_CATALOG)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -88,10 +96,11 @@ class FeatureVector:
 
 def extract_features(
     profile_id: str,
-    bundle: MetricBundle,
+    metric_row: dict,
     category_tweet_counts: dict[str, int] | None,
     metadata: ProfileMetadata | None,
 ) -> FeatureVector:
+    """One profile's vector from its metrics.jsonl row (metrics.bundle_to_dict)."""
     values = np.zeros(N_FEATURES, dtype=float)
     mask = np.zeros(N_FEATURES, dtype=bool)
 
@@ -106,28 +115,9 @@ def extract_features(
         count = category_tweet_counts.get(category) if category_tweet_counts else None
         put(f"tweets_{category}", count)
 
-    put("median_toxicity", bundle.toxicity.median)
-    lex = bundle.lexical
-    put("flesch_kincaid_grade", lex.flesch_kincaid_grade if lex else None)
-    put("flesch_ease", lex.flesch_ease if lex else None)
-    put("linsear_write", lex.linsear_write if lex else None)
-    put("ari", lex.ari if lex else None)
-    put("lexical_diversity_mtld", lex.lexical_diversity_mtld if lex else None)
-    put("chars_per_tweet", lex.chars_per_tweet if lex else None)
-    put("words_per_tweet", lex.words_per_tweet if lex else None)
-
-    put("total_hashtags", bundle.hashtags.total_hashtags)
-    put("unique_hashtags", bundle.hashtags.unique_hashtags)
-    put("hashtags_per_tweet", bundle.hashtags.hashtags_per_tweet)
-    put("total_urls", bundle.hashtags.total_urls)
-    put("unique_urls", bundle.hashtags.unique_urls)
-    put("urls_per_tweet", bundle.hashtags.urls_per_tweet)
-
-    put("n_tweets", bundle.activity.n_tweets)
-    put("n_retweets", bundle.activity.n_retweets)
-    put("n_unique", bundle.activity.n_unique)
-    put("burstiness", bundle.activity.burstiness_B)
-    put("median_delta_days", bundle.activity.median_delta_days)
+    put("median_toxicity", metric_row["toxicity_median"])
+    for name in _ROW_FEATURES:
+        put(name, metric_row[name])
 
     if metadata is None:
         for name in (
@@ -143,7 +133,7 @@ def extract_features(
         put("followers", metadata.followers)
         put("following", metadata.following)
         put("listed", metadata.listed)
-        put("account_age_days", bundle.derived.account_age_days)
+        put("account_age_days", metric_row["account_age_days"])
         put("favourites", metadata.favourites)
         put("geo_enabled", metadata.geo_enabled)
         put("verified", metadata.verified)

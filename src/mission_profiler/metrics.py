@@ -128,23 +128,6 @@ def time_delta_histogram(timestamps) -> dict[int, int]:
     return hist
 
 
-def burstiness_by_topic(
-    timeline: ProfileTimeline, assignments: dict[str, int]
-) -> dict[int, tuple[float | None, float, int]]:
-    """Per-topic variant: burstiness of each topic's own timestamp series.
-
-    The default analysis treats the whole profile as one event series;
-    this splits it by dominant topic for profiles whose cadence differs
-    between narratives.
-    """
-    by_topic: dict[int, list[int]] = {}
-    for tweet in timeline.tweets:
-        topic = assignments.get(tweet.tweet_id)
-        if topic is not None:
-            by_topic.setdefault(topic, []).append(tweet.timestamp)
-    return {topic: burstiness(ts) for topic, ts in sorted(by_topic.items())}
-
-
 def activity_metrics(timeline: ProfileTimeline) -> ActivityMetrics:
     timestamps = [t.timestamp for t in timeline.tweets]
     b, r_cv, n_events = burstiness(timestamps)

@@ -1,5 +1,14 @@
 """End-to-end pipeline: ingest -> score -> topics -> group -> metrics ->
-detect -> classify -> report.
+detect -> features -> classify -> report.
+
+Each stage's work is a module-level function over in-memory objects
+(corpus, score cache, topic vectors and catalog, aggregates, groups,
+metric rows, designations); ``Pipeline.stage_<name>`` calls it and writes
+its files, and the matching CLI subcommand calls the same function and
+writer. ``Pipeline.run`` hands each stage's result to later stages in
+memory: an artifact is read back from disk only when the stage that
+wrote it was a cache hit and a later stage misses, so a fully cached
+rerun loads nothing.
 
 Stages write under out_dir/<stage>/ with a manifest recording the config
 hash and input content hashes; a rerun with matching hashes reuses the
@@ -15,7 +24,9 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -133,6 +144,220 @@ class RunConfig:
             raise PipelineError("config", f"bad config file: {exc}") from exc
 
 
+Warn = Callable[[str], None]
+
+
+# -- stage computations ------------------------------------------------------------
+# Each takes and returns in-memory objects; Pipeline and the CLI subcommands
+# both call them. `warn` receives the text of each warning.
+
+
+def topic_vectors(
+    K: int, seed: int, tpvs_path: str | None, catalog_path: str | None, corpus: Corpus | None = None,
+) -> tuple[dict[str, np.ndarray], topics.TopicCatalog]:
+    """Topic vectors read from tpvs_path, or made by the keyword-hash
+    baseline over corpus when it is None, and the topic catalog (the demo
+    one when catalog_path is None)."""
+    if tpvs_path is None:
+        tpvs = topics.baseline_topic_assigner(corpus, K, derive_seed(seed, "topics", "baseline"))
+    else:
+        tpvs = topics.load_tpvs(tpvs_path, K)
+    catalog = topics.TopicCatalog.load(catalog_path) if catalog_path else topics.TopicCatalog.demo(K)
+    if catalog.K != K:
+        raise topics.CatalogError(f"catalog has K={catalog.K}, config has K={K}")
+    return tpvs, catalog
+
+
+def corpus_topic_aggregates(
+    corpus: Corpus, tpvs: dict[str, np.ndarray], cache: scores.ScoreCache, K: int, warn: Warn,
+) -> dict[int, topics.TopicAggregate]:
+    """Per-topic tweet counts and median toxicity over the corpus's own
+    tweets; vectors of tweets outside the corpus are left out."""
+    known_ids = {t.tweet_id for t in corpus.all_tweets()}
+    orphans = sum(1 for tid in tpvs if tid not in known_ids)
+    if orphans:
+        warn(f"{orphans} topic vectors reference unknown tweets")
+    if not any(tid in tpvs for tid in known_ids):
+        warn("no tweet in the corpus has a topic vector")
+    assignments = topics.assign_dominant_topics({k: v for k, v in tpvs.items() if k in known_ids})
+    return topics.topic_aggregates(assignments, cache, K)
+
+
+def group_profiles(
+    corpus: Corpus, catalog: topics.TopicCatalog, tpvs: dict[str, np.ndarray], warn: Warn,
+) -> tuple[dict, list[tuple[str, float]]]:
+    """Entropy groups: the groups.json payload (partition, and entropy and
+    category vector per profile) and the sorted (group, H) CDF rows."""
+    assignments = topics.assign_dominant_topics(tpvs)
+    profiles: dict[str, diversity.DiversityProfile] = {}
+    uncovered = 0
+    for profile_id in sorted(corpus.profiles):
+        try:
+            profiles[profile_id] = diversity.diversity_profile(
+                corpus.profiles[profile_id], catalog, assignments
+            )
+        except diversity.DiversityError:
+            uncovered += 1
+    if uncovered:
+        warn(f"{uncovered} profiles have no TPV-covered tweets and were left ungrouped")
+    partition, cdf_rows = diversity.group_partition(profiles)
+    groups = {
+        "groups": partition,
+        "entropy": {p: profiles[p].entropy_H for p in sorted(profiles)},
+        "cpv": {p: list(profiles[p].cpv.cp) for p in sorted(profiles)},
+    }
+    return groups, cdf_rows
+
+
+def metric_rows(corpus: Corpus, cache: scores.ScoreCache, warn: Warn) -> list[dict]:
+    """One metrics.bundle_to_dict row per profile, in profile-id order."""
+    rows = [
+        metrics.bundle_to_dict(metrics.compute_metric_bundle(corpus.profiles[p], cache))
+        for p in sorted(corpus.profiles)
+    ]
+    n_no_tox = sum(1 for r in rows if r["toxicity_median"] is None)
+    if n_no_tox:
+        warn(f"{n_no_tox} profiles have no scored tweets; toxicity metrics are null")
+    return rows
+
+
+def designate(
+    corpus: Corpus,
+    tpvs: dict[str, np.ndarray],
+    catalog: topics.TopicCatalog,
+    aggs: dict[int, topics.TopicAggregate],
+    partition: dict[str, list[str]],
+    group: str,
+    min_cluster: int,
+    tox_gate: tuple[str, float],
+    warn: Warn,
+) -> dict:
+    """On-mission designations and topic clusters within one entropy
+    group: the designations.json payload."""
+    members = partition.get(group, [])
+    payload: dict = {"group": group, "designations": [], "clusters": []}
+    if not members:
+        warn(f"entropy group {group} is empty; nothing to designate")
+        return payload
+    global_avg = detector.global_topic_average(tpvs.values(), len(corpus.profiles))
+    ntpvs = {}
+    for profile_id in members:
+        vectors = [tpvs[t.tweet_id] for t in corpus.profiles[profile_id].tweets if t.tweet_id in tpvs]
+        ntpvs[profile_id] = detector.ntpv(vectors, global_avg, profile_id)
+    labels = detector.assign_topic_labels(ntpvs, catalog, aggs)
+    clusters, designations = detector.detect_clusters(
+        members, labels, aggs,
+        min_cluster=min_cluster,
+        tox_gate=tox_gate,
+        metadata={p: corpus.profiles[p].metadata for p in members},
+        ntpvs=ntpvs,
+    )
+    payload["designations"] = [
+        {
+            "profile_id": d.profile_id,
+            "label": d.label,
+            "cluster_id": d.cluster_id,
+            "evidence": d.evidence,
+            "topic_label": labels[d.profile_id].topic_label,
+            "topic_category": labels[d.profile_id].label_category,
+        }
+        for d in (designations[p] for p in sorted(designations))
+    ]
+    payload["clusters"] = [
+        {
+            "cluster_id": c.cluster_id,
+            "topic_label": c.topic_label,
+            "size": len(c.members),
+            "pct_of_group": 100.0 * len(c.members) / len(members),
+            "topic_median_toxicity": c.topic_median_toxicity,
+            "category": catalog.category(c.topic_label),
+            "on_mission": c.on_mission,
+            "friend_overlap": c.overlap.friend_overlap if c.overlap else None,
+            "shared_retweet_ratio": c.overlap.shared_retweet_ratio if c.overlap else None,
+        }
+        for c in clusters
+    ]
+    return payload
+
+
+def feature_vectors(
+    corpus: Corpus, catalog: topics.TopicCatalog, tpvs: dict[str, np.ndarray], rows: list[dict],
+) -> list[features.FeatureVector]:
+    """Classifier features per profile, from its metrics row and the
+    category counts of its topic-covered tweets."""
+    assignments = topics.assign_dominant_topics(tpvs)
+    row_of = {row["profile_id"]: row for row in rows}
+    vectors = []
+    for profile_id in sorted(corpus.profiles):
+        timeline = corpus.profiles[profile_id]
+        counts = diversity.category_counts(timeline, catalog, assignments)
+        vectors.append(features.extract_features(profile_id, row_of[profile_id], counts, timeline.metadata))
+    return vectors
+
+
+def group_matrices(
+    ids: list[str], X: np.ndarray, partition: dict[str, list[str]], names: list[str],
+) -> dict[str, tuple[list[str], np.ndarray]]:
+    """For each entropy group in names, its profiles that have a feature
+    row (ids[i] is row i of X) and those rows, to flag with a model."""
+    index_of = {pid: i for i, pid in enumerate(ids)}
+    matrices = {}
+    for group, members in partition.items():
+        if group in names:
+            rows = [index_of[p] for p in members if p in index_of]
+            matrices[group] = ([ids[i] for i in rows], X[rows])
+    return matrices
+
+
+# -- writers -------------------------------------------------------------------------
+# Without a config hash they write the same files minus the hash key or line.
+
+
+def with_config_hash(config_hash: str | None, payload: dict) -> dict:
+    return payload if config_hash is None else {"config_hash": config_hash, **payload}
+
+
+def _write_csv(path: Path, config_hash: str | None, header: list[str], rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if config_hash is not None:
+            fh.write(f"# config_hash={config_hash}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(row)
+
+
+def write_groups(groups: dict, cdf_rows, groups_path, cdf_path, config_hash: str | None = None) -> None:
+    """groups.json and, when cdf_path is given, entropy_cdf.csv."""
+    write_json(groups_path, with_config_hash(config_hash, groups))
+    if cdf_path is not None:
+        _write_csv(cdf_path, config_hash, ["group", "H"], [(g, repr(h)) for g, h in cdf_rows])
+
+
+def write_metrics(rows: list[dict], path, config_hash: str | None = None) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        if config_hash is not None:
+            fh.write(canonical_dumps({"config_hash": config_hash}) + "\n")
+        for row in rows:
+            fh.write(canonical_dumps(row) + "\n")
+
+
+class Artifact:
+    """A stage's output file and its in-memory value: the value the stage
+    computed, or, after a cache hit, the file read by `load` on first use."""
+
+    def __init__(self, path: Path, value=None, load: Callable[[Path], object] | None = None):
+        self.path = path
+        self._value = value
+        self._load = load
+
+    def get(self):
+        if self._load is not None:
+            self._value = self._load(self.path)
+            self._load = None
+        return self._value
+
+
 class Pipeline:
     def __init__(self, config: RunConfig, out_dir: str | Path):
         config.validate()
@@ -196,22 +421,19 @@ class Pipeline:
         try:
             os.write(fd, str(os.getpid()).encode())
             os.close(fd)
-            corpus_path = self.stage_ingest()
-            tox_path, bot_path = self.stage_score(corpus_path)
-            tpv_path, catalog_path, agg_path = self.stage_topics(corpus_path, tox_path)
-            groups_path = self.stage_group(corpus_path, tpv_path, catalog_path)
-            metrics_path = self.stage_metrics(corpus_path, tox_path)
-            detect_path = self.stage_detect(corpus_path, tpv_path, catalog_path, agg_path, groups_path)
-            features_path = self.stage_features(corpus_path, tpv_path, catalog_path, tox_path, metrics_path)
-            classify_paths = self.stage_classify(features_path, detect_path, groups_path)
-            return self.stage_report(
-                corpus_path, tox_path, bot_path, tpv_path, groups_path,
-                metrics_path, detect_path, classify_paths,
-            )
+            corpus = self.stage_ingest()
+            tox, bots = self.stage_score(corpus)
+            tpvs, catalog, aggs = self.stage_topics(corpus, tox)
+            groups = self.stage_group(corpus, tpvs, catalog)
+            rows = self.stage_metrics(corpus, tox)
+            detect = self.stage_detect(corpus, tpvs, catalog, aggs, groups)
+            vectors = self.stage_features(corpus, tpvs, catalog, tox, rows)
+            classified = self.stage_classify(vectors, detect, groups)
+            return self.stage_report(corpus, tox, bots, tpvs, groups, rows, detect, classified)
         finally:
             lock.unlink(missing_ok=True)
 
-    def stage_ingest(self) -> Path:
+    def stage_ingest(self) -> Artifact:
         stage = "ingest"
         out_path = self._stage_dir(stage) / "corpus.bin"
         inputs = {"tweets": self.config.tweets}
@@ -219,7 +441,7 @@ class Pipeline:
             inputs["profiles"] = self.config.profiles
         hashes = self._input_hashes(inputs)
         if self._cached(stage, hashes):
-            return out_path
+            return Artifact(out_path, load=load_corpus)
         try:
             corpus = load_timelines(self.config.tweets, self.config.profiles, strict=self.config.strict)
         except Exception as exc:
@@ -228,26 +450,27 @@ class Pipeline:
             self._warn(stage, "corpus is empty after filtering")
         save_corpus(corpus, out_path)
         self._write_manifest(stage, hashes, ["corpus.bin"], {"stats": corpus.ingest_stats.as_dict()})
-        return out_path
+        return Artifact(out_path, corpus)
 
-    def stage_score(self, corpus_path: Path) -> tuple[Path, Path | None]:
+    def stage_score(self, corpus: Artifact) -> tuple[Artifact, Artifact | None]:
         stage = "score"
         cfg = self.config
         out_tox = self._stage_dir(stage) / "toxicity_cache.jsonl"
         out_bots = self._stage_dir(stage) / "bot_cache.jsonl"
-        inputs = {"corpus": corpus_path}
+        inputs = {"corpus": corpus.path}
         if cfg.toxicity_backend == "file":
             inputs["toxicity_source"] = cfg.toxicity_path
         if cfg.bot_backend == "file" and cfg.bot_path:
             inputs["bot_source"] = cfg.bot_path
         hashes = self._input_hashes(inputs)
         if self._cached(stage, hashes):
-            return out_tox, (out_bots if out_bots.exists() else None)
-        corpus = load_corpus(corpus_path)
+            bots = Artifact(out_bots, load=scores.ScoreCache.load) if out_bots.exists() else None
+            return Artifact(out_tox, load=scores.ScoreCache.load), bots
+        corpus = corpus.get()
         cache = scores.ScoreCache()
         try:
             if cfg.toxicity_backend == "file":
-                cache = _load_score_source(cfg.toxicity_path)
+                cache = scores.load_score_source(cfg.toxicity_path)
             if cfg.toxicity_backend == "mock":
                 scores.score_toxicity(
                     corpus, scores.MockToxicityClient(cfg.mock_toxicity_value),
@@ -266,57 +489,46 @@ class Pipeline:
         cache.save(out_tox)
         outputs = ["toxicity_cache.jsonl"]
 
-        bot_path: Path | None = None
+        bots = None
         if cfg.bot_backend != "none":
             bot_cache = scores.ScoreCache()
             if cfg.bot_backend == "file" and cfg.bot_path:
-                bot_cache = _load_score_source(cfg.bot_path)
+                bot_cache = scores.load_score_source(cfg.bot_path)
             elif cfg.bot_backend == "mock":
                 scores.score_bots(corpus, scores.MockBotClient(), cache=bot_cache)
             bot_cache.save(out_bots)
             outputs.append("bot_cache.jsonl")
-            bot_path = out_bots
+            bots = Artifact(out_bots, bot_cache)
         self._write_manifest(stage, hashes, outputs)
-        return out_tox, bot_path
+        return Artifact(out_tox, cache), bots
 
-    def stage_topics(self, corpus_path: Path, tox_path: Path) -> tuple[Path, Path, Path]:
+    def stage_topics(self, corpus: Artifact, tox: Artifact) -> tuple[Artifact, Artifact, Artifact]:
         stage = "topics"
         cfg = self.config
         d = self._stage_dir(stage)
         out_tpv, out_catalog, out_agg = d / "tpvs.jsonl", d / "catalog.tsv", d / "aggregates.json"
-        inputs = {"corpus": corpus_path, "toxicity": tox_path}
+        inputs = {"corpus": corpus.path, "toxicity": tox.path}
         if cfg.tpvs:
             inputs["tpvs"] = cfg.tpvs
         if cfg.catalog:
             inputs["catalog"] = cfg.catalog
         hashes = self._input_hashes(inputs)
         if self._cached(stage, hashes):
-            return out_tpv, out_catalog, out_agg
-        corpus = load_corpus(corpus_path)
+            return (
+                Artifact(out_tpv, load=lambda path: topics.load_tpvs(path, cfg.K)),
+                Artifact(out_catalog, load=topics.TopicCatalog.load),
+                Artifact(out_agg, load=_load_aggregates),
+            )
+        corpus = corpus.get()
         try:
-            if cfg.use_baseline_topics:
-                tpvs = topics.baseline_topic_assigner(
-                    corpus, cfg.K, derive_seed(cfg.seed, "topics", "baseline")
-                )
-            else:
-                tpvs = topics.load_tpvs(cfg.tpvs, cfg.K)
-            catalog = topics.TopicCatalog.load(cfg.catalog) if cfg.catalog else topics.TopicCatalog.demo(cfg.K)
-            if catalog.K != cfg.K:
-                raise topics.CatalogError(f"catalog has K={catalog.K}, config has K={cfg.K}")
+            tpvs, catalog = topic_vectors(
+                cfg.K, cfg.seed, None if cfg.use_baseline_topics else cfg.tpvs, cfg.catalog, corpus
+            )
         except (topics.TPVError, topics.CatalogError, OSError) as exc:
             raise PipelineError(stage, str(exc)) from exc
-        known_ids = {t.tweet_id for t in corpus.all_tweets()}
-        orphans = [tid for tid in tpvs if tid not in known_ids]
-        if orphans:
-            self._warn(stage, f"{len(orphans)} topic vectors reference unknown tweets")
-        covered = sum(1 for tid in known_ids if tid in tpvs)
-        if covered == 0:
-            self._warn(stage, "no tweet in the corpus has a topic vector")
+        aggs = corpus_topic_aggregates(corpus, tpvs, tox.get(), cfg.K, partial(self._warn, stage))
         topics.save_tpvs(tpvs, out_tpv)
         catalog.save(out_catalog)
-        cache = scores.ScoreCache.load(tox_path)
-        assignments = topics.assign_dominant_topics({k: v for k, v in tpvs.items() if k in known_ids})
-        aggs = topics.topic_aggregates(assignments, cache, cfg.K)
         write_json(out_agg, {
             "config_hash": self.hash,
             "aggregates": [
@@ -325,169 +537,74 @@ class Pipeline:
             ],
         })
         self._write_manifest(stage, hashes, ["tpvs.jsonl", "catalog.tsv", "aggregates.json"])
-        return out_tpv, out_catalog, out_agg
+        # later stages see the vectors as a cached run reads them from tpvs.jsonl
+        return Artifact(out_tpv, topics.as_saved(tpvs)), Artifact(out_catalog, catalog), Artifact(out_agg, aggs)
 
-    def stage_group(self, corpus_path: Path, tpv_path: Path, catalog_path: Path) -> Path:
+    def stage_group(self, corpus: Artifact, tpvs: Artifact, catalog: Artifact) -> Artifact:
         stage = "group"
         d = self._stage_dir(stage)
         out_groups, out_cdf = d / "groups.json", d / "entropy_cdf.csv"
-        hashes = self._input_hashes({"corpus": corpus_path, "tpvs": tpv_path, "catalog": catalog_path})
+        hashes = self._input_hashes({"corpus": corpus.path, "tpvs": tpvs.path, "catalog": catalog.path})
         if self._cached(stage, hashes):
-            return out_groups
-        corpus = load_corpus(corpus_path)
-        catalog = topics.TopicCatalog.load(catalog_path)
-        tpvs = topics.load_tpvs(tpv_path, catalog.K)
-        assignments = topics.assign_dominant_topics(tpvs)
-        profiles: dict[str, diversity.DiversityProfile] = {}
-        uncovered = 0
-        for profile_id in sorted(corpus.profiles):
-            try:
-                profiles[profile_id] = diversity.diversity_profile(
-                    corpus.profiles[profile_id], catalog, assignments
-                )
-            except diversity.DiversityError:
-                uncovered += 1
-        if uncovered:
-            self._warn(stage, f"{uncovered} profiles have no TPV-covered tweets and were left ungrouped")
-        partition, cdf_rows = diversity.group_partition(profiles)
-        write_json(out_groups, {
-            "config_hash": self.hash,
-            "groups": partition,
-            "entropy": {p: profiles[p].entropy_H for p in sorted(profiles)},
-            "cpv": {p: list(profiles[p].cpv.cp) for p in sorted(profiles)},
-        })
-        _write_csv(out_cdf, self.hash, ["group", "H"], [(g, repr(h)) for g, h in cdf_rows])
+            return Artifact(out_groups, load=read_json)
+        groups, cdf_rows = group_profiles(corpus.get(), catalog.get(), tpvs.get(), partial(self._warn, stage))
+        write_groups(groups, cdf_rows, out_groups, out_cdf, self.hash)
         self._write_manifest(stage, hashes, ["groups.json", "entropy_cdf.csv"])
-        return out_groups
+        return Artifact(out_groups, groups)
 
-    def stage_metrics(self, corpus_path: Path, tox_path: Path) -> Path:
+    def stage_metrics(self, corpus: Artifact, tox: Artifact) -> Artifact:
         stage = "metrics"
         out_path = self._stage_dir(stage) / "metrics.jsonl"
-        hashes = self._input_hashes({"corpus": corpus_path, "toxicity": tox_path})
+        hashes = self._input_hashes({"corpus": corpus.path, "toxicity": tox.path})
         if self._cached(stage, hashes):
-            return out_path
-        corpus = load_corpus(corpus_path)
-        cache = scores.ScoreCache.load(tox_path)
-        rows = []
-        for profile_id in sorted(corpus.profiles):
-            bundle = metrics.compute_metric_bundle(corpus.profiles[profile_id], cache)
-            rows.append(metrics.bundle_to_dict(bundle))
-        n_no_tox = sum(1 for r in rows if r["toxicity_median"] is None)
-        if n_no_tox:
-            self._warn(stage, f"{n_no_tox} profiles have no scored tweets; toxicity metrics are null")
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(canonical_dumps({"config_hash": self.hash}) + "\n")
-            for row in rows:
-                fh.write(canonical_dumps(row) + "\n")
+            return Artifact(out_path, load=_load_metrics)
+        rows = metric_rows(corpus.get(), tox.get(), partial(self._warn, stage))
+        write_metrics(rows, out_path, self.hash)
         self._write_manifest(stage, hashes, ["metrics.jsonl"])
-        return out_path
+        return Artifact(out_path, rows)
 
     def stage_detect(
-        self, corpus_path: Path, tpv_path: Path, catalog_path: Path,
-        agg_path: Path, groups_path: Path,
-    ) -> Path:
+        self, corpus: Artifact, tpvs: Artifact, catalog: Artifact, aggs: Artifact, groups: Artifact,
+    ) -> Artifact:
         stage = "detect"
+        cfg = self.config
         out_path = self._stage_dir(stage) / "designations.json"
         hashes = self._input_hashes({
-            "corpus": corpus_path, "tpvs": tpv_path, "catalog": catalog_path,
-            "aggregates": agg_path, "groups": groups_path,
+            "corpus": corpus.path, "tpvs": tpvs.path, "catalog": catalog.path,
+            "aggregates": aggs.path, "groups": groups.path,
         })
         if self._cached(stage, hashes):
-            return out_path
-        corpus = load_corpus(corpus_path)
-        catalog = topics.TopicCatalog.load(catalog_path)
-        tpvs = topics.load_tpvs(tpv_path, catalog.K)
-        groups = read_json(groups_path)["groups"]
-        members = groups.get(self.config.detect_group, [])
-        aggs = _load_aggregates(agg_path)
-
-        payload: dict = {
-            "config_hash": self.hash,
-            "group": self.config.detect_group,
-            "designations": [],
-            "clusters": [],
-        }
-        if not members:
-            self._warn(stage, f"entropy group {self.config.detect_group} is empty; nothing to designate")
-        else:
-            try:
-                global_avg = detector.global_topic_average(tpvs.values(), len(corpus.profiles))
-                ntpvs = {}
-                for profile_id in members:
-                    vectors = [
-                        tpvs[t.tweet_id]
-                        for t in corpus.profiles[profile_id].tweets
-                        if t.tweet_id in tpvs
-                    ]
-                    ntpvs[profile_id] = detector.ntpv(vectors, global_avg, profile_id)
-                labels = detector.assign_topic_labels(ntpvs, catalog, aggs)
-                metadata = {p: corpus.profiles[p].metadata for p in members}
-                clusters, designations = detector.detect_clusters(
-                    members, labels, aggs,
-                    min_cluster=self.config.min_cluster,
-                    tox_gate=self.config.parse_tox_gate(),
-                    metadata=metadata,
-                    ntpvs=ntpvs,
-                )
-            except (ValueError, KeyError) as exc:
-                raise PipelineError(stage, str(exc)) from exc
-            payload["designations"] = [
-                {
-                    "profile_id": d.profile_id,
-                    "label": d.label,
-                    "cluster_id": d.cluster_id,
-                    "evidence": d.evidence,
-                    "topic_label": labels[d.profile_id].topic_label,
-                    "topic_category": labels[d.profile_id].label_category,
-                }
-                for d in (designations[p] for p in sorted(designations))
-            ]
-            payload["clusters"] = [
-                {
-                    "cluster_id": c.cluster_id,
-                    "topic_label": c.topic_label,
-                    "size": len(c.members),
-                    "pct_of_group": 100.0 * len(c.members) / len(members),
-                    "topic_median_toxicity": c.topic_median_toxicity,
-                    "category": catalog.category(c.topic_label),
-                    "on_mission": c.on_mission,
-                    "friend_overlap": c.overlap.friend_overlap if c.overlap else None,
-                    "shared_retweet_ratio": c.overlap.shared_retweet_ratio if c.overlap else None,
-                }
-                for c in clusters
-            ]
+            return Artifact(out_path, load=read_json)
+        inputs = (corpus.get(), tpvs.get(), catalog.get(), aggs.get(), groups.get()["groups"])
+        try:
+            payload = designate(
+                *inputs, cfg.detect_group, cfg.min_cluster, cfg.parse_tox_gate(), partial(self._warn, stage)
+            )
+        except (ValueError, KeyError) as exc:
+            raise PipelineError(stage, str(exc)) from exc
+        payload = with_config_hash(self.hash, payload)
         write_json(out_path, payload)
         self._write_manifest(stage, hashes, ["designations.json"])
-        return out_path
+        return Artifact(out_path, payload)
 
     def stage_features(
-        self, corpus_path: Path, tpv_path: Path, catalog_path: Path,
-        tox_path: Path, metrics_path: Path,
-    ) -> Path:
+        self, corpus: Artifact, tpvs: Artifact, catalog: Artifact, tox: Artifact, rows: Artifact,
+    ) -> Artifact:
         stage = "features"
         out_path = self._stage_dir(stage) / "features.jsonl"
+        # the metric rows carry toxicity; it stays in the key so manifests keep their bytes
         hashes = self._input_hashes({
-            "corpus": corpus_path, "tpvs": tpv_path, "catalog": catalog_path,
-            "toxicity": tox_path, "metrics": metrics_path,
+            "corpus": corpus.path, "tpvs": tpvs.path, "catalog": catalog.path,
+            "toxicity": tox.path, "metrics": rows.path,
         })
         if self._cached(stage, hashes):
-            return out_path
-        corpus = load_corpus(corpus_path)
-        catalog = topics.TopicCatalog.load(catalog_path)
-        tpvs = topics.load_tpvs(tpv_path, catalog.K)
-        cache = scores.ScoreCache.load(tox_path)
-        assignments = topics.assign_dominant_topics(tpvs)
-        vectors = []
-        for profile_id in sorted(corpus.profiles):
-            timeline = corpus.profiles[profile_id]
-            bundle = metrics.compute_metric_bundle(timeline, cache)
-            counts = diversity.category_counts(timeline, catalog, assignments)
-            vectors.append(features.extract_features(profile_id, bundle, counts, timeline.metadata))
+            return Artifact(out_path, load=features.load_features)
+        vectors = feature_vectors(corpus.get(), catalog.get(), tpvs.get(), rows.get())
         features.save_features(vectors, out_path)
         self._write_manifest(stage, hashes, ["features.jsonl"])
-        return out_path
+        return Artifact(out_path, vectors)
 
-    def stage_classify(self, features_path: Path, detect_path: Path, groups_path: Path) -> dict[str, Path]:
+    def stage_classify(self, vectors: Artifact, detect: Artifact, groups: Artifact) -> dict[str, Artifact]:
         stage = "classify"
         cfg = self.config
         d = self._stage_dir(stage)
@@ -499,17 +616,16 @@ class Pipeline:
             "model_tree": d / "model_decision_tree.json",
             "model_forest": d / "model_random_forest.json",
         }
-        inputs = {"features": features_path, "detect": detect_path, "groups": groups_path}
+        inputs = {"features": vectors.path, "detect": detect.path, "groups": groups.path}
         if cfg.labels:
             inputs["labels"] = cfg.labels
         hashes = self._input_hashes(inputs)
         if self._cached(stage, hashes):
-            return out
-        vectors = features.load_features(features_path)
-        ids, X, _mask = features.feature_matrix(vectors)
+            return {name: Artifact(path, load=read_json) for name, path in out.items()}
+        ids, X, _mask = features.feature_matrix(vectors.get())
         index_of = {pid: i for i, pid in enumerate(ids)}
 
-        labels = load_labels_csv(cfg.labels) if cfg.labels else _labels_from_designations(detect_path)
+        labels = load_labels_csv(cfg.labels) if cfg.labels else _labels_from_designations(detect.get())
         labeled = [(pid, y) for pid, y in sorted(labels.items()) if pid in index_of]
         skip_reason = None
         if len(labeled) < 5:
@@ -518,11 +634,11 @@ class Pipeline:
             skip_reason = "labels contain a single class"
         if skip_reason:
             self._warn(stage, f"classifier skipped: {skip_reason}")
-            write_json(out["eval"], {"config_hash": self.hash, "skipped": skip_reason})
-            write_json(out["ablation"], {"config_hash": self.hash, "skipped": skip_reason})
-            write_json(out["wild"], {"config_hash": self.hash, "skipped": skip_reason})
+            skipped = {"config_hash": self.hash, "skipped": skip_reason}
+            for name in ("eval", "ablation", "wild"):
+                write_json(out[name], skipped)
             self._write_manifest(stage, hashes, ["eval.json", "ablation.json", "wild.json"])
-            return out
+            return {name: Artifact(path, skipped) for name, path in out.items()}
 
         rows = [index_of[pid] for pid, _ in labeled]
         X_lab = X[rows]
@@ -539,56 +655,52 @@ class Pipeline:
             ablation_table = classifier.ablation(X_lab, y_lab, seed)
         except ValueError as exc:
             raise PipelineError(stage, str(exc)) from exc
-        write_json(out["eval"], {"config_hash": self.hash, "models": evals,
-                                 "n_train": len(train_idx), "n_test": len(test_idx)})
-        write_json(out["ablation"], {"config_hash": self.hash, "table": ablation_table})
+        payloads = {
+            "eval": {"config_hash": self.hash, "models": evals, "n_train": len(train_idx), "n_test": len(test_idx)},
+            "ablation": {"config_hash": self.hash, "table": ablation_table},
+        }
 
         # flag the remaining entropy groups with the all-features linear SVM
-        groups = read_json(groups_path)["groups"]
+        # as saved, so `flag` on model_linear_svm.json gives the same table
         svm_model = classifier.TrainedModel.load(out["model_svm"])
-        wild_groups = {}
-        for group_name, members in groups.items():
-            if group_name == cfg.detect_group:
-                continue
-            member_rows = [index_of[p] for p in members if p in index_of]
-            wild_groups[group_name] = (
-                [ids[i] for i in member_rows],
-                X[member_rows] if member_rows else np.zeros((0, features.N_FEATURES)),
-            )
+        partition = groups.get()["groups"]
+        wild_groups = group_matrices(ids, X, partition, [g for g in partition if g != cfg.detect_group])
         wild = classifier.flag_in_wild(svm_model, wild_groups, cfg.sample_n, derive_seed(cfg.seed, "wild"))
         wild["config_hash"] = self.hash
-        write_json(out["wild"], wild)
+        payloads["wild"] = wild
+        for name, payload in payloads.items():
+            write_json(out[name], payload)
         self._write_manifest(stage, hashes, [p.name for p in out.values()])
-        return out
+        return {name: Artifact(path, payloads.get(name)) for name, path in out.items()}
 
     def stage_report(
-        self, corpus_path: Path, tox_path: Path, bot_path: Path | None,
-        tpv_path: Path, groups_path: Path, metrics_path: Path,
-        detect_path: Path, classify_paths: dict[str, Path],
+        self, corpus: Artifact, tox: Artifact, bots: Artifact | None, tpvs: Artifact,
+        groups: Artifact, rows: Artifact, detect: Artifact, classified: dict[str, Artifact],
     ) -> dict:
         stage = "report"
         d = self._stage_dir(stage)
         plots = d / "plots"
         plots.mkdir(exist_ok=True)
         input_paths = {
-            "corpus": corpus_path, "toxicity": tox_path, "tpvs": tpv_path,
-            "groups": groups_path, "metrics": metrics_path, "detect": detect_path,
+            "corpus": corpus.path, "toxicity": tox.path, "tpvs": tpvs.path,
+            "groups": groups.path, "metrics": rows.path, "detect": detect.path,
         }
-        if bot_path is not None and bot_path.exists():
-            input_paths["bots"] = bot_path
-        for name, p in classify_paths.items():
-            if p.exists():
-                input_paths[f"classify_{name}"] = p
+        if bots is not None and bots.path.exists():
+            input_paths["bots"] = bots.path
+        for name, artifact in classified.items():
+            if artifact.path.exists():
+                input_paths[f"classify_{name}"] = artifact.path
         hashes = self._input_hashes(input_paths)
         if self._cached(stage, hashes):
             return read_json(d / "report.json")
-        corpus = load_corpus(corpus_path)
-        group_data = read_json(groups_path)
-        metric_rows = _load_metrics(metrics_path)
-        detect_data = read_json(detect_path)
-        eval_data = read_json(classify_paths["eval"]) if classify_paths["eval"].exists() else {}
-        ablation_data = read_json(classify_paths["ablation"]) if classify_paths["ablation"].exists() else {}
-        wild_data = read_json(classify_paths["wild"]) if classify_paths["wild"].exists() else {}
+        corpus = corpus.get()
+        group_data = groups.get()
+        metric_rows = rows.get()
+        detect_data = detect.get()
+        eval_data, ablation_data, wild_data = (
+            classified[name].get() if classified[name].path.exists() else {}
+            for name in ("eval", "ablation", "wild")
+        )
 
         partition: dict[str, list[str]] = group_data["groups"]
         report = {
@@ -605,15 +717,15 @@ class Pipeline:
             "wild_table": wild_data.get("table", []),
             "warnings": self.warnings,
         }
-        if bot_path is not None and bot_path.exists():
-            report["botometer_table"] = _botometer_table(partition, bot_path)
+        if bots is not None and bots.path.exists():
+            report["botometer_table"] = _botometer_table(partition, bots.get())
         write_json(d / "report.json", report)
-        self._export_plot_data(plots, partition, group_data, metric_rows, detect_data, corpus)
+        self._export_plot_data(plots, partition, group_data, metric_rows, detect_data)
         write_json(d / "run_config.json", {"config_hash": self.hash, "config": self.config.as_dict()})
         self._write_manifest(stage, hashes, ["report.json", "run_config.json"])
         return report
 
-    def _export_plot_data(self, plots: Path, partition, group_data, metric_rows, detect_data, corpus: Corpus) -> None:
+    def _export_plot_data(self, plots: Path, partition, group_data, metric_rows, detect_data) -> None:
         """One CSV per figure shape: sorted values for CDFs, five-number
         summaries for boxplots, binned counts for histograms."""
         by_id = {row["profile_id"]: row for row in metric_rows}
@@ -683,15 +795,6 @@ class Pipeline:
 # -- helpers -------------------------------------------------------------------
 
 
-def _write_csv(path: Path, config_hash: str, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# config_hash={config_hash}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
-
-
 def _five_number(values) -> tuple[float, float, float, float, float]:
     arr = np.asarray(sorted(values), dtype=float)
     return (
@@ -701,19 +804,6 @@ def _five_number(values) -> tuple[float, float, float, float, float]:
         float(np.percentile(arr, 75)),
         float(arr.max()),
     )
-
-
-def _load_score_source(path: str) -> scores.ScoreCache:
-    """Accept either our score-cache format or a plain precomputed table."""
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-    if first.lstrip().startswith("{") and scores.CACHE_FORMAT in first:
-        return scores.ScoreCache.load(path)
-    cache, rejects = scores.load_precomputed_scores(path)
-    if rejects:
-        rows = ", ".join(str(r[0]) for r in rejects[:5])
-        raise ValueError(f"{len(rejects)} invalid score rows (rows {rows})")
-    return cache
 
 
 def _load_aggregates(path: Path) -> dict[int, topics.TopicAggregate]:
@@ -740,8 +830,7 @@ def load_labels_csv(path: str) -> dict[str, int]:
     return labels
 
 
-def _labels_from_designations(detect_path: Path) -> dict[str, int]:
-    payload = read_json(detect_path)
+def _labels_from_designations(payload: dict) -> dict[str, int]:
     return {
         d["profile_id"]: 1 if d["label"] == detector.ON_MISSION else 0
         for d in payload.get("designations", [])
@@ -806,8 +895,7 @@ def _profile_table(partition: dict[str, list[str]], corpus: Corpus) -> dict:
     return table
 
 
-def _botometer_table(partition: dict[str, list[str]], bot_path: Path) -> dict:
-    cache = scores.ScoreCache.load(bot_path)
+def _botometer_table(partition: dict[str, list[str]], cache: scores.ScoreCache) -> dict:
     table: dict[str, dict] = {}
 
     def clean(value: float) -> float | None:

@@ -1,9 +1,9 @@
 """Per-tweet toxicity and per-profile bot scores via pluggable clients.
 
-Backends are mock (constant or callable), file (precomputed lookup table),
-or HTTP (POST one text, receive one score). Results persist in a JSONL
-cache whose save/load round-trip is byte-stable; cached entries are never
-re-fetched.
+Backends are mock (constant or callable) or HTTP (POST one text, receive
+one score); a precomputed score file loads whole through
+``load_score_source``. Results persist in a JSONL cache whose save/load
+round-trip is byte-stable; cached entries are never re-fetched.
 """
 from __future__ import annotations
 
@@ -147,29 +147,6 @@ class MockToxicityClient:
         return self._value
 
 
-class FileToxicityClient:
-    """Looks scores up in a precomputed table; unknown ids fail."""
-
-    name = "file"
-
-    def __init__(self, table: dict[str, float]):
-        self._table = table
-
-    @classmethod
-    def from_path(cls, path: str | Path) -> "FileToxicityClient":
-        cache, rejects = load_precomputed_scores(path)
-        if rejects:
-            rows = ", ".join(str(r[0]) for r in rejects[:5])
-            raise ValueError(f"{len(rejects)} invalid rows in {path} (rows {rows})")
-        return cls(cache.toxicity)
-
-    def score(self, tweet_id: str, text: str) -> float:
-        try:
-            return self._table[tweet_id]
-        except KeyError:
-            raise ScoreError(f"no precomputed score for tweet {tweet_id}") from None
-
-
 class HTTPToxicityClient:
     """POSTs one text per request to a remote scorer; returns one score.
 
@@ -217,28 +194,6 @@ class MockBotClient:
 
     def score(self, profile_id: str) -> tuple[float, float]:
         return self._overall, self._spammer
-
-
-class FileBotClient:
-    name = "file"
-
-    def __init__(self, table: dict[str, BotScores]):
-        self._table = table
-
-    @classmethod
-    def from_path(cls, path: str | Path) -> "FileBotClient":
-        cache, rejects = load_precomputed_scores(path)
-        if rejects:
-            rows = ", ".join(str(r[0]) for r in rejects[:5])
-            raise ValueError(f"{len(rejects)} invalid rows in {path} (rows {rows})")
-        return cls(cache.bots)
-
-    def score(self, profile_id: str) -> tuple[float, float]:
-        try:
-            entry = self._table[profile_id]
-        except KeyError:
-            raise ScoreError(f"no precomputed bot scores for profile {profile_id}") from None
-        return entry.overall, entry.spammer
 
 
 class _RateLimiter:
@@ -367,6 +322,21 @@ def load_precomputed_scores(path: str | Path) -> tuple[ScoreCache, list[tuple[in
             else:
                 rejects.append((lineno, f"expected 2 or 3 columns, got {len(row)}"))
     return cache, rejects
+
+
+def load_score_source(path: str | Path) -> ScoreCache:
+    """Read a score file: a cache as ScoreCache.save writes it, or a
+    precomputed table for load_precomputed_scores. Any invalid row raises
+    ValueError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        first = fh.readline()
+    if first.lstrip().startswith("{") and CACHE_FORMAT in first:
+        return ScoreCache.load(path)
+    cache, rejects = load_precomputed_scores(path)
+    if rejects:
+        rows = ", ".join(str(r[0]) for r in rejects[:5])
+        raise ValueError(f"{len(rejects)} invalid score rows (rows {rows})")
+    return cache
 
 
 def _is_number(s: str) -> bool:

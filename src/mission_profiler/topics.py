@@ -144,6 +144,12 @@ def save_tpvs(tpvs: dict[str, np.ndarray], path: str | Path) -> None:
             fh.write(canonical_dumps(row) + "\n")
 
 
+def as_saved(tpvs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The vectors exactly as load_tpvs reads back the file save_tpvs
+    writes: ordered by tweet id and normalised once more."""
+    return {tweet_id: tpvs[tweet_id] / float(tpvs[tweet_id].sum()) for tweet_id in sorted(tpvs)}
+
+
 def dominant_topic(tpv: np.ndarray) -> int:
     """Argmax topic index; ties break to the lowest index."""
     return int(np.argmax(tpv))
@@ -151,19 +157,6 @@ def dominant_topic(tpv: np.ndarray) -> int:
 
 def assign_dominant_topics(tpvs: dict[str, np.ndarray]) -> dict[str, int]:
     return {tweet_id: dominant_topic(v) for tweet_id, v in tpvs.items()}
-
-
-def topic_median_toxicity(
-    topic: int, assignments: dict[str, int], cache: ScoreCache
-) -> float | None:
-    scores = [
-        cache.toxicity[tweet_id]
-        for tweet_id, t in assignments.items()
-        if t == topic and tweet_id in cache.toxicity
-    ]
-    if not scores:
-        return None
-    return float(statistics.median(scores))
 
 
 def topic_aggregates(

@@ -1,14 +1,14 @@
 """Shared helpers: canonical JSON serialization, file hashing, seed derivation.
 
-Every artifact file the pipeline writes goes through ``canonical_dumps`` /
-``write_jsonl`` so that identical inputs produce byte-identical outputs.
+Every JSON artifact the pipeline writes goes through ``canonical_dumps`` so
+that identical inputs produce byte-identical outputs.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any
 
 
 def canonical_dumps(obj: Any) -> str:
@@ -22,26 +22,6 @@ def write_json(path: str | Path, obj: Any) -> None:
 
 def read_json(path: str | Path) -> Any:
     return json.loads(Path(path).read_text(encoding="utf-8"))
-
-
-def write_jsonl(path: str | Path, rows: Iterable[Any]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(canonical_dumps(row) + "\n")
-
-
-def iter_jsonl(path: str | Path) -> Iterator[tuple[int, Any]]:
-    """Yield (1-based line number, parsed object) per non-blank line.
-
-    Blank lines yield (lineno, None) so callers can account for every input
-    line; parse failures propagate as json.JSONDecodeError.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                yield lineno, None
-                continue
-            yield lineno, json.loads(line)
 
 
 def sha256_file(path: str | Path) -> str:

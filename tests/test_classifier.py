@@ -193,6 +193,18 @@ def test_forest_deterministic_per_seed():
     assert f1.params_dict() != f3.params_dict()
 
 
+def test_forest_single_class_bootstrap_grows_a_leaf():
+    # 2 positives in 12 rows: some of the 100 bootstraps draw no positive
+    X = np.random.default_rng(3).random((12, 4))
+    y = np.array([1, 1] + [0] * 10)
+    forest = RandomForest().fit(X, y, TrainConfig(), seed=1)
+    single = [t.root for t in forest.trees if t.root["leaf"] and t.root["n_pos"] == 0]
+    assert single and all(root["n"] == 12 for root in single)
+    assert forest.predict(X).shape == (12,)
+    with pytest.raises(ValueError, match="single class"):
+        RandomForest().fit(X, np.zeros(12, dtype=int), TrainConfig(), seed=1)
+
+
 # -- evaluation ---------------------------------------------------------------------
 
 def test_eval_hand_values():

@@ -68,6 +68,33 @@ def test_score_command_mock(tmp_path):
     assert "12 scored" in result.output
 
 
+def test_score_command_file_stores_whole_table(tmp_path):
+    tweets = tmp_path / "tweets.jsonl"
+    write_tweet_lines(tweets, [tweet_row(f"t{i}", "p", ts=BASE_TS + i) for i in range(12)])
+    corpus = tmp_path / "corpus.bin"
+    CliRunner().invoke(main, ["ingest", "--tweets", str(tweets), "--out", str(corpus)])
+    table = tmp_path / "scores.csv"
+    table.write_text("".join(f"t{i},0.{i % 10}\n" for i in range(15)))  # t12..t14 are not in the corpus
+    bots = tmp_path / "bots.csv"
+    bots.write_text("p,0.3,0.4\n")
+    cache, bot_cache = tmp_path / "tox.jsonl", tmp_path / "bots.jsonl"
+    result = CliRunner().invoke(main, [
+        "score", "--corpus", str(corpus), "--backend", "file", "--toxicity-file", str(table),
+        "--toxicity-cache", str(cache), "--bot-file", str(bots), "--bot-cache", str(bot_cache),
+    ])
+    assert result.exit_code == 0, result.output
+    assert "15 scored, 0 missing" in result.output
+    assert "bots: 1 profiles scored" in result.output
+    # the pipeline's score-source loader also reads a saved cache back unchanged
+    again = tmp_path / "tox2.jsonl"
+    result = CliRunner().invoke(main, [
+        "score", "--corpus", str(corpus), "--backend", "file", "--toxicity-file", str(cache),
+        "--toxicity-cache", str(again),
+    ])
+    assert result.exit_code == 0, result.output
+    assert again.read_bytes() == cache.read_bytes()
+
+
 def test_kappa_command(tmp_path):
     ratings = tmp_path / "ratings.csv"
     ratings.write_text("a,a,a\na,a,b\nb,b,b\na,b,b\n")
@@ -199,3 +226,52 @@ def test_metrics_command(bundle_dir, run_dir, tmp_path):
     rows = [json.loads(line) for line in out.read_text().splitlines()]
     assert len(rows) == 16
     assert all("burstiness" in r for r in rows)
+
+
+def test_stage_commands_match_pipeline_artifacts(run_dir, tmp_path):
+    """group, metrics and detect on a run's own stage inputs write the run's
+    artifacts, minus the config-hash key or header line."""
+    corpus = str(run_dir / "ingest" / "corpus.bin")
+    tpvs, catalog = str(run_dir / "topics" / "tpvs.jsonl"), str(run_dir / "topics" / "catalog.tsv")
+    tox = str(run_dir / "score" / "toxicity_cache.jsonl")
+    runner = CliRunner()
+    for args in (
+        ["group", "--corpus", corpus, "--tpv", tpvs, "--catalog", catalog,
+         "--out", str(tmp_path / "groups.json"), "--cdf-csv", str(tmp_path / "entropy_cdf.csv")],
+        ["metrics", "--corpus", corpus, "--toxicity-cache", tox, "--out", str(tmp_path / "metrics.jsonl")],
+        ["detect", "--corpus", corpus, "--tpv", tpvs, "--catalog", catalog, "--toxicity-cache", tox,
+         "--groups", str(run_dir / "group" / "groups.json"), "--group", "VII", "--min-cluster", "3",
+         "--tox-gate", "p75", "--out", str(tmp_path / "designations.json")],
+    ):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+
+    for stage, name in (("group", "groups.json"), ("detect", "designations.json")):
+        payload = json.loads((run_dir / stage / name).read_text())
+        del payload["config_hash"]
+        assert json.loads((tmp_path / name).read_text()) == payload, name
+    for stage, name in (("group", "entropy_cdf.csv"), ("metrics", "metrics.jsonl")):
+        lines = (run_dir / stage / name).read_text().splitlines(keepends=True)
+        assert (tmp_path / name).read_text() == "".join(lines[1:]), name
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # the one-profile run warns of empty groups
+def test_topics_baseline_command_matches_pipeline(tmp_path):
+    tweets = tmp_path / "tweets.jsonl"
+    write_tweet_lines(tweets, [
+        tweet_row(f"t{i}", "p", text=f"tweet {i} about topic {i % 3} with a few more words", ts=BASE_TS + i)
+        for i in range(12)
+    ])
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"tweets": str(tweets), "use_baseline_topics": True, "K": 20,
+                                  "toxicity_backend": "mock", "seed": 9}))
+    runner = CliRunner()
+    result = runner.invoke(main, ["run", "--config", str(config), "--out", str(tmp_path / "run")])
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(main, [
+        "topics", "--baseline", "--corpus", str(tmp_path / "run" / "ingest" / "corpus.bin"),
+        "--k", "20", "--seed", "9", "--out", str(tmp_path / "topics"),
+    ])
+    assert result.exit_code == 0, result.output
+    for name in ("tpvs.jsonl", "catalog.tsv"):
+        assert (tmp_path / "topics" / name).read_bytes() == (tmp_path / "run" / "topics" / name).read_bytes()

@@ -13,7 +13,7 @@ from mission_profiler.features import (
     save_features,
 )
 from mission_profiler.ingest import ProfileMetadata
-from mission_profiler.metrics import compute_metric_bundle
+from mission_profiler.metrics import bundle_to_dict, compute_metric_bundle
 from mission_profiler.scores import ScoreCache
 from mission_profiler.topics import CATEGORIES
 
@@ -21,10 +21,11 @@ from conftest import BASE_TS, make_timeline, make_tweet
 
 
 def _bundle(timeline, scores=None):
+    """The profile's metrics.jsonl row, which extract_features reads."""
     cache = ScoreCache()
     for t, s in zip(timeline.tweets, scores or []):
         cache.put_toxicity(t.tweet_id, s)
-    return compute_metric_bundle(timeline, cache)
+    return bundle_to_dict(compute_metric_bundle(timeline, cache))
 
 
 def _counts(**kw):

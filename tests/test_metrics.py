@@ -291,27 +291,3 @@ def test_bundle_counts():
     assert bundle.activity.n_retweets == 1
     assert sum(bundle.activity.delta_days_hist.values()) == 3
     assert bundle.activity.n_unique <= bundle.activity.n_tweets
-
-
-# -- per-topic burstiness variant -----------------------------------------------------
-
-def test_burstiness_by_topic_splits_series():
-    from mission_profiler.metrics import burstiness_by_topic
-
-    day = 86400
-    tweets = [make_tweet(i, "p", f"text {i}", BASE_TS + i * day) for i in range(12)]
-    tl = make_timeline("p", tweets=tweets)
-    # even tweets on topic 0 (periodic 2-day spacing), odd on topic 1
-    assignments = {t.tweet_id: int(t.tweet_id) % 2 for t in tweets}
-    per_topic = burstiness_by_topic(tl, assignments)
-    assert set(per_topic) == {0, 1}
-    b0, r0, n0 = per_topic[0]
-    assert n0 == 6
-    assert b0 == pytest.approx(-1.0)  # constant spacing within the topic
-
-
-def test_burstiness_by_topic_skips_uncovered():
-    from mission_profiler.metrics import burstiness_by_topic
-
-    tl = make_timeline("p", texts=["a", "b", "c"])
-    assert burstiness_by_topic(tl, {}) == {}

@@ -1,9 +1,11 @@
 import json
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from mission_profiler import ingest, metrics, pipeline, scores, topics
 from mission_profiler.pipeline import (
     Pipeline,
     PipelineError,
@@ -264,3 +266,61 @@ def test_outputs_embed_config_hash(tmp_path):
     assert model["config_hash"] == h
     first_line = (out / "report" / "plots" / "fig_entropy_cdf.csv").read_text().splitlines()[0]
     assert h in first_line
+
+
+# -- in-memory hand-off ----------------------------------------------------------------
+
+def _count_loads(monkeypatch) -> Counter:
+    """Count calls of the artifact loaders and of the metric battery."""
+    calls: Counter = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for mod in (ingest, pipeline):
+        monkeypatch.setattr(mod, "load_corpus", counting("load_corpus", ingest.load_corpus))
+    monkeypatch.setattr(topics, "load_tpvs", counting("load_tpvs", topics.load_tpvs))
+    cache_load = scores.ScoreCache.__dict__["load"].__func__
+    monkeypatch.setattr(scores.ScoreCache, "load", classmethod(counting("cache_load", cache_load)))
+    monkeypatch.setattr(
+        metrics, "compute_metric_bundle", counting("compute_metric_bundle", metrics.compute_metric_bundle)
+    )
+    return calls
+
+
+def test_cold_run_reads_inputs_once_and_warm_rerun_loads_nothing(tmp_path, monkeypatch):
+    paths = _small_bundle(tmp_path)
+    config = _config(paths)
+    calls = _count_loads(monkeypatch)
+    report = run_pipeline(config, tmp_path / "run")
+    # the input topic vectors and toxicity cache are each read once
+    assert calls == Counter(
+        compute_metric_bundle=report["ingest_stats"]["kept_profiles"], load_tpvs=1, cache_load=1
+    )
+    calls.clear()
+    assert run_pipeline(config, tmp_path / "run") == report
+    assert not calls
+
+
+def test_rerun_rebuilds_a_deleted_output_byte_identically(tmp_path, monkeypatch):
+    paths = _small_bundle(tmp_path)
+    config = _config(paths)
+    out = tmp_path / "run"
+    run_pipeline(config, out)
+    before = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    calls = _count_loads(monkeypatch)
+    for rel in (
+        "features/features.jsonl", "metrics/metrics.jsonl", "topics/tpvs.jsonl", "group/groups.json",
+        "detect/designations.json", "classify/wild.json", "report/report.json",
+    ):
+        (out / rel).unlink()
+        calls.clear()
+        run_pipeline(config, out)
+        after = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert after == before, rel
+        if rel.startswith("features/"):
+            # rebuilt from metrics.jsonl: no metric bundle is computed again
+            assert calls["compute_metric_bundle"] == 0

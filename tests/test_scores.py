@@ -8,7 +8,6 @@ import pytest
 from mission_profiler.ingest import Corpus, IngestStats
 from mission_profiler.scores import (
     BackendUnavailable,
-    FileToxicityClient,
     HTTPToxicityClient,
     MockBotClient,
     MockToxicityClient,
@@ -16,6 +15,7 @@ from mission_profiler.scores import (
     ScoreError,
     bot_score_summary,
     load_precomputed_scores,
+    load_score_source,
     score_bots,
     score_toxicity,
 )
@@ -285,11 +285,18 @@ def test_http_client_requires_url(monkeypatch):
         HTTPToxicityClient()
 
 
-def test_file_client_missing_id_is_score_error():
-    client = FileToxicityClient({"t1": 0.5})
-    assert client.score("t1", "x") == 0.5
-    with pytest.raises(ScoreError):
-        client.score("t2", "x")
+def test_load_score_source_reads_cache_or_table(tmp_path):
+    cache = ScoreCache()
+    cache.put_toxicity("t1", 0.25, source="http")
+    cache.save(tmp_path / "cache.jsonl")
+    assert load_score_source(tmp_path / "cache.jsonl").provenance("t1") == "http"
+    (tmp_path / "table.csv").write_text("tweet_id,score\nt1,0.5\nt2,0.75\np1,0.1,0.2\n")
+    table = load_score_source(tmp_path / "table.csv")
+    assert table.toxicity == {"t1": 0.5, "t2": 0.75}
+    assert table.bots["p1"].spammer == 0.2
+    (tmp_path / "bad.csv").write_text("t1,0.5\nt2,1.5\n")
+    with pytest.raises(ValueError, match="1 invalid score rows"):
+        load_score_source(tmp_path / "bad.csv")
 
 
 def test_out_of_range_backend_response_lands_in_missing():

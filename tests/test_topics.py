@@ -11,13 +11,13 @@ from mission_profiler.topics import (
     CatalogError,
     TopicCatalog,
     TPVError,
+    as_saved,
     assign_dominant_topics,
     baseline_topic_assigner,
     dominant_topic,
     load_tpvs,
     save_tpvs,
     topic_aggregates,
-    topic_median_toxicity,
 )
 
 from conftest import make_timeline
@@ -79,6 +79,19 @@ def test_generated_fixture_loads_with_unit_sums(tmp_path):
         assert abs(v.sum() - 1.0) < 1e-9
 
 
+def test_as_saved_equals_the_saved_file_read_back(tmp_path):
+    rng = np.random.default_rng(6)
+    rows = [{"tweet_id": f"t{i:03d}", "probs": [float(x) for x in rng.dirichlet(np.ones(8))]}
+            for i in reversed(range(300))]
+    _write_tpv_rows(tmp_path / "in.jsonl", rows)
+    tpvs = load_tpvs(tmp_path / "in.jsonl", K=8)
+    save_tpvs(tpvs, tmp_path / "out.jsonl")
+    reread = load_tpvs(tmp_path / "out.jsonl", K=8)
+    expected = as_saved(tpvs)
+    assert list(expected) == list(reread) == sorted(tpvs)
+    assert all(np.array_equal(expected[k], reread[k]) for k in reread)
+
+
 # -- dominant topic --------------------------------------------------------------
 
 def test_dominant_argmax():
@@ -113,17 +126,17 @@ def _cache(scores):
 def test_topic_median_odd():
     assignments = {"a": 3, "b": 3, "c": 3}
     cache = _cache({"a": 0.1, "b": 0.15, "c": 0.2})
-    assert topic_median_toxicity(3, assignments, cache) == pytest.approx(0.15)
+    assert topic_aggregates(assignments, cache, 5)[3].median_toxicity == pytest.approx(0.15)
 
 
 def test_topic_median_even():
     assignments = {"a": 1, "b": 1}
     cache = _cache({"a": 0.1, "b": 0.2})
-    assert topic_median_toxicity(1, assignments, cache) == pytest.approx(0.15)
+    assert topic_aggregates(assignments, cache, 5)[1].median_toxicity == pytest.approx(0.15)
 
 
 def test_topic_median_empty_is_none():
-    assert topic_median_toxicity(7, {"a": 3}, _cache({"a": 0.5})) is None
+    assert topic_aggregates({"a": 3}, _cache({"a": 0.5}), 8)[7].median_toxicity is None
 
 
 def test_aggregate_counts_sum_to_assigned():
