@@ -184,14 +184,6 @@ class LinearSVM:
         return cls(w=np.asarray(params["w"], float), b=float(params["b"]))
 
 
-def _gini_impurity(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts / total
-    return float(1.0 - (p ** 2).sum())
-
-
 class DecisionTree:
     """CART with Gini impurity and midpoint thresholds.
 
@@ -248,28 +240,36 @@ class DecisionTree:
         # zero-gain splits are allowed (a first cut on symmetric data like
         # XOR improves nothing by itself but enables pure children)
         n = len(y)
-        best: tuple[float, int, float] | None = None
-        for feature in self._candidate_features(X.shape[1]):
-            column = X[:, feature]
-            order = np.argsort(column, kind="stable")
-            sorted_vals = column[order]
-            sorted_y = y[order]
-            left = np.zeros(2)
-            right = np.bincount(sorted_y, minlength=2).astype(float)
-            for i in range(n - 1):
-                left[sorted_y[i]] += 1
-                right[sorted_y[i]] -= 1
-                if sorted_vals[i] == sorted_vals[i + 1]:
-                    continue
-                n_left = i + 1
-                n_right = n - n_left
-                score = (n_left * _gini_impurity(left) + n_right * _gini_impurity(right)) / n
-                if best is None or score < best[0] - 1e-15:
-                    threshold = (sorted_vals[i] + sorted_vals[i + 1]) / 2.0
-                    best = (score, feature, float(threshold))
-        if best is None:
+        feats = self._candidate_features(X.shape[1])
+        columns = X[:, feats]
+        order = np.argsort(columns, axis=0, kind="stable")
+        sorted_vals = np.take_along_axis(columns, order, axis=0)
+        # prefix counts: row i holds the class counts of the cut after sorted row i
+        pos_left = np.cumsum(y[order], axis=0)[:-1].astype(float)
+        n_left = np.arange(1, n, dtype=float)[:, None]
+        n_right = n - n_left
+        neg_left = n_left - pos_left
+        pos_right = float(np.count_nonzero(y == 1)) - pos_left
+        neg_right = n_right - pos_right
+        # keep this operation order: saved thresholds depend on the scores' last bits
+        gini_left = 1.0 - ((neg_left / n_left) ** 2 + (pos_left / n_left) ** 2)
+        gini_right = 1.0 - ((neg_right / n_right) ** 2 + (pos_right / n_right) ** 2)
+        scores = (n_left * gini_left + n_right * gini_right) / n
+        # feature-major walk over the cuts between distinct values; only a
+        # strict running minimum can pass the tolerance rule below
+        valid = (sorted_vals[:-1] != sorted_vals[1:]).T
+        cut_feat, cut_row = np.nonzero(valid)
+        if cut_row.size == 0:
             return None
-        return best[1], best[2]
+        flat = scores.T[valid]
+        before = np.minimum.accumulate(np.concatenate(([np.inf], flat[:-1])))
+        best_at = None
+        for at in np.flatnonzero(flat < before).tolist():
+            if best_at is None or flat[at] < flat[best_at] - 1e-15:
+                best_at = at
+        f, i = cut_feat[best_at], cut_row[best_at]
+        threshold = (sorted_vals[i, f] + sorted_vals[i + 1, f]) / 2.0
+        return feats[f], float(threshold)
 
     def _build(self, X: np.ndarray, y: np.ndarray, depth_left: int) -> dict:
         if depth_left <= 0 or len(y) < self._min_split or len(set(y.tolist())) == 1:

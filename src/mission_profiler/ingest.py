@@ -146,7 +146,8 @@ def normalize_tweet(text_raw: str) -> str:
     """
     text = _URL_RE.sub(URL_TOKEN, text_raw)
     text = _MENTION_RE.sub(MENTION_TOKEN, text)
-    text = _EMOJI_RE.sub(lambda m: f":{_EMOJI_TABLE[m.group(0)]}:", text)
+    if not text.isascii():  # every emoji sequence holds a non-ASCII codepoint
+        text = _EMOJI_RE.sub(lambda m: f":{_EMOJI_TABLE[m.group(0)]}:", text)
     return _WS_RE.sub(" ", text).strip()
 
 

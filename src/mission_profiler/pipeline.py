@@ -637,6 +637,8 @@ class Pipeline:
             skipped = {"config_hash": self.hash, "skipped": skip_reason}
             for name in ("eval", "ablation", "wild"):
                 write_json(out[name], skipped)
+            for name in ("model_svm", "model_tree", "model_forest"):
+                out[name].unlink(missing_ok=True)  # an earlier run's models are not this run's
             self._write_manifest(stage, hashes, ["eval.json", "ablation.json", "wild.json"])
             return {name: Artifact(path, skipped) for name, path in out.items()}
 

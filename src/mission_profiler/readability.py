@@ -8,6 +8,7 @@ of one per text.
 """
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -62,6 +63,12 @@ def count_syllables(word: str) -> int:
     return max(count, 1)
 
 
+@functools.lru_cache(maxsize=2**16)
+def _syllables(word: str) -> int:
+    """count_syllables memoised: the three formulas below ask for every word."""
+    return count_syllables(word)
+
+
 def sentence_count(text: str) -> int:
     segments = [s for s in _SENTENCE_SPLIT_RE.split(text) if s.strip()]
     return max(len(segments), 1)
@@ -82,7 +89,7 @@ def flesch_reading_ease(text: str) -> float:
         raise ValueError("empty text")
     n_words = len(words)
     n_sentences = sentence_count(text)
-    n_syllables = sum(count_syllables(w) for w in words)
+    n_syllables = sum(_syllables(w) for w in words)
     return 206.835 - 1.015 * (n_words / n_sentences) - 84.6 * (n_syllables / n_words)
 
 
@@ -92,7 +99,7 @@ def flesch_kincaid_grade(text: str) -> float:
         raise ValueError("empty text")
     n_words = len(words)
     n_sentences = sentence_count(text)
-    n_syllables = sum(count_syllables(w) for w in words)
+    n_syllables = sum(_syllables(w) for w in words)
     return 0.39 * (n_words / n_sentences) + 11.8 * (n_syllables / n_words) - 15.59
 
 
@@ -111,7 +118,7 @@ def linsear_write(text: str) -> float:
     words = word_tokens(text)
     if not words:
         raise ValueError("empty text")
-    weighted = sum(3 if count_syllables(w) >= 3 else 1 for w in words)
+    weighted = sum(3 if _syllables(w) >= 3 else 1 for w in words)
     r = weighted / sentence_count(text)
     return r / 2 if r > 20 else r / 2 - 1
 

@@ -1,8 +1,11 @@
+import hashlib
 import itertools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mission_profiler.classifier import (
     KIND_FOREST,
@@ -172,6 +175,94 @@ def test_tree_respects_max_depth():
 
     tree = DecisionTree().fit(X, y, TrainConfig(tree_max_depth=3))
     assert depth(tree.root) <= 3
+
+
+def _reference_best_split(tree, X, y):
+    """The scalar split search that the prefix-count scan replaced: one Gini
+    impurity per threshold, walked feature by feature."""
+
+    def gini(counts):
+        total = counts.sum()
+        if total == 0:
+            return 0.0
+        p = counts / total
+        return float(1.0 - (p ** 2).sum())
+
+    n = len(y)
+    best = None
+    for feature in tree._candidate_features(X.shape[1]):
+        column = X[:, feature]
+        order = np.argsort(column, kind="stable")
+        sorted_vals = column[order]
+        sorted_y = y[order]
+        left = np.zeros(2)
+        right = np.bincount(sorted_y, minlength=2).astype(float)
+        for i in range(n - 1):
+            left[sorted_y[i]] += 1
+            right[sorted_y[i]] -= 1
+            if sorted_vals[i] == sorted_vals[i + 1]:
+                continue
+            n_left = i + 1
+            n_right = n - n_left
+            score = (n_left * gini(left) + n_right * gini(right)) / n
+            if best is None or score < best[0] - 1e-15:
+                best = (score, feature, float((sorted_vals[i] + sorted_vals[i + 1]) / 2.0))
+    return None if best is None else (best[1], best[2])
+
+
+@st.composite
+def _tied_problems(draw):
+    n = draw(st.integers(0, 30))
+    f = draw(st.integers(1, 6))
+    levels = draw(st.integers(1, 4))
+    values = draw(st.lists(st.integers(0, levels - 1), min_size=n * f, max_size=n * f))
+    scale = draw(st.sampled_from([1.0, 3.0, 7.0]))
+    X = np.asarray(values, float).reshape(n, f) / scale
+    y = np.asarray(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), int)
+    seed = draw(st.none() | st.integers(0, 2**32 - 1))
+    return X, y, seed
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tied_problems())
+def test_best_split_matches_scalar_reference(problem):
+    X, y, seed = problem
+    fast, slow = DecisionTree(), DecisionTree()
+    fast._feature_rng = None if seed is None else random.Random(seed)
+    slow._feature_rng = None if seed is None else random.Random(seed)
+    assert fast._best_split(X, y) == _reference_best_split(slow, X, y)
+    if seed is not None:  # both drew the same candidate features
+        assert fast._feature_rng.random() == slow._feature_rng.random()
+
+
+def test_best_split_tolerance_keeps_the_first_of_near_equal_scores():
+    # feature 0's one cut (2 left, no positive) scores 1/3; feature 1's one cut
+    # (6 left, one positive) scores 1/3 as well, but one ulp lower in floats.
+    # The later score wins only if it is lower by more than 1e-15.
+    X = np.array([[0, 0], [0, 0], [1, 0], [1, 0], [1, 0], [1, 0], [1, 1], [1, 1]], float)
+    y = np.array([0, 0, 0, 0, 0, 1, 0, 1])
+    tree = DecisionTree()
+    tree._feature_rng = None
+    assert tree._best_split(X, y) == _reference_best_split(tree, X, y) == (0, 0.5)
+
+
+def _pin_matrix():
+    rng = np.random.default_rng(2024)
+    X = np.hstack([rng.integers(0, 5, size=(150, 3)).astype(float), rng.normal(size=(150, 3))])
+    y = (X[:, 0] + X[:, 3] + rng.normal(scale=0.8, size=150) > 2.0).astype(int)
+    return X, y
+
+
+@pytest.mark.parametrize("kind, digest", [
+    (KIND_TREE, "cac76710612761533eea6ca2d7ba8c3003da0c8ad24cf4bcde0be41c80ef916e"),
+    (KIND_FOREST, "2cb25f6a36fbecc16f18c8c6c2c66971cfe17b70eab4ae4ccaec5d73187a3d7c"),
+])
+def test_model_file_digest_pinned(tmp_path, kind, digest):
+    # digests of the files the scalar split search wrote for this matrix
+    X, y = _pin_matrix()
+    path = tmp_path / f"model_{kind}.json"
+    train(kind, X, y, seed=7).save(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 # -- forest -----------------------------------------------------------------------

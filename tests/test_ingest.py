@@ -4,6 +4,7 @@ import string
 import pytest
 
 from mission_profiler.ingest import (
+    _EMOJI_TABLE,
     IngestError,
     emoji_alias,
     load_corpus,
@@ -31,6 +32,12 @@ def test_emoji_alias_from_table():
     # the bundled table maps U+1F525 to "fire"
     assert emoji_alias("\U0001F525") == "fire"
     assert normalize_tweet("go \U0001F525 now") == "go :fire: now"
+
+
+def test_every_emoji_sequence_holds_a_non_ascii_codepoint():
+    # normalize_tweet skips the emoji pass on ASCII-only text
+    assert _EMOJI_TABLE
+    assert not [seq for seq in _EMOJI_TABLE if seq.isascii()]
 
 
 def test_unknown_emoji_passes_through():

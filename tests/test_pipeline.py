@@ -324,3 +324,21 @@ def test_rerun_rebuilds_a_deleted_output_byte_identically(tmp_path, monkeypatch)
         if rel.startswith("features/"):
             # rebuilt from metrics.jsonl: no metric bundle is computed again
             assert calls["compute_metric_bundle"] == 0
+
+
+def test_skipped_classify_removes_an_earlier_runs_models(tmp_path):
+    paths = _small_bundle(tmp_path)
+    labels = tmp_path / "labels.csv"
+    labels.write_text(Path(paths["labels"]).read_text(encoding="utf-8"), encoding="utf-8")
+    config = _config(paths, labels=str(labels))
+    out = tmp_path / "run"
+    first = run_pipeline(config, out)
+    assert first["eval"] and sorted(p.name for p in (out / "classify").glob("model_*.json"))
+    # same out dir, same config, labels of one class: classify reruns and skips
+    ids = [row.split(",")[0] for row in labels.read_text(encoding="utf-8").splitlines()[1:]]
+    labels.write_text("profile_id,label\n" + "".join(f"{pid},genuine\n" for pid in ids), encoding="utf-8")
+    with pytest.warns(UserWarning, match="classifier skipped"):
+        report = run_pipeline(config, out)
+    assert any("classifier skipped" in w for w in report["warnings"])
+    assert not list((out / "classify").glob("model_*.json"))
+    assert report["eval"] == {}

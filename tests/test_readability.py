@@ -1,7 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
 
+from mission_profiler import readability
 from mission_profiler.readability import (
     automated_readability_index,
     count_syllables,
@@ -173,3 +175,20 @@ def test_profile_with_only_empty_tweets_is_none():
 def test_profile_skips_empty_tweets():
     m = readability_metrics(["", "The cat sat on the mat."])
     assert m.flesch_ease == pytest.approx(116.145, abs=1e-6)
+
+
+def test_formulas_count_each_words_syllables_once(monkeypatch):
+    calls = Counter()
+
+    def counting(word):
+        calls[word] += 1
+        return count_syllables(word)
+
+    monkeypatch.setattr(readability, "count_syllables", counting)
+    readability._syllables.cache_clear()
+    try:
+        readability_metrics(["the quick brown fox jumps.", "the lazy dog sleeps! the fox runs"])
+    finally:
+        readability._syllables.cache_clear()
+    assert set(calls) == {"the", "quick", "brown", "fox", "jumps.", "lazy", "dog", "sleeps!", "runs"}
+    assert set(calls.values()) == {1}
