@@ -471,11 +471,20 @@ def ablation(
     y: np.ndarray,
     seed: int,
     config: TrainConfig | None = None,
+    all_row: dict[str, dict] | None = None,
 ) -> dict[str, dict[str, dict]]:
-    """F1/accuracy for every feature group x model kind on one shared split."""
+    """F1/accuracy for every feature group x model kind on one shared split.
+
+    all_row, when given, is the caller's evaluation of every model kind
+    fitted with all columns on split_80_20(y, seed) with this config; it
+    becomes the "all" row instead of fitting those models again.
+    """
     train_idx, test_idx = split_80_20(y, seed, stratified=True)
     table: dict[str, dict[str, dict]] = {}
     for group in ("content", "auxiliary", "activity_profile", "all"):
+        if group == "all" and all_row is not None:
+            table[group] = {kind: all_row[kind] for kind in MODEL_KINDS}
+            continue
         table[group] = {}
         for kind in MODEL_KINDS:
             model = train(kind, X_raw[train_idx], np.asarray(y)[train_idx], seed, group, config)

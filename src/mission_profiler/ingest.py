@@ -57,10 +57,7 @@ def _load_emoji_table() -> dict[str, str]:
 
 
 _EMOJI_TABLE = _load_emoji_table()
-# longest sequences first so flags/VS16 forms win over their prefixes
-_EMOJI_RE = re.compile(
-    "|".join(re.escape(s) for s in sorted(_EMOJI_TABLE, key=len, reverse=True))
-)
+_NON_ASCII_RE = re.compile(r"[^\x00-\x7f]")
 
 
 @dataclass(frozen=True)
@@ -146,9 +143,31 @@ def normalize_tweet(text_raw: str) -> str:
     """
     text = _URL_RE.sub(URL_TOKEN, text_raw)
     text = _MENTION_RE.sub(MENTION_TOKEN, text)
-    if not text.isascii():  # every emoji sequence holds a non-ASCII codepoint
-        text = _EMOJI_RE.sub(lambda m: f":{_EMOJI_TABLE[m.group(0)]}:", text)
+    if not text.isascii():
+        text = _alias_emoji(text)
     return _WS_RE.sub(" ", text).strip()
+
+
+def _alias_emoji(text: str) -> str:
+    """Replace emoji sequences by ':alias:', scanning left to right and
+    taking the longest table entry at each position. Every entry is one or
+    two codepoints and starts with a non-ASCII one, so only non-ASCII
+    positions are tried, two codepoints before one (flags and VS16 forms
+    win over their prefixes)."""
+    parts: list[str] = []
+    done = 0  # text[:done] is already in parts
+    for m in _NON_ASCII_RE.finditer(text):
+        i = m.start()
+        if i < done:  # second codepoint of a pair just replaced
+            continue
+        for seq in (text[i:i + 2], text[i]):
+            name = _EMOJI_TABLE.get(seq)
+            if name is not None:
+                parts += (text[done:i], f":{name}:")
+                done = i + len(seq)
+                break
+    parts.append(text[done:])
+    return "".join(parts)
 
 
 def emoji_alias(char: str) -> str | None:

@@ -11,10 +11,14 @@ wrote it was a cache hit and a later stage misses, so a fully cached
 rerun loads nothing.
 
 Stages write under out_dir/<stage>/ with a manifest recording the config
-hash and input content hashes; a rerun with matching hashes reuses the
-cached outputs, and resuming into an out dir written by a different
-config aborts rather than mixing artifacts. Every output file embeds the
-config hash. All randomness derives from the single top-level seed.
+hash and the sha256 of every input and output; a rerun reuses a stage's
+cached outputs only when its inputs hash as recorded and every output's
+bytes still hash to the recorded digest, and resuming into an out dir
+written by a different config aborts rather than mixing artifacts. A run
+hashes each file at most once: digests are memoised for the run, and a
+path the run writes or deletes is dropped from the memo first. Every
+output file embeds the config hash. All randomness derives from the
+single top-level seed.
 """
 from __future__ import annotations
 
@@ -366,6 +370,7 @@ class Pipeline:
         self.out.mkdir(parents=True, exist_ok=True)
         self.hash = config.config_hash()
         self.warnings: list[str] = []
+        self._digests: dict[Path, str] = {}  # resolved path -> sha256, for one run
 
     # -- stage cache plumbing ------------------------------------------------
 
@@ -389,21 +394,42 @@ class Pipeline:
             )
         if manifest.get("inputs") != inputs:
             return False
-        return all((self._stage_dir(stage) / name).exists() for name in manifest.get("outputs", []))
+        # a manifest without output digests (older runs wrote none) is a miss
+        digests = manifest.get("output_hashes") or {}
+        d = self._stage_dir(stage)
+        return all(
+            name in digests and (d / name).is_file() and self._digest(d / name) == digests[name]
+            for name in manifest.get("outputs", [])
+        )
 
     def _write_manifest(self, stage: str, inputs: dict[str, str], outputs: list[str], extra: dict | None = None) -> None:
+        d = self._stage_dir(stage)
+        self._forget(d / name for name in outputs)
         payload = {
             "stage": stage,
             "config_hash": self.hash,
             "inputs": inputs,
             "outputs": sorted(outputs),
+            "output_hashes": {name: self._digest(d / name) for name in sorted(outputs)},
         }
         if extra:
             payload.update(extra)
         write_json(self._manifest_path(stage), payload)
 
+    def _digest(self, path: str | Path) -> str:
+        """sha256 of a file, read from disk the first time this run asks."""
+        key = Path(path).resolve()
+        if key not in self._digests:
+            self._digests[key] = sha256_file(key)
+        return self._digests[key]
+
+    def _forget(self, paths) -> None:
+        """Drop the memoised digests of files this run rewrote or deleted."""
+        for path in paths:
+            self._digests.pop(Path(path).resolve(), None)
+
     def _input_hashes(self, paths: dict[str, str | Path]) -> dict[str, str]:
-        return {name: sha256_file(p) for name, p in sorted(paths.items())}
+        return {name: self._digest(p) for name, p in sorted(paths.items())}
 
     def _warn(self, stage: str, message: str) -> None:
         self.warnings.append(f"{stage}: {message}")
@@ -418,6 +444,7 @@ class Pipeline:
             fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
             raise PipelineError("lock", f"another run holds {lock} (remove if stale)")
+        self._digests = {}  # every run reads every file's bytes again
         try:
             os.write(fd, str(os.getpid()).encode())
             os.close(fd)
@@ -637,8 +664,10 @@ class Pipeline:
             skipped = {"config_hash": self.hash, "skipped": skip_reason}
             for name in ("eval", "ablation", "wild"):
                 write_json(out[name], skipped)
-            for name in ("model_svm", "model_tree", "model_forest"):
-                out[name].unlink(missing_ok=True)  # an earlier run's models are not this run's
+            models = [out[name] for name in ("model_svm", "model_tree", "model_forest")]
+            for path in models:
+                path.unlink(missing_ok=True)  # an earlier run's models are not this run's
+            self._forget(models)
             self._write_manifest(stage, hashes, ["eval.json", "ablation.json", "wild.json"])
             return {name: Artifact(path, skipped) for name, path in out.items()}
 
@@ -654,7 +683,7 @@ class Pipeline:
                 report = classifier.evaluate(model.predict(X_lab[test_idx]), y_lab[test_idx])
                 evals[kind] = report.as_dict()
                 model.save(out[f"model_{kind.split('_')[-1]}"], extra={"config_hash": self.hash})
-            ablation_table = classifier.ablation(X_lab, y_lab, seed)
+            ablation_table = classifier.ablation(X_lab, y_lab, seed, all_row=evals)
         except ValueError as exc:
             raise PipelineError(stage, str(exc)) from exc
         payloads = {

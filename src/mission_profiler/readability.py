@@ -11,12 +11,13 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 MTLD_TTR_THRESHOLD = 0.72
 
 _SENTENCE_SPLIT_RE = re.compile(r"[.!?]+")
 _VOWEL_GROUP_RE = re.compile(r"[aeiouy]+")
-_ALNUM_RE = re.compile(r"[^\W_]", re.UNICODE)
+_NON_ALNUM_RE = re.compile(r"[\W_]+")
 
 # words the vowel-group heuristic gets wrong by more than is tolerable
 _SYLLABLE_EXCEPTIONS = {
@@ -65,7 +66,7 @@ def count_syllables(word: str) -> int:
 
 @functools.lru_cache(maxsize=2**16)
 def _syllables(word: str) -> int:
-    """count_syllables memoised: the three formulas below ask for every word."""
+    """count_syllables memoised: a profile's tweets repeat most of their words."""
     return count_syllables(word)
 
 
@@ -80,47 +81,69 @@ def word_tokens(text: str) -> list[str]:
 
 def letter_count(text: str) -> int:
     """Alphanumeric characters only; punctuation and spaces excluded."""
-    return len(_ALNUM_RE.findall(text))
+    return len(_NON_ALNUM_RE.sub("", text))
+
+
+class _TextCounts(NamedTuple):
+    """What the formulas below read from one text, counted in one pass."""
+
+    tokens: list[str]
+    sentences: int
+    syllables: int
+    hard_words: int  # words of three or more syllables
+    letters: int
+
+
+def _text_counts(text: str) -> _TextCounts:
+    tokens = word_tokens(text)
+    if not tokens:
+        raise ValueError("empty text")
+    syllables = [_syllables(w) for w in tokens]
+    return _TextCounts(
+        tokens=tokens,
+        sentences=sentence_count(text),
+        syllables=sum(syllables),
+        hard_words=sum(1 for n in syllables if n >= 3),
+        letters=letter_count(text),
+    )
+
+
+def _flesch_ease(c: _TextCounts) -> float:
+    n_words = len(c.tokens)
+    return 206.835 - 1.015 * (n_words / c.sentences) - 84.6 * (c.syllables / n_words)
+
+
+def _flesch_kincaid(c: _TextCounts) -> float:
+    n_words = len(c.tokens)
+    return 0.39 * (n_words / c.sentences) + 11.8 * (c.syllables / n_words) - 15.59
+
+
+def _ari(c: _TextCounts) -> float:
+    n_words = len(c.tokens)
+    return 4.71 * (c.letters / n_words) + 0.5 * (n_words / c.sentences) - 21.43
+
+
+def _linsear(c: _TextCounts) -> float:
+    """Weighted easy/hard word score: easy (<=2 syllables) weigh 1, hard 3."""
+    weighted = len(c.tokens) + 2 * c.hard_words
+    r = weighted / c.sentences
+    return r / 2 if r > 20 else r / 2 - 1
 
 
 def flesch_reading_ease(text: str) -> float:
-    words = word_tokens(text)
-    if not words:
-        raise ValueError("empty text")
-    n_words = len(words)
-    n_sentences = sentence_count(text)
-    n_syllables = sum(_syllables(w) for w in words)
-    return 206.835 - 1.015 * (n_words / n_sentences) - 84.6 * (n_syllables / n_words)
+    return _flesch_ease(_text_counts(text))
 
 
 def flesch_kincaid_grade(text: str) -> float:
-    words = word_tokens(text)
-    if not words:
-        raise ValueError("empty text")
-    n_words = len(words)
-    n_sentences = sentence_count(text)
-    n_syllables = sum(_syllables(w) for w in words)
-    return 0.39 * (n_words / n_sentences) + 11.8 * (n_syllables / n_words) - 15.59
+    return _flesch_kincaid(_text_counts(text))
 
 
 def automated_readability_index(text: str) -> float:
-    words = word_tokens(text)
-    if not words:
-        raise ValueError("empty text")
-    n_chars = letter_count(text)
-    n_words = len(words)
-    n_sentences = sentence_count(text)
-    return 4.71 * (n_chars / n_words) + 0.5 * (n_words / n_sentences) - 21.43
+    return _ari(_text_counts(text))
 
 
 def linsear_write(text: str) -> float:
-    """Weighted easy/hard word score: easy (<=2 syllables) weigh 1, hard 3."""
-    words = word_tokens(text)
-    if not words:
-        raise ValueError("empty text")
-    weighted = sum(3 if _syllables(w) >= 3 else 1 for w in words)
-    r = weighted / sentence_count(text)
-    return r / 2 if r > 20 else r / 2 - 1
+    return _linsear(_text_counts(text))
 
 
 def _mtld_factors(tokens: list[str], threshold: float) -> float:
@@ -164,15 +187,16 @@ def readability_metrics(tweets: list[str]) -> LexicalMetrics | None:
     if not texts:
         return None
     n = len(texts)
+    counts = [_text_counts(t) for t in texts]
     all_tokens: list[str] = []
-    for t in texts:
-        all_tokens.extend(word_tokens(t))
+    for c in counts:
+        all_tokens.extend(c.tokens)
     return LexicalMetrics(
-        flesch_ease=sum(flesch_reading_ease(t) for t in texts) / n,
-        flesch_kincaid_grade=sum(flesch_kincaid_grade(t) for t in texts) / n,
-        linsear_write=sum(linsear_write(t) for t in texts) / n,
-        ari=sum(automated_readability_index(t) for t in texts) / n,
+        flesch_ease=sum(_flesch_ease(c) for c in counts) / n,
+        flesch_kincaid_grade=sum(_flesch_kincaid(c) for c in counts) / n,
+        linsear_write=sum(_linsear(c) for c in counts) / n,
+        ari=sum(_ari(c) for c in counts) / n,
         lexical_diversity_mtld=mtld(all_tokens),
         chars_per_tweet=sum(len(t) for t in texts) / n,
-        words_per_tweet=sum(len(word_tokens(t)) for t in texts) / n,
+        words_per_tweet=sum(len(c.tokens) for c in counts) / n,
     )

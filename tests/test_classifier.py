@@ -381,6 +381,20 @@ def test_ablation_deterministic():
     assert ablation(_padded(X), y, 33, cfg) == ablation(_padded(X), y, 33, cfg)
 
 
+def test_ablation_all_row_is_the_all_features_evaluation():
+    X, y = make_blobs(60, seed=35)
+    X_pad = _padded(X)
+    cfg = TrainConfig(forest_trees=5, svm_epochs=100)
+    row = {
+        kind: train_and_evaluate(X_pad, y, 35, kind, config=cfg)[1].as_dict()
+        for kind in (KIND_SVM, KIND_TREE, KIND_FOREST)
+    }
+    full = ablation(X_pad, y, 35, cfg)
+    assert full["all"] == row
+    reused = ablation(X_pad, y, 35, cfg, all_row=row)
+    assert reused == full and list(reused) == list(full)
+
+
 # -- model files -------------------------------------------------------------------------
 
 def test_model_save_load_round_trip(tmp_path):

@@ -1,8 +1,12 @@
 import random
+import re
 import string
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from mission_profiler import ingest
 from mission_profiler.ingest import (
     _EMOJI_TABLE,
     IngestError,
@@ -35,9 +39,37 @@ def test_emoji_alias_from_table():
 
 
 def test_every_emoji_sequence_holds_a_non_ascii_codepoint():
-    # normalize_tweet skips the emoji pass on ASCII-only text
+    # normalize_tweet skips the emoji pass on ASCII-only text, and the scan
+    # tries two codepoints, then one, at non-ASCII positions only
     assert _EMOJI_TABLE
     assert not [seq for seq in _EMOJI_TABLE if seq.isascii()]
+    assert {len(seq) for seq in _EMOJI_TABLE} == {1, 2}
+    assert not [seq for seq in _EMOJI_TABLE if seq[0].isascii()]
+
+
+_EMOJI_KEYS = sorted(_EMOJI_TABLE)
+_EMOJI_PIECES = st.one_of(
+    st.sampled_from(_EMOJI_KEYS),
+    st.just("\ufe0f"),  # VS16, alone or after any character
+    st.sampled_from([k[0] for k in _EMOJI_KEYS] + [k[1] for k in _EMOJI_KEYS if len(k) == 2]),
+    st.text(alphabet=string.printable, max_size=4),
+    st.sampled_from(["\u00e9", "\u4e2d", "\u200d", "\U0001F3FB", "\U0001FAE0", "\u2764"]),
+)
+
+
+# the regex normalize_tweet used before the table scan: every entry, longest first
+_REFERENCE_EMOJI_RE = re.compile(
+    "|".join(re.escape(s) for s in sorted(_EMOJI_TABLE, key=len, reverse=True))
+)
+
+
+@given(st.lists(_EMOJI_PIECES, max_size=12).map("".join))
+def test_emoji_scan_matches_the_alternation_regex(text):
+    expected = ingest._URL_RE.sub(ingest.URL_TOKEN, text)
+    expected = ingest._MENTION_RE.sub(ingest.MENTION_TOKEN, expected)
+    expected = _REFERENCE_EMOJI_RE.sub(lambda m: f":{_EMOJI_TABLE[m.group(0)]}:", expected)
+    expected = ingest._WS_RE.sub(" ", expected).strip()
+    assert normalize_tweet(text) == expected
 
 
 def test_unknown_emoji_passes_through():

@@ -15,6 +15,7 @@ from mission_profiler.pipeline import (
     run_pipeline,
 )
 from mission_profiler.synth import default_specs, generate, write_bundle
+from mission_profiler.util import sha256_file
 
 from conftest import tweet_row, write_tweet_lines, BASE_TS
 
@@ -342,3 +343,126 @@ def test_skipped_classify_removes_an_earlier_runs_models(tmp_path):
     assert any("classifier skipped" in w for w in report["warnings"])
     assert not list((out / "classify").glob("model_*.json"))
     assert report["eval"] == {}
+
+
+_PRODUCED = {
+    "corpus": "ingest/corpus.bin",
+    "toxicity": "score/toxicity_cache.jsonl",
+    "tpvs": "topics/tpvs.jsonl",
+    "catalog": "topics/catalog.tsv",
+    "aggregates": "topics/aggregates.json",
+    "groups": "group/groups.json",
+    "metrics": "metrics/metrics.jsonl",
+    "detect": "detect/designations.json",
+    "features": "features/features.jsonl",
+    "classify_eval": "classify/eval.json",
+    "classify_ablation": "classify/ablation.json",
+    "classify_wild": "classify/wild.json",
+    "classify_model_svm": "classify/model_linear_svm.json",
+    "classify_model_tree": "classify/model_decision_tree.json",
+    "classify_model_forest": "classify/model_random_forest.json",
+}
+
+
+def _assert_manifests_match_disk(out, paths):
+    """Every digest a manifest records is the sha256 of that file as it is now."""
+    given = {
+        "tweets": paths["tweets"], "profiles": paths["profiles"],
+        "toxicity_source": paths["toxicity"], "labels": paths["labels"],
+    }
+    manifests = sorted(out.glob("*/manifest.json"))
+    assert len(manifests) == len(pipeline.STAGES)
+    for manifest_path in manifests:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        for name, digest in manifest["inputs"].items():
+            if manifest["stage"] == "topics" and name == "tpvs":
+                path = paths["tpvs"]
+            else:
+                path = given.get(name) or out / _PRODUCED[name]
+            assert digest == sha256_file(path), (manifest["stage"], name)
+        assert sorted(manifest["output_hashes"]) == manifest["outputs"]
+        for name, digest in manifest["output_hashes"].items():
+            assert digest == sha256_file(manifest_path.parent / name), (manifest["stage"], name)
+
+
+def _count_cache_hits(monkeypatch) -> list[bool]:
+    hits: list[bool] = []
+    cached = Pipeline._cached
+
+    def counting(self, stage, inputs):
+        hits.append(cached(self, stage, inputs))
+        return hits[-1]
+
+    monkeypatch.setattr(Pipeline, "_cached", counting)
+    return hits
+
+
+def test_a_run_hashes_each_file_once_and_the_next_run_hashes_them_again(tmp_path, monkeypatch):
+    paths = _small_bundle(tmp_path)
+    config = _config(paths)
+    out = tmp_path / "run"
+    run_pipeline(config, out)
+    seen: list[Path] = []
+    real = pipeline.sha256_file
+    monkeypatch.setattr(pipeline, "sha256_file", lambda path: seen.append(Path(path)) or real(path))
+    hits = _count_cache_hits(monkeypatch)
+    pipe = Pipeline(config, out)
+    pipe.run()
+    assert hits == [True] * len(pipeline.STAGES)
+    # each config input and each stage output is read once, the latter to verify it
+    expected = {Path(paths[k]).resolve() for k in ("tweets", "profiles", "tpvs", "toxicity", "labels")}
+    for manifest_path in out.glob("*/manifest.json"):
+        outputs = json.loads(manifest_path.read_text(encoding="utf-8"))["outputs"]
+        expected.update((manifest_path.parent / name).resolve() for name in outputs)
+    assert sorted(seen) == sorted(expected)
+    first = list(seen)
+    seen.clear()
+    pipe.run()
+    assert seen == first
+
+
+def test_rebuilt_output_hands_later_stages_its_new_digest(tmp_path, monkeypatch):
+    paths = _small_bundle(tmp_path)
+    config = _config(paths)
+    out = tmp_path / "run"
+    run_pipeline(config, out)
+    (out / "topics" / "tpvs.jsonl").unlink()
+    run_pipeline(config, out)
+    hits = _count_cache_hits(monkeypatch)
+    run_pipeline(config, out)
+    assert hits == [True] * len(pipeline.STAGES)
+    _assert_manifests_match_disk(out, paths)
+
+
+def test_corrupted_outputs_are_rebuilt_not_reused(tmp_path):
+    paths = _small_bundle(tmp_path)
+    config = _config(paths)
+    out = tmp_path / "run"
+    run_pipeline(config, out)
+    before = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    corpus = out / "ingest" / "corpus.bin"
+    corpus.write_bytes(corpus.read_bytes()[: corpus.stat().st_size // 2])
+    report = bytearray((out / "report" / "report.json").read_bytes())
+    report[len(report) // 2] ^= 0x01
+    (out / "report" / "report.json").write_bytes(bytes(report))
+    run_pipeline(config, out)
+    after = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert after == before
+    _assert_manifests_match_disk(out, paths)
+
+
+def test_manifest_without_output_digests_is_a_miss(tmp_path, monkeypatch):
+    paths = _small_bundle(tmp_path)
+    config = _config(paths)
+    out = tmp_path / "run"
+    run_pipeline(config, out)
+    before = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    manifest_path = out / "metrics" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    del manifest["output_hashes"]  # as written before manifests recorded them
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    hits = _count_cache_hits(monkeypatch)
+    run_pipeline(config, out)
+    assert hits[pipeline.STAGES.index("metrics")] is False
+    assert sum(hits) == len(pipeline.STAGES) - 1
+    assert {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()} == before

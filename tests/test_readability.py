@@ -192,3 +192,25 @@ def test_formulas_count_each_words_syllables_once(monkeypatch):
         readability._syllables.cache_clear()
     assert set(calls) == {"the", "quick", "brown", "fox", "jumps.", "lazy", "dog", "sleeps!", "runs"}
     assert set(calls.values()) == {1}
+
+
+def test_profile_metrics_equal_the_per_formula_averages_exactly():
+    rng = random.Random(23)
+    words = ["cat", "banana", "readability", "dog.", "wonderful!", "a", "tremendous?", "co-op", "x_y", "été"]
+    for _ in range(100):
+        tweets = [
+            " ".join(rng.choice(words) for _ in range(rng.randint(0, 25))) for _ in range(rng.randint(1, 8))
+        ]
+        texts = [t for t in tweets if t.strip()]
+        m = readability_metrics(tweets)
+        if not texts:
+            assert m is None
+            continue
+        n = len(texts)
+        assert m.flesch_ease == sum(flesch_reading_ease(t) for t in texts) / n
+        assert m.flesch_kincaid_grade == sum(flesch_kincaid_grade(t) for t in texts) / n
+        assert m.linsear_write == sum(linsear_write(t) for t in texts) / n
+        assert m.ari == sum(automated_readability_index(t) for t in texts) / n
+        assert m.words_per_tweet == sum(len(t.split()) for t in texts) / n
+        assert m.chars_per_tweet == sum(len(t) for t in texts) / n
+        assert m.lexical_diversity_mtld == mtld([w for t in texts for w in t.split()])
