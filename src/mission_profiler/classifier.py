@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -134,8 +135,9 @@ class LinearSVM:
 
     Objective: (lambda/2)||w||^2 + mean hinge with lambda = 1/(C*n), the
     classic C-SVM scaling, minimized on the 1/(lambda*t) schedule. The
-    bias rides along as an appended constant feature. Loss per epoch is
-    recorded for monitoring.
+    bias rides along as an appended constant feature. The weights of every
+    epoch are kept, and loss_history evaluates the objective on them on
+    first access, for monitoring.
     """
 
     kind = KIND_SVM
@@ -143,7 +145,17 @@ class LinearSVM:
     def __init__(self, w: np.ndarray | None = None, b: float = 0.0):
         self.w = w
         self.b = b
-        self.loss_history: list[float] = []
+        # the last fit's weights after each epoch (row 0: before the first) and its objective
+        self._epochs: tuple[np.ndarray, Callable[[np.ndarray], float]] | None = None
+        self._loss_history: list[float] | None = []
+
+    @property
+    def loss_history(self) -> list[float]:
+        """The objective before the first epoch and after each one."""
+        if self._loss_history is None:
+            weights, loss = self._epochs
+            self._loss_history = [loss(w_full) for w_full in weights]
+        return self._loss_history
 
     def fit(self, X: np.ndarray, y: np.ndarray, config: TrainConfig, seed: int = 0) -> "LinearSVM":
         _require_two_classes(y)
@@ -156,8 +168,8 @@ class LinearSVM:
             hinge = np.maximum(0.0, 1.0 - y_signed * (Xb @ w_full))
             return float(lam / 2.0 * (w_full @ w_full) + hinge.mean())
 
-        w_full = np.zeros(f + 1)
-        self.loss_history = [loss(w_full)]
+        weights = np.empty((config.svm_epochs + 1, f + 1))
+        weights[0] = w_full = np.zeros(f + 1)
         for t in range(1, config.svm_epochs + 1):
             margins = y_signed * (Xb @ w_full)
             violating = margins < 1.0
@@ -165,7 +177,8 @@ class LinearSVM:
             if np.any(violating):
                 grad = grad - (y_signed[violating, None] * Xb[violating]).sum(axis=0) / n
             w_full = w_full - grad / (lam * t)
-            self.loss_history.append(loss(w_full))
+            weights[t] = w_full
+        self._epochs, self._loss_history = (weights, loss), None
         self.w = w_full[:-1]
         self.b = float(w_full[-1])
         return self
@@ -196,6 +209,7 @@ class DecisionTree:
 
     def __init__(self, root: dict | None = None):
         self.root = root
+        self._feature_rng: random.Random | None = None  # read by _best_split
 
     def fit(
         self,
@@ -207,85 +221,20 @@ class DecisionTree:
         max_depth: int | None = None,
     ) -> "DecisionTree":
         _require_two_classes(y)
-        return self._grow(X, y, config, feature_rng, max_depth)
-
-    def _grow(
-        self,
-        X: np.ndarray,
-        y: np.ndarray,
-        config: TrainConfig,
-        feature_rng: random.Random | None = None,
-        max_depth: int | None = None,
-    ) -> "DecisionTree":
-        """fit without the class check: labels of one class grow a single leaf."""
         depth_cap = config.tree_max_depth if max_depth is None else max_depth
-        self._min_split = config.tree_min_samples_split
-        self._feature_rng = feature_rng
-        self.root = self._build(X, np.asarray(y, int), depth_cap)
+        y = np.asarray(y, int)
+        rows = np.arange(len(y))
+        self.root = _grow_trees(X, y, [rows], [feature_rng], depth_cap, config.tree_min_samples_split)[0]
         return self
 
-    def _leaf(self, y: np.ndarray) -> dict:
-        n_pos = int((y == 1).sum())
-        n = len(y)
-        # majority class; exact tie goes to the negative class
-        return {"leaf": True, "n": n, "n_pos": n_pos, "cls": int(n_pos * 2 > n)}
-
     def _candidate_features(self, n_features: int) -> list[int]:
-        if self._feature_rng is None:
-            return list(range(n_features))
-        k = max(1, int(round(math.sqrt(n_features))))
-        return sorted(self._feature_rng.sample(range(n_features), k))
+        return _draw_features(self._feature_rng, n_features)
 
     def _best_split(self, X: np.ndarray, y: np.ndarray) -> tuple[int, float] | None:
-        # zero-gain splits are allowed (a first cut on symmetric data like
-        # XOR improves nothing by itself but enables pure children)
-        n = len(y)
-        feats = self._candidate_features(X.shape[1])
-        columns = X[:, feats]
-        order = np.argsort(columns, axis=0, kind="stable")
-        sorted_vals = np.take_along_axis(columns, order, axis=0)
-        # prefix counts: row i holds the class counts of the cut after sorted row i
-        pos_left = np.cumsum(y[order], axis=0)[:-1].astype(float)
-        n_left = np.arange(1, n, dtype=float)[:, None]
-        n_right = n - n_left
-        neg_left = n_left - pos_left
-        pos_right = float(np.count_nonzero(y == 1)) - pos_left
-        neg_right = n_right - pos_right
-        # keep this operation order: saved thresholds depend on the scores' last bits
-        gini_left = 1.0 - ((neg_left / n_left) ** 2 + (pos_left / n_left) ** 2)
-        gini_right = 1.0 - ((neg_right / n_right) ** 2 + (pos_right / n_right) ** 2)
-        scores = (n_left * gini_left + n_right * gini_right) / n
-        # feature-major walk over the cuts between distinct values; only a
-        # strict running minimum can pass the tolerance rule below
-        valid = (sorted_vals[:-1] != sorted_vals[1:]).T
-        cut_feat, cut_row = np.nonzero(valid)
-        if cut_row.size == 0:
-            return None
-        flat = scores.T[valid]
-        before = np.minimum.accumulate(np.concatenate(([np.inf], flat[:-1])))
-        best_at = None
-        for at in np.flatnonzero(flat < before).tolist():
-            if best_at is None or flat[at] < flat[best_at] - 1e-15:
-                best_at = at
-        f, i = cut_feat[best_at], cut_row[best_at]
-        threshold = (sorted_vals[i, f] + sorted_vals[i + 1, f]) / 2.0
-        return feats[f], float(threshold)
-
-    def _build(self, X: np.ndarray, y: np.ndarray, depth_left: int) -> dict:
-        if depth_left <= 0 or len(y) < self._min_split or len(set(y.tolist())) == 1:
-            return self._leaf(y)
-        split = self._best_split(X, y)
-        if split is None:
-            return self._leaf(y)
-        feature, threshold = split
-        go_left = X[:, feature] <= threshold
-        return {
-            "leaf": False,
-            "feature": feature,
-            "threshold": threshold,
-            "left": self._build(X[go_left], y[go_left], depth_left - 1),
-            "right": self._build(X[~go_left], y[~go_left], depth_left - 1),
-        }
+        """The split search for one node holding every row of X."""
+        feats = np.array([self._candidate_features(X.shape[1])], dtype=np.intp)
+        rows = np.arange(len(y))
+        return _best_splits(np.asarray(X, float), np.asarray(y, int), [rows], feats)[0]
 
     def _score_one(self, x: np.ndarray) -> float:
         node = self.root
@@ -307,6 +256,142 @@ class DecisionTree:
         return cls(root=params["root"])
 
 
+# Cells of the padded (nodes x candidate features x rows) grid that one
+# batched split search fills. Its temporaries take about 80 bytes a cell,
+# so a batch holds about 0.3 MB, however many trees grow in lockstep.
+_SPLIT_BATCH_CELLS = 1 << 12
+
+
+def _draw_features(rng: random.Random | None, n_features: int) -> list[int]:
+    """Every feature without an RNG, else sqrt(F) of them drawn from it."""
+    if rng is None:
+        return list(range(n_features))
+    k = max(1, int(round(math.sqrt(n_features))))
+    return sorted(rng.sample(range(n_features), k))
+
+
+def _leaf(n: int, n_pos: int) -> dict:
+    # majority class; exact tie goes to the negative class
+    return {"leaf": True, "n": n, "n_pos": n_pos, "cls": int(n_pos * 2 > n)}
+
+
+def _grow_trees(
+    X: np.ndarray,
+    y: np.ndarray,
+    samples: list[np.ndarray],
+    rngs: list[random.Random | None],
+    max_depth: int,
+    min_split: int,
+) -> list[dict]:
+    """Grow one CART per sample in lockstep; returns their root nodes.
+
+    Tree t grows on the rows samples[t] of X and y (0/1 labels) and draws
+    its candidate features from rngs[t] (None: every feature). Each tree
+    takes its nodes in depth-first preorder from its own stack, left child
+    first, so its RNG draws come in the order a recursive build makes them.
+    Each step takes from every tree the next node that needs a split search
+    and scores them together, at most _SPLIT_BATCH_CELLS grid cells a batch
+    (a node larger than that is scored alone).
+    """
+    X = np.asarray(X, float)
+    n_features = X.shape[1]
+    roots: list[dict | None] = [None] * len(samples)
+    # a pending node: its rows, its positives, the depth left below it and
+    # the slot its dict goes into
+    stacks = [[(rows, int(y[rows].sum()), max_depth, roots, t)] for t, rows in enumerate(samples)]
+    while True:
+        step = []  # per tree: its next node to search, with the candidate features drawn for it
+        for t, stack in enumerate(stacks):
+            while stack:
+                rows, n_pos, depth_left, holder, key = stack.pop()
+                if depth_left <= 0 or len(rows) < min_split or n_pos in (0, len(rows)):
+                    holder[key] = _leaf(len(rows), n_pos)
+                    continue
+                step.append((rows, _draw_features(rngs[t], n_features), t, n_pos, depth_left, holder, key))
+                break
+        if not step:
+            return roots
+        step.sort(key=lambda entry: -len(entry[0]))  # a batch pads its nodes to its first
+        start = 0
+        while start < len(step):
+            cells = len(step[start][0]) * len(step[start][1])
+            batch = step[start:start + max(1, _SPLIT_BATCH_CELLS // max(1, cells))]
+            start += len(batch)
+            feats = np.array([entry[1] for entry in batch], dtype=np.intp)
+            splits = _best_splits(X, y, [entry[0] for entry in batch], feats)
+            for (rows, _, t, n_pos, depth_left, holder, key), split in zip(batch, splits):
+                if split is None:
+                    holder[key] = _leaf(len(rows), n_pos)
+                    continue
+                feature, threshold = split
+                go_left = X[rows, feature] <= threshold
+                left, right = rows[go_left], rows[~go_left]
+                left_pos = int(y[left].sum())
+                holder[key] = node = {"leaf": False, "feature": feature, "threshold": threshold}
+                stacks[t].append((right, n_pos - left_pos, depth_left - 1, node, "right"))
+                stacks[t].append((left, left_pos, depth_left - 1, node, "left"))
+
+
+def _best_splits(
+    X: np.ndarray, y: np.ndarray, rows: list[np.ndarray], feats: np.ndarray
+) -> list[tuple[int, float] | None]:
+    """CART split search of several nodes at once.
+
+    Node j holds the rows rows[j] of X (float) and y (0/1 labels) and may
+    split on the columns feats[j]. The nodes lie in one grid padded to the
+    largest, (nodes x features x rows); each column is sorted stably within
+    its node, prefix counts give every cut's weighted Gini impurity, and
+    each node walks its cuts between distinct values feature by feature.
+    Returns (feature, threshold) per node, or None where no candidate
+    column holds two distinct values. Zero-gain splits are allowed (a first
+    cut on symmetric data like XOR improves nothing by itself but enables
+    pure children).
+    """
+    sizes = np.array([len(r) for r in rows])
+    width = int(sizes.max())
+    in_node = np.arange(width) < sizes[:, None]
+    padded = np.zeros(in_node.shape, dtype=np.intp)
+    padded[in_node] = np.concatenate(rows)
+    columns = X[padded[:, None, :], feats[:, :, None]]
+    # NaN padding sorts after every value, NaN included (the sort is stable)
+    np.copyto(columns, np.nan, where=~in_node[:, None, :])
+    order = np.argsort(columns, axis=-1, kind="stable")
+    sorted_vals = np.take_along_axis(columns, order, axis=-1)
+    labels = np.where(in_node, y[padded], 0)
+    # cut i of a column lies after its sorted row i; only cuts between
+    # distinct values are scored, from prefix counts of the positives
+    cuts = (sorted_vals[..., :-1] != sorted_vals[..., 1:]) & (np.arange(1, width) < sizes[:, None, None])
+    node, _, i = np.nonzero(cuts)
+    prefix = np.cumsum(np.take_along_axis(labels[:, None, :], order, axis=-1), axis=-1, dtype=float)
+    pos_left = prefix[..., :-1][cuts]
+    n = sizes[node].astype(float)
+    n_left = i + 1.0
+    n_right = n - n_left
+    neg_left = n_left - pos_left
+    pos_right = labels.sum(axis=1, dtype=float)[node] - pos_left
+    neg_right = n_right - pos_right
+    # keep this operation order: saved thresholds depend on the scores' last bits
+    gini_left = 1.0 - ((neg_left / n_left) ** 2 + (pos_left / n_left) ** 2)
+    gini_right = 1.0 - ((neg_right / n_right) ** 2 + (pos_right / n_right) ** 2)
+    walk = np.full(cuts.shape, np.inf)
+    walk[cuts] = (n_left * gini_left + n_right * gini_right) / n
+    # feature-major walk of each node's cuts; only a strict running minimum
+    # can pass the tolerance rule below
+    walk = walk.reshape(len(rows), -1)
+    before = np.minimum.accumulate(walk, axis=1)
+    lower = np.concatenate([walk[:, :1] < np.inf, walk[:, 1:] < before[:, :-1]], axis=1)
+    best: dict[int, tuple[int, float]] = {}
+    for j, at, score in zip(*np.nonzero(lower), walk[lower].tolist()):
+        if j not in best or score < best[j][1] - 1e-15:
+            best[j] = (at, score)
+    splits: list[tuple[int, float] | None] = [None] * len(rows)
+    for j, (at, _) in best.items():
+        f, i = divmod(int(at), width - 1)
+        threshold = (sorted_vals[j, f, i] + sorted_vals[j, f, i + 1]) / 2.0
+        splits[j] = int(feats[j, f]), float(threshold)
+    return splits
+
+
 class RandomForest:
     """Bootstrap ensemble of CARTs with per-tree derived seeds."""
 
@@ -319,13 +404,15 @@ class RandomForest:
         _require_two_classes(y)
         n = X.shape[0]
         y = np.asarray(y, int)
-        self.trees = []
+        samples, rngs = [], []
         for i in range(config.forest_trees):
+            # each tree's RNG draws its bootstrap, then its candidate features
             rng = random.Random(derive_seed(seed, "tree", i))
-            sample = [rng.randrange(n) for _ in range(n)]
-            # a bootstrap may draw one class only; that tree is one leaf
-            tree = DecisionTree()._grow(X[sample], y[sample], config, feature_rng=rng)
-            self.trees.append(tree)
+            samples.append(np.array([rng.randrange(n) for _ in range(n)], dtype=np.intp))
+            rngs.append(rng)
+        # a bootstrap may draw one class only; that tree is one leaf
+        roots = _grow_trees(X, y, samples, rngs, config.tree_max_depth, config.tree_min_samples_split)
+        self.trees = [DecisionTree(root) for root in roots]
         return self
 
     def decision_scores(self, X: np.ndarray) -> np.ndarray:

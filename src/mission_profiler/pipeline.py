@@ -397,10 +397,13 @@ class Pipeline:
         # a manifest without output digests (older runs wrote none) is a miss
         digests = manifest.get("output_hashes") or {}
         d = self._stage_dir(stage)
-        return all(
+        hit = all(
             name in digests and (d / name).is_file() and self._digest(d / name) == digests[name]
             for name in manifest.get("outputs", [])
         )
+        if hit:  # the report lists a cached stage's warnings as if it had run
+            self.warnings.extend(manifest.get("warnings", []))
+        return hit
 
     def _write_manifest(self, stage: str, inputs: dict[str, str], outputs: list[str], extra: dict | None = None) -> None:
         d = self._stage_dir(stage)
@@ -414,6 +417,9 @@ class Pipeline:
         }
         if extra:
             payload.update(extra)
+        warned = [w for w in self.warnings if w.startswith(f"{stage}: ")]
+        if warned:
+            payload["warnings"] = warned
         write_json(self._manifest_path(stage), payload)
 
     def _digest(self, path: str | Path) -> str:
@@ -445,6 +451,7 @@ class Pipeline:
         except FileExistsError:
             raise PipelineError("lock", f"another run holds {lock} (remove if stale)")
         self._digests = {}  # every run reads every file's bytes again
+        self.warnings = []
         try:
             os.write(fd, str(os.getpid()).encode())
             os.close(fd)

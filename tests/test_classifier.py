@@ -1,10 +1,11 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mission_profiler.classifier import (
@@ -22,9 +23,12 @@ from mission_profiler.classifier import (
     evaluate,
     flag_in_wild,
     split_80_20,
+    _best_splits,
+    _draw_features,
     train,
     train_and_evaluate,
 )
+from mission_profiler.util import derive_seed
 
 
 def make_blobs(n=200, margin=1.0, seed=7, dims=2):
@@ -244,6 +248,137 @@ def test_best_split_tolerance_keeps_the_first_of_near_equal_scores():
     tree = DecisionTree()
     tree._feature_rng = None
     assert tree._best_split(X, y) == _reference_best_split(tree, X, y) == (0, 0.5)
+
+
+@st.composite
+def _tied_batches(draw):
+    """Nodes of mixed sizes, bootstrap-like row numbers into one tied matrix."""
+    n = draw(st.integers(1, 30))
+    f = draw(st.integers(1, 8))
+    levels = draw(st.integers(1, 4))
+    values = draw(st.lists(st.integers(0, levels - 1), min_size=n * f, max_size=n * f))
+    X = np.asarray(values, float).reshape(n, f) / draw(st.sampled_from([1.0, 3.0, 7.0]))
+    y = np.asarray(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), int)
+    row = st.integers(0, n - 1)
+    nodes = draw(st.lists(st.lists(row, max_size=30), min_size=1, max_size=8))
+    seeds = draw(st.none() | st.lists(st.integers(0, 2**32 - 1), min_size=len(nodes), max_size=len(nodes)))
+    return X, y, [np.asarray(rows, dtype=np.intp) for rows in nodes], seeds
+
+
+_NEAR_TIE_X = np.array([[0, 0], [0, 0], [1, 0], [1, 0], [1, 0], [1, 0], [1, 1], [1, 1]], float)
+_NEAR_TIE_Y = np.array([0, 0, 0, 0, 0, 1, 0, 1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tied_batches())
+@example((_NEAR_TIE_X, _NEAR_TIE_Y, [np.arange(3), np.arange(8), np.array([6, 0, 7, 1, 2])], None))
+def test_batched_split_search_matches_the_scalar_reference_per_node(batch):
+    X, y, nodes, seeds = batch
+    fast_rngs = [None] * len(nodes) if seeds is None else [random.Random(s) for s in seeds]
+    feats = np.array([_draw_features(rng, X.shape[1]) for rng in fast_rngs], dtype=np.intp)
+    splits = _best_splits(X, y, nodes, feats)
+    for j, rows in enumerate(nodes):
+        slow = DecisionTree()
+        slow._feature_rng = None if seeds is None else random.Random(seeds[j])
+        assert splits[j] == _reference_best_split(slow, X[rows], y[rows]), j
+        if seeds is not None:  # each node drew what the reference drew, no more
+            assert fast_rngs[j].getstate() == slow._feature_rng.getstate()
+
+
+def _reference_tree(X, y, config, rng, max_depth):
+    """The recursive builder the lockstep grower replaced, on the scalar
+    split search: one node at a time in depth-first preorder."""
+    searcher = DecisionTree()
+    searcher._feature_rng = rng
+
+    def build(X, y, depth_left):
+        n_pos = int((y == 1).sum())
+        leaf = {"leaf": True, "n": len(y), "n_pos": n_pos, "cls": int(n_pos * 2 > len(y))}
+        if depth_left <= 0 or len(y) < config.tree_min_samples_split or len(set(y.tolist())) == 1:
+            return leaf
+        split = _reference_best_split(searcher, X, y)
+        if split is None:
+            return leaf
+        feature, threshold = split
+        go_left = X[:, feature] <= threshold
+        return {
+            "leaf": False,
+            "feature": feature,
+            "threshold": threshold,
+            "left": build(X[go_left], y[go_left], depth_left - 1),
+            "right": build(X[~go_left], y[~go_left], depth_left - 1),
+        }
+
+    return {"root": build(X, y, max_depth)}
+
+
+def _reference_forest(X, y, config, seed):
+    n = len(y)
+    trees = []
+    for i in range(config.forest_trees):
+        rng = random.Random(derive_seed(seed, "tree", i))
+        sample = [rng.randrange(n) for _ in range(n)]
+        trees.append(_reference_tree(X[sample], y[sample], config, rng, config.tree_max_depth))
+    return {"trees": trees}
+
+
+@st.composite
+def _tied_forests(draw):
+    n = draw(st.integers(5, 24))
+    f = draw(st.integers(1, 7))
+    levels = draw(st.integers(2, 4))
+    values = draw(st.lists(st.integers(0, levels - 1), min_size=n * f, max_size=n * f))
+    X = np.asarray(values, float).reshape(n, f) / draw(st.sampled_from([1.0, 3.0, 7.0]))
+    # few positives, so some bootstraps draw one class only
+    n_pos = draw(st.integers(1, n - 1))
+    y = np.asarray(draw(st.permutations([1] * n_pos + [0] * (n - n_pos))), int)
+    config = TrainConfig(
+        tree_max_depth=draw(st.integers(0, 6)),
+        tree_min_samples_split=draw(st.integers(1, 5)),
+        forest_trees=draw(st.integers(1, 12)),
+    )
+    return X, y, config, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_tied_forests())
+def test_lockstep_grower_matches_the_recursive_reference(problem):
+    X, y, config, seed = problem
+    forest = RandomForest().fit(X, y, config, seed=seed)
+    assert forest.params_dict() == _reference_forest(X, y, config, seed)
+    tree = DecisionTree().fit(X, y, config)
+    assert tree.params_dict() == _reference_tree(X, y, config, None, config.tree_max_depth)
+
+
+def test_lockstep_grower_covers_single_class_bootstraps_and_depth_cut_offs():
+    X = np.round(np.random.default_rng(6).random((20, 5)) * 3) / 3
+    y = np.array([1, 1] + [0] * 18)
+    config = TrainConfig(tree_max_depth=2, forest_trees=40)
+    forest = RandomForest().fit(X, y, config, seed=4)
+    assert forest.params_dict() == _reference_forest(X, y, config, seed=4)
+    roots = [t.root for t in forest.trees]
+    assert any(root["leaf"] and root["n_pos"] == 0 for root in roots)
+
+    def depth(node):
+        return 0 if node["leaf"] else 1 + max(depth(node["left"]), depth(node["right"]))
+
+    assert max(depth(root) for root in roots) == 2
+
+
+def test_forest_fit_working_memory_is_bounded():
+    # the batched split search holds a fixed number of grid cells at a time,
+    # whatever the number of trees in lockstep
+    rng = np.random.default_rng(8)
+    X = rng.random((128, 40))
+    y = (X[:, 0] + rng.normal(scale=0.3, size=128) > 0.5).astype(int)
+    tracemalloc.start()
+    try:
+        forest = RandomForest().fit(X, y, TrainConfig(), seed=1)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(forest.trees) == 100
+    assert peak - retained < 2_000_000
 
 
 def _pin_matrix():

@@ -466,3 +466,23 @@ def test_manifest_without_output_digests_is_a_miss(tmp_path, monkeypatch):
     assert hits[pipeline.STAGES.index("metrics")] is False
     assert sum(hits) == len(pipeline.STAGES) - 1
     assert {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+
+def test_rebuilt_report_keeps_the_warnings_of_cached_stages(tmp_path):
+    paths = _small_bundle(tmp_path)
+    tox = Path(paths["toxicity"])
+    lines = tox.read_text(encoding="utf-8").splitlines(keepends=True)
+    tox.write_text("".join(lines[:1] + lines[21:]), encoding="utf-8")  # header kept, 20 scores left out
+    config = _config(paths)
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cold = run_pipeline(config, out)
+    assert "score: 20 tweets have no toxicity score" in cold["warnings"]
+    first = (out / "report" / "report.json").read_bytes()
+    (out / "report" / "report.json").unlink()
+    assert run_pipeline(config, out) == cold
+    assert (out / "report" / "report.json").read_bytes() == first
+    manifest = json.loads((out / "score" / "manifest.json").read_text())
+    assert manifest["warnings"] == ["score: 20 tweets have no toxicity score"]
+    assert "warnings" not in json.loads((out / "ingest" / "manifest.json").read_text())
