@@ -410,7 +410,7 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
         ],
     }
     # mtime=0 keeps the gzip container byte-stable across runs
-    with gzip.GzipFile(filename="", mode="wb", fileobj=open(path, "wb"), mtime=0) as gz:
+    with open(path, "wb") as fh, gzip.GzipFile(filename="", mode="wb", fileobj=fh, mtime=0) as gz:
         gz.write(canonical_dumps(payload).encode("utf-8"))
 
 

@@ -1,24 +1,23 @@
 """End-to-end pipeline: ingest -> score -> topics -> group -> metrics ->
 detect -> features -> classify -> report.
 
-Each stage's work is a module-level function over in-memory objects
-(corpus, score cache, topic vectors and catalog, aggregates, groups,
-metric rows, designations); ``Pipeline.stage_<name>`` calls it and writes
-its files, and the matching CLI subcommand calls the same function and
-writer. ``Pipeline.run`` hands each stage's result to later stages in
-memory: an artifact is read back from disk only when the stage that
-wrote it was a cache hit and a later stage misses, so a fully cached
-rerun loads nothing.
+Each stage's work is a module-level function over in-memory objects that
+the matching CLI subcommand calls too. ``STAGE_TABLE`` lists the stages
+in run order as data: the earlier artifacts and config files each reads,
+every file it may write with a loader, and its compute function. One
+runner, ``Pipeline._run_stage``, does the rest for every stage.
 
 Stages write under out_dir/<stage>/ with a manifest recording the config
-hash and the sha256 of every input and output; a rerun reuses a stage's
-cached outputs only when its inputs hash as recorded and every output's
-bytes still hash to the recorded digest, and resuming into an out dir
-written by a different config aborts rather than mixing artifacts. A run
-hashes each file at most once: digests are memoised for the run, and a
-path the run writes or deletes is dropped from the memo first. Every
-output file embeds the config hash. All randomness derives from the
-single top-level seed.
+hash and the sha256 of every input and of every file the stage wrote,
+the report's plot CSVs included. A rerun reuses a stage only when its
+inputs hash as recorded and every output still hashes to its recorded
+digest; an out dir written by a different config aborts the run. A stage
+that reruns first deletes every file it declares, so one it no longer
+produces (a skipped classifier's models) is gone rather than stale.
+Results pass to later stages in memory; a file is read back only when
+its stage was a cache hit and a later stage misses. A run hashes each
+file at most once. Every output embeds the config hash, and all
+randomness derives from the single top-level seed.
 """
 from __future__ import annotations
 
@@ -28,7 +27,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, partialmethod
 from pathlib import Path
 from typing import Callable
 
@@ -37,11 +36,6 @@ import numpy as np
 from . import classifier, detector, diversity, features, metrics, scores, topics
 from .ingest import Corpus, load_corpus, load_timelines, save_corpus
 from .util import canonical_dumps, derive_seed, read_json, sha256_file, sha256_text, write_json
-
-STAGES = (
-    "ingest", "score", "topics", "group", "metrics", "detect", "features",
-    "classify", "report",
-)
 
 EXIT_CODES = {
     "config": 2,
@@ -128,10 +122,7 @@ class RunConfig:
             raise PipelineError("config", f"unknown bot backend {self.bot_backend!r}")
         if self.detect_group not in diversity.GROUP_NAMES:
             raise PipelineError("config", f"unknown entropy group {self.detect_group!r}")
-        self.parse_tox_gate()
-
-    def parse_tox_gate(self) -> tuple[str, float]:
-        return parse_tox_gate(self.tox_gate)
+        parse_tox_gate(self.tox_gate)
 
     def as_dict(self) -> dict:
         return dict(self.__dict__)
@@ -362,6 +353,26 @@ class Artifact:
         return self._value
 
 
+Inputs = dict[str, Artifact]
+Outputs = dict[str, Path]
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One row of the stage table: the earlier artifacts it reads and the
+    config files it hashes (a falsy path is left out), both by manifest key;
+    every file it may write, by artifact name, with the loader(path, cfg)
+    that reads it back after a cache hit (None when nothing reads it); and
+    compute, which writes this run's outputs and returns the values later
+    stages take in memory. `extra(values)` adds keys to the manifest."""
+
+    inputs: tuple[str, ...]
+    outputs: dict[str, tuple[str, Callable | None]]
+    compute: Callable[["Pipeline", Inputs, Outputs, Warn], dict]
+    files: Callable[[RunConfig], dict] = lambda cfg: {}
+    extra: Callable[[dict], dict] | None = None
+
+
 class Pipeline:
     def __init__(self, config: RunConfig, out_dir: str | Path):
         config.validate()
@@ -370,20 +381,13 @@ class Pipeline:
         self.out.mkdir(parents=True, exist_ok=True)
         self.hash = config.config_hash()
         self.warnings: list[str] = []
-        self._digests: dict[Path, str] = {}  # resolved path -> sha256, for one run
+        self._digests: dict[str, str] = {}  # real path -> sha256, for one run
+        self._artifacts: dict[str, Artifact] = {}  # by name, as the stages of this run left them
 
     # -- stage cache plumbing ------------------------------------------------
 
-    def _stage_dir(self, stage: str) -> Path:
-        d = self.out / stage
-        d.mkdir(exist_ok=True)
-        return d
-
-    def _manifest_path(self, stage: str) -> Path:
-        return self._stage_dir(stage) / "manifest.json"
-
     def _cached(self, stage: str, inputs: dict[str, str]) -> bool:
-        path = self._manifest_path(stage)
+        path = self.out / stage / "manifest.json"
         if not path.exists():
             return False
         manifest = read_json(path)
@@ -396,7 +400,7 @@ class Pipeline:
             return False
         # a manifest without output digests (older runs wrote none) is a miss
         digests = manifest.get("output_hashes") or {}
-        d = self._stage_dir(stage)
+        d = path.parent
         hit = all(
             name in digests and (d / name).is_file() and self._digest(d / name) == digests[name]
             for name in manifest.get("outputs", [])
@@ -405,9 +409,8 @@ class Pipeline:
             self.warnings.extend(manifest.get("warnings", []))
         return hit
 
-    def _write_manifest(self, stage: str, inputs: dict[str, str], outputs: list[str], extra: dict | None = None) -> None:
-        d = self._stage_dir(stage)
-        self._forget(d / name for name in outputs)
+    def _write_manifest(self, stage: str, inputs: dict[str, str], outputs: list[str], extra: dict | None) -> None:
+        d = self.out / stage
         payload = {
             "stage": stage,
             "config_hash": self.hash,
@@ -420,11 +423,11 @@ class Pipeline:
         warned = [w for w in self.warnings if w.startswith(f"{stage}: ")]
         if warned:
             payload["warnings"] = warned
-        write_json(self._manifest_path(stage), payload)
+        write_json(d / "manifest.json", payload)
 
     def _digest(self, path: str | Path) -> str:
         """sha256 of a file, read from disk the first time this run asks."""
-        key = Path(path).resolve()
+        key = os.path.realpath(path)
         if key not in self._digests:
             self._digests[key] = sha256_file(key)
         return self._digests[key]
@@ -432,7 +435,7 @@ class Pipeline:
     def _forget(self, paths) -> None:
         """Drop the memoised digests of files this run rewrote or deleted."""
         for path in paths:
-            self._digests.pop(Path(path).resolve(), None)
+            self._digests.pop(os.path.realpath(path), None)
 
     def _input_hashes(self, paths: dict[str, str | Path]) -> dict[str, str]:
         return {name: self._digest(p) for name, p in sorted(paths.items())}
@@ -451,235 +454,164 @@ class Pipeline:
         except FileExistsError:
             raise PipelineError("lock", f"another run holds {lock} (remove if stale)")
         self._digests = {}  # every run reads every file's bytes again
+        self._artifacts = {}
         self.warnings = []
         try:
             os.write(fd, str(os.getpid()).encode())
             os.close(fd)
-            corpus = self.stage_ingest()
-            tox, bots = self.stage_score(corpus)
-            tpvs, catalog, aggs = self.stage_topics(corpus, tox)
-            groups = self.stage_group(corpus, tpvs, catalog)
-            rows = self.stage_metrics(corpus, tox)
-            detect = self.stage_detect(corpus, tpvs, catalog, aggs, groups)
-            vectors = self.stage_features(corpus, tpvs, catalog, tox, rows)
-            classified = self.stage_classify(vectors, detect, groups)
-            return self.stage_report(corpus, tox, bots, tpvs, groups, rows, detect, classified)
+            for name in STAGES:  # through self, so a wrapped stage_<name> is the one run
+                getattr(self, f"stage_{name}")()
+            return self._artifacts["report"].get()
         finally:
             lock.unlink(missing_ok=True)
 
-    def stage_ingest(self) -> Artifact:
-        stage = "ingest"
-        out_path = self._stage_dir(stage) / "corpus.bin"
-        inputs = {"tweets": self.config.tweets}
-        if self.config.profiles:
-            inputs["profiles"] = self.config.profiles
-        hashes = self._input_hashes(inputs)
-        if self._cached(stage, hashes):
-            return Artifact(out_path, load=load_corpus)
-        try:
-            corpus = load_timelines(self.config.tweets, self.config.profiles, strict=self.config.strict)
-        except Exception as exc:
-            raise PipelineError(stage, str(exc)) from exc
-        if not corpus.profiles:
-            self._warn(stage, "corpus is empty after filtering")
-        save_corpus(corpus, out_path)
-        self._write_manifest(stage, hashes, ["corpus.bin"], {"stats": corpus.ingest_stats.as_dict()})
-        return Artifact(out_path, corpus)
+    def _run_stage(self, stage: str) -> None:
+        """Reuse the stage's cached outputs, or compute them and write its
+        manifest; either way, hand its outputs on to later stages by name."""
+        spec = STAGE_TABLE[stage]
+        inputs = {key: self._artifacts[key] for key in spec.inputs if key in self._artifacts}
+        paths = {key: artifact.path for key, artifact in inputs.items()}
+        paths.update((key, path) for key, path in spec.files(self.config).items() if path)
+        hashes = self._input_hashes(paths)
+        out = {name: self.out / stage / file for name, (file, _) in spec.outputs.items()}
+        values = {}
+        if not self._cached(stage, hashes):
+            for path in out.values():
+                path.unlink(missing_ok=True)  # a declared output this run does not write is stale
+                path.parent.mkdir(parents=True, exist_ok=True)
+            values = spec.compute(self, inputs, out, partial(self._warn, stage))
+            self._forget(out.values())
+            written = [spec.outputs[name][0] for name, path in out.items() if path.exists()]
+            self._write_manifest(stage, hashes, written, spec.extra and spec.extra(values))
+        for name, (_, load) in spec.outputs.items():
+            if name in values:
+                self._artifacts[name] = Artifact(out[name], values[name])
+            elif out[name].exists():  # read on first use
+                self._artifacts[name] = Artifact(out[name], load=load and partial(load, cfg=self.config))
 
-    def stage_score(self, corpus: Artifact) -> tuple[Artifact, Artifact | None]:
-        stage = "score"
-        cfg = self.config
-        out_tox = self._stage_dir(stage) / "toxicity_cache.jsonl"
-        out_bots = self._stage_dir(stage) / "bot_cache.jsonl"
-        inputs = {"corpus": corpus.path}
+
+# -- the stages ----------------------------------------------------------------------
+# Each compute function reads its inputs (Artifact.get loads a cached one on
+# first use), writes the outputs it produces and returns the values later
+# stages take in memory, by artifact name.
+
+
+def _ingest(pipe: Pipeline, a: Inputs, out: Outputs, warn: Warn) -> dict:
+    cfg = pipe.config
+    try:
+        corpus = load_timelines(cfg.tweets, cfg.profiles, strict=cfg.strict)
+    except Exception as exc:
+        raise PipelineError("ingest", str(exc)) from exc
+    if not corpus.profiles:
+        warn("corpus is empty after filtering")
+    save_corpus(corpus, out["corpus"])
+    return {"corpus": corpus}
+
+
+def _score(pipe: Pipeline, a: Inputs, out: Outputs, warn: Warn) -> dict:
+    cfg = pipe.config
+    corpus = a["corpus"].get()
+    cache = scores.ScoreCache()
+    try:
         if cfg.toxicity_backend == "file":
-            inputs["toxicity_source"] = cfg.toxicity_path
-        if cfg.bot_backend == "file" and cfg.bot_path:
-            inputs["bot_source"] = cfg.bot_path
-        hashes = self._input_hashes(inputs)
-        if self._cached(stage, hashes):
-            bots = Artifact(out_bots, load=scores.ScoreCache.load) if out_bots.exists() else None
-            return Artifact(out_tox, load=scores.ScoreCache.load), bots
-        corpus = corpus.get()
-        cache = scores.ScoreCache()
-        try:
-            if cfg.toxicity_backend == "file":
-                cache = scores.load_score_source(cfg.toxicity_path)
-            if cfg.toxicity_backend == "mock":
-                scores.score_toxicity(
-                    corpus, scores.MockToxicityClient(cfg.mock_toxicity_value),
-                    cache=cache, backoff_base=0.0,
-                )
-            elif cfg.toxicity_backend == "http":
-                scores.score_toxicity(corpus, scores.HTTPToxicityClient(), cache=cache)
-        except scores.BackendUnavailable as exc:
-            cache.save(out_tox)  # keep the partial cache for resumption
-            raise PipelineError(stage, f"backend unavailable: {exc}") from exc
-        except (OSError, ValueError) as exc:
-            raise PipelineError(stage, str(exc)) from exc
-        unscored = sum(1 for t in corpus.all_tweets() if t.tweet_id not in cache.toxicity)
-        if unscored:
-            self._warn(stage, f"{unscored} tweets have no toxicity score")
-        cache.save(out_tox)
-        outputs = ["toxicity_cache.jsonl"]
-
-        bots = None
-        if cfg.bot_backend != "none":
-            bot_cache = scores.ScoreCache()
-            if cfg.bot_backend == "file" and cfg.bot_path:
-                bot_cache = scores.load_score_source(cfg.bot_path)
-            elif cfg.bot_backend == "mock":
-                scores.score_bots(corpus, scores.MockBotClient(), cache=bot_cache)
-            bot_cache.save(out_bots)
-            outputs.append("bot_cache.jsonl")
-            bots = Artifact(out_bots, bot_cache)
-        self._write_manifest(stage, hashes, outputs)
-        return Artifact(out_tox, cache), bots
-
-    def stage_topics(self, corpus: Artifact, tox: Artifact) -> tuple[Artifact, Artifact, Artifact]:
-        stage = "topics"
-        cfg = self.config
-        d = self._stage_dir(stage)
-        out_tpv, out_catalog, out_agg = d / "tpvs.jsonl", d / "catalog.tsv", d / "aggregates.json"
-        inputs = {"corpus": corpus.path, "toxicity": tox.path}
-        if cfg.tpvs:
-            inputs["tpvs"] = cfg.tpvs
-        if cfg.catalog:
-            inputs["catalog"] = cfg.catalog
-        hashes = self._input_hashes(inputs)
-        if self._cached(stage, hashes):
-            return (
-                Artifact(out_tpv, load=lambda path: topics.load_tpvs(path, cfg.K)),
-                Artifact(out_catalog, load=topics.TopicCatalog.load),
-                Artifact(out_agg, load=_load_aggregates),
+            cache = scores.load_score_source(cfg.toxicity_path)
+        if cfg.toxicity_backend == "mock":
+            scores.score_toxicity(
+                corpus, scores.MockToxicityClient(cfg.mock_toxicity_value), cache=cache, backoff_base=0.0,
             )
-        corpus = corpus.get()
-        try:
-            tpvs, catalog = topic_vectors(
-                cfg.K, cfg.seed, None if cfg.use_baseline_topics else cfg.tpvs, cfg.catalog, corpus
-            )
-        except (topics.TPVError, topics.CatalogError, OSError) as exc:
-            raise PipelineError(stage, str(exc)) from exc
-        aggs = corpus_topic_aggregates(corpus, tpvs, tox.get(), cfg.K, partial(self._warn, stage))
-        topics.save_tpvs(tpvs, out_tpv)
-        catalog.save(out_catalog)
-        write_json(out_agg, {
-            "config_hash": self.hash,
-            "aggregates": [
-                {"topic": a.topic, "tweet_count": a.tweet_count, "median_toxicity": a.median_toxicity}
-                for a in aggs.values()
-            ],
-        })
-        self._write_manifest(stage, hashes, ["tpvs.jsonl", "catalog.tsv", "aggregates.json"])
-        # later stages see the vectors as a cached run reads them from tpvs.jsonl
-        return Artifact(out_tpv, topics.as_saved(tpvs)), Artifact(out_catalog, catalog), Artifact(out_agg, aggs)
+        elif cfg.toxicity_backend == "http":
+            scores.score_toxicity(corpus, scores.HTTPToxicityClient(), cache=cache)
+    except scores.BackendUnavailable as exc:
+        cache.save(out["toxicity"])  # keep the partial cache for resumption
+        raise PipelineError("score", f"backend unavailable: {exc}") from exc
+    except (OSError, ValueError) as exc:
+        raise PipelineError("score", str(exc)) from exc
+    unscored = sum(1 for t in corpus.all_tweets() if t.tweet_id not in cache.toxicity)
+    if unscored:
+        warn(f"{unscored} tweets have no toxicity score")
+    cache.save(out["toxicity"])
+    if cfg.bot_backend == "none":
+        return {"toxicity": cache}
+    bot_cache = scores.ScoreCache()
+    if cfg.bot_backend == "file" and cfg.bot_path:
+        bot_cache = scores.load_score_source(cfg.bot_path)
+    elif cfg.bot_backend == "mock":
+        scores.score_bots(corpus, scores.MockBotClient(), cache=bot_cache)
+    bot_cache.save(out["bots"])
+    return {"toxicity": cache, "bots": bot_cache}
 
-    def stage_group(self, corpus: Artifact, tpvs: Artifact, catalog: Artifact) -> Artifact:
-        stage = "group"
-        d = self._stage_dir(stage)
-        out_groups, out_cdf = d / "groups.json", d / "entropy_cdf.csv"
-        hashes = self._input_hashes({"corpus": corpus.path, "tpvs": tpvs.path, "catalog": catalog.path})
-        if self._cached(stage, hashes):
-            return Artifact(out_groups, load=read_json)
-        groups, cdf_rows = group_profiles(corpus.get(), catalog.get(), tpvs.get(), partial(self._warn, stage))
-        write_groups(groups, cdf_rows, out_groups, out_cdf, self.hash)
-        self._write_manifest(stage, hashes, ["groups.json", "entropy_cdf.csv"])
-        return Artifact(out_groups, groups)
 
-    def stage_metrics(self, corpus: Artifact, tox: Artifact) -> Artifact:
-        stage = "metrics"
-        out_path = self._stage_dir(stage) / "metrics.jsonl"
-        hashes = self._input_hashes({"corpus": corpus.path, "toxicity": tox.path})
-        if self._cached(stage, hashes):
-            return Artifact(out_path, load=_load_metrics)
-        rows = metric_rows(corpus.get(), tox.get(), partial(self._warn, stage))
-        write_metrics(rows, out_path, self.hash)
-        self._write_manifest(stage, hashes, ["metrics.jsonl"])
-        return Artifact(out_path, rows)
+def _topics(pipe: Pipeline, a: Inputs, out: Outputs, warn: Warn) -> dict:
+    cfg = pipe.config
+    corpus = a["corpus"].get()
+    try:
+        tpvs, catalog = topic_vectors(
+            cfg.K, cfg.seed, None if cfg.use_baseline_topics else cfg.tpvs, cfg.catalog, corpus
+        )
+    except (topics.TPVError, topics.CatalogError, OSError) as exc:
+        raise PipelineError("topics", str(exc)) from exc
+    aggs = corpus_topic_aggregates(corpus, tpvs, a["toxicity"].get(), cfg.K, warn)
+    topics.save_tpvs(tpvs, out["tpvs"])
+    catalog.save(out["catalog"])
+    write_json(out["aggregates"], {
+        "config_hash": pipe.hash,
+        "aggregates": [
+            {"topic": g.topic, "tweet_count": g.tweet_count, "median_toxicity": g.median_toxicity}
+            for g in aggs.values()
+        ],
+    })
+    # later stages see the vectors as a cached run reads them from tpvs.jsonl
+    return {"tpvs": topics.as_saved(tpvs), "catalog": catalog, "aggregates": aggs}
 
-    def stage_detect(
-        self, corpus: Artifact, tpvs: Artifact, catalog: Artifact, aggs: Artifact, groups: Artifact,
-    ) -> Artifact:
-        stage = "detect"
-        cfg = self.config
-        out_path = self._stage_dir(stage) / "designations.json"
-        hashes = self._input_hashes({
-            "corpus": corpus.path, "tpvs": tpvs.path, "catalog": catalog.path,
-            "aggregates": aggs.path, "groups": groups.path,
-        })
-        if self._cached(stage, hashes):
-            return Artifact(out_path, load=read_json)
-        inputs = (corpus.get(), tpvs.get(), catalog.get(), aggs.get(), groups.get()["groups"])
-        try:
-            payload = designate(
-                *inputs, cfg.detect_group, cfg.min_cluster, cfg.parse_tox_gate(), partial(self._warn, stage)
-            )
-        except (ValueError, KeyError) as exc:
-            raise PipelineError(stage, str(exc)) from exc
-        payload = with_config_hash(self.hash, payload)
-        write_json(out_path, payload)
-        self._write_manifest(stage, hashes, ["designations.json"])
-        return Artifact(out_path, payload)
 
-    def stage_features(
-        self, corpus: Artifact, tpvs: Artifact, catalog: Artifact, tox: Artifact, rows: Artifact,
-    ) -> Artifact:
-        stage = "features"
-        out_path = self._stage_dir(stage) / "features.jsonl"
-        # the metric rows carry toxicity; it stays in the key so manifests keep their bytes
-        hashes = self._input_hashes({
-            "corpus": corpus.path, "tpvs": tpvs.path, "catalog": catalog.path,
-            "toxicity": tox.path, "metrics": rows.path,
-        })
-        if self._cached(stage, hashes):
-            return Artifact(out_path, load=features.load_features)
-        vectors = feature_vectors(corpus.get(), catalog.get(), tpvs.get(), rows.get())
-        features.save_features(vectors, out_path)
-        self._write_manifest(stage, hashes, ["features.jsonl"])
-        return Artifact(out_path, vectors)
+def _group(pipe: Pipeline, a: Inputs, out: Outputs, warn: Warn) -> dict:
+    groups, cdf_rows = group_profiles(a["corpus"].get(), a["catalog"].get(), a["tpvs"].get(), warn)
+    write_groups(groups, cdf_rows, out["groups"], out["entropy_cdf"], pipe.hash)
+    return {"groups": groups}
 
-    def stage_classify(self, vectors: Artifact, detect: Artifact, groups: Artifact) -> dict[str, Artifact]:
-        stage = "classify"
-        cfg = self.config
-        d = self._stage_dir(stage)
-        out = {
-            "eval": d / "eval.json",
-            "ablation": d / "ablation.json",
-            "wild": d / "wild.json",
-            "model_svm": d / "model_linear_svm.json",
-            "model_tree": d / "model_decision_tree.json",
-            "model_forest": d / "model_random_forest.json",
-        }
-        inputs = {"features": vectors.path, "detect": detect.path, "groups": groups.path}
-        if cfg.labels:
-            inputs["labels"] = cfg.labels
-        hashes = self._input_hashes(inputs)
-        if self._cached(stage, hashes):
-            return {name: Artifact(path, load=read_json) for name, path in out.items()}
-        ids, X, _mask = features.feature_matrix(vectors.get())
-        index_of = {pid: i for i, pid in enumerate(ids)}
 
-        labels = load_labels_csv(cfg.labels) if cfg.labels else _labels_from_designations(detect.get())
-        labeled = [(pid, y) for pid, y in sorted(labels.items()) if pid in index_of]
-        skip_reason = None
-        if len(labeled) < 5:
-            skip_reason = f"only {len(labeled)} labeled profiles"
-        elif len({y for _, y in labeled}) < 2:
-            skip_reason = "labels contain a single class"
-        if skip_reason:
-            self._warn(stage, f"classifier skipped: {skip_reason}")
-            skipped = {"config_hash": self.hash, "skipped": skip_reason}
-            for name in ("eval", "ablation", "wild"):
-                write_json(out[name], skipped)
-            models = [out[name] for name in ("model_svm", "model_tree", "model_forest")]
-            for path in models:
-                path.unlink(missing_ok=True)  # an earlier run's models are not this run's
-            self._forget(models)
-            self._write_manifest(stage, hashes, ["eval.json", "ablation.json", "wild.json"])
-            return {name: Artifact(path, skipped) for name, path in out.items()}
+def _metrics(pipe: Pipeline, a: Inputs, out: Outputs, warn: Warn) -> dict:
+    rows = metric_rows(a["corpus"].get(), a["toxicity"].get(), warn)
+    write_metrics(rows, out["metrics"], pipe.hash)
+    return {"metrics": rows}
 
-        rows = [index_of[pid] for pid, _ in labeled]
-        X_lab = X[rows]
+
+def _detect(pipe: Pipeline, a: Inputs, out: Outputs, warn: Warn) -> dict:
+    cfg = pipe.config
+    values = [a[key].get() for key in ("corpus", "tpvs", "catalog", "aggregates")]
+    partition = a["groups"].get()["groups"]
+    try:
+        payload = designate(*values, partition, cfg.detect_group, cfg.min_cluster, parse_tox_gate(cfg.tox_gate), warn)
+    except (ValueError, KeyError) as exc:
+        raise PipelineError("detect", str(exc)) from exc
+    payload = with_config_hash(pipe.hash, payload)
+    write_json(out["detect"], payload)
+    return {"detect": payload}
+
+
+def _features(pipe: Pipeline, a: Inputs, out: Outputs, warn: Warn) -> dict:
+    vectors = feature_vectors(a["corpus"].get(), a["catalog"].get(), a["tpvs"].get(), a["metrics"].get())
+    features.save_features(vectors, out["features"])
+    return {"features": vectors}
+
+
+def _classify(pipe: Pipeline, a: Inputs, out: Outputs, warn: Warn) -> dict:
+    cfg = pipe.config
+    ids, X, _mask = features.feature_matrix(a["features"].get())
+    index_of = {pid: i for i, pid in enumerate(ids)}
+    labels = load_labels_csv(cfg.labels) if cfg.labels else _labels_from_designations(a["detect"].get())
+    labeled = [(pid, y) for pid, y in sorted(labels.items()) if pid in index_of]
+    skip_reason = None
+    if len(labeled) < 5:
+        skip_reason = f"only {len(labeled)} labeled profiles"
+    elif len({y for _, y in labeled}) < 2:
+        skip_reason = "labels contain a single class"
+    if skip_reason:  # no models: the runner deletes an earlier run's
+        warn(f"classifier skipped: {skip_reason}")
+        skipped = {"config_hash": pipe.hash, "skipped": skip_reason}
+        payloads = dict.fromkeys(("classify_eval", "classify_ablation", "classify_wild"), skipped)
+    else:
+        X_lab = X[[index_of[pid] for pid, _ in labeled]]
         y_lab = np.asarray([y for _, y in labeled], dtype=int)
         seed = derive_seed(cfg.seed, "classify")
         try:
@@ -687,150 +619,128 @@ class Pipeline:
             evals = {}
             for kind in classifier.MODEL_KINDS:
                 model = classifier.train(kind, X_lab[train_idx], y_lab[train_idx], seed)
-                report = classifier.evaluate(model.predict(X_lab[test_idx]), y_lab[test_idx])
-                evals[kind] = report.as_dict()
-                model.save(out[f"model_{kind.split('_')[-1]}"], extra={"config_hash": self.hash})
+                evals[kind] = classifier.evaluate(model.predict(X_lab[test_idx]), y_lab[test_idx]).as_dict()
+                model.save(out[f"classify_model_{kind.split('_')[-1]}"], extra={"config_hash": pipe.hash})
             ablation_table = classifier.ablation(X_lab, y_lab, seed, all_row=evals)
         except ValueError as exc:
-            raise PipelineError(stage, str(exc)) from exc
-        payloads = {
-            "eval": {"config_hash": self.hash, "models": evals, "n_train": len(train_idx), "n_test": len(test_idx)},
-            "ablation": {"config_hash": self.hash, "table": ablation_table},
-        }
-
+            raise PipelineError("classify", str(exc)) from exc
         # flag the remaining entropy groups with the all-features linear SVM
         # as saved, so `flag` on model_linear_svm.json gives the same table
-        svm_model = classifier.TrainedModel.load(out["model_svm"])
-        partition = groups.get()["groups"]
+        svm_model = classifier.TrainedModel.load(out["classify_model_svm"])
+        partition = a["groups"].get()["groups"]
         wild_groups = group_matrices(ids, X, partition, [g for g in partition if g != cfg.detect_group])
         wild = classifier.flag_in_wild(svm_model, wild_groups, cfg.sample_n, derive_seed(cfg.seed, "wild"))
-        wild["config_hash"] = self.hash
-        payloads["wild"] = wild
-        for name, payload in payloads.items():
-            write_json(out[name], payload)
-        self._write_manifest(stage, hashes, [p.name for p in out.values()])
-        return {name: Artifact(path, payloads.get(name)) for name, path in out.items()}
-
-    def stage_report(
-        self, corpus: Artifact, tox: Artifact, bots: Artifact | None, tpvs: Artifact,
-        groups: Artifact, rows: Artifact, detect: Artifact, classified: dict[str, Artifact],
-    ) -> dict:
-        stage = "report"
-        d = self._stage_dir(stage)
-        plots = d / "plots"
-        plots.mkdir(exist_ok=True)
-        input_paths = {
-            "corpus": corpus.path, "toxicity": tox.path, "tpvs": tpvs.path,
-            "groups": groups.path, "metrics": rows.path, "detect": detect.path,
+        payloads = {
+            "classify_eval": {
+                "config_hash": pipe.hash, "models": evals, "n_train": len(train_idx), "n_test": len(test_idx),
+            },
+            "classify_ablation": {"config_hash": pipe.hash, "table": ablation_table},
+            "classify_wild": {**wild, "config_hash": pipe.hash},
         }
-        if bots is not None and bots.path.exists():
-            input_paths["bots"] = bots.path
-        for name, artifact in classified.items():
-            if artifact.path.exists():
-                input_paths[f"classify_{name}"] = artifact.path
-        hashes = self._input_hashes(input_paths)
-        if self._cached(stage, hashes):
-            return read_json(d / "report.json")
-        corpus = corpus.get()
-        group_data = groups.get()
-        metric_rows = rows.get()
-        detect_data = detect.get()
-        eval_data, ablation_data, wild_data = (
-            classified[name].get() if classified[name].path.exists() else {}
-            for name in ("eval", "ablation", "wild")
-        )
+    for name, payload in payloads.items():
+        write_json(out[name], payload)
+    return payloads
 
-        partition: dict[str, list[str]] = group_data["groups"]
-        report = {
-            "config_hash": self.hash,
-            "config": self.config.as_dict(),
-            "ingest_stats": corpus.ingest_stats.as_dict(),
-            "group_sizes": {g: len(members) for g, members in partition.items()},
-            "lexical_table": _lexical_table(partition, metric_rows),
-            "profile_table": _profile_table(partition, corpus),
-            "cluster_table": detect_data.get("clusters", []),
-            "designation_counts": _designation_counts(detect_data),
-            "eval": eval_data.get("models", {}),
-            "ablation_table": ablation_data.get("table", {}),
-            "wild_table": wild_data.get("table", []),
-            "warnings": self.warnings,
-        }
-        if bots is not None and bots.path.exists():
-            report["botometer_table"] = _botometer_table(partition, bots.get())
-        write_json(d / "report.json", report)
-        self._export_plot_data(plots, partition, group_data, metric_rows, detect_data)
-        write_json(d / "run_config.json", {"config_hash": self.hash, "config": self.config.as_dict()})
-        self._write_manifest(stage, hashes, ["report.json", "run_config.json"])
-        return report
 
-    def _export_plot_data(self, plots: Path, partition, group_data, metric_rows, detect_data) -> None:
-        """One CSV per figure shape: sorted values for CDFs, five-number
-        summaries for boxplots, binned counts for histograms."""
-        by_id = {row["profile_id"]: row for row in metric_rows}
-        entropy = group_data["entropy"]
-
-        cdf_rows = []
-        for group in diversity.GROUP_NAMES:
-            values = sorted(entropy[p] for p in partition.get(group, []))
-            cdf_rows.extend((group, repr(v)) for v in values)
-        _write_csv(plots / "fig_entropy_cdf.csv", self.hash, ["group", "H"], cdf_rows)
-
-        for name, key in [
-            ("fig_toxicity_median_box.csv", "toxicity_median"),
-            ("fig_toxicity_gini_box.csv", "toxicity_gini"),
-        ]:
-            rows = []
-            for group in diversity.GROUP_NAMES:
-                values = [by_id[p][key] for p in partition.get(group, []) if by_id[p][key] is not None]
-                if values:
-                    rows.append((group, *[repr(float(q)) for q in _five_number(values)]))
-            _write_csv(plots / name, self.hash, ["group", "min", "q1", "median", "q3", "max"], rows)
-
-        for name, key in [
-            ("fig_tweets_cdf.csv", "n_tweets"),
-            ("fig_unique_tweets_cdf.csv", "n_unique"),
-            ("fig_hashtags_total_cdf.csv", "total_hashtags"),
-            ("fig_hashtags_unique_cdf.csv", "unique_hashtags"),
-            ("fig_hashtags_ratio_cdf.csv", "hashtags_per_tweet"),
-            ("fig_burstiness_cdf.csv", "burstiness"),
-        ]:
-            rows = []
-            for group in diversity.GROUP_NAMES:
-                values = sorted(
-                    by_id[p][key] for p in partition.get(group, []) if by_id[p][key] is not None
-                )
-                rows.extend((group, repr(float(v))) for v in values)
-            _write_csv(plots / name, self.hash, ["group", "value"], rows)
-
-        hist_rows = []
-        for group in diversity.GROUP_NAMES:
-            agg: dict[int, int] = {}
-            for p in partition.get(group, []):
-                for gap, count in by_id[p]["delta_days_hist"].items():
-                    agg[int(gap)] = agg.get(int(gap), 0) + count
-            hist_rows.extend((group, gap, count) for gap, count in sorted(agg.items()))
-        _write_csv(plots / "fig_time_delta_hist.csv", self.hash, ["group", "day_gap", "count"], hist_rows)
-
-        gap_rows = []
-        for des in detect_data.get("designations", []):
-            gaps = des["evidence"].get("top3_gaps")
-            if gaps:
-                gap_rows.append((des["label"], repr(float(gaps[0])), repr(float(gaps[1]))))
-        gap_rows.sort()
-        _write_csv(plots / "fig_top3_gaps_cdf.csv", self.hash, ["designation", "gap12", "gap23"], gap_rows)
-
-        year_rows = []
-        for group in diversity.GROUP_NAMES:
-            years: dict[int, int] = {}
-            for p in partition.get(group, []):
-                year = by_id[p]["creation_year"]
-                if year is not None:
-                    years[year] = years.get(year, 0) + 1
-            year_rows.extend((group, year, count) for year, count in sorted(years.items()))
-        _write_csv(plots / "fig_profile_age_bars.csv", self.hash, ["group", "year", "count"], year_rows)
+def _report(pipe: Pipeline, a: Inputs, out: Outputs, warn: Warn) -> dict:
+    corpus = a["corpus"].get()
+    group_data, metric_rows, detect_data = (a[key].get() for key in ("groups", "metrics", "detect"))
+    partition: dict[str, list[str]] = group_data["groups"]
+    report = {
+        "config_hash": pipe.hash,
+        "config": pipe.config.as_dict(),
+        "ingest_stats": corpus.ingest_stats.as_dict(),
+        "group_sizes": {g: len(members) for g, members in partition.items()},
+        "lexical_table": _lexical_table(partition, metric_rows),
+        "profile_table": _profile_table(partition, corpus),
+        "cluster_table": detect_data.get("clusters", []),
+        "designation_counts": _designation_counts(detect_data),
+        "eval": a["classify_eval"].get().get("models", {}),
+        "ablation_table": a["classify_ablation"].get().get("table", {}),
+        "wild_table": a["classify_wild"].get().get("table", []),
+        "warnings": pipe.warnings,
+    }
+    if "bots" in a:
+        report["botometer_table"] = _botometer_table(partition, a["bots"].get())
+    write_json(out["report"], report)
+    for name, (header, rows) in _plot_tables(partition, group_data, metric_rows, detect_data).items():
+        _write_csv(out[f"plots/{name}"], pipe.hash, header, rows)
+    write_json(out["run_config"], {"config_hash": pipe.hash, "config": pipe.config.as_dict()})
+    return {"report": report}
 
 
 # -- helpers -------------------------------------------------------------------
+
+
+_BOX_PLOTS = {"fig_toxicity_median_box.csv": "toxicity_median", "fig_toxicity_gini_box.csv": "toxicity_gini"}
+_CDF_PLOTS = {
+    "fig_tweets_cdf.csv": "n_tweets",
+    "fig_unique_tweets_cdf.csv": "n_unique",
+    "fig_hashtags_total_cdf.csv": "total_hashtags",
+    "fig_hashtags_unique_cdf.csv": "unique_hashtags",
+    "fig_hashtags_ratio_cdf.csv": "hashtags_per_tweet",
+    "fig_burstiness_cdf.csv": "burstiness",
+}
+PLOTS = (
+    "fig_entropy_cdf.csv", *_BOX_PLOTS, *_CDF_PLOTS,
+    "fig_time_delta_hist.csv", "fig_top3_gaps_cdf.csv", "fig_profile_age_bars.csv",
+)
+
+
+def _plot_tables(partition, group_data, metric_rows, detect_data) -> dict[str, tuple[list[str], list]]:
+    """The header and rows of each figure's CSV, by file name: sorted
+    values for CDFs, five-number summaries for boxplots, binned counts for
+    histograms."""
+    by_id = {row["profile_id"]: row for row in metric_rows}
+    entropy = group_data["entropy"]
+    members = {group: partition.get(group, []) for group in diversity.GROUP_NAMES}
+
+    cdf_rows = []
+    for group in diversity.GROUP_NAMES:
+        cdf_rows.extend((group, repr(v)) for v in sorted(entropy[p] for p in members[group]))
+    tables = {"fig_entropy_cdf.csv": (["group", "H"], cdf_rows)}
+
+    for name, key in _BOX_PLOTS.items():
+        rows = []
+        for group in diversity.GROUP_NAMES:
+            values = [by_id[p][key] for p in members[group] if by_id[p][key] is not None]
+            if values:
+                rows.append((group, *[repr(float(q)) for q in _five_number(values)]))
+        tables[name] = (["group", "min", "q1", "median", "q3", "max"], rows)
+
+    for name, key in _CDF_PLOTS.items():
+        rows = []
+        for group in diversity.GROUP_NAMES:
+            values = sorted(by_id[p][key] for p in members[group] if by_id[p][key] is not None)
+            rows.extend((group, repr(float(v))) for v in values)
+        tables[name] = (["group", "value"], rows)
+
+    hist_rows = []
+    for group in diversity.GROUP_NAMES:
+        agg: dict[int, int] = {}
+        for p in members[group]:
+            for gap, count in by_id[p]["delta_days_hist"].items():
+                agg[int(gap)] = agg.get(int(gap), 0) + count
+        hist_rows.extend((group, gap, count) for gap, count in sorted(agg.items()))
+    tables["fig_time_delta_hist.csv"] = (["group", "day_gap", "count"], hist_rows)
+
+    gap_rows = []
+    for des in detect_data.get("designations", []):
+        gaps = des["evidence"].get("top3_gaps")
+        if gaps:
+            gap_rows.append((des["label"], repr(float(gaps[0])), repr(float(gaps[1]))))
+    tables["fig_top3_gaps_cdf.csv"] = (["designation", "gap12", "gap23"], sorted(gap_rows))
+
+    year_rows = []
+    for group in diversity.GROUP_NAMES:
+        years: dict[int, int] = {}
+        for p in members[group]:
+            year = by_id[p]["creation_year"]
+            if year is not None:
+                years[year] = years.get(year, 0) + 1
+        year_rows.extend((group, year, count) for year, count in sorted(years.items()))
+    tables["fig_profile_age_bars.csv"] = (["group", "year", "count"], year_rows)
+    return tables
 
 
 def _five_number(values) -> tuple[float, float, float, float, float]:
@@ -964,3 +874,86 @@ def _designation_counts(detect_data: dict) -> dict:
 
 def run_pipeline(config: RunConfig, out_dir: str | Path) -> dict:
     return Pipeline(config, out_dir).run()
+
+
+def _read_json(path: Path, cfg: RunConfig):
+    return read_json(path)
+
+
+_CLASSIFY_FILES = {
+    "classify_eval": "eval.json",
+    "classify_ablation": "ablation.json",
+    "classify_wild": "wild.json",
+    "classify_model_svm": "model_linear_svm.json",
+    "classify_model_tree": "model_decision_tree.json",
+    "classify_model_forest": "model_random_forest.json",
+}
+
+# The stages in run order. The loaders look their functions up when called,
+# so a wrapped or patched loader is the one used.
+STAGE_TABLE: dict[str, Stage] = {
+    "ingest": Stage(
+        (), {"corpus": ("corpus.bin", lambda path, cfg: load_corpus(path))}, _ingest,
+        files=lambda cfg: {"tweets": cfg.tweets, "profiles": cfg.profiles},
+        extra=lambda values: {"stats": values["corpus"].ingest_stats.as_dict()},
+    ),
+    "score": Stage(
+        ("corpus",),
+        {
+            "toxicity": ("toxicity_cache.jsonl", lambda path, cfg: scores.ScoreCache.load(path)),
+            "bots": ("bot_cache.jsonl", lambda path, cfg: scores.ScoreCache.load(path)),
+        },
+        _score,
+        files=lambda cfg: {
+            "toxicity_source": cfg.toxicity_backend == "file" and cfg.toxicity_path,
+            "bot_source": cfg.bot_backend == "file" and cfg.bot_path,
+        },
+    ),
+    "topics": Stage(
+        ("corpus", "toxicity"),
+        {
+            "tpvs": ("tpvs.jsonl", lambda path, cfg: topics.load_tpvs(path, cfg.K)),
+            "catalog": ("catalog.tsv", lambda path, cfg: topics.TopicCatalog.load(path)),
+            "aggregates": ("aggregates.json", lambda path, cfg: _load_aggregates(path)),
+        },
+        _topics,
+        files=lambda cfg: {"tpvs": cfg.tpvs, "catalog": cfg.catalog},
+    ),
+    "group": Stage(
+        ("corpus", "tpvs", "catalog"),
+        {"groups": ("groups.json", _read_json), "entropy_cdf": ("entropy_cdf.csv", None)},
+        _group,
+    ),
+    "metrics": Stage(
+        ("corpus", "toxicity"), {"metrics": ("metrics.jsonl", lambda path, cfg: _load_metrics(path))}, _metrics,
+    ),
+    "detect": Stage(
+        ("corpus", "tpvs", "catalog", "aggregates", "groups"),
+        {"detect": ("designations.json", _read_json)},
+        _detect,
+    ),
+    # the metric rows carry toxicity; it stays in the key so manifests keep their bytes
+    "features": Stage(
+        ("corpus", "tpvs", "catalog", "toxicity", "metrics"),
+        {"features": ("features.jsonl", lambda path, cfg: features.load_features(path))},
+        _features,
+    ),
+    "classify": Stage(
+        ("features", "detect", "groups"),
+        {name: (file, _read_json) for name, file in _CLASSIFY_FILES.items()},
+        _classify,
+        files=lambda cfg: {"labels": cfg.labels},
+    ),
+    "report": Stage(
+        ("corpus", "toxicity", "bots", "tpvs", "groups", "metrics", "detect", *_CLASSIFY_FILES),
+        {
+            "report": ("report.json", _read_json),
+            "run_config": ("run_config.json", None),
+            **{f"plots/{name}": (f"plots/{name}", None) for name in PLOTS},
+        },
+        _report,
+    ),
+}
+STAGES = tuple(STAGE_TABLE)
+for _stage in STAGES:  # Pipeline.stage_<name>: one stage through the runner
+    setattr(Pipeline, f"stage_{_stage}", partialmethod(Pipeline._run_stage, _stage))

@@ -1,7 +1,11 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy import stats
 
 from mission_profiler.diversity import (
     GROUP_BOUNDARIES,
@@ -109,6 +113,14 @@ def test_entropy_bounded_by_support_size():
         total = sum(p)
         p = [x / total for x in p]
         assert shannon_entropy(_cpv(p)) <= math.log(k) + 1e-12
+
+
+@given(st.lists(st.integers(min_value=0, max_value=50), min_size=8, max_size=8).filter(any))
+def test_entropy_matches_scipy(counts):
+    # category_probability divides each category's count by the total
+    total = sum(counts)
+    p = np.asarray([c / total for c in counts])
+    assert abs(shannon_entropy(p) - stats.entropy(counts)) <= 1e-12
 
 
 # -- group binning -----------------------------------------------------------------

@@ -1,6 +1,7 @@
 import random
 import re
 import string
+import warnings
 
 import pytest
 from hypothesis import given
@@ -283,3 +284,14 @@ def test_corpus_cache_round_trip(tmp_path):
     cache2 = tmp_path / "corpus2.bin"
     save_corpus(loaded, cache2)
     assert cache.read_bytes() == cache2.read_bytes()
+
+
+def test_save_corpus_closes_its_file(tmp_path):
+    rows = _profile_rows("a", 10)
+    tweets = tmp_path / "tweets.jsonl"
+    write_tweet_lines(tweets, rows)
+    corpus = load_timelines(tweets)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        save_corpus(corpus, tmp_path / "corpus.bin")
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]

@@ -123,6 +123,18 @@ def test_corrupt_tpv_aborts_naming_stage_and_row(tmp_path):
     assert err.value.exit_code == 12
 
 
+def test_unavailable_scorer_aborts_score_and_keeps_the_partial_cache(tmp_path, monkeypatch):
+    monkeypatch.delenv("MISSION_PROFILER_TOXICITY_URL", raising=False)
+    paths = _small_bundle(tmp_path)
+    out = tmp_path / "run"
+    with pytest.raises(PipelineError) as err:
+        run_pipeline(_config(paths, toxicity_backend="http"), out)
+    assert err.value.stage == "score"
+    assert err.value.exit_code == 11
+    assert (out / "score" / "toxicity_cache.jsonl").exists()
+    assert not (out / "score" / "manifest.json").exists()
+
+
 def test_missing_input_is_config_error(tmp_path):
     with pytest.raises(PipelineError) as err:
         RunConfig(tweets=str(tmp_path / "nope.jsonl")).validate()
@@ -316,6 +328,7 @@ def test_rerun_rebuilds_a_deleted_output_byte_identically(tmp_path, monkeypatch)
     for rel in (
         "features/features.jsonl", "metrics/metrics.jsonl", "topics/tpvs.jsonl", "group/groups.json",
         "detect/designations.json", "classify/wild.json", "report/report.json",
+        "report/plots/fig_entropy_cdf.csv",
     ):
         (out / rel).unlink()
         calls.clear()
@@ -325,6 +338,17 @@ def test_rerun_rebuilds_a_deleted_output_byte_identically(tmp_path, monkeypatch)
         if rel.startswith("features/"):
             # rebuilt from metrics.jsonl: no metric bundle is computed again
             assert calls["compute_metric_bundle"] == 0
+
+
+def test_every_file_a_stage_writes_is_a_manifest_output(tmp_path):
+    paths = _small_bundle(tmp_path)
+    out = tmp_path / "run"
+    run_pipeline(_config(paths), out)
+    for stage in pipeline.STAGES:
+        d = out / stage
+        written = sorted(p.relative_to(d).as_posix() for p in d.rglob("*") if p.is_file())
+        written.remove("manifest.json")
+        assert written == json.loads((d / "manifest.json").read_text(encoding="utf-8"))["outputs"], stage
 
 
 def test_skipped_classify_removes_an_earlier_runs_models(tmp_path):

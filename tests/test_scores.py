@@ -277,6 +277,7 @@ def test_http_client_round_trip():
         assert cache.provenance(next(iter(cache.toxicity))) == "http"
     finally:
         server.shutdown()
+        server.server_close()
 
 
 def test_http_client_requires_url(monkeypatch):
