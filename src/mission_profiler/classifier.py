@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -97,30 +96,21 @@ class MinMaxScaler:
         return cls(np.asarray(d["mins"], float), np.asarray(d["maxs"], float))
 
 
-def split_80_20(
-    labels: np.ndarray,
-    seed: int,
-    stratified: bool = True,
-    test_fraction: float = 0.2,
-) -> tuple[list[int], list[int]]:
-    """Disjoint, exhaustive train/test index split, deterministic per seed."""
+def split_80_20(labels: np.ndarray, seed: int) -> tuple[list[int], list[int]]:
+    """Disjoint, exhaustive train/test index split, stratified by class and
+    deterministic per seed."""
     y = np.asarray(labels)
     n = len(y)
     if n < 5:
         raise ValueError("need at least 5 labeled examples")
     rng = random.Random(seed)
     test: list[int] = []
-    if stratified:
-        for cls in sorted(set(int(v) for v in y)):
-            idx = [int(i) for i in np.flatnonzero(y == cls)]
-            rng.shuffle(idx)
-            n_test = int(round(len(idx) * test_fraction))
-            n_test = min(n_test, len(idx) - 1)  # keep every class in train
-            test.extend(idx[:n_test])
-    else:
-        idx = list(range(n))
+    for cls in sorted(set(int(v) for v in y)):
+        idx = [int(i) for i in np.flatnonzero(y == cls)]
         rng.shuffle(idx)
-        test = idx[: int(round(n * test_fraction))]
+        n_test = int(round(len(idx) * 0.2))
+        n_test = min(n_test, len(idx) - 1)  # keep every class in train
+        test.extend(idx[:n_test])
     test_set = set(test)
     train = sorted(i for i in range(n) if i not in test_set)
     test = sorted(test)
@@ -135,9 +125,7 @@ class LinearSVM:
 
     Objective: (lambda/2)||w||^2 + mean hinge with lambda = 1/(C*n), the
     classic C-SVM scaling, minimized on the 1/(lambda*t) schedule. The
-    bias rides along as an appended constant feature. The weights of every
-    epoch are kept, and loss_history evaluates the objective on them on
-    first access, for monitoring.
+    bias rides along as an appended constant feature.
     """
 
     kind = KIND_SVM
@@ -145,17 +133,6 @@ class LinearSVM:
     def __init__(self, w: np.ndarray | None = None, b: float = 0.0):
         self.w = w
         self.b = b
-        # the last fit's weights after each epoch (row 0: before the first) and its objective
-        self._epochs: tuple[np.ndarray, Callable[[np.ndarray], float]] | None = None
-        self._loss_history: list[float] | None = []
-
-    @property
-    def loss_history(self) -> list[float]:
-        """The objective before the first epoch and after each one."""
-        if self._loss_history is None:
-            weights, loss = self._epochs
-            self._loss_history = [loss(w_full) for w_full in weights]
-        return self._loss_history
 
     def fit(self, X: np.ndarray, y: np.ndarray, config: TrainConfig, seed: int = 0) -> "LinearSVM":
         _require_two_classes(y)
@@ -163,13 +140,7 @@ class LinearSVM:
         n, f = X.shape
         Xb = np.hstack([X, np.ones((n, 1))])
         lam = 1.0 / (config.svm_c * n)
-
-        def loss(w_full: np.ndarray) -> float:
-            hinge = np.maximum(0.0, 1.0 - y_signed * (Xb @ w_full))
-            return float(lam / 2.0 * (w_full @ w_full) + hinge.mean())
-
-        weights = np.empty((config.svm_epochs + 1, f + 1))
-        weights[0] = w_full = np.zeros(f + 1)
+        w_full = np.zeros(f + 1)
         for t in range(1, config.svm_epochs + 1):
             margins = y_signed * (Xb @ w_full)
             violating = margins < 1.0
@@ -177,8 +148,6 @@ class LinearSVM:
             if np.any(violating):
                 grad = grad - (y_signed[violating, None] * Xb[violating]).sum(axis=0) / n
             w_full = w_full - grad / (lam * t)
-            weights[t] = w_full
-        self._epochs, self._loss_history = (weights, loss), None
         self.w = w_full[:-1]
         self.b = float(w_full[-1])
         return self
@@ -201,40 +170,21 @@ class DecisionTree:
     """CART with Gini impurity and midpoint thresholds.
 
     Ties between candidate splits resolve to the lowest feature index and
-    threshold, so training is fully deterministic. feature_rng, when set,
-    samples sqrt(F) candidate features per split (for forests).
+    threshold, so training is fully deterministic. Every split considers
+    every feature; a forest grows its trees with sampled features.
     """
 
     kind = KIND_TREE
 
     def __init__(self, root: dict | None = None):
         self.root = root
-        self._feature_rng: random.Random | None = None  # read by _best_split
 
-    def fit(
-        self,
-        X: np.ndarray,
-        y: np.ndarray,
-        config: TrainConfig,
-        seed: int = 0,
-        feature_rng: random.Random | None = None,
-        max_depth: int | None = None,
-    ) -> "DecisionTree":
+    def fit(self, X: np.ndarray, y: np.ndarray, config: TrainConfig, seed: int = 0) -> "DecisionTree":
         _require_two_classes(y)
-        depth_cap = config.tree_max_depth if max_depth is None else max_depth
         y = np.asarray(y, int)
         rows = np.arange(len(y))
-        self.root = _grow_trees(X, y, [rows], [feature_rng], depth_cap, config.tree_min_samples_split)[0]
+        self.root = _grow_trees(X, y, [rows], [None], config.tree_max_depth, config.tree_min_samples_split)[0]
         return self
-
-    def _candidate_features(self, n_features: int) -> list[int]:
-        return _draw_features(self._feature_rng, n_features)
-
-    def _best_split(self, X: np.ndarray, y: np.ndarray) -> tuple[int, float] | None:
-        """The split search for one node holding every row of X."""
-        feats = np.array([self._candidate_features(X.shape[1])], dtype=np.intp)
-        rows = np.arange(len(y))
-        return _best_splits(np.asarray(X, float), np.asarray(y, int), [rows], feats)[0]
 
     def _score_one(self, x: np.ndarray) -> float:
         node = self.root
@@ -545,39 +495,30 @@ def train_and_evaluate(
     kind: str = KIND_SVM,
     feature_group: str = "all",
     config: TrainConfig | None = None,
-    stratified: bool = True,
 ) -> tuple[TrainedModel, EvalReport]:
-    train_idx, test_idx = split_80_20(y, seed, stratified=stratified)
+    """Fit one model on the 80% split_80_20(y, seed) keeps for training and
+    score it on the held-out 20%."""
+    y = np.asarray(y, int)
+    train_idx, test_idx = split_80_20(y, seed)
     model = train(kind, X_raw[train_idx], y[train_idx], seed, feature_group, config)
     report = evaluate(model.predict(X_raw[test_idx]), y[test_idx])
     return model, report
 
 
 def ablation(
-    X_raw: np.ndarray,
-    y: np.ndarray,
-    seed: int,
-    config: TrainConfig | None = None,
-    all_row: dict[str, dict] | None = None,
-) -> dict[str, dict[str, dict]]:
-    """F1/accuracy for every feature group x model kind on one shared split.
-
-    all_row, when given, is the caller's evaluation of every model kind
-    fitted with all columns on split_80_20(y, seed) with this config; it
-    becomes the "all" row instead of fitting those models again.
-    """
-    train_idx, test_idx = split_80_20(y, seed, stratified=True)
+    X_raw: np.ndarray, y: np.ndarray, seed: int, config: TrainConfig | None = None,
+) -> tuple[dict[str, dict[str, dict]], dict[str, dict[str, TrainedModel]]]:
+    """Every feature group x model kind through train_and_evaluate, so all
+    cells share one split. Returns the F1/accuracy table and the fitted
+    models, both keyed by group, then kind."""
     table: dict[str, dict[str, dict]] = {}
+    models: dict[str, dict[str, TrainedModel]] = {}
     for group in ("content", "auxiliary", "activity_profile", "all"):
-        if group == "all" and all_row is not None:
-            table[group] = {kind: all_row[kind] for kind in MODEL_KINDS}
-            continue
-        table[group] = {}
+        table[group], models[group] = {}, {}
         for kind in MODEL_KINDS:
-            model = train(kind, X_raw[train_idx], np.asarray(y)[train_idx], seed, group, config)
-            report = evaluate(model.predict(X_raw[test_idx]), np.asarray(y)[test_idx])
+            models[group][kind], report = train_and_evaluate(X_raw, y, seed, kind, group, config)
             table[group][kind] = report.as_dict()
-    return table
+    return table, models
 
 
 def flag_in_wild(

@@ -6,13 +6,12 @@ import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import classifier, detector, diversity, scores, synth, topics
 from .features import feature_matrix, load_features
 from .ingest import load_corpus, load_timelines, save_corpus
 from .pipeline import (
-    PipelineError, RunConfig, corpus_topic_aggregates, designate, group_matrices, group_profiles,
+    PipelineError, RunConfig, corpus_topic_aggregates, designate, group_matrices, group_profiles, labeled_rows,
     load_labels_csv, metric_rows, parse_tox_gate, run_pipeline, topic_vectors, write_groups, write_metrics,
 )
 from .util import read_json, write_json
@@ -75,8 +74,12 @@ def score(corpus_path, backend, toxicity_file, bot_file, toxicity_cache, bot_cac
         else:
             if Path(toxicity_cache).exists():
                 cache = scores.ScoreCache.load(toxicity_cache)
-            client = scores.MockToxicityClient(mock_value) if backend == "mock" else scores.HTTPToxicityClient()
-            scores.score_toxicity(corpus, client, rate_limit=rps, cache=cache, backoff_base=0.0)
+            if backend == "mock":  # as in a pipeline run: a mock retries at once, HTTP backs off
+                scores.score_toxicity(
+                    corpus, scores.MockToxicityClient(mock_value), rate_limit=rps, cache=cache, backoff_base=0.0,
+                )
+            else:
+                scores.score_toxicity(corpus, scores.HTTPToxicityClient(), rate_limit=rps, cache=cache)
     except scores.BackendUnavailable as exc:
         cache.save(toxicity_cache)
         _fail("score", exc)
@@ -236,7 +239,7 @@ def train(labels_path, features_path, kind, feature_group, seed, out) -> None:
     """Train one classifier on labeled feature vectors (80/20 split)."""
     kind_full = {"svm": classifier.KIND_SVM, "tree": classifier.KIND_TREE, "forest": classifier.KIND_FOREST}[kind]
     try:
-        ids, X, y = _labeled_matrix(features_path, labels_path)
+        X, y = _labeled_matrix(features_path, labels_path)
         model, report = classifier.train_and_evaluate(X, y, seed, kind=kind_full, feature_group=feature_group)
         model.save(out)
     except Exception as exc:
@@ -251,7 +254,7 @@ def train(labels_path, features_path, kind, feature_group, seed, out) -> None:
 def evaluate(model_path, features_path, labels_path) -> None:
     """Evaluate a saved model against labeled features."""
     try:
-        ids, X, y = _labeled_matrix(features_path, labels_path)
+        X, y = _labeled_matrix(features_path, labels_path)
         model = classifier.TrainedModel.load(model_path)
         report = classifier.evaluate(model.predict(X), y)
     except Exception as exc:
@@ -270,8 +273,8 @@ def evaluate(model_path, features_path, labels_path) -> None:
 def ablate(labels_path, features_path, seed, out) -> None:
     """Feature-group x model-kind ablation on one shared split."""
     try:
-        ids, X, y = _labeled_matrix(features_path, labels_path)
-        table = classifier.ablation(X, y, seed)
+        X, y = _labeled_matrix(features_path, labels_path)
+        table, _ = classifier.ablation(X, y, seed)
     except Exception as exc:
         _fail("classify", exc)
     write_json(out, {"table": table})
@@ -343,15 +346,11 @@ def run(config_path, seed, out_dir) -> None:
 
 
 def _labeled_matrix(features_path: str, labels_path: str):
-    vectors = load_features(features_path)
-    labels = load_labels_csv(labels_path)
-    keep = [v for v in vectors if v.profile_id in labels]
-    missing = len(vectors) - len(keep)
-    if missing:
-        click.echo(f"note: {missing} feature rows have no label and were dropped", err=True)
-    ids, X, _ = feature_matrix(keep)
-    y = np.asarray([labels[p] for p in ids], dtype=int)
-    return ids, X, y
+    ids, X, _ = feature_matrix(load_features(features_path))
+    X, y = labeled_rows(ids, X, load_labels_csv(labels_path))
+    if len(ids) > len(y):
+        click.echo(f"note: {len(ids) - len(y)} feature rows have no label and were dropped", err=True)
+    return X, y
 
 
 if __name__ == "__main__":

@@ -44,7 +44,6 @@ class TopicLabelAssignment:
 class OverlapEvidence:
     friend_overlap: float | None
     shared_retweet_ratio: float | None
-    pair_shared_friend_counts: list[int] | None
 
 
 @dataclass
@@ -182,11 +181,9 @@ def overlap_evidence(
     }
 
     friend_overlap = None
-    pair_shared: list[int] | None = None
     if friends:
         pairs = 0
         connected = 0
-        pair_shared = []
         ordered = sorted(members)
         for i, a in enumerate(ordered):
             for b in ordered[i + 1:]:
@@ -195,8 +192,6 @@ def overlap_evidence(
                 pairs += 1
                 if b in friends.get(a, ()) or a in friends.get(b, ()):
                     connected += 1
-                if a in friends and b in friends:
-                    pair_shared.append(len(friends[a] & friends[b]))
         friend_overlap = connected / pairs if pairs else None
 
     shared_retweet_ratio = None
@@ -211,7 +206,7 @@ def overlap_evidence(
                 sharing += 1
         shared_retweet_ratio = sharing / len(members)
 
-    return OverlapEvidence(friend_overlap, shared_retweet_ratio, pair_shared)
+    return OverlapEvidence(friend_overlap, shared_retweet_ratio)
 
 
 def detect_clusters(

@@ -132,9 +132,6 @@ class Corpus:
         for timeline in self.profiles.values():
             yield from timeline.tweets
 
-    def n_tweets(self) -> int:
-        return sum(len(t.tweets) for t in self.profiles.values())
-
 
 def normalize_tweet(text_raw: str) -> str:
     """Normalize tweet text: mention/URL tokens, emoji aliases, whitespace.

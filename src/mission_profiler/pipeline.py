@@ -304,6 +304,13 @@ def group_matrices(
     return matrices
 
 
+def labeled_rows(ids: list[str], X: np.ndarray, labels: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of X (ids[i] is row i) whose profile has a label, in the
+    order of ids, and their 0/1 labels: what the classifier trains on."""
+    keep = [i for i, pid in enumerate(ids) if pid in labels]
+    return X[keep], np.asarray([labels[ids[i]] for i in keep], dtype=int)
+
+
 # -- writers -------------------------------------------------------------------------
 # Without a config hash they write the same files minus the hash key or line.
 
@@ -598,32 +605,27 @@ def _features(pipe: Pipeline, a: Inputs, out: Outputs, warn: Warn) -> dict:
 def _classify(pipe: Pipeline, a: Inputs, out: Outputs, warn: Warn) -> dict:
     cfg = pipe.config
     ids, X, _mask = features.feature_matrix(a["features"].get())
-    index_of = {pid: i for i, pid in enumerate(ids)}
     labels = load_labels_csv(cfg.labels) if cfg.labels else _labels_from_designations(a["detect"].get())
-    labeled = [(pid, y) for pid, y in sorted(labels.items()) if pid in index_of]
+    X_lab, y_lab = labeled_rows(ids, X, labels)
     skip_reason = None
-    if len(labeled) < 5:
-        skip_reason = f"only {len(labeled)} labeled profiles"
-    elif len({y for _, y in labeled}) < 2:
+    if len(y_lab) < 5:
+        skip_reason = f"only {len(y_lab)} labeled profiles"
+    elif len(set(y_lab.tolist())) < 2:
         skip_reason = "labels contain a single class"
     if skip_reason:  # no models: the runner deletes an earlier run's
         warn(f"classifier skipped: {skip_reason}")
         skipped = {"config_hash": pipe.hash, "skipped": skip_reason}
         payloads = dict.fromkeys(("classify_eval", "classify_ablation", "classify_wild"), skipped)
     else:
-        X_lab = X[[index_of[pid] for pid, _ in labeled]]
-        y_lab = np.asarray([y for _, y in labeled], dtype=int)
-        seed = derive_seed(cfg.seed, "classify")
         try:
-            train_idx, test_idx = classifier.split_80_20(y_lab, seed)
-            evals = {}
-            for kind in classifier.MODEL_KINDS:
-                model = classifier.train(kind, X_lab[train_idx], y_lab[train_idx], seed)
-                evals[kind] = classifier.evaluate(model.predict(X_lab[test_idx]), y_lab[test_idx]).as_dict()
-                model.save(out[f"classify_model_{kind.split('_')[-1]}"], extra={"config_hash": pipe.hash})
-            ablation_table = classifier.ablation(X_lab, y_lab, seed, all_row=evals)
+            table, models = classifier.ablation(X_lab, y_lab, derive_seed(cfg.seed, "classify"))
         except ValueError as exc:
             raise PipelineError("classify", str(exc)) from exc
+        # the all-features row is the stage's evaluation and its saved models
+        for kind, model in models["all"].items():
+            model.save(out[f"classify_model_{kind.split('_')[-1]}"], extra={"config_hash": pipe.hash})
+        evals = table["all"]  # each held-out row falls in one confusion count
+        n_test = sum(evals[classifier.KIND_SVM][count] for count in ("tp", "tn", "fp", "fn"))
         # flag the remaining entropy groups with the all-features linear SVM
         # as saved, so `flag` on model_linear_svm.json gives the same table
         svm_model = classifier.TrainedModel.load(out["classify_model_svm"])
@@ -632,9 +634,9 @@ def _classify(pipe: Pipeline, a: Inputs, out: Outputs, warn: Warn) -> dict:
         wild = classifier.flag_in_wild(svm_model, wild_groups, cfg.sample_n, derive_seed(cfg.seed, "wild"))
         payloads = {
             "classify_eval": {
-                "config_hash": pipe.hash, "models": evals, "n_train": len(train_idx), "n_test": len(test_idx),
+                "config_hash": pipe.hash, "models": evals, "n_train": len(y_lab) - n_test, "n_test": n_test,
             },
-            "classify_ablation": {"config_hash": pipe.hash, "table": ablation_table},
+            "classify_ablation": {"config_hash": pipe.hash, "table": table},
             "classify_wild": {**wild, "config_hash": pipe.hash},
         }
     for name, payload in payloads.items():

@@ -250,18 +250,11 @@ def score_toxicity(
     return cache
 
 
-def score_bots(
-    corpus: Corpus,
-    client,
-    cache: ScoreCache | None = None,
-    rate_limit: float | None = None,
-) -> ScoreCache:
+def score_bots(corpus: Corpus, client, cache: ScoreCache | None = None) -> ScoreCache:
     cache = cache if cache is not None else ScoreCache()
-    limiter = _RateLimiter(rate_limit)
     for profile_id in sorted(corpus.profiles):
         if profile_id in cache.bots:
             continue
-        limiter.wait()
         try:
             overall, spammer = client.score(profile_id)
         except ScoreError:

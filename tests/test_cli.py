@@ -1,10 +1,14 @@
+import http.server
 import json
+import threading
 
 import pytest
 from click.testing import CliRunner
 
+from mission_profiler import scores
 from mission_profiler.cli import main
 from mission_profiler.synth import default_specs, generate, write_bundle
+from mission_profiler.util import derive_seed
 
 from conftest import tweet_row, write_tweet_lines, BASE_TS
 
@@ -66,6 +70,45 @@ def test_score_command_mock(tmp_path):
     ])
     assert result.exit_code == 0, result.output
     assert "12 scored" in result.output
+
+
+class _Unparseable(http.server.BaseHTTPRequestHandler):
+    """A scorer whose every answer the client rejects with a ScoreError."""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        body = b"not json"
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+def test_score_command_http_backs_off_between_retries(tmp_path, monkeypatch):
+    tweets = tmp_path / "tweets.jsonl"
+    write_tweet_lines(tweets, [tweet_row(f"t{i}", "p", ts=BASE_TS + i) for i in range(12)])
+    corpus = tmp_path / "corpus.bin"
+    CliRunner().invoke(main, ["ingest", "--tweets", str(tweets), "--out", str(corpus)])
+    slept = []
+    monkeypatch.setattr(scores.time, "sleep", slept.append)
+    server = http.server.HTTPServer(("127.0.0.1", 0), _Unparseable)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        monkeypatch.setenv("MISSION_PROFILER_TOXICITY_URL", f"http://127.0.0.1:{server.server_port}/")
+        result = CliRunner().invoke(main, [
+            "score", "--corpus", str(corpus), "--backend", "http", "--toxicity-cache", str(tmp_path / "tox.jsonl"),
+        ])
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert result.exit_code == 0, result.output
+    assert "0 scored, 12 missing" in result.output
+    # the pipeline's HTTP settings: 3 retries per tweet, waiting 0.5, 1 and 2 s
+    assert slept == [0.5, 1.0, 2.0] * 12
 
 
 def test_score_command_file_stores_whole_table(tmp_path):
@@ -140,15 +183,29 @@ def test_train_and_evaluate_commands(bundle_dir, run_dir, tmp_path):
 
 
 def test_ablate_command(bundle_dir, run_dir, tmp_path):
+    # the run's classify stage seeds its ablation with this derived seed
     out = tmp_path / "ablation.json"
     result = CliRunner().invoke(main, [
         "ablate", "--labels", str(bundle_dir / "labels.csv"),
         "--features", str(run_dir / "features" / "features.jsonl"),
-        "--seed", "5", "--out", str(out),
+        "--seed", str(derive_seed(5, "classify")), "--out", str(out),
     ])
     assert result.exit_code == 0, result.output
     table = json.loads(out.read_text())["table"]
     assert len(table) == 4
+    assert table == json.loads((run_dir / "classify" / "ablation.json").read_text())["table"]
+
+
+def test_labeled_commands_note_the_rows_without_a_label(bundle_dir, run_dir, tmp_path):
+    rows = (bundle_dir / "labels.csv").read_text().splitlines()
+    labels = tmp_path / "labels.csv"
+    labels.write_text("\n".join(rows[:1] + rows[3:]) + "\n")  # header kept, two profiles unlabeled
+    result = CliRunner().invoke(main, [
+        "evaluate", "--model", str(run_dir / "classify" / "model_linear_svm.json"),
+        "--features", str(run_dir / "features" / "features.jsonl"), "--labels", str(labels),
+    ])
+    assert result.exit_code == 0, result.output
+    assert "note: 2 feature rows have no label and were dropped" in result.output
 
 
 def test_flag_command(bundle_dir, run_dir, tmp_path):

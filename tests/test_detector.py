@@ -297,15 +297,6 @@ def test_two_of_four_share_a_retweet():
     assert ev.shared_retweet_ratio == pytest.approx(0.5)
 
 
-def test_pair_shared_friend_counts():
-    metadata = {
-        "a": _meta(friends=["x", "y", "z"]),
-        "b": _meta(friends=["y", "z", "w"]),
-    }
-    ev = overlap_evidence(["a", "b"], metadata)
-    assert ev.pair_shared_friend_counts == [2]
-
-
 def test_one_sided_friend_listing_counts():
     metadata = {"a": _meta(friends=["b"]), "b": _meta(friends=[])}
     ev = overlap_evidence(["a", "b"], metadata)

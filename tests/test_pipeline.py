@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from mission_profiler import ingest, metrics, pipeline, scores, topics
+from mission_profiler import classifier, features, ingest, metrics, pipeline, scores, topics
 from mission_profiler.pipeline import (
     Pipeline,
     PipelineError,
@@ -349,6 +349,25 @@ def test_every_file_a_stage_writes_is_a_manifest_output(tmp_path):
         written = sorted(p.relative_to(d).as_posix() for p in d.rglob("*") if p.is_file())
         written.remove("manifest.json")
         assert written == json.loads((d / "manifest.json").read_text(encoding="utf-8"))["outputs"], stage
+
+
+def test_classify_takes_its_evaluation_and_models_from_the_ablations_fits(tmp_path, monkeypatch):
+    # counted as the benchmark's tracer counts fits: by rebinding classifier.train
+    fits = []
+    real_train = classifier.train
+    monkeypatch.setattr(classifier, "train", lambda kind, *a, **k: fits.append(kind) or real_train(kind, *a, **k))
+    paths = _small_bundle(tmp_path)
+    out = tmp_path / "run"
+    run_pipeline(_config(paths), out)
+    evaluation = json.loads((out / "classify" / "eval.json").read_text(encoding="utf-8"))
+    ablation = json.loads((out / "classify" / "ablation.json").read_text(encoding="utf-8"))
+    assert evaluation["models"] == ablation["table"]["all"]
+    labels = pipeline.load_labels_csv(paths["labels"])
+    vectors = features.load_features(out / "features" / "features.jsonl")
+    labeled = [v for v in vectors if v.profile_id in labels]
+    assert len(labeled) >= 5
+    assert evaluation["n_train"] + evaluation["n_test"] == len(labeled)
+    assert len(fits) == 12  # 4 feature groups x 3 kinds, each fitted once
 
 
 def test_skipped_classify_removes_an_earlier_runs_models(tmp_path):
