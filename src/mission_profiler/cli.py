@@ -59,7 +59,7 @@ def ingest(tweets: str, profiles: str | None, strict: bool, out: str) -> None:
 @click.option("--toxicity-cache", required=True, type=click.Path())
 @click.option("--bot-cache", type=click.Path())
 @click.option("--rps", type=float, default=None, help="request rate limit per second")
-@click.option("--mock-value", type=float, default=0.5)
+@click.option("--mock-value", type=click.FloatRange(0.0, 1.0), default=0.5)
 def score(corpus_path, backend, toxicity_file, bot_file, toxicity_cache, bot_cache, rps, mock_value) -> None:
     """Attach toxicity (and optionally bot) scores via the chosen backend.
 
@@ -162,6 +162,14 @@ def metrics_cmd(corpus_path, toxicity_cache, out) -> None:
     click.echo(f"metrics for {len(corpus.profiles)} profiles -> {out}")
 
 
+def _tox_gate(ctx: click.Context, param: click.Parameter, value: str) -> tuple[str, float]:
+    # a bad gate is a usage error, exit 2, as it is a config error in a pipeline run
+    try:
+        return parse_tox_gate(value)
+    except PipelineError as exc:
+        raise click.BadParameter(str(exc)) from exc
+
+
 @main.command()
 @click.option("--corpus", "corpus_path", required=True, type=click.Path(exists=True))
 @click.option("--tpv", "tpv_path", required=True, type=click.Path(exists=True))
@@ -170,7 +178,7 @@ def metrics_cmd(corpus_path, toxicity_cache, out) -> None:
 @click.option("--groups", "groups_path", required=True, type=click.Path(exists=True))
 @click.option("--group", "group_name", default="VIII", help="entropy group to designate")
 @click.option("--min-cluster", type=int, default=detector.DEFAULT_MIN_CLUSTER)
-@click.option("--tox-gate", default="p75", help="pNN percentile or abs:X absolute gate")
+@click.option("--tox-gate", default="p75", callback=_tox_gate, help="pNN percentile or abs:X absolute gate")
 @click.option("--k", "k_topics", type=int, default=topics.DEFAULT_K)
 @click.option("--out", required=True, type=click.Path())
 def detect(corpus_path, tpv_path, catalog_path, toxicity_cache, groups_path,
@@ -183,7 +191,7 @@ def detect(corpus_path, tpv_path, catalog_path, toxicity_cache, groups_path,
         aggs = corpus_topic_aggregates(corpus, tpvs, scores.ScoreCache.load(toxicity_cache), catalog.K, _warn)
         partition = read_json(groups_path)["groups"]
         payload = designate(
-            corpus, tpvs, catalog, aggs, partition, group_name, min_cluster, parse_tox_gate(tox_gate), _warn
+            corpus, tpvs, catalog, aggs, partition, group_name, min_cluster, tox_gate, _warn
         )
     except Exception as exc:
         _fail("detect", exc)

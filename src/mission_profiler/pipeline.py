@@ -70,15 +70,20 @@ class StaleCacheError(PipelineError):
 
 
 def parse_tox_gate(gate: str) -> tuple[str, float]:
-    """Parse 'pNN' (percentile) or 'abs:X' (absolute) gate syntax."""
+    """Parse 'pNN' (percentile, 0 <= NN <= 100) or 'abs:X' (absolute, X
+    finite) gate syntax."""
     try:
         if gate.startswith("abs:"):
-            return ("absolute", float(gate[4:]))
-        if gate.startswith("p"):
-            return ("percentile", float(gate[1:]))
+            value = float(gate[4:])
+            if math.isfinite(value):
+                return ("absolute", value)
+        elif gate.startswith("p"):
+            value = float(gate[1:])
+            if 0.0 <= value <= 100.0:  # false for NaN too
+                return ("percentile", value)
     except ValueError:
         pass
-    raise PipelineError("config", f"bad tox gate {gate!r}; expected pNN or abs:X")
+    raise PipelineError("config", f"bad tox gate {gate!r}; expected pNN with 0 <= NN <= 100, or abs:X with X finite")
 
 
 @dataclass
@@ -122,6 +127,8 @@ class RunConfig:
             raise PipelineError("config", f"unknown bot backend {self.bot_backend!r}")
         if self.detect_group not in diversity.GROUP_NAMES:
             raise PipelineError("config", f"unknown entropy group {self.detect_group!r}")
+        if self.toxicity_backend == "mock" and not 0.0 <= self.mock_toxicity_value <= 1.0:
+            raise PipelineError("config", f"mock_toxicity_value {self.mock_toxicity_value!r} is outside [0, 1]")
         parse_tox_gate(self.tox_gate)
 
     def as_dict(self) -> dict:

@@ -104,27 +104,50 @@ def load_tpvs(path: str | Path, K: int) -> dict[str, np.ndarray]:
 
     Rows whose probabilities sum within 1e-3 of 1 are renormalized; larger
     deviations, wrong dimensions and negative entries are rejected with
-    their row number.
+    their row number. When several rows are bad, the first one is reported.
+    Rows are parsed one at a time but checked and renormalized as one
+    (n, K) matrix; each returned vector is a row of that matrix.
     """
-    tpvs: dict[str, np.ndarray] = {}
+    ids: list[str] = []
+    rows: list[np.ndarray] = []
+    linenos: list[int] = []
+    error: Exception | None = None
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TPVError(f"bad json: {exc}", lineno) from exc
-            try:
-                tweet_id = str(row["tweet_id"])
-                probs = np.asarray(row["probs"], dtype=float)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise TPVError(f"bad row: {exc}", lineno) from exc
-            tpvs[tweet_id] = _validate_tpv(probs, K, lineno)
-    return tpvs
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    row = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise TPVError(f"bad json: {exc}", lineno) from exc
+                try:
+                    tweet_id = str(row["tweet_id"])
+                    probs = np.asarray(row["probs"], dtype=float)
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise TPVError(f"bad row: {exc}", lineno) from exc
+                if probs.shape != (K,):
+                    _validate_tpv(probs, K, lineno)
+                ids.append(tweet_id)
+                rows.append(probs)
+                linenos.append(lineno)
+        except Exception as exc:  # raised below, after the rows before it are checked
+            error = exc
+    matrix = np.stack(rows) if rows else np.empty((0, K))
+    del rows
+    sums = matrix.sum(axis=1)
+    bad = (matrix < 0).any(axis=1) | (np.abs(sums - 1.0) > RENORM_TOLERANCE) | (sums == 0.0)
+    if bad.any():
+        first = int(np.argmax(bad))
+        _validate_tpv(matrix[first], K, linenos[first])
+    if error is not None:
+        raise error
+    matrix /= sums[:, None]
+    return dict(zip(ids, matrix))
 
 
-def _validate_tpv(probs: np.ndarray, K: int, lineno: int | None = None) -> np.ndarray:
+def _validate_tpv(probs: np.ndarray, K: int, lineno: int | None = None) -> None:
+    """Raise the TPVError for one bad vector; the one place each is worded."""
     if probs.ndim != 1 or probs.shape[0] != K:
         raise TPVError(f"expected {K} probabilities, got {probs.shape}", lineno)
     if np.any(probs < 0):
@@ -134,20 +157,23 @@ def _validate_tpv(probs: np.ndarray, K: int, lineno: int | None = None) -> np.nd
         raise TPVError(f"probabilities sum to {total:.6f}", lineno)
     if total == 0.0:
         raise TPVError("all-zero probability vector", lineno)
-    return probs / total
 
 
 def save_tpvs(tpvs: dict[str, np.ndarray], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for tweet_id in sorted(tpvs):
-            row = {"tweet_id": tweet_id, "probs": [float(p) for p in tpvs[tweet_id]]}
+            row = {"tweet_id": tweet_id, "probs": np.asarray(tpvs[tweet_id], dtype=float).tolist()}
             fh.write(canonical_dumps(row) + "\n")
 
 
 def as_saved(tpvs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """The vectors exactly as load_tpvs reads back the file save_tpvs
     writes: ordered by tweet id and normalised once more."""
-    return {tweet_id: tpvs[tweet_id] / float(tpvs[tweet_id].sum()) for tweet_id in sorted(tpvs)}
+    if not tpvs:
+        return {}
+    ids = sorted(tpvs)
+    matrix = np.stack([tpvs[tweet_id] for tweet_id in ids])
+    return dict(zip(ids, matrix / matrix.sum(axis=1, keepdims=True)))
 
 
 def dominant_topic(tpv: np.ndarray) -> int:
@@ -156,7 +182,10 @@ def dominant_topic(tpv: np.ndarray) -> int:
 
 
 def assign_dominant_topics(tpvs: dict[str, np.ndarray]) -> dict[str, int]:
-    return {tweet_id: dominant_topic(v) for tweet_id, v in tpvs.items()}
+    """dominant_topic of every vector, taken over all of them at once."""
+    if not tpvs:
+        return {}
+    return dict(zip(tpvs, np.argmax(np.stack(list(tpvs.values())), axis=1).tolist()))
 
 
 def topic_aggregates(

@@ -11,9 +11,13 @@ from pathlib import Path
 from typing import Any
 
 
+# one encoder for every call: the writers call canonical_dumps once per row
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 def canonical_dumps(obj: Any) -> str:
     """Serialize to JSON with sorted keys and fixed separators (byte-stable)."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return _CANONICAL.encode(obj)
 
 
 def write_json(path: str | Path, obj: Any) -> None:

@@ -72,6 +72,21 @@ def test_score_command_mock(tmp_path):
     assert "12 scored" in result.output
 
 
+def test_score_command_rejects_a_mock_value_outside_the_unit_interval(tmp_path):
+    tweets = tmp_path / "tweets.jsonl"
+    write_tweet_lines(tweets, [tweet_row(f"t{i}", "p", ts=BASE_TS + i) for i in range(12)])
+    corpus = tmp_path / "corpus.bin"
+    CliRunner().invoke(main, ["ingest", "--tweets", str(tweets), "--out", str(corpus)])
+    cache = tmp_path / "tox.jsonl"
+    result = CliRunner().invoke(main, [
+        "score", "--corpus", str(corpus), "--backend", "mock",
+        "--toxicity-cache", str(cache), "--mock-value", "1.5",
+    ])
+    assert result.exit_code == 2, result.output
+    assert "--mock-value" in result.output
+    assert not cache.exists()
+
+
 class _Unparseable(http.server.BaseHTTPRequestHandler):
     """A scorer whose every answer the client rejects with a ScoreError."""
 
@@ -310,6 +325,21 @@ def test_stage_commands_match_pipeline_artifacts(run_dir, tmp_path):
     for stage, name in (("group", "entropy_cdf.csv"), ("metrics", "metrics.jsonl")):
         lines = (run_dir / stage / name).read_text().splitlines(keepends=True)
         assert (tmp_path / name).read_text() == "".join(lines[1:]), name
+
+
+@pytest.mark.parametrize("gate", ["p150", "p-1", "pnan", "abs:nan", "abs:inf"])
+def test_detect_command_rejects_an_out_of_range_or_non_finite_tox_gate(run_dir, tmp_path, gate):
+    out = tmp_path / "designations.json"
+    result = CliRunner().invoke(main, [
+        "detect", "--corpus", str(run_dir / "ingest" / "corpus.bin"),
+        "--tpv", str(run_dir / "topics" / "tpvs.jsonl"), "--catalog", str(run_dir / "topics" / "catalog.tsv"),
+        "--toxicity-cache", str(run_dir / "score" / "toxicity_cache.jsonl"),
+        "--groups", str(run_dir / "group" / "groups.json"), "--group", "VII",
+        "--tox-gate", gate, "--out", str(out),
+    ])
+    assert result.exit_code == 2, result.output  # the exit code of a config error
+    assert "bad tox gate" in result.output
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")  # the one-profile run warns of empty groups

@@ -1,3 +1,4 @@
+import gzip
 import json
 import warnings
 from collections import Counter
@@ -15,7 +16,7 @@ from mission_profiler.pipeline import (
     run_pipeline,
 )
 from mission_profiler.synth import default_specs, generate, write_bundle
-from mission_profiler.util import sha256_file
+from mission_profiler.util import sha256_file, write_json
 
 from conftest import tweet_row, write_tweet_lines, BASE_TS
 
@@ -147,6 +148,33 @@ def test_tox_gate_parsing():
     assert parse_tox_gate("abs:0.14") == ("absolute", 0.14)
     with pytest.raises(PipelineError):
         parse_tox_gate("banana")
+    assert parse_tox_gate("p0") == ("percentile", 0.0)
+    assert parse_tox_gate("p100") == ("percentile", 100.0)
+
+
+@pytest.mark.parametrize("gate", ["p150", "p-1", "pnan", "abs:nan", "abs:inf"])
+def test_out_of_range_or_non_finite_tox_gate_is_a_config_error(tmp_path, gate):
+    # before any stage runs: p150 and pnan used to fail in detect, abs:nan to designate nothing
+    paths = _small_bundle(tmp_path)
+    with pytest.raises(PipelineError) as err:
+        Pipeline(_config(paths, tox_gate=gate), tmp_path / "run")
+    assert err.value.exit_code == 2
+    assert "bad tox gate" in str(err.value)
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("value", [1.5, -0.1, float("nan")])
+def test_mock_toxicity_value_outside_unit_interval_is_a_config_error(tmp_path, value):
+    paths = _small_bundle(tmp_path)
+    with pytest.raises(PipelineError) as err:
+        Pipeline(_config(paths, toxicity_backend="mock", mock_toxicity_value=value), tmp_path / "run")
+    assert err.value.exit_code == 2
+    assert "mock_toxicity_value" in str(err.value)
+
+
+def test_mock_toxicity_value_is_checked_only_for_the_mock_backend(tmp_path):
+    paths = _small_bundle(tmp_path)
+    Pipeline(_config(paths, mock_toxicity_value=1.5), tmp_path / "run")
 
 
 # -- degenerate corpora -------------------------------------------------------------
@@ -529,3 +557,37 @@ def test_rebuilt_report_keeps_the_warnings_of_cached_stages(tmp_path):
     manifest = json.loads((out / "score" / "manifest.json").read_text())
     assert manifest["warnings"] == ["score: 20 tweets have no toxicity score"]
     assert "warnings" not in json.loads((out / "ingest" / "manifest.json").read_text())
+
+
+def test_an_out_dir_with_a_level_9_corpus_still_loads_and_hits_every_stage(tmp_path, monkeypatch):
+    paths = _small_bundle(tmp_path)
+    config = _config(paths)
+    out = tmp_path / "run"
+    run_pipeline(config, out)
+    corpus_path = out / "ingest" / "corpus.bin"
+    fast = corpus_path.read_bytes()
+    assert fast[8] == 4  # the gzip header's XFL byte: compressed at the fastest level
+    # the out dir as code writing corpus.bin at gzip's default level 9 left it
+    fast_digest = sha256_file(corpus_path)
+    with open(corpus_path, "wb") as fh, gzip.GzipFile(filename="", mode="wb", fileobj=fh, mtime=0) as gz:
+        gz.write(gzip.decompress(fast))
+    best = corpus_path.read_bytes()
+    assert best[8] == 2 and len(best) < len(fast)
+    best_digest = sha256_file(corpus_path)
+    rewritten = 0
+    for manifest_path in out.glob("*/manifest.json"):
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        for digests in (manifest["inputs"], manifest["output_hashes"]):
+            for name, digest in digests.items():
+                if digest == fast_digest:
+                    digests[name] = best_digest
+                    rewritten += 1
+        write_json(manifest_path, manifest)
+    assert rewritten == 8  # ingest's output and the corpus input of the 7 stages that read it
+    hits = _count_cache_hits(monkeypatch)
+    run_pipeline(config, out)
+    assert hits == [True] * len(pipeline.STAGES)
+    assert corpus_path.read_bytes() == best
+    fast_path = tmp_path / "fast.bin"
+    fast_path.write_bytes(fast)
+    assert ingest.load_corpus(corpus_path) == ingest.load_corpus(fast_path)

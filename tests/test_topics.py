@@ -3,12 +3,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mission_profiler.ingest import load_timelines
 from mission_profiler.scores import ScoreCache
 from mission_profiler.topics import (
     CATEGORIES,
     CatalogError,
+    RENORM_TOLERANCE,
     TopicCatalog,
     TPVError,
     as_saved,
@@ -112,6 +115,200 @@ def test_dominant_invariant_under_rescaling():
         v = rng.dirichlet(np.ones(16))
         c = rng.uniform(0.1, 50.0)
         assert dominant_topic(v) == dominant_topic(v * c)
+
+
+# -- the matrix paths against the row-at-a-time code they replaced ---------------------
+
+def _reference_validate_tpv(probs, K, lineno=None):
+    if probs.ndim != 1 or probs.shape[0] != K:
+        raise TPVError(f"expected {K} probabilities, got {probs.shape}", lineno)
+    if np.any(probs < 0):
+        raise TPVError("negative probability", lineno)
+    total = float(probs.sum())
+    if abs(total - 1.0) > RENORM_TOLERANCE:
+        raise TPVError(f"probabilities sum to {total:.6f}", lineno)
+    if total == 0.0:
+        raise TPVError("all-zero probability vector", lineno)
+    return probs / total
+
+
+def _reference_load_tpvs(path, K):
+    tpvs = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise TPVError(f"bad json: {exc}", lineno) from exc
+            try:
+                tweet_id = str(row["tweet_id"])
+                probs = np.asarray(row["probs"], dtype=float)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise TPVError(f"bad row: {exc}", lineno) from exc
+            tpvs[tweet_id] = _reference_validate_tpv(probs, K, lineno)
+    return tpvs
+
+
+def _reference_save_tpvs(tpvs, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        for tweet_id in sorted(tpvs):
+            row = {"tweet_id": tweet_id, "probs": [float(p) for p in tpvs[tweet_id]]}
+            fh.write(json.dumps(row, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n")
+
+
+def _reference_as_saved(tpvs):
+    return {tweet_id: tpvs[tweet_id] / float(tpvs[tweet_id].sum()) for tweet_id in sorted(tpvs)}
+
+
+def _reference_assign_dominant_topics(tpvs):
+    return {tweet_id: int(np.argmax(v)) for tweet_id, v in tpvs.items()}
+
+
+_SPECIALS = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 1e-300, 5e-324]
+
+
+@st.composite
+def _vector_maps(draw, normalised=False):
+    """{tweet id: K-vector} with 0-300 rows, K from 1-200, in unsorted id
+    order; duplicate ids (when written to a file), argmax ties, NaN and inf."""
+    K = draw(st.integers(1, 200))
+    n = draw(st.integers(0, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.sampled_from([None, 1, 2, 3]))  # few levels: many ties
+    if levels is None:
+        matrix = rng.dirichlet(np.ones(K), size=n)
+    else:
+        matrix = rng.integers(0, levels + 1, size=(n, K)).astype(float)
+        matrix[:, 0] += matrix.sum(axis=1) == 0  # no all-zero rows
+    if normalised:
+        matrix /= matrix.sum(axis=1, keepdims=True)
+        # still within the tolerance, so load_tpvs renormalises
+        matrix *= 1.0 + rng.uniform(-5e-4, 5e-4, size=(n, 1))
+    if n:
+        for _ in range(draw(st.integers(0, 4))):
+            value = draw(st.sampled_from(_SPECIALS))
+            matrix[draw(st.integers(0, n - 1)), draw(st.integers(0, K - 1))] = value
+    pool = draw(st.integers(1, 400))  # fewer ids than rows gives duplicates
+    ids = [f"t{i}" for i in rng.integers(0, pool, size=n)]
+    return K, ids, matrix
+
+
+def _assert_same_vectors(got, expected):
+    assert list(got) == list(expected)
+    for tweet_id, v in expected.items():
+        assert got[tweet_id].dtype == v.dtype and got[tweet_id].tobytes() == v.tobytes(), tweet_id
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # compared by type, message and row
+        return type(exc), str(exc), getattr(exc, "lineno", None)
+
+
+def _write_rows(path, ids, matrix, blank_every=0):
+    with open(path, "w", encoding="utf-8") as fh:
+        for i, (tweet_id, v) in enumerate(zip(ids, matrix)):
+            if blank_every and i % blank_every == 0:
+                fh.write("\n")
+            fh.write(json.dumps({"tweet_id": tweet_id, "probs": [float(p) for p in v]}) + "\n")
+
+
+@settings(max_examples=60, deadline=None)
+@given(_vector_maps(normalised=True), st.integers(0, 5))
+@example((9, ["b", "a", "b"], np.full((3, 9), 1 / 9)), 2)
+def test_load_tpvs_matches_the_row_at_a_time_reference(tmp_path_factory, drawn, blank_every):
+    K, ids, matrix = drawn
+    path = tmp_path_factory.mktemp("tpv") / "tpv.jsonl"
+    _write_rows(path, ids, matrix, blank_every)
+    got, expected = _outcome(load_tpvs, path, K), _outcome(_reference_load_tpvs, path, K)
+    assert got[0] == expected[0]
+    if got[0] == "ok":
+        _assert_same_vectors(got[1], expected[1])
+    else:
+        assert got == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(_vector_maps(), st.booleans())
+def test_save_tpvs_as_saved_and_argmax_match_the_references(tmp_path_factory, drawn, normalised):
+    K, ids, matrix = drawn
+    if normalised:
+        with np.errstate(all="ignore"):
+            matrix = matrix / matrix.sum(axis=1, keepdims=True)
+    tpvs = {tweet_id: v.copy() for tweet_id, v in zip(ids, matrix)}
+    assert assign_dominant_topics(tpvs) == _reference_assign_dominant_topics(tpvs)
+    with np.errstate(all="ignore"):
+        _assert_same_vectors(as_saved(tpvs), _reference_as_saved(tpvs))
+    d = tmp_path_factory.mktemp("save")
+    got = _outcome(save_tpvs, tpvs, d / "new.jsonl")
+    expected = _outcome(_reference_save_tpvs, tpvs, d / "ref.jsonl")
+    assert got == expected  # ("ok", None), or the same ValueError for NaN and inf
+    assert (d / "new.jsonl").read_bytes() == (d / "ref.jsonl").read_bytes()
+
+
+def _corrupt(kind, tweet_id, v):
+    """One malformed line of each kind load_tpvs rejects."""
+    probs = [float(p) for p in v]
+    return {
+        "json": '{"tweet_id": "' + tweet_id + '", "probs": [',
+        "no_id": json.dumps({"probs": probs}),
+        "no_probs": json.dumps({"tweet_id": tweet_id}),
+        "not_a_row": json.dumps(probs),
+        "string_probs": json.dumps({"tweet_id": tweet_id, "probs": "0.5"}),
+        "dict_probs": json.dumps({"tweet_id": tweet_id, "probs": {"a": 1.0}}),
+        "scalar_probs": json.dumps({"tweet_id": tweet_id, "probs": 1.0}),
+        "nested_probs": json.dumps({"tweet_id": tweet_id, "probs": [probs]}),
+        "ragged_probs": json.dumps({"tweet_id": tweet_id, "probs": [probs, [1.0, 2.0, 3.0]]}),
+        "overflow": '{"tweet_id": "' + tweet_id + '", "probs": [1' + "0" * 400 + "]}",
+        "short": json.dumps({"tweet_id": tweet_id, "probs": probs[:-1]}),
+        "long": json.dumps({"tweet_id": tweet_id, "probs": probs + [0.0]}),
+        "negative": json.dumps({"tweet_id": tweet_id, "probs": [-1e-9] + probs[1:]}),
+        "negative_inf": json.dumps({"tweet_id": tweet_id, "probs": [-float("inf")] + probs[1:]}),
+        "sum_off": json.dumps({"tweet_id": tweet_id, "probs": [p * 1.0011 for p in probs]}),
+        "all_zero": json.dumps({"tweet_id": tweet_id, "probs": [0.0] * len(probs)}),
+    }[kind]
+
+
+_CORRUPTIONS = ["json", "no_id", "no_probs", "not_a_row", "string_probs", "dict_probs", "scalar_probs",
+                "nested_probs", "ragged_probs", "overflow", "short", "long", "negative", "negative_inf",
+                "sum_off", "all_zero"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _vector_maps(normalised=True),
+    st.lists(st.tuples(st.integers(0, 299), st.sampled_from(_CORRUPTIONS)), min_size=1, max_size=4),
+)
+def test_malformed_tpv_files_raise_what_the_reference_raises(tmp_path_factory, drawn, corruptions):
+    K, ids, matrix = drawn
+    lines = [json.dumps({"tweet_id": t, "probs": [float(p) for p in v]}) for t, v in zip(ids, matrix)]
+    for row, kind in corruptions:
+        if lines:
+            i = row % len(lines)
+            lines[i] = _corrupt(kind, ids[i], matrix[i])
+    path = tmp_path_factory.mktemp("bad") / "tpv.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    got, expected = _outcome(load_tpvs, path, K), _outcome(_reference_load_tpvs, path, K)
+    assert got[0] == expected[0]
+    if got[0] == "ok":
+        _assert_same_vectors(got[1], expected[1])
+    else:
+        assert got == expected
+
+
+def test_a_later_json_error_does_not_hide_an_earlier_bad_row(tmp_path):
+    path = tmp_path / "tpv.jsonl"
+    path.write_text('{"tweet_id": "a", "probs": [0.5, 0.5]}\n'
+                    '{"tweet_id": "b", "probs": [0.9, 0.3]}\n'
+                    '{"tweet_id": "c", "probs": [\n'
+                    '{"tweet_id": "d", "probs": [-0.5, 1.5]}\n', encoding="utf-8")
+    with pytest.raises(TPVError) as err:
+        load_tpvs(path, K=2)
+    assert err.value.lineno == 2
+    assert str(err.value) == "row 2: probabilities sum to 1.200000"
 
 
 # -- per-topic aggregation ---------------------------------------------------------
