@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -51,6 +52,12 @@ def ingest(tweets: str, profiles: str | None, strict: bool, out: str) -> None:
     )
 
 
+def _finite(ctx, param, value: float) -> float:
+    if not math.isfinite(value):  # NaN passes FloatRange: it fails neither bound comparison
+        raise click.BadParameter(f"{value!r} is not a finite number")
+    return value
+
+
 @main.command()
 @click.option("--corpus", "corpus_path", required=True, type=click.Path(exists=True))
 @click.option("--backend", type=click.Choice(["mock", "file", "http"]), default="mock")
@@ -59,7 +66,7 @@ def ingest(tweets: str, profiles: str | None, strict: bool, out: str) -> None:
 @click.option("--toxicity-cache", required=True, type=click.Path())
 @click.option("--bot-cache", type=click.Path())
 @click.option("--rps", type=float, default=None, help="request rate limit per second")
-@click.option("--mock-value", type=click.FloatRange(0.0, 1.0), default=0.5)
+@click.option("--mock-value", type=click.FloatRange(0.0, 1.0), default=0.5, callback=_finite)
 def score(corpus_path, backend, toxicity_file, bot_file, toxicity_cache, bot_cache, rps, mock_value) -> None:
     """Attach toxicity (and optionally bot) scores via the chosen backend.
 

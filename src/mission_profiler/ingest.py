@@ -31,8 +31,10 @@ CORPUS_CACHE_VERSION = 1
 CORPUS_GZIP_LEVEL = 1
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+")
-_MENTION_RE = re.compile(r"(?<![\w@])@\w+")
-_WS_RE = re.compile(r"\s+")
+# an @ that follows neither a word character nor another @; written with the
+# @ first so the scan can search for the literal, and the lookbehind, which
+# spans the @ itself, looks at the character before it
+_MENTION_RE = re.compile(r"@(?<![\w@]@)\w+")
 _VS16 = "️"
 
 
@@ -140,12 +142,18 @@ def normalize_tweet(text_raw: str) -> str:
     """Normalize tweet text: mention/URL tokens, emoji aliases, whitespace.
 
     Idempotent: the replacement tokens never match their own patterns.
+    Each pass runs only on text that holds what its pattern must match
+    (both patterns are case-sensitive). Whitespace runs are what str.split
+    splits on, the same set as the regex class \\s.
     """
-    text = _URL_RE.sub(URL_TOKEN, text_raw)
-    text = _MENTION_RE.sub(MENTION_TOKEN, text)
+    text = text_raw
+    if "http" in text or "www." in text:
+        text = _URL_RE.sub(URL_TOKEN, text)
+    if "@" in text:
+        text = _MENTION_RE.sub(MENTION_TOKEN, text)
     if not text.isascii():
         text = _alias_emoji(text)
-    return _WS_RE.sub(" ", text).strip()
+    return " ".join(text.split())
 
 
 def _alias_emoji(text: str) -> str:

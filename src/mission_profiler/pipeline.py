@@ -52,6 +52,10 @@ EXIT_CODES = {
     "report": 18,
 }
 
+# the score stage's toxicity scores so far, kept when the backend stops
+# answering and read back by the next run; removed once the stage completes
+PARTIAL_SCORES = "toxicity_cache.partial.jsonl"
+
 
 class PipelineError(Exception):
     def __init__(self, stage: str, message: str):
@@ -127,8 +131,12 @@ class RunConfig:
             raise PipelineError("config", f"unknown bot backend {self.bot_backend!r}")
         if self.detect_group not in diversity.GROUP_NAMES:
             raise PipelineError("config", f"unknown entropy group {self.detect_group!r}")
-        if self.toxicity_backend == "mock" and not 0.0 <= self.mock_toxicity_value <= 1.0:
-            raise PipelineError("config", f"mock_toxicity_value {self.mock_toxicity_value!r} is outside [0, 1]")
+        mock_value = self.mock_toxicity_value
+        # for every backend: the config hash holds the value, and its JSON has no NaN or infinity
+        if not isinstance(mock_value, (int, float)) or not math.isfinite(mock_value):
+            raise PipelineError("config", f"mock_toxicity_value {mock_value!r} is not a finite number")
+        if self.toxicity_backend == "mock" and not 0.0 <= mock_value <= 1.0:
+            raise PipelineError("config", f"mock_toxicity_value {mock_value!r} is outside [0, 1]")
         parse_tox_gate(self.tox_gate)
 
     def as_dict(self) -> dict:
@@ -522,13 +530,30 @@ def _ingest(pipe: Pipeline, a: Inputs, out: Outputs, warn: Warn) -> dict:
     return {"corpus": corpus}
 
 
+def _resumed_scores(path: Path, corpus: Corpus) -> scores.ScoreCache:
+    """The toxicity scores an earlier run saved at path when its backend
+    stopped answering (an out dir holds one config), for the corpus's tweets."""
+    cache = scores.ScoreCache()
+    if path.exists():
+        partial = scores.ScoreCache.load(path)
+        for tweet in corpus.all_tweets():
+            if tweet.tweet_id in partial.toxicity:
+                cache.put_toxicity(
+                    tweet.tweet_id, partial.toxicity[tweet.tweet_id], partial.provenance(tweet.tweet_id),
+                )
+    return cache
+
+
 def _score(pipe: Pipeline, a: Inputs, out: Outputs, warn: Warn) -> dict:
     cfg = pipe.config
     corpus = a["corpus"].get()
+    partial = out["toxicity"].with_name(PARTIAL_SCORES)  # undeclared: the runner leaves it in place
     cache = scores.ScoreCache()
     try:
         if cfg.toxicity_backend == "file":
             cache = scores.load_score_source(cfg.toxicity_path)
+        elif cfg.toxicity_backend != "none":  # before the client is made, which may raise
+            cache = _resumed_scores(partial, corpus)
         if cfg.toxicity_backend == "mock":
             scores.score_toxicity(
                 corpus, scores.MockToxicityClient(cfg.mock_toxicity_value), cache=cache, backoff_base=0.0,
@@ -536,7 +561,7 @@ def _score(pipe: Pipeline, a: Inputs, out: Outputs, warn: Warn) -> dict:
         elif cfg.toxicity_backend == "http":
             scores.score_toxicity(corpus, scores.HTTPToxicityClient(), cache=cache)
     except scores.BackendUnavailable as exc:
-        cache.save(out["toxicity"])  # keep the partial cache for resumption
+        cache.save(partial)
         raise PipelineError("score", f"backend unavailable: {exc}") from exc
     except (OSError, ValueError) as exc:
         raise PipelineError("score", str(exc)) from exc
@@ -544,6 +569,7 @@ def _score(pipe: Pipeline, a: Inputs, out: Outputs, warn: Warn) -> dict:
     if unscored:
         warn(f"{unscored} tweets have no toxicity score")
     cache.save(out["toxicity"])
+    partial.unlink(missing_ok=True)
     if cfg.bot_backend == "none":
         return {"toxicity": cache}
     bot_cache = scores.ScoreCache()

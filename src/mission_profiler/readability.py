@@ -15,9 +15,13 @@ from typing import NamedTuple
 
 MTLD_TTR_THRESHOLD = 0.72
 
-_SENTENCE_SPLIT_RE = re.compile(r"[.!?]+")
+# a sentence: a run of non-terminal characters holding a non-whitespace one
+_SENTENCE_RE = re.compile(r"[^.!?\s][^.!?]*")
 _VOWEL_GROUP_RE = re.compile(r"[aeiouy]+")
+_NON_LOWER_RE = re.compile(r"[^a-z]")
 _NON_ALNUM_RE = re.compile(r"[\W_]+")
+# deletes the ASCII characters that are not alphanumeric ([\W_] on ASCII)
+_ASCII_NON_ALNUM = dict.fromkeys(c for c in range(128) if not chr(c).isalnum())
 
 # words the vowel-group heuristic gets wrong by more than is tolerable
 _SYLLABLE_EXCEPTIONS = {
@@ -52,7 +56,9 @@ class LexicalMetrics:
 
 def count_syllables(word: str) -> int:
     """Heuristic syllable count: vowel groups, minus silent final e."""
-    cleaned = re.sub(r"[^a-z]", "", word.lower())
+    cleaned = word.lower()
+    if not (cleaned.isascii() and cleaned.isalpha()):  # else already [a-z]+
+        cleaned = _NON_LOWER_RE.sub("", cleaned)
     if not cleaned:
         return 0
     if cleaned in _SYLLABLE_EXCEPTIONS:
@@ -71,8 +77,10 @@ def _syllables(word: str) -> int:
 
 
 def sentence_count(text: str) -> int:
-    segments = [s for s in _SENTENCE_SPLIT_RE.split(text) if s.strip()]
-    return max(len(segments), 1)
+    """Non-blank segments between runs of terminal punctuation, at least 1."""
+    if "." not in text and "!" not in text and "?" not in text:
+        return 1
+    return max(len(_SENTENCE_RE.findall(text)), 1)
 
 
 def word_tokens(text: str) -> list[str]:
@@ -81,6 +89,8 @@ def word_tokens(text: str) -> list[str]:
 
 def letter_count(text: str) -> int:
     """Alphanumeric characters only; punctuation and spaces excluded."""
+    if text.isascii():
+        return len(text.translate(_ASCII_NON_ALNUM))
     return len(_NON_ALNUM_RE.sub("", text))
 
 
@@ -98,12 +108,12 @@ def _text_counts(text: str) -> _TextCounts:
     tokens = word_tokens(text)
     if not tokens:
         raise ValueError("empty text")
-    syllables = [_syllables(w) for w in tokens]
+    syllables = list(map(_syllables, tokens))
     return _TextCounts(
         tokens=tokens,
         sentences=sentence_count(text),
         syllables=sum(syllables),
-        hard_words=sum(1 for n in syllables if n >= 3),
+        hard_words=len([n for n in syllables if n >= 3]),
         letters=letter_count(text),
     )
 
@@ -149,19 +159,17 @@ def linsear_write(text: str) -> float:
 def _mtld_factors(tokens: list[str], threshold: float) -> float:
     factors = 0.0
     types: set[str] = set()
+    add = types.add
     count = 0
-    ttr = 1.0
     for token in tokens:
         count += 1
-        types.add(token)
-        ttr = len(types) / count
-        if ttr < threshold:
+        add(token)
+        if len(types) / count < threshold:
             factors += 1.0
             types.clear()
             count = 0
-            ttr = 1.0
-    if count > 0:
-        factors += (1.0 - ttr) / (1.0 - threshold)
+    if count > 0:  # the type-token ratio of the unfinished last run
+        factors += (1.0 - len(types) / count) / (1.0 - threshold)
     return factors
 
 

@@ -87,6 +87,24 @@ def test_score_command_rejects_a_mock_value_outside_the_unit_interval(tmp_path):
     assert not cache.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "-nan", "inf"])
+def test_score_command_rejects_a_non_finite_mock_value(tmp_path, value):
+    # NaN fails neither bound comparison of the [0, 1] range, so the range alone let it through
+    tweets = tmp_path / "tweets.jsonl"
+    write_tweet_lines(tweets, [tweet_row(f"t{i}", "p", ts=BASE_TS + i) for i in range(12)])
+    corpus = tmp_path / "corpus.bin"
+    CliRunner().invoke(main, ["ingest", "--tweets", str(tweets), "--out", str(corpus)])
+    cache = tmp_path / "tox.jsonl"
+    result = CliRunner().invoke(main, [
+        "score", "--corpus", str(corpus), "--backend", "mock",
+        "--toxicity-cache", str(cache), "--mock-value", value,
+    ])
+    assert result.exit_code == 2, result.output
+    assert "--mock-value" in result.output
+    assert "scored" not in result.output
+    assert not cache.exists()
+
+
 class _Unparseable(http.server.BaseHTTPRequestHandler):
     """A scorer whose every answer the client rejects with a ScoreError."""
 

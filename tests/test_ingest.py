@@ -4,7 +4,7 @@ import string
 import warnings
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mission_profiler import ingest
@@ -62,15 +62,59 @@ _EMOJI_PIECES = st.one_of(
 _REFERENCE_EMOJI_RE = re.compile(
     "|".join(re.escape(s) for s in sorted(_EMOJI_TABLE, key=len, reverse=True))
 )
+# the patterns normalize_tweet ran on every text before its passes were
+# guarded, the mention pattern reordered and whitespace split in C
+_REFERENCE_URL_RE = re.compile(r"(?:https?://|www\.)\S+")
+_REFERENCE_MENTION_RE = re.compile(r"(?<![\w@])@\w+")
+_REFERENCE_WS_RE = re.compile(r"\s+")
+
+
+def _reference_normalize(text):
+    text = _REFERENCE_URL_RE.sub(ingest.URL_TOKEN, text)
+    text = _REFERENCE_MENTION_RE.sub(ingest.MENTION_TOKEN, text)
+    text = _REFERENCE_EMOJI_RE.sub(lambda m: f":{_EMOJI_TABLE[m.group(0)]}:", text)
+    return _REFERENCE_WS_RE.sub(" ", text).strip()
 
 
 @given(st.lists(_EMOJI_PIECES, max_size=12).map("".join))
 def test_emoji_scan_matches_the_alternation_regex(text):
-    expected = ingest._URL_RE.sub(ingest.URL_TOKEN, text)
-    expected = ingest._MENTION_RE.sub(ingest.MENTION_TOKEN, expected)
-    expected = _REFERENCE_EMOJI_RE.sub(lambda m: f":{_EMOJI_TABLE[m.group(0)]}:", expected)
-    expected = ingest._WS_RE.sub(" ", expected).strip()
-    assert normalize_tweet(text) == expected
+    assert normalize_tweet(text) == _reference_normalize(text)
+
+
+# pieces that sit on each pass's edge: Unicode whitespace (str.split's set),
+# an @ at the start, after a word character and after another @, URL
+# prefixes with and without their tail, emoji with VS16, _ and digits
+_EDGE_PIECES = st.one_of(
+    st.sampled_from([
+        " ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0",
+        "\u1680", "\u2000", "\u2003", "\u2028", "\u2029", "\u202f", "\u3000", "\u200b",
+    ]),
+    st.sampled_from(["@", "@@", "a@", "_@", "9@", "\u00e9@", ".@", "@\u00e9", "@_", "@1"]),
+    st.sampled_from(["www.", "www", "http", "https", "http://", "https://", "HTTP://", "WWW.", "htt", "ww."]),
+    st.sampled_from(["\u2764\ufe0f", "\U0001F525", "\U0001F525\ufe0f", "\ufe0f", "\U0001F1FA\U0001F1F8"]),
+    st.sampled_from(["_", "0", "7", "\u00e9", "\u4e2d", "\u00df", "\u0130", "\u212a", "\u00b2", "\u0663"]),
+    st.text(alphabet=string.ascii_letters + string.digits + ".:/#", max_size=4),
+    st.text(max_size=2),
+)
+
+
+@settings(max_examples=400)
+@given(st.lists(_EDGE_PIECES, max_size=16).map("".join))
+def test_normalize_tweet_matches_the_unguarded_regexes(text):
+    once = normalize_tweet(text)
+    assert once == _reference_normalize(text)
+    assert normalize_tweet(once) == once
+
+
+def test_mention_needs_no_word_character_or_at_before_it():
+    assert normalize_tweet("@a b@c @@d _@e \u00e9@f .@g @") == "@USER b@c @@d _@e \u00e9@f .@USER @"
+
+
+def test_whitespace_runs_are_the_str_split_set():
+    # normalize_tweet collapses what str.split splits on; the regex class \s
+    # it replaced holds the same code points
+    every = "".join(map(chr, range(0x110000)))
+    assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
 
 
 def test_unknown_emoji_passes_through():

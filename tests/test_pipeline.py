@@ -132,8 +132,57 @@ def test_unavailable_scorer_aborts_score_and_keeps_the_partial_cache(tmp_path, m
         run_pipeline(_config(paths, toxicity_backend="http"), out)
     assert err.value.stage == "score"
     assert err.value.exit_code == 11
-    assert (out / "score" / "toxicity_cache.jsonl").exists()
+    assert (out / "score" / pipeline.PARTIAL_SCORES).exists()
+    assert not (out / "score" / "toxicity_cache.jsonl").exists()
     assert not (out / "score" / "manifest.json").exists()
+
+
+class _FailingScorer:
+    """Stands in for HTTPToxicityClient: a deterministic score per tweet,
+    until fail_after requests have been answered."""
+
+    name = "http"
+    fail_after = None
+    requests: list = []
+
+    def score(self, tweet_id, text):
+        if self.fail_after is not None and len(self.requests) >= self.fail_after:
+            raise scores.BackendUnavailable("connection refused")
+        self.requests.append(tweet_id)
+        return sum(map(ord, tweet_id)) % 100 / 100
+
+
+def _score_file(out):
+    return (out / "score" / "toxicity_cache.jsonl").read_bytes()
+
+
+def test_a_run_stopped_by_an_unavailable_scorer_resumes_from_its_partial_scores(tmp_path, monkeypatch):
+    monkeypatch.setattr(scores, "HTTPToxicityClient", _FailingScorer)
+    monkeypatch.setattr(_FailingScorer, "requests", [])
+    paths = _small_bundle(tmp_path)
+    cfg = _config(paths, toxicity_backend="http")
+    clean = tmp_path / "clean"
+    clean_report = run_pipeline(cfg, clean)
+    assert len(_FailingScorer.requests) == 324
+
+    out = tmp_path / "run"
+    monkeypatch.setattr(_FailingScorer, "requests", [])
+    monkeypatch.setattr(_FailingScorer, "fail_after", 30)
+    with pytest.raises(PipelineError) as err:
+        run_pipeline(cfg, out)
+    assert err.value.stage == "score"
+    partial = out / "score" / pipeline.PARTIAL_SCORES
+    saved = scores.ScoreCache.load(partial)
+    assert len(saved.toxicity) == 30
+    saved.put_toxicity("not-in-the-corpus", 0.5, "http")  # dropped on resume
+    saved.save(partial)
+
+    monkeypatch.setattr(_FailingScorer, "requests", [])
+    monkeypatch.setattr(_FailingScorer, "fail_after", None)
+    assert run_pipeline(cfg, out) == clean_report
+    assert len(_FailingScorer.requests) == 294  # the 30 scored before the failure are not asked again
+    assert not partial.exists()
+    assert _score_file(out) == _score_file(clean)
 
 
 def test_missing_input_is_config_error(tmp_path):
@@ -175,6 +224,21 @@ def test_mock_toxicity_value_outside_unit_interval_is_a_config_error(tmp_path, v
 def test_mock_toxicity_value_is_checked_only_for_the_mock_backend(tmp_path):
     paths = _small_bundle(tmp_path)
     Pipeline(_config(paths, mock_toxicity_value=1.5), tmp_path / "run")
+
+
+@pytest.mark.parametrize("backend", ["file", "none", "mock"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), "0.5"])
+def test_a_mock_toxicity_value_that_is_not_a_finite_number_is_a_config_error_for_every_backend(
+    tmp_path, backend, value,
+):
+    # the config hash holds the value whichever backend runs, and its JSON has no NaN
+    paths = _small_bundle(tmp_path)
+    with pytest.raises(PipelineError) as err:
+        Pipeline(_config(paths, toxicity_backend=backend, mock_toxicity_value=value), tmp_path / "run")
+    assert err.value.stage == "config"
+    assert err.value.exit_code == 2
+    assert "mock_toxicity_value" in str(err.value)
+    assert not (tmp_path / "run").exists()
 
 
 # -- degenerate corpora -------------------------------------------------------------

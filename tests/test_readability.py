@@ -1,7 +1,11 @@
 import random
+import re
+import string
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mission_profiler import readability
 from mission_profiler.readability import (
@@ -214,3 +218,103 @@ def test_profile_metrics_equal_the_per_formula_averages_exactly():
         assert m.words_per_tweet == sum(len(t.split()) for t in texts) / n
         assert m.chars_per_tweet == sum(len(t) for t in texts) / n
         assert m.lexical_diversity_mtld == mtld([w for t in texts for w in t.split()])
+
+
+# -- the counting helpers against their regex versions --------------------------------
+# The helpers count with C string methods where they used to run a regex or a
+# Python loop per token; the versions they replaced are kept here and must
+# agree exactly, since every readability figure is built from them.
+
+_REFERENCE_SENTENCE_SPLIT_RE = re.compile(r"[.!?]+")
+_REFERENCE_NON_ALNUM_RE = re.compile(r"[\W_]+")
+
+
+def _reference_sentence_count(text):
+    segments = [s for s in _REFERENCE_SENTENCE_SPLIT_RE.split(text) if s.strip()]
+    return max(len(segments), 1)
+
+
+def _reference_letter_count(text):
+    return len(_REFERENCE_NON_ALNUM_RE.sub("", text))
+
+
+def _reference_count_syllables(word):
+    cleaned = re.sub(r"[^a-z]", "", word.lower())
+    if not cleaned:
+        return 0
+    if cleaned in readability._SYLLABLE_EXCEPTIONS:
+        return readability._SYLLABLE_EXCEPTIONS[cleaned]
+    count = len(re.findall(r"[aeiouy]+", cleaned))
+    if count > 1 and cleaned.endswith("e") and not cleaned.endswith(("le", "ee", "ye", "oe", "ie")):
+        count -= 1
+    return max(count, 1)
+
+
+def _reference_mtld_factors(tokens, threshold):
+    factors = 0.0
+    types = set()
+    count = 0
+    ttr = 1.0
+    for token in tokens:
+        count += 1
+        types.add(token)
+        ttr = len(types) / count
+        if ttr < threshold:
+            factors += 1.0
+            types.clear()
+            count = 0
+            ttr = 1.0
+    if count > 0:
+        factors += (1.0 - ttr) / (1.0 - threshold)
+    return factors
+
+
+# Unicode whitespace (str.strip's set), terminal punctuation runs, _ and
+# digits, non-ASCII letters and digits (some lower-case to ASCII or to two
+# code points), emoji with VS16, and whole words from the exceptions list
+_TEXT_PIECES = st.one_of(
+    st.sampled_from([
+        " ", "\t", "\n", "\x0b", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2003", "\u3000",
+    ]),
+    st.sampled_from([".", "!", "?", "...", "?!", ". ", " . "]),
+    st.sampled_from(["_", "0", "42", "\u00e9", "\u00c9", "\u00df", "\u0130", "\u212a", "\u00b2", "\u0663", "\u4e2d"]),
+    st.sampled_from(["\u2764\ufe0f", "\U0001F525", "\ufe0f", "@USER", "HTTPURL", ":fire:"]),
+    st.sampled_from(sorted(readability._SYLLABLE_EXCEPTIONS) + ["the", "table", "make", "rhythm", "Eye"]),
+    st.text(alphabet=string.ascii_letters + string.digits + string.punctuation, max_size=5),
+    st.text(max_size=2),
+)
+_TEXTS = st.lists(_TEXT_PIECES, max_size=16).map("".join)
+
+
+@settings(max_examples=300)
+@given(_TEXTS)
+def test_sentence_count_matches_the_split_version(text):
+    assert sentence_count(text) == _reference_sentence_count(text)
+
+
+@settings(max_examples=300)
+@given(_TEXTS)
+def test_letter_count_matches_the_regex_version(text):
+    assert letter_count(text) == _reference_letter_count(text)
+
+
+@settings(max_examples=300)
+@given(_TEXTS)
+def test_count_syllables_matches_the_regex_version(text):
+    for word in [text, *text.split()]:
+        assert count_syllables(word) == _reference_count_syllables(word)
+
+
+def test_letter_count_matches_the_regex_version_on_every_ascii_character():
+    # ASCII text takes the translate table; the rest still takes the regex
+    for code in range(128):
+        assert letter_count(chr(code)) == _reference_letter_count(chr(code))
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.sampled_from([f"w{i}" for i in range(12)]), max_size=120),
+    st.one_of(st.just(readability.MTLD_TTR_THRESHOLD), st.floats(0.05, 0.95)),
+)
+def test_mtld_factors_match_the_float_ratio_version(tokens, threshold):
+    assert readability._mtld_factors(tokens, threshold) == _reference_mtld_factors(tokens, threshold)
