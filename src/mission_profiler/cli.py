@@ -12,8 +12,9 @@ from . import classifier, detector, diversity, scores, synth, topics
 from .features import feature_matrix, load_features
 from .ingest import load_corpus, load_timelines, save_corpus
 from .pipeline import (
-    PipelineError, RunConfig, corpus_topic_aggregates, designate, group_matrices, group_profiles, labeled_rows,
-    load_labels_csv, metric_rows, parse_tox_gate, run_pipeline, topic_vectors, write_groups, write_metrics,
+    PipelineError, RunConfig, bot_scores, corpus_topic_aggregates, designate, group_matrices, group_profiles,
+    labeled_rows, load_labels_csv, metric_rows, parse_tox_gate, run_pipeline, topic_vectors, toxicity_scores,
+    write_groups, write_metrics,
 )
 from .util import read_json, write_json
 
@@ -70,39 +71,19 @@ def _finite(ctx, param, value: float) -> float:
 def score(corpus_path, backend, toxicity_file, bot_file, toxicity_cache, bot_cache, rps, mock_value) -> None:
     """Attach toxicity (and optionally bot) scores via the chosen backend.
 
-    The file backend stores the whole score table, as a pipeline run does."""
+    As in a run: the file backend stores the whole score table, and mock
+    and http resume from --toxicity-cache for the corpus's tweets only."""
     corpus = load_corpus(corpus_path)
-    cache = scores.ScoreCache()
     try:
-        if backend == "file":
-            if not toxicity_file:
-                raise ValueError("--toxicity-file is required for the file backend")
-            cache = scores.load_score_source(toxicity_file)
-        else:
-            if Path(toxicity_cache).exists():
-                cache = scores.ScoreCache.load(toxicity_cache)
-            if backend == "mock":  # as in a pipeline run: a mock retries at once, HTTP backs off
-                scores.score_toxicity(
-                    corpus, scores.MockToxicityClient(mock_value), rate_limit=rps, cache=cache, backoff_base=0.0,
-                )
-            else:
-                scores.score_toxicity(corpus, scores.HTTPToxicityClient(), rate_limit=rps, cache=cache)
-    except scores.BackendUnavailable as exc:
-        cache.save(toxicity_cache)
-        _fail("score", exc)
+        if backend == "file" and not toxicity_file:
+            raise ValueError("--toxicity-file is required for the file backend")
+        bot = bot_cache and bot_scores(corpus, "file" if bot_file else "mock", bot_file)
+        cache = toxicity_scores(corpus, backend, toxicity_file, mock_value, toxicity_cache, rate_limit=rps)
     except Exception as exc:
         _fail("score", exc)
     cache.save(toxicity_cache)
     click.echo(f"toxicity: {len(cache.toxicity)} scored, {len(cache.missing)} missing")
     if bot_cache:
-        bot = scores.ScoreCache()
-        try:
-            if bot_file:
-                bot = scores.load_score_source(bot_file)
-            else:
-                scores.score_bots(corpus, scores.MockBotClient(), cache=bot)
-        except Exception as exc:
-            _fail("score", exc)
         bot.save(bot_cache)
         click.echo(f"bots: {len(bot.bots)} profiles scored")
 

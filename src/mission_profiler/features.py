@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .ingest import ProfileMetadata
+from .readability import LexicalMetrics
 from .topics import CATEGORIES
 from .util import canonical_dumps
 
@@ -67,8 +68,7 @@ N_FEATURES = len(FEATURE_CATALOG)
 
 # features read under the same name from a metrics row
 _ROW_FEATURES = (
-    "flesch_kincaid_grade", "flesch_ease", "linsear_write", "ari", "lexical_diversity_mtld",
-    "chars_per_tweet", "words_per_tweet", "total_hashtags", "unique_hashtags",
+    *(f.name for f in fields(LexicalMetrics)), "total_hashtags", "unique_hashtags",
     "hashtags_per_tweet", "total_urls", "unique_urls", "urls_per_tweet",
     "n_tweets", "n_retweets", "n_unique", "burstiness", "median_delta_days",
 )
@@ -100,7 +100,7 @@ def extract_features(
     category_tweet_counts: dict[str, int] | None,
     metadata: ProfileMetadata | None,
 ) -> FeatureVector:
-    """One profile's vector from its metrics.jsonl row (metrics.bundle_to_dict)."""
+    """One profile's vector from its metrics.jsonl row (metrics.compute_metric_bundle)."""
     values = np.zeros(N_FEATURES, dtype=float)
     mask = np.zeros(N_FEATURES, dtype=bool)
 

@@ -2,13 +2,15 @@
 activity/burstiness, hashtag and URL usage, and derived profile fields.
 
 All functions here are pure per-profile computations keyed by profile_id,
-so the metric stage can run data-parallel with a deterministic merge.
+so the metric stage can run data-parallel with a deterministic merge. Each
+battery returns its part of the profile's metrics.jsonl row as a dict
+under the row's own keys; ``compute_metric_bundle`` joins them.
 """
 from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -19,53 +21,6 @@ from .scores import ScoreCache
 
 SECONDS_PER_DAY = 86400
 MIN_BURSTINESS_EVENTS = 3
-
-
-@dataclass
-class ToxicityMetrics:
-    profile_id: str
-    median: float | None
-    gini: float | None
-    n_scored: int
-
-
-@dataclass
-class ActivityMetrics:
-    n_tweets: int
-    n_unique: int
-    n_retweets: int
-    burstiness_B: float | None
-    r_cv: float
-    n_events: int
-    delta_days_hist: dict[int, int]
-    median_delta_days: float | None
-
-
-@dataclass
-class HashtagMetrics:
-    total_hashtags: int
-    unique_hashtags: int
-    hashtags_per_tweet: float
-    total_urls: int
-    unique_urls: int
-    urls_per_tweet: float
-
-
-@dataclass
-class ProfileDerived:
-    followers_following_ratio: float | None
-    account_age_days: float | None
-    creation_year: int | None
-
-
-@dataclass
-class MetricBundle:
-    profile_id: str
-    toxicity: ToxicityMetrics
-    lexical: LexicalMetrics | None
-    activity: ActivityMetrics
-    hashtags: HashtagMetrics
-    derived: ProfileDerived
 
 
 def gini_index(values) -> float:
@@ -128,116 +83,77 @@ def time_delta_histogram(timestamps) -> dict[int, int]:
     return hist
 
 
-def activity_metrics(timeline: ProfileTimeline) -> ActivityMetrics:
+def activity_metrics(timeline: ProfileTimeline) -> dict:
+    """Tweet counts, burstiness and the whole-day gap histogram (string
+    keys in day order) of the row."""
     timestamps = [t.timestamp for t in timeline.tweets]
     b, r_cv, n_events = burstiness(timestamps)
     hist = time_delta_histogram(timestamps)
     deltas = [gap for gap, count in hist.items() for _ in range(count)]
-    return ActivityMetrics(
-        n_tweets=len(timeline.tweets),
-        n_unique=len(unique_tweets(timeline)),
-        n_retweets=sum(1 for t in timeline.tweets if is_retweet(t)),
-        burstiness_B=b,
-        r_cv=r_cv,
-        n_events=n_events,
-        delta_days_hist=hist,
-        median_delta_days=float(statistics.median(deltas)) if deltas else None,
-    )
+    return {
+        "n_tweets": len(timeline.tweets),
+        "n_unique": len(unique_tweets(timeline)),
+        "n_retweets": sum(1 for t in timeline.tweets if is_retweet(t)),
+        "burstiness": b,
+        "r_cv": r_cv,
+        "n_events": n_events,
+        "delta_days_hist": {str(k): v for k, v in sorted(hist.items())},
+        "median_delta_days": float(statistics.median(deltas)) if deltas else None,
+    }
 
 
-def hashtag_url_stats(timeline: ProfileTimeline) -> HashtagMetrics:
+def hashtag_url_stats(timeline: ProfileTimeline) -> dict:
     n_tweets = len(timeline.tweets)
-    tags: list[str] = []
-    urls: list[str] = []
-    for tweet in timeline.tweets:
-        tags.extend(tweet.hashtags)
-        urls.extend(tweet.urls)
+    tags = [tag for tweet in timeline.tweets for tag in tweet.hashtags]
+    urls = [url for tweet in timeline.tweets for url in tweet.urls]
     # uniqueness is case-insensitive (hashtags arrive lowercased at ingest)
     unique_tags = {t.lower() for t in tags}
     unique_urls = {u.lower() for u in urls}
-    return HashtagMetrics(
-        total_hashtags=len(tags),
-        unique_hashtags=len(unique_tags),
-        hashtags_per_tweet=len(tags) / n_tweets if n_tweets else 0.0,
-        total_urls=len(urls),
-        unique_urls=len(unique_urls),
-        urls_per_tweet=len(urls) / n_tweets if n_tweets else 0.0,
-    )
-
-
-def toxicity_metrics(timeline: ProfileTimeline, cache: ScoreCache) -> ToxicityMetrics:
-    scores = [
-        cache.toxicity[t.tweet_id]
-        for t in timeline.tweets
-        if t.tweet_id in cache.toxicity
-    ]
-    if not scores:
-        return ToxicityMetrics(timeline.profile_id, median=None, gini=None, n_scored=0)
-    return ToxicityMetrics(
-        profile_id=timeline.profile_id,
-        median=float(statistics.median(scores)),
-        gini=gini_index(scores),
-        n_scored=len(scores),
-    )
-
-
-def profile_derived(metadata: ProfileMetadata | None, last_tweet_ts: int) -> ProfileDerived:
-    if metadata is None:
-        return ProfileDerived(None, None, None)
-    ratio = metadata.followers / metadata.following if metadata.following > 0 else None
-    age_days = None
-    year = None
-    if metadata.created_at is not None:
-        age_days = (last_tweet_ts - metadata.created_at) / SECONDS_PER_DAY
-        year = datetime.fromtimestamp(metadata.created_at, timezone.utc).year
-    return ProfileDerived(
-        followers_following_ratio=ratio,
-        account_age_days=age_days,
-        creation_year=year,
-    )
-
-
-def compute_metric_bundle(timeline: ProfileTimeline, cache: ScoreCache) -> MetricBundle:
-    return MetricBundle(
-        profile_id=timeline.profile_id,
-        toxicity=toxicity_metrics(timeline, cache),
-        lexical=readability_metrics([t.text_norm for t in timeline.tweets]),
-        activity=activity_metrics(timeline),
-        hashtags=hashtag_url_stats(timeline),
-        derived=profile_derived(timeline.metadata, timeline.last_timestamp()),
-    )
-
-
-def bundle_to_dict(bundle: MetricBundle) -> dict:
-    """Flatten a MetricBundle into a JSON-serializable row for metrics.jsonl."""
-    lex = bundle.lexical
     return {
-        "profile_id": bundle.profile_id,
-        "toxicity_median": bundle.toxicity.median,
-        "toxicity_gini": bundle.toxicity.gini,
-        "n_scored": bundle.toxicity.n_scored,
-        "flesch_ease": lex.flesch_ease if lex else None,
-        "flesch_kincaid_grade": lex.flesch_kincaid_grade if lex else None,
-        "linsear_write": lex.linsear_write if lex else None,
-        "ari": lex.ari if lex else None,
-        "lexical_diversity_mtld": lex.lexical_diversity_mtld if lex else None,
-        "chars_per_tweet": lex.chars_per_tweet if lex else None,
-        "words_per_tweet": lex.words_per_tweet if lex else None,
-        "n_tweets": bundle.activity.n_tweets,
-        "n_unique": bundle.activity.n_unique,
-        "n_retweets": bundle.activity.n_retweets,
-        "burstiness": bundle.activity.burstiness_B,
-        "r_cv": bundle.activity.r_cv,
-        "n_events": bundle.activity.n_events,
-        "delta_days_hist": {str(k): v for k, v in sorted(bundle.activity.delta_days_hist.items())},
-        "median_delta_days": bundle.activity.median_delta_days,
-        "total_hashtags": bundle.hashtags.total_hashtags,
-        "unique_hashtags": bundle.hashtags.unique_hashtags,
-        "hashtags_per_tweet": bundle.hashtags.hashtags_per_tweet,
-        "total_urls": bundle.hashtags.total_urls,
-        "unique_urls": bundle.hashtags.unique_urls,
-        "urls_per_tweet": bundle.hashtags.urls_per_tweet,
-        "followers_following_ratio": bundle.derived.followers_following_ratio,
-        "account_age_days": bundle.derived.account_age_days,
-        "creation_year": bundle.derived.creation_year,
+        "total_hashtags": len(tags),
+        "unique_hashtags": len(unique_tags),
+        "hashtags_per_tweet": len(tags) / n_tweets if n_tweets else 0.0,
+        "total_urls": len(urls),
+        "unique_urls": len(unique_urls),
+        "urls_per_tweet": len(urls) / n_tweets if n_tweets else 0.0,
+    }
+
+
+def toxicity_metrics(timeline: ProfileTimeline, cache: ScoreCache) -> dict:
+    """Median and Gini index of the profile's scored tweets; both None
+    when none is scored."""
+    scores = [cache.toxicity[t.tweet_id] for t in timeline.tweets if t.tweet_id in cache.toxicity]
+    if not scores:
+        return {"toxicity_median": None, "toxicity_gini": None, "n_scored": 0}
+    return {
+        "toxicity_median": float(statistics.median(scores)),
+        "toxicity_gini": gini_index(scores),
+        "n_scored": len(scores),
+    }
+
+
+def profile_derived(metadata: ProfileMetadata | None, last_tweet_ts: int) -> dict:
+    ratio = age_days = year = None
+    if metadata is not None:
+        ratio = metadata.followers / metadata.following if metadata.following > 0 else None
+        if metadata.created_at is not None:
+            age_days = (last_tweet_ts - metadata.created_at) / SECONDS_PER_DAY
+            year = datetime.fromtimestamp(metadata.created_at, timezone.utc).year
+    return {"followers_following_ratio": ratio, "account_age_days": age_days, "creation_year": year}
+
+
+# a profile without a non-empty tweet has every lexical metric null
+_NO_LEXICAL = dict.fromkeys(f.name for f in fields(LexicalMetrics))
+
+
+def compute_metric_bundle(timeline: ProfileTimeline, cache: ScoreCache) -> dict:
+    """The profile's metrics.jsonl row."""
+    lexical = readability_metrics([t.text_norm for t in timeline.tweets])
+    return {
+        "profile_id": timeline.profile_id,
+        **toxicity_metrics(timeline, cache),
+        **(vars(lexical) if lexical else _NO_LEXICAL),
+        **activity_metrics(timeline),
+        **hashtag_url_stats(timeline),
+        **profile_derived(timeline.metadata, timeline.last_timestamp()),
     }

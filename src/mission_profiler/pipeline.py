@@ -26,7 +26,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial, partialmethod
 from pathlib import Path
 from typing import Callable
@@ -35,6 +35,7 @@ import numpy as np
 
 from . import classifier, detector, diversity, features, metrics, scores, topics
 from .ingest import Corpus, load_corpus, load_timelines, save_corpus
+from .readability import LexicalMetrics
 from .util import canonical_dumps, derive_seed, read_json, sha256_file, sha256_text, write_json
 
 EXIT_CODES = {
@@ -125,10 +126,13 @@ class RunConfig:
             raise PipelineError("config", f"catalog file not found: {self.catalog}")
         if self.toxicity_backend not in ("none", "mock", "file", "http"):
             raise PipelineError("config", f"unknown toxicity backend {self.toxicity_backend!r}")
-        if self.toxicity_backend == "file" and not self.toxicity_path:
-            raise PipelineError("config", "toxicity_backend 'file' needs toxicity_path")
+        if self.toxicity_backend == "file" and not (self.toxicity_path and Path(self.toxicity_path).exists()):
+            raise PipelineError(
+                "config", f"toxicity_backend 'file' needs an existing toxicity_path, not {self.toxicity_path!r}")
         if self.bot_backend not in ("none", "mock", "file"):
             raise PipelineError("config", f"unknown bot backend {self.bot_backend!r}")
+        if self.bot_backend == "file" and not (self.bot_path and Path(self.bot_path).exists()):
+            raise PipelineError("config", f"bot_backend 'file' needs an existing bot_path, not {self.bot_path!r}")
         if self.detect_group not in diversity.GROUP_NAMES:
             raise PipelineError("config", f"unknown entropy group {self.detect_group!r}")
         mock_value = self.mock_toxicity_value
@@ -219,12 +223,51 @@ def group_profiles(
     return groups, cdf_rows
 
 
+def toxicity_scores(
+    corpus: Corpus, backend: str, source: str | None, mock_value: float, resume: Path | str,
+    rate_limit: float | None = None,
+) -> scores.ScoreCache:
+    """Toxicity scores from one backend. `file` reads the table at source
+    whole and `none` scores nothing. `mock` and `http` start from the scores
+    saved at resume, keeping the corpus's tweets only, and ask for the rest;
+    when the backend stops answering they save the scores so far at resume
+    and re-raise BackendUnavailable."""
+    if backend == "file":
+        return scores.load_score_source(source)
+    cache = scores.ScoreCache()
+    if backend == "none":
+        return cache
+    if Path(resume).exists():
+        saved = scores.ScoreCache.load(resume)
+        for tweet in corpus.all_tweets():
+            if tweet.tweet_id in saved.toxicity:
+                cache.put_toxicity(tweet.tweet_id, saved.toxicity[tweet.tweet_id], saved.provenance(tweet.tweet_id))
+    try:  # the HTTP client is made in here: it raises when no endpoint is set
+        if backend == "mock":  # a mock retries at once, HTTP backs off
+            client = scores.MockToxicityClient(mock_value)
+            scores.score_toxicity(corpus, client, rate_limit=rate_limit, cache=cache, backoff_base=0.0)
+        else:
+            scores.score_toxicity(corpus, scores.HTTPToxicityClient(), rate_limit=rate_limit, cache=cache)
+    except scores.BackendUnavailable:
+        cache.save(resume)
+        raise
+    return cache
+
+
+def bot_scores(corpus: Corpus, backend: str, source: str | None) -> scores.ScoreCache:
+    """Bot scores from one backend: the table at source (`file`), a
+    constant per profile (`mock`), or none."""
+    if backend == "file":
+        return scores.load_score_source(source)
+    cache = scores.ScoreCache()
+    if backend == "mock":
+        scores.score_bots(corpus, scores.MockBotClient(), cache=cache)
+    return cache
+
+
 def metric_rows(corpus: Corpus, cache: scores.ScoreCache, warn: Warn) -> list[dict]:
-    """One metrics.bundle_to_dict row per profile, in profile-id order."""
-    rows = [
-        metrics.bundle_to_dict(metrics.compute_metric_bundle(corpus.profiles[p], cache))
-        for p in sorted(corpus.profiles)
-    ]
+    """One metrics.compute_metric_bundle row per profile, in profile-id order."""
+    rows = [metrics.compute_metric_bundle(corpus.profiles[p], cache) for p in sorted(corpus.profiles)]
     n_no_tox = sum(1 for r in rows if r["toxicity_median"] is None)
     if n_no_tox:
         warn(f"{n_no_tox} profiles have no scored tweets; toxicity metrics are null")
@@ -471,10 +514,7 @@ class Pipeline:
     def run(self) -> dict:
         """Execute all stages; returns the report payload."""
         lock = self.out / ".lock"
-        try:
-            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise PipelineError("lock", f"another run holds {lock} (remove if stale)")
+        fd = _take_lock(lock)
         self._digests = {}  # every run reads every file's bytes again
         self._artifacts = {}
         self.warnings = []
@@ -512,6 +552,30 @@ class Pipeline:
                 self._artifacts[name] = Artifact(out[name], load=load and partial(load, cfg=self.config))
 
 
+def _take_lock(lock: Path) -> int:
+    """Create the lock file, reclaiming it once from a run whose pid no
+    process has; a live or unreadable holder stops the run."""
+    for attempt in (1, 2):
+        try:
+            return os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            if attempt == 2 or not _holder_is_gone(lock):
+                raise PipelineError("lock", f"another run holds {lock} (remove if stale)") from None
+        warnings.warn(f"removed the stale lock {lock} of a run that is gone")
+        lock.unlink(missing_ok=True)
+
+
+def _holder_is_gone(lock: Path) -> bool:
+    """True when the lock names a pid that no process has."""
+    try:
+        os.kill(int(lock.read_text()), 0)  # signal 0 only checks that the pid exists
+    except ProcessLookupError:
+        return True
+    except (OSError, ValueError, OverflowError):  # unreadable, not a pid, or alive under another user
+        pass
+    return False
+
+
 # -- the stages ----------------------------------------------------------------------
 # Each compute function reads its inputs (Artifact.get loads a cached one on
 # first use), writes the outputs it produces and returns the values later
@@ -530,38 +594,14 @@ def _ingest(pipe: Pipeline, a: Inputs, out: Outputs, warn: Warn) -> dict:
     return {"corpus": corpus}
 
 
-def _resumed_scores(path: Path, corpus: Corpus) -> scores.ScoreCache:
-    """The toxicity scores an earlier run saved at path when its backend
-    stopped answering (an out dir holds one config), for the corpus's tweets."""
-    cache = scores.ScoreCache()
-    if path.exists():
-        partial = scores.ScoreCache.load(path)
-        for tweet in corpus.all_tweets():
-            if tweet.tweet_id in partial.toxicity:
-                cache.put_toxicity(
-                    tweet.tweet_id, partial.toxicity[tweet.tweet_id], partial.provenance(tweet.tweet_id),
-                )
-    return cache
-
-
 def _score(pipe: Pipeline, a: Inputs, out: Outputs, warn: Warn) -> dict:
     cfg = pipe.config
     corpus = a["corpus"].get()
-    partial = out["toxicity"].with_name(PARTIAL_SCORES)  # undeclared: the runner leaves it in place
-    cache = scores.ScoreCache()
-    try:
-        if cfg.toxicity_backend == "file":
-            cache = scores.load_score_source(cfg.toxicity_path)
-        elif cfg.toxicity_backend != "none":  # before the client is made, which may raise
-            cache = _resumed_scores(partial, corpus)
-        if cfg.toxicity_backend == "mock":
-            scores.score_toxicity(
-                corpus, scores.MockToxicityClient(cfg.mock_toxicity_value), cache=cache, backoff_base=0.0,
-            )
-        elif cfg.toxicity_backend == "http":
-            scores.score_toxicity(corpus, scores.HTTPToxicityClient(), cache=cache)
+    resume = out["toxicity"].with_name(PARTIAL_SCORES)  # undeclared: the runner leaves it in place
+    try:  # the bot source first: a bad one fails before any toxicity request
+        bot_cache = bot_scores(corpus, cfg.bot_backend, cfg.bot_path)
+        cache = toxicity_scores(corpus, cfg.toxicity_backend, cfg.toxicity_path, cfg.mock_toxicity_value, resume)
     except scores.BackendUnavailable as exc:
-        cache.save(partial)
         raise PipelineError("score", f"backend unavailable: {exc}") from exc
     except (OSError, ValueError) as exc:
         raise PipelineError("score", str(exc)) from exc
@@ -569,14 +609,9 @@ def _score(pipe: Pipeline, a: Inputs, out: Outputs, warn: Warn) -> dict:
     if unscored:
         warn(f"{unscored} tweets have no toxicity score")
     cache.save(out["toxicity"])
-    partial.unlink(missing_ok=True)
+    resume.unlink(missing_ok=True)
     if cfg.bot_backend == "none":
         return {"toxicity": cache}
-    bot_cache = scores.ScoreCache()
-    if cfg.bot_backend == "file" and cfg.bot_path:
-        bot_cache = scores.load_score_source(cfg.bot_path)
-    elif cfg.bot_backend == "mock":
-        scores.score_bots(corpus, scores.MockBotClient(), cache=bot_cache)
     bot_cache.save(out["bots"])
     return {"toxicity": cache, "bots": bot_cache}
 
@@ -830,10 +865,7 @@ def _load_metrics(path: Path) -> list[dict]:
     return rows
 
 
-_LEXICAL_KEYS = (
-    "flesch_kincaid_grade", "flesch_ease", "linsear_write", "ari",
-    "lexical_diversity_mtld", "chars_per_tweet", "words_per_tweet",
-)
+_LEXICAL_KEYS = tuple(f.name for f in fields(LexicalMetrics))
 
 
 def _lexical_table(partition: dict[str, list[str]], metric_rows: list[dict]) -> dict:

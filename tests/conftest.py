@@ -3,7 +3,7 @@ import json
 import pytest
 
 from mission_profiler.ingest import ProfileTimeline, Tweet
-from mission_profiler import synth
+from mission_profiler import scores, synth
 from mission_profiler.util import canonical_dumps
 
 BASE_TS = 1_600_000_000
@@ -33,6 +33,21 @@ def make_timeline(profile_id, texts=None, tweets=None, metadata=None, start_ts=B
             for i, text in enumerate(texts or [])
         ]
     return ProfileTimeline(profile_id=profile_id, tweets=tuple(tweets), metadata=metadata)
+
+
+class FailingScorer:
+    """Stands in for HTTPToxicityClient: a deterministic score per tweet,
+    until fail_after requests have been answered."""
+
+    name = "http"
+    fail_after = None
+    requests: list = []
+
+    def score(self, tweet_id, text):
+        if self.fail_after is not None and len(self.requests) >= self.fail_after:
+            raise scores.BackendUnavailable("connection refused")
+        self.requests.append(tweet_id)
+        return sum(map(ord, tweet_id)) % 100 / 100
 
 
 def write_tweet_lines(path, rows):

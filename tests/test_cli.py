@@ -10,7 +10,22 @@ from mission_profiler.cli import main
 from mission_profiler.synth import default_specs, generate, write_bundle
 from mission_profiler.util import derive_seed
 
-from conftest import tweet_row, write_tweet_lines, BASE_TS
+from conftest import FailingScorer, tweet_row, write_tweet_lines, BASE_TS
+
+
+def _run_config(bundle_dir, path, **overrides):
+    config = {
+        "tweets": str(bundle_dir / "tweets.jsonl"),
+        "profiles": str(bundle_dir / "profiles.jsonl"),
+        "tpvs": str(bundle_dir / "tpvs.jsonl"),
+        "K": 20,
+        "labels": str(bundle_dir / "labels.csv"),
+        "detect_group": "VII",
+        "seed": 5,
+        **overrides,
+    }
+    path.write_text(json.dumps(config))
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -26,19 +41,10 @@ def bundle_dir(tmp_path_factory):
 @pytest.fixture(scope="module")
 def run_dir(bundle_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("cli_run")
-    config = {
-        "tweets": str(bundle_dir / "tweets.jsonl"),
-        "profiles": str(bundle_dir / "profiles.jsonl"),
-        "tpvs": str(bundle_dir / "tpvs.jsonl"),
-        "K": 20,
-        "toxicity_backend": "file",
-        "toxicity_path": str(bundle_dir / "toxicity_cache.jsonl"),
-        "labels": str(bundle_dir / "labels.csv"),
-        "detect_group": "VII",
-        "seed": 5,
-    }
-    config_path = out / "config.json"
-    config_path.write_text(json.dumps(config))
+    config_path = _run_config(
+        bundle_dir, out / "config.json",
+        toxicity_backend="file", toxicity_path=str(bundle_dir / "toxicity_cache.jsonl"),
+    )
     result = CliRunner().invoke(main, ["run", "--config", str(config_path), "--out", str(out / "run")])
     assert result.exit_code == 0, result.output
     return out / "run"
@@ -169,6 +175,78 @@ def test_score_command_file_stores_whole_table(tmp_path):
     ])
     assert result.exit_code == 0, result.output
     assert again.read_bytes() == cache.read_bytes()
+
+
+def test_score_command_mock_writes_the_caches_of_a_mock_run(bundle_dir, tmp_path):
+    config = _run_config(bundle_dir, tmp_path / "config.json", toxicity_backend="mock", bot_backend="mock")
+    run = tmp_path / "run"
+    result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(run)])
+    assert result.exit_code == 0, result.output
+    tox, bots = tmp_path / "tox.jsonl", tmp_path / "bots.jsonl"
+    result = CliRunner().invoke(main, [
+        "score", "--corpus", str(run / "ingest" / "corpus.bin"), "--backend", "mock",
+        "--toxicity-cache", str(tox), "--bot-cache", str(bots),
+    ])
+    assert result.exit_code == 0, result.output
+    assert tox.read_bytes() == (run / "score" / "toxicity_cache.jsonl").read_bytes()
+    assert bots.read_bytes() == (run / "score" / "bot_cache.jsonl").read_bytes()
+
+
+def test_score_command_resumes_from_its_cache_for_the_corpus_tweets(tmp_path, monkeypatch):
+    specs = default_specs(n_on_mission=8, n_genuine=8)
+    for s in specs:
+        s.tweets_per_profile = (15, 25)
+    paths = write_bundle(generate(specs, K=20, seed=11), tmp_path / "bundle")
+    corpus = tmp_path / "corpus.bin"
+    result = CliRunner().invoke(main, [
+        "ingest", "--tweets", str(paths["tweets"]), "--profiles", str(paths["profiles"]), "--out", str(corpus),
+    ])
+    assert result.exit_code == 0, result.output
+    monkeypatch.setattr(scores, "HTTPToxicityClient", FailingScorer)
+
+    def score(cache):
+        return CliRunner().invoke(main, [
+            "score", "--corpus", str(corpus), "--backend", "http", "--toxicity-cache", str(cache),
+        ])
+
+    monkeypatch.setattr(FailingScorer, "requests", [])
+    clean = tmp_path / "clean.jsonl"
+    assert score(clean).exit_code == 0
+    assert len(FailingScorer.requests) == 324
+
+    monkeypatch.setattr(FailingScorer, "requests", [])
+    monkeypatch.setattr(FailingScorer, "fail_after", 30)
+    cache = tmp_path / "tox.jsonl"
+    result = score(cache)
+    assert result.exit_code == 11
+    assert "connection refused" in result.output
+    saved = scores.ScoreCache.load(cache)
+    assert len(saved.toxicity) == 30
+    saved.put_toxicity("not-in-the-corpus", 0.5, "http")  # dropped on resume
+    saved.save(cache)
+
+    monkeypatch.setattr(FailingScorer, "requests", [])
+    monkeypatch.setattr(FailingScorer, "fail_after", None)
+    result = score(cache)
+    assert result.exit_code == 0, result.output
+    assert len(FailingScorer.requests) == 294  # the 30 scored before the failure are not asked again
+    assert "324 scored, 0 missing" in result.output
+    assert cache.read_bytes() == clean.read_bytes()
+
+
+def test_run_with_an_invalid_bot_file_fails_in_score_before_any_toxicity_request(bundle_dir, tmp_path, monkeypatch):
+    bots = tmp_path / "bots.csv"
+    bots.write_text("profile_id,overall,spammer\np0,1.5,0.1\n")
+    config = _run_config(
+        bundle_dir, tmp_path / "config.json", toxicity_backend="http", bot_backend="file", bot_path=str(bots),
+    )
+    monkeypatch.setattr(scores, "HTTPToxicityClient", FailingScorer)
+    monkeypatch.setattr(FailingScorer, "requests", [])
+    result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(tmp_path / "run")])
+    assert result.exit_code == 11, result.output
+    assert "error [score]" in result.output
+    assert "invalid score rows" in result.output
+    assert FailingScorer.requests == []
 
 
 def test_kappa_command(tmp_path):

@@ -13,7 +13,7 @@ from mission_profiler.features import (
     save_features,
 )
 from mission_profiler.ingest import ProfileMetadata
-from mission_profiler.metrics import bundle_to_dict, compute_metric_bundle
+from mission_profiler.metrics import compute_metric_bundle
 from mission_profiler.scores import ScoreCache
 from mission_profiler.topics import CATEGORIES
 
@@ -25,7 +25,7 @@ def _bundle(timeline, scores=None):
     cache = ScoreCache()
     for t, s in zip(timeline.tweets, scores or []):
         cache.put_toxicity(t.tweet_id, s)
-    return bundle_to_dict(compute_metric_bundle(timeline, cache))
+    return compute_metric_bundle(timeline, cache)
 
 
 def _counts(**kw):

@@ -1,9 +1,12 @@
 import math
 import random
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from mission_profiler.features import extract_features
 from mission_profiler.ingest import ProfileMetadata
 from mission_profiler.metrics import (
     activity_metrics,
@@ -16,6 +19,7 @@ from mission_profiler.metrics import (
     time_delta_histogram,
     toxicity_metrics,
 )
+from mission_profiler.readability import LexicalMetrics
 from mission_profiler.scores import ScoreCache
 
 from conftest import BASE_TS, make_timeline, make_tweet
@@ -183,8 +187,8 @@ def test_hashtag_ratio():
     tags = [["a"] * 2 for _ in range(15)]  # 30 hashtags over 20 tweets
     tl = _timeline_with_tags(20, tags)
     stats = hashtag_url_stats(tl)
-    assert stats.total_hashtags == 30
-    assert stats.hashtags_per_tweet == pytest.approx(1.5)
+    assert stats["total_hashtags"] == 30
+    assert stats["hashtags_per_tweet"] == pytest.approx(1.5)
 
 
 def test_hashtag_case_insensitive_unique():
@@ -193,16 +197,16 @@ def test_hashtag_case_insensitive_unique():
         make_tweet(1, "p", "y", BASE_TS + 1, hashtags=["a"]),
     ])
     stats = hashtag_url_stats(tl)
-    assert stats.total_hashtags == 2
-    assert stats.unique_hashtags == 1
+    assert stats["total_hashtags"] == 2
+    assert stats["unique_hashtags"] == 1
 
 
 def test_no_hashtags_all_zero():
     tl = _timeline_with_tags(5, [])
     stats = hashtag_url_stats(tl)
-    assert stats.total_hashtags == stats.unique_hashtags == 0
-    assert stats.hashtags_per_tweet == 0.0
-    assert stats.total_urls == 0
+    assert stats["total_hashtags"] == stats["unique_hashtags"] == 0
+    assert stats["hashtags_per_tweet"] == 0.0
+    assert stats["total_urls"] == 0
 
 
 def test_url_stats():
@@ -211,9 +215,9 @@ def test_url_stats():
         make_tweet(1, "p", "y", BASE_TS + 1, urls=["https://b.example/2"]),
     ])
     stats = hashtag_url_stats(tl)
-    assert stats.total_urls == 3
-    assert stats.unique_urls == 2
-    assert stats.urls_per_tweet == pytest.approx(1.5)
+    assert stats["total_urls"] == 3
+    assert stats["unique_urls"] == 2
+    assert stats["urls_per_tweet"] == pytest.approx(1.5)
 
 
 # -- toxicity metrics ---------------------------------------------------------------
@@ -224,17 +228,17 @@ def test_toxicity_metrics_basic():
     for t, s in zip(tl.tweets, [0.1, 0.5, 0.9]):
         cache.put_toxicity(t.tweet_id, s)
     tox = toxicity_metrics(tl, cache)
-    assert tox.median == pytest.approx(0.5)
-    assert tox.n_scored == 3
-    assert tox.gini == pytest.approx(pairwise_gini([0.1, 0.5, 0.9]), abs=1e-12)
+    assert tox["toxicity_median"] == pytest.approx(0.5)
+    assert tox["n_scored"] == 3
+    assert tox["toxicity_gini"] == pytest.approx(pairwise_gini([0.1, 0.5, 0.9]), abs=1e-12)
 
 
 def test_toxicity_metrics_missing_scores_null():
     tl = make_timeline("p", texts=["a", "b"])
     tox = toxicity_metrics(tl, ScoreCache())
-    assert tox.median is None
-    assert tox.gini is None
-    assert tox.n_scored == 0
+    assert tox["toxicity_median"] is None
+    assert tox["toxicity_gini"] is None
+    assert tox["n_scored"] == 0
 
 
 def test_toxicity_metrics_partial_scores_use_present_only():
@@ -243,8 +247,8 @@ def test_toxicity_metrics_partial_scores_use_present_only():
     cache.put_toxicity(tl.tweets[0].tweet_id, 0.2)
     cache.put_toxicity(tl.tweets[2].tweet_id, 0.4)
     tox = toxicity_metrics(tl, cache)
-    assert tox.n_scored == 2
-    assert tox.median == pytest.approx(0.3)
+    assert tox["n_scored"] == 2
+    assert tox["toxicity_median"] == pytest.approx(0.3)
 
 
 # -- derived profile fields -----------------------------------------------------------
@@ -252,27 +256,27 @@ def test_toxicity_metrics_partial_scores_use_present_only():
 def test_followers_following_ratio():
     meta = ProfileMetadata(followers=10, following=4)
     d = profile_derived(meta, BASE_TS)
-    assert d.followers_following_ratio == pytest.approx(2.5)
+    assert d["followers_following_ratio"] == pytest.approx(2.5)
 
 
 def test_ratio_null_when_following_zero():
     meta = ProfileMetadata(followers=10, following=0)
-    assert profile_derived(meta, BASE_TS).followers_following_ratio is None
+    assert profile_derived(meta, BASE_TS)["followers_following_ratio"] is None
 
 
 def test_account_age_and_year():
     created = 1262304000  # 2010-01-01T00:00:00Z
     meta = ProfileMetadata(created_at=created)
     d = profile_derived(meta, created + 100 * 86400)
-    assert d.account_age_days == pytest.approx(100.0)
-    assert d.creation_year == 2010
+    assert d["account_age_days"] == pytest.approx(100.0)
+    assert d["creation_year"] == 2010
 
 
 def test_missing_metadata_gives_nulls():
     d = profile_derived(None, BASE_TS)
-    assert d.followers_following_ratio is None
-    assert d.account_age_days is None
-    assert d.creation_year is None
+    assert d["followers_following_ratio"] is None
+    assert d["account_age_days"] is None
+    assert d["creation_year"] is None
 
 
 # -- bundle -----------------------------------------------------------------------------
@@ -285,9 +289,56 @@ def test_bundle_counts():
         make_tweet(3, "p", "delta epsilon", BASE_TS + 86400 * 2),
     ]
     tl = make_timeline("p", tweets=tweets)
-    bundle = compute_metric_bundle(tl, ScoreCache())
-    assert bundle.activity.n_tweets == 4
-    assert bundle.activity.n_unique == 2
-    assert bundle.activity.n_retweets == 1
-    assert sum(bundle.activity.delta_days_hist.values()) == 3
-    assert bundle.activity.n_unique <= bundle.activity.n_tweets
+    row = compute_metric_bundle(tl, ScoreCache())
+    assert row["n_tweets"] == 4
+    assert row["n_unique"] == 2
+    assert row["n_retweets"] == 1
+    assert sum(row["delta_days_hist"].values()) == 3
+    assert row["n_unique"] <= row["n_tweets"]
+
+
+# the keys of a metrics.jsonl row
+METRICS_JSONL_KEYS = {
+    "profile_id", "toxicity_median", "toxicity_gini", "n_scored",
+    "flesch_ease", "flesch_kincaid_grade", "linsear_write", "ari",
+    "lexical_diversity_mtld", "chars_per_tweet", "words_per_tweet",
+    "n_tweets", "n_unique", "n_retweets", "burstiness", "r_cv", "n_events",
+    "delta_days_hist", "median_delta_days",
+    "total_hashtags", "unique_hashtags", "hashtags_per_tweet", "total_urls", "unique_urls", "urls_per_tweet",
+    "followers_following_ratio", "account_age_days", "creation_year",
+}
+
+
+class _ReadKeys(dict):
+    """A row that records the keys read from it."""
+
+    def __init__(self, row):
+        super().__init__(row)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def test_row_keys_are_the_metrics_jsonl_keys():
+    meta = ProfileMetadata(followers=3, following=1, created_at=BASE_TS - 86400)
+    texts = make_timeline("p", texts=["some words here", "more words"], metadata=meta)
+    blank = make_timeline("q", texts=["   ", ""])  # no lexical metrics: all seven null
+    row, blank_row = (compute_metric_bundle(tl, ScoreCache()) for tl in (texts, blank))
+    assert set(row) == set(blank_row) == METRICS_JSONL_KEYS
+    assert (row["profile_id"], blank_row["profile_id"]) == ("p", "q")
+    lexical = [f.name for f in fields(LexicalMetrics)]
+    assert set(lexical) <= METRICS_JSONL_KEYS
+    assert all(row[name] is not None and blank_row[name] is None for name in lexical)
+    read = _ReadKeys(row)
+    extract_features("p", read, {}, meta)
+    assert read.read and read.read <= METRICS_JSONL_KEYS
+
+
+def test_delta_days_hist_has_string_keys_in_day_order():
+    day = 86400
+    ts = [BASE_TS, BASE_TS + 10 * day, BASE_TS + 12 * day, BASE_TS + 12 * day + 5]
+    tweets = [make_tweet(i, "p", "x", t) for i, t in enumerate(ts)]
+    hist = activity_metrics(make_timeline("p", tweets=tweets))["delta_days_hist"]
+    assert list(hist.items()) == [("0", 1), ("2", 1), ("10", 1)]

@@ -1,5 +1,8 @@
 import gzip
 import json
+import os
+import subprocess
+import sys
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -18,7 +21,7 @@ from mission_profiler.pipeline import (
 from mission_profiler.synth import default_specs, generate, write_bundle
 from mission_profiler.util import sha256_file, write_json
 
-from conftest import tweet_row, write_tweet_lines, BASE_TS
+from conftest import FailingScorer, tweet_row, write_tweet_lines, BASE_TS
 
 
 def _small_bundle(tmp_path, n=8, seed=11):
@@ -103,11 +106,25 @@ def test_lock_file_blocks_concurrent_runs(tmp_path):
     paths = _small_bundle(tmp_path)
     out = tmp_path / "run"
     out.mkdir()
-    (out / ".lock").write_text("123")
+    (out / ".lock").write_text(str(os.getpid()))  # a holder that is alive
     with pytest.raises(PipelineError) as err:
         run_pipeline(_config(paths), out)
     assert err.value.stage == "lock"
     assert err.value.exit_code == 4
+    assert (out / ".lock").read_text() == str(os.getpid())
+
+
+def test_a_lock_left_by_a_run_that_is_gone_is_reclaimed(tmp_path):
+    paths = _small_bundle(tmp_path)
+    out = tmp_path / "run"
+    out.mkdir()
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()  # exited and reaped: no process has its pid now
+    (out / ".lock").write_text(str(child.pid))
+    with pytest.warns(UserWarning, match="stale lock"):
+        report = run_pipeline(_config(paths), out)
+    assert report == run_pipeline(_config(paths), tmp_path / "clean")
+    assert not (out / ".lock").exists()
 
 
 def test_corrupt_tpv_aborts_naming_stage_and_row(tmp_path):
@@ -137,37 +154,22 @@ def test_unavailable_scorer_aborts_score_and_keeps_the_partial_cache(tmp_path, m
     assert not (out / "score" / "manifest.json").exists()
 
 
-class _FailingScorer:
-    """Stands in for HTTPToxicityClient: a deterministic score per tweet,
-    until fail_after requests have been answered."""
-
-    name = "http"
-    fail_after = None
-    requests: list = []
-
-    def score(self, tweet_id, text):
-        if self.fail_after is not None and len(self.requests) >= self.fail_after:
-            raise scores.BackendUnavailable("connection refused")
-        self.requests.append(tweet_id)
-        return sum(map(ord, tweet_id)) % 100 / 100
-
-
 def _score_file(out):
     return (out / "score" / "toxicity_cache.jsonl").read_bytes()
 
 
 def test_a_run_stopped_by_an_unavailable_scorer_resumes_from_its_partial_scores(tmp_path, monkeypatch):
-    monkeypatch.setattr(scores, "HTTPToxicityClient", _FailingScorer)
-    monkeypatch.setattr(_FailingScorer, "requests", [])
+    monkeypatch.setattr(scores, "HTTPToxicityClient", FailingScorer)
+    monkeypatch.setattr(FailingScorer, "requests", [])
     paths = _small_bundle(tmp_path)
     cfg = _config(paths, toxicity_backend="http")
     clean = tmp_path / "clean"
     clean_report = run_pipeline(cfg, clean)
-    assert len(_FailingScorer.requests) == 324
+    assert len(FailingScorer.requests) == 324
 
     out = tmp_path / "run"
-    monkeypatch.setattr(_FailingScorer, "requests", [])
-    monkeypatch.setattr(_FailingScorer, "fail_after", 30)
+    monkeypatch.setattr(FailingScorer, "requests", [])
+    monkeypatch.setattr(FailingScorer, "fail_after", 30)
     with pytest.raises(PipelineError) as err:
         run_pipeline(cfg, out)
     assert err.value.stage == "score"
@@ -177,12 +179,27 @@ def test_a_run_stopped_by_an_unavailable_scorer_resumes_from_its_partial_scores(
     saved.put_toxicity("not-in-the-corpus", 0.5, "http")  # dropped on resume
     saved.save(partial)
 
-    monkeypatch.setattr(_FailingScorer, "requests", [])
-    monkeypatch.setattr(_FailingScorer, "fail_after", None)
+    monkeypatch.setattr(FailingScorer, "requests", [])
+    monkeypatch.setattr(FailingScorer, "fail_after", None)
     assert run_pipeline(cfg, out) == clean_report
-    assert len(_FailingScorer.requests) == 294  # the 30 scored before the failure are not asked again
+    assert len(FailingScorer.requests) == 294  # the 30 scored before the failure are not asked again
     assert not partial.exists()
     assert _score_file(out) == _score_file(clean)
+
+
+@pytest.mark.parametrize("kind", ["toxicity", "bot"])
+@pytest.mark.parametrize("path", [None, "no_such_scores.csv"])
+def test_a_file_backend_needs_an_existing_score_file(tmp_path, kind, path):
+    # a missing bot_path used to give a run with every bot score null, and a
+    # toxicity_path naming no file an uncaught FileNotFoundError, exit 1
+    paths = _small_bundle(tmp_path)
+    cfg = _config(paths, **{f"{kind}_backend": "file", f"{kind}_path": path and str(tmp_path / path)})
+    with pytest.raises(PipelineError) as err:
+        Pipeline(cfg, tmp_path / "run")
+    assert err.value.stage == "config"
+    assert err.value.exit_code == 2
+    assert f"{kind}_path" in str(err.value)
+    assert not (tmp_path / "run").exists()
 
 
 def test_missing_input_is_config_error(tmp_path):
