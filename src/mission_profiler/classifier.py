@@ -138,15 +138,15 @@ class LinearSVM:
         _require_two_classes(y)
         y_signed = np.where(np.asarray(y) > 0, 1.0, -1.0)
         n, f = X.shape
-        Xb = np.hstack([X, np.ones((n, 1))])
+        # rows times their signs: exact, as the signs are +-1, so the margins
+        # and the hinge subgradient keep every bit of y * (Xb @ w) and y * Xb
+        yXb = y_signed[:, None] * np.hstack([X, np.ones((n, 1))])
         lam = 1.0 / (config.svm_c * n)
         w_full = np.zeros(f + 1)
         for t in range(1, config.svm_epochs + 1):
-            margins = y_signed * (Xb @ w_full)
-            violating = margins < 1.0
+            violating = yXb @ w_full < 1.0
             grad = lam * w_full
-            if np.any(violating):
-                grad = grad - (y_signed[violating, None] * Xb[violating]).sum(axis=0) / n
+            grad = grad - yXb[violating].sum(axis=0) / n  # no violation subtracts 0.0: a no-op
             w_full = w_full - grad / (lam * t)
         self.w = w_full[:-1]
         self.b = float(w_full[-1])
@@ -186,14 +186,8 @@ class DecisionTree:
         self.root = _grow_trees(X, y, [rows], [None], config.tree_max_depth, config.tree_min_samples_split)[0]
         return self
 
-    def _score_one(self, x: np.ndarray) -> float:
-        node = self.root
-        while not node["leaf"]:
-            node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
-        return node["n_pos"] / node["n"] if node["n"] else 0.0
-
     def decision_scores(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray([self._score_one(row) for row in X])
+        return _route([self.root], X)[0]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return (self.decision_scores(X) > 0.5).astype(int)
@@ -207,8 +201,8 @@ class DecisionTree:
 
 
 # Cells of the padded (nodes x candidate features x rows) grid that one
-# batched split search fills. Its temporaries take about 80 bytes a cell,
-# so a batch holds about 0.3 MB, however many trees grow in lockstep.
+# batched split search fills. Its temporaries peak at about 110 bytes a
+# cell, so a batch holds about 0.45 MB, however many trees grow in lockstep.
 _SPLIT_BATCH_CELLS = 1 << 12
 
 
@@ -220,9 +214,82 @@ def _draw_features(rng: random.Random | None, n_features: int) -> list[int]:
     return sorted(rng.sample(range(n_features), k))
 
 
+def _bootstrap(rng: random.Random, n: int) -> np.ndarray:
+    """n row numbers below n, exactly as [rng.randrange(n) for _ in range(n)]
+    draws them, leaving rng in the same state.
+
+    CPython's randrange(n) takes the top n.bit_length() bits of one 32-bit
+    word per getrandbits call and draws again while they reach n. Here the
+    words come in one oversized getrandbits call (word i is bits 32i to
+    32i + 31); the state is then rewound and advanced by the words used.
+    """
+    shift = 32 - n.bit_length()
+    state = rng.getstate()
+    # n kept words take 2**bit_length words on average; the margin is over
+    # four standard deviations, so a second, larger draw is rare
+    m = (1 << n.bit_length()) + 8 * math.isqrt(n) + 64
+    while True:
+        words = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), dtype="<u4") >> shift
+        kept = np.flatnonzero(words < n)
+        if len(kept) >= n:
+            break
+        rng.setstate(state)
+        m *= 2
+    rng.setstate(state)
+    rng.getrandbits(32 * (int(kept[n - 1]) + 1))
+    return words[kept[:n]].astype(np.intp)
+
+
 def _leaf(n: int, n_pos: int) -> dict:
     # majority class; exact tie goes to the negative class
     return {"leaf": True, "n": n, "n_pos": n_pos, "cls": int(n_pos * 2 > n)}
+
+
+def _rank_cells(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort keys for the split search and the values they stand for.
+
+    Keys are (features x rows + 1): each cell's 2 * (dense rank of its
+    value in its column) + its row's label, then an even padding key above
+    every real one, in the smallest unsigned dtype that holds it. Values
+    are (features x most distinct values in a column): each column's
+    distinct values in ascending order, zero-filled.
+    """
+    n_features = X.shape[1]
+    order = np.argsort(X, axis=0)
+    sorted_vals = np.take_along_axis(X, order, axis=0)
+    sorted_rank = np.zeros(X.shape, dtype=np.intp)
+    np.cumsum(sorted_vals[1:] != sorted_vals[:-1], axis=0, out=sorted_rank[1:])
+    width = int(sorted_rank[-1].max(initial=0)) + 1
+    values = np.zeros((n_features, width))
+    values[np.arange(n_features), sorted_rank] = sorted_vals
+    keys = np.full((n_features, len(X) + 1), 2 * width, dtype=np.min_scalar_type(2 * width))
+    np.put_along_axis(keys[:, :-1], order.T, (2 * sorted_rank + np.asarray(y)[order]).T, axis=1)
+    return keys, values
+
+
+def _route(roots: list[dict], X: np.ndarray) -> np.ndarray:
+    """Each tree's leaf ratio n_pos / n (0.0 for an empty leaf) for every
+    row of X, (trees x rows). The trees are flattened breadth-first into one
+    node table, each leaf its own child, and the rows of all trees step
+    down it together, one level a step, until every row sits in a leaf; a
+    row goes left when its value is <= the node's threshold."""
+    nodes = list(roots)
+    for node in nodes:  # grows as it goes: the children of node i follow every earlier node's
+        if not node["leaf"]:
+            nodes += (node["left"], node["right"])
+    leaf = np.fromiter((node["leaf"] for node in nodes), bool, len(nodes))
+    feature = np.fromiter((node.get("feature", 0) for node in nodes), np.intp, len(nodes))
+    threshold = np.fromiter((node.get("threshold", 0.0) for node in nodes), float, len(nodes))
+    ratio = np.fromiter((node["n_pos"] / node["n"] if node.get("n") else 0.0 for node in nodes), float, len(nodes))
+    split = ~leaf
+    left = np.where(leaf, np.arange(len(nodes)), len(roots) + 2 * (np.cumsum(split) - split))
+    right = left + split
+    X = np.asarray(X, float)
+    rows = np.arange(len(X))
+    at = np.repeat(np.arange(len(roots))[:, None], len(X), axis=1)
+    while not leaf[at].all():
+        at = np.where(X[rows, feature[at]] <= threshold[at], left[at], right[at])
+    return ratio[at]
 
 
 def _grow_trees(
@@ -244,11 +311,12 @@ def _grow_trees(
     (a node larger than that is scored alone).
     """
     X = np.asarray(X, float)
+    ranked = _rank_cells(X, y)
     n_features = X.shape[1]
     roots: list[dict | None] = [None] * len(samples)
     # a pending node: its rows, its positives, the depth left below it and
     # the slot its dict goes into
-    stacks = [[(rows, int(y[rows].sum()), max_depth, roots, t)] for t, rows in enumerate(samples)]
+    stacks = [[(rows, int(np.count_nonzero(y[rows])), max_depth, roots, t)] for t, rows in enumerate(samples)]
     while True:
         step = []  # per tree: its next node to search, with the candidate features drawn for it
         for t, stack in enumerate(stacks):
@@ -268,7 +336,7 @@ def _grow_trees(
             batch = step[start:start + max(1, _SPLIT_BATCH_CELLS // max(1, cells))]
             start += len(batch)
             feats = np.array([entry[1] for entry in batch], dtype=np.intp)
-            splits = _best_splits(X, y, [entry[0] for entry in batch], feats)
+            splits = _best_splits(X, y, [entry[0] for entry in batch], feats, ranked)
             for (rows, _, t, n_pos, depth_left, holder, key), split in zip(batch, splits):
                 if split is None:
                     holder[key] = _leaf(len(rows), n_pos)
@@ -276,69 +344,77 @@ def _grow_trees(
                 feature, threshold = split
                 go_left = X[rows, feature] <= threshold
                 left, right = rows[go_left], rows[~go_left]
-                left_pos = int(y[left].sum())
+                left_pos = int(np.count_nonzero(y[left]))
                 holder[key] = node = {"leaf": False, "feature": feature, "threshold": threshold}
                 stacks[t].append((right, n_pos - left_pos, depth_left - 1, node, "right"))
                 stacks[t].append((left, left_pos, depth_left - 1, node, "left"))
 
 
 def _best_splits(
-    X: np.ndarray, y: np.ndarray, rows: list[np.ndarray], feats: np.ndarray
+    X: np.ndarray,
+    y: np.ndarray,
+    rows: list[np.ndarray],
+    feats: np.ndarray,
+    ranked: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[tuple[int, float] | None]:
     """CART split search of several nodes at once.
 
-    Node j holds the rows rows[j] of X (float) and y (0/1 labels) and may
-    split on the columns feats[j]. The nodes lie in one grid padded to the
-    largest, (nodes x features x rows); each column is sorted stably within
-    its node, prefix counts give every cut's weighted Gini impurity, and
-    each node walks its cuts between distinct values feature by feature.
-    Returns (feature, threshold) per node, or None where no candidate
-    column holds two distinct values. Zero-gain splits are allowed (a first
-    cut on symmetric data like XOR improves nothing by itself but enables
-    pure children).
+    Node j holds the rows rows[j] of X (finite floats) and y (0/1 labels)
+    and may split on the columns feats[j]; ranked is _rank_cells(X, y),
+    computed here when not given. The nodes' sort keys lie in one grid
+    padded to the largest, (nodes x features x rows), and each column is
+    sorted within its node: a key's rank orders the values and its low bit
+    is the label. Prefix counts give every cut's weighted Gini impurity,
+    and each node walks its cuts between distinct values feature by
+    feature. Returns (feature, threshold) per node, or None where no
+    candidate column holds two distinct values. Zero-gain splits are
+    allowed (a first cut on symmetric data like XOR improves nothing by
+    itself but enables pure children).
     """
+    keys, values = ranked or _rank_cells(np.asarray(X, float), y)
     sizes = np.array([len(r) for r in rows])
     width = int(sizes.max())
     in_node = np.arange(width) < sizes[:, None]
-    padded = np.zeros(in_node.shape, dtype=np.intp)
+    padded = np.full(in_node.shape, keys.shape[1] - 1)  # the padding key's cell
     padded[in_node] = np.concatenate(rows)
-    columns = X[padded[:, None, :], feats[:, :, None]]
-    # NaN padding sorts after every value, NaN included (the sort is stable)
-    np.copyto(columns, np.nan, where=~in_node[:, None, :])
-    order = np.argsort(columns, axis=-1, kind="stable")
-    sorted_vals = np.take_along_axis(columns, order, axis=-1)
-    labels = np.where(in_node, y[padded], 0)
+    grid = keys.take(feats[:, :, None] * keys.shape[1] + padded[:, None, :])
+    grid.sort(axis=-1)
+    rank = grid >> 1
     # cut i of a column lies after its sorted row i; only cuts between
     # distinct values are scored, from prefix counts of the positives
-    cuts = (sorted_vals[..., :-1] != sorted_vals[..., 1:]) & (np.arange(1, width) < sizes[:, None, None])
-    node, _, i = np.nonzero(cuts)
-    prefix = np.cumsum(np.take_along_axis(labels[:, None, :], order, axis=-1), axis=-1, dtype=float)
-    pos_left = prefix[..., :-1][cuts]
+    cuts = (rank[..., :-1] != rank[..., 1:]) & (np.arange(1, width) < sizes[:, None, None])
+    flat = np.flatnonzero(cuts)
+    column, i = np.divmod(flat, width - 1)  # column: node * candidate features + its place among them
+    node = column // feats.shape[1]
+    prefix = np.cumsum(grid & 1, axis=-1, dtype=np.intp).reshape(feats.size, width)
+    pos_left = prefix[column, i].astype(float)
     n = sizes[node].astype(float)
     n_left = i + 1.0
     n_right = n - n_left
     neg_left = n_left - pos_left
-    pos_right = labels.sum(axis=1, dtype=float)[node] - pos_left
+    pos_right = prefix[column, sizes[node] - 1] - pos_left
     neg_right = n_right - pos_right
     # keep this operation order: saved thresholds depend on the scores' last bits
     gini_left = 1.0 - ((neg_left / n_left) ** 2 + (pos_left / n_left) ** 2)
     gini_right = 1.0 - ((neg_right / n_right) ** 2 + (pos_right / n_right) ** 2)
-    walk = np.full(cuts.shape, np.inf)
-    walk[cuts] = (n_left * gini_left + n_right * gini_right) / n
+    walk = np.full(cuts.size, np.inf)
+    walk[flat] = (n_left * gini_left + n_right * gini_right) / n
     # feature-major walk of each node's cuts; only a strict running minimum
     # can pass the tolerance rule below
     walk = walk.reshape(len(rows), -1)
     before = np.minimum.accumulate(walk, axis=1)
     lower = np.concatenate([walk[:, :1] < np.inf, walk[:, 1:] < before[:, :-1]], axis=1)
     best: dict[int, tuple[int, float]] = {}
-    for j, at, score in zip(*np.nonzero(lower), walk[lower].tolist()):
+    for j, at, score in zip(*(index.tolist() for index in np.nonzero(lower)), walk[lower].tolist()):
         if j not in best or score < best[j][1] - 1e-15:
             best[j] = (at, score)
+    won = np.fromiter(best, np.intp, len(best))
+    col, i = np.divmod(np.fromiter((at for at, _ in best.values()), np.intp, len(best)), width - 1)
+    feature = feats[won, col]
+    threshold = (values[feature, rank[won, col, i]] + values[feature, rank[won, col, i + 1]]) / 2.0
     splits: list[tuple[int, float] | None] = [None] * len(rows)
-    for j, (at, _) in best.items():
-        f, i = divmod(int(at), width - 1)
-        threshold = (sorted_vals[j, f, i] + sorted_vals[j, f, i + 1]) / 2.0
-        splits[j] = int(feats[j, f]), float(threshold)
+    for j, split in zip(best, zip(feature.tolist(), threshold.tolist())):
+        splits[j] = split
     return splits
 
 
@@ -358,7 +434,7 @@ class RandomForest:
         for i in range(config.forest_trees):
             # each tree's RNG draws its bootstrap, then its candidate features
             rng = random.Random(derive_seed(seed, "tree", i))
-            samples.append(np.array([rng.randrange(n) for _ in range(n)], dtype=np.intp))
+            samples.append(_bootstrap(rng, n))
             rngs.append(rng)
         # a bootstrap may draw one class only; that tree is one leaf
         roots = _grow_trees(X, y, samples, rngs, config.tree_max_depth, config.tree_min_samples_split)
@@ -366,8 +442,7 @@ class RandomForest:
         return self
 
     def decision_scores(self, X: np.ndarray) -> np.ndarray:
-        votes = np.stack([t.decision_scores(X) for t in self.trees])
-        return votes.mean(axis=0)
+        return _route([t.root for t in self.trees], X).mean(axis=0)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return (self.decision_scores(X) >= 0.5).astype(int)

@@ -73,6 +73,8 @@ def score(corpus_path, backend, toxicity_file, bot_file, toxicity_cache, bot_cac
 
     As in a run: the file backend stores the whole score table, and mock
     and http resume from --toxicity-cache for the corpus's tweets only."""
+    if bot_file and not bot_cache:
+        raise click.UsageError("--bot-file needs --bot-cache, the file its bot scores are saved to")
     corpus = load_corpus(corpus_path)
     try:
         if backend == "file" and not toxicity_file:

@@ -117,19 +117,22 @@ class ScoreCache:
                 raise ValueError(f"not a score cache: {path}")
             if header.get("version") != CACHE_VERSION:
                 raise ValueError(f"unsupported score cache version {header.get('version')}")
-            for line in fh:
+            for lineno, line in enumerate(fh, start=2):
                 if not line.strip():
                     continue
                 row = json.loads(line)
                 kind = row.get("kind")
-                if kind == "toxicity":
-                    cache.put_toxicity(row["tweet_id"], row["score"], row.get("source", "unknown"))
-                elif kind == "bots":
-                    cache.put_bots(row["profile_id"], row["overall"], row["spammer"], row.get("source", "unknown"))
-                elif kind == "missing":
-                    cache.missing.add(row["tweet_id"])
-                else:
-                    raise ValueError(f"unknown cache row kind {kind!r}")
+                try:
+                    if kind == "toxicity":
+                        cache.put_toxicity(row["tweet_id"], row["score"], row.get("source", "unknown"))
+                    elif kind == "bots":
+                        cache.put_bots(row["profile_id"], row["overall"], row["spammer"], row.get("source", "unknown"))
+                    elif kind == "missing":
+                        cache.missing.add(row["tweet_id"])
+                    else:
+                        raise ValueError(f"{path}: row {lineno}: unknown cache row kind {kind!r}")
+                except KeyError as exc:
+                    raise ValueError(f"{path}: row {lineno} ({kind!r}) lacks the key {exc}") from None
         return cache
 
 

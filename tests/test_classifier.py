@@ -24,6 +24,7 @@ from mission_profiler.classifier import (
     flag_in_wild,
     split_80_20,
     _best_splits,
+    _bootstrap,
     _draw_features,
     train,
     train_and_evaluate,
@@ -349,6 +350,110 @@ def test_forest_fit_working_memory_is_bounded():
         tracemalloc.stop()
     assert len(forest.trees) == 100
     assert peak - retained < 2_000_000
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1])
+def test_bulk_bootstrap_draws_what_randrange_draws(seed):
+    # the bulk draw rests on CPython's randrange(n): the top n.bit_length()
+    # bits of one 32-bit word, drawn again while they reach n
+    for n in [*range(1, 301), 1023, 1024, 1025, 2047, 2048, 2049, 4097]:
+        bulk, loop = random.Random(derive_seed(seed, n)), random.Random(derive_seed(seed, n))
+        assert _bootstrap(bulk, n).tolist() == [loop.randrange(n) for _ in range(n)], n
+        assert bulk.getstate() == loop.getstate(), n
+
+
+class _MostlyHighWords(random.Random):
+    """A word stream in which 7 of 8 words are all ones, which randrange(n)
+    rejects for every n, so one oversized bulk draw falls short."""
+
+    def seed(self, a=None, version=2):
+        self.words = random.Random(a)
+        self.at = 0
+        self.wide_draws = 0
+
+    def _word(self):
+        self.at += 1
+        word = self.words.getrandbits(32)
+        return word if word % 8 == 0 else 0xFFFFFFFF
+
+    def getrandbits(self, k):
+        n_words = max(1, -(-k // 32))
+        self.wide_draws += n_words > 1
+        words = [self._word() for _ in range(n_words)]
+        if k < 32:
+            return words[0] >> (32 - k)
+        return sum(word << (32 * i) for i, word in enumerate(words))
+
+    def getstate(self):
+        return self.at, self.words.getstate()
+
+    def setstate(self, state):
+        self.at, words = state
+        self.words.setstate(words)
+
+
+@pytest.mark.parametrize("n", [20, 100, 129])
+def test_bulk_bootstrap_draws_again_when_the_oversized_draw_falls_short(n):
+    bulk, loop = _MostlyHighWords(5), _MostlyHighWords(5)
+    assert _bootstrap(bulk, n).tolist() == [loop.randrange(n) for _ in range(n)]
+    assert bulk.getstate() == loop.getstate()
+    assert bulk.wide_draws >= 3  # a draw that fell short, a larger one, and the advance
+
+
+def _reference_leaf_ratios(root, X):
+    """The dict walk the array routing replaced: one row at a time."""
+
+    def score(x):
+        node = root
+        while not node["leaf"]:
+            node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
+        return node["n_pos"] / node["n"] if node["n"] else 0.0
+
+    return np.asarray([score(row) for row in X])
+
+
+_ROUTE_GRID = [0.0, 0.25, 0.5, 0.75, 1.0]
+
+
+def _leaf_dict(n, n_pos):
+    return {"leaf": True, "n": n, "n_pos": min(n_pos, n), "cls": int(min(n_pos, n) * 2 > n)}
+
+
+_route_trees = st.recursive(
+    st.builds(_leaf_dict, st.integers(0, 5), st.integers(0, 5)),  # n == 0 leaves included
+    lambda children: st.builds(
+        lambda feature, threshold, left, right: {
+            "leaf": False, "feature": feature, "threshold": threshold, "left": left, "right": right,
+        },
+        st.integers(0, 2), st.sampled_from(_ROUTE_GRID[1:-1]), children, children,
+    ),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(_route_trees, min_size=1, max_size=6),
+    st.lists(st.lists(st.sampled_from(_ROUTE_GRID), min_size=3, max_size=3), min_size=1, max_size=12),
+)
+@example(  # a leaf-only root with n == 0 beside a depth-2 tree; rows sit exactly on its thresholds
+    [_leaf_dict(0, 0), {
+        "leaf": False, "feature": 1, "threshold": 0.5,
+        "left": {"leaf": False, "feature": 0, "threshold": 0.25, "left": _leaf_dict(4, 1), "right": _leaf_dict(3, 3)},
+        "right": _leaf_dict(2, 1),
+    }],
+    [[0.25, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.75, 1.0]],
+)
+def test_array_routing_matches_the_dict_walk(roots, rows):
+    X = np.asarray(rows, float)
+    votes = np.stack([_reference_leaf_ratios(root, X) for root in roots])
+    forest = RandomForest([DecisionTree(root) for root in roots])
+    assert forest.decision_scores(X).tobytes() == votes.mean(axis=0).tobytes()
+    assert np.array_equal(forest.predict(X), (votes.mean(axis=0) >= 0.5).astype(int))
+    for root, expected in zip(roots, votes):
+        tree = DecisionTree(root)
+        assert tree.decision_scores(X).tobytes() == expected.tobytes()
+        assert np.array_equal(tree.predict(X), (expected > 0.5).astype(int))
 
 
 def _pin_matrix():

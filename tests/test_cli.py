@@ -249,6 +249,33 @@ def test_run_with_an_invalid_bot_file_fails_in_score_before_any_toxicity_request
     assert FailingScorer.requests == []
 
 
+def test_run_with_a_bot_cache_row_lacking_a_key_fails_in_score(bundle_dir, tmp_path):
+    bots = tmp_path / "bots.jsonl"
+    header = json.dumps({"format": scores.CACHE_FORMAT, "version": scores.CACHE_VERSION})
+    bots.write_text(header + "\n" + json.dumps({"kind": "bots", "profile_id": "x", "overall": 0.5}) + "\n")
+    config = _run_config(
+        bundle_dir, tmp_path / "config.json", toxicity_path=str(bundle_dir / "toxicity_cache.jsonl"),
+        bot_backend="file", bot_path=str(bots),
+    )
+    result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(tmp_path / "run")])
+    assert result.exit_code == 11, result.output
+    assert "error [score]" in result.output
+    assert "row 2 ('bots') lacks the key 'spammer'" in result.output
+
+
+def test_score_command_bot_file_without_bot_cache_is_a_usage_error(bundle_dir, run_dir, tmp_path):
+    bots = tmp_path / "bots.csv"
+    bots.write_text("p0,0.3,0.4\n")
+    tox = tmp_path / "tox.jsonl"
+    result = CliRunner().invoke(main, [
+        "score", "--corpus", str(run_dir / "ingest" / "corpus.bin"), "--backend", "mock",
+        "--toxicity-cache", str(tox), "--bot-file", str(bots),
+    ])
+    assert result.exit_code == 2, result.output
+    assert "--bot-cache" in result.output
+    assert not tox.exists()
+
+
 def test_kappa_command(tmp_path):
     ratings = tmp_path / "ratings.csv"
     ratings.write_text("a,a,a\na,a,b\nb,b,b\na,b,b\n")

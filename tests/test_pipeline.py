@@ -1,6 +1,7 @@
 import gzip
 import json
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -91,6 +92,43 @@ def test_two_fresh_runs_byte_identical(tmp_path):
         a = (tmp_path / "run1" / rel).read_bytes()
         b = (tmp_path / "run2" / rel).read_bytes()
         assert a == b, rel
+
+
+def test_artifacts_do_not_depend_on_the_line_order_of_the_inputs(tmp_path):
+    paths = _small_bundle(tmp_path)
+    shuffled_dir = tmp_path / "shuffled"
+    shuffled_dir.mkdir()
+    shuffled = dict(paths)
+    rng = random.Random(20240611)
+    for key in ("tweets", "profiles", "tpvs", "toxicity"):
+        lines = paths[key].read_text(encoding="utf-8").splitlines(keepends=True)
+        head = lines[:1] if key == "toxicity" else []  # the score cache's format line stays first
+        body = lines[len(head):]
+        rng.shuffle(body)
+        assert body != lines[len(head):], key
+        shuffled[key] = shuffled_dir / paths[key].name
+        shuffled[key].write_text("".join(head + body), encoding="utf-8")
+    configs = {"run": _config(paths), "shuffled_run": _config(shuffled)}
+    for name, config in configs.items():
+        run_pipeline(config, tmp_path / name)
+
+    def artifacts(name):
+        out, config = tmp_path / name, configs[name]
+        files = sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file() and p.name != "manifest.json")
+        # config_hash and the input paths are the only bytes allowed to differ
+        return {
+            str(rel): (out / rel).read_bytes()
+            .replace(config.config_hash().encode(), b"<config_hash>")
+            .replace(str(shuffled_dir).encode(), b"<inputs>")
+            .replace(str(paths["tweets"].parent).encode(), b"<inputs>")
+            for rel in files
+        }
+
+    original, reordered = artifacts("run"), artifacts("shuffled_run")
+    assert list(reordered) == list(original)
+    assert {"ingest/corpus.bin", "classify/model_random_forest.json", "report/report.json"} <= set(original)
+    for rel in original:
+        assert reordered[rel] == original[rel], rel
 
 
 def test_stale_cache_aborts(tmp_path):

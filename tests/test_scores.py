@@ -7,6 +7,8 @@ import pytest
 
 from mission_profiler.ingest import Corpus, IngestStats
 from mission_profiler.scores import (
+    CACHE_FORMAT,
+    CACHE_VERSION,
     BackendUnavailable,
     HTTPToxicityClient,
     MockBotClient,
@@ -183,6 +185,14 @@ def test_cache_save_load_preserves_missing_and_bots(tmp_path):
     assert loaded.bots["p1"].overall == 0.7
     assert loaded.missing == {"t9"}
     assert loaded.provenance("t1") == "mock"
+
+
+def test_cache_row_without_a_key_is_a_value_error_naming_file_and_row(tmp_path):
+    path = tmp_path / "bots.jsonl"
+    header = json.dumps({"format": CACHE_FORMAT, "version": CACHE_VERSION})
+    path.write_text(header + "\n\n" + json.dumps({"kind": "bots", "profile_id": "x", "overall": 0.5}) + "\n")
+    with pytest.raises(ValueError, match=r"bots\.jsonl: row 3 \('bots'\) lacks the key 'spammer'"):
+        ScoreCache.load(path)
 
 
 def test_scores_validated_into_unit_interval():
