@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ingest import ProfileMetadata
-from .topics import TopicAggregate, TopicCatalog
 
 EPSILON = 1e-12
 ON_MISSION = "on_mission"
@@ -30,30 +29,6 @@ DEFAULT_TOX_PERCENTILE = 75.0
 class NormalizedTPV:
     profile_id: str
     ntpv: np.ndarray
-
-
-@dataclass(frozen=True)
-class TopicLabelAssignment:
-    profile_id: str
-    topic_label: int
-    label_category: str
-    label_median_toxicity: float | None
-
-
-@dataclass
-class OverlapEvidence:
-    friend_overlap: float | None
-    shared_retweet_ratio: float | None
-
-
-@dataclass
-class Cluster:
-    cluster_id: str
-    topic_label: int
-    members: list[str]
-    topic_median_toxicity: float | None
-    on_mission: bool
-    overlap: OverlapEvidence | None = None
 
 
 @dataclass
@@ -98,39 +73,22 @@ def global_topic_average(
     return avg
 
 
-def profile_mean_tpv(profile_tpvs) -> np.ndarray:
+def ntpv(profile_tpvs, global_avg: np.ndarray, profile_id: str = "") -> NormalizedTPV:
+    """Profile mean topic vector divided elementwise by the global average."""
     vectors = list(profile_tpvs)
     if not vectors:
         raise ValueError("profile has no topic vectors")
-    return np.mean(np.stack(vectors), axis=0)
+    return NormalizedTPV(profile_id=profile_id, ntpv=np.mean(np.stack(vectors), axis=0) / global_avg)
 
 
-def ntpv(profile_tpvs, global_avg: np.ndarray, profile_id: str = "") -> NormalizedTPV:
-    """Profile mean topic vector divided elementwise by the global average."""
-    mean = profile_mean_tpv(profile_tpvs)
-    return NormalizedTPV(profile_id=profile_id, ntpv=mean / global_avg)
-
-
-def assign_topic_labels(
-    ntpvs: dict[str, NormalizedTPV],
-    catalog: TopicCatalog,
-    aggregates: dict[int, TopicAggregate],
-) -> dict[str, TopicLabelAssignment]:
-    labels = {}
-    for profile_id in sorted(ntpvs):
-        topic = int(np.argmax(ntpvs[profile_id].ntpv))
-        agg = aggregates.get(topic)
-        labels[profile_id] = TopicLabelAssignment(
-            profile_id=profile_id,
-            topic_label=topic,
-            label_category=catalog.category(topic),
-            label_median_toxicity=agg.median_toxicity if agg else None,
-        )
-    return labels
+def assign_topic_labels(ntpvs: dict[str, NormalizedTPV]) -> dict[str, int]:
+    """Each profile's topic label: the argmax of its nTPV, ties to the
+    lowest topic index."""
+    return {profile_id: int(np.argmax(ntpvs[profile_id].ntpv)) for profile_id in sorted(ntpvs)}
 
 
 def toxicity_threshold(
-    aggregates: dict[int, TopicAggregate],
+    aggregates: dict[int, dict],
     tox_gate: tuple[str, float] = ("percentile", DEFAULT_TOX_PERCENTILE),
 ) -> float:
     """Resolve the toxicity gate to an absolute threshold.
@@ -143,7 +101,7 @@ def toxicity_threshold(
         return float(value)
     if kind != "percentile":
         raise ValueError(f"unknown toxicity gate {kind!r}")
-    medians = [a.median_toxicity for a in aggregates.values() if a.median_toxicity is not None]
+    medians = [a["median_toxicity"] for a in aggregates.values() if a["median_toxicity"] is not None]
     if not medians:
         raise ValueError("no topic has a median toxicity; cannot derive a percentile gate")
     return float(np.percentile(medians, value))
@@ -159,10 +117,9 @@ def top3_gap(weights: np.ndarray) -> tuple[float, float] | None:
     return float(top[0] - top[1]), float(top[1] - top[2])
 
 
-def overlap_evidence(
-    members: list[str], metadata: dict[str, ProfileMetadata | None]
-) -> OverlapEvidence:
-    """Friendship and retweet overlap within a cluster.
+def overlap_evidence(members: list[str], metadata: dict[str, ProfileMetadata | None]) -> dict:
+    """Friendship and retweet overlap within a cluster, as the
+    "friend_overlap" and "shared_retweet_ratio" keys of its row.
 
     friend_overlap is the fraction of member pairs connected as friends
     (either direction); shared_retweet_ratio is the fraction of members
@@ -206,23 +163,25 @@ def overlap_evidence(
                 sharing += 1
         shared_retweet_ratio = sharing / len(members)
 
-    return OverlapEvidence(friend_overlap, shared_retweet_ratio)
+    return {"friend_overlap": friend_overlap, "shared_retweet_ratio": shared_retweet_ratio}
 
 
 def detect_clusters(
     group: list[str],
-    labels: dict[str, TopicLabelAssignment],
-    aggregates: dict[int, TopicAggregate],
+    labels: dict[str, int],
+    aggregates: dict[int, dict],
     min_cluster: int = DEFAULT_MIN_CLUSTER,
     tox_gate: tuple[str, float] = ("percentile", DEFAULT_TOX_PERCENTILE),
     metadata: dict[str, ProfileMetadata | None] | None = None,
     ntpvs: dict[str, NormalizedTPV] | None = None,
-) -> tuple[list[Cluster], dict[str, MissionDesignation]]:
+) -> tuple[list[dict], dict[str, MissionDesignation]]:
     """Group profiles by shared topic label and designate on-mission members.
 
     A cluster is on-mission when it has at least min_cluster members and
     its label topic's median toxicity clears the gate; every profile in
-    the group receives exactly one designation.
+    the group receives exactly one designation. Clusters come as rows
+    ("cluster_id", "topic_label", "size", "topic_median_toxicity",
+    "on_mission" and the overlap_evidence keys), largest first.
     """
     if not group:
         raise ValueError("empty profile group")
@@ -232,24 +191,25 @@ def detect_clusters(
     for profile_id in sorted(group):
         if profile_id not in labels:
             raise KeyError(f"profile {profile_id} has no topic label")
-        by_label.setdefault(labels[profile_id].topic_label, []).append(profile_id)
+        by_label.setdefault(labels[profile_id], []).append(profile_id)
 
-    clusters: list[Cluster] = []
+    clusters: list[dict] = []
     designations: dict[str, MissionDesignation] = {}
     ordered = sorted(by_label.items(), key=lambda kv: (-len(kv[1]), kv[0]))
     for topic_label, members in ordered:
-        tox = aggregates[topic_label].median_toxicity if topic_label in aggregates else None
+        tox = aggregates[topic_label]["median_toxicity"] if topic_label in aggregates else None
         on_mission = len(members) >= min_cluster and tox is not None and tox >= threshold
-        cluster = Cluster(
-            cluster_id=f"t{topic_label}",
-            topic_label=topic_label,
-            members=members,
-            topic_median_toxicity=tox,
-            on_mission=on_mission,
-        )
-        if metadata is not None:
-            cluster.overlap = overlap_evidence(members, metadata)
-        clusters.append(cluster)
+        # without metadata no member carries friends or retweets: both keys are None
+        overlap = overlap_evidence(members, metadata or {})
+        cluster_id = f"t{topic_label}"
+        clusters.append({
+            "cluster_id": cluster_id,
+            "topic_label": topic_label,
+            "size": len(members),
+            "topic_median_toxicity": tox,
+            "on_mission": on_mission,
+            **overlap,
+        })
         for profile_id in members:
             gaps = None
             if ntpvs is not None and profile_id in ntpvs:
@@ -257,12 +217,11 @@ def detect_clusters(
             designations[profile_id] = MissionDesignation(
                 profile_id=profile_id,
                 label=ON_MISSION if on_mission else NOT_ON_MISSION,
-                cluster_id=cluster.cluster_id,
+                cluster_id=cluster_id,
                 evidence={
                     "cluster_size": len(members),
                     "topic_median_tox": tox,
-                    "friend_overlap": cluster.overlap.friend_overlap if cluster.overlap else None,
-                    "shared_retweet_ratio": cluster.overlap.shared_retweet_ratio if cluster.overlap else None,
+                    **overlap,
                     "top3_gaps": list(gaps) if gaps else None,
                 },
             )

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,23 +25,6 @@ _H_TOLERANCE = 1e-9
 
 class DiversityError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class CategoryProbabilityVector:
-    profile_id: str
-    cp: tuple[float, ...]  # indexed like CATEGORIES, sums to 1
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.cp, dtype=float)
-
-
-@dataclass(frozen=True)
-class DiversityProfile:
-    profile_id: str
-    cpv: CategoryProbabilityVector
-    entropy_H: float
-    group: str
 
 
 def category_counts(
@@ -60,20 +42,19 @@ def category_counts(
 
 def category_probability(
     timeline: ProfileTimeline, catalog: TopicCatalog, assignments: dict[str, int]
-) -> CategoryProbabilityVector:
+) -> tuple[float, ...]:
+    """The profile's category probability vector: indexed like CATEGORIES,
+    summing to 1."""
     counts = category_counts(timeline, catalog, assignments)
     total = sum(counts.values())
     if total == 0:
         raise DiversityError(f"profile {timeline.profile_id} has no TPV-covered tweets")
-    return CategoryProbabilityVector(
-        profile_id=timeline.profile_id,
-        cp=tuple(counts[c] / total for c in CATEGORIES),
-    )
+    return tuple(counts[c] / total for c in CATEGORIES)
 
 
-def shannon_entropy(cpv: CategoryProbabilityVector | np.ndarray) -> float:
+def shannon_entropy(cpv) -> float:
     """Natural-log entropy of the category distribution, with 0*ln(0) = 0."""
-    p = cpv.as_array() if isinstance(cpv, CategoryProbabilityVector) else np.asarray(cpv, float)
+    p = np.asarray(cpv, dtype=float)
     nonzero = p[p > 0]
     return float(-(nonzero * np.log(nonzero)).sum())
 
@@ -88,23 +69,22 @@ def assign_group(entropy_H: float) -> str:
 
 def diversity_profile(
     timeline: ProfileTimeline, catalog: TopicCatalog, assignments: dict[str, int]
-) -> DiversityProfile:
+) -> tuple[tuple[float, ...], float]:
+    """The profile's category probability vector and its entropy H."""
     cpv = category_probability(timeline, catalog, assignments)
-    h = shannon_entropy(cpv)
-    return DiversityProfile(
-        profile_id=timeline.profile_id, cpv=cpv, entropy_H=h, group=assign_group(h)
-    )
+    return cpv, shannon_entropy(cpv)
 
 
 def group_partition(
-    profiles: dict[str, DiversityProfile],
+    entropy: dict[str, float],
 ) -> tuple[dict[str, list[str]], list[tuple[str, float]]]:
-    """Disjoint cover of profiles by group, plus sorted (group, H) CDF rows."""
+    """Disjoint cover of profiles by the group of their entropy H, plus
+    sorted (group, H) CDF rows."""
     partition: dict[str, list[str]] = {g: [] for g in GROUP_NAMES}
-    for profile_id in sorted(profiles):
-        partition[profiles[profile_id].group].append(profile_id)
+    for profile_id in sorted(entropy):
+        partition[assign_group(entropy[profile_id])].append(profile_id)
     cdf_rows: list[tuple[str, float]] = []
     for group in GROUP_NAMES:
-        values = sorted(profiles[p].entropy_H for p in partition[group])
+        values = sorted(entropy[p] for p in partition[group])
         cdf_rows.extend((group, h) for h in values)
     return partition, cdf_rows

@@ -72,6 +72,13 @@ _ROW_FEATURES = (
     "hashtags_per_tweet", "total_urls", "unique_urls", "urls_per_tweet",
     "n_tweets", "n_retweets", "n_unique", "burstiness", "median_delta_days",
 )
+# features of profiles with metadata, read from it under the same name,
+# except account age, which the metrics row derives from the creation date
+_METADATA_FEATURES = (
+    "has_location", "description_len", "protected", "followers", "following",
+    "listed", "account_age_days", "favourites", "geo_enabled", "verified",
+    "statuses", "contributors_enabled", "withheld_countries",
+)
 
 
 def catalog_hash() -> str:
@@ -119,27 +126,11 @@ def extract_features(
     for name in _ROW_FEATURES:
         put(name, metric_row[name])
 
-    if metadata is None:
-        for name in (
-            "has_location", "description_len", "protected", "followers", "following",
-            "listed", "account_age_days", "favourites", "geo_enabled", "verified",
-            "statuses", "contributors_enabled", "withheld_countries",
-        ):
+    for name in _METADATA_FEATURES:
+        if metadata is None:
             put(name, None)
-    else:
-        put("has_location", metadata.has_location)
-        put("description_len", metadata.description_len)
-        put("protected", metadata.protected)
-        put("followers", metadata.followers)
-        put("following", metadata.following)
-        put("listed", metadata.listed)
-        put("account_age_days", metric_row["account_age_days"])
-        put("favourites", metadata.favourites)
-        put("geo_enabled", metadata.geo_enabled)
-        put("verified", metadata.verified)
-        put("statuses", metadata.statuses)
-        put("contributors_enabled", metadata.contributors_enabled)
-        put("withheld_countries", metadata.withheld_countries)
+        else:
+            put(name, metric_row[name] if name == "account_age_days" else getattr(metadata, name))
 
     if not np.all(np.isfinite(values)):
         bad = [FEATURE_NAMES[i] for i in np.flatnonzero(~np.isfinite(values))]

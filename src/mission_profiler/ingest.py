@@ -10,10 +10,12 @@ from __future__ import annotations
 import gzip
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from importlib import resources
+from operator import attrgetter
 from pathlib import Path
+from typing import Callable
 
 from .util import canonical_dumps
 
@@ -176,11 +178,6 @@ def _alias_emoji(text: str) -> str:
                 break
     parts.append(text[done:])
     return "".join(parts)
-
-
-def emoji_alias(char: str) -> str | None:
-    """Shortname for a single emoji sequence, or None if unknown."""
-    return _EMOJI_TABLE.get(char)
 
 
 def is_retweet(tweet: Tweet) -> bool:
@@ -381,29 +378,22 @@ def _attach_metadata(profiles: dict[str, ProfileTimeline], path: str | Path, str
             profiles[profile_id] = replace(timeline, metadata=meta)
 
 
-def _tweet_to_dict(t: Tweet) -> dict:
-    return {
-        "tweet_id": t.tweet_id,
-        "profile_id": t.profile_id,
-        "text_raw": t.text_raw,
-        "text_norm": t.text_norm,
-        "timestamp": t.timestamp,
-        "is_retweet": t.is_retweet,
-        "hashtags": list(t.hashtags),
-        "urls": list(t.urls),
-        "mentions_count": t.mentions_count,
-    }
+def _fields_getter(cls) -> Callable[[object], dict]:
+    """obj -> {field name: value} for instances of the dataclass cls. Unlike
+    vars(), it gives no instance a dict of its own to keep for the corpus's
+    lifetime."""
+    names = tuple(f.name for f in fields(cls))
+    values = attrgetter(*names)
+    return lambda obj: dict(zip(names, values(obj)))
 
 
-def _metadata_to_dict(m: ProfileMetadata) -> dict:
-    d = dict(m.__dict__)
-    d["friends_ids"] = list(m.friends_ids) if m.friends_ids is not None else None
-    d["retweeted_ids"] = list(m.retweeted_ids) if m.retweeted_ids is not None else None
-    return d
+_tweet_fields, _metadata_fields = _fields_getter(Tweet), _fields_getter(ProfileMetadata)
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write the versioned binary corpus cache (gzip-compressed JSON)."""
+    """Write the versioned binary corpus cache (gzip-compressed JSON).
+    Tweets and metadata are written field by field; their tuples encode as
+    JSON arrays."""
     payload = {
         "format": CORPUS_CACHE_FORMAT,
         "version": CORPUS_CACHE_VERSION,
@@ -411,8 +401,8 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
         "profiles": [
             {
                 "profile_id": pid,
-                "tweets": [_tweet_to_dict(t) for t in tl.tweets],
-                "metadata": _metadata_to_dict(tl.metadata) if tl.metadata else None,
+                "tweets": [_tweet_fields(t) for t in tl.tweets],
+                "metadata": _metadata_fields(tl.metadata) if tl.metadata else None,
             }
             for pid, tl in sorted(corpus.profiles.items())
         ],
@@ -434,14 +424,8 @@ def load_corpus(path: str | Path) -> Corpus:
     profiles = {}
     for entry in payload["profiles"]:
         meta = entry.get("metadata")
-        if meta is not None:
-            meta = ProfileMetadata(
-                **{
-                    **meta,
-                    "friends_ids": tuple(meta["friends_ids"]) if meta.get("friends_ids") is not None else None,
-                    "retweeted_ids": tuple(meta["retweeted_ids"]) if meta.get("retweeted_ids") is not None else None,
-                }
-            )
+        if meta is not None:  # its JSON arrays are the id tuples
+            meta = ProfileMetadata(**{k: tuple(v) if isinstance(v, list) else v for k, v in meta.items()})
         tweets = tuple(
             Tweet(**{**t, "hashtags": tuple(t["hashtags"]), "urls": tuple(t["urls"])})
             for t in entry["tweets"]

@@ -26,6 +26,7 @@ import json
 import math
 import os
 import warnings
+from collections import Counter
 from dataclasses import dataclass, fields
 from functools import partial, partialmethod
 from pathlib import Path
@@ -184,17 +185,22 @@ def topic_vectors(
 
 def corpus_topic_aggregates(
     corpus: Corpus, tpvs: dict[str, np.ndarray], cache: scores.ScoreCache, K: int, warn: Warn,
-) -> dict[int, topics.TopicAggregate]:
-    """Per-topic tweet counts and median toxicity over the corpus's own
-    tweets; vectors of tweets outside the corpus are left out."""
-    known_ids = {t.tweet_id for t in corpus.all_tweets()}
-    orphans = sum(1 for tid in tpvs if tid not in known_ids)
-    if orphans:
-        warn(f"{orphans} topic vectors reference unknown tweets")
-    if not any(tid in tpvs for tid in known_ids):
+) -> dict[int, dict]:
+    """The aggregates.json rows by topic: tweet counts and median toxicity
+    over the corpus's own tweets; vectors of tweets outside the corpus are
+    left out."""
+    own = _corpus_vectors(corpus, tpvs)
+    if len(own) < len(tpvs):
+        warn(f"{len(tpvs) - len(own)} topic vectors reference unknown tweets")
+    if not own:
         warn("no tweet in the corpus has a topic vector")
-    assignments = topics.assign_dominant_topics({k: v for k, v in tpvs.items() if k in known_ids})
-    return topics.topic_aggregates(assignments, cache, K)
+    return topics.topic_aggregates(topics.assign_dominant_topics(own), cache, K)
+
+
+def _corpus_vectors(corpus: Corpus, tpvs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The vectors of the corpus's own tweets, in the order of tpvs."""
+    known_ids = {t.tweet_id for t in corpus.all_tweets()}
+    return {tid: v for tid, v in tpvs.items() if tid in known_ids}
 
 
 def group_profiles(
@@ -203,24 +209,20 @@ def group_profiles(
     """Entropy groups: the groups.json payload (partition, and entropy and
     category vector per profile) and the sorted (group, H) CDF rows."""
     assignments = topics.assign_dominant_topics(tpvs)
-    profiles: dict[str, diversity.DiversityProfile] = {}
-    uncovered = 0
+    cpv: dict[str, tuple[float, ...]] = {}
+    entropy: dict[str, float] = {}
     for profile_id in sorted(corpus.profiles):
         try:
-            profiles[profile_id] = diversity.diversity_profile(
+            cpv[profile_id], entropy[profile_id] = diversity.diversity_profile(
                 corpus.profiles[profile_id], catalog, assignments
             )
-        except diversity.DiversityError:
-            uncovered += 1
-    if uncovered:
-        warn(f"{uncovered} profiles have no TPV-covered tweets and were left ungrouped")
-    partition, cdf_rows = diversity.group_partition(profiles)
-    groups = {
-        "groups": partition,
-        "entropy": {p: profiles[p].entropy_H for p in sorted(profiles)},
-        "cpv": {p: list(profiles[p].cpv.cp) for p in sorted(profiles)},
-    }
-    return groups, cdf_rows
+        except diversity.DiversityError:  # no TPV-covered tweet
+            continue
+    ungrouped = len(corpus.profiles) - len(cpv)
+    if ungrouped:
+        warn(f"{ungrouped} profiles have no TPV-covered tweets and were left ungrouped")
+    partition, cdf_rows = diversity.group_partition(entropy)
+    return {"groups": partition, "entropy": entropy, "cpv": cpv}, cdf_rows
 
 
 def toxicity_scores(
@@ -278,7 +280,7 @@ def designate(
     corpus: Corpus,
     tpvs: dict[str, np.ndarray],
     catalog: topics.TopicCatalog,
-    aggs: dict[int, topics.TopicAggregate],
+    aggs: dict[int, dict],
     partition: dict[str, list[str]],
     group: str,
     min_cluster: int,
@@ -286,18 +288,20 @@ def designate(
     warn: Warn,
 ) -> dict:
     """On-mission designations and topic clusters within one entropy
-    group: the designations.json payload."""
+    group: the designations.json payload. The global topic average sums
+    the vectors of the corpus's own tweets; vectors of tweets outside the
+    corpus are left out."""
     members = partition.get(group, [])
     payload: dict = {"group": group, "designations": [], "clusters": []}
     if not members:
         warn(f"entropy group {group} is empty; nothing to designate")
         return payload
-    global_avg = detector.global_topic_average(tpvs.values(), len(corpus.profiles))
+    global_avg = detector.global_topic_average(_corpus_vectors(corpus, tpvs).values(), len(corpus.profiles))
     ntpvs = {}
     for profile_id in members:
         vectors = [tpvs[t.tweet_id] for t in corpus.profiles[profile_id].tweets if t.tweet_id in tpvs]
         ntpvs[profile_id] = detector.ntpv(vectors, global_avg, profile_id)
-    labels = detector.assign_topic_labels(ntpvs, catalog, aggs)
+    labels = detector.assign_topic_labels(ntpvs)
     clusters, designations = detector.detect_clusters(
         members, labels, aggs,
         min_cluster=min_cluster,
@@ -306,28 +310,11 @@ def designate(
         ntpvs=ntpvs,
     )
     payload["designations"] = [
-        {
-            "profile_id": d.profile_id,
-            "label": d.label,
-            "cluster_id": d.cluster_id,
-            "evidence": d.evidence,
-            "topic_label": labels[d.profile_id].topic_label,
-            "topic_category": labels[d.profile_id].label_category,
-        }
-        for d in (designations[p] for p in sorted(designations))
+        {**vars(designations[p]), "topic_label": labels[p], "topic_category": catalog.category(labels[p])}
+        for p in sorted(designations)
     ]
     payload["clusters"] = [
-        {
-            "cluster_id": c.cluster_id,
-            "topic_label": c.topic_label,
-            "size": len(c.members),
-            "pct_of_group": 100.0 * len(c.members) / len(members),
-            "topic_median_toxicity": c.topic_median_toxicity,
-            "category": catalog.category(c.topic_label),
-            "on_mission": c.on_mission,
-            "friend_overlap": c.overlap.friend_overlap if c.overlap else None,
-            "shared_retweet_ratio": c.overlap.shared_retweet_ratio if c.overlap else None,
-        }
+        {**c, "pct_of_group": 100.0 * c["size"] / len(members), "category": catalog.category(c["topic_label"])}
         for c in clusters
     ]
     return payload
@@ -628,13 +615,7 @@ def _topics(pipe: Pipeline, a: Inputs, out: Outputs, warn: Warn) -> dict:
     aggs = corpus_topic_aggregates(corpus, tpvs, a["toxicity"].get(), cfg.K, warn)
     topics.save_tpvs(tpvs, out["tpvs"])
     catalog.save(out["catalog"])
-    write_json(out["aggregates"], {
-        "config_hash": pipe.hash,
-        "aggregates": [
-            {"topic": g.topic, "tweet_count": g.tweet_count, "median_toxicity": g.median_toxicity}
-            for g in aggs.values()
-        ],
-    })
+    write_json(out["aggregates"], {"config_hash": pipe.hash, "aggregates": list(aggs.values())})
     # later stages see the vectors as a cached run reads them from tpvs.jsonl
     return {"tpvs": topics.as_saved(tpvs), "catalog": catalog, "aggregates": aggs}
 
@@ -731,7 +712,10 @@ def _report(pipe: Pipeline, a: Inputs, out: Outputs, warn: Warn) -> dict:
         "warnings": pipe.warnings,
     }
     if "bots" in a:
-        report["botometer_table"] = _botometer_table(partition, a["bots"].get())
+        report["botometer_table"] = {
+            group: scores.bot_score_summary(partition[group], a["bots"].get())
+            for group in diversity.GROUP_NAMES[1:] if partition.get(group)
+        }
     write_json(out["report"], report)
     for name, (header, rows) in _plot_tables(partition, group_data, metric_rows, detect_data).items():
         _write_csv(out[f"plots/{name}"], pipe.hash, header, rows)
@@ -785,14 +769,9 @@ def _plot_tables(partition, group_data, metric_rows, detect_data) -> dict[str, t
             rows.extend((group, repr(float(v))) for v in values)
         tables[name] = (["group", "value"], rows)
 
-    hist_rows = []
-    for group in diversity.GROUP_NAMES:
-        agg: dict[int, int] = {}
-        for p in members[group]:
-            for gap, count in by_id[p]["delta_days_hist"].items():
-                agg[int(gap)] = agg.get(int(gap), 0) + count
-        hist_rows.extend((group, gap, count) for gap, count in sorted(agg.items()))
-    tables["fig_time_delta_hist.csv"] = (["group", "day_gap", "count"], hist_rows)
+    tables["fig_time_delta_hist.csv"] = (["group", "day_gap", "count"], _group_counts(
+        members, lambda p: {int(gap): count for gap, count in by_id[p]["delta_days_hist"].items()}
+    ))
 
     gap_rows = []
     for des in detect_data.get("designations", []):
@@ -801,16 +780,22 @@ def _plot_tables(partition, group_data, metric_rows, detect_data) -> dict[str, t
             gap_rows.append((des["label"], repr(float(gaps[0])), repr(float(gaps[1]))))
     tables["fig_top3_gaps_cdf.csv"] = (["designation", "gap12", "gap23"], sorted(gap_rows))
 
-    year_rows = []
-    for group in diversity.GROUP_NAMES:
-        years: dict[int, int] = {}
-        for p in members[group]:
-            year = by_id[p]["creation_year"]
-            if year is not None:
-                years[year] = years.get(year, 0) + 1
-        year_rows.extend((group, year, count) for year, count in sorted(years.items()))
-    tables["fig_profile_age_bars.csv"] = (["group", "year", "count"], year_rows)
+    tables["fig_profile_age_bars.csv"] = (["group", "year", "count"], _group_counts(
+        members, lambda p: {} if by_id[p]["creation_year"] is None else {by_id[p]["creation_year"]: 1}
+    ))
     return tables
+
+
+def _group_counts(members: dict[str, list[str]], counts_of: Callable[[str], dict]) -> list[tuple]:
+    """(group, key, count) rows, keys ascending within each group: the sum
+    over the group's profiles of counts_of(profile), a {key: count} map."""
+    rows = []
+    for group in diversity.GROUP_NAMES:
+        total: Counter = Counter()
+        for p in members[group]:
+            total.update(counts_of(p))
+        rows.extend((group, key, count) for key, count in sorted(total.items()))
+    return rows
 
 
 def _five_number(values) -> tuple[float, float, float, float, float]:
@@ -822,18 +807,6 @@ def _five_number(values) -> tuple[float, float, float, float, float]:
         float(np.percentile(arr, 75)),
         float(arr.max()),
     )
-
-
-def _load_aggregates(path: Path) -> dict[int, topics.TopicAggregate]:
-    payload = read_json(path)
-    return {
-        int(a["topic"]): topics.TopicAggregate(
-            topic=int(a["topic"]),
-            tweet_count=int(a["tweet_count"]),
-            median_toxicity=a["median_toxicity"],
-        )
-        for a in payload["aggregates"]
-    }
 
 
 def load_labels_csv(path: str) -> dict[str, int]:
@@ -885,50 +858,20 @@ def _lexical_table(partition: dict[str, list[str]], metric_rows: list[dict]) -> 
 
 
 def _profile_table(partition: dict[str, list[str]], corpus: Corpus) -> dict:
+    """Mean metadata counts and the percentage of profiles with each flag,
+    over the group's profiles that have metadata, for groups II..VIII."""
     table: dict[str, dict] = {}
     for group in diversity.GROUP_NAMES[1:]:
         members = partition.get(group, [])
         metas = [corpus.profiles[p].metadata for p in members if corpus.profiles[p].metadata]
+        row = table[group] = {"n_profiles": len(members)}
         if not metas:
-            table[group] = {"n_profiles": len(members)}
             continue
-        n = len(metas)
-        followers = sum(m.followers for m in metas) / n
-        following = sum(m.following for m in metas) / n
-        table[group] = {
-            "n_profiles": len(members),
-            "followers": followers,
-            "following": following,
-            "followers_following_ratio": followers / following if following else None,
-            "listed": sum(m.listed for m in metas) / n,
-            "statuses": sum(m.statuses for m in metas) / n,
-            "favourites": sum(m.favourites for m in metas) / n,
-            "pct_protected": 100.0 * sum(m.protected for m in metas) / n,
-            "pct_verified": 100.0 * sum(m.verified for m in metas) / n,
-            "pct_has_location": 100.0 * sum(m.has_location for m in metas) / n,
-        }
-    return table
-
-
-def _botometer_table(partition: dict[str, list[str]], cache: scores.ScoreCache) -> dict:
-    table: dict[str, dict] = {}
-
-    def clean(value: float) -> float | None:
-        return None if math.isnan(value) else value
-
-    for group in diversity.GROUP_NAMES[1:]:
-        members = partition.get(group, [])
-        if not members:
-            continue
-        summary = scores.bot_score_summary(members, cache)
-        table[group] = {
-            "overall_mean": clean(summary.overall_mean),
-            "overall_std": clean(summary.overall_std),
-            "spammer_mean": clean(summary.spammer_mean),
-            "spammer_std": clean(summary.spammer_std),
-            "n_scored": summary.n_scored,
-            "n_missing": summary.n_missing,
-        }
+        for key in ("followers", "following", "listed", "statuses", "favourites"):
+            row[key] = sum(getattr(m, key) for m in metas) / len(metas)
+        for key in ("protected", "verified", "has_location"):
+            row[f"pct_{key}"] = 100.0 * sum(getattr(m, key) for m in metas) / len(metas)
+        row["followers_following_ratio"] = row["followers"] / row["following"] if row["following"] else None
     return table
 
 
@@ -981,7 +924,7 @@ STAGE_TABLE: dict[str, Stage] = {
         {
             "tpvs": ("tpvs.jsonl", lambda path, cfg: topics.load_tpvs(path, cfg.K)),
             "catalog": ("catalog.tsv", lambda path, cfg: topics.TopicCatalog.load(path)),
-            "aggregates": ("aggregates.json", lambda path, cfg: _load_aggregates(path)),
+            "aggregates": ("aggregates.json", lambda path, cfg: {a["topic"]: a for a in read_json(path)["aggregates"]}),
         },
         _topics,
         files=lambda cfg: {"tpvs": cfg.tpvs, "catalog": cfg.catalog},

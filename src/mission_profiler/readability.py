@@ -83,10 +83,6 @@ def sentence_count(text: str) -> int:
     return max(len(_SENTENCE_RE.findall(text)), 1)
 
 
-def word_tokens(text: str) -> list[str]:
-    return text.split()
-
-
 def letter_count(text: str) -> int:
     """Alphanumeric characters only; punctuation and spaces excluded."""
     if text.isascii():
@@ -105,7 +101,7 @@ class _TextCounts(NamedTuple):
 
 
 def _text_counts(text: str) -> _TextCounts:
-    tokens = word_tokens(text)
+    tokens = text.split()
     if not tokens:
         raise ValueError("empty text")
     syllables = list(map(_syllables, tokens))

@@ -43,16 +43,6 @@ class BotScores:
     spammer: float
 
 
-@dataclass
-class BotScoreSummary:
-    overall_mean: float
-    overall_std: float
-    spammer_mean: float
-    spammer_std: float
-    n_scored: int
-    n_missing: int
-
-
 def _check_unit(value: float, what: str) -> float:
     value = float(value)
     if not (0.0 <= value <= 1.0) or math.isnan(value):
@@ -154,7 +144,9 @@ class HTTPToxicityClient:
     """POSTs one text per request to a remote scorer; returns one score.
 
     Endpoint and auth token come from the environment unless given
-    explicitly. The response may be a bare float or {"score": x}.
+    explicitly. The response may be a bare float or {"score": x}. A 4xx
+    status other than 429 is a ScoreError for that tweet; 429, 5xx and
+    connection errors are BackendUnavailable.
     """
 
     name = "http"
@@ -175,6 +167,11 @@ class HTTPToxicityClient:
         try:
             with urllib.request.urlopen(request, timeout=self.timeout) as resp:
                 payload = resp.read().decode("utf-8")
+        except urllib.error.HTTPError as exc:
+            exc.close()
+            if 400 <= exc.code < 500 and exc.code != 429:
+                raise ScoreError(f"tweet {tweet_id}: {exc}") from exc
+            raise BackendUnavailable(str(exc)) from exc
         except urllib.error.URLError as exc:
             raise BackendUnavailable(str(exc)) from exc
         try:
@@ -343,22 +340,20 @@ def _is_number(s: str) -> bool:
         return False
 
 
-def bot_score_summary(group: Iterable[str], cache: ScoreCache) -> BotScoreSummary:
-    """Mean and population standard deviation of bot scores over a group."""
+def bot_score_summary(group: Iterable[str], cache: ScoreCache) -> dict:
+    """Mean and population standard deviation of bot scores over a group,
+    with the counts of scored and missing profiles: the report's botometer
+    row. Means and deviations are None when no member is scored."""
     group = list(group)
     if not group:
         raise ValueError("empty profile group")
-    overall = [cache.bots[p].overall for p in group if p in cache.bots]
-    spammer = [cache.bots[p].spammer for p in group if p in cache.bots]
-    missing = sum(1 for p in group if p not in cache.bots)
-
-    def mean_std(values: list[float]) -> tuple[float, float]:
-        if not values:
-            return float("nan"), float("nan")
-        m = sum(values) / len(values)
-        var = sum((v - m) ** 2 for v in values) / len(values)
-        return m, math.sqrt(var)
-
-    o_mean, o_std = mean_std(overall)
-    s_mean, s_std = mean_std(spammer)
-    return BotScoreSummary(o_mean, o_std, s_mean, s_std, len(overall), missing)
+    scored = [cache.bots[p] for p in group if p in cache.bots]
+    row = {"n_scored": len(scored), "n_missing": len(group) - len(scored)}
+    for key in ("overall", "spammer"):
+        values = [getattr(b, key) for b in scored]
+        mean = std = None
+        if values:
+            mean = sum(values) / len(values)
+            std = math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
+        row[f"{key}_mean"], row[f"{key}_std"] = mean, std
+    return row

@@ -44,13 +44,6 @@ class CatalogError(ValueError):
 
 
 @dataclass(frozen=True)
-class TopicAggregate:
-    topic: int
-    tweet_count: int
-    median_toxicity: float | None
-
-
-@dataclass(frozen=True)
 class TopicCatalog:
     """Maps each of K topic indices to one of the eight categories."""
 
@@ -176,22 +169,17 @@ def as_saved(tpvs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return dict(zip(ids, matrix / matrix.sum(axis=1, keepdims=True)))
 
 
-def dominant_topic(tpv: np.ndarray) -> int:
-    """Argmax topic index; ties break to the lowest index."""
-    return int(np.argmax(tpv))
-
-
 def assign_dominant_topics(tpvs: dict[str, np.ndarray]) -> dict[str, int]:
-    """dominant_topic of every vector, taken over all of them at once."""
+    """The argmax topic of every vector, taken over all of them at once;
+    ties break to the lowest index."""
     if not tpvs:
         return {}
     return dict(zip(tpvs, np.argmax(np.stack(list(tpvs.values())), axis=1).tolist()))
 
 
-def topic_aggregates(
-    assignments: dict[str, int], cache: ScoreCache, K: int
-) -> dict[int, TopicAggregate]:
-    """Per-topic tweet counts and median toxicity over scored tweets."""
+def topic_aggregates(assignments: dict[str, int], cache: ScoreCache, K: int) -> dict[int, dict]:
+    """Per-topic tweet counts and median toxicity over scored tweets: the
+    aggregates.json rows ("topic", "tweet_count", "median_toxicity"), by topic."""
     by_topic: dict[int, list[float]] = {}
     counts: dict[int, int] = {}
     for tweet_id, topic in assignments.items():
@@ -202,11 +190,11 @@ def topic_aggregates(
     out = {}
     for topic in range(K):
         scores = by_topic.get(topic)
-        out[topic] = TopicAggregate(
-            topic=topic,
-            tweet_count=counts.get(topic, 0),
-            median_toxicity=float(statistics.median(scores)) if scores else None,
-        )
+        out[topic] = {
+            "topic": topic,
+            "tweet_count": counts.get(topic, 0),
+            "median_toxicity": float(statistics.median(scores)) if scores else None,
+        }
     return out
 
 

@@ -450,6 +450,27 @@ def test_stage_commands_match_pipeline_artifacts(run_dir, tmp_path):
         assert (tmp_path / name).read_text() == "".join(lines[1:]), name
 
 
+def test_detect_command_leaves_out_topic_vectors_of_tweets_outside_the_corpus(run_dir, tmp_path):
+    tpvs = run_dir / "topics" / "tpvs.jsonl"
+    with_orphans = tmp_path / "tpvs_with_orphans.jsonl"
+    with_orphans.write_text(tpvs.read_text() + "".join(
+        json.dumps({"tweet_id": f"orphan-{i}", "probs": [0.0] * i + [1.0] + [0.0] * (19 - i)}) + "\n"
+        for i in range(20)
+    ))
+    outputs = []
+    for path in (tpvs, with_orphans):
+        outputs.append(tmp_path / f"{path.stem}.designations.json")
+        result = CliRunner().invoke(main, [
+            "detect", "--corpus", str(run_dir / "ingest" / "corpus.bin"), "--tpv", str(path),
+            "--catalog", str(run_dir / "topics" / "catalog.tsv"),
+            "--toxicity-cache", str(run_dir / "score" / "toxicity_cache.jsonl"),
+            "--groups", str(run_dir / "group" / "groups.json"), "--group", "VII", "--out", str(outputs[-1]),
+        ])
+        assert result.exit_code == 0, result.output
+    assert "20 topic vectors reference unknown tweets" in result.output
+    assert outputs[1].read_bytes() == outputs[0].read_bytes()
+
+
 @pytest.mark.parametrize("gate", ["p150", "p-1", "pnan", "abs:nan", "abs:inf"])
 def test_detect_command_rejects_an_out_of_range_or_non_finite_tox_gate(run_dir, tmp_path, gate):
     out = tmp_path / "designations.json"

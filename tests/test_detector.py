@@ -3,13 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mission_profiler.detector import (
     NOT_ON_MISSION,
     ON_MISSION,
     MissionDesignation,
     NormalizedTPV,
-    TopicLabelAssignment,
     assign_topic_labels,
     detect_clusters,
     fleiss_kappa,
@@ -20,7 +21,6 @@ from mission_profiler.detector import (
     toxicity_threshold,
 )
 from mission_profiler.ingest import ProfileMetadata
-from mission_profiler.topics import TopicAggregate, TopicCatalog
 
 
 # -- global average -----------------------------------------------------------------
@@ -126,33 +126,28 @@ def test_gaps_fewer_than_three_nonzero_is_none():
 
 # -- labels -----------------------------------------------------------------------------
 
+def _agg(topic, tweet_count, median_toxicity):
+    """One aggregates.json row, as topics.topic_aggregates returns it."""
+    return {"topic": topic, "tweet_count": tweet_count, "median_toxicity": median_toxicity}
+
+
 def _aggs(tox_by_topic, K=8):
-    return {
-        t: TopicAggregate(topic=t, tweet_count=10, median_toxicity=tox_by_topic.get(t))
-        for t in range(K)
-    }
+    return {t: _agg(t, 10, tox_by_topic.get(t)) for t in range(K)}
 
 
 def test_assign_labels():
-    catalog = TopicCatalog.demo(8)
     ntpvs = {
         "a": NormalizedTPV("a", np.array([0.1, 2.0, 0.3, 0, 0, 0, 0, 0])),
         "b": NormalizedTPV("b", np.array([1.5, 1.5, 0, 0, 0, 0, 0, 0])),
     }
-    labels = assign_topic_labels(ntpvs, catalog, _aggs({1: 0.5}))
-    assert labels["a"].topic_label == 1
-    assert labels["a"].label_median_toxicity == 0.5
-    assert labels["b"].topic_label == 0  # tie -> lowest index
+    assert assign_topic_labels(ntpvs) == {"a": 1, "b": 0}  # tie -> lowest index
 
 
 # -- cluster designation ------------------------------------------------------------------
 
 def _label_map(assignments):
-    catalog = TopicCatalog.demo(200)
-    return {
-        pid: TopicLabelAssignment(pid, topic, catalog.category(topic), None)
-        for pid, topic in assignments.items()
-    }
+    """Topic labels as assign_topic_labels returns them: {profile_id: topic}."""
+    return dict(assignments)
 
 
 def _skewed_cluster_fixture():
@@ -186,10 +181,7 @@ def _skewed_cluster_fixture():
     tox = {54: 0.150, 47: 0.148, 190: 0.146}
     for t in set(assignments.values()) - {54, 47, 190}:
         tox[t] = 0.08 + (t % 10) * 0.001  # 0.080..0.089
-    aggs = {
-        t: TopicAggregate(topic=t, tweet_count=5, median_toxicity=tox[t])
-        for t in sorted(set(assignments.values()))
-    }
+    aggs = {t: _agg(t, 5, tox[t]) for t in sorted(set(assignments.values()))}
     return assignments, aggs
 
 
@@ -201,13 +193,31 @@ def test_skewed_cluster_fixture_yields_96_on_mission():
     not_on = [p for p, d in designations.items() if d.label == NOT_ON_MISSION]
     assert len(on) == 96
     assert len(not_on) == 72
-    sizes = sorted((len(c.members) for c in clusters if c.on_mission), reverse=True)
+    sizes = sorted((c["size"] for c in clusters if c["on_mission"]), reverse=True)
     assert sizes == [62, 26, 8]
+
+
+def test_cluster_rows_carry_the_designation_file_keys():
+    assignments = {"a": 4, "b": 4, "c": 4, "d": 1}
+    metadata = {"a": _meta(friends=["b"]), "b": _meta(), "c": _meta(), "d": _meta()}
+    clusters, designations = detect_clusters(
+        sorted(assignments), _label_map(assignments), _aggs({4: 0.9, 1: 0.1}), metadata=metadata,
+    )
+    assert clusters == [
+        {"cluster_id": "t4", "topic_label": 4, "size": 3, "topic_median_toxicity": 0.9, "on_mission": True,
+         "friend_overlap": 0.5, "shared_retweet_ratio": None},
+        {"cluster_id": "t1", "topic_label": 1, "size": 1, "topic_median_toxicity": 0.1, "on_mission": False,
+         "friend_overlap": None, "shared_retweet_ratio": None},
+    ]
+    assert designations["a"].evidence == {
+        "cluster_size": 3, "topic_median_tox": 0.9, "friend_overlap": 0.5, "shared_retweet_ratio": None,
+        "top3_gaps": None,
+    }
 
 
 def test_all_singletons_zero_on_mission():
     assignments = {f"p{i}": i for i in range(10)}
-    aggs = {i: TopicAggregate(i, 1, 0.9) for i in range(10)}
+    aggs = {i: _agg(i, 1, 0.9) for i in range(10)}
     _, designations = detect_clusters(sorted(assignments), _label_map(assignments), aggs)
     assert all(d.label == NOT_ON_MISSION for d in designations.values())
 
@@ -224,7 +234,7 @@ def test_low_toxicity_cluster_gated_out():
 def test_every_profile_designated_exactly_once():
     rng = random.Random(12)
     assignments = {f"p{i}": rng.randint(0, 20) for i in range(300)}
-    aggs = {t: TopicAggregate(t, 3, rng.random()) for t in range(21)}
+    aggs = {t: _agg(t, 3, rng.random()) for t in range(21)}
     _, designations = detect_clusters(sorted(assignments), _label_map(assignments), aggs)
     assert sorted(designations) == sorted(assignments)
 
@@ -232,7 +242,7 @@ def test_every_profile_designated_exactly_once():
 def test_on_mission_count_monotone_in_thresholds():
     rng = random.Random(13)
     assignments = {f"p{i}": rng.randint(0, 12) for i in range(200)}
-    aggs = {t: TopicAggregate(t, 3, rng.random()) for t in range(13)}
+    aggs = {t: _agg(t, 3, rng.random()) for t in range(13)}
     labels = _label_map(assignments)
     group = sorted(assignments)
 
@@ -250,9 +260,32 @@ def test_on_mission_count_monotone_in_thresholds():
 
 
 def test_percentile_gate():
-    aggs = {t: TopicAggregate(t, 1, 0.1 * t) for t in range(11)}  # 0.0 .. 1.0
+    aggs = {t: _agg(t, 1, 0.1 * t) for t in range(11)}  # 0.0 .. 1.0
     assert toxicity_threshold(aggs, ("percentile", 75.0)) == pytest.approx(0.75)
     assert toxicity_threshold(aggs, ("absolute", 0.33)) == 0.33
+
+
+def _linear_percentile(values, p):
+    """The p-th percentile, interpolating linearly between the two closest
+    ranks of the sorted values (numpy's default method)."""
+    xs = sorted(values)
+    rank = p / 100 * (len(xs) - 1)
+    lo = int(rank)
+    hi = min(lo + 1, len(xs) - 1)
+    return xs[lo] + (xs[hi] - xs[lo]) * (rank - lo)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.none(), st.floats(0.0, 1.0)), min_size=1, max_size=60), st.floats(0.0, 100.0))
+def test_percentile_gate_matches_a_linear_interpolation_oracle(medians, p):
+    aggs = {t: _agg(t, 1, m) for t, m in enumerate(medians)}
+    scored = [m for m in medians if m is not None]  # topics without a median take no part
+    if not scored:
+        with pytest.raises(ValueError, match="no topic has a median toxicity"):
+            toxicity_threshold(aggs, ("percentile", p))
+        return
+    expected = _linear_percentile(scored, p)
+    assert toxicity_threshold(aggs, ("percentile", p)) == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
 def test_empty_group_raises():
@@ -276,14 +309,14 @@ def test_all_pairwise_friends():
         "c": _meta(friends=["a", "b"]),
     }
     ev = overlap_evidence(["a", "b", "c"], metadata)
-    assert ev.friend_overlap == pytest.approx(1.0)
+    assert ev["friend_overlap"] == pytest.approx(1.0)
 
 
 def test_no_friend_data_is_null():
     metadata = {"a": _meta(), "b": _meta()}
     ev = overlap_evidence(["a", "b"], metadata)
-    assert ev.friend_overlap is None
-    assert ev.shared_retweet_ratio is None
+    assert ev["friend_overlap"] is None
+    assert ev["shared_retweet_ratio"] is None
 
 
 def test_two_of_four_share_a_retweet():
@@ -294,13 +327,13 @@ def test_two_of_four_share_a_retweet():
         "d": _meta(retweets=[]),
     }
     ev = overlap_evidence(["a", "b", "c", "d"], metadata)
-    assert ev.shared_retweet_ratio == pytest.approx(0.5)
+    assert ev["shared_retweet_ratio"] == pytest.approx(0.5)
 
 
 def test_one_sided_friend_listing_counts():
     metadata = {"a": _meta(friends=["b"]), "b": _meta(friends=[])}
     ev = overlap_evidence(["a", "b"], metadata)
-    assert ev.friend_overlap == pytest.approx(1.0)
+    assert ev["friend_overlap"] == pytest.approx(1.0)
 
 
 # -- fleiss kappa --------------------------------------------------------------------------

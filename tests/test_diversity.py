@@ -11,7 +11,6 @@ from mission_profiler.diversity import (
     GROUP_BOUNDARIES,
     GROUP_NAMES,
     MAX_ENTROPY,
-    CategoryProbabilityVector,
     DiversityError,
     assign_group,
     category_probability,
@@ -22,10 +21,6 @@ from mission_profiler.diversity import (
 from mission_profiler.topics import CATEGORIES, TopicCatalog
 
 from conftest import make_timeline
-
-
-def _cpv(values):
-    return CategoryProbabilityVector(profile_id="p", cp=tuple(values))
 
 
 # -- category probability ---------------------------------------------------------
@@ -43,24 +38,24 @@ def test_cpv_fractions():
     everyday = CATEGORIES.index("everyday")
     tl, assignments = _timeline_with_topics("p", [politics] * 4 + [everyday] * 6)
     cpv = category_probability(tl, catalog, assignments)
-    assert cpv.cp[politics] == pytest.approx(0.4)
-    assert cpv.cp[everyday] == pytest.approx(0.6)
-    assert sum(cpv.cp) == pytest.approx(1.0)
+    assert cpv[politics] == pytest.approx(0.4)
+    assert cpv[everyday] == pytest.approx(0.6)
+    assert sum(cpv) == pytest.approx(1.0)
 
 
 def test_cpv_one_hot():
     catalog = TopicCatalog.demo(8)
     tl, assignments = _timeline_with_topics("p", [2] * 5)
     cpv = category_probability(tl, catalog, assignments)
-    assert cpv.cp[2] == 1.0
-    assert sum(cpv.cp) == 1.0
+    assert cpv[2] == 1.0
+    assert sum(cpv) == 1.0
 
 
 def test_cpv_uniform_eight():
     catalog = TopicCatalog.demo(8)
     tl, assignments = _timeline_with_topics("p", list(range(8)))
     cpv = category_probability(tl, catalog, assignments)
-    assert all(v == pytest.approx(0.125) for v in cpv.cp)
+    assert all(v == pytest.approx(0.125) for v in cpv)
 
 
 def test_cpv_no_covered_tweets_raises():
@@ -75,22 +70,22 @@ def test_cpv_ignores_uncovered_tweets():
     tl, assignments = _timeline_with_topics("p", [1] * 4)
     partial = {k: v for k, v in list(assignments.items())[:2]}
     cpv = category_probability(tl, catalog, partial)
-    assert cpv.cp[1] == 1.0
+    assert cpv[1] == 1.0
 
 
 # -- entropy ------------------------------------------------------------------------
 
 def test_entropy_two_equal_categories():
-    h = shannon_entropy(_cpv([0.5, 0.5, 0, 0, 0, 0, 0, 0]))
+    h = shannon_entropy([0.5, 0.5, 0, 0, 0, 0, 0, 0])
     assert h == pytest.approx(0.6931, abs=1e-4)  # ln 2
 
 
 def test_entropy_one_hot_zero():
-    assert shannon_entropy(_cpv([1, 0, 0, 0, 0, 0, 0, 0])) == 0.0
+    assert shannon_entropy([1, 0, 0, 0, 0, 0, 0, 0]) == 0.0
 
 
 def test_entropy_uniform_four():
-    h = shannon_entropy(_cpv([0.25] * 4 + [0] * 4))
+    h = shannon_entropy([0.25] * 4 + [0] * 4)
     assert h == pytest.approx(math.log(4), abs=1e-12)
 
 
@@ -102,7 +97,7 @@ def test_entropy_permutation_invariant():
         p = [x / total for x in p]
         shuffled = p[:]
         rng.shuffle(shuffled)
-        assert shannon_entropy(_cpv(p)) == pytest.approx(shannon_entropy(_cpv(shuffled)), abs=1e-12)
+        assert shannon_entropy(p) == pytest.approx(shannon_entropy(shuffled), abs=1e-12)
 
 
 def test_entropy_bounded_by_support_size():
@@ -112,7 +107,7 @@ def test_entropy_bounded_by_support_size():
         p = [rng.random() for _ in range(k)] + [0.0] * (8 - k)
         total = sum(p)
         p = [x / total for x in p]
-        assert shannon_entropy(_cpv(p)) <= math.log(k) + 1e-12
+        assert shannon_entropy(p) <= math.log(k) + 1e-12
 
 
 @given(st.lists(st.integers(min_value=0, max_value=50), min_size=8, max_size=8).filter(any))
@@ -169,26 +164,13 @@ def test_assign_group_matches_linear_scan():
 
 # -- partition ----------------------------------------------------------------------
 
-def _profile(pid, h):
-    # entropy value h realized as a two-point distribution is not needed;
-    # build the dataclass directly for partition tests
-    from mission_profiler.diversity import DiversityProfile
-
-    return DiversityProfile(
-        profile_id=pid,
-        cpv=_cpv([1, 0, 0, 0, 0, 0, 0, 0]),
-        entropy_H=h,
-        group=assign_group(h),
-    )
-
-
 def test_partition_example():
-    profiles = {
-        "a": _profile("a", 0.0),
-        "b": _profile("b", 0.69),
-        "c": _profile("c", 2.0),  # below ln 7.5 = 2.0149
+    entropy = {
+        "a": 0.0,
+        "b": 0.69,
+        "c": 2.0,  # below ln 7.5 = 2.0149
     }
-    partition, cdf = group_partition(profiles)
+    partition, cdf = group_partition(entropy)
     assert partition["I"] == ["a"]
     assert partition["II"] == ["b"]
     assert partition["VII"] == ["c"]
@@ -202,16 +184,12 @@ def test_partition_empty():
 
 def test_partition_covers_everything():
     rng = random.Random(77)
-    profiles = {}
+    entropy = {}
     for i in range(10_000):
         p = [rng.random() for _ in range(8)]
         total = sum(p)
-        cpv = _cpv([x / total for x in p])
-        h = shannon_entropy(cpv)
-        from mission_profiler.diversity import DiversityProfile
-
-        profiles[f"p{i}"] = DiversityProfile(f"p{i}", cpv, h, assign_group(h))
-    partition, cdf = group_partition(profiles)
+        entropy[f"p{i}"] = shannon_entropy([x / total for x in p])
+    partition, cdf = group_partition(entropy)
     sizes = [len(v) for v in partition.values()]
     assert sum(sizes) == 10_000
     all_ids = [pid for group in partition.values() for pid in group]
@@ -228,6 +206,7 @@ def test_partition_covers_everything():
 def test_diversity_profile_end_to_end():
     catalog = TopicCatalog.demo(8)
     tl, assignments = _timeline_with_topics("p", list(range(8)))
-    profile = diversity_profile(tl, catalog, assignments)
-    assert profile.group == "VIII"
-    assert profile.entropy_H == pytest.approx(math.log(8), abs=1e-12)
+    cpv, h = diversity_profile(tl, catalog, assignments)
+    assert cpv == (0.125,) * 8
+    assert assign_group(h) == "VIII"
+    assert h == pytest.approx(math.log(8), abs=1e-12)

@@ -11,7 +11,6 @@ from mission_profiler import ingest
 from mission_profiler.ingest import (
     _EMOJI_TABLE,
     IngestError,
-    emoji_alias,
     load_corpus,
     load_timelines,
     normalize_tweet,
@@ -35,7 +34,7 @@ def test_empty_string():
 
 def test_emoji_alias_from_table():
     # the bundled table maps U+1F525 to "fire"
-    assert emoji_alias("\U0001F525") == "fire"
+    assert normalize_tweet("\U0001F525") == ":fire:"
     assert normalize_tweet("go \U0001F525 now") == "go :fire: now"
 
 

@@ -131,6 +131,26 @@ def test_artifacts_do_not_depend_on_the_line_order_of_the_inputs(tmp_path):
         assert reordered[rel] == original[rel], rel
 
 
+def _append_orphan_vectors(path, n=40, K=20):
+    """Add n topic vectors for tweet ids that no corpus holds."""
+    rng = random.Random(3)
+    with open(path, "a", encoding="utf-8") as fh:
+        for i in range(n):
+            probs = [rng.random() for _ in range(K)]
+            fh.write(json.dumps({"tweet_id": f"orphan-{i}", "probs": [p / sum(probs) for p in probs]}) + "\n")
+
+
+def test_topic_vectors_of_tweets_outside_the_corpus_leave_the_designations_unchanged(tmp_path):
+    paths = _small_bundle(tmp_path)
+    config = _config(paths)
+    run_pipeline(config, tmp_path / "run")
+    _append_orphan_vectors(paths["tpvs"])  # same path, so the same config hash
+    with pytest.warns(UserWarning, match="40 topic vectors reference unknown tweets"):
+        run_pipeline(config, tmp_path / "with_orphans")
+    for name in ("topics/aggregates.json", "group/groups.json", "detect/designations.json"):
+        assert (tmp_path / "with_orphans" / name).read_bytes() == (tmp_path / "run" / name).read_bytes(), name
+
+
 def test_stale_cache_aborts(tmp_path):
     paths = _small_bundle(tmp_path)
     out = tmp_path / "run"
@@ -426,6 +446,20 @@ def test_outputs_embed_config_hash(tmp_path):
     assert model["config_hash"] == h
     first_line = (out / "report" / "plots" / "fig_entropy_cdf.csv").read_text().splitlines()[0]
     assert h in first_line
+
+
+# -- the benchmark's hook points ---------------------------------------------------------
+
+def test_the_benchmark_tracer_finds_every_function_it_wraps():
+    """perfbench/tracer.py wraps module-level functions and Pipeline methods
+    by name; a renamed one fails its install."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "perfbench")])}
+    result = subprocess.run(
+        [sys.executable, "-c", "import tracer; tracer.install(tracer.Recorder())"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 # -- in-memory hand-off ----------------------------------------------------------------

@@ -210,17 +210,17 @@ def test_bot_summary_mean_std():
     cache.put_bots("a", 0.2, 0.2)
     cache.put_bots("b", 0.4, 0.4)
     s = bot_score_summary(["a", "b"], cache)
-    assert s.overall_mean == pytest.approx(0.3)
-    assert s.overall_std == pytest.approx(0.1)  # population std
-    assert s.n_missing == 0
+    assert s["overall_mean"] == pytest.approx(0.3)
+    assert s["overall_std"] == pytest.approx(0.1)  # population std
+    assert s["n_missing"] == 0
 
 
 def test_bot_summary_single_profile():
     cache = ScoreCache()
     cache.put_bots("a", 0.7, 0.7)
     s = bot_score_summary(["a"], cache)
-    assert s.overall_mean == pytest.approx(0.7)
-    assert s.overall_std == 0.0
+    assert s["overall_mean"] == pytest.approx(0.7)
+    assert s["overall_std"] == 0.0
 
 
 def test_bot_summary_uniform_random_mean():
@@ -232,7 +232,7 @@ def test_bot_summary_uniform_random_mean():
         cache.put_bots(pid, rng.random(), rng.random())
         ids.append(pid)
     s = bot_score_summary(ids, cache)
-    assert abs(s.overall_mean - 0.5) < 0.03  # 3 sigma of uniform mean over n=1000
+    assert abs(s["overall_mean"] - 0.5) < 0.03  # 3 sigma of uniform mean over n=1000
 
 
 def test_bot_summary_empty_group():
@@ -244,8 +244,16 @@ def test_bot_summary_counts_missing():
     cache = ScoreCache()
     cache.put_bots("a", 0.5, 0.5)
     s = bot_score_summary(["a", "b", "c"], cache)
-    assert s.n_scored == 1
-    assert s.n_missing == 2
+    assert s["n_scored"] == 1
+    assert s["n_missing"] == 2
+
+
+def test_bot_summary_of_a_group_with_no_scored_member_is_none():
+    s = bot_score_summary(["a", "b"], ScoreCache())
+    assert s == {
+        "overall_mean": None, "overall_std": None, "spammer_mean": None, "spammer_std": None,
+        "n_scored": 0, "n_missing": 2,
+    }
 
 
 def test_score_bots_mock():
@@ -288,6 +296,59 @@ def test_http_client_round_trip():
     finally:
         server.shutdown()
         server.server_close()
+
+
+class _Statuses(http.server.BaseHTTPRequestHandler):
+    """Answers `status` to every text, or only to texts ending in `bad_suffix`
+    when one is set; other texts get a score. Records each text it is sent."""
+
+    status = 400
+    bad_suffix = None
+    texts: list = []
+
+    def do_POST(self):
+        text = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["text"]
+        self.texts.append(text)
+        body = json.dumps({"score": 0.25}).encode()
+        if self.bad_suffix is None or text.endswith(self.bad_suffix):
+            body = b"rejected"
+            self.send_response(self.status)
+        else:
+            self.send_response(200)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+def _score_against(handler, **kwargs):
+    server = http.server.HTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        client = HTTPToxicityClient(url=f"http://127.0.0.1:{server.server_port}/")
+        return score_toxicity(_corpus(n_profiles=1, tweets_each=5), client, backoff_base=0.0, **kwargs)
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_http_client_lists_a_tweet_the_scorer_rejects_with_a_4xx_as_missing():
+    handler = type("Rejects400", (_Statuses,), {"status": 400, "bad_suffix": "2", "texts": []})
+    cache = _score_against(handler, max_retries=1)
+    assert sorted(cache.toxicity) == ["p0-0", "p0-1", "p0-3", "p0-4"]
+    assert cache.missing == {"p0-2"}
+    assert handler.texts.count("tweet 0 2") == 2  # tried, then retried once
+
+
+@pytest.mark.parametrize("status", [429, 500, 503])
+def test_http_client_treats_429_and_5xx_as_an_unavailable_backend(status):
+    handler = type(f"Answers{status}", (_Statuses,), {"status": status, "texts": []})
+    with pytest.raises(BackendUnavailable, match=str(status)):
+        _score_against(handler)
+    assert len(handler.texts) == 1  # the first answer stops the run
 
 
 def test_http_client_requires_url(monkeypatch):

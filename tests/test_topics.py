@@ -17,7 +17,6 @@ from mission_profiler.topics import (
     as_saved,
     assign_dominant_topics,
     baseline_topic_assigner,
-    dominant_topic,
     load_tpvs,
     save_tpvs,
     topic_aggregates,
@@ -97,16 +96,20 @@ def test_as_saved_equals_the_saved_file_read_back(tmp_path):
 
 # -- dominant topic --------------------------------------------------------------
 
+def _dominant(v):
+    return assign_dominant_topics({"t": v})["t"]
+
+
 def test_dominant_argmax():
-    assert dominant_topic(np.array([0.1, 0.7, 0.2])) == 1
+    assert _dominant(np.array([0.1, 0.7, 0.2])) == 1
 
 
 def test_dominant_tie_lowest_index():
-    assert dominant_topic(np.array([0.5, 0.5])) == 0
+    assert _dominant(np.array([0.5, 0.5])) == 0
 
 
 def test_dominant_uniform_k200():
-    assert dominant_topic(np.full(200, 1 / 200)) == 0
+    assert _dominant(np.full(200, 1 / 200)) == 0
 
 
 def test_dominant_invariant_under_rescaling():
@@ -114,7 +117,7 @@ def test_dominant_invariant_under_rescaling():
     for _ in range(200):
         v = rng.dirichlet(np.ones(16))
         c = rng.uniform(0.1, 50.0)
-        assert dominant_topic(v) == dominant_topic(v * c)
+        assert _dominant(v) == _dominant(v * c)
 
 
 # -- the matrix paths against the row-at-a-time code they replaced ---------------------
@@ -323,17 +326,17 @@ def _cache(scores):
 def test_topic_median_odd():
     assignments = {"a": 3, "b": 3, "c": 3}
     cache = _cache({"a": 0.1, "b": 0.15, "c": 0.2})
-    assert topic_aggregates(assignments, cache, 5)[3].median_toxicity == pytest.approx(0.15)
+    assert topic_aggregates(assignments, cache, 5)[3]["median_toxicity"] == pytest.approx(0.15)
 
 
 def test_topic_median_even():
     assignments = {"a": 1, "b": 1}
     cache = _cache({"a": 0.1, "b": 0.2})
-    assert topic_aggregates(assignments, cache, 5)[1].median_toxicity == pytest.approx(0.15)
+    assert topic_aggregates(assignments, cache, 5)[1]["median_toxicity"] == pytest.approx(0.15)
 
 
 def test_topic_median_empty_is_none():
-    assert topic_aggregates({"a": 3}, _cache({"a": 0.5}), 8)[7].median_toxicity is None
+    assert topic_aggregates({"a": 3}, _cache({"a": 0.5}), 8)[7]["median_toxicity"] is None
 
 
 def test_aggregate_counts_sum_to_assigned():
@@ -341,9 +344,16 @@ def test_aggregate_counts_sum_to_assigned():
     assignments = {f"t{i}": int(rng.integers(0, 6)) for i in range(500)}
     cache = _cache({f"t{i}": float(rng.random()) for i in range(500)})
     aggs = topic_aggregates(assignments, cache, K=6)
-    assert sum(a.tweet_count for a in aggs.values()) == 500
+    assert sum(a["tweet_count"] for a in aggs.values()) == 500
     unscored = topic_aggregates({"x": 2}, ScoreCache(), K=6)
-    assert unscored[2].median_toxicity is None  # null iff no scored tweets
+    assert unscored[2]["median_toxicity"] is None  # null iff no scored tweets
+
+
+def test_aggregates_are_the_rows_of_aggregates_json():
+    aggs = topic_aggregates({"a": 1, "b": 1, "c": 0}, _cache({"a": 0.25}), K=3)
+    assert list(aggs) == [0, 1, 2]
+    assert aggs[1] == {"topic": 1, "tweet_count": 2, "median_toxicity": 0.25}
+    assert aggs[2] == {"topic": 2, "tweet_count": 0, "median_toxicity": None}
 
 
 # -- catalog ------------------------------------------------------------------------
