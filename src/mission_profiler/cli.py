@@ -127,8 +127,7 @@ def group(corpus_path, tpv_path, catalog_path, k_topics, out, cdf_csv) -> None:
     """Assign profiles to entropy groups and export the partition."""
     try:
         corpus = load_corpus(corpus_path)
-        catalog = topics.TopicCatalog.load(catalog_path) if catalog_path else topics.TopicCatalog.demo(k_topics)
-        tpvs = topics.load_tpvs(tpv_path, catalog.K)
+        tpvs, catalog = topic_vectors(k_topics, 0, tpv_path, catalog_path)  # a seed only for the baseline
         groups, cdf_rows = group_profiles(corpus, catalog, tpvs, _warn)
     except Exception as exc:
         _fail("group", exc)
@@ -176,9 +175,8 @@ def detect(corpus_path, tpv_path, catalog_path, toxicity_cache, groups_path,
     """Designate on-mission profiles within one entropy group."""
     try:
         corpus = load_corpus(corpus_path)
-        catalog = topics.TopicCatalog.load(catalog_path) if catalog_path else topics.TopicCatalog.demo(k_topics)
-        tpvs = topics.load_tpvs(tpv_path, catalog.K)
-        aggs = corpus_topic_aggregates(corpus, tpvs, scores.ScoreCache.load(toxicity_cache), catalog.K, _warn)
+        tpvs, catalog = topic_vectors(k_topics, 0, tpv_path, catalog_path)
+        aggs = corpus_topic_aggregates(corpus, tpvs, scores.ScoreCache.load(toxicity_cache), k_topics, _warn)
         partition = read_json(groups_path)["groups"]
         payload = designate(
             corpus, tpvs, catalog, aggs, partition, group_name, min_cluster, tox_gate, _warn

@@ -257,13 +257,15 @@ def toxicity_scores(
 
 
 def bot_scores(corpus: Corpus, backend: str, source: str | None) -> scores.ScoreCache:
-    """Bot scores from one backend: the table at source (`file`), a
-    constant per profile (`mock`), or none."""
+    """Bot scores from one backend: the table at source (`file`), the
+    constants 0.2 overall and 0.1 spammer for every profile (`mock`), or
+    none."""
     if backend == "file":
         return scores.load_score_source(source)
     cache = scores.ScoreCache()
     if backend == "mock":
-        scores.score_bots(corpus, scores.MockBotClient(), cache=cache)
+        for profile_id in corpus.profiles:
+            cache.put_bots(profile_id, 0.2, 0.1, source="mock")
     return cache
 
 
@@ -746,13 +748,10 @@ def _plot_tables(partition, group_data, metric_rows, detect_data) -> dict[str, t
     values for CDFs, five-number summaries for boxplots, binned counts for
     histograms."""
     by_id = {row["profile_id"]: row for row in metric_rows}
-    entropy = group_data["entropy"]
     members = {group: partition.get(group, []) for group in diversity.GROUP_NAMES}
 
-    cdf_rows = []
-    for group in diversity.GROUP_NAMES:
-        cdf_rows.extend((group, repr(v)) for v in sorted(entropy[p] for p in members[group]))
-    tables = {"fig_entropy_cdf.csv": (["group", "H"], cdf_rows)}
+    _, cdf_rows = diversity.group_partition(group_data["entropy"])
+    tables = {"fig_entropy_cdf.csv": (["group", "H"], [(g, repr(h)) for g, h in cdf_rows])}
 
     for name, key in _BOX_PLOTS.items():
         rows = []

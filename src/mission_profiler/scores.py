@@ -1,7 +1,7 @@
-"""Per-tweet toxicity and per-profile bot scores via pluggable clients.
+"""Per-tweet toxicity and per-profile bot scores.
 
-Backends are mock (constant or callable) or HTTP (POST one text, receive
-one score); a precomputed score file loads whole through
+Toxicity comes from a client, a constant mock or HTTP (POST one text,
+receive one score), or from a score file read whole by
 ``load_score_source``. Results persist in a JSONL cache whose save/load
 round-trip is byte-stable; cached entries are never re-fetched.
 """
@@ -16,7 +16,7 @@ import urllib.error
 import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .ingest import Corpus
 from .util import canonical_dumps
@@ -26,6 +26,7 @@ CACHE_VERSION = 1
 
 TOXICITY_URL_ENV = "MISSION_PROFILER_TOXICITY_URL"
 TOXICITY_TOKEN_ENV = "MISSION_PROFILER_TOXICITY_TOKEN"
+HTTP_TIMEOUT_S = 10.0
 
 
 class ScoreError(Exception):
@@ -102,7 +103,7 @@ class ScoreCache:
     def load(cls, path: str | Path) -> "ScoreCache":
         cache = cls()
         with open(path, "r", encoding="utf-8") as fh:
-            header = json.loads(fh.readline())
+            header = _json_object(fh.readline(), path, 1)
             if header.get("format") != CACHE_FORMAT:
                 raise ValueError(f"not a score cache: {path}")
             if header.get("version") != CACHE_VERSION:
@@ -110,7 +111,7 @@ class ScoreCache:
             for lineno, line in enumerate(fh, start=2):
                 if not line.strip():
                     continue
-                row = json.loads(line)
+                row = _json_object(line, path, lineno)
                 kind = row.get("kind")
                 try:
                     if kind == "toxicity":
@@ -126,18 +127,26 @@ class ScoreCache:
         return cache
 
 
+def _json_object(line: str, path: str | Path, lineno: int) -> dict:
+    try:
+        row = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: row {lineno}: bad json: {exc}") from None
+    if not isinstance(row, dict):
+        raise ValueError(f"{path}: row {lineno}: not a JSON object")
+    return row
+
+
 class MockToxicityClient:
-    """Deterministic backend for tests and demos."""
+    """Scores every text with one constant: for tests and demos."""
 
     name = "mock"
 
-    def __init__(self, value: float | Callable[[str, str], float] = 0.5):
-        self._value = value
+    def __init__(self, value: float):
+        self.value = value
 
     def score(self, tweet_id: str, text: str) -> float:
-        if callable(self._value):
-            return self._value(tweet_id, text)
-        return self._value
+        return self.value
 
 
 class HTTPToxicityClient:
@@ -151,10 +160,9 @@ class HTTPToxicityClient:
 
     name = "http"
 
-    def __init__(self, url: str | None = None, token: str | None = None, timeout: float = 10.0):
+    def __init__(self, url: str | None = None, token: str | None = None):
         self.url = url or os.environ.get(TOXICITY_URL_ENV)
         self.token = token if token is not None else os.environ.get(TOXICITY_TOKEN_ENV)
-        self.timeout = timeout
         if not self.url:
             raise BackendUnavailable(f"no endpoint URL; set {TOXICITY_URL_ENV}")
 
@@ -165,7 +173,7 @@ class HTTPToxicityClient:
             headers["Authorization"] = f"Bearer {self.token}"
         request = urllib.request.Request(self.url, data=body, headers=headers)
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
+            with urllib.request.urlopen(request, timeout=HTTP_TIMEOUT_S) as resp:
                 payload = resp.read().decode("utf-8")
         except urllib.error.HTTPError as exc:
             exc.close()
@@ -185,32 +193,6 @@ class HTTPToxicityClient:
         return float(parsed)
 
 
-class MockBotClient:
-    name = "mock"
-
-    def __init__(self, overall: float = 0.2, spammer: float = 0.1):
-        self._overall = overall
-        self._spammer = spammer
-
-    def score(self, profile_id: str) -> tuple[float, float]:
-        return self._overall, self._spammer
-
-
-class _RateLimiter:
-    def __init__(self, rps: float | None):
-        self._interval = 1.0 / rps if rps else 0.0
-        self._last = 0.0
-
-    def wait(self) -> None:
-        if not self._interval:
-            return
-        now = time.monotonic()
-        delta = self._last + self._interval - now
-        if delta > 0:
-            time.sleep(delta)
-        self._last = time.monotonic()
-
-
 def score_toxicity(
     corpus: Corpus,
     client,
@@ -221,18 +203,24 @@ def score_toxicity(
 ) -> ScoreCache:
     """Score every unique tweet_id in the corpus, reusing the warm cache.
 
-    Per-tweet failures retry with exponential backoff up to max_retries and
-    then land in cache.missing. A BackendUnavailable aborts immediately;
-    everything scored so far stays in the cache for resumption.
+    Requests start at least 1 / rate_limit seconds apart. Per-tweet
+    failures retry with exponential backoff up to max_retries and then land
+    in cache.missing. A BackendUnavailable aborts immediately; everything
+    scored so far stays in the cache for resumption.
     """
     cache = cache if cache is not None else ScoreCache()
-    limiter = _RateLimiter(rate_limit)
+    interval = 1.0 / rate_limit if rate_limit else 0.0
+    last_request = 0.0
     for tweet in sorted(corpus.all_tweets(), key=lambda t: t.tweet_id):
         if tweet.tweet_id in cache.toxicity:
             continue
         attempt = 0
         while True:
-            limiter.wait()
+            if interval:
+                delay = last_request + interval - time.monotonic()
+                if delay > 0:
+                    time.sleep(delay)
+                last_request = time.monotonic()
             try:
                 value = client.score(tweet.tweet_id, tweet.text_norm)
                 try:
@@ -250,94 +238,55 @@ def score_toxicity(
     return cache
 
 
-def score_bots(corpus: Corpus, client, cache: ScoreCache | None = None) -> ScoreCache:
-    cache = cache if cache is not None else ScoreCache()
-    for profile_id in sorted(corpus.profiles):
-        if profile_id in cache.bots:
-            continue
-        try:
-            overall, spammer = client.score(profile_id)
-        except ScoreError:
-            continue
-        cache.put_bots(profile_id, overall, spammer, source=client.name)
-    return cache
-
-
-def load_precomputed_scores(path: str | Path) -> tuple[ScoreCache, list[tuple[int, str]]]:
-    """Load (tweet_id, score) or (profile_id, overall, spammer) rows.
-
-    Accepts CSV or JSONL; returns the cache plus rejected rows as
-    (row number, reason). Scores outside [0, 1] are rejected, not clamped.
-    """
+def load_score_source(path: str | Path) -> ScoreCache:
+    """Read a score file: a cache as ScoreCache.save writes it, or a table
+    of (tweet_id, score) and (profile_id, overall, spammer) rows as CSV
+    (an optional header row) or JSONL objects. A table row that does not
+    parse, has another shape or holds a score outside [0, 1] is invalid;
+    any invalid row raises ValueError listing the first five row numbers."""
+    with open(path, "r", encoding="utf-8") as fh:
+        first = fh.readline()
+        if first.lstrip().startswith("{") and CACHE_FORMAT in first:
+            return ScoreCache.load(path)
+        lines = (first + fh.read()).splitlines()
     cache = ScoreCache()
-    rejects: list[tuple[int, str]] = []
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
-    is_jsonl = bool(lines) and lines[0].lstrip().startswith("{")
-
-    def add_tox(lineno: int, tweet_id: str, raw_score) -> None:
-        try:
-            cache.put_toxicity(str(tweet_id), float(raw_score), source="precomputed")
-        except (TypeError, ValueError) as exc:
-            rejects.append((lineno, str(exc)))
-
-    def add_bots(lineno: int, profile_id: str, raw_overall, raw_spammer) -> None:
-        try:
-            cache.put_bots(str(profile_id), float(raw_overall), float(raw_spammer), source="precomputed")
-        except (TypeError, ValueError) as exc:
-            rejects.append((lineno, str(exc)))
-
-    if is_jsonl:
+    rows: list[tuple[int, list]] = []  # (row number, fields)
+    rejects: list[int] = []
+    if first.lstrip().startswith("{"):
         for lineno, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
             try:
                 row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                rejects.append((lineno, f"bad json: {exc}"))
-                continue
-            if "tweet_id" in row and "score" in row:
-                add_tox(lineno, row["tweet_id"], row["score"])
-            elif "profile_id" in row and "overall" in row:
-                add_bots(lineno, row["profile_id"], row["overall"], row.get("spammer", 0.0))
+            except json.JSONDecodeError:
+                row = None
+            if isinstance(row, dict) and "tweet_id" in row and "score" in row:
+                rows.append((lineno, [row["tweet_id"], row["score"]]))
+            elif isinstance(row, dict) and "profile_id" in row and "overall" in row:
+                rows.append((lineno, [row["profile_id"], row["overall"], row.get("spammer", 0.0)]))
             else:
-                rejects.append((lineno, "unrecognized row shape"))
+                rejects.append(lineno)
     else:
-        for lineno, row in enumerate(csv.reader(lines), start=1):
-            if not row:
-                continue
-            if lineno == 1 and row and not _is_number(row[-1]):
-                continue  # header
+        rows = [(lineno, row) for lineno, row in enumerate(csv.reader(lines), start=1) if row]
+        if rows and rows[0][0] == 1:
+            try:
+                float(rows[0][1][-1])
+            except ValueError:  # a header row
+                del rows[0]
+    for lineno, row in rows:
+        try:
             if len(row) == 2:
-                add_tox(lineno, row[0], row[1])
+                cache.put_toxicity(str(row[0]), float(row[1]), source="precomputed")
             elif len(row) == 3:
-                add_bots(lineno, row[0], row[1], row[2])
+                cache.put_bots(str(row[0]), float(row[1]), float(row[2]), source="precomputed")
             else:
-                rejects.append((lineno, f"expected 2 or 3 columns, got {len(row)}"))
-    return cache, rejects
-
-
-def load_score_source(path: str | Path) -> ScoreCache:
-    """Read a score file: a cache as ScoreCache.save writes it, or a
-    precomputed table for load_precomputed_scores. Any invalid row raises
-    ValueError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-    if first.lstrip().startswith("{") and CACHE_FORMAT in first:
-        return ScoreCache.load(path)
-    cache, rejects = load_precomputed_scores(path)
+                rejects.append(lineno)
+        except (TypeError, ValueError):
+            rejects.append(lineno)
     if rejects:
-        rows = ", ".join(str(r[0]) for r in rejects[:5])
-        raise ValueError(f"{len(rejects)} invalid score rows (rows {rows})")
+        first_rows = ", ".join(map(str, sorted(rejects)[:5]))
+        raise ValueError(f"{len(rejects)} invalid score rows (rows {first_rows})")
     return cache
-
-
-def _is_number(s: str) -> bool:
-    try:
-        float(s)
-        return True
-    except ValueError:
-        return False
 
 
 def bot_score_summary(group: Iterable[str], cache: ScoreCache) -> dict:

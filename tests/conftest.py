@@ -50,6 +50,21 @@ class FailingScorer:
         return sum(map(ord, tweet_id)) % 100 / 100
 
 
+class FakeClock:
+    """Stands in for the time module: sleeping moves the clock on."""
+
+    def __init__(self):
+        self.now = 100.0
+        self.sleeps = []
+
+    def monotonic(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.sleeps.append(seconds)
+        self.now += seconds
+
+
 def write_tweet_lines(path, rows):
     with open(path, "w", encoding="utf-8") as fh:
         for row in rows:

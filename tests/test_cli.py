@@ -7,10 +7,11 @@ from click.testing import CliRunner
 
 from mission_profiler import scores
 from mission_profiler.cli import main
+from mission_profiler.pipeline import topic_vectors
 from mission_profiler.synth import default_specs, generate, write_bundle
 from mission_profiler.util import derive_seed
 
-from conftest import FailingScorer, tweet_row, write_tweet_lines, BASE_TS
+from conftest import FailingScorer, FakeClock, tweet_row, write_tweet_lines, BASE_TS
 
 
 def _run_config(bundle_dir, path, **overrides):
@@ -150,6 +151,22 @@ def test_score_command_http_backs_off_between_retries(tmp_path, monkeypatch):
     assert slept == [0.5, 1.0, 2.0] * 12
 
 
+def test_score_command_spaces_its_requests_by_rps(tmp_path, monkeypatch):
+    tweets = tmp_path / "tweets.jsonl"
+    write_tweet_lines(tweets, [tweet_row(f"t{i}", "p", ts=BASE_TS + i) for i in range(12)])
+    corpus = tmp_path / "corpus.bin"
+    CliRunner().invoke(main, ["ingest", "--tweets", str(tweets), "--out", str(corpus)])
+    clock = FakeClock()
+    monkeypatch.setattr(scores, "time", clock)
+    result = CliRunner().invoke(main, [
+        "score", "--corpus", str(corpus), "--backend", "mock", "--rps", "4",
+        "--toxicity-cache", str(tmp_path / "tox.jsonl"),
+    ])
+    assert result.exit_code == 0, result.output
+    assert "12 scored" in result.output
+    assert clock.sleeps == [0.25] * 11  # instant answers: the first request waits for none
+
+
 def test_score_command_file_stores_whole_table(tmp_path):
     tweets = tmp_path / "tweets.jsonl"
     write_tweet_lines(tweets, [tweet_row(f"t{i}", "p", ts=BASE_TS + i) for i in range(12)])
@@ -261,6 +278,23 @@ def test_run_with_a_bot_cache_row_lacking_a_key_fails_in_score(bundle_dir, tmp_p
     assert result.exit_code == 11, result.output
     assert "error [score]" in result.output
     assert "row 2 ('bots') lacks the key 'spammer'" in result.output
+
+
+@pytest.mark.parametrize("name, rows, error", [
+    ("tox.jsonl", ['{"tweet_id": "t1", "score": 0.5}', "5"], "1 invalid score rows (rows 2)"),
+    ("tox_cache.jsonl", [json.dumps({"format": scores.CACHE_FORMAT, "version": scores.CACHE_VERSION}), "5"],
+     "tox_cache.jsonl: row 2: not a JSON object"),
+    ("tox_cache.jsonl", [json.dumps({"format": scores.CACHE_FORMAT, "version": scores.CACHE_VERSION}), "{bad"],
+     "tox_cache.jsonl: row 2: bad json"),
+], ids=["table", "cache-not-an-object", "cache-bad-json"])
+def test_run_with_a_toxicity_row_that_is_no_json_object_fails_in_score(bundle_dir, tmp_path, name, rows, error):
+    toxicity = tmp_path / name
+    toxicity.write_text("\n".join(rows) + "\n")
+    config = _run_config(bundle_dir, tmp_path / "config.json", toxicity_path=str(toxicity))
+    result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(tmp_path / "run")])
+    assert result.exit_code == 11, result.output
+    assert "error [score]" in result.output
+    assert error in result.output
 
 
 def test_score_command_bot_file_without_bot_cache_is_a_usage_error(bundle_dir, run_dir, tmp_path):
@@ -431,10 +465,10 @@ def test_stage_commands_match_pipeline_artifacts(run_dir, tmp_path):
     tox = str(run_dir / "score" / "toxicity_cache.jsonl")
     runner = CliRunner()
     for args in (
-        ["group", "--corpus", corpus, "--tpv", tpvs, "--catalog", catalog,
+        ["group", "--corpus", corpus, "--tpv", tpvs, "--catalog", catalog, "--k", "20",
          "--out", str(tmp_path / "groups.json"), "--cdf-csv", str(tmp_path / "entropy_cdf.csv")],
         ["metrics", "--corpus", corpus, "--toxicity-cache", tox, "--out", str(tmp_path / "metrics.jsonl")],
-        ["detect", "--corpus", corpus, "--tpv", tpvs, "--catalog", catalog, "--toxicity-cache", tox,
+        ["detect", "--corpus", corpus, "--tpv", tpvs, "--catalog", catalog, "--k", "20", "--toxicity-cache", tox,
          "--groups", str(run_dir / "group" / "groups.json"), "--group", "VII", "--min-cluster", "3",
          "--tox-gate", "p75", "--out", str(tmp_path / "designations.json")],
     ):
@@ -462,7 +496,7 @@ def test_detect_command_leaves_out_topic_vectors_of_tweets_outside_the_corpus(ru
         outputs.append(tmp_path / f"{path.stem}.designations.json")
         result = CliRunner().invoke(main, [
             "detect", "--corpus", str(run_dir / "ingest" / "corpus.bin"), "--tpv", str(path),
-            "--catalog", str(run_dir / "topics" / "catalog.tsv"),
+            "--catalog", str(run_dir / "topics" / "catalog.tsv"), "--k", "20",
             "--toxicity-cache", str(run_dir / "score" / "toxicity_cache.jsonl"),
             "--groups", str(run_dir / "group" / "groups.json"), "--group", "VII", "--out", str(outputs[-1]),
         ])
@@ -471,13 +505,30 @@ def test_detect_command_leaves_out_topic_vectors_of_tweets_outside_the_corpus(ru
     assert outputs[1].read_bytes() == outputs[0].read_bytes()
 
 
+@pytest.mark.parametrize("command, exit_code", [("group", 13), ("detect", 15)])
+def test_group_and_detect_commands_fail_as_a_run_when_k_does_not_match_the_catalog(run_dir, tmp_path, command, exit_code):
+    tpvs, catalog = run_dir / "topics" / "tpvs.jsonl", run_dir / "topics" / "catalog.tsv"
+    with pytest.raises(Exception) as run_error:  # a run with K=200 over the same K=20 files
+        topic_vectors(200, 5, str(tpvs), str(catalog))
+    out = tmp_path / "out.json"
+    args = [command, "--corpus", str(run_dir / "ingest" / "corpus.bin"), "--tpv", str(tpvs),
+            "--catalog", str(catalog), "--k", "200", "--out", str(out)]
+    if command == "detect":
+        args += ["--toxicity-cache", str(run_dir / "score" / "toxicity_cache.jsonl"),
+                 "--groups", str(run_dir / "group" / "groups.json"), "--group", "VII"]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == exit_code, result.output
+    assert f"error [{command}]: {run_error.value}" in result.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("gate", ["p150", "p-1", "pnan", "abs:nan", "abs:inf"])
 def test_detect_command_rejects_an_out_of_range_or_non_finite_tox_gate(run_dir, tmp_path, gate):
     out = tmp_path / "designations.json"
     result = CliRunner().invoke(main, [
         "detect", "--corpus", str(run_dir / "ingest" / "corpus.bin"),
         "--tpv", str(run_dir / "topics" / "tpvs.jsonl"), "--catalog", str(run_dir / "topics" / "catalog.tsv"),
-        "--toxicity-cache", str(run_dir / "score" / "toxicity_cache.jsonl"),
+        "--k", "20", "--toxicity-cache", str(run_dir / "score" / "toxicity_cache.jsonl"),
         "--groups", str(run_dir / "group" / "groups.json"), "--group", "VII",
         "--tox-gate", gate, "--out", str(out),
     ])

@@ -1,0 +1,54 @@
+"""Every module-level import of the package is used, so an import that a
+deletion leaves behind fails here. A name listed in a module's __all__
+counts as used: the package re-exports it."""
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mission_profiler"
+
+
+def _dotted(node: ast.AST) -> str | None:
+    """'a.b.c' for the expression a.b.c, None for anything else."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return base and f"{base}.{node.attr}"
+    return None
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}  # bound name, or dotted module of `import a.b`, to its line
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        name = _dotted(node)
+        if name:
+            parts = name.split(".")
+            used.update(".".join(parts[:i]) for i in range(1, len(parts) + 1))
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return [f"{name} (line {line})" for name, line in sorted(imported.items(), key=lambda kv: kv[1]) if name not in used]
+
+
+def test_unused_imports_finds_what_nothing_reads():
+    source = (
+        "from __future__ import annotations\nimport os\nimport json\nimport urllib.error\nimport urllib.request\n"
+        "from typing import Callable, Iterable\nimport numpy as np\n__all__ = ['Iterable']\n"
+        "def f(x: Callable) -> None:\n    json.dumps(np.zeros(1))\n    urllib.request.urlopen(x)\n"
+    )
+    assert unused_imports(source) == ["os (line 2)", "urllib.error (line 4)"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_every_module_level_import_is_used(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

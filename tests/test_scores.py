@@ -5,24 +5,23 @@ import threading
 
 import pytest
 
+from mission_profiler import scores
 from mission_profiler.ingest import Corpus, IngestStats
+from mission_profiler.pipeline import bot_scores
 from mission_profiler.scores import (
     CACHE_FORMAT,
     CACHE_VERSION,
     BackendUnavailable,
     HTTPToxicityClient,
-    MockBotClient,
     MockToxicityClient,
     ScoreCache,
     ScoreError,
     bot_score_summary,
-    load_precomputed_scores,
     load_score_source,
-    score_bots,
     score_toxicity,
 )
 
-from conftest import make_timeline
+from conftest import FakeClock, make_timeline
 
 
 def _corpus(n_profiles=2, tweets_each=5):
@@ -98,7 +97,14 @@ def test_backend_unavailable_keeps_partial_cache():
 
 def test_deterministic_given_deterministic_client():
     corpus = _corpus()
-    client = MockToxicityClient(lambda tid, text: (hash(tid) % 100) / 100.0)
+
+    class HashClient:
+        name = "hash"
+
+        def score(self, tweet_id, text):
+            return (hash(tweet_id) % 100) / 100.0
+
+    client = HashClient()
     a = score_toxicity(corpus, client, backoff_base=0.0)
     b = score_toxicity(corpus, client, backoff_base=0.0)
     assert a.toxicity == b.toxicity
@@ -120,30 +126,51 @@ def test_accounting_total():
     assert len(cache.toxicity) + len(cache.missing) == total
 
 
+def test_rate_limit_spaces_the_starts_of_requests(monkeypatch):
+    clock = FakeClock()
+    monkeypatch.setattr(scores, "time", clock)
+    starts = []
+
+    class SlowClient:  # each request takes 0.1 s
+        name = "slow"
+
+        def score(self, tweet_id, text):
+            starts.append(clock.now)
+            clock.now += 0.1
+            return 0.5
+
+    corpus = _corpus(n_profiles=1, tweets_each=5)
+    score_toxicity(corpus, SlowClient(), rate_limit=4.0, backoff_base=0.0)
+    assert starts == pytest.approx([100.0, 100.25, 100.5, 100.75, 101.0])
+    assert clock.sleeps == pytest.approx([0.15] * 4)
+
+    starts.clear()
+    clock.sleeps.clear()
+    score_toxicity(corpus, SlowClient(), backoff_base=0.0)  # no limit: back to back
+    assert starts == pytest.approx([101.1, 101.2, 101.3, 101.4, 101.5])
+    assert clock.sleeps == []
+
+
 # -- precomputed loading -------------------------------------------------------
 
 def test_load_csv_toxicity(tmp_path):
     path = tmp_path / "scores.csv"
     path.write_text("t1,0.9\nt2,0.25\n")
-    cache, rejects = load_precomputed_scores(path)
-    assert rejects == []
+    cache = load_score_source(path)
     assert cache.toxicity == {"t1": 0.9, "t2": 0.25}
 
 
 def test_out_of_range_rejected_with_row_number(tmp_path):
     path = tmp_path / "scores.csv"
     path.write_text("t1,0.9\nt2,1.3\nt3,0.1\n")
-    cache, rejects = load_precomputed_scores(path)
-    assert set(cache.toxicity) == {"t1", "t3"}
-    assert len(rejects) == 1
-    assert rejects[0][0] == 2
+    with pytest.raises(ValueError, match=r"^1 invalid score rows \(rows 2\)$"):
+        load_score_source(path)
 
 
 def test_load_bot_rows_csv(tmp_path):
     path = tmp_path / "bots.csv"
     path.write_text("profile_id,overall,spammer\np1,0.8,0.2\np2,0.1,0.05\n")
-    cache, rejects = load_precomputed_scores(path)
-    assert rejects == []
+    cache = load_score_source(path)
     assert cache.bots["p1"].overall == 0.8
     assert cache.bots["p2"].spammer == 0.05
 
@@ -152,8 +179,7 @@ def test_load_jsonl_rows(tmp_path):
     path = tmp_path / "scores.jsonl"
     rows = [{"tweet_id": "t1", "score": 0.5}, {"profile_id": "p1", "overall": 0.3, "spammer": 0.1}]
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
-    cache, rejects = load_precomputed_scores(path)
-    assert rejects == []
+    cache = load_score_source(path)
     assert cache.toxicity["t1"] == 0.5
     assert cache.bots["p1"].overall == 0.3
 
@@ -164,8 +190,7 @@ def test_round_trip_10k_rows(tmp_path):
     with open(src, "w") as fh:
         for i in range(10_000):
             fh.write(f"t{i},{rng.random():.6f}\n")
-    cache, rejects = load_precomputed_scores(src)
-    assert rejects == []
+    cache = load_score_source(src)
     out1 = tmp_path / "cache1.jsonl"
     out2 = tmp_path / "cache2.jsonl"
     cache.save(out1)
@@ -193,6 +218,15 @@ def test_cache_row_without_a_key_is_a_value_error_naming_file_and_row(tmp_path):
     path.write_text(header + "\n\n" + json.dumps({"kind": "bots", "profile_id": "x", "overall": 0.5}) + "\n")
     with pytest.raises(ValueError, match=r"bots\.jsonl: row 3 \('bots'\) lacks the key 'spammer'"):
         ScoreCache.load(path)
+
+
+@pytest.mark.parametrize("row, error", [("5", "not a JSON object"), ("{bad", "bad json")])
+def test_cache_row_that_is_no_json_object_is_a_value_error_naming_file_and_row(tmp_path, row, error):
+    path = tmp_path / "cache.jsonl"
+    header = json.dumps({"format": CACHE_FORMAT, "version": CACHE_VERSION})
+    path.write_text(header + "\n" + json.dumps({"kind": "missing", "tweet_id": "t1"}) + "\n" + row + "\n")
+    with pytest.raises(ValueError, match=rf"cache\.jsonl: row 3: {error}"):
+        load_score_source(path)
 
 
 def test_scores_validated_into_unit_interval():
@@ -256,11 +290,12 @@ def test_bot_summary_of_a_group_with_no_scored_member_is_none():
     }
 
 
-def test_score_bots_mock():
+def test_mock_bot_backend_gives_every_profile_the_constants():
     corpus = _corpus()
-    cache = score_bots(corpus, MockBotClient(overall=0.25, spammer=0.1))
+    cache = bot_scores(corpus, "mock", None)
     assert set(cache.bots) == set(corpus.profiles)
-    assert all(b.overall == 0.25 for b in cache.bots.values())
+    assert all((b.overall, b.spammer) == (0.2, 0.1) for b in cache.bots.values())
+    assert {cache.provenance(p) for p in corpus.profiles} == {"mock"}
 
 
 # -- http backend ----------------------------------------------------------------
@@ -369,6 +404,15 @@ def test_load_score_source_reads_cache_or_table(tmp_path):
     (tmp_path / "bad.csv").write_text("t1,0.5\nt2,1.5\n")
     with pytest.raises(ValueError, match="1 invalid score rows"):
         load_score_source(tmp_path / "bad.csv")
+
+
+def test_invalid_table_rows_are_counted_and_listed_in_row_order(tmp_path):
+    # bad JSON, a JSON value that is no object, an unknown shape and a score out of range
+    rows = ['{"tweet_id": "t1", "score": 0.5}', "{bad", "5", '{"tweet_id": "t2"}', '{"tweet_id": "t3", "score": 2}',
+            '{"tweet_id": "t4", "score": 0.1}', '{"profile_id": "p1", "overall": "x"}', "[1]"]
+    (tmp_path / "bad.jsonl").write_text("\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match=r"^6 invalid score rows \(rows 2, 3, 4, 5, 7\)$"):
+        load_score_source(tmp_path / "bad.jsonl")
 
 
 def test_out_of_range_backend_response_lands_in_missing():
