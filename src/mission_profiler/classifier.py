@@ -615,10 +615,6 @@ def flag_in_wild(
     flagged_all = 0
     for group in sorted(groups):
         ids, X = groups[group]
-        if len(ids) == 0:
-            table.append({"group": group, "total": 0, "flagged": 0, "pct_flagged": None})
-            samples[group] = []
-            continue
         preds = model.predict(X)
         scores = model.decision_scores(X)
         flagged = int(preds.sum())
@@ -628,7 +624,7 @@ def flag_in_wild(
             "group": group,
             "total": len(ids),
             "flagged": flagged,
-            "pct_flagged": 100.0 * flagged / len(ids),
+            "pct_flagged": 100.0 * flagged / len(ids) if ids else None,
         })
         for pid, pred, score in zip(ids, preds, scores):
             designations.append({

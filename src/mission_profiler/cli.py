@@ -9,7 +9,7 @@ from pathlib import Path
 import click
 
 from . import classifier, detector, diversity, scores, synth, topics
-from .features import feature_matrix, load_features
+from .features import load_features
 from .ingest import load_corpus, load_timelines, save_corpus
 from .pipeline import (
     PipelineError, RunConfig, bot_scores, corpus_topic_aggregates, designate, group_matrices, group_profiles,
@@ -306,7 +306,7 @@ def _parse_group_selection(selection: str | None, exclude: str) -> list[str]:
 def flag(model_path, features_path, groups_path, group_range, exclude_group, sample_n, seed, out) -> None:
     """Apply a trained model to the remaining entropy groups."""
     try:
-        ids, X, _ = feature_matrix(load_features(features_path))
+        ids, X, _ = load_features(features_path)
         model = classifier.TrainedModel.load(model_path)
         partition = read_json(groups_path)["groups"]
         wild_groups = group_matrices(ids, X, partition, _parse_group_selection(group_range, exclude_group))
@@ -342,7 +342,7 @@ def run(config_path, seed, out_dir) -> None:
 
 
 def _labeled_matrix(features_path: str, labels_path: str):
-    ids, X, _ = feature_matrix(load_features(features_path))
+    ids, X, _ = load_features(features_path)
     X, y = labeled_rows(ids, X, load_labels_csv(labels_path))
     if len(ids) > len(y):
         click.echo(f"note: {len(ids) - len(y)} feature rows have no label and were dropped", err=True)

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .ingest import ProfileMetadata
-from .readability import LexicalMetrics
+from .readability import LEXICAL_KEYS
 from .topics import CATEGORIES
 from .util import canonical_dumps
 
@@ -68,7 +67,7 @@ N_FEATURES = len(FEATURE_CATALOG)
 
 # features read under the same name from a metrics row
 _ROW_FEATURES = (
-    *(f.name for f in fields(LexicalMetrics)), "total_hashtags", "unique_hashtags",
+    *LEXICAL_KEYS, "total_hashtags", "unique_hashtags",
     "hashtags_per_tweet", "total_urls", "unique_urls", "urls_per_tweet",
     "n_tweets", "n_retweets", "n_unique", "burstiness", "median_delta_days",
 )
@@ -94,20 +93,15 @@ def group_indices(group: str) -> list[int]:
     return [i for i, (_, g) in enumerate(FEATURE_CATALOG) if g == group]
 
 
-@dataclass
-class FeatureVector:
-    profile_id: str
-    values: np.ndarray
-    mask: np.ndarray  # True where the raw value was missing and imputed to 0
-
-
 def extract_features(
     profile_id: str,
     metric_row: dict,
     category_tweet_counts: dict[str, int] | None,
     metadata: ProfileMetadata | None,
-) -> FeatureVector:
-    """One profile's vector from its metrics.jsonl row (metrics.compute_metric_bundle)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """One profile's feature values and imputation mask (True where the raw
+    value was missing and imputed to 0) from its metrics.jsonl row
+    (metrics.compute_metric_bundle)."""
     values = np.zeros(N_FEATURES, dtype=float)
     mask = np.zeros(N_FEATURES, dtype=bool)
 
@@ -135,21 +129,11 @@ def extract_features(
     if not np.all(np.isfinite(values)):
         bad = [FEATURE_NAMES[i] for i in np.flatnonzero(~np.isfinite(values))]
         raise ValueError(f"non-finite feature values for {profile_id}: {bad}")
-    return FeatureVector(profile_id=profile_id, values=values, mask=mask)
+    return values, mask
 
 
-def feature_matrix(vectors: list[FeatureVector]) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Stack feature vectors into (ids, X, imputation mask) sorted by id."""
-    ordered = sorted(vectors, key=lambda v: v.profile_id)
-    ids = [v.profile_id for v in ordered]
-    if not ordered:
-        return ids, np.zeros((0, N_FEATURES)), np.zeros((0, N_FEATURES), dtype=bool)
-    X = np.stack([v.values for v in ordered])
-    M = np.stack([v.mask for v in ordered])
-    return ids, X, M
-
-
-def save_features(vectors: list[FeatureVector], path) -> None:
+def save_features(ids: list[str], X: np.ndarray, M: np.ndarray, path) -> None:
+    """Write row i of X and of the mask M as profile ids[i]'s, in the order given."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(canonical_dumps({
             "format": "mission-profiler-features",
@@ -157,29 +141,21 @@ def save_features(vectors: list[FeatureVector], path) -> None:
             "catalog_hash": catalog_hash(),
             "n_features": N_FEATURES,
         }) + "\n")
-        for v in sorted(vectors, key=lambda v: v.profile_id):
+        for profile_id, values, mask in zip(ids, X, M):
             fh.write(canonical_dumps({
-                "profile_id": v.profile_id,
-                "values": [float(x) for x in v.values],
-                "mask": [bool(b) for b in v.mask],
+                "profile_id": profile_id, "values": values.tolist(), "mask": mask.tolist(),
             }) + "\n")
 
 
-def load_features(path) -> list[FeatureVector]:
-    vectors = []
+def load_features(path) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """(ids, X, M) as save_features takes them, rows sorted by profile id."""
     with open(path, "r", encoding="utf-8") as fh:
         header = json.loads(fh.readline())
         if header.get("format") != "mission-profiler-features":
             raise ValueError(f"not a feature file: {path}")
         if header.get("catalog_hash") != catalog_hash():
             raise ValueError("feature file was produced with a different catalog")
-        for line in fh:
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            vectors.append(FeatureVector(
-                profile_id=row["profile_id"],
-                values=np.asarray(row["values"], dtype=float),
-                mask=np.asarray(row["mask"], dtype=bool),
-            ))
-    return vectors
+        rows = sorted((json.loads(line) for line in fh if line.strip()), key=lambda row: row["profile_id"])
+    X = np.array([row["values"] for row in rows], dtype=float).reshape(len(rows), N_FEATURES)
+    M = np.array([row["mask"] for row in rows], dtype=bool).reshape(len(rows), N_FEATURES)
+    return [row["profile_id"] for row in rows], X, M

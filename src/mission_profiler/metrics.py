@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import fields
 from datetime import datetime, timezone
 
 import numpy as np
 
 from .ingest import ProfileMetadata, ProfileTimeline, is_retweet, unique_tweets
-from .readability import LexicalMetrics, readability_metrics
+from .readability import LEXICAL_KEYS, readability_metrics
 from .scores import ScoreCache
 
 SECONDS_PER_DAY = 86400
@@ -143,16 +142,15 @@ def profile_derived(metadata: ProfileMetadata | None, last_tweet_ts: int) -> dic
 
 
 # a profile without a non-empty tweet has every lexical metric null
-_NO_LEXICAL = dict.fromkeys(f.name for f in fields(LexicalMetrics))
+_NO_LEXICAL = dict.fromkeys(LEXICAL_KEYS)
 
 
 def compute_metric_bundle(timeline: ProfileTimeline, cache: ScoreCache) -> dict:
     """The profile's metrics.jsonl row."""
-    lexical = readability_metrics([t.text_norm for t in timeline.tweets])
     return {
         "profile_id": timeline.profile_id,
         **toxicity_metrics(timeline, cache),
-        **(vars(lexical) if lexical else _NO_LEXICAL),
+        **(readability_metrics([t.text_norm for t in timeline.tweets]) or _NO_LEXICAL),
         **activity_metrics(timeline),
         **hashtag_url_stats(timeline),
         **profile_derived(timeline.metadata, timeline.last_timestamp()),

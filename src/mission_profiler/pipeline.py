@@ -16,12 +16,15 @@ that reruns first deletes every file it declares, so one it no longer
 produces (a skipped classifier's models) is gone rather than stale.
 Results pass to later stages in memory; a file is read back only when
 its stage was a cache hit and a later stage misses. A run hashes each
-file at most once. Every output embeds the config hash, and all
-randomness derives from the single top-level seed.
+file at most once. Every manifest records the config hash, and so do
+the JSON, CSV and metrics files from aggregates.json on; corpus.bin,
+the score caches, tpvs.jsonl, catalog.tsv and features.jsonl hold data
+only. All randomness derives from the single top-level seed.
 """
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -36,7 +39,7 @@ import numpy as np
 
 from . import classifier, detector, diversity, features, metrics, scores, topics
 from .ingest import Corpus, load_corpus, load_timelines, save_corpus
-from .readability import LexicalMetrics
+from .readability import LEXICAL_KEYS
 from .util import canonical_dumps, derive_seed, read_json, sha256_file, sha256_text, write_json
 
 EXIT_CODES = {
@@ -92,6 +95,10 @@ def parse_tox_gate(gate: str) -> tuple[str, float]:
     raise PipelineError("config", f"bad tox gate {gate!r}; expected pNN with 0 <= NN <= 100, or abs:X with X finite")
 
 
+# the JSON values each RunConfig field type takes; an int is a valid float
+_JSON_TYPES = {"str": str, "str | None": (str, type(None)), "int": int, "float": (int, float), "bool": bool}
+
+
 @dataclass
 class RunConfig:
     tweets: str
@@ -114,6 +121,10 @@ class RunConfig:
     strict: bool = False
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, _JSON_TYPES[f.type]) or (isinstance(value, bool) and f.type != "bool"):
+                raise PipelineError("config", f"{f.name} must be of type {f.type}, not {value!r}")
         if not Path(self.tweets).exists():
             raise PipelineError("config", f"tweets file not found: {self.tweets}")
         if self.profiles and not Path(self.profiles).exists():
@@ -125,6 +136,8 @@ class RunConfig:
                 raise PipelineError("config", f"tpv file not found: {self.tpvs}")
         if self.catalog and not Path(self.catalog).exists():
             raise PipelineError("config", f"catalog file not found: {self.catalog}")
+        if self.labels and not Path(self.labels).exists():
+            raise PipelineError("config", f"labels file not found: {self.labels}")
         if self.toxicity_backend not in ("none", "mock", "file", "http"):
             raise PipelineError("config", f"unknown toxicity backend {self.toxicity_backend!r}")
         if self.toxicity_backend == "file" and not (self.toxicity_path and Path(self.toxicity_path).exists()):
@@ -137,8 +150,9 @@ class RunConfig:
         if self.detect_group not in diversity.GROUP_NAMES:
             raise PipelineError("config", f"unknown entropy group {self.detect_group!r}")
         mock_value = self.mock_toxicity_value
-        # for every backend: the config hash holds the value, and its JSON has no NaN or infinity
-        if not isinstance(mock_value, (int, float)) or not math.isfinite(mock_value):
+        # for every backend: the config hash holds the value, and its JSON has no NaN or infinity;
+        # compared, not converted, as an int too large for a float is finite
+        if not -math.inf < mock_value < math.inf:
             raise PipelineError("config", f"mock_toxicity_value {mock_value!r} is not a finite number")
         if self.toxicity_backend == "mock" and not 0.0 <= mock_value <= 1.0:
             raise PipelineError("config", f"mock_toxicity_value {mock_value!r} is outside [0, 1]")
@@ -152,11 +166,10 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
-        payload = read_json(path)
         try:
-            return cls(**payload)
-        except TypeError as exc:
-            raise PipelineError("config", f"bad config file: {exc}") from exc
+            return cls(**read_json(path))
+        except (TypeError, ValueError) as exc:  # not a JSON object of the fields, or not JSON
+            raise PipelineError("config", f"bad config file {path}: {exc}") from exc
 
 
 Warn = Callable[[str], None]
@@ -324,17 +337,21 @@ def designate(
 
 def feature_vectors(
     corpus: Corpus, catalog: topics.TopicCatalog, tpvs: dict[str, np.ndarray], rows: list[dict],
-) -> list[features.FeatureVector]:
+) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Classifier features per profile, from its metrics row and the
-    category counts of its topic-covered tweets."""
+    category counts of its topic-covered tweets: the profile ids in
+    order, and row i of the values X and of the imputation mask M is
+    profile ids[i]'s."""
     assignments = topics.assign_dominant_topics(tpvs)
     row_of = {row["profile_id"]: row for row in rows}
-    vectors = []
-    for profile_id in sorted(corpus.profiles):
+    ids = sorted(corpus.profiles)
+    X = np.zeros((len(ids), features.N_FEATURES))
+    M = np.zeros((len(ids), features.N_FEATURES), dtype=bool)
+    for i, profile_id in enumerate(ids):
         timeline = corpus.profiles[profile_id]
         counts = diversity.category_counts(timeline, catalog, assignments)
-        vectors.append(features.extract_features(profile_id, row_of[profile_id], counts, timeline.metadata))
-    return vectors
+        X[i], M[i] = features.extract_features(profile_id, row_of[profile_id], counts, timeline.metadata)
+    return ids, X, M
 
 
 def group_matrices(
@@ -648,15 +665,18 @@ def _detect(pipe: Pipeline, a: Inputs, out: Outputs, warn: Warn) -> dict:
 
 
 def _features(pipe: Pipeline, a: Inputs, out: Outputs, warn: Warn) -> dict:
-    vectors = feature_vectors(a["corpus"].get(), a["catalog"].get(), a["tpvs"].get(), a["metrics"].get())
-    features.save_features(vectors, out["features"])
-    return {"features": vectors}
+    ids, X, M = feature_vectors(a["corpus"].get(), a["catalog"].get(), a["tpvs"].get(), a["metrics"].get())
+    features.save_features(ids, X, M, out["features"])
+    return {"features": (ids, X, M)}
 
 
 def _classify(pipe: Pipeline, a: Inputs, out: Outputs, warn: Warn) -> dict:
     cfg = pipe.config
-    ids, X, _mask = features.feature_matrix(a["features"].get())
-    labels = load_labels_csv(cfg.labels) if cfg.labels else _labels_from_designations(a["detect"].get())
+    ids, X, _mask = a["features"].get()
+    try:
+        labels = load_labels_csv(cfg.labels) if cfg.labels else _labels_from_designations(a["detect"].get())
+    except ValueError as exc:
+        raise PipelineError("classify", str(exc)) from exc
     X_lab, y_lab = labeled_rows(ids, X, labels)
     skip_reason = None
     if len(y_lab) < 5:
@@ -677,12 +697,12 @@ def _classify(pipe: Pipeline, a: Inputs, out: Outputs, warn: Warn) -> dict:
             model.save(out[f"classify_model_{kind.split('_')[-1]}"], extra={"config_hash": pipe.hash})
         evals = table["all"]  # each held-out row falls in one confusion count
         n_test = sum(evals[classifier.KIND_SVM][count] for count in ("tp", "tn", "fp", "fn"))
-        # flag the remaining entropy groups with the all-features linear SVM
-        # as saved, so `flag` on model_linear_svm.json gives the same table
-        svm_model = classifier.TrainedModel.load(out["classify_model_svm"])
+        # flag the remaining entropy groups with the all-features linear SVM;
+        # its saved file holds every float in repr, so `flag` on it gives the same table
         partition = a["groups"].get()["groups"]
         wild_groups = group_matrices(ids, X, partition, [g for g in partition if g != cfg.detect_group])
-        wild = classifier.flag_in_wild(svm_model, wild_groups, cfg.sample_n, derive_seed(cfg.seed, "wild"))
+        wild = classifier.flag_in_wild(
+            models["all"][classifier.KIND_SVM], wild_groups, cfg.sample_n, derive_seed(cfg.seed, "wild"))
         payloads = {
             "classify_eval": {
                 "config_hash": pipe.hash, "models": evals, "n_train": len(y_lab) - n_test, "n_test": n_test,
@@ -809,14 +829,23 @@ def _five_number(values) -> tuple[float, float, float, float, float]:
 
 
 def load_labels_csv(path: str) -> dict[str, int]:
-    """profile_id,label CSV; on_mission (or 1/true) is the positive class."""
+    """profile_id,label CSV; on_mission (or 1/true) is the positive class.
+    A file that is not UTF-8, or a row without a label column, raises
+    ValueError naming the file and row."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        row = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: row {row}: not UTF-8 text") from None
     labels: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0] == "profile_id":
-                continue
-            value = row[1].strip().lower()
-            labels[row[0]] = 1 if value in ("on_mission", "1", "true") else 0
+    reader = csv.reader(io.StringIO(text, newline=None))  # newlines as a text-mode file reads them
+    for row in reader:
+        if not row or row[0] == "profile_id":
+            continue
+        if len(row) < 2:
+            raise ValueError(f"{path}: row {reader.line_num}: no label column")
+        labels[row[0]] = 1 if row[1].strip().lower() in ("on_mission", "1", "true") else 0
     return labels
 
 
@@ -837,9 +866,6 @@ def _load_metrics(path: Path) -> list[dict]:
     return rows
 
 
-_LEXICAL_KEYS = tuple(f.name for f in fields(LexicalMetrics))
-
-
 def _lexical_table(partition: dict[str, list[str]], metric_rows: list[dict]) -> dict:
     """Average lexical metrics per group, for groups II..VIII (group I is
     reported in sizes but excluded from comparative tables)."""
@@ -848,7 +874,7 @@ def _lexical_table(partition: dict[str, list[str]], metric_rows: list[dict]) -> 
     for group in diversity.GROUP_NAMES[1:]:
         members = partition.get(group, [])
         column = {}
-        for key in _LEXICAL_KEYS:
+        for key in LEXICAL_KEYS:
             values = [by_id[p][key] for p in members if by_id[p][key] is not None]
             column[key] = sum(values) / len(values) if values else None
         column["n_profiles"] = len(members)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
 MTLD_TTR_THRESHOLD = 0.72
@@ -43,15 +42,11 @@ _SYLLABLE_EXCEPTIONS = {
 }
 
 
-@dataclass
-class LexicalMetrics:
-    flesch_ease: float
-    flesch_kincaid_grade: float
-    linsear_write: float
-    ari: float
-    lexical_diversity_mtld: float
-    chars_per_tweet: float
-    words_per_tweet: float
+# the keys of readability_metrics' dict, as a metrics.jsonl row holds them
+LEXICAL_KEYS = (
+    "flesch_ease", "flesch_kincaid_grade", "linsear_write", "ari", "lexical_diversity_mtld",
+    "chars_per_tweet", "words_per_tweet",
+)
 
 
 def count_syllables(word: str) -> int:
@@ -185,7 +180,7 @@ def mtld(tokens: list[str], threshold: float = MTLD_TTR_THRESHOLD) -> float:
     return len(tokens) / mean_factors
 
 
-def readability_metrics(tweets: list[str]) -> LexicalMetrics | None:
+def readability_metrics(tweets: list[str]) -> dict[str, float] | None:
     """Per-tweet scores averaged over a profile; None if no non-empty tweets."""
     texts = [t for t in tweets if t.strip()]
     if not texts:
@@ -195,12 +190,12 @@ def readability_metrics(tweets: list[str]) -> LexicalMetrics | None:
     all_tokens: list[str] = []
     for c in counts:
         all_tokens.extend(c.tokens)
-    return LexicalMetrics(
-        flesch_ease=sum(_flesch_ease(c) for c in counts) / n,
-        flesch_kincaid_grade=sum(_flesch_kincaid(c) for c in counts) / n,
-        linsear_write=sum(_linsear(c) for c in counts) / n,
-        ari=sum(_ari(c) for c in counts) / n,
-        lexical_diversity_mtld=mtld(all_tokens),
-        chars_per_tweet=sum(len(t) for t in texts) / n,
-        words_per_tweet=sum(len(c.tokens) for c in counts) / n,
-    )
+    return {
+        "flesch_ease": sum(_flesch_ease(c) for c in counts) / n,
+        "flesch_kincaid_grade": sum(_flesch_kincaid(c) for c in counts) / n,
+        "linsear_write": sum(_linsear(c) for c in counts) / n,
+        "ari": sum(_ari(c) for c in counts) / n,
+        "lexical_diversity_mtld": mtld(all_tokens),
+        "chars_per_tweet": sum(len(t) for t in texts) / n,
+        "words_per_tweet": sum(len(c.tokens) for c in counts) / n,
+    }

@@ -14,7 +14,6 @@ import os
 import time
 import urllib.error
 import urllib.request
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -37,18 +36,16 @@ class BackendUnavailable(Exception):
     """The scoring backend is down; abort the run (partial cache survives)."""
 
 
-@dataclass(frozen=True)
-class BotScores:
-    profile_id: str
-    overall: float
-    spammer: float
-
-
-def _check_unit(value: float, what: str) -> float:
-    value = float(value)
-    if not (0.0 <= value <= 1.0) or math.isnan(value):
-        raise ValueError(f"{what} {value} outside [0, 1]")
-    return value
+def _check_unit(value, what: str) -> float:
+    """value as a float in [0, 1], or ValueError; a JSON integer too large
+    for a float is out of range too."""
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not 0.0 <= number <= 1.0:  # false for NaN too
+        raise ValueError(f"{what} {number} outside [0, 1]")
+    return number
 
 
 class ScoreCache:
@@ -56,7 +53,7 @@ class ScoreCache:
 
     def __init__(self) -> None:
         self.toxicity: dict[str, float] = {}
-        self.bots: dict[str, BotScores] = {}
+        self.bots: dict[str, dict[str, float]] = {}  # by profile: {"overall", "spammer"}
         self.missing: set[str] = set()
         self._tox_source: dict[str, str] = {}
         self._bot_source: dict[str, str] = {}
@@ -67,11 +64,9 @@ class ScoreCache:
         self.missing.discard(tweet_id)
 
     def put_bots(self, profile_id: str, overall: float, spammer: float, source: str = "unknown") -> None:
-        self.bots[profile_id] = BotScores(
-            profile_id,
-            _check_unit(overall, "bot score"),
-            _check_unit(spammer, "spammer score"),
-        )
+        self.bots[profile_id] = {
+            "overall": _check_unit(overall, "bot score"), "spammer": _check_unit(spammer, "spammer score"),
+        }
         self._bot_source[profile_id] = source
 
     def provenance(self, entry_id: str) -> str | None:
@@ -88,12 +83,10 @@ class ScoreCache:
                     "source": self._tox_source.get(tweet_id, "unknown"),
                 }) + "\n")
             for profile_id in sorted(self.bots):
-                b = self.bots[profile_id]
                 fh.write(canonical_dumps({
                     "kind": "bots",
                     "profile_id": profile_id,
-                    "overall": b.overall,
-                    "spammer": b.spammer,
+                    **self.bots[profile_id],
                     "source": self._bot_source.get(profile_id, "unknown"),
                 }) + "\n")
             for tweet_id in sorted(self.missing):
@@ -121,9 +114,11 @@ class ScoreCache:
                     elif kind == "missing":
                         cache.missing.add(row["tweet_id"])
                     else:
-                        raise ValueError(f"{path}: row {lineno}: unknown cache row kind {kind!r}")
+                        raise ValueError(f"unknown cache row kind {kind!r}")
                 except KeyError as exc:
                     raise ValueError(f"{path}: row {lineno} ({kind!r}) lacks the key {exc}") from None
+                except (TypeError, ValueError) as exc:  # an unknown kind, or a score not in [0, 1]
+                    raise ValueError(f"{path}: row {lineno}: {exc}") from None
         return cache
 
 
@@ -190,7 +185,7 @@ class HTTPToxicityClient:
             parsed = parsed.get("score")
         if not isinstance(parsed, (int, float)):
             raise ScoreError(f"no score in response for tweet {tweet_id}")
-        return float(parsed)
+        return parsed  # ScoreCache.put_toxicity checks it
 
 
 def score_toxicity(
@@ -276,9 +271,9 @@ def load_score_source(path: str | Path) -> ScoreCache:
     for lineno, row in rows:
         try:
             if len(row) == 2:
-                cache.put_toxicity(str(row[0]), float(row[1]), source="precomputed")
+                cache.put_toxicity(str(row[0]), row[1], source="precomputed")
             elif len(row) == 3:
-                cache.put_bots(str(row[0]), float(row[1]), float(row[2]), source="precomputed")
+                cache.put_bots(str(row[0]), row[1], row[2], source="precomputed")
             else:
                 rejects.append(lineno)
         except (TypeError, ValueError):
@@ -299,7 +294,7 @@ def bot_score_summary(group: Iterable[str], cache: ScoreCache) -> dict:
     scored = [cache.bots[p] for p in group if p in cache.bots]
     row = {"n_scored": len(scored), "n_missing": len(group) - len(scored)}
     for key in ("overall", "spammer"):
-        values = [getattr(b, key) for b in scored]
+        values = [b[key] for b in scored]
         mean = std = None
         if values:
             mean = sum(values) / len(values)

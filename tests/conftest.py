@@ -71,6 +71,14 @@ def write_tweet_lines(path, rows):
             fh.write(canonical_dumps(row) + "\n")
 
 
+# labels files a load stops on, and the end of the error it gives: a row
+# without a label column, and bytes that are not UTF-8
+BAD_LABELS = [
+    (b"profile_id,label\np1,on_mission\n\np2\n", "row 4: no label column"),
+    (b"profile_id,label\np1,on_mission\np2,genu\xefne\n", "row 3: not UTF-8 text"),
+]
+
+
 def tweet_row(tweet_id, profile_id, text="ten tokens of text a b c d e f g", ts=BASE_TS, **kw):
     row = {
         "tweet_id": str(tweet_id),

@@ -11,7 +11,7 @@ from mission_profiler.pipeline import topic_vectors
 from mission_profiler.synth import default_specs, generate, write_bundle
 from mission_profiler.util import derive_seed
 
-from conftest import FailingScorer, FakeClock, tweet_row, write_tweet_lines, BASE_TS
+from conftest import BAD_LABELS, FailingScorer, FakeClock, tweet_row, write_tweet_lines, BASE_TS
 
 
 def _run_config(bundle_dir, path, **overrides):
@@ -416,6 +416,48 @@ def test_synth_command_deterministic(tmp_path):
         result = runner.invoke(main, ["synth", "--seed", "3", "--out", str(tmp_path / name)])
         assert result.exit_code == 0, result.output
     assert (tmp_path / "a" / "tweets.jsonl").read_bytes() == (tmp_path / "b" / "tweets.jsonl").read_bytes()
+
+
+def test_flag_command_on_a_runs_files_writes_its_wild_json(run_dir, tmp_path):
+    # the run flags with the SVM it trained; flag reads the SVM's saved file
+    out = tmp_path / "wild.json"
+    result = CliRunner().invoke(main, [
+        "flag", "--model", str(run_dir / "classify" / "model_linear_svm.json"),
+        "--features", str(run_dir / "features" / "features.jsonl"),
+        "--groups", str(run_dir / "group" / "groups.json"),
+        "--exclude-group", "VII", "--sample", "100", "--seed", str(derive_seed(5, "wild")), "--out", str(out),
+    ])
+    assert result.exit_code == 0, result.output
+    wild = json.loads((run_dir / "classify" / "wild.json").read_text())
+    del wild["config_hash"]
+    assert wild["designations"]
+    assert json.loads(out.read_text()) == wild
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "ablate"])
+@pytest.mark.parametrize("content, error", BAD_LABELS)
+def test_labeled_commands_fail_as_a_run_on_a_labels_row_without_a_label_or_a_file_that_is_not_utf8(
+    run_dir, tmp_path, command, content, error,
+):
+    labels = tmp_path / "labels.csv"
+    labels.write_bytes(content)
+    args = ["--labels", str(labels), "--features", str(run_dir / "features" / "features.jsonl")]
+    if command == "evaluate":
+        args += ["--model", str(run_dir / "classify" / "model_linear_svm.json")]
+    else:
+        args += ["--out", str(tmp_path / "out.json")]
+    result = CliRunner().invoke(main, [command, *args])
+    assert result.exit_code == 17
+    assert f"error [classify]: {labels}: {error}" in result.output
+
+
+def test_run_with_a_config_file_that_is_not_json_is_a_config_error(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text('{"tweets": "tweets.jsonl",')
+    result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(tmp_path / "run")])
+    assert result.exit_code == 2
+    assert "bad config file" in result.output
+    assert not (tmp_path / "run").exists()
 
 
 def test_stage_failure_exit_code(tmp_path):

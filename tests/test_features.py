@@ -7,7 +7,6 @@ from mission_profiler.features import (
     N_FEATURES,
     catalog_hash,
     extract_features,
-    feature_matrix,
     group_indices,
     load_features,
     save_features,
@@ -55,19 +54,19 @@ def test_group_indices_disjoint_cover():
 
 def test_null_toxicity_imputes_zero_with_mask():
     tl = make_timeline("p", texts=["some words here now"] * 3)
-    fv = extract_features("p", _bundle(tl), _counts(), None)
+    values, mask = extract_features("p", _bundle(tl), _counts(), None)
     idx = FEATURE_NAMES.index("median_toxicity")
-    assert fv.values[idx] == 0.0
-    assert fv.mask[idx]
+    assert values[idx] == 0.0
+    assert mask[idx]
 
 
 def test_identical_profiles_identical_vectors():
     tl_a = make_timeline("a", texts=["alpha beta gamma delta"] * 4)
     tl_b = make_timeline("b", texts=["alpha beta gamma delta"] * 4)
-    fa = extract_features("a", _bundle(tl_a, [0.5] * 4), _counts(politics=4), None)
-    fb = extract_features("b", _bundle(tl_b, [0.5] * 4), _counts(politics=4), None)
-    assert np.array_equal(fa.values, fb.values)
-    assert np.array_equal(fa.mask, fb.mask)
+    values_a, mask_a = extract_features("a", _bundle(tl_a, [0.5] * 4), _counts(politics=4), None)
+    values_b, mask_b = extract_features("b", _bundle(tl_b, [0.5] * 4), _counts(politics=4), None)
+    assert np.array_equal(values_a, values_b)
+    assert np.array_equal(mask_a, mask_b)
 
 
 def test_boolean_and_date_encodings():
@@ -78,12 +77,12 @@ def test_boolean_and_date_encodings():
     )
     tweets = [make_tweet(i, "p", f"word{i} more text", BASE_TS + i * 3600) for i in range(4)]
     tl = make_timeline("p", tweets=tweets, metadata=meta)
-    fv = extract_features("p", _bundle(tl), _counts(), meta)
-    assert fv.values[FEATURE_NAMES.index("verified")] == 1.0
-    assert fv.values[FEATURE_NAMES.index("protected")] == 0.0
-    assert fv.values[FEATURE_NAMES.index("has_location")] == 1.0
-    assert fv.values[FEATURE_NAMES.index("description_len")] == 42.0
-    age = fv.values[FEATURE_NAMES.index("account_age_days")]
+    values, _ = extract_features("p", _bundle(tl), _counts(), meta)
+    assert values[FEATURE_NAMES.index("verified")] == 1.0
+    assert values[FEATURE_NAMES.index("protected")] == 0.0
+    assert values[FEATURE_NAMES.index("has_location")] == 1.0
+    assert values[FEATURE_NAMES.index("description_len")] == 42.0
+    age = values[FEATURE_NAMES.index("account_age_days")]
     assert age == pytest.approx(10 + 3 * 3600 / 86400)
 
 
@@ -100,11 +99,11 @@ def test_golden_profile_vector_recomputed_from_oracles():
     meta = ProfileMetadata(followers=8, following=2, statuses=100,
                            created_at=BASE_TS - 100 * day)
     tl = make_timeline("p", tweets=tweets, metadata=meta)
-    fv = extract_features("p", _bundle(tl, [0.1, 0.2, 0.3, 0.4]),
-                          _counts(everyday=2, sports=1), meta)
+    values, mask = extract_features("p", _bundle(tl, [0.1, 0.2, 0.3, 0.4]),
+                                    _counts(everyday=2, sports=1), meta)
 
     def val(name):
-        return fv.values[FEATURE_NAMES.index(name)]
+        return values[FEATURE_NAMES.index(name)]
 
     assert val("tweets_everyday") == 2
     assert val("tweets_sports") == 1
@@ -119,29 +118,43 @@ def test_golden_profile_vector_recomputed_from_oracles():
     assert val("account_age_days") == pytest.approx(103.0)
     # periodic daily posting
     assert val("burstiness") == pytest.approx(-1.0)
-    assert not fv.mask[FEATURE_NAMES.index("median_toxicity")]
+    assert not mask[FEATURE_NAMES.index("median_toxicity")]
 
 
-def test_matrix_shapes_and_order():
+def test_matrix_shapes_and_order(tmp_path):
+    # a file whose rows are not in id order loads sorted by id
     tl = make_timeline("b", texts=["one two three four"] * 3)
-    fb = extract_features("b", _bundle(tl), _counts(), None)
+    values_b, mask_b = extract_features("b", _bundle(tl), _counts(), None)
     tl2 = make_timeline("a", texts=["five six seven eight"] * 3)
-    fa = extract_features("a", _bundle(tl2), _counts(), None)
-    ids, X, M = feature_matrix([fb, fa])
+    values_a, mask_a = extract_features("a", _bundle(tl2), _counts(), None)
+    path = tmp_path / "features.jsonl"
+    save_features(["b", "a"], np.stack([values_b, values_a]), np.stack([mask_b, mask_a]), path)
+    ids, X, M = load_features(path)
     assert ids == ["a", "b"]  # sorted
     assert X.shape == (2, N_FEATURES)
     assert M.shape == (2, N_FEATURES)
+    assert np.array_equal(X, np.stack([values_a, values_b]))
+    assert np.array_equal(M, np.stack([mask_a, mask_b]))
 
 
 def test_save_load_round_trip(tmp_path):
     tl = make_timeline("p", texts=["alpha beta gamma delta"] * 3)
-    fv = extract_features("p", _bundle(tl, [0.5] * 3), _counts(politics=3), None)
+    values, mask = extract_features("p", _bundle(tl, [0.5] * 3), _counts(politics=3), None)
     path = tmp_path / "features.jsonl"
-    save_features([fv], path)
-    loaded = load_features(path)
-    assert len(loaded) == 1
-    assert np.array_equal(loaded[0].values, fv.values)
-    assert np.array_equal(loaded[0].mask, fv.mask)
+    save_features(["p"], values[None, :], mask[None, :], path)
+    ids, X, M = load_features(path)
+    assert ids == ["p"]
+    assert np.array_equal(X, values[None, :])
+    assert np.array_equal(M, mask[None, :])
+
+
+def test_a_file_without_rows_loads_as_an_empty_matrix(tmp_path):
+    path = tmp_path / "features.jsonl"
+    save_features([], np.zeros((0, N_FEATURES)), np.zeros((0, N_FEATURES), dtype=bool), path)
+    ids, X, M = load_features(path)
+    assert ids == []
+    assert X.shape == M.shape == (0, N_FEATURES)
+    assert M.dtype == bool
 
 
 def test_load_rejects_foreign_catalog(tmp_path):

@@ -1,8 +1,6 @@
 import math
 import random
 
-from dataclasses import fields
-
 import numpy as np
 import pytest
 
@@ -19,7 +17,7 @@ from mission_profiler.metrics import (
     time_delta_histogram,
     toxicity_metrics,
 )
-from mission_profiler.readability import LexicalMetrics
+from mission_profiler.readability import LEXICAL_KEYS
 from mission_profiler.scores import ScoreCache
 
 from conftest import BASE_TS, make_timeline, make_tweet
@@ -328,9 +326,8 @@ def test_row_keys_are_the_metrics_jsonl_keys():
     row, blank_row = (compute_metric_bundle(tl, ScoreCache()) for tl in (texts, blank))
     assert set(row) == set(blank_row) == METRICS_JSONL_KEYS
     assert (row["profile_id"], blank_row["profile_id"]) == ("p", "q")
-    lexical = [f.name for f in fields(LexicalMetrics)]
-    assert set(lexical) <= METRICS_JSONL_KEYS
-    assert all(row[name] is not None and blank_row[name] is None for name in lexical)
+    assert set(LEXICAL_KEYS) <= METRICS_JSONL_KEYS
+    assert all(row[name] is not None and blank_row[name] is None for name in LEXICAL_KEYS)
     read = _ReadKeys(row)
     extract_features("p", read, {}, meta)
     assert read.read and read.read <= METRICS_JSONL_KEYS

@@ -22,7 +22,7 @@ from mission_profiler.pipeline import (
 from mission_profiler.synth import default_specs, generate, write_bundle
 from mission_profiler.util import sha256_file, write_json
 
-from conftest import FailingScorer, tweet_row, write_tweet_lines, BASE_TS
+from conftest import BAD_LABELS, FailingScorer, tweet_row, write_tweet_lines, BASE_TS
 
 
 def _small_bundle(tmp_path, n=8, seed=11):
@@ -267,6 +267,60 @@ def test_missing_input_is_config_error(tmp_path):
     assert err.value.exit_code == 2
 
 
+@pytest.mark.parametrize("field, value", [
+    ("K", "20"), ("min_cluster", "3"), ("K", True), ("seed", 1.5), ("strict", 1), ("tpvs", 5),
+])
+def test_a_config_field_of_the_wrong_json_type_is_a_config_error_before_any_stage(tmp_path, field, value):
+    # "K": "20" used to stop topics with a TypeError, and "min_cluster": "3"
+    # detect, exit 1, after the earlier stages had run
+    paths = _small_bundle(tmp_path)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**_config(paths).as_dict(), field: value}), encoding="utf-8")
+    with pytest.raises(PipelineError) as err:
+        run_pipeline(RunConfig.from_file(path), tmp_path / "run")
+    assert err.value.stage == "config"
+    assert err.value.exit_code == 2
+    assert f"{field} must be of type" in str(err.value)
+    assert not (tmp_path / "run").exists()
+
+
+def test_an_int_where_a_float_is_declared_is_a_valid_config(tmp_path):
+    paths = _small_bundle(tmp_path)
+    Pipeline(_config(paths, toxicity_backend="mock", mock_toxicity_value=1), tmp_path / "run")
+
+
+@pytest.mark.parametrize("content", [b'{"tweets": "t.jsonl",', b"[1, 2]", b'{"tweets": "t.jsonl", "k": 20}', b"\xff{}"])
+def test_a_config_file_that_is_no_json_object_of_the_fields_is_a_config_error(tmp_path, content):
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    with pytest.raises(PipelineError) as err:
+        RunConfig.from_file(path)
+    assert err.value.stage == "config"
+    assert err.value.exit_code == 2
+    assert f"bad config file {path}" in str(err.value)
+
+
+def test_a_labels_file_that_does_not_exist_is_a_config_error(tmp_path):
+    paths = _small_bundle(tmp_path)
+    with pytest.raises(PipelineError) as err:
+        Pipeline(_config(paths, labels=str(tmp_path / "no_labels.csv")), tmp_path / "run")
+    assert err.value.exit_code == 2
+    assert "labels file not found" in str(err.value)
+
+
+@pytest.mark.parametrize("content, error", BAD_LABELS)
+def test_a_labels_row_without_a_label_or_a_labels_file_that_is_not_utf8_is_a_classify_error(tmp_path, content, error):
+    # both used to stop the run with a bare IndexError or UnicodeDecodeError, exit 1
+    paths = _small_bundle(tmp_path)
+    labels = tmp_path / "labels.csv"
+    labels.write_bytes(content)
+    with pytest.raises(PipelineError) as err:
+        run_pipeline(_config(paths, labels=str(labels)), tmp_path / "run")
+    assert err.value.stage == "classify"
+    assert err.value.exit_code == 17
+    assert str(err.value) == f"stage classify: {labels}: {error}"
+
+
 def test_tox_gate_parsing():
     assert parse_tox_gate("p75") == ("percentile", 75.0)
     assert parse_tox_gate("abs:0.14") == ("absolute", 0.14)
@@ -287,7 +341,7 @@ def test_out_of_range_or_non_finite_tox_gate_is_a_config_error(tmp_path, gate):
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("value", [1.5, -0.1, float("nan")])
+@pytest.mark.parametrize("value", [1.5, -0.1, float("nan"), pytest.param(10**400, id="int-too-large-for-a-float")])
 def test_mock_toxicity_value_outside_unit_interval_is_a_config_error(tmp_path, value):
     paths = _small_bundle(tmp_path)
     with pytest.raises(PipelineError) as err:
@@ -544,8 +598,8 @@ def test_classify_takes_its_evaluation_and_models_from_the_ablations_fits(tmp_pa
     ablation = json.loads((out / "classify" / "ablation.json").read_text(encoding="utf-8"))
     assert evaluation["models"] == ablation["table"]["all"]
     labels = pipeline.load_labels_csv(paths["labels"])
-    vectors = features.load_features(out / "features" / "features.jsonl")
-    labeled = [v for v in vectors if v.profile_id in labels]
+    ids, _, _ = features.load_features(out / "features" / "features.jsonl")
+    labeled = [p for p in ids if p in labels]
     assert len(labeled) >= 5
     assert evaluation["n_train"] + evaluation["n_test"] == len(labeled)
     assert len(fits) == 12  # 4 feature groups x 3 kinds, each fitted once

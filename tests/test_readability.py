@@ -166,10 +166,10 @@ def test_mtld_empty_raises():
 def test_profile_averages():
     tweets = ["The cat sat on the mat.", "The cat sat on the mat."]
     m = readability_metrics(tweets)
-    assert m.flesch_ease == pytest.approx(116.145, abs=1e-6)
-    assert m.words_per_tweet == pytest.approx(6.0)
-    assert m.chars_per_tweet == pytest.approx(len(tweets[0]))
-    assert m.chars_per_tweet >= m.words_per_tweet >= 1
+    assert m["flesch_ease"] == pytest.approx(116.145, abs=1e-6)
+    assert m["words_per_tweet"] == pytest.approx(6.0)
+    assert m["chars_per_tweet"] == pytest.approx(len(tweets[0]))
+    assert m["chars_per_tweet"] >= m["words_per_tweet"] >= 1
 
 
 def test_profile_with_only_empty_tweets_is_none():
@@ -178,7 +178,7 @@ def test_profile_with_only_empty_tweets_is_none():
 
 def test_profile_skips_empty_tweets():
     m = readability_metrics(["", "The cat sat on the mat."])
-    assert m.flesch_ease == pytest.approx(116.145, abs=1e-6)
+    assert m["flesch_ease"] == pytest.approx(116.145, abs=1e-6)
 
 
 def test_formulas_count_each_words_syllables_once(monkeypatch):
@@ -211,13 +211,13 @@ def test_profile_metrics_equal_the_per_formula_averages_exactly():
             assert m is None
             continue
         n = len(texts)
-        assert m.flesch_ease == sum(flesch_reading_ease(t) for t in texts) / n
-        assert m.flesch_kincaid_grade == sum(flesch_kincaid_grade(t) for t in texts) / n
-        assert m.linsear_write == sum(linsear_write(t) for t in texts) / n
-        assert m.ari == sum(automated_readability_index(t) for t in texts) / n
-        assert m.words_per_tweet == sum(len(t.split()) for t in texts) / n
-        assert m.chars_per_tweet == sum(len(t) for t in texts) / n
-        assert m.lexical_diversity_mtld == mtld([w for t in texts for w in t.split()])
+        assert m["flesch_ease"] == sum(flesch_reading_ease(t) for t in texts) / n
+        assert m["flesch_kincaid_grade"] == sum(flesch_kincaid_grade(t) for t in texts) / n
+        assert m["linsear_write"] == sum(linsear_write(t) for t in texts) / n
+        assert m["ari"] == sum(automated_readability_index(t) for t in texts) / n
+        assert m["words_per_tweet"] == sum(len(t.split()) for t in texts) / n
+        assert m["chars_per_tweet"] == sum(len(t) for t in texts) / n
+        assert m["lexical_diversity_mtld"] == mtld([w for t in texts for w in t.split()])
 
 
 # -- the counting helpers against their regex versions --------------------------------

@@ -1,0 +1,44 @@
+"""README's shell examples name only commands and options the CLI has, so
+a renamed or removed option fails here rather than in a reader's shell."""
+import re
+import shlex
+from pathlib import Path
+
+from mission_profiler.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def cli_lines(markdown: str) -> list[list[str]]:
+    """The words of each `mission-profiler ...` line in the ```sh blocks,
+    with backslash-continued lines joined."""
+    lines = []
+    for block in re.findall(r"^```sh\n(.*?)^```", markdown, flags=re.S | re.M):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["mission-profiler"]:
+                lines.append(words[1:])
+    return lines
+
+
+def unknown_options(words: list[str]) -> list[str]:
+    """The problems of one command line: an unknown command, or options the
+    command does not take."""
+    command = main.commands.get(words[0]) if words else None
+    if command is None:
+        return [f"no command {words[:1]}"]
+    known = {opt for param in command.params for opt in param.opts}
+    return [f"{words[0]} {w}" for w in words[1:] if w.startswith("--") and w.split("=")[0] not in known]
+
+
+def test_cli_lines_joins_continued_lines_and_skips_other_commands():
+    markdown = "```sh\npip install x\nmission-profiler group --corpus c \\\n   --out g  # note\n```\n"
+    assert cli_lines(markdown) == [["group", "--corpus", "c", "--out", "g"]]
+    assert unknown_options(["group", "--corpus", "c", "--outdir", "g"]) == ["group --outdir"]
+    assert unknown_options(["grup"]) == ["no command ['grup']"]
+
+
+def test_readme_command_lines_name_existing_commands_and_their_options():
+    lines = cli_lines(README.read_text(encoding="utf-8"))
+    assert {words[0] for words in lines} == set(main.commands)  # every command has an example
+    assert [problem for words in lines for problem in unknown_options(words)] == []

@@ -171,8 +171,8 @@ def test_load_bot_rows_csv(tmp_path):
     path = tmp_path / "bots.csv"
     path.write_text("profile_id,overall,spammer\np1,0.8,0.2\np2,0.1,0.05\n")
     cache = load_score_source(path)
-    assert cache.bots["p1"].overall == 0.8
-    assert cache.bots["p2"].spammer == 0.05
+    assert cache.bots["p1"]["overall"] == 0.8
+    assert cache.bots["p2"]["spammer"] == 0.05
 
 
 def test_load_jsonl_rows(tmp_path):
@@ -181,7 +181,7 @@ def test_load_jsonl_rows(tmp_path):
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
     cache = load_score_source(path)
     assert cache.toxicity["t1"] == 0.5
-    assert cache.bots["p1"].overall == 0.3
+    assert cache.bots["p1"]["overall"] == 0.3
 
 
 def test_round_trip_10k_rows(tmp_path):
@@ -207,7 +207,7 @@ def test_cache_save_load_preserves_missing_and_bots(tmp_path):
     cache.save(path)
     loaded = ScoreCache.load(path)
     assert loaded.toxicity == {"t1": 0.25}
-    assert loaded.bots["p1"].overall == 0.7
+    assert loaded.bots["p1"]["overall"] == 0.7
     assert loaded.missing == {"t9"}
     assert loaded.provenance("t1") == "mock"
 
@@ -226,6 +226,32 @@ def test_cache_row_that_is_no_json_object_is_a_value_error_naming_file_and_row(t
     header = json.dumps({"format": CACHE_FORMAT, "version": CACHE_VERSION})
     path.write_text(header + "\n" + json.dumps({"kind": "missing", "tweet_id": "t1"}) + "\n" + row + "\n")
     with pytest.raises(ValueError, match=rf"cache\.jsonl: row 3: {error}"):
+        load_score_source(path)
+
+
+HUGE_INTEGER = "1" + "0" * 400  # a JSON integer too large for a float
+
+
+def test_cache_row_with_a_huge_integer_score_is_a_value_error_naming_file_and_row(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    header = json.dumps({"format": CACHE_FORMAT, "version": CACHE_VERSION})
+    path.write_text(header + "\n" + '{"kind": "toxicity", "tweet_id": "t1", "score": ' + HUGE_INTEGER + "}\n")
+    with pytest.raises(ValueError, match=r"cache\.jsonl: row 2: toxicity score inf outside \[0, 1\]"):
+        ScoreCache.load(path)
+
+
+def test_cache_row_with_a_score_that_is_no_number_is_a_value_error_naming_file_and_row(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    header = json.dumps({"format": CACHE_FORMAT, "version": CACHE_VERSION})
+    path.write_text(header + "\n\n" + json.dumps({"kind": "toxicity", "tweet_id": "t1", "score": None}) + "\n")
+    with pytest.raises(ValueError, match=r"cache\.jsonl: row 3: "):
+        ScoreCache.load(path)
+
+
+def test_table_row_with_a_huge_integer_score_is_an_invalid_row(tmp_path):
+    path = tmp_path / "scores.jsonl"
+    path.write_text('{"tweet_id": "t0", "score": 0.5}\n{"tweet_id": "t1", "score": ' + HUGE_INTEGER + "}\n")
+    with pytest.raises(ValueError, match=r"^1 invalid score rows \(rows 2\)$"):
         load_score_source(path)
 
 
@@ -294,7 +320,7 @@ def test_mock_bot_backend_gives_every_profile_the_constants():
     corpus = _corpus()
     cache = bot_scores(corpus, "mock", None)
     assert set(cache.bots) == set(corpus.profiles)
-    assert all((b.overall, b.spammer) == (0.2, 0.1) for b in cache.bots.values())
+    assert all(b == {"overall": 0.2, "spammer": 0.1} for b in cache.bots.values())
     assert {cache.provenance(p) for p in corpus.profiles} == {"mock"}
 
 
@@ -386,6 +412,27 @@ def test_http_client_treats_429_and_5xx_as_an_unavailable_backend(status):
     assert len(handler.texts) == 1  # the first answer stops the run
 
 
+class _HugeScores(_Statuses):
+    """Answers a score too large for a float to texts ending in 2."""
+
+    def do_POST(self):
+        text = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["text"]
+        self.texts.append(text)
+        body = ('{"score": ' + (HUGE_INTEGER if text.endswith("2") else "0.25") + "}").encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+
+def test_http_response_with_a_huge_integer_score_is_retried_then_listed_as_missing():
+    handler = type("HugeScores", (_HugeScores,), {"texts": []})
+    cache = _score_against(handler, max_retries=1)
+    assert sorted(cache.toxicity) == ["p0-0", "p0-1", "p0-3", "p0-4"]
+    assert cache.missing == {"p0-2"}
+    assert handler.texts.count("tweet 0 2") == 2  # tried, then retried once
+
+
 def test_http_client_requires_url(monkeypatch):
     monkeypatch.delenv("MISSION_PROFILER_TOXICITY_URL", raising=False)
     with pytest.raises(BackendUnavailable):
@@ -400,7 +447,7 @@ def test_load_score_source_reads_cache_or_table(tmp_path):
     (tmp_path / "table.csv").write_text("tweet_id,score\nt1,0.5\nt2,0.75\np1,0.1,0.2\n")
     table = load_score_source(tmp_path / "table.csv")
     assert table.toxicity == {"t1": 0.5, "t2": 0.75}
-    assert table.bots["p1"].spammer == 0.2
+    assert table.bots["p1"]["spammer"] == 0.2
     (tmp_path / "bad.csv").write_text("t1,0.5\nt2,1.5\n")
     with pytest.raises(ValueError, match="1 invalid score rows"):
         load_score_source(tmp_path / "bad.csv")
