@@ -282,24 +282,37 @@ def ablate(labels_path, features_path, seed, out) -> None:
         click.echo(f"{group_name:17s} {line}")
 
 
-def _parse_group_selection(selection: str | None, exclude: str) -> list[str]:
-    """'II..VII' ranges or 'II,IV' lists; default everything but `exclude`."""
-    names = list(diversity.GROUP_NAMES)
+def _entropy_group(name: str) -> str:
+    if name not in diversity.GROUP_NAMES:
+        raise click.BadParameter(f"{name!r} is not an entropy group; the groups are I to VIII")
+    return name
+
+
+def _group_selection(ctx, param, selection: str | None) -> list[str] | None:
+    """'II..VII' (an ascending range) or 'II,IV' as the groups it names;
+    None when not given. Anything else is a usage error, exit 2."""
     if not selection:
-        return [g for g in names if g != exclude]
+        return None
     if ".." in selection:
-        lo, hi = selection.split("..")
-        return names[names.index(lo): names.index(hi) + 1]
-    return [g.strip() for g in selection.split(",") if g.strip()]
+        names = list(diversity.GROUP_NAMES)
+        lo, _, hi = (part.strip() for part in selection.partition(".."))
+        first, last = names.index(_entropy_group(lo)), names.index(_entropy_group(hi))
+        if first > last:
+            raise click.BadParameter(f"the range {selection!r} does not ascend")
+        return names[first:last + 1]
+    picked = [_entropy_group(g.strip()) for g in selection.split(",") if g.strip()]
+    if not picked:
+        raise click.BadParameter(f"{selection!r} names no entropy group")
+    return picked
 
 
 @main.command()
 @click.option("--model", "model_path", required=True, type=click.Path(exists=True))
 @click.option("--features", "features_path", required=True, type=click.Path(exists=True))
 @click.option("--groups", "groups_path", required=True, type=click.Path(exists=True))
-@click.option("--group-range", "group_range", default=None,
+@click.option("--group-range", "group_range", default=None, callback=_group_selection,
               help="entropy groups to flag, e.g. II..VII or II,IV")
-@click.option("--exclude-group", default="VIII")
+@click.option("--exclude-group", default="VIII", callback=lambda ctx, param, name: _entropy_group(name))
 @click.option("--sample", "sample_n", type=int, default=100)
 @click.option("--seed", type=int, default=42)
 @click.option("--out", required=True, type=click.Path())
@@ -309,7 +322,8 @@ def flag(model_path, features_path, groups_path, group_range, exclude_group, sam
         ids, X, _ = load_features(features_path)
         model = classifier.TrainedModel.load(model_path)
         partition = read_json(groups_path)["groups"]
-        wild_groups = group_matrices(ids, X, partition, _parse_group_selection(group_range, exclude_group))
+        names = group_range or [g for g in diversity.GROUP_NAMES if g != exclude_group]
+        wild_groups = group_matrices(ids, X, partition, names)
         result = classifier.flag_in_wild(model, wild_groups, sample_n, seed)
     except Exception as exc:
         _fail("classify", exc)

@@ -38,6 +38,8 @@ _URL_RE = re.compile(r"(?:https?://|www\.)\S+")
 # spans the @ itself, looks at the character before it
 _MENTION_RE = re.compile(r"@(?<![\w@]@)\w+")
 _VS16 = "️"
+# the last second datetime can hold, 9999-12-31T23:59:59Z; a later time is malformed
+MAX_TIMESTAMP = int(datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc).timestamp())
 
 
 class IngestError(ValueError):
@@ -228,17 +230,32 @@ def _parse_timestamp(value, lineno: int) -> int:
         raise IngestError(f"unparseable timestamp {value!r}", lineno)
     if ts <= 0:
         raise IngestError(f"non-positive timestamp {value!r}", lineno)
+    if ts > MAX_TIMESTAMP:
+        raise IngestError(f"timestamp {value!r} is after 9999-12-31T23:59:59Z", lineno)
     return ts
 
 
-def _parse_tweet(obj: dict, lineno: int) -> Tweet:
+def _parse_line(line: str, lineno: int, parse: Callable[[dict, int], object]):
+    """parse(obj, lineno) of the line's JSON object. Whatever makes the line
+    malformed, a number out of range included, raises IngestError naming it."""
     try:
-        tweet_id = str(obj["tweet_id"])
-        profile_id = str(obj["profile_id"])
-        text_raw = obj["text"]
-        ts = _parse_timestamp(obj["created_at"], lineno)
+        obj = json.loads(line)
+        if not isinstance(obj, dict):
+            raise IngestError("expected a JSON object", lineno)
+        return parse(obj, lineno)
+    except IngestError:
+        raise
     except KeyError as exc:
         raise IngestError(f"missing field {exc.args[0]}", lineno) from exc
+    except (TypeError, ValueError, OverflowError) as exc:  # a JSONDecodeError is a ValueError
+        raise IngestError(str(exc), lineno) from exc
+
+
+def _parse_tweet(obj: dict, lineno: int) -> Tweet:
+    tweet_id = str(obj["tweet_id"])
+    profile_id = str(obj["profile_id"])
+    text_raw = obj["text"]
+    ts = _parse_timestamp(obj["created_at"], lineno)
     if not isinstance(text_raw, str):
         raise IngestError("text must be a string", lineno)
     hashtags = tuple(str(h).lstrip("#").lower() for h in obj.get("hashtags") or [])
@@ -314,15 +331,10 @@ def load_timelines(
                 stats.blank += 1
                 continue
             try:
-                obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise IngestError("expected a JSON object", lineno)
-                tweet = _parse_tweet(obj, lineno)
-            except (json.JSONDecodeError, IngestError, TypeError, ValueError) as exc:
+                tweet = _parse_line(line, lineno, _parse_tweet)
+            except IngestError:
                 if strict:
-                    if isinstance(exc, IngestError):
-                        raise
-                    raise IngestError(str(exc), lineno) from exc
+                    raise
                 stats.malformed += 1
                 continue
             bucket = by_profile.setdefault(tweet.profile_id, {})
@@ -355,14 +367,11 @@ def _attach_metadata(profiles: dict[str, ProfileTimeline], path: str | Path, str
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
-                profile_id = str(obj["profile_id"])
-                meta = _parse_metadata(obj, lineno)
-            except (json.JSONDecodeError, KeyError, IngestError, TypeError, ValueError) as exc:
+                profile_id, meta = _parse_line(
+                    line, lineno, lambda obj, n: (str(obj["profile_id"]), _parse_metadata(obj, n)))
+            except IngestError:
                 if strict:
-                    if isinstance(exc, IngestError):
-                        raise
-                    raise IngestError(str(exc), lineno) from exc
+                    raise
                 continue
             timeline = profiles.get(profile_id)
             if timeline is None:

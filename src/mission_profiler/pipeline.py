@@ -719,15 +719,55 @@ def _report(pipe: Pipeline, a: Inputs, out: Outputs, warn: Warn) -> dict:
     corpus = a["corpus"].get()
     group_data, metric_rows, detect_data = (a[key].get() for key in ("groups", "metrics", "detect"))
     partition: dict[str, list[str]] = group_data["groups"]
+    members = {group: partition.get(group, []) for group in diversity.GROUP_NAMES}
+    by_id = {row["profile_id"]: row for row in metric_rows}
+    designations = detect_data.get("designations", [])
+
+    def values(group: str, key: str) -> list:
+        """The non-null values of one metric key over a group's profiles."""
+        return [by_id[p][key] for p in members[group] if by_id[p][key] is not None]
+
+    def histogram(key: str, tally: Callable) -> list[tuple]:
+        """(group, bin, count) rows, bins ascending within each group: each
+        of the group's values adds tally(value) to its group's Counter."""
+        rows = []
+        for group in diversity.GROUP_NAMES:
+            total: Counter = Counter()
+            for value in values(group, key):
+                total.update(tally(value))
+            rows.extend((group, bin_, count) for bin_, count in sorted(total.items()))
+        return rows
+
+    def profile_row(group: str) -> dict:
+        """Mean metadata counts and the percentage of profiles with each
+        flag, over the group's profiles that have metadata."""
+        metas = [corpus.profiles[p].metadata for p in members[group] if corpus.profiles[p].metadata]
+        row = {"n_profiles": len(members[group])}
+        if metas:
+            for key in ("followers", "following", "listed", "statuses", "favourites"):
+                row[key] = sum(getattr(m, key) for m in metas) / len(metas)
+            for key in ("protected", "verified", "has_location"):
+                row[f"pct_{key}"] = 100.0 * sum(getattr(m, key) for m in metas) / len(metas)
+            row["followers_following_ratio"] = row["followers"] / row["following"] if row["following"] else None
+        return row
+
+    def mean(xs: list) -> float | None:
+        return sum(xs) / len(xs) if xs else None
+
+    compared = diversity.GROUP_NAMES[1:]  # group I is in the sizes only, not in the comparative tables
+    labels = Counter(d["label"] for d in designations)
     report = {
         "config_hash": pipe.hash,
         "config": pipe.config.as_dict(),
         "ingest_stats": corpus.ingest_stats.as_dict(),
-        "group_sizes": {g: len(members) for g, members in partition.items()},
-        "lexical_table": _lexical_table(partition, metric_rows),
-        "profile_table": _profile_table(partition, corpus),
+        "group_sizes": {g: len(ids) for g, ids in partition.items()},
+        "lexical_table": {
+            g: {**{key: mean(values(g, key)) for key in LEXICAL_KEYS}, "n_profiles": len(members[g])}
+            for g in compared
+        },
+        "profile_table": {g: profile_row(g) for g in compared},
         "cluster_table": detect_data.get("clusters", []),
-        "designation_counts": _designation_counts(detect_data),
+        "designation_counts": {label: labels[label] for label in (detector.ON_MISSION, detector.NOT_ON_MISSION)},
         "eval": a["classify_eval"].get().get("models", {}),
         "ablation_table": a["classify_ablation"].get().get("table", {}),
         "wild_table": a["classify_wild"].get().get("table", []),
@@ -735,11 +775,31 @@ def _report(pipe: Pipeline, a: Inputs, out: Outputs, warn: Warn) -> dict:
     }
     if "bots" in a:
         report["botometer_table"] = {
-            group: scores.bot_score_summary(partition[group], a["bots"].get())
-            for group in diversity.GROUP_NAMES[1:] if partition.get(group)
+            group: scores.bot_score_summary(members[group], a["bots"].get())
+            for group in compared if members[group]
         }
     write_json(out["report"], report)
-    for name, (header, rows) in _plot_tables(partition, group_data, metric_rows, detect_data).items():
+
+    # each figure's CSV: sorted values for CDFs, five-number summaries
+    # (linear-interpolation quartiles) for boxplots, binned counts for histograms
+    _, entropy_rows = diversity.group_partition(group_data["entropy"])
+    plots = {"fig_entropy_cdf.csv": (["group", "H"], [(g, repr(h)) for g, h in entropy_rows])}
+    for name, key in _BOX_PLOTS.items():
+        plots[name] = (["group", "min", "q1", "median", "q3", "max"], [
+            (g, *map(repr, np.percentile(xs, [0, 25, 50, 75, 100]).tolist()))
+            for g in diversity.GROUP_NAMES if (xs := values(g, key))
+        ])
+    for name, key in _CDF_PLOTS.items():
+        plots[name] = (["group", "value"], [
+            (g, repr(float(v))) for g in diversity.GROUP_NAMES for v in sorted(values(g, key))
+        ])
+    plots["fig_time_delta_hist.csv"] = (["group", "day_gap", "count"], histogram(
+        "delta_days_hist", lambda hist: {int(gap): count for gap, count in hist.items()}))
+    gaps = ((d["label"], d["evidence"].get("top3_gaps")) for d in designations)
+    plots["fig_top3_gaps_cdf.csv"] = (["designation", "gap12", "gap23"], sorted(
+        (label, repr(float(top3[0])), repr(float(top3[1]))) for label, top3 in gaps if top3))
+    plots["fig_profile_age_bars.csv"] = (["group", "year", "count"], histogram("creation_year", lambda year: (year,)))
+    for name, (header, rows) in plots.items():
         _write_csv(out[f"plots/{name}"], pipe.hash, header, rows)
     write_json(out["run_config"], {"config_hash": pipe.hash, "config": pipe.config.as_dict()})
     return {"report": report}
@@ -761,71 +821,6 @@ PLOTS = (
     "fig_entropy_cdf.csv", *_BOX_PLOTS, *_CDF_PLOTS,
     "fig_time_delta_hist.csv", "fig_top3_gaps_cdf.csv", "fig_profile_age_bars.csv",
 )
-
-
-def _plot_tables(partition, group_data, metric_rows, detect_data) -> dict[str, tuple[list[str], list]]:
-    """The header and rows of each figure's CSV, by file name: sorted
-    values for CDFs, five-number summaries for boxplots, binned counts for
-    histograms."""
-    by_id = {row["profile_id"]: row for row in metric_rows}
-    members = {group: partition.get(group, []) for group in diversity.GROUP_NAMES}
-
-    _, cdf_rows = diversity.group_partition(group_data["entropy"])
-    tables = {"fig_entropy_cdf.csv": (["group", "H"], [(g, repr(h)) for g, h in cdf_rows])}
-
-    for name, key in _BOX_PLOTS.items():
-        rows = []
-        for group in diversity.GROUP_NAMES:
-            values = [by_id[p][key] for p in members[group] if by_id[p][key] is not None]
-            if values:
-                rows.append((group, *[repr(float(q)) for q in _five_number(values)]))
-        tables[name] = (["group", "min", "q1", "median", "q3", "max"], rows)
-
-    for name, key in _CDF_PLOTS.items():
-        rows = []
-        for group in diversity.GROUP_NAMES:
-            values = sorted(by_id[p][key] for p in members[group] if by_id[p][key] is not None)
-            rows.extend((group, repr(float(v))) for v in values)
-        tables[name] = (["group", "value"], rows)
-
-    tables["fig_time_delta_hist.csv"] = (["group", "day_gap", "count"], _group_counts(
-        members, lambda p: {int(gap): count for gap, count in by_id[p]["delta_days_hist"].items()}
-    ))
-
-    gap_rows = []
-    for des in detect_data.get("designations", []):
-        gaps = des["evidence"].get("top3_gaps")
-        if gaps:
-            gap_rows.append((des["label"], repr(float(gaps[0])), repr(float(gaps[1]))))
-    tables["fig_top3_gaps_cdf.csv"] = (["designation", "gap12", "gap23"], sorted(gap_rows))
-
-    tables["fig_profile_age_bars.csv"] = (["group", "year", "count"], _group_counts(
-        members, lambda p: {} if by_id[p]["creation_year"] is None else {by_id[p]["creation_year"]: 1}
-    ))
-    return tables
-
-
-def _group_counts(members: dict[str, list[str]], counts_of: Callable[[str], dict]) -> list[tuple]:
-    """(group, key, count) rows, keys ascending within each group: the sum
-    over the group's profiles of counts_of(profile), a {key: count} map."""
-    rows = []
-    for group in diversity.GROUP_NAMES:
-        total: Counter = Counter()
-        for p in members[group]:
-            total.update(counts_of(p))
-        rows.extend((group, key, count) for key, count in sorted(total.items()))
-    return rows
-
-
-def _five_number(values) -> tuple[float, float, float, float, float]:
-    arr = np.asarray(sorted(values), dtype=float)
-    return (
-        float(arr.min()),
-        float(np.percentile(arr, 25)),
-        float(np.percentile(arr, 50)),
-        float(np.percentile(arr, 75)),
-        float(arr.max()),
-    )
 
 
 def load_labels_csv(path: str) -> dict[str, int]:
@@ -864,47 +859,6 @@ def _load_metrics(path: Path) -> list[dict]:
             if line.strip():
                 rows.append(json.loads(line))
     return rows
-
-
-def _lexical_table(partition: dict[str, list[str]], metric_rows: list[dict]) -> dict:
-    """Average lexical metrics per group, for groups II..VIII (group I is
-    reported in sizes but excluded from comparative tables)."""
-    by_id = {row["profile_id"]: row for row in metric_rows}
-    table: dict[str, dict] = {}
-    for group in diversity.GROUP_NAMES[1:]:
-        members = partition.get(group, [])
-        column = {}
-        for key in LEXICAL_KEYS:
-            values = [by_id[p][key] for p in members if by_id[p][key] is not None]
-            column[key] = sum(values) / len(values) if values else None
-        column["n_profiles"] = len(members)
-        table[group] = column
-    return table
-
-
-def _profile_table(partition: dict[str, list[str]], corpus: Corpus) -> dict:
-    """Mean metadata counts and the percentage of profiles with each flag,
-    over the group's profiles that have metadata, for groups II..VIII."""
-    table: dict[str, dict] = {}
-    for group in diversity.GROUP_NAMES[1:]:
-        members = partition.get(group, [])
-        metas = [corpus.profiles[p].metadata for p in members if corpus.profiles[p].metadata]
-        row = table[group] = {"n_profiles": len(members)}
-        if not metas:
-            continue
-        for key in ("followers", "following", "listed", "statuses", "favourites"):
-            row[key] = sum(getattr(m, key) for m in metas) / len(metas)
-        for key in ("protected", "verified", "has_location"):
-            row[f"pct_{key}"] = 100.0 * sum(getattr(m, key) for m in metas) / len(metas)
-        row["followers_following_ratio"] = row["followers"] / row["following"] if row["following"] else None
-    return table
-
-
-def _designation_counts(detect_data: dict) -> dict:
-    counts = {detector.ON_MISSION: 0, detector.NOT_ON_MISSION: 0}
-    for d in detect_data.get("designations", []):
-        counts[d["label"]] += 1
-    return counts
 
 
 def run_pipeline(config: RunConfig, out_dir: str | Path) -> dict:

@@ -468,11 +468,36 @@ def test_stage_failure_exit_code(tmp_path):
 
 
 def test_flag_group_range_parsing():
-    from mission_profiler.cli import _parse_group_selection
+    from mission_profiler.cli import _group_selection
 
-    assert _parse_group_selection("II..VII", "VIII") == ["II", "III", "IV", "V", "VI", "VII"]
-    assert _parse_group_selection("II,IV", "VIII") == ["II", "IV"]
-    assert _parse_group_selection(None, "VII") == ["I", "II", "III", "IV", "V", "VI", "VIII"]
+    assert _group_selection(None, None, "II..VII") == ["II", "III", "IV", "V", "VI", "VII"]
+    assert _group_selection(None, None, "II,IV") == ["II", "IV"]
+    assert _group_selection(None, None, "IV..IV") == ["IV"]
+    assert _group_selection(None, None, None) is None  # flag then takes every group but --exclude-group
+
+
+@pytest.mark.parametrize("option, value, error", [
+    ("--group-range", "II,XX", "'XX' is not an entropy group"),
+    ("--group-range", "XX..II", "'XX' is not an entropy group"),
+    ("--group-range", "II..IX", "'IX' is not an entropy group"),
+    ("--group-range", "II..IV..VI", "'IV..VI' is not an entropy group"),
+    ("--group-range", "VII..II", "the range 'VII..II' does not ascend"),
+    ("--group-range", ",", "',' names no entropy group"),
+    ("--exclude-group", "viii", "'viii' is not an entropy group"),
+])
+def test_flag_command_rejects_a_group_selection_that_is_not_of_groups_i_to_viii(
+    run_dir, tmp_path, option, value, error,
+):
+    out = tmp_path / "wild.json"
+    result = CliRunner().invoke(main, [
+        "flag", "--model", str(run_dir / "classify" / "model_linear_svm.json"),
+        "--features", str(run_dir / "features" / "features.jsonl"),
+        "--groups", str(run_dir / "group" / "groups.json"), option, value, "--out", str(out),
+    ])
+    assert result.exit_code == 2, result.output  # a usage error
+    assert f"Invalid value for '{option}'" in result.output
+    assert error in result.output
+    assert not out.exists()
 
 
 def test_topics_baseline_command(run_dir, tmp_path):

@@ -252,6 +252,49 @@ def test_metadata_attachment(tmp_path):
     assert meta.friends_ids == ("b",)
 
 
+# created_at values out of range, as JSON text: a float that overflows, the
+# Infinity literal, a string that overflows, and times after year 9999
+OUT_OF_RANGE_TIMES = ["1e999", "Infinity", '"1e999"', str(10**15), str(2**70)]
+
+
+@pytest.mark.parametrize("created_at", OUT_OF_RANGE_TIMES)
+def test_a_tweet_time_out_of_range_is_one_malformed_line(tmp_path, created_at):
+    path = tmp_path / "tweets.jsonl"
+    write_tweet_lines(path, _profile_rows("a", 10))
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(f'{{"tweet_id":"a-x","profile_id":"a","text":"late","created_at":{created_at}}}\n')
+    corpus = load_timelines(path)
+    assert corpus.ingest_stats.malformed == 1
+    assert corpus.ingest_stats.conserved()
+    assert len(corpus.profiles["a"].tweets) == 10
+    with pytest.raises(IngestError, match="^line 11: "):
+        load_timelines(path, strict=True)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("followers", "1e999"), ("listed", "Infinity"), ("withheld_countries", "1e999"),
+    *(("created_at", v) for v in OUT_OF_RANGE_TIMES),
+])
+def test_a_metadata_number_out_of_range_is_a_malformed_line(tmp_path, field, value):
+    tweets, profiles = tmp_path / "tweets.jsonl", tmp_path / "profiles.jsonl"
+    write_tweet_lines(tweets, _profile_rows("a", 10) + _profile_rows("b", 10))
+    profiles.write_text(f'{{"profile_id":"a","followers":3}}\n{{"profile_id":"b","{field}":{value}}}\n')
+    corpus = load_timelines(tweets, profiles)
+    assert corpus.profiles["a"].metadata.followers == 3
+    assert corpus.profiles["b"].metadata is None  # the line is skipped, as any malformed one
+    with pytest.raises(IngestError, match="^line 2: "):
+        load_timelines(tweets, profiles, strict=True)
+
+
+def test_the_last_second_of_year_9999_is_a_valid_time(tmp_path):
+    path = tmp_path / "tweets.jsonl"
+    rows = _profile_rows("a", 10)
+    rows[-1]["created_at"] = "9999-12-31T23:59:59Z"
+    write_tweet_lines(path, rows)
+    corpus = load_timelines(path, strict=True)
+    assert corpus.profiles["a"].last_timestamp() == ingest.MAX_TIMESTAMP == 253402300799
+
+
 def test_hashtags_lowercased_and_stripped(tmp_path):
     rows = _profile_rows("a", 10)
     rows[0]["hashtags"] = ["#MAGA", "Covid"]

@@ -19,10 +19,12 @@ from mission_profiler.pipeline import (
     parse_tox_gate,
     run_pipeline,
 )
+from mission_profiler.readability import LEXICAL_KEYS
 from mission_profiler.synth import default_specs, generate, write_bundle
 from mission_profiler.util import sha256_file, write_json
 
 from conftest import BAD_LABELS, FailingScorer, tweet_row, write_tweet_lines, BASE_TS
+from test_detector import _linear_percentile
 
 
 def _small_bundle(tmp_path, n=8, seed=11):
@@ -485,6 +487,80 @@ def test_time_delta_hist_counts_match_metrics(tmp_path):
         if row["profile_id"] in grouped_ids:
             expected += row["n_tweets"] - 1
     assert total_hist == expected
+
+
+def test_report_tables_and_plot_rows_match_a_recomputation_from_the_runs_files(tmp_path):
+    """Every figure CSV row and the report's lexical, profile and designation
+    tables, recomputed from metrics.jsonl, groups.json, designations.json and
+    corpus.bin: exact, but for the boxplot quartiles, which a linear
+    interpolation of the sorted values gives to within float rounding."""
+    paths = _small_bundle(tmp_path)
+    out = tmp_path / "run"
+    run_pipeline(_config(paths), out)
+    metric_lines = (out / "metrics" / "metrics.jsonl").read_text().splitlines()[1:]
+    by_id = {row["profile_id"]: row for row in map(json.loads, metric_lines)}
+    groups = json.loads((out / "group" / "groups.json").read_text())
+    partition, entropy = groups["groups"], groups["entropy"]
+    designations = json.loads((out / "detect" / "designations.json").read_text())["designations"]
+    corpus = ingest.load_corpus(out / "ingest" / "corpus.bin")
+    report = json.loads((out / "report" / "report.json").read_text())
+    names = ["I", "II", "III", "IV", "V", "VI", "VII", "VIII"]
+
+    def values(group, key):
+        return [by_id[p][key] for p in partition[group] if by_id[p][key] is not None]
+
+    def mean(xs):
+        return sum(xs) / len(xs) if xs else None
+
+    expected = {"fig_entropy_cdf.csv": [[g, repr(h)] for g in names for h in sorted(entropy[p] for p in partition[g])]}
+    boxes = {"fig_toxicity_median_box.csv": "toxicity_median", "fig_toxicity_gini_box.csv": "toxicity_gini"}
+    for name, key in [
+        ("fig_tweets_cdf.csv", "n_tweets"), ("fig_unique_tweets_cdf.csv", "n_unique"),
+        ("fig_hashtags_total_cdf.csv", "total_hashtags"), ("fig_hashtags_unique_cdf.csv", "unique_hashtags"),
+        ("fig_hashtags_ratio_cdf.csv", "hashtags_per_tweet"), ("fig_burstiness_cdf.csv", "burstiness"),
+    ]:
+        expected[name] = [[g, repr(float(v))] for g in names for v in sorted(values(g, key))]
+    gap_hist, year_bars = [], []
+    for g in names:
+        gaps, years = Counter(), Counter(values(g, "creation_year"))
+        for hist in values(g, "delta_days_hist"):
+            gaps.update({int(gap): n for gap, n in hist.items()})
+        gap_hist += [[g, str(gap), str(n)] for gap, n in sorted(gaps.items())]
+        year_bars += [[g, str(year), str(n)] for year, n in sorted(years.items())]
+    expected["fig_time_delta_hist.csv"] = gap_hist
+    expected["fig_profile_age_bars.csv"] = year_bars
+    expected["fig_top3_gaps_cdf.csv"] = [list(row) for row in sorted(
+        (d["label"], repr(float(d["evidence"]["top3_gaps"][0])), repr(float(d["evidence"]["top3_gaps"][1])))
+        for d in designations if d["evidence"].get("top3_gaps")
+    )]
+    assert sorted([*expected, *boxes]) == sorted(pipeline.PLOTS)
+    for name, rows in expected.items():
+        assert rows, name
+        assert _read_csv(out / "report" / "plots" / name)[1] == rows, name
+    for name, key in boxes.items():
+        rows = _read_csv(out / "report" / "plots" / name)[1]
+        assert rows and [row[0] for row in rows] == [g for g in names if values(g, key)]
+        for group, *quartiles in rows:
+            oracle = [_linear_percentile(values(group, key), p) for p in (0, 25, 50, 75, 100)]
+            assert [float(q) for q in quartiles] == pytest.approx(oracle, rel=1e-12, abs=1e-15), (name, group)
+
+    compared = names[1:]  # group I is left out of the comparative tables
+    assert report["lexical_table"] == {
+        g: {**{key: mean(values(g, key)) for key in LEXICAL_KEYS}, "n_profiles": len(partition[g])} for g in compared
+    }
+    profile_table = {}
+    for g in compared:
+        metas = [corpus.profiles[p].metadata for p in partition[g] if corpus.profiles[p].metadata]
+        row = profile_table[g] = {"n_profiles": len(partition[g])}
+        if metas:
+            for key in ("followers", "following", "listed", "statuses", "favourites"):
+                row[key] = mean([getattr(m, key) for m in metas])
+            for key in ("protected", "verified", "has_location"):
+                row[f"pct_{key}"] = 100.0 * sum(getattr(m, key) for m in metas) / len(metas)
+            row["followers_following_ratio"] = row["followers"] / row["following"] if row["following"] else None
+    assert report["profile_table"] == profile_table
+    labels = [d["label"] for d in designations]
+    assert report["designation_counts"] == {label: labels.count(label) for label in ("on_mission", "not_on_mission")}
 
 
 def test_outputs_embed_config_hash(tmp_path):

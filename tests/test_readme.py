@@ -1,10 +1,12 @@
 """README's shell examples name only commands and options the CLI has, so
-a renamed or removed option fails here rather than in a reader's shell."""
+a renamed or removed option fails here rather than in a reader's shell;
+and README names every file a run writes."""
 import re
 import shlex
 from pathlib import Path
 
 from mission_profiler.cli import main
+from mission_profiler.pipeline import STAGE_TABLE
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -42,3 +44,11 @@ def test_readme_command_lines_name_existing_commands_and_their_options():
     lines = cli_lines(README.read_text(encoding="utf-8"))
     assert {words[0] for words in lines} == set(main.commands)  # every command has an example
     assert [problem for words in lines for problem in unknown_options(words)] == []
+
+
+def test_readme_names_every_file_a_stage_declares():
+    text = README.read_text(encoding="utf-8")
+    names = {Path(file).name for stage in STAGE_TABLE.values() for file, _ in stage.outputs.values()}
+    # a whole name: not part of a longer one, as eval.json is of eval.jsonl
+    missing = sorted(n for n in names if not re.search(rf"(?<![\w.-]){re.escape(n)}(?![\w.-])", text))
+    assert missing == []
