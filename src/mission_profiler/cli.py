@@ -71,7 +71,7 @@ def _finite(ctx, param, value: float) -> float:
 def score(corpus_path, backend, toxicity_file, bot_file, toxicity_cache, bot_cache, rps, mock_value) -> None:
     """Attach toxicity (and optionally bot) scores via the chosen backend.
 
-    As in a run: the file backend stores the whole score table, and mock
+    As in a run: the file backend takes the whole score table, and mock
     and http resume from --toxicity-cache for the corpus's tweets only."""
     if bot_file and not bot_cache:
         raise click.UsageError("--bot-file needs --bot-cache, the file its bot scores are saved to")
@@ -99,7 +99,9 @@ def score(corpus_path, backend, toxicity_file, bot_file, toxicity_cache, bot_cac
 @click.option("--seed", type=int, default=42)
 @click.option("--out", required=True, type=click.Path())
 def topics_cmd(corpus_path, tpv_path, catalog_path, baseline, k_topics, seed, out) -> None:
-    """Validate topic vectors (or generate baseline ones) and the catalog."""
+    """Check topic vectors and write the catalog; with --baseline, also
+    write the baseline vectors. Give later commands the checked --tpv file
+    itself."""
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
@@ -111,7 +113,8 @@ def topics_cmd(corpus_path, tpv_path, catalog_path, baseline, k_topics, seed, ou
         tpvs, catalog = topic_vectors(k_topics, seed, None if baseline else tpv_path, catalog_path, corpus)
     except Exception as exc:
         _fail("topics", exc)
-    topics.save_tpvs(tpvs, out_dir / "tpvs.jsonl")
+    if baseline:
+        topics.save_tpvs(tpvs, out_dir / "tpvs.jsonl")
     catalog.save(out_dir / "catalog.tsv")
     click.echo(f"{len(tpvs)} topic vectors over K={k_topics}; catalog with {catalog.K} topics")
 
@@ -144,7 +147,7 @@ def metrics_cmd(corpus_path, toxicity_cache, out) -> None:
     """Compute the per-profile metric battery into metrics.jsonl."""
     try:
         corpus = load_corpus(corpus_path)
-        rows = metric_rows(corpus, scores.ScoreCache.load(toxicity_cache), _warn)
+        rows = metric_rows(corpus, scores.load_score_source(toxicity_cache), _warn)
     except Exception as exc:
         _fail("metrics", exc)
     write_metrics(rows, out)
@@ -176,7 +179,7 @@ def detect(corpus_path, tpv_path, catalog_path, toxicity_cache, groups_path,
     try:
         corpus = load_corpus(corpus_path)
         tpvs, catalog = topic_vectors(k_topics, 0, tpv_path, catalog_path)
-        aggs = corpus_topic_aggregates(corpus, tpvs, scores.ScoreCache.load(toxicity_cache), k_topics, _warn)
+        aggs = corpus_topic_aggregates(corpus, tpvs, scores.load_score_source(toxicity_cache), k_topics, _warn)
         partition = read_json(groups_path)["groups"]
         payload = designate(
             corpus, tpvs, catalog, aggs, partition, group_name, min_cluster, tox_gate, _warn

@@ -10,10 +10,9 @@ from __future__ import annotations
 import gzip
 import json
 import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from importlib import resources
-from operator import attrgetter
 from pathlib import Path
 from typing import Callable
 
@@ -121,6 +120,7 @@ class IngestStats:
     kept_tweets: int = 0
     kept_profiles: int = 0
     dropped_profiles: int = 0
+    malformed_profile_lines: int = 0  # metadata lines skipped; conserved() counts tweet lines only
 
     def conserved(self) -> bool:
         return (
@@ -355,13 +355,13 @@ def load_timelines(
         stats.kept_profiles += 1
 
     if profiles_path is not None:
-        _attach_metadata(profiles, profiles_path, strict)
+        _attach_metadata(profiles, profiles_path, strict, stats)
 
     assert stats.conserved(), "ingest accounting must cover every input line"
     return Corpus(profiles=profiles, ingest_stats=stats)
 
 
-def _attach_metadata(profiles: dict[str, ProfileTimeline], path: str | Path, strict: bool) -> None:
+def _attach_metadata(profiles: dict[str, ProfileTimeline], path: str | Path, strict: bool, stats: IngestStats) -> None:
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -372,6 +372,7 @@ def _attach_metadata(profiles: dict[str, ProfileTimeline], path: str | Path, str
             except IngestError:
                 if strict:
                     raise
+                stats.malformed_profile_lines += 1
                 continue
             timeline = profiles.get(profile_id)
             if timeline is None:
@@ -387,18 +388,6 @@ def _attach_metadata(profiles: dict[str, ProfileTimeline], path: str | Path, str
             profiles[profile_id] = replace(timeline, metadata=meta)
 
 
-def _fields_getter(cls) -> Callable[[object], dict]:
-    """obj -> {field name: value} for instances of the dataclass cls. Unlike
-    vars(), it gives no instance a dict of its own to keep for the corpus's
-    lifetime."""
-    names = tuple(f.name for f in fields(cls))
-    values = attrgetter(*names)
-    return lambda obj: dict(zip(names, values(obj)))
-
-
-_tweet_fields, _metadata_fields = _fields_getter(Tweet), _fields_getter(ProfileMetadata)
-
-
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
     """Write the versioned binary corpus cache (gzip-compressed JSON).
     Tweets and metadata are written field by field; their tuples encode as
@@ -410,8 +399,8 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
         "profiles": [
             {
                 "profile_id": pid,
-                "tweets": [_tweet_fields(t) for t in tl.tweets],
-                "metadata": _metadata_fields(tl.metadata) if tl.metadata else None,
+                "tweets": [vars(t) for t in tl.tweets],
+                "metadata": vars(tl.metadata) if tl.metadata else None,
             }
             for pid, tl in sorted(corpus.profiles.items())
         ],

@@ -15,11 +15,13 @@ digest; an out dir written by a different config aborts the run. A stage
 that reruns first deletes every file it declares, so one it no longer
 produces (a skipped classifier's models) is gone rather than stale.
 Results pass to later stages in memory; a file is read back only when
-its stage was a cache hit and a later stage misses. A run hashes each
+its stage was a cache hit and a later stage misses; a user file parsed
+unchanged (the corpus, topic vectors, score files) is not copied but
+parsed again, and later manifests record its digest. A run hashes each
 file at most once. Every manifest records the config hash, and so do
-the JSON, CSV and metrics files from aggregates.json on; corpus.bin,
-the score caches, tpvs.jsonl, catalog.tsv and features.jsonl hold data
-only. All randomness derives from the single top-level seed.
+the JSON, CSV and metrics files from aggregates.json on; the score
+caches, tpvs.jsonl, catalog.tsv and features.jsonl hold data only. All
+randomness derives from the single top-level seed.
 """
 from __future__ import annotations
 
@@ -30,15 +32,15 @@ import math
 import os
 import warnings
 from collections import Counter
-from dataclasses import dataclass, fields
-from functools import partial, partialmethod
+from dataclasses import dataclass, field, fields
+from functools import lru_cache, partial, partialmethod
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from . import classifier, detector, diversity, features, metrics, scores, topics
-from .ingest import Corpus, load_corpus, load_timelines, save_corpus
+from .ingest import Corpus, load_timelines
 from .readability import LEXICAL_KEYS
 from .util import canonical_dumps, derive_seed, read_json, sha256_file, sha256_text, write_json
 
@@ -408,20 +410,14 @@ def write_metrics(rows: list[dict], path, config_hash: str | None = None) -> Non
             fh.write(canonical_dumps(row) + "\n")
 
 
+@dataclass(frozen=True)
 class Artifact:
-    """A stage's output file and its in-memory value: the value the stage
-    computed, or, after a cache hit, the file read by `load` on first use."""
+    """A stage's value and the files it comes from by manifest key (its own
+    file or the user files it parses unchanged). get() returns the value the
+    stage computed or, after a cache hit, reads it on first use."""
 
-    def __init__(self, path: Path, value=None, load: Callable[[Path], object] | None = None):
-        self.path = path
-        self._value = value
-        self._load = load
-
-    def get(self):
-        if self._load is not None:
-            self._value = self._load(self.path)
-            self._load = None
-        return self._value
+    paths: dict[str, str | Path]
+    get: Callable[[], object]
 
 
 Inputs = dict[str, Artifact]
@@ -435,13 +431,17 @@ class Stage:
     every file it may write, by artifact name, with the loader(path, cfg)
     that reads it back after a cache hit (None when nothing reads it); and
     compute, which writes this run's outputs and returns the values later
-    stages take in memory. `extra(values)` adds keys to the manifest."""
+    stages take in memory. `parses` gives artifacts that are config files
+    parsed unchanged, by their keys, and the loader(cfg) that parses them;
+    when those files are set, compute gets no path to write a copy to.
+    `extra(values)` adds keys to the manifest."""
 
     inputs: tuple[str, ...]
     outputs: dict[str, tuple[str, Callable | None]]
     compute: Callable[["Pipeline", Inputs, Outputs, Warn], dict]
     files: Callable[[RunConfig], dict] = lambda cfg: {}
     extra: Callable[[dict], dict] | None = None
+    parses: dict[str, tuple[tuple[str, ...], Callable]] = field(default_factory=dict)
 
 
 class Pipeline:
@@ -459,9 +459,12 @@ class Pipeline:
 
     def _cached(self, stage: str, inputs: dict[str, str]) -> bool:
         path = self.out / stage / "manifest.json"
-        if not path.exists():
+        try:
+            manifest = read_json(path)
+        except (OSError, ValueError):  # none yet, or cut short or garbled as a killed write leaves it
             return False
-        manifest = read_json(path)
+        if not isinstance(manifest, dict):
+            return False
         if manifest.get("config_hash") != self.hash:
             raise StaleCacheError(
                 stage,
@@ -536,26 +539,32 @@ class Pipeline:
     def _run_stage(self, stage: str) -> None:
         """Reuse the stage's cached outputs, or compute them and write its
         manifest; either way, hand its outputs on to later stages by name."""
-        spec = STAGE_TABLE[stage]
+        spec, cfg = STAGE_TABLE[stage], self.config
+        files = {key: path for key, path in spec.files(cfg).items() if path}
         inputs = {key: self._artifacts[key] for key in spec.inputs if key in self._artifacts}
-        paths = {key: artifact.path for key, artifact in inputs.items()}
-        paths.update((key, path) for key, path in spec.files(self.config).items() if path)
-        hashes = self._input_hashes(paths)
+        hashes = self._input_hashes({**{k: p for a in inputs.values() for k, p in a.paths.items()}, **files})
+        # each artifact handed on: its files by manifest key and its reader; first those parsed from user files
+        found = {
+            name: ({key: files[key] for key in keys if key in files}, partial(parse, cfg))
+            for name, (keys, parse) in spec.parses.items() if any(key in files for key in keys)
+        }
         out = {name: self.out / stage / file for name, (file, _) in spec.outputs.items()}
         values = {}
         if not self._cached(stage, hashes):
+            (self.out / stage).mkdir(parents=True, exist_ok=True)
             for path in out.values():
                 path.unlink(missing_ok=True)  # a declared output this run does not write is stale
                 path.parent.mkdir(parents=True, exist_ok=True)
-            values = spec.compute(self, inputs, out, partial(self._warn, stage))
+            writes = {name: path for name, path in out.items() if name not in found}
+            values = spec.compute(self, inputs, writes, partial(self._warn, stage))
             self._forget(out.values())
-            written = [spec.outputs[name][0] for name, path in out.items() if path.exists()]
+            written = [spec.outputs[name][0] for name, path in writes.items() if path.exists()]
             self._write_manifest(stage, hashes, written, spec.extra and spec.extra(values))
-        for name, (_, load) in spec.outputs.items():
-            if name in values:
-                self._artifacts[name] = Artifact(out[name], values[name])
-            elif out[name].exists():  # read on first use
-                self._artifacts[name] = Artifact(out[name], load=load and partial(load, cfg=self.config))
+        for name, (_, load) in spec.outputs.items():  # then the stage's own files that a later stage reads
+            if load and name not in found and (name in values or out[name].exists()):
+                found[name] = ({name: out[name]}, partial(load, out[name], cfg))
+        for name, (paths, load) in found.items():  # a value this run did not compute is read on first use
+            self._artifacts[name] = Artifact(paths, (lambda v=values[name]: v) if name in values else lru_cache(load))
 
 
 def _take_lock(lock: Path) -> int:
@@ -596,14 +605,15 @@ def _ingest(pipe: Pipeline, a: Inputs, out: Outputs, warn: Warn) -> dict:
         raise PipelineError("ingest", str(exc)) from exc
     if not corpus.profiles:
         warn("corpus is empty after filtering")
-    save_corpus(corpus, out["corpus"])
+    if corpus.ingest_stats.malformed_profile_lines:
+        warn(f"{corpus.ingest_stats.malformed_profile_lines} malformed profile metadata lines were skipped")
     return {"corpus": corpus}
 
 
 def _score(pipe: Pipeline, a: Inputs, out: Outputs, warn: Warn) -> dict:
     cfg = pipe.config
     corpus = a["corpus"].get()
-    resume = out["toxicity"].with_name(PARTIAL_SCORES)  # undeclared: the runner leaves it in place
+    resume = pipe.out / "score" / PARTIAL_SCORES  # undeclared: the runner leaves it in place
     try:  # the bot source first: a bad one fails before any toxicity request
         bot_cache = bot_scores(corpus, cfg.bot_backend, cfg.bot_path)
         cache = toxicity_scores(corpus, cfg.toxicity_backend, cfg.toxicity_path, cfg.mock_toxicity_value, resume)
@@ -614,12 +624,11 @@ def _score(pipe: Pipeline, a: Inputs, out: Outputs, warn: Warn) -> dict:
     unscored = sum(1 for t in corpus.all_tweets() if t.tweet_id not in cache.toxicity)
     if unscored:
         warn(f"{unscored} tweets have no toxicity score")
-    cache.save(out["toxicity"])
+    values = {"toxicity": cache} if cfg.bot_backend == "none" else {"toxicity": cache, "bots": bot_cache}
+    for name in values.keys() & out.keys():  # a backend's scores; a user's score file is not copied
+        values[name].save(out[name])
     resume.unlink(missing_ok=True)
-    if cfg.bot_backend == "none":
-        return {"toxicity": cache}
-    bot_cache.save(out["bots"])
-    return {"toxicity": cache, "bots": bot_cache}
+    return values
 
 
 def _topics(pipe: Pipeline, a: Inputs, out: Outputs, warn: Warn) -> dict:
@@ -631,12 +640,13 @@ def _topics(pipe: Pipeline, a: Inputs, out: Outputs, warn: Warn) -> dict:
         )
     except (topics.TPVError, topics.CatalogError, OSError) as exc:
         raise PipelineError("topics", str(exc)) from exc
+    if "tpvs" in out:  # baseline vectors: hand on what a cache hit reads back
+        topics.save_tpvs(tpvs, out["tpvs"])
+        tpvs = topics.load_tpvs(out["tpvs"], cfg.K)
     aggs = corpus_topic_aggregates(corpus, tpvs, a["toxicity"].get(), cfg.K, warn)
-    topics.save_tpvs(tpvs, out["tpvs"])
     catalog.save(out["catalog"])
     write_json(out["aggregates"], {"config_hash": pipe.hash, "aggregates": list(aggs.values())})
-    # later stages see the vectors as a cached run reads them from tpvs.jsonl
-    return {"tpvs": topics.as_saved(tpvs), "catalog": catalog, "aggregates": aggs}
+    return {"tpvs": tpvs, "catalog": catalog, "aggregates": aggs}
 
 
 def _group(pipe: Pipeline, a: Inputs, out: Outputs, warn: Warn) -> dict:
@@ -882,9 +892,10 @@ _CLASSIFY_FILES = {
 # so a wrapped or patched loader is the one used.
 STAGE_TABLE: dict[str, Stage] = {
     "ingest": Stage(
-        (), {"corpus": ("corpus.bin", lambda path, cfg: load_corpus(path))}, _ingest,
+        (), {}, _ingest,
         files=lambda cfg: {"tweets": cfg.tweets, "profiles": cfg.profiles},
         extra=lambda values: {"stats": values["corpus"].ingest_stats.as_dict()},
+        parses={"corpus": (("tweets", "profiles"), lambda cfg: load_timelines(cfg.tweets, cfg.profiles, cfg.strict))},
     ),
     "score": Stage(
         ("corpus",),
@@ -897,6 +908,10 @@ STAGE_TABLE: dict[str, Stage] = {
             "toxicity_source": cfg.toxicity_backend == "file" and cfg.toxicity_path,
             "bot_source": cfg.bot_backend == "file" and cfg.bot_path,
         },
+        parses={
+            "toxicity": (("toxicity_source",), lambda cfg: scores.load_score_source(cfg.toxicity_path)),
+            "bots": (("bot_source",), lambda cfg: scores.load_score_source(cfg.bot_path)),
+        },
     ),
     "topics": Stage(
         ("corpus", "toxicity"),
@@ -906,7 +921,8 @@ STAGE_TABLE: dict[str, Stage] = {
             "aggregates": ("aggregates.json", lambda path, cfg: {a["topic"]: a for a in read_json(path)["aggregates"]}),
         },
         _topics,
-        files=lambda cfg: {"tpvs": cfg.tpvs, "catalog": cfg.catalog},
+        files=lambda cfg: {"tpvs": not cfg.use_baseline_topics and cfg.tpvs, "catalog": cfg.catalog},
+        parses={"tpvs": (("tpvs",), lambda cfg: topics.load_tpvs(cfg.tpvs, cfg.K))},
     ),
     "group": Stage(
         ("corpus", "tpvs", "catalog"),
@@ -921,9 +937,8 @@ STAGE_TABLE: dict[str, Stage] = {
         {"detect": ("designations.json", _read_json)},
         _detect,
     ),
-    # the metric rows carry toxicity; it stays in the key so manifests keep their bytes
     "features": Stage(
-        ("corpus", "tpvs", "catalog", "toxicity", "metrics"),
+        ("corpus", "tpvs", "catalog", "metrics"),
         {"features": ("features.jsonl", lambda path, cfg: features.load_features(path))},
         _features,
     ),
@@ -934,7 +949,7 @@ STAGE_TABLE: dict[str, Stage] = {
         files=lambda cfg: {"labels": cfg.labels},
     ),
     "report": Stage(
-        ("corpus", "toxicity", "bots", "tpvs", "groups", "metrics", "detect", *_CLASSIFY_FILES),
+        ("corpus", "bots", "groups", "metrics", "detect", *_CLASSIFY_FILES),
         {
             "report": ("report.json", _read_json),
             "run_config": ("run_config.json", None),

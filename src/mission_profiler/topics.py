@@ -99,7 +99,9 @@ def load_tpvs(path: str | Path, K: int) -> dict[str, np.ndarray]:
     deviations, wrong dimensions and negative entries are rejected with
     their row number. When several rows are bad, the first one is reported.
     Rows are parsed one at a time but checked and renormalized as one
-    (n, K) matrix; each returned vector is a row of that matrix.
+    (n, K) matrix; each returned vector is a row of that matrix. Vectors
+    come in tweet-id order, so later sums do not depend on the line order;
+    of repeated ids, the last row wins.
     """
     ids: list[str] = []
     rows: list[np.ndarray] = []
@@ -136,7 +138,7 @@ def load_tpvs(path: str | Path, K: int) -> dict[str, np.ndarray]:
     if error is not None:
         raise error
     matrix /= sums[:, None]
-    return dict(zip(ids, matrix))
+    return {ids[i]: matrix[i] for i in sorted(range(len(ids)), key=ids.__getitem__)}
 
 
 def _validate_tpv(probs: np.ndarray, K: int, lineno: int | None = None) -> None:
@@ -157,16 +159,6 @@ def save_tpvs(tpvs: dict[str, np.ndarray], path: str | Path) -> None:
         for tweet_id in sorted(tpvs):
             row = {"tweet_id": tweet_id, "probs": np.asarray(tpvs[tweet_id], dtype=float).tolist()}
             fh.write(canonical_dumps(row) + "\n")
-
-
-def as_saved(tpvs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """The vectors exactly as load_tpvs reads back the file save_tpvs
-    writes: ordered by tweet id and normalised once more."""
-    if not tpvs:
-        return {}
-    ids = sorted(tpvs)
-    matrix = np.stack([tpvs[tweet_id] for tweet_id in ids])
-    return dict(zip(ids, matrix / matrix.sum(axis=1, keepdims=True)))
 
 
 def assign_dominant_topics(tpvs: dict[str, np.ndarray]) -> dict[str, int]:

@@ -51,6 +51,18 @@ def run_dir(bundle_dir, tmp_path_factory):
     return out / "run"
 
 
+@pytest.fixture(scope="module")
+def corpus_bin(bundle_dir, tmp_path_factory):
+    """The bundle's corpus as CLI ingest hands it to the other stage commands."""
+    out = tmp_path_factory.mktemp("cli_corpus") / "corpus.bin"
+    result = CliRunner().invoke(main, [
+        "ingest", "--tweets", str(bundle_dir / "tweets.jsonl"), "--profiles", str(bundle_dir / "profiles.jsonl"),
+        "--out", str(out),
+    ])
+    assert result.exit_code == 0, result.output
+    return out
+
+
 def test_run_produces_report(run_dir):
     assert (run_dir / "report" / "report.json").exists()
 
@@ -194,14 +206,14 @@ def test_score_command_file_stores_whole_table(tmp_path):
     assert again.read_bytes() == cache.read_bytes()
 
 
-def test_score_command_mock_writes_the_caches_of_a_mock_run(bundle_dir, tmp_path):
+def test_score_command_mock_writes_the_caches_of_a_mock_run(bundle_dir, corpus_bin, tmp_path):
     config = _run_config(bundle_dir, tmp_path / "config.json", toxicity_backend="mock", bot_backend="mock")
     run = tmp_path / "run"
     result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(run)])
     assert result.exit_code == 0, result.output
     tox, bots = tmp_path / "tox.jsonl", tmp_path / "bots.jsonl"
     result = CliRunner().invoke(main, [
-        "score", "--corpus", str(run / "ingest" / "corpus.bin"), "--backend", "mock",
+        "score", "--corpus", str(corpus_bin), "--backend", "mock",
         "--toxicity-cache", str(tox), "--bot-cache", str(bots),
     ])
     assert result.exit_code == 0, result.output
@@ -297,12 +309,12 @@ def test_run_with_a_toxicity_row_that_is_no_json_object_fails_in_score(bundle_di
     assert error in result.output
 
 
-def test_score_command_bot_file_without_bot_cache_is_a_usage_error(bundle_dir, run_dir, tmp_path):
+def test_score_command_bot_file_without_bot_cache_is_a_usage_error(corpus_bin, tmp_path):
     bots = tmp_path / "bots.csv"
     bots.write_text("p0,0.3,0.4\n")
     tox = tmp_path / "tox.jsonl"
     result = CliRunner().invoke(main, [
-        "score", "--corpus", str(run_dir / "ingest" / "corpus.bin"), "--backend", "mock",
+        "score", "--corpus", str(corpus_bin), "--backend", "mock",
         "--toxicity-cache", str(tox), "--bot-file", str(bots),
     ])
     assert result.exit_code == 2, result.output
@@ -318,11 +330,11 @@ def test_kappa_command(tmp_path):
     assert "kappa=0.3333" in result.output
 
 
-def test_detect_command(bundle_dir, run_dir, tmp_path):
+def test_detect_command(bundle_dir, run_dir, corpus_bin, tmp_path):
     out = tmp_path / "designations.json"
     result = CliRunner().invoke(main, [
         "detect",
-        "--corpus", str(run_dir / "ingest" / "corpus.bin"),
+        "--corpus", str(corpus_bin),
         "--tpv", str(bundle_dir / "tpvs.jsonl"),
         "--toxicity-cache", str(bundle_dir / "toxicity_cache.jsonl"),
         "--groups", str(run_dir / "group" / "groups.json"),
@@ -398,10 +410,10 @@ def test_flag_command(bundle_dir, run_dir, tmp_path):
     assert "flagged" in result.output
 
 
-def test_group_command(bundle_dir, run_dir, tmp_path):
+def test_group_command(bundle_dir, corpus_bin, tmp_path):
     out = tmp_path / "groups.json"
     result = CliRunner().invoke(main, [
-        "group", "--corpus", str(run_dir / "ingest" / "corpus.bin"),
+        "group", "--corpus", str(corpus_bin),
         "--tpv", str(bundle_dir / "tpvs.jsonl"), "--k", "20",
         "--out", str(out), "--cdf-csv", str(tmp_path / "cdf.csv"),
     ])
@@ -500,10 +512,10 @@ def test_flag_command_rejects_a_group_selection_that_is_not_of_groups_i_to_viii(
     assert not out.exists()
 
 
-def test_topics_baseline_command(run_dir, tmp_path):
+def test_topics_baseline_command(corpus_bin, tmp_path):
     out = tmp_path / "topics"
     result = CliRunner().invoke(main, [
-        "topics", "--baseline", "--corpus", str(run_dir / "ingest" / "corpus.bin"),
+        "topics", "--baseline", "--corpus", str(corpus_bin),
         "--k", "20", "--seed", "5", "--out", str(out),
     ])
     assert result.exit_code == 0, result.output
@@ -511,10 +523,23 @@ def test_topics_baseline_command(run_dir, tmp_path):
     assert (out / "catalog.tsv").read_text().startswith("0\teveryday")
 
 
-def test_metrics_command(bundle_dir, run_dir, tmp_path):
+def test_topics_command_checks_the_given_vectors_and_writes_only_the_catalog(bundle_dir, tmp_path):
+    # later commands take the --tpv file itself: a copy read back would normalise the vectors twice
+    out = tmp_path / "topics"
+    result = CliRunner().invoke(main, ["topics", "--tpv", str(bundle_dir / "tpvs.jsonl"), "--k", "20", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert sorted(p.name for p in out.iterdir()) == ["catalog.tsv"]
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps({"tweet_id": "t", "probs": [0.5, 0.5]}) + "\n")
+    result = CliRunner().invoke(main, ["topics", "--tpv", str(bad), "--k", "20", "--out", str(tmp_path / "bad")])
+    assert result.exit_code == 12, result.output
+    assert "row 1: expected 20 probabilities" in result.output
+
+
+def test_metrics_command(bundle_dir, corpus_bin, tmp_path):
     out = tmp_path / "metrics.jsonl"
     result = CliRunner().invoke(main, [
-        "metrics", "--corpus", str(run_dir / "ingest" / "corpus.bin"),
+        "metrics", "--corpus", str(corpus_bin),
         "--toxicity-cache", str(bundle_dir / "toxicity_cache.jsonl"),
         "--out", str(out),
     ])
@@ -524,12 +549,26 @@ def test_metrics_command(bundle_dir, run_dir, tmp_path):
     assert all("burstiness" in r for r in rows)
 
 
-def test_stage_commands_match_pipeline_artifacts(run_dir, tmp_path):
-    """group, metrics and detect on a run's own stage inputs write the run's
-    artifacts, minus the config-hash key or header line."""
-    corpus = str(run_dir / "ingest" / "corpus.bin")
-    tpvs, catalog = str(run_dir / "topics" / "tpvs.jsonl"), str(run_dir / "topics" / "catalog.tsv")
-    tox = str(run_dir / "score" / "toxicity_cache.jsonl")
+def test_metrics_command_reads_a_score_table_as_a_run_does(bundle_dir, corpus_bin, tmp_path):
+    # a run takes a CSV table as its toxicity_path and copies it nowhere; metrics used to want a cache
+    cache = scores.ScoreCache.load(bundle_dir / "toxicity_cache.jsonl")
+    table = tmp_path / "tox.csv"
+    table.write_text("".join(f"{tweet_id},{score!r}\n" for tweet_id, score in cache.toxicity.items()))
+    for name, path in (("from_table.jsonl", table), ("from_cache.jsonl", bundle_dir / "toxicity_cache.jsonl")):
+        result = CliRunner().invoke(main, [
+            "metrics", "--corpus", str(corpus_bin), "--toxicity-cache", str(path), "--out", str(tmp_path / name),
+        ])
+        assert result.exit_code == 0, result.output
+    assert (tmp_path / "from_table.jsonl").read_bytes() == (tmp_path / "from_cache.jsonl").read_bytes()
+
+
+def test_stage_commands_match_pipeline_artifacts(bundle_dir, run_dir, corpus_bin, tmp_path):
+    """group, metrics and detect on the run's inputs (the corpus as CLI ingest
+    writes it, the bundle's topic vectors and scores) and the run's catalog
+    write the run's artifacts, minus the config-hash key or header line."""
+    corpus = str(corpus_bin)
+    tpvs, catalog = str(bundle_dir / "tpvs.jsonl"), str(run_dir / "topics" / "catalog.tsv")
+    tox = str(bundle_dir / "toxicity_cache.jsonl")
     runner = CliRunner()
     for args in (
         ["group", "--corpus", corpus, "--tpv", tpvs, "--catalog", catalog, "--k", "20",
@@ -551,8 +590,8 @@ def test_stage_commands_match_pipeline_artifacts(run_dir, tmp_path):
         assert (tmp_path / name).read_text() == "".join(lines[1:]), name
 
 
-def test_detect_command_leaves_out_topic_vectors_of_tweets_outside_the_corpus(run_dir, tmp_path):
-    tpvs = run_dir / "topics" / "tpvs.jsonl"
+def test_detect_command_leaves_out_topic_vectors_of_tweets_outside_the_corpus(bundle_dir, run_dir, corpus_bin, tmp_path):
+    tpvs = bundle_dir / "tpvs.jsonl"
     with_orphans = tmp_path / "tpvs_with_orphans.jsonl"
     with_orphans.write_text(tpvs.read_text() + "".join(
         json.dumps({"tweet_id": f"orphan-{i}", "probs": [0.0] * i + [1.0] + [0.0] * (19 - i)}) + "\n"
@@ -562,9 +601,9 @@ def test_detect_command_leaves_out_topic_vectors_of_tweets_outside_the_corpus(ru
     for path in (tpvs, with_orphans):
         outputs.append(tmp_path / f"{path.stem}.designations.json")
         result = CliRunner().invoke(main, [
-            "detect", "--corpus", str(run_dir / "ingest" / "corpus.bin"), "--tpv", str(path),
+            "detect", "--corpus", str(corpus_bin), "--tpv", str(path),
             "--catalog", str(run_dir / "topics" / "catalog.tsv"), "--k", "20",
-            "--toxicity-cache", str(run_dir / "score" / "toxicity_cache.jsonl"),
+            "--toxicity-cache", str(bundle_dir / "toxicity_cache.jsonl"),
             "--groups", str(run_dir / "group" / "groups.json"), "--group", "VII", "--out", str(outputs[-1]),
         ])
         assert result.exit_code == 0, result.output
@@ -573,15 +612,17 @@ def test_detect_command_leaves_out_topic_vectors_of_tweets_outside_the_corpus(ru
 
 
 @pytest.mark.parametrize("command, exit_code", [("group", 13), ("detect", 15)])
-def test_group_and_detect_commands_fail_as_a_run_when_k_does_not_match_the_catalog(run_dir, tmp_path, command, exit_code):
-    tpvs, catalog = run_dir / "topics" / "tpvs.jsonl", run_dir / "topics" / "catalog.tsv"
+def test_group_and_detect_commands_fail_as_a_run_when_k_does_not_match_the_catalog(
+    bundle_dir, run_dir, corpus_bin, tmp_path, command, exit_code,
+):
+    tpvs, catalog = bundle_dir / "tpvs.jsonl", run_dir / "topics" / "catalog.tsv"
     with pytest.raises(Exception) as run_error:  # a run with K=200 over the same K=20 files
         topic_vectors(200, 5, str(tpvs), str(catalog))
     out = tmp_path / "out.json"
-    args = [command, "--corpus", str(run_dir / "ingest" / "corpus.bin"), "--tpv", str(tpvs),
+    args = [command, "--corpus", str(corpus_bin), "--tpv", str(tpvs),
             "--catalog", str(catalog), "--k", "200", "--out", str(out)]
     if command == "detect":
-        args += ["--toxicity-cache", str(run_dir / "score" / "toxicity_cache.jsonl"),
+        args += ["--toxicity-cache", str(bundle_dir / "toxicity_cache.jsonl"),
                  "--groups", str(run_dir / "group" / "groups.json"), "--group", "VII"]
     result = CliRunner().invoke(main, args)
     assert result.exit_code == exit_code, result.output
@@ -590,12 +631,12 @@ def test_group_and_detect_commands_fail_as_a_run_when_k_does_not_match_the_catal
 
 
 @pytest.mark.parametrize("gate", ["p150", "p-1", "pnan", "abs:nan", "abs:inf"])
-def test_detect_command_rejects_an_out_of_range_or_non_finite_tox_gate(run_dir, tmp_path, gate):
+def test_detect_command_rejects_an_out_of_range_or_non_finite_tox_gate(bundle_dir, run_dir, corpus_bin, tmp_path, gate):
     out = tmp_path / "designations.json"
     result = CliRunner().invoke(main, [
-        "detect", "--corpus", str(run_dir / "ingest" / "corpus.bin"),
-        "--tpv", str(run_dir / "topics" / "tpvs.jsonl"), "--catalog", str(run_dir / "topics" / "catalog.tsv"),
-        "--k", "20", "--toxicity-cache", str(run_dir / "score" / "toxicity_cache.jsonl"),
+        "detect", "--corpus", str(corpus_bin),
+        "--tpv", str(bundle_dir / "tpvs.jsonl"), "--catalog", str(run_dir / "topics" / "catalog.tsv"),
+        "--k", "20", "--toxicity-cache", str(bundle_dir / "toxicity_cache.jsonl"),
         "--groups", str(run_dir / "group" / "groups.json"), "--group", "VII",
         "--tox-gate", gate, "--out", str(out),
     ])
@@ -617,8 +658,10 @@ def test_topics_baseline_command_matches_pipeline(tmp_path):
     runner = CliRunner()
     result = runner.invoke(main, ["run", "--config", str(config), "--out", str(tmp_path / "run")])
     assert result.exit_code == 0, result.output
+    result = runner.invoke(main, ["ingest", "--tweets", str(tweets), "--out", str(tmp_path / "corpus.bin")])
+    assert result.exit_code == 0, result.output
     result = runner.invoke(main, [
-        "topics", "--baseline", "--corpus", str(tmp_path / "run" / "ingest" / "corpus.bin"),
+        "topics", "--baseline", "--corpus", str(tmp_path / "corpus.bin"),
         "--k", "20", "--seed", "9", "--out", str(tmp_path / "topics"),
     ])
     assert result.exit_code == 0, result.output

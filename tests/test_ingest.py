@@ -1,3 +1,4 @@
+import gzip
 import random
 import re
 import string
@@ -286,6 +287,17 @@ def test_a_metadata_number_out_of_range_is_a_malformed_line(tmp_path, field, val
         load_timelines(tweets, profiles, strict=True)
 
 
+def test_malformed_profile_lines_are_counted_apart_from_the_tweet_lines(tmp_path):
+    # they used to be skipped without a count
+    tweets, profiles = tmp_path / "tweets.jsonl", tmp_path / "profiles.jsonl"
+    write_tweet_lines(tweets, _profile_rows("a", 10))
+    profiles.write_text('{"profile_id": "x", "followers": 1e999}\n\nnot json\n{"profile_id": "a", "followers": 3}\n')
+    stats = load_timelines(tweets, profiles).ingest_stats
+    assert stats.malformed_profile_lines == 2
+    assert stats.malformed == 0 and stats.lines_total == 10
+    assert stats.conserved()  # of the tweet lines only
+
+
 def test_the_last_second_of_year_9999_is_a_valid_time(tmp_path):
     path = tmp_path / "tweets.jsonl"
     rows = _profile_rows("a", 10)
@@ -370,6 +382,11 @@ def test_corpus_cache_round_trip(tmp_path):
     cache2 = tmp_path / "corpus2.bin"
     save_corpus(loaded, cache2)
     assert cache.read_bytes() == cache2.read_bytes()
+    # a corpus.bin compressed at another gzip level, such as the default 9, loads the same
+    best = tmp_path / "corpus9.bin"
+    best.write_bytes(gzip.compress(gzip.decompress(cache.read_bytes()), compresslevel=9, mtime=0))
+    assert best.read_bytes() != cache.read_bytes()
+    assert load_corpus(best) == loaded
 
 
 def test_save_corpus_closes_its_file(tmp_path):

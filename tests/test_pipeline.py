@@ -1,4 +1,3 @@
-import gzip
 import json
 import os
 import random
@@ -21,7 +20,7 @@ from mission_profiler.pipeline import (
 )
 from mission_profiler.readability import LEXICAL_KEYS
 from mission_profiler.synth import default_specs, generate, write_bundle
-from mission_profiler.util import sha256_file, write_json
+from mission_profiler.util import sha256_file
 
 from conftest import BAD_LABELS, FailingScorer, tweet_row, write_tweet_lines, BASE_TS
 from test_detector import _linear_percentile
@@ -73,11 +72,11 @@ def test_rerun_reuses_cache_and_reproduces_report(tmp_path):
     out = tmp_path / "run"
     run_pipeline(config, out)
     report_bytes = (out / "report" / "report.json").read_bytes()
-    corpus_mtime = (out / "ingest" / "corpus.bin").stat().st_mtime_ns
+    manifest_mtime = (out / "ingest" / "manifest.json").stat().st_mtime_ns
     run_pipeline(config, out)
     assert (out / "report" / "report.json").read_bytes() == report_bytes
-    # ingest output untouched on the second run
-    assert (out / "ingest" / "corpus.bin").stat().st_mtime_ns == corpus_mtime
+    # the ingest stage is not run again on the second run
+    assert (out / "ingest" / "manifest.json").stat().st_mtime_ns == manifest_mtime
 
 
 def test_two_fresh_runs_byte_identical(tmp_path):
@@ -128,7 +127,7 @@ def test_artifacts_do_not_depend_on_the_line_order_of_the_inputs(tmp_path):
 
     original, reordered = artifacts("run"), artifacts("shuffled_run")
     assert list(reordered) == list(original)
-    assert {"ingest/corpus.bin", "classify/model_random_forest.json", "report/report.json"} <= set(original)
+    assert {"topics/aggregates.json", "classify/model_random_forest.json", "report/report.json"} <= set(original)
     for rel in original:
         assert reordered[rel] == original[rel], rel
 
@@ -492,7 +491,7 @@ def test_time_delta_hist_counts_match_metrics(tmp_path):
 def test_report_tables_and_plot_rows_match_a_recomputation_from_the_runs_files(tmp_path):
     """Every figure CSV row and the report's lexical, profile and designation
     tables, recomputed from metrics.jsonl, groups.json, designations.json and
-    corpus.bin: exact, but for the boxplot quartiles, which a linear
+    the input corpus: exact, but for the boxplot quartiles, which a linear
     interpolation of the sorted values gives to within float rounding."""
     paths = _small_bundle(tmp_path)
     out = tmp_path / "run"
@@ -502,7 +501,7 @@ def test_report_tables_and_plot_rows_match_a_recomputation_from_the_runs_files(t
     groups = json.loads((out / "group" / "groups.json").read_text())
     partition, entropy = groups["groups"], groups["entropy"]
     designations = json.loads((out / "detect" / "designations.json").read_text())["designations"]
-    corpus = ingest.load_corpus(out / "ingest" / "corpus.bin")
+    corpus = ingest.load_timelines(paths["tweets"], paths["profiles"])
     report = json.loads((out / "report" / "report.json").read_text())
     names = ["I", "II", "III", "IV", "V", "VI", "VII", "VIII"]
 
@@ -594,8 +593,13 @@ def test_the_benchmark_tracer_finds_every_function_it_wraps():
 
 # -- in-memory hand-off ----------------------------------------------------------------
 
+# the parsers of the user files a run hands on without a copy
+_PARSERS = ("load_timelines", "load_tpvs", "load_score_source")
+
+
 def _count_loads(monkeypatch) -> Counter:
-    """Count calls of the artifact loaders and of the metric battery."""
+    """Count calls of the user-file parsers, of the score-cache loader and
+    of the metric battery."""
     calls: Counter = Counter()
 
     def counting(name, fn):
@@ -604,9 +608,9 @@ def _count_loads(monkeypatch) -> Counter:
             return fn(*args, **kwargs)
         return wrapper
 
-    for mod in (ingest, pipeline):
-        monkeypatch.setattr(mod, "load_corpus", counting("load_corpus", ingest.load_corpus))
+    monkeypatch.setattr(pipeline, "load_timelines", counting("load_timelines", ingest.load_timelines))
     monkeypatch.setattr(topics, "load_tpvs", counting("load_tpvs", topics.load_tpvs))
+    monkeypatch.setattr(scores, "load_score_source", counting("load_score_source", scores.load_score_source))
     cache_load = scores.ScoreCache.__dict__["load"].__func__
     monkeypatch.setattr(scores.ScoreCache, "load", classmethod(counting("cache_load", cache_load)))
     monkeypatch.setattr(
@@ -620,9 +624,10 @@ def test_cold_run_reads_inputs_once_and_warm_rerun_loads_nothing(tmp_path, monke
     config = _config(paths)
     calls = _count_loads(monkeypatch)
     report = run_pipeline(config, tmp_path / "run")
-    # the input topic vectors and toxicity cache are each read once
+    # each input is parsed once; the toxicity file is in the cache format
     assert calls == Counter(
-        compute_metric_bundle=report["ingest_stats"]["kept_profiles"], load_tpvs=1, cache_load=1
+        compute_metric_bundle=report["ingest_stats"]["kept_profiles"],
+        load_timelines=1, load_tpvs=1, load_score_source=1, cache_load=1,
     )
     calls.clear()
     assert run_pipeline(config, tmp_path / "run") == report
@@ -636,19 +641,53 @@ def test_rerun_rebuilds_a_deleted_output_byte_identically(tmp_path, monkeypatch)
     run_pipeline(config, out)
     before = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
     calls = _count_loads(monkeypatch)
-    for rel in (
-        "features/features.jsonl", "metrics/metrics.jsonl", "topics/tpvs.jsonl", "group/groups.json",
-        "detect/designations.json", "classify/wild.json", "report/report.json",
-        "report/plots/fig_entropy_cdf.csv",
+    # each deleted file, and the user files its stage parses again after the earlier stages' hits
+    for rel, parsed in (
+        ("features/features.jsonl", {"load_timelines", "load_tpvs"}),
+        ("metrics/metrics.jsonl", {"load_timelines", "load_score_source"}),
+        ("topics/aggregates.json", {"load_timelines", "load_tpvs", "load_score_source"}),
+        ("group/groups.json", {"load_timelines", "load_tpvs"}),
+        ("detect/designations.json", {"load_timelines", "load_tpvs"}),
+        ("classify/wild.json", set()),
+        ("report/report.json", {"load_timelines"}),
+        ("report/plots/fig_entropy_cdf.csv", {"load_timelines"}),
     ):
         (out / rel).unlink()
         calls.clear()
         run_pipeline(config, out)
         after = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
         assert after == before, rel
+        assert {name: calls[name] for name in _PARSERS if calls[name]} == dict.fromkeys(parsed, 1), rel
         if rel.startswith("features/"):
             # rebuilt from metrics.jsonl: no metric bundle is computed again
             assert calls["compute_metric_bundle"] == 0
+
+
+def test_a_baseline_topics_run_rebuilds_its_designations_byte_identically(tmp_path):
+    # the rerun reads the baseline vectors back from tpvs.jsonl; the cold run handed on the same values
+    paths = _small_bundle(tmp_path)
+    config = _config(paths, tpvs=None, use_baseline_topics=True)
+    out = tmp_path / "run"
+    run_pipeline(config, out)
+    before = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert Path("topics/tpvs.jsonl") in before
+    (out / "detect" / "designations.json").unlink()
+    run_pipeline(config, out)
+    assert {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+
+def test_a_run_writes_no_copy_of_a_user_file(tmp_path):
+    paths = _small_bundle(tmp_path)
+    bots = tmp_path / "bots.csv"
+    bots.write_text("".join(f"{row.split(',')[0]},0.3,0.1\n" for row in paths["labels"].read_text().splitlines()[1:]))
+    copies = ("ingest/corpus.bin", "topics/tpvs.jsonl", "score/toxicity_cache.jsonl", "score/bot_cache.jsonl")
+    run_pipeline(_config(paths, bot_backend="file", bot_path=str(bots)), tmp_path / "files")
+    assert [rel for rel in copies if (tmp_path / "files" / rel).exists()] == []
+    # computed values are written: baseline vectors and the scores of the mock backends
+    computed = _config(paths, tpvs=None, use_baseline_topics=True, toxicity_backend="mock", bot_backend="mock")
+    report = run_pipeline(computed, tmp_path / "computed")
+    assert [rel for rel in copies if (tmp_path / "computed" / rel).exists()] == list(copies[1:])
+    assert report["botometer_table"]
 
 
 def test_every_file_a_stage_writes_is_a_manifest_output(tmp_path):
@@ -700,9 +739,6 @@ def test_skipped_classify_removes_an_earlier_runs_models(tmp_path):
 
 
 _PRODUCED = {
-    "corpus": "ingest/corpus.bin",
-    "toxicity": "score/toxicity_cache.jsonl",
-    "tpvs": "topics/tpvs.jsonl",
     "catalog": "topics/catalog.tsv",
     "aggregates": "topics/aggregates.json",
     "groups": "group/groups.json",
@@ -721,7 +757,7 @@ _PRODUCED = {
 def _assert_manifests_match_disk(out, paths):
     """Every digest a manifest records is the sha256 of that file as it is now."""
     given = {
-        "tweets": paths["tweets"], "profiles": paths["profiles"],
+        "tweets": paths["tweets"], "profiles": paths["profiles"], "tpvs": paths["tpvs"],
         "toxicity_source": paths["toxicity"], "labels": paths["labels"],
     }
     manifests = sorted(out.glob("*/manifest.json"))
@@ -729,10 +765,7 @@ def _assert_manifests_match_disk(out, paths):
     for manifest_path in manifests:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         for name, digest in manifest["inputs"].items():
-            if manifest["stage"] == "topics" and name == "tpvs":
-                path = paths["tpvs"]
-            else:
-                path = given.get(name) or out / _PRODUCED[name]
+            path = given.get(name) or out / _PRODUCED[name]
             assert digest == sha256_file(path), (manifest["stage"], name)
         assert sorted(manifest["output_hashes"]) == manifest["outputs"]
         for name, digest in manifest["output_hashes"].items():
@@ -780,8 +813,12 @@ def test_rebuilt_output_hands_later_stages_its_new_digest(tmp_path, monkeypatch)
     config = _config(paths)
     out = tmp_path / "run"
     run_pipeline(config, out)
-    (out / "topics" / "tpvs.jsonl").unlink()
+    (out / "metrics" / "metrics.jsonl").unlink()
+    (out / "group" / "groups.json").unlink()
+    calls = _count_loads(monkeypatch)
     run_pipeline(config, out)
+    # both rebuilt stages take the corpus, which is parsed once
+    assert {name: calls[name] for name in _PARSERS if calls[name]} == dict.fromkeys(_PARSERS, 1)
     hits = _count_cache_hits(monkeypatch)
     run_pipeline(config, out)
     assert hits == [True] * len(pipeline.STAGES)
@@ -794,8 +831,8 @@ def test_corrupted_outputs_are_rebuilt_not_reused(tmp_path):
     out = tmp_path / "run"
     run_pipeline(config, out)
     before = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
-    corpus = out / "ingest" / "corpus.bin"
-    corpus.write_bytes(corpus.read_bytes()[: corpus.stat().st_size // 2])
+    metric_rows = out / "metrics" / "metrics.jsonl"
+    metric_rows.write_bytes(metric_rows.read_bytes()[: metric_rows.stat().st_size // 2])
     report = bytearray((out / "report" / "report.json").read_bytes())
     report[len(report) // 2] ^= 0x01
     (out / "report" / "report.json").write_bytes(bytes(report))
@@ -822,6 +859,40 @@ def test_manifest_without_output_digests_is_a_miss(tmp_path, monkeypatch):
     assert {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
 
+@pytest.mark.parametrize("damage", [
+    pytest.param(lambda data: data[:40], id="cut-short"),
+    pytest.param(lambda data: b"[]", id="not-an-object"),
+    pytest.param(lambda data: b"\xff" + data, id="not-utf8"),
+])
+def test_an_unreadable_manifest_is_a_miss(tmp_path, monkeypatch, damage):
+    # a manifest cut short, as a killed write leaves it, used to stop every later run with a JSONDecodeError
+    paths = _small_bundle(tmp_path)
+    config = _config(paths)
+    out = tmp_path / "run"
+    run_pipeline(config, out)
+    before = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    manifest_path = out / "detect" / "manifest.json"
+    manifest_path.write_bytes(damage(manifest_path.read_bytes()))
+    hits = _count_cache_hits(monkeypatch)
+    run_pipeline(config, out)
+    assert hits[pipeline.STAGES.index("detect")] is False
+    assert sum(hits) == len(pipeline.STAGES) - 1
+    assert {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+
+def test_malformed_profile_lines_are_counted_and_warned_about(tmp_path):
+    paths = _small_bundle(tmp_path)
+    with open(paths["profiles"], "a", encoding="utf-8") as fh:
+        fh.write('{"profile_id": "x", "followers": 1e999}\n')
+    with pytest.warns(UserWarning, match="ingest: 1 malformed profile metadata lines were skipped"):
+        report = run_pipeline(_config(paths), tmp_path / "run")
+    assert report["ingest_stats"]["malformed_profile_lines"] == 1
+    assert "ingest: 1 malformed profile metadata lines were skipped" in report["warnings"]
+    manifest = json.loads((tmp_path / "run" / "ingest" / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["stats"]["malformed_profile_lines"] == 1
+    assert manifest["warnings"] == ["ingest: 1 malformed profile metadata lines were skipped"]
+
+
 def test_rebuilt_report_keeps_the_warnings_of_cached_stages(tmp_path):
     paths = _small_bundle(tmp_path)
     tox = Path(paths["toxicity"])
@@ -840,37 +911,3 @@ def test_rebuilt_report_keeps_the_warnings_of_cached_stages(tmp_path):
     manifest = json.loads((out / "score" / "manifest.json").read_text())
     assert manifest["warnings"] == ["score: 20 tweets have no toxicity score"]
     assert "warnings" not in json.loads((out / "ingest" / "manifest.json").read_text())
-
-
-def test_an_out_dir_with_a_level_9_corpus_still_loads_and_hits_every_stage(tmp_path, monkeypatch):
-    paths = _small_bundle(tmp_path)
-    config = _config(paths)
-    out = tmp_path / "run"
-    run_pipeline(config, out)
-    corpus_path = out / "ingest" / "corpus.bin"
-    fast = corpus_path.read_bytes()
-    assert fast[8] == 4  # the gzip header's XFL byte: compressed at the fastest level
-    # the out dir as code writing corpus.bin at gzip's default level 9 left it
-    fast_digest = sha256_file(corpus_path)
-    with open(corpus_path, "wb") as fh, gzip.GzipFile(filename="", mode="wb", fileobj=fh, mtime=0) as gz:
-        gz.write(gzip.decompress(fast))
-    best = corpus_path.read_bytes()
-    assert best[8] == 2 and len(best) < len(fast)
-    best_digest = sha256_file(corpus_path)
-    rewritten = 0
-    for manifest_path in out.glob("*/manifest.json"):
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        for digests in (manifest["inputs"], manifest["output_hashes"]):
-            for name, digest in digests.items():
-                if digest == fast_digest:
-                    digests[name] = best_digest
-                    rewritten += 1
-        write_json(manifest_path, manifest)
-    assert rewritten == 8  # ingest's output and the corpus input of the 7 stages that read it
-    hits = _count_cache_hits(monkeypatch)
-    run_pipeline(config, out)
-    assert hits == [True] * len(pipeline.STAGES)
-    assert corpus_path.read_bytes() == best
-    fast_path = tmp_path / "fast.bin"
-    fast_path.write_bytes(fast)
-    assert ingest.load_corpus(corpus_path) == ingest.load_corpus(fast_path)

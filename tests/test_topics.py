@@ -14,7 +14,6 @@ from mission_profiler.topics import (
     RENORM_TOLERANCE,
     TopicCatalog,
     TPVError,
-    as_saved,
     assign_dominant_topics,
     baseline_topic_assigner,
     load_tpvs,
@@ -81,17 +80,15 @@ def test_generated_fixture_loads_with_unit_sums(tmp_path):
         assert abs(v.sum() - 1.0) < 1e-9
 
 
-def test_as_saved_equals_the_saved_file_read_back(tmp_path):
+def test_load_tpvs_returns_the_vectors_in_tweet_id_order(tmp_path):
     rng = np.random.default_rng(6)
     rows = [{"tweet_id": f"t{i:03d}", "probs": [float(x) for x in rng.dirichlet(np.ones(8))]}
             for i in reversed(range(300))]
     _write_tpv_rows(tmp_path / "in.jsonl", rows)
     tpvs = load_tpvs(tmp_path / "in.jsonl", K=8)
-    save_tpvs(tpvs, tmp_path / "out.jsonl")
-    reread = load_tpvs(tmp_path / "out.jsonl", K=8)
-    expected = as_saved(tpvs)
-    assert list(expected) == list(reread) == sorted(tpvs)
-    assert all(np.array_equal(expected[k], reread[k]) for k in reread)
+    assert list(tpvs) == sorted(row["tweet_id"] for row in rows)
+    by_id = {row["tweet_id"]: np.asarray(row["probs"]) for row in rows}
+    assert all(np.array_equal(v, by_id[k] / by_id[k].sum()) for k, v in tpvs.items())
 
 
 # -- dominant topic --------------------------------------------------------------
@@ -151,7 +148,7 @@ def _reference_load_tpvs(path, K):
             except (KeyError, TypeError, ValueError) as exc:
                 raise TPVError(f"bad row: {exc}", lineno) from exc
             tpvs[tweet_id] = _reference_validate_tpv(probs, K, lineno)
-    return tpvs
+    return {tweet_id: tpvs[tweet_id] for tweet_id in sorted(tpvs)}
 
 
 def _reference_save_tpvs(tpvs, path):
@@ -159,10 +156,6 @@ def _reference_save_tpvs(tpvs, path):
         for tweet_id in sorted(tpvs):
             row = {"tweet_id": tweet_id, "probs": [float(p) for p in tpvs[tweet_id]]}
             fh.write(json.dumps(row, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n")
-
-
-def _reference_as_saved(tpvs):
-    return {tweet_id: tpvs[tweet_id] / float(tpvs[tweet_id].sum()) for tweet_id in sorted(tpvs)}
 
 
 def _reference_assign_dominant_topics(tpvs):
@@ -236,15 +229,13 @@ def test_load_tpvs_matches_the_row_at_a_time_reference(tmp_path_factory, drawn, 
 
 @settings(max_examples=60, deadline=None)
 @given(_vector_maps(), st.booleans())
-def test_save_tpvs_as_saved_and_argmax_match_the_references(tmp_path_factory, drawn, normalised):
+def test_save_tpvs_and_argmax_match_the_references(tmp_path_factory, drawn, normalised):
     K, ids, matrix = drawn
     if normalised:
         with np.errstate(all="ignore"):
             matrix = matrix / matrix.sum(axis=1, keepdims=True)
     tpvs = {tweet_id: v.copy() for tweet_id, v in zip(ids, matrix)}
     assert assign_dominant_topics(tpvs) == _reference_assign_dominant_topics(tpvs)
-    with np.errstate(all="ignore"):
-        _assert_same_vectors(as_saved(tpvs), _reference_as_saved(tpvs))
     d = tmp_path_factory.mktemp("save")
     got = _outcome(save_tpvs, tpvs, d / "new.jsonl")
     expected = _outcome(_reference_save_tpvs, tpvs, d / "ref.jsonl")
