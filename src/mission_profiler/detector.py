@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ingest import ProfileMetadata
+from .util import percentile
 
 EPSILON = 1e-12
 ON_MISSION = "on_mission"
@@ -104,7 +105,7 @@ def toxicity_threshold(
     medians = [a["median_toxicity"] for a in aggregates.values() if a["median_toxicity"] is not None]
     if not medians:
         raise ValueError("no topic has a median toxicity; cannot derive a percentile gate")
-    return float(np.percentile(medians, value))
+    return percentile(medians, value)
 
 
 def top3_gap(weights: np.ndarray) -> tuple[float, float] | None:

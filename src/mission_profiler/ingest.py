@@ -7,7 +7,6 @@ ingest and safe to share across threads.
 """
 from __future__ import annotations
 
-import gzip
 import json
 import re
 from dataclasses import dataclass, field, replace
@@ -392,6 +391,8 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
     """Write the versioned binary corpus cache (gzip-compressed JSON).
     Tweets and metadata are written field by field; their tuples encode as
     JSON arrays."""
+    import gzip  # the corpus cache alone is gzip, and a run writes none
+
     payload = {
         "format": CORPUS_CACHE_FORMAT,
         "version": CORPUS_CACHE_VERSION,
@@ -413,6 +414,8 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
 
 
 def load_corpus(path: str | Path) -> Corpus:
+    import gzip
+
     with gzip.open(path, "rb") as gz:
         payload = json.loads(gz.read().decode("utf-8"))
     if payload.get("format") != CORPUS_CACHE_FORMAT:

@@ -9,7 +9,6 @@ under the row's own keys; ``compute_metric_bundle`` joins them.
 from __future__ import annotations
 
 import math
-import statistics
 from datetime import datetime, timezone
 
 import numpy as np
@@ -17,6 +16,7 @@ import numpy as np
 from .ingest import ProfileMetadata, ProfileTimeline, is_retweet, unique_tweets
 from .readability import LEXICAL_KEYS, readability_metrics
 from .scores import ScoreCache
+from .util import median
 
 SECONDS_PER_DAY = 86400
 MIN_BURSTINESS_EVENTS = 3
@@ -97,7 +97,7 @@ def activity_metrics(timeline: ProfileTimeline) -> dict:
         "r_cv": r_cv,
         "n_events": n_events,
         "delta_days_hist": {str(k): v for k, v in sorted(hist.items())},
-        "median_delta_days": float(statistics.median(deltas)) if deltas else None,
+        "median_delta_days": float(median(deltas)) if deltas else None,
     }
 
 
@@ -125,7 +125,7 @@ def toxicity_metrics(timeline: ProfileTimeline, cache: ScoreCache) -> dict:
     if not scores:
         return {"toxicity_median": None, "toxicity_gini": None, "n_scored": 0}
     return {
-        "toxicity_median": float(statistics.median(scores)),
+        "toxicity_median": float(median(scores)),
         "toxicity_gini": gini_index(scores),
         "n_scored": len(scores),
     }

@@ -42,7 +42,7 @@ import numpy as np
 from . import classifier, detector, diversity, features, metrics, scores, topics
 from .ingest import Corpus, load_timelines
 from .readability import LEXICAL_KEYS
-from .util import canonical_dumps, derive_seed, read_json, sha256_file, sha256_text, write_json
+from .util import canonical_dumps, derive_seed, percentile, read_json, sha256_file, sha256_text, write_json
 
 EXIT_CODES = {
     "config": 2,
@@ -457,13 +457,18 @@ class Pipeline:
 
     # -- stage cache plumbing ------------------------------------------------
 
-    def _cached(self, stage: str, inputs: dict[str, str]) -> bool:
-        path = self.out / stage / "manifest.json"
+    def _manifest(self, stage: str) -> dict | None:
+        """The stage's manifest as the last run left it; None when there is
+        none, or it is cut short or garbled as a killed write leaves it."""
         try:
-            manifest = read_json(path)
-        except (OSError, ValueError):  # none yet, or cut short or garbled as a killed write leaves it
-            return False
-        if not isinstance(manifest, dict):
+            manifest = read_json(self.out / stage / "manifest.json")
+        except (OSError, ValueError):
+            return None
+        return manifest if isinstance(manifest, dict) else None
+
+    def _cached(self, stage: str, inputs: dict[str, str]) -> bool:
+        manifest = self._manifest(stage)
+        if manifest is None:
             return False
         if manifest.get("config_hash") != self.hash:
             raise StaleCacheError(
@@ -472,12 +477,15 @@ class Pipeline:
             )
         if manifest.get("inputs") != inputs:
             return False
+        listed = manifest.get("outputs", [])
+        if _undeclared(stage, listed):  # a file the stage no longer writes: the runner deletes it
+            return False
         # a manifest without output digests (older runs wrote none) is a miss
         digests = manifest.get("output_hashes") or {}
-        d = path.parent
+        d = self.out / stage
         hit = all(
             name in digests and (d / name).is_file() and self._digest(d / name) == digests[name]
-            for name in manifest.get("outputs", [])
+            for name in listed
         )
         if hit:  # the report lists a cached stage's warnings as if it had run
             self.warnings.extend(manifest.get("warnings", []))
@@ -551,7 +559,13 @@ class Pipeline:
         out = {name: self.out / stage / file for name, (file, _) in spec.outputs.items()}
         values = {}
         if not self._cached(stage, hashes):
-            (self.out / stage).mkdir(parents=True, exist_ok=True)
+            d = self.out / stage
+            d.mkdir(parents=True, exist_ok=True)
+            # files an earlier run's code wrote and listed, deleted only inside the stage dir
+            for name in _undeclared(stage, (self._manifest(stage) or {}).get("outputs", [])):
+                stale = isinstance(name, str) and d / name
+                if stale and stale.resolve().is_relative_to(d.resolve()) and stale.is_file():
+                    stale.unlink()
             for path in out.values():
                 path.unlink(missing_ok=True)  # a declared output this run does not write is stale
                 path.parent.mkdir(parents=True, exist_ok=True)
@@ -565,6 +579,13 @@ class Pipeline:
                 found[name] = ({name: out[name]}, partial(load, out[name], cfg))
         for name, (paths, load) in found.items():  # a value this run did not compute is read on first use
             self._artifacts[name] = Artifact(paths, (lambda v=values[name]: v) if name in values else lru_cache(load))
+
+
+def _undeclared(stage: str, listed) -> list:
+    """The names a manifest lists as outputs that the stage's row does not
+    declare: files written by earlier code."""
+    declared = [file for file, _ in STAGE_TABLE[stage].outputs.values()]
+    return [name for name in listed if name not in declared]
 
 
 def _take_lock(lock: Path) -> int:
@@ -796,7 +817,7 @@ def _report(pipe: Pipeline, a: Inputs, out: Outputs, warn: Warn) -> dict:
     plots = {"fig_entropy_cdf.csv": (["group", "H"], [(g, repr(h)) for g, h in entropy_rows])}
     for name, key in _BOX_PLOTS.items():
         plots[name] = (["group", "min", "q1", "median", "q3", "max"], [
-            (g, *map(repr, np.percentile(xs, [0, 25, 50, 75, 100]).tolist()))
+            (g, *(repr(percentile(xs, q)) for q in (0, 25, 50, 75, 100)))
             for g in diversity.GROUP_NAMES if (xs := values(g, key))
         ])
     for name, key in _CDF_PLOTS.items():

@@ -12,8 +12,6 @@ import json
 import math
 import os
 import time
-import urllib.error
-import urllib.request
 from pathlib import Path
 from typing import Iterable
 
@@ -162,6 +160,9 @@ class HTTPToxicityClient:
             raise BackendUnavailable(f"no endpoint URL; set {TOXICITY_URL_ENV}")
 
     def score(self, tweet_id: str, text: str) -> float:
+        import urllib.error  # the HTTP stack loads only for this backend
+        import urllib.request
+
         body = canonical_dumps({"text": text}).encode("utf-8")
         headers = {"Content-Type": "application/json"}
         if self.token:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import statistics
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from .ingest import Corpus, topic_model_eligible, unique_tweets
 from .scores import ScoreCache
-from .util import canonical_dumps
+from .util import canonical_dumps, median
 
 DEFAULT_K = 200
 RENORM_TOLERANCE = 1e-3
@@ -130,7 +129,8 @@ def load_tpvs(path: str | Path, K: int) -> dict[str, np.ndarray]:
             error = exc
     matrix = np.stack(rows) if rows else np.empty((0, K))
     del rows
-    sums = matrix.sum(axis=1)
+    with np.errstate(invalid="ignore"):  # a row holding inf and -inf sums to NaN; its TPVError is the one signal
+        sums = matrix.sum(axis=1)
     bad = (matrix < 0).any(axis=1) | (np.abs(sums - 1.0) > RENORM_TOLERANCE) | (sums == 0.0)
     if bad.any():
         first = int(np.argmax(bad))
@@ -185,7 +185,7 @@ def topic_aggregates(assignments: dict[str, int], cache: ScoreCache, K: int) -> 
         out[topic] = {
             "topic": topic,
             "tweet_count": counts.get(topic, 0),
-            "median_toxicity": float(statistics.median(scores)) if scores else None,
+            "median_toxicity": float(median(scores)) if scores else None,
         }
     return out
 

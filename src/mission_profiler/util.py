@@ -1,4 +1,5 @@
-"""Shared helpers: canonical JSON serialization, file hashing, seed derivation.
+"""Shared helpers: canonical JSON serialization, file hashing, seed
+derivation, and the median and percentile of a list of numbers.
 
 Every JSON artifact the pipeline writes goes through ``canonical_dumps`` so
 that identical inputs produce byte-identical outputs.
@@ -7,8 +8,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 
 # one encoder for every call: the writers call canonical_dumps once per row
@@ -50,3 +52,29 @@ def derive_seed(master: int, *names: object) -> int:
     tag = ":".join([str(master)] + [str(n) for n in names])
     digest = hashlib.sha256(tag.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def median(values: Iterable[float]) -> float:
+    """The median of a non-empty list, equal to ``statistics.median``:
+    the middle value, or the mean of the two middle values."""
+    data = sorted(values)
+    half = len(data) // 2
+    return data[half] if len(data) % 2 else (data[half - 1] + data[half]) / 2
+
+
+def percentile(values: Iterable[float], q: float) -> float:
+    """The q-th percentile (0 <= q <= 100) of a non-empty list of finite
+    numbers by numpy's default linear rule, with the same operations in the
+    same order, so it equals ``float(np.percentile(values, q))``. Only when
+    the values hold both 0.0 and -0.0 may a zero result have the other sign:
+    numpy partitions the values where this sorts them."""
+    data = sorted(values)
+    v = (len(data) - 1) * (q / 100)
+    if v >= len(data) - 1:  # numpy's ends are at index -1, so t = v - (-1); that turns a -0.0 maximum into 0.0
+        a = b = data[-1]
+        t = v + 1
+    else:
+        i = math.floor(v)
+        a, b = data[i], data[i + 1]
+        t = v - i
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t

@@ -1,10 +1,17 @@
 """Every module-level import of the package is used, so an import that a
 deletion leaves behind fails here. A name listed in a module's __all__
-counts as used: the package re-exports it."""
+counts as used: the package re-exports it. A file-backend run loads no
+module that only another backend or a replaced helper needs."""
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+from test_pipeline import _config, _small_bundle
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mission_profiler"
 
@@ -52,3 +59,33 @@ def test_unused_imports_finds_what_nothing_reads():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
 def test_every_module_level_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# the HTTP stack (for the http backend alone), statistics (one median) and
+# numpy.ma (np.unique, called by np.percentile)
+NOT_IN_A_FILE_RUN = ("ssl", "email", "http.client", "urllib.request", "statistics", "numpy.ma")
+
+_RUN = """
+import json, sys, warnings
+import mission_profiler.pipeline as pipeline
+NOT_LOADED = sys.argv[3:]
+on_import = [name for name in NOT_LOADED if name in sys.modules]
+warnings.simplefilter("ignore")
+pipeline.run_pipeline(pipeline.RunConfig.from_file(sys.argv[1]), sys.argv[2])
+print(json.dumps([on_import, [name for name in NOT_LOADED if name in sys.modules]]))
+"""
+
+
+def test_a_cold_file_backend_run_loads_no_http_stack_statistics_or_numpy_ma(tmp_path):
+    # a fresh interpreter: this one has loaded everything the tests use
+    config = _config(_small_bundle(tmp_path))
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config.as_dict()), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    result = subprocess.run(
+        [sys.executable, "-c", _RUN, str(config_path), str(tmp_path / "run"), *NOT_IN_A_FILE_RUN],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [[], []]
+    assert (tmp_path / "run" / "report" / "report.json").is_file()

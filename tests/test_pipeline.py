@@ -880,6 +880,29 @@ def test_an_unreadable_manifest_is_a_miss(tmp_path, monkeypatch, damage):
     assert {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
 
+def test_a_manifest_listing_a_file_its_stage_no_longer_declares_is_a_miss_that_deletes_it(tmp_path, monkeypatch):
+    # an out dir of earlier code: ingest wrote corpus.bin and its manifest lists it, digest and all
+    paths = _small_bundle(tmp_path)
+    config = _config(paths)
+    out = tmp_path / "run"
+    run_pipeline(config, out)
+    (out / "keep.txt").write_text("not the stage's", encoding="utf-8")
+    before = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    corpus_bin = out / "ingest" / "corpus.bin"
+    ingest.save_corpus(ingest.load_timelines(paths["tweets"], paths["profiles"]), corpus_bin)
+    manifest_path = out / "ingest" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest["outputs"] = ["../keep.txt", "corpus.bin"]  # a name outside the stage dir is never deleted
+    manifest["output_hashes"] = {name: sha256_file(out / "ingest" / name) for name in manifest["outputs"]}
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    hits = _count_cache_hits(monkeypatch)
+    run_pipeline(config, out)
+    assert hits[pipeline.STAGES.index("ingest")] is False
+    assert sum(hits) == len(pipeline.STAGES) - 1
+    assert not corpus_bin.exists()
+    assert {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+
 def test_malformed_profile_lines_are_counted_and_warned_about(tmp_path):
     paths = _small_bundle(tmp_path)
     with open(paths["profiles"], "a", encoding="utf-8") as fh:

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +65,16 @@ def test_negative_probability_rejected(tmp_path):
     _write_tpv_rows(path, [{"tweet_id": "t1", "probs": [1.1, -0.1]}])
     with pytest.raises(TPVError):
         load_tpvs(path, K=2)
+
+
+def test_a_row_of_both_infinities_raises_its_tpv_error_without_a_numpy_warning(tmp_path):
+    path = tmp_path / "tpv.jsonl"
+    path.write_text('{"tweet_id": "a", "probs": [Infinity, -Infinity, 0.5]}\n', encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning from the row sums would come first
+        with pytest.raises(TPVError) as err:
+            load_tpvs(path, K=3)
+    assert str(err.value) == "row 1: negative probability"
 
 
 def test_generated_fixture_loads_with_unit_sums(tmp_path):
