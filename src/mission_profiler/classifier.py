@@ -355,23 +355,22 @@ def _best_splits(
     y: np.ndarray,
     rows: list[np.ndarray],
     feats: np.ndarray,
-    ranked: tuple[np.ndarray, np.ndarray] | None = None,
+    ranked: tuple[np.ndarray, np.ndarray],
 ) -> list[tuple[int, float] | None]:
     """CART split search of several nodes at once.
 
     Node j holds the rows rows[j] of X (finite floats) and y (0/1 labels)
-    and may split on the columns feats[j]; ranked is _rank_cells(X, y),
-    computed here when not given. The nodes' sort keys lie in one grid
-    padded to the largest, (nodes x features x rows), and each column is
-    sorted within its node: a key's rank orders the values and its low bit
-    is the label. Prefix counts give every cut's weighted Gini impurity,
+    and may split on the columns feats[j]; ranked is _rank_cells(X, y).
+    The nodes' sort keys lie in one grid padded to the largest, (nodes x
+    features x rows), and each column is sorted within its node: a key's
+    rank orders the values and its low bit is the label. Prefix counts give every cut's weighted Gini impurity,
     and each node walks its cuts between distinct values feature by
     feature. Returns (feature, threshold) per node, or None where no
     candidate column holds two distinct values. Zero-gain splits are
     allowed (a first cut on symmetric data like XOR improves nothing by
     itself but enables pure children).
     """
-    keys, values = ranked or _rank_cells(np.asarray(X, float), y)
+    keys, values = ranked
     sizes = np.array([len(r) for r in rows])
     width = int(sizes.max())
     in_node = np.arange(width) < sizes[:, None]

@@ -12,9 +12,8 @@ from . import classifier, detector, diversity, scores, synth, topics
 from .features import load_features
 from .ingest import load_corpus, load_timelines, save_corpus
 from .pipeline import (
-    PipelineError, RunConfig, bot_scores, corpus_topic_aggregates, designate, group_matrices, group_profiles,
-    labeled_rows, load_labels_csv, metric_rows, parse_tox_gate, run_pipeline, topic_vectors, toxicity_scores,
-    write_groups, write_metrics,
+    PipelineError, RunConfig, corpus_topic_aggregates, designate, group_matrices, group_profiles, labeled_rows,
+    load_labels_csv, metric_rows, parse_tox_gate, run_pipeline, topic_vectors, write_groups, write_metrics,
 )
 from .util import read_json, write_json
 
@@ -66,7 +65,7 @@ def _finite(ctx, param, value: float) -> float:
 @click.option("--bot-file", type=click.Path(exists=True))
 @click.option("--toxicity-cache", required=True, type=click.Path())
 @click.option("--bot-cache", type=click.Path())
-@click.option("--rps", type=float, default=None, help="request rate limit per second")
+@click.option("--rps", type=float, default=None, help="request rate limit per second (http backend)")
 @click.option("--mock-value", type=click.FloatRange(0.0, 1.0), default=0.5, callback=_finite)
 def score(corpus_path, backend, toxicity_file, bot_file, toxicity_cache, bot_cache, rps, mock_value) -> None:
     """Attach toxicity (and optionally bot) scores via the chosen backend.
@@ -79,8 +78,8 @@ def score(corpus_path, backend, toxicity_file, bot_file, toxicity_cache, bot_cac
     try:
         if backend == "file" and not toxicity_file:
             raise ValueError("--toxicity-file is required for the file backend")
-        bot = bot_cache and bot_scores(corpus, "file" if bot_file else "mock", bot_file)
-        cache = toxicity_scores(corpus, backend, toxicity_file, mock_value, toxicity_cache, rate_limit=rps)
+        bot = bot_cache and scores.bot_scores(corpus, "file" if bot_file else "mock", bot_file)
+        cache = scores.toxicity_scores(corpus, backend, toxicity_file, mock_value, toxicity_cache, rate_limit=rps)
     except Exception as exc:
         _fail("score", exc)
     cache.save(toxicity_cache)

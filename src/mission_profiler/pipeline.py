@@ -2,10 +2,11 @@
 detect -> features -> classify -> report.
 
 Each stage's work is a module-level function over in-memory objects that
-the matching CLI subcommand calls too. ``STAGE_TABLE`` lists the stages
-in run order as data: the earlier artifacts and config files each reads,
-every file it may write with a loader, and its compute function. One
-runner, ``Pipeline._run_stage``, does the rest for every stage.
+the matching CLI subcommand calls too; the score stage's lives with the
+scoring backends in ``scores``. ``STAGE_TABLE`` lists the stages in run
+order as data: the earlier artifacts and config files each reads, every
+file it may write with a loader, and its compute function. One runner,
+``Pipeline._run_stage``, does the rest for every stage.
 
 Stages write under out_dir/<stage>/ with a manifest recording the config
 hash and the sha256 of every input and of every file the stage wrote,
@@ -238,50 +239,6 @@ def group_profiles(
         warn(f"{ungrouped} profiles have no TPV-covered tweets and were left ungrouped")
     partition, cdf_rows = diversity.group_partition(entropy)
     return {"groups": partition, "entropy": entropy, "cpv": cpv}, cdf_rows
-
-
-def toxicity_scores(
-    corpus: Corpus, backend: str, source: str | None, mock_value: float, resume: Path | str,
-    rate_limit: float | None = None,
-) -> scores.ScoreCache:
-    """Toxicity scores from one backend. `file` reads the table at source
-    whole and `none` scores nothing. `mock` and `http` start from the scores
-    saved at resume, keeping the corpus's tweets only, and ask for the rest;
-    when the backend stops answering they save the scores so far at resume
-    and re-raise BackendUnavailable."""
-    if backend == "file":
-        return scores.load_score_source(source)
-    cache = scores.ScoreCache()
-    if backend == "none":
-        return cache
-    if Path(resume).exists():
-        saved = scores.ScoreCache.load(resume)
-        for tweet in corpus.all_tweets():
-            if tweet.tweet_id in saved.toxicity:
-                cache.put_toxicity(tweet.tweet_id, saved.toxicity[tweet.tweet_id], saved.provenance(tweet.tweet_id))
-    try:  # the HTTP client is made in here: it raises when no endpoint is set
-        if backend == "mock":  # a mock retries at once, HTTP backs off
-            client = scores.MockToxicityClient(mock_value)
-            scores.score_toxicity(corpus, client, rate_limit=rate_limit, cache=cache, backoff_base=0.0)
-        else:
-            scores.score_toxicity(corpus, scores.HTTPToxicityClient(), rate_limit=rate_limit, cache=cache)
-    except scores.BackendUnavailable:
-        cache.save(resume)
-        raise
-    return cache
-
-
-def bot_scores(corpus: Corpus, backend: str, source: str | None) -> scores.ScoreCache:
-    """Bot scores from one backend: the table at source (`file`), the
-    constants 0.2 overall and 0.1 spammer for every profile (`mock`), or
-    none."""
-    if backend == "file":
-        return scores.load_score_source(source)
-    cache = scores.ScoreCache()
-    if backend == "mock":
-        for profile_id in corpus.profiles:
-            cache.put_bots(profile_id, 0.2, 0.1, source="mock")
-    return cache
 
 
 def metric_rows(corpus: Corpus, cache: scores.ScoreCache, warn: Warn) -> list[dict]:
@@ -636,8 +593,8 @@ def _score(pipe: Pipeline, a: Inputs, out: Outputs, warn: Warn) -> dict:
     corpus = a["corpus"].get()
     resume = pipe.out / "score" / PARTIAL_SCORES  # undeclared: the runner leaves it in place
     try:  # the bot source first: a bad one fails before any toxicity request
-        bot_cache = bot_scores(corpus, cfg.bot_backend, cfg.bot_path)
-        cache = toxicity_scores(corpus, cfg.toxicity_backend, cfg.toxicity_path, cfg.mock_toxicity_value, resume)
+        bot_cache = scores.bot_scores(corpus, cfg.bot_backend, cfg.bot_path)
+        cache = scores.toxicity_scores(corpus, cfg.toxicity_backend, cfg.toxicity_path, cfg.mock_toxicity_value, resume)
     except scores.BackendUnavailable as exc:
         raise PipelineError("score", f"backend unavailable: {exc}") from exc
     except (OSError, ValueError) as exc:

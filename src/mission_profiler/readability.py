@@ -164,16 +164,17 @@ def _mtld_factors(tokens: list[str], threshold: float) -> float:
     return factors
 
 
-def mtld(tokens: list[str], threshold: float = MTLD_TTR_THRESHOLD) -> float:
-    """Mean length of token runs sustaining a type-token ratio >= threshold.
+def mtld(tokens: list[str]) -> float:
+    """Mean length of token runs sustaining a type-token ratio >=
+    MTLD_TTR_THRESHOLD.
 
     Bidirectional: factor counts are averaged over a forward and a backward
     scan. A sequence that never crosses the threshold counts as one factor.
     """
     if not tokens:
         raise ValueError("empty token list")
-    forward = _mtld_factors(tokens, threshold)
-    backward = _mtld_factors(tokens[::-1], threshold)
+    forward = _mtld_factors(tokens, MTLD_TTR_THRESHOLD)
+    backward = _mtld_factors(tokens[::-1], MTLD_TTR_THRESHOLD)
     mean_factors = (forward + backward) / 2.0
     if mean_factors == 0.0:
         mean_factors = 1.0

@@ -1,9 +1,10 @@
-"""Per-tweet toxicity and per-profile bot scores.
+"""Per-tweet toxicity and per-profile bot scores, from every backend.
 
-Toxicity comes from a client, a constant mock or HTTP (POST one text,
-receive one score), or from a score file read whole by
-``load_score_source``. Results persist in a JSONL cache whose save/load
-round-trip is byte-stable; cached entries are never re-fetched.
+``toxicity_scores`` and ``bot_scores`` pick the backend: a score file read
+whole by ``load_score_source``, a constant mock, or, for toxicity, a
+remote scorer that ``score_toxicity`` asks one tweet at a time (HTTP:
+POST one text, receive one score). Results persist in a JSONL cache whose
+save/load round-trip is byte-stable; cached entries are never re-fetched.
 """
 from __future__ import annotations
 
@@ -24,6 +25,10 @@ CACHE_VERSION = 1
 TOXICITY_URL_ENV = "MISSION_PROFILER_TOXICITY_URL"
 TOXICITY_TOKEN_ENV = "MISSION_PROFILER_TOXICITY_TOKEN"
 HTTP_TIMEOUT_S = 10.0
+# a request that fails for one tweet is retried after 0.5, 1 and 2 s, then
+# the tweet is listed as missing
+MAX_RETRIES = 3
+BACKOFF_BASE_S = 0.5
 
 
 class ScoreError(Exception):
@@ -71,24 +76,32 @@ class ScoreCache:
         return self._tox_source.get(entry_id) or self._bot_source.get(entry_id)
 
     def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(canonical_dumps({"format": CACHE_FORMAT, "version": CACHE_VERSION}) + "\n")
-            for tweet_id in sorted(self.toxicity):
-                fh.write(canonical_dumps({
-                    "kind": "toxicity",
-                    "tweet_id": tweet_id,
-                    "score": self.toxicity[tweet_id],
-                    "source": self._tox_source.get(tweet_id, "unknown"),
-                }) + "\n")
-            for profile_id in sorted(self.bots):
-                fh.write(canonical_dumps({
-                    "kind": "bots",
-                    "profile_id": profile_id,
-                    **self.bots[profile_id],
-                    "source": self._bot_source.get(profile_id, "unknown"),
-                }) + "\n")
-            for tweet_id in sorted(self.missing):
-                fh.write(canonical_dumps({"kind": "missing", "tweet_id": tweet_id}) + "\n")
+        """Write the cache to a temp file beside path, then move it into
+        place: a save cut short leaves the file that was there, or none."""
+        tmp = Path(f"{path}.tmp")
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(canonical_dumps({"format": CACHE_FORMAT, "version": CACHE_VERSION}) + "\n")
+                for tweet_id in sorted(self.toxicity):
+                    fh.write(canonical_dumps({
+                        "kind": "toxicity",
+                        "tweet_id": tweet_id,
+                        "score": self.toxicity[tweet_id],
+                        "source": self._tox_source.get(tweet_id, "unknown"),
+                    }) + "\n")
+                for profile_id in sorted(self.bots):
+                    fh.write(canonical_dumps({
+                        "kind": "bots",
+                        "profile_id": profile_id,
+                        **self.bots[profile_id],
+                        "source": self._bot_source.get(profile_id, "unknown"),
+                    }) + "\n")
+                for tweet_id in sorted(self.missing):
+                    fh.write(canonical_dumps({"kind": "missing", "tweet_id": tweet_id}) + "\n")
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     @classmethod
     def load(cls, path: str | Path) -> "ScoreCache":
@@ -130,32 +143,20 @@ def _json_object(line: str, path: str | Path, lineno: int) -> dict:
     return row
 
 
-class MockToxicityClient:
-    """Scores every text with one constant: for tests and demos."""
-
-    name = "mock"
-
-    def __init__(self, value: float):
-        self.value = value
-
-    def score(self, tweet_id: str, text: str) -> float:
-        return self.value
-
-
 class HTTPToxicityClient:
     """POSTs one text per request to a remote scorer; returns one score.
 
-    Endpoint and auth token come from the environment unless given
-    explicitly. The response may be a bare float or {"score": x}. A 4xx
-    status other than 429 is a ScoreError for that tweet; 429, 5xx and
-    connection errors are BackendUnavailable.
+    Endpoint and auth token come from the environment variables
+    TOXICITY_URL_ENV and TOXICITY_TOKEN_ENV. The response may be a bare
+    float or {"score": x}. A 4xx status other than 429 is a ScoreError for
+    that tweet; 429, 5xx and connection errors are BackendUnavailable.
     """
 
     name = "http"
 
-    def __init__(self, url: str | None = None, token: str | None = None):
-        self.url = url or os.environ.get(TOXICITY_URL_ENV)
-        self.token = token if token is not None else os.environ.get(TOXICITY_TOKEN_ENV)
+    def __init__(self):
+        self.url = os.environ.get(TOXICITY_URL_ENV)
+        self.token = os.environ.get(TOXICITY_TOKEN_ENV)
         if not self.url:
             raise BackendUnavailable(f"no endpoint URL; set {TOXICITY_URL_ENV}")
 
@@ -190,21 +191,16 @@ class HTTPToxicityClient:
 
 
 def score_toxicity(
-    corpus: Corpus,
-    client,
-    rate_limit: float | None = None,
-    cache: ScoreCache | None = None,
-    max_retries: int = 3,
-    backoff_base: float = 0.5,
+    corpus: Corpus, client, cache: ScoreCache, rate_limit: float | None = None,
 ) -> ScoreCache:
-    """Score every unique tweet_id in the corpus, reusing the warm cache.
+    """Ask client for every unique tweet_id in the corpus that cache holds
+    no score for, and add the answers to cache.
 
     Requests start at least 1 / rate_limit seconds apart. Per-tweet
-    failures retry with exponential backoff up to max_retries and then land
+    failures retry with exponential backoff up to MAX_RETRIES and then land
     in cache.missing. A BackendUnavailable aborts immediately; everything
     scored so far stays in the cache for resumption.
     """
-    cache = cache if cache is not None else ScoreCache()
     interval = 1.0 / rate_limit if rate_limit else 0.0
     last_request = 0.0
     for tweet in sorted(corpus.all_tweets(), key=lambda t: t.tweet_id):
@@ -226,11 +222,56 @@ def score_toxicity(
                 break
             except ScoreError:
                 attempt += 1
-                if attempt > max_retries:
+                if attempt > MAX_RETRIES:
                     cache.missing.add(tweet.tweet_id)
                     break
-                if backoff_base:
-                    time.sleep(backoff_base * (2 ** (attempt - 1)))
+                time.sleep(BACKOFF_BASE_S * (2 ** (attempt - 1)))
+    return cache
+
+
+def toxicity_scores(
+    corpus: Corpus, backend: str, source: str | None, mock_value: float, resume: str | Path,
+    rate_limit: float | None = None,
+) -> ScoreCache:
+    """Toxicity scores from one backend. `file` reads the table at source
+    whole and `none` scores nothing. `mock` and `http` start from the scores
+    saved at resume, keeping the corpus's tweets only. `mock` then gives
+    every other tweet mock_value; `http` asks for the rest, and when the
+    endpoint stops answering it saves the scores so far at resume and
+    re-raises BackendUnavailable."""
+    if backend == "file":
+        return load_score_source(source)
+    cache = ScoreCache()
+    if backend == "none":
+        return cache
+    if Path(resume).exists():
+        saved = ScoreCache.load(resume)
+        for tweet in corpus.all_tweets():
+            if tweet.tweet_id in saved.toxicity:
+                cache.put_toxicity(tweet.tweet_id, saved.toxicity[tweet.tweet_id], saved.provenance(tweet.tweet_id))
+    if backend == "mock":
+        for tweet in corpus.all_tweets():
+            if tweet.tweet_id not in cache.toxicity:
+                cache.put_toxicity(tweet.tweet_id, mock_value, source="mock")
+        return cache
+    try:  # the client is made in here: it raises when no endpoint is set
+        score_toxicity(corpus, HTTPToxicityClient(), cache, rate_limit)
+    except BackendUnavailable:
+        cache.save(resume)
+        raise
+    return cache
+
+
+def bot_scores(corpus: Corpus, backend: str, source: str | None) -> ScoreCache:
+    """Bot scores from one backend: the table at source (`file`), the
+    constants 0.2 overall and 0.1 spammer for every profile (`mock`), or
+    none."""
+    if backend == "file":
+        return load_score_source(source)
+    cache = ScoreCache()
+    if backend == "mock":
+        for profile_id in corpus.profiles:
+            cache.put_bots(profile_id, 0.2, 0.1, source="mock")
     return cache
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import Corpus, topic_model_eligible, unique_tweets
+from .ingest import Corpus, topic_model_eligible
 from .scores import ScoreCache
 from .util import canonical_dumps, median
 
@@ -95,12 +95,12 @@ def load_tpvs(path: str | Path, K: int) -> dict[str, np.ndarray]:
     """Load {"tweet_id", "probs"} JSONL rows into K-vectors.
 
     Rows whose probabilities sum within 1e-3 of 1 are renormalized; larger
-    deviations, wrong dimensions and negative entries are rejected with
-    their row number. When several rows are bad, the first one is reported.
-    Rows are parsed one at a time but checked and renormalized as one
-    (n, K) matrix; each returned vector is a row of that matrix. Vectors
-    come in tweet-id order, so later sums do not depend on the line order;
-    of repeated ids, the last row wins.
+    deviations, wrong dimensions, negative entries and NaN or infinite
+    entries are rejected with their row number. When several rows are bad,
+    the first one is reported. Rows are parsed one at a time but checked
+    and renormalized as one (n, K) matrix; each returned vector is a row of
+    that matrix. Vectors come in tweet-id order, so later sums do not
+    depend on the line order; of repeated ids, the last row wins.
     """
     ids: list[str] = []
     rows: list[np.ndarray] = []
@@ -131,7 +131,8 @@ def load_tpvs(path: str | Path, K: int) -> dict[str, np.ndarray]:
     del rows
     with np.errstate(invalid="ignore"):  # a row holding inf and -inf sums to NaN; its TPVError is the one signal
         sums = matrix.sum(axis=1)
-    bad = (matrix < 0).any(axis=1) | (np.abs(sums - 1.0) > RENORM_TOLERANCE) | (sums == 0.0)
+    # a NaN or infinite entry makes its row's sum NaN or infinite
+    bad = (matrix < 0).any(axis=1) | ~np.isfinite(sums) | (np.abs(sums - 1.0) > RENORM_TOLERANCE) | (sums == 0.0)
     if bad.any():
         first = int(np.argmax(bad))
         _validate_tpv(matrix[first], K, linenos[first])
@@ -147,6 +148,8 @@ def _validate_tpv(probs: np.ndarray, K: int, lineno: int | None = None) -> None:
         raise TPVError(f"expected {K} probabilities, got {probs.shape}", lineno)
     if np.any(probs < 0):
         raise TPVError("negative probability", lineno)
+    if not np.all(np.isfinite(probs)):
+        raise TPVError("non-finite probability", lineno)
     total = float(probs.sum())
     if abs(total - 1.0) > RENORM_TOLERANCE:
         raise TPVError(f"probabilities sum to {total:.6f}", lineno)
@@ -195,27 +198,20 @@ def _hash_bucket(token: str, K: int, seed: int) -> int:
     return int.from_bytes(digest[:8], "big") % K
 
 
-def baseline_topic_assigner(
-    corpus: Corpus, K: int, seed: int, eligible_only: bool = True
-) -> dict[str, np.ndarray]:
+def baseline_topic_assigner(corpus: Corpus, K: int, seed: int) -> dict[str, np.ndarray]:
     """Keyword-hash stand-in for the external topic model.
 
     Each tweet's tokens hash into K buckets and the bucket counts normalize
     into a probability vector; identical (text, seed) always give identical
-    vectors. By default only length-eligible unique tweets are covered,
-    mirroring the coverage of the real model; eligible_only=False covers
-    every unique tweet with at least one token.
+    vectors. Only length-eligible unique tweets are covered, mirroring the
+    coverage of the real model; each has at least ingest.TOKEN_MIN tokens,
+    so no vector is all zero.
     """
     tpvs: dict[str, np.ndarray] = {}
     for profile_id in sorted(corpus.profiles):
-        timeline = corpus.profiles[profile_id]
-        tweets = topic_model_eligible(timeline) if eligible_only else unique_tweets(timeline)
-        for tweet in tweets:
+        for tweet in topic_model_eligible(corpus.profiles[profile_id]):
             counts = np.zeros(K, dtype=float)
             for token in tweet.text_norm.split():
                 counts[_hash_bucket(token, K, seed)] += 1.0
-            total = counts.sum()
-            if total == 0.0:
-                continue
-            tpvs[tweet.tweet_id] = counts / total
+            tpvs[tweet.tweet_id] = counts / counts.sum()
     return tpvs

@@ -26,6 +26,7 @@ from mission_profiler.classifier import (
     _best_splits,
     _bootstrap,
     _draw_features,
+    _rank_cells,
     train,
     train_and_evaluate,
 )
@@ -250,7 +251,7 @@ def test_batched_split_search_matches_the_scalar_reference_per_node(batch):
     X, y, nodes, seeds = batch
     fast_rngs = [None] * len(nodes) if seeds is None else [random.Random(s) for s in seeds]
     feats = np.array([_draw_features(rng, X.shape[1]) for rng in fast_rngs], dtype=np.intp)
-    splits = _best_splits(X, y, nodes, feats)
+    splits = _best_splits(X, y, nodes, feats, _rank_cells(X, y))
     for j, rows in enumerate(nodes):
         slow_rng = None if seeds is None else random.Random(seeds[j])
         assert splits[j] == _reference_best_split(slow_rng, X[rows], y[rows]), j

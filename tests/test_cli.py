@@ -170,8 +170,10 @@ def test_score_command_spaces_its_requests_by_rps(tmp_path, monkeypatch):
     CliRunner().invoke(main, ["ingest", "--tweets", str(tweets), "--out", str(corpus)])
     clock = FakeClock()
     monkeypatch.setattr(scores, "time", clock)
+    monkeypatch.setattr(scores, "HTTPToxicityClient", FailingScorer)
+    monkeypatch.setattr(FailingScorer, "requests", [])
     result = CliRunner().invoke(main, [
-        "score", "--corpus", str(corpus), "--backend", "mock", "--rps", "4",
+        "score", "--corpus", str(corpus), "--backend", "http", "--rps", "4",
         "--toxicity-cache", str(tmp_path / "tox.jsonl"),
     ])
     assert result.exit_code == 0, result.output

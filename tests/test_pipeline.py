@@ -200,6 +200,22 @@ def test_corrupt_tpv_aborts_naming_stage_and_row(tmp_path):
     assert err.value.exit_code == 12
 
 
+def test_a_nan_topic_probability_stops_the_run_in_topics_naming_the_row(tmp_path):
+    paths = _small_bundle(tmp_path)
+    lines = Path(paths["tpvs"]).read_text().splitlines()
+    bad = json.loads(lines[0])
+    bad["probs"][0] = float("nan")
+    lines[0] = json.dumps(bad)
+    Path(paths["tpvs"]).write_text("\n".join(lines) + "\n")
+    out = tmp_path / "run"
+    with pytest.raises(PipelineError) as err:
+        run_pipeline(_config(paths), out)
+    assert err.value.stage == "topics"
+    assert err.value.exit_code == 12
+    assert "row 1: non-finite probability" in str(err.value)
+    assert not (out / "group").exists()
+
+
 def test_unavailable_scorer_aborts_score_and_keeps_the_partial_cache(tmp_path, monkeypatch):
     monkeypatch.delenv("MISSION_PROFILER_TOXICITY_URL", raising=False)
     paths = _small_bundle(tmp_path)
@@ -244,6 +260,64 @@ def test_a_run_stopped_by_an_unavailable_scorer_resumes_from_its_partial_scores(
     assert len(FailingScorer.requests) == 294  # the 30 scored before the failure are not asked again
     assert not partial.exists()
     assert _score_file(out) == _score_file(clean)
+
+
+def test_a_mock_run_keeps_the_partial_scores_of_an_http_run(tmp_path, monkeypatch):
+    monkeypatch.setattr(scores, "HTTPToxicityClient", FailingScorer)
+    monkeypatch.setattr(FailingScorer, "requests", [])
+    monkeypatch.setattr(FailingScorer, "fail_after", 30)
+    paths = _small_bundle(tmp_path)
+    with pytest.raises(PipelineError):
+        run_pipeline(_config(paths, toxicity_backend="http"), tmp_path / "http")
+    http_scores = scores.ScoreCache.load(tmp_path / "http" / "score" / pipeline.PARTIAL_SCORES).toxicity
+    out = tmp_path / "run"  # a fresh out dir: an http run's manifests would not match a mock config
+    (out / "score").mkdir(parents=True)
+    os.replace(tmp_path / "http" / "score" / pipeline.PARTIAL_SCORES, out / "score" / pipeline.PARTIAL_SCORES)
+    run_pipeline(_config(paths, toxicity_backend="mock", mock_toxicity_value=0.75), out)
+    cache = scores.ScoreCache.load(out / "score" / "toxicity_cache.jsonl")
+    assert len(http_scores) == 30 and len(cache.toxicity) == 324
+    for tweet_id, score in cache.toxicity.items():
+        expected = (http_scores[tweet_id], "http") if tweet_id in http_scores else (0.75, "mock")
+        assert (score, cache.provenance(tweet_id)) == expected
+    assert not (out / "score" / pipeline.PARTIAL_SCORES).exists()
+
+
+def test_a_partial_score_save_cut_short_leaves_the_earlier_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(scores, "HTTPToxicityClient", FailingScorer)
+    monkeypatch.setattr(FailingScorer, "requests", [])
+    monkeypatch.setattr(FailingScorer, "fail_after", 30)
+    paths = _small_bundle(tmp_path)
+    cfg = _config(paths, toxicity_backend="http")
+    out = tmp_path / "run"
+    with pytest.raises(PipelineError):
+        run_pipeline(cfg, out)
+    partial = out / "score" / pipeline.PARTIAL_SCORES
+    earlier = partial.read_bytes()
+
+    dumps = scores.canonical_dumps
+    rows = []
+
+    def dumps_until_the_disk_fills(obj):  # the save of the 60 scores stops at its 40th row
+        rows.append(obj)
+        if len(rows) == 40:
+            raise OSError(28, "No space left on device")
+        return dumps(obj)
+
+    monkeypatch.setattr(scores, "canonical_dumps", dumps_until_the_disk_fills)
+    monkeypatch.setattr(FailingScorer, "fail_after", 60)
+    with pytest.raises(PipelineError, match="No space left on device") as err:
+        run_pipeline(cfg, out)
+    assert err.value.exit_code == 11
+    assert partial.read_bytes() == earlier
+    assert [p.name for p in (out / "score").iterdir()] == [pipeline.PARTIAL_SCORES]  # no temp file left
+
+    monkeypatch.setattr(scores, "canonical_dumps", dumps)
+    monkeypatch.setattr(FailingScorer, "requests", [])
+    monkeypatch.setattr(FailingScorer, "fail_after", None)
+    report = run_pipeline(cfg, out)
+    assert len(FailingScorer.requests) == 294  # the 30 scores of the earlier file are not asked again
+    assert report == run_pipeline(cfg, tmp_path / "clean")
+    assert _score_file(out) == _score_file(tmp_path / "clean")
 
 
 @pytest.mark.parametrize("kind", ["toxicity", "bot"])

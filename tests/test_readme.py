@@ -1,14 +1,17 @@
 """README's shell examples name only commands and options the CLI has, so
 a renamed or removed option fails here rather than in a reader's shell;
-and README names every file a run writes."""
+README names every file a run writes, and its Install section every
+package the program and its tests need."""
 import re
 import shlex
+import tomllib
 from pathlib import Path
 
 from mission_profiler.cli import main
 from mission_profiler.pipeline import STAGE_TABLE
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PYPROJECT = README.parent / "pyproject.toml"
 
 
 def cli_lines(markdown: str) -> list[list[str]]:
@@ -52,3 +55,11 @@ def test_readme_names_every_file_a_stage_declares():
     # a whole name: not part of a longer one, as eval.json is of eval.jsonl
     missing = sorted(n for n in names if not re.search(rf"(?<![\w.-]){re.escape(n)}(?![\w.-])", text))
     assert missing == []
+
+
+def test_readme_install_section_names_every_dependency_and_test_requirement():
+    project = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]
+    requirements = project["dependencies"] + project["optional-dependencies"]["test"]
+    names = [re.match(r"[A-Za-z0-9_.-]+", requirement).group() for requirement in requirements]
+    install = re.search(r"^## Install\n(.*?)^## ", README.read_text(encoding="utf-8"), flags=re.S | re.M).group(1)
+    assert [name for name in names if f"`{name}`" not in install] == []

@@ -7,18 +7,20 @@ import pytest
 
 from mission_profiler import scores
 from mission_profiler.ingest import Corpus, IngestStats
-from mission_profiler.pipeline import bot_scores
 from mission_profiler.scores import (
     CACHE_FORMAT,
     CACHE_VERSION,
+    TOXICITY_TOKEN_ENV,
+    TOXICITY_URL_ENV,
     BackendUnavailable,
     HTTPToxicityClient,
-    MockToxicityClient,
     ScoreCache,
     ScoreError,
     bot_score_summary,
+    bot_scores,
     load_score_source,
     score_toxicity,
+    toxicity_scores,
 )
 
 from conftest import FakeClock, make_timeline
@@ -32,18 +34,28 @@ def _corpus(n_profiles=2, tweets_each=5):
     return Corpus(profiles=profiles, ingest_stats=IngestStats())
 
 
-def test_mock_scores_everything():
+@pytest.fixture
+def clock(monkeypatch):
+    """The scoring loop's time: its backoff and rate-limit waits are
+    recorded, not slept."""
+    fake = FakeClock()
+    monkeypatch.setattr(scores, "time", fake)
+    return fake
+
+
+def test_mock_scores_everything(tmp_path):
     corpus = _corpus()
-    cache = score_toxicity(corpus, MockToxicityClient(0.5), backoff_base=0.0)
+    cache = toxicity_scores(corpus, "mock", None, 0.5, tmp_path / "resume.jsonl")
     ids = {t.tweet_id for t in corpus.all_tweets()}
     assert set(cache.toxicity) == ids
     assert all(v == 0.5 for v in cache.toxicity.values())
+    assert {cache.provenance(t) for t in ids} == {"mock"}
     assert cache.missing == set()
 
 
-def test_warm_cache_makes_zero_backend_calls():
+def test_warm_cache_makes_zero_backend_calls(tmp_path):
     corpus = _corpus()
-    cache = score_toxicity(corpus, MockToxicityClient(0.3), backoff_base=0.0)
+    cache = toxicity_scores(corpus, "mock", None, 0.3, tmp_path / "resume.jsonl")
 
     calls = []
 
@@ -54,12 +66,13 @@ def test_warm_cache_makes_zero_backend_calls():
             calls.append(tweet_id)
             return 0.9
 
-    score_toxicity(corpus, CountingClient(), cache=cache, backoff_base=0.0)
+    score_toxicity(corpus, CountingClient(), cache)
     assert calls == []
     assert all(v == 0.3 for v in cache.toxicity.values())
 
 
-def test_retries_exhausted_lands_in_missing():
+def test_retries_exhausted_lands_in_missing(clock, monkeypatch):
+    monkeypatch.setattr(scores, "MAX_RETRIES", 2)
     corpus = _corpus(n_profiles=1, tweets_each=100)
     bad_id = sorted(t.tweet_id for t in corpus.all_tweets())[17]
 
@@ -71,9 +84,10 @@ def test_retries_exhausted_lands_in_missing():
                 raise ScoreError("permanent failure")
             return 0.4
 
-    cache = score_toxicity(corpus, FlakyClient(), max_retries=2, backoff_base=0.0)
+    cache = score_toxicity(corpus, FlakyClient(), ScoreCache())
     assert len(cache.toxicity) == 99
     assert cache.missing == {bad_id}
+    assert clock.sleeps == [0.5, 1.0]  # backoff before each retry, none after the last
 
 
 def test_backend_unavailable_keeps_partial_cache():
@@ -91,7 +105,7 @@ def test_backend_unavailable_keeps_partial_cache():
 
     cache = ScoreCache()
     with pytest.raises(BackendUnavailable):
-        score_toxicity(corpus, DyingClient(), cache=cache, backoff_base=0.0)
+        score_toxicity(corpus, DyingClient(), cache)
     assert len(cache.toxicity) == 4
 
 
@@ -105,12 +119,13 @@ def test_deterministic_given_deterministic_client():
             return (hash(tweet_id) % 100) / 100.0
 
     client = HashClient()
-    a = score_toxicity(corpus, client, backoff_base=0.0)
-    b = score_toxicity(corpus, client, backoff_base=0.0)
+    a = score_toxicity(corpus, client, ScoreCache())
+    b = score_toxicity(corpus, client, ScoreCache())
     assert a.toxicity == b.toxicity
 
 
-def test_accounting_total():
+def test_accounting_total(monkeypatch):
+    monkeypatch.setattr(scores, "MAX_RETRIES", 0)
     corpus = _corpus(n_profiles=3, tweets_each=7)
 
     class HalfClient:
@@ -121,14 +136,12 @@ def test_accounting_total():
                 raise ScoreError("nope")
             return 0.1
 
-    cache = score_toxicity(corpus, HalfClient(), max_retries=0, backoff_base=0.0)
+    cache = score_toxicity(corpus, HalfClient(), ScoreCache())
     total = len({t.tweet_id for t in corpus.all_tweets()})
     assert len(cache.toxicity) + len(cache.missing) == total
 
 
-def test_rate_limit_spaces_the_starts_of_requests(monkeypatch):
-    clock = FakeClock()
-    monkeypatch.setattr(scores, "time", clock)
+def test_rate_limit_spaces_the_starts_of_requests(clock):
     starts = []
 
     class SlowClient:  # each request takes 0.1 s
@@ -140,13 +153,13 @@ def test_rate_limit_spaces_the_starts_of_requests(monkeypatch):
             return 0.5
 
     corpus = _corpus(n_profiles=1, tweets_each=5)
-    score_toxicity(corpus, SlowClient(), rate_limit=4.0, backoff_base=0.0)
+    score_toxicity(corpus, SlowClient(), ScoreCache(), rate_limit=4.0)
     assert starts == pytest.approx([100.0, 100.25, 100.5, 100.75, 101.0])
     assert clock.sleeps == pytest.approx([0.15] * 4)
 
     starts.clear()
     clock.sleeps.clear()
-    score_toxicity(corpus, SlowClient(), backoff_base=0.0)  # no limit: back to back
+    score_toxicity(corpus, SlowClient(), ScoreCache())  # no limit: back to back
     assert starts == pytest.approx([101.1, 101.2, 101.3, 101.4, 101.5])
     assert clock.sleeps == []
 
@@ -342,15 +355,15 @@ class _Scorer(http.server.BaseHTTPRequestHandler):
         pass
 
 
-def test_http_client_round_trip():
+def test_http_client_round_trip(monkeypatch):
     server = http.server.HTTPServer(("127.0.0.1", 0), _Scorer)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
-        url = f"http://127.0.0.1:{server.server_port}/"
-        client = HTTPToxicityClient(url=url, token="secret")
+        monkeypatch.setenv(TOXICITY_URL_ENV, f"http://127.0.0.1:{server.server_port}/")
+        monkeypatch.setenv(TOXICITY_TOKEN_ENV, "secret")
         corpus = _corpus(n_profiles=1, tweets_each=5)
-        cache = score_toxicity(corpus, client, backoff_base=0.0)
+        cache = score_toxicity(corpus, HTTPToxicityClient(), ScoreCache())
         assert len(cache.toxicity) == 5
         assert all(0 <= v <= 1 for v in cache.toxicity.values())
         assert cache.provenance(next(iter(cache.toxicity))) == "http"
@@ -384,31 +397,32 @@ class _Statuses(http.server.BaseHTTPRequestHandler):
         pass
 
 
-def _score_against(handler, **kwargs):
+def _score_against(handler, monkeypatch):
     server = http.server.HTTPServer(("127.0.0.1", 0), handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
-        client = HTTPToxicityClient(url=f"http://127.0.0.1:{server.server_port}/")
-        return score_toxicity(_corpus(n_profiles=1, tweets_each=5), client, backoff_base=0.0, **kwargs)
+        monkeypatch.setenv(TOXICITY_URL_ENV, f"http://127.0.0.1:{server.server_port}/")
+        return score_toxicity(_corpus(n_profiles=1, tweets_each=5), HTTPToxicityClient(), ScoreCache())
     finally:
         server.shutdown()
         server.server_close()
 
 
-def test_http_client_lists_a_tweet_the_scorer_rejects_with_a_4xx_as_missing():
+def test_http_client_lists_a_tweet_the_scorer_rejects_with_a_4xx_as_missing(clock, monkeypatch):
+    monkeypatch.setattr(scores, "MAX_RETRIES", 1)
     handler = type("Rejects400", (_Statuses,), {"status": 400, "bad_suffix": "2", "texts": []})
-    cache = _score_against(handler, max_retries=1)
+    cache = _score_against(handler, monkeypatch)
     assert sorted(cache.toxicity) == ["p0-0", "p0-1", "p0-3", "p0-4"]
     assert cache.missing == {"p0-2"}
     assert handler.texts.count("tweet 0 2") == 2  # tried, then retried once
 
 
 @pytest.mark.parametrize("status", [429, 500, 503])
-def test_http_client_treats_429_and_5xx_as_an_unavailable_backend(status):
+def test_http_client_treats_429_and_5xx_as_an_unavailable_backend(status, monkeypatch):
     handler = type(f"Answers{status}", (_Statuses,), {"status": status, "texts": []})
     with pytest.raises(BackendUnavailable, match=str(status)):
-        _score_against(handler)
+        _score_against(handler, monkeypatch)
     assert len(handler.texts) == 1  # the first answer stops the run
 
 
@@ -425,16 +439,17 @@ class _HugeScores(_Statuses):
         self.wfile.write(body)
 
 
-def test_http_response_with_a_huge_integer_score_is_retried_then_listed_as_missing():
+def test_http_response_with_a_huge_integer_score_is_retried_then_listed_as_missing(clock, monkeypatch):
+    monkeypatch.setattr(scores, "MAX_RETRIES", 1)
     handler = type("HugeScores", (_HugeScores,), {"texts": []})
-    cache = _score_against(handler, max_retries=1)
+    cache = _score_against(handler, monkeypatch)
     assert sorted(cache.toxicity) == ["p0-0", "p0-1", "p0-3", "p0-4"]
     assert cache.missing == {"p0-2"}
     assert handler.texts.count("tweet 0 2") == 2  # tried, then retried once
 
 
 def test_http_client_requires_url(monkeypatch):
-    monkeypatch.delenv("MISSION_PROFILER_TOXICITY_URL", raising=False)
+    monkeypatch.delenv(TOXICITY_URL_ENV, raising=False)
     with pytest.raises(BackendUnavailable):
         HTTPToxicityClient()
 
@@ -462,7 +477,8 @@ def test_invalid_table_rows_are_counted_and_listed_in_row_order(tmp_path):
         load_score_source(tmp_path / "bad.jsonl")
 
 
-def test_out_of_range_backend_response_lands_in_missing():
+def test_out_of_range_backend_response_lands_in_missing(clock, monkeypatch):
+    monkeypatch.setattr(scores, "MAX_RETRIES", 1)
     corpus = _corpus(n_profiles=1, tweets_each=5)
 
     class BrokenClient:
@@ -471,6 +487,6 @@ def test_out_of_range_backend_response_lands_in_missing():
         def score(self, tweet_id, text):
             return 1.7 if tweet_id.endswith("2") else 0.3
 
-    cache = score_toxicity(corpus, BrokenClient(), max_retries=1, backoff_base=0.0)
+    cache = score_toxicity(corpus, BrokenClient(), ScoreCache())
     assert len(cache.toxicity) == 4
     assert len(cache.missing) == 1

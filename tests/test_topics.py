@@ -77,6 +77,15 @@ def test_a_row_of_both_infinities_raises_its_tpv_error_without_a_numpy_warning(t
     assert str(err.value) == "row 1: negative probability"
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+def test_a_nan_or_infinite_probability_is_rejected_with_its_row(tmp_path, value):
+    path = tmp_path / "tpv.jsonl"
+    path.write_text('{"tweet_id": "a", "probs": [0.5, 0.5]}\n{"tweet_id": "b", "probs": [' + value + ', 0.0]}\n')
+    with pytest.raises(TPVError) as err:
+        load_tpvs(path, K=2)
+    assert str(err.value) == "row 2: non-finite probability"
+
+
 def test_generated_fixture_loads_with_unit_sums(tmp_path):
     rng = np.random.default_rng(5)
     rows = []
@@ -135,6 +144,8 @@ def _reference_validate_tpv(probs, K, lineno=None):
         raise TPVError(f"expected {K} probabilities, got {probs.shape}", lineno)
     if np.any(probs < 0):
         raise TPVError("negative probability", lineno)
+    if not np.all(np.isfinite(probs)):
+        raise TPVError("non-finite probability", lineno)
     total = float(probs.sum())
     if abs(total - 1.0) > RENORM_TOLERANCE:
         raise TPVError(f"probabilities sum to {total:.6f}", lineno)
@@ -415,9 +426,9 @@ def test_identical_tweets_identical_tpvs():
 def test_single_token_tweet_one_hot():
     from mission_profiler.ingest import Corpus, IngestStats
 
-    tl = make_timeline("a", texts=["solo"])
+    tl = make_timeline("a", texts=[" ".join(["solo"] * 10)])  # ten tokens: eligible for the topic model
     corpus = Corpus(profiles={"a": tl}, ingest_stats=IngestStats())
-    tpvs = baseline_topic_assigner(corpus, K=20, seed=1, eligible_only=False)
+    tpvs = baseline_topic_assigner(corpus, K=20, seed=1)
     v = tpvs["a-0"]
     assert v.max() == 1.0
     assert v.sum() == 1.0
