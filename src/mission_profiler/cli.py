@@ -12,8 +12,9 @@ from . import classifier, detector, diversity, scores, synth, topics
 from .features import load_features
 from .ingest import load_corpus, load_timelines, save_corpus
 from .pipeline import (
-    PipelineError, RunConfig, corpus_topic_aggregates, designate, group_matrices, group_profiles, labeled_rows,
-    load_labels_csv, metric_rows, parse_tox_gate, run_pipeline, topic_vectors, write_groups, write_metrics,
+    PipelineError, RunConfig, corpus_topic_aggregates, designate, group_matrices, group_profiles, ingest_warnings,
+    labeled_rows, load_labels_csv, metric_rows, parse_tox_gate, run_pipeline, topic_vectors, write_groups,
+    write_metrics,
 )
 from .util import read_json, write_json
 
@@ -44,6 +45,8 @@ def ingest(tweets: str, profiles: str | None, strict: bool, out: str) -> None:
     except Exception as exc:
         _fail("ingest", exc)
     save_corpus(corpus, out)
+    for message in ingest_warnings(corpus):
+        _warn(message)
     stats = corpus.ingest_stats
     click.echo(
         f"kept {stats.kept_profiles} profiles / {stats.kept_tweets} tweets "
@@ -52,8 +55,8 @@ def ingest(tweets: str, profiles: str | None, strict: bool, out: str) -> None:
     )
 
 
-def _finite(ctx, param, value: float) -> float:
-    if not math.isfinite(value):  # NaN passes FloatRange: it fails neither bound comparison
+def _finite(ctx, param, value: float | None) -> float | None:
+    if value is not None and not math.isfinite(value):  # NaN passes FloatRange: it fails neither bound comparison
         raise click.BadParameter(f"{value!r} is not a finite number")
     return value
 
@@ -65,7 +68,8 @@ def _finite(ctx, param, value: float) -> float:
 @click.option("--bot-file", type=click.Path(exists=True))
 @click.option("--toxicity-cache", required=True, type=click.Path())
 @click.option("--bot-cache", type=click.Path())
-@click.option("--rps", type=float, default=None, help="request rate limit per second (http backend)")
+@click.option("--rps", type=click.FloatRange(0.0, min_open=True), default=None, callback=_finite,
+              help="request rate limit per second (http backend)")
 @click.option("--mock-value", type=click.FloatRange(0.0, 1.0), default=0.5, callback=_finite)
 def score(corpus_path, backend, toxicity_file, bot_file, toxicity_cache, bot_cache, rps, mock_value) -> None:
     """Attach toxicity (and optionally bot) scores via the chosen backend.
@@ -74,8 +78,8 @@ def score(corpus_path, backend, toxicity_file, bot_file, toxicity_cache, bot_cac
     and http resume from --toxicity-cache for the corpus's tweets only."""
     if bot_file and not bot_cache:
         raise click.UsageError("--bot-file needs --bot-cache, the file its bot scores are saved to")
-    corpus = load_corpus(corpus_path)
     try:
+        corpus = load_corpus(corpus_path)
         if backend == "file" and not toxicity_file:
             raise ValueError("--toxicity-file is required for the file backend")
         bot = bot_cache and scores.bot_scores(corpus, "file" if bot_file else "mock", bot_file)
@@ -94,7 +98,7 @@ def score(corpus_path, backend, toxicity_file, bot_file, toxicity_cache, bot_cac
 @click.option("--tpv", "tpv_path", type=click.Path(exists=True))
 @click.option("--catalog", "catalog_path", type=click.Path(exists=True))
 @click.option("--baseline", is_flag=True, default=False, help="use the keyword-hash demo assigner")
-@click.option("--k", "k_topics", type=int, default=topics.DEFAULT_K)
+@click.option("--k", "k_topics", type=click.IntRange(min=1), default=topics.DEFAULT_K)
 @click.option("--seed", type=int, default=42)
 @click.option("--out", required=True, type=click.Path())
 def topics_cmd(corpus_path, tpv_path, catalog_path, baseline, k_topics, seed, out) -> None:
@@ -122,7 +126,7 @@ def topics_cmd(corpus_path, tpv_path, catalog_path, baseline, k_topics, seed, ou
 @click.option("--corpus", "corpus_path", required=True, type=click.Path(exists=True))
 @click.option("--tpv", "tpv_path", required=True, type=click.Path(exists=True))
 @click.option("--catalog", "catalog_path", type=click.Path(exists=True))
-@click.option("--k", "k_topics", type=int, default=topics.DEFAULT_K)
+@click.option("--k", "k_topics", type=click.IntRange(min=1), default=topics.DEFAULT_K)
 @click.option("--out", required=True, type=click.Path())
 @click.option("--cdf-csv", type=click.Path())
 def group(corpus_path, tpv_path, catalog_path, k_topics, out, cdf_csv) -> None:
@@ -170,7 +174,7 @@ def _tox_gate(ctx: click.Context, param: click.Parameter, value: str) -> tuple[s
 @click.option("--group", "group_name", default="VIII", help="entropy group to designate")
 @click.option("--min-cluster", type=int, default=detector.DEFAULT_MIN_CLUSTER)
 @click.option("--tox-gate", default="p75", callback=_tox_gate, help="pNN percentile or abs:X absolute gate")
-@click.option("--k", "k_topics", type=int, default=topics.DEFAULT_K)
+@click.option("--k", "k_topics", type=click.IntRange(min=1), default=topics.DEFAULT_K)
 @click.option("--out", required=True, type=click.Path())
 def detect(corpus_path, tpv_path, catalog_path, toxicity_cache, groups_path,
            group_name, min_cluster, tox_gate, k_topics, out) -> None:
@@ -315,7 +319,7 @@ def _group_selection(ctx, param, selection: str | None) -> list[str] | None:
 @click.option("--group-range", "group_range", default=None, callback=_group_selection,
               help="entropy groups to flag, e.g. II..VII or II,IV")
 @click.option("--exclude-group", default="VIII", callback=lambda ctx, param, name: _entropy_group(name))
-@click.option("--sample", "sample_n", type=int, default=100)
+@click.option("--sample", "sample_n", type=click.IntRange(min=0), default=100)
 @click.option("--seed", type=int, default=42)
 @click.option("--out", required=True, type=click.Path())
 def flag(model_path, features_path, groups_path, group_range, exclude_group, sample_n, seed, out) -> None:

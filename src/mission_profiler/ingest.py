@@ -2,8 +2,9 @@
 
 Input is line-delimited JSON, one tweet per line, plus an optional profile
 metadata file keyed by profile_id. Profiles with fewer than 10 tweets after
-within-profile tweet_id dedup are dropped. All types are immutable after
-ingest and safe to share across threads.
+within-profile tweet_id dedup are dropped. A Tweet keeps only what later
+stages read: not its profile id (its timeline has it), raw text or mention
+count. All types are immutable after ingest and safe to share across threads.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ MENTION_TOKEN = "@USER"
 URL_TOKEN = "HTTPURL"
 
 CORPUS_CACHE_FORMAT = "mission-profiler-corpus"
-CORPUS_CACHE_VERSION = 1
+CORPUS_CACHE_VERSION = 2
 # gzip's fastest level: level 9 wrote the benchmark corpora 5-8 times slower
 # for files 17-29% smaller; load_corpus reads any level
 CORPUS_GZIP_LEVEL = 1
@@ -70,14 +71,11 @@ _NON_ASCII_RE = re.compile(r"[^\x00-\x7f]")
 @dataclass(frozen=True)
 class Tweet:
     tweet_id: str
-    profile_id: str
-    text_raw: str
     text_norm: str
     timestamp: int
     is_retweet: bool
     hashtags: tuple[str, ...]
     urls: tuple[str, ...]
-    mentions_count: int
 
 
 @dataclass(frozen=True)
@@ -250,7 +248,8 @@ def _parse_line(line: str, lineno: int, parse: Callable[[dict, int], object]):
         raise IngestError(str(exc), lineno) from exc
 
 
-def _parse_tweet(obj: dict, lineno: int) -> Tweet:
+def _parse_tweet(obj: dict, lineno: int) -> tuple[str, Tweet]:
+    """(profile_id, tweet) of one tweets.jsonl line; its mention count is checked, not kept."""
     tweet_id = str(obj["tweet_id"])
     profile_id = str(obj["profile_id"])
     text_raw = obj["text"]
@@ -259,16 +258,14 @@ def _parse_tweet(obj: dict, lineno: int) -> Tweet:
         raise IngestError("text must be a string", lineno)
     hashtags = tuple(str(h).lstrip("#").lower() for h in obj.get("hashtags") or [])
     urls = tuple(str(u) for u in obj.get("urls") or [])
-    return Tweet(
+    int(obj.get("mentions", 0))
+    return profile_id, Tweet(
         tweet_id=tweet_id,
-        profile_id=profile_id,
-        text_raw=text_raw,
         text_norm=normalize_tweet(text_raw),
         timestamp=ts,
         is_retweet=bool(obj.get("is_retweet", False)),
         hashtags=hashtags,
         urls=urls,
-        mentions_count=int(obj.get("mentions", 0)),
     )
 
 
@@ -319,7 +316,8 @@ def load_timelines(
 
     Malformed lines are counted and skipped unless strict, in which case the
     first violation aborts with its line number. A repeated tweet_id within
-    a profile counts as a duplicate and keeps the first occurrence.
+    a profile (the profile_id of its line) counts as a duplicate and keeps
+    the first occurrence.
     """
     stats = IngestStats()
     by_profile: dict[str, dict[str, Tweet]] = {}
@@ -330,13 +328,13 @@ def load_timelines(
                 stats.blank += 1
                 continue
             try:
-                tweet = _parse_line(line, lineno, _parse_tweet)
+                profile_id, tweet = _parse_line(line, lineno, _parse_tweet)
             except IngestError:
                 if strict:
                     raise
                 stats.malformed += 1
                 continue
-            bucket = by_profile.setdefault(tweet.profile_id, {})
+            bucket = by_profile.setdefault(profile_id, {})
             if tweet.tweet_id in bucket:
                 stats.duplicates += 1
                 continue

@@ -152,6 +152,10 @@ class RunConfig:
             raise PipelineError("config", f"bot_backend 'file' needs an existing bot_path, not {self.bot_path!r}")
         if self.detect_group not in diversity.GROUP_NAMES:
             raise PipelineError("config", f"unknown entropy group {self.detect_group!r}")
+        if self.K < 1:
+            raise PipelineError("config", f"K must be at least 1, not {self.K}")
+        if self.sample_n < 0:
+            raise PipelineError("config", f"sample_n must not be negative, not {self.sample_n}")
         mock_value = self.mock_toxicity_value
         # for every backend: the config hash holds the value, and its JSON has no NaN or infinity;
         # compared, not converted, as an int too large for a float is finite
@@ -181,6 +185,14 @@ Warn = Callable[[str], None]
 # -- stage computations ------------------------------------------------------------
 # Each takes and returns in-memory objects; Pipeline and the CLI subcommands
 # both call them. `warn` receives the text of each warning.
+
+
+def ingest_warnings(corpus: Corpus) -> list[str]:
+    """The texts of the ingest warnings for a loaded corpus."""
+    out = [] if corpus.profiles else ["corpus is empty after filtering"]
+    if corpus.ingest_stats.malformed_profile_lines:
+        out.append(f"{corpus.ingest_stats.malformed_profile_lines} malformed profile metadata lines were skipped")
+    return out
 
 
 def topic_vectors(
@@ -581,10 +593,8 @@ def _ingest(pipe: Pipeline, a: Inputs, out: Outputs, warn: Warn) -> dict:
         corpus = load_timelines(cfg.tweets, cfg.profiles, strict=cfg.strict)
     except Exception as exc:
         raise PipelineError("ingest", str(exc)) from exc
-    if not corpus.profiles:
-        warn("corpus is empty after filtering")
-    if corpus.ingest_stats.malformed_profile_lines:
-        warn(f"{corpus.ingest_stats.malformed_profile_lines} malformed profile metadata lines were skipped")
+    for message in ingest_warnings(corpus):
+        warn(message)
     return {"corpus": corpus}
 
 

@@ -9,27 +9,23 @@ from mission_profiler.util import canonical_dumps
 BASE_TS = 1_600_000_000
 
 
-def make_tweet(tweet_id, profile_id="p1", text="hello world", ts=BASE_TS,
-               is_retweet=False, hashtags=(), urls=(), mentions=0):
+def make_tweet(tweet_id, text="hello world", ts=BASE_TS, is_retweet=False, hashtags=(), urls=()):
     from mission_profiler.ingest import normalize_tweet
 
     return Tweet(
         tweet_id=str(tweet_id),
-        profile_id=profile_id,
-        text_raw=text,
         text_norm=normalize_tweet(text),
         timestamp=ts,
         is_retweet=is_retweet,
         hashtags=tuple(hashtags),
         urls=tuple(urls),
-        mentions_count=mentions,
     )
 
 
 def make_timeline(profile_id, texts=None, tweets=None, metadata=None, start_ts=BASE_TS, step=3600):
     if tweets is None:
         tweets = [
-            make_tweet(f"{profile_id}-{i}", profile_id, text, start_ts + i * step)
+            make_tweet(f"{profile_id}-{i}", text, start_ts + i * step)
             for i, text in enumerate(texts or [])
         ]
     return ProfileTimeline(profile_id=profile_id, tweets=tuple(tweets), metadata=metadata)

@@ -1,3 +1,4 @@
+import gzip
 import http.server
 import json
 import threading
@@ -7,9 +8,10 @@ from click.testing import CliRunner
 
 from mission_profiler import scores
 from mission_profiler.cli import main
+from mission_profiler.ingest import IngestError, load_corpus
 from mission_profiler.pipeline import topic_vectors
 from mission_profiler.synth import default_specs, generate, write_bundle
-from mission_profiler.util import derive_seed
+from mission_profiler.util import canonical_dumps, derive_seed
 
 from conftest import BAD_LABELS, FailingScorer, FakeClock, tweet_row, write_tweet_lines, BASE_TS
 
@@ -669,3 +671,136 @@ def test_topics_baseline_command_matches_pipeline(tmp_path):
     assert result.exit_code == 0, result.output
     for name in ("tpvs.jsonl", "catalog.tsv"):
         assert (tmp_path / "topics" / name).read_bytes() == (tmp_path / "run" / "topics" / name).read_bytes()
+
+
+def _stage_args(bundle_dir, run_dir, corpus_bin, tmp_path):
+    """Arguments that each command that reads a file completes with, by command."""
+    features = str(run_dir / "features" / "features.jsonl")
+    svm = str(run_dir / "classify" / "model_linear_svm.json")
+    tox, tpvs = str(bundle_dir / "toxicity_cache.jsonl"), str(bundle_dir / "tpvs.jsonl")
+    groups, labels = str(run_dir / "group" / "groups.json"), str(bundle_dir / "labels.csv")
+    out = str(tmp_path / "out")
+    bots = tmp_path / "bots.csv"
+    bots.write_text("profile_id,overall,spammer\np0,0.1,0.2\n")
+    return {
+        "ingest": {"--tweets": str(bundle_dir / "tweets.jsonl"), "--profiles": str(bundle_dir / "profiles.jsonl"),
+                   "--out": out},
+        "score": {"--corpus": str(corpus_bin), "--backend": "file", "--toxicity-file": tox,
+                  "--bot-file": str(bots), "--bot-cache": str(tmp_path / "bot_cache.jsonl"),
+                  "--toxicity-cache": out},
+        "topics": {"--tpv": tpvs, "--catalog": str(run_dir / "topics" / "catalog.tsv"), "--k": "20", "--out": out},
+        "topics --baseline": {"--corpus": str(corpus_bin), "--k": "20", "--out": out},
+        "group": {"--corpus": str(corpus_bin), "--tpv": tpvs, "--k": "20", "--out": out},
+        "metrics": {"--corpus": str(corpus_bin), "--toxicity-cache": tox, "--out": out},
+        "detect": {"--corpus": str(corpus_bin), "--tpv": tpvs, "--k": "20", "--toxicity-cache": tox,
+                   "--groups": groups, "--group": "VII", "--out": out},
+        "kappa": {"--ratings": None},
+        "synth": {"--spec": None, "--out": out},
+        "train": {"--labels": labels, "--features": features, "--out": out},
+        "evaluate": {"--model": svm, "--features": features, "--labels": labels},
+        "ablate": {"--labels": labels, "--features": features, "--out": out},
+        "flag": {"--model": svm, "--features": features, "--groups": groups, "--exclude-group": "VII", "--out": out},
+        "run": {"--config": None, "--out": out},
+    }
+
+
+@pytest.mark.parametrize("command, option, exit_code", [
+    ("ingest", "--tweets", 10), ("ingest", "--profiles", 10),
+    ("score", "--corpus", 11), ("score", "--toxicity-file", 11), ("score", "--bot-file", 11),
+    ("topics", "--tpv", 12), ("topics", "--catalog", 12), ("topics --baseline", "--corpus", 12),
+    ("group", "--corpus", 13), ("group", "--tpv", 13),
+    ("metrics", "--corpus", 14), ("metrics", "--toxicity-cache", 14),
+    ("detect", "--corpus", 15), ("detect", "--toxicity-cache", 15), ("detect", "--groups", 15),
+    ("kappa", "--ratings", 15), ("synth", "--spec", 2),
+    ("train", "--features", 17), ("evaluate", "--model", 17), ("ablate", "--labels", 17),
+    ("flag", "--model", 17), ("flag", "--groups", 17),
+    ("run", "--config", 2),
+])
+def test_every_command_fails_on_an_unreadable_input_with_its_stage_error(
+    bundle_dir, run_dir, corpus_bin, tmp_path, command, option, exit_code,
+):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff\xfe neither UTF-8, gzip nor JSON\n")
+    args = {**_stage_args(bundle_dir, run_dir, corpus_bin, tmp_path)[command], option: str(bad)}
+    result = CliRunner().invoke(main, [*command.split(), *(part for kv in args.items() for part in kv)])
+    assert result.exit_code == exit_code, result.output
+    assert type(result.exception) is SystemExit  # an uncaught exception would end in a traceback
+    assert result.stderr.startswith("error ["), result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_a_version_1_corpus_cache_is_refused_by_load_corpus_and_the_stage_commands(
+    bundle_dir, corpus_bin, tmp_path,
+):
+    # version 1 held each tweet's raw text, profile id and mention count beside its six fields
+    payload = json.loads(gzip.decompress(corpus_bin.read_bytes()))
+    payload["version"] = 1
+    for entry in payload["profiles"]:
+        for tweet in entry["tweets"]:
+            tweet.update(profile_id=entry["profile_id"], text_raw=tweet["text_norm"], mentions_count=0)
+    old = tmp_path / "corpus_v1.bin"
+    old.write_bytes(gzip.compress(canonical_dumps(payload).encode("utf-8"), compresslevel=1, mtime=0))
+    with pytest.raises(IngestError, match="unsupported corpus cache version 1"):
+        load_corpus(old)
+    out = tmp_path / "groups.json"
+    result = CliRunner().invoke(main, [
+        "group", "--corpus", str(old), "--tpv", str(bundle_dir / "tpvs.jsonl"), "--k", "20", "--out", str(out),
+    ])
+    assert result.exit_code == 13, result.output
+    assert "error [group]: unsupported corpus cache version 1" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lines, warning", [
+    ('{"profile_id": "zz", "followers": 1e999}\nnot json\n', "2 malformed profile metadata lines were skipped"),
+    (None, "corpus is empty after filtering"),
+])
+def test_ingest_command_warns_as_the_ingest_stage_of_a_run(bundle_dir, tmp_path, lines, warning):
+    tweets, profiles = tmp_path / "tweets.jsonl", tmp_path / "profiles.jsonl"
+    if lines is None:  # every profile is short
+        write_tweet_lines(tweets, [tweet_row(f"t{i}", "p", ts=BASE_TS + i) for i in range(3)])
+        profiles.write_text("")
+    else:
+        tweets.write_bytes((bundle_dir / "tweets.jsonl").read_bytes())
+        profiles.write_text((bundle_dir / "profiles.jsonl").read_text() + lines)
+    result = CliRunner().invoke(main, [
+        "ingest", "--tweets", str(tweets), "--profiles", str(profiles), "--out", str(tmp_path / "corpus.bin"),
+    ])
+    assert result.exit_code == 0, result.output
+    assert f"warning: {warning}" in result.stderr.splitlines()
+    config = _run_config(bundle_dir, tmp_path / "config.json", tweets=str(tweets), profiles=str(profiles),
+                         toxicity_backend="file", toxicity_path=str(bundle_dir / "toxicity_cache.jsonl"))
+    with pytest.warns(UserWarning):
+        result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(tmp_path / "run")])
+    assert result.exit_code == 0, result.output
+    report = json.loads((tmp_path / "run" / "report" / "report.json").read_text())
+    assert f"ingest: {warning}" in report["warnings"]
+
+
+@pytest.mark.parametrize("override, error", [
+    ({"K": -1}, "K must be at least 1, not -1"),
+    ({"K": 0}, "K must be at least 1, not 0"),
+    ({"sample_n": -3}, "sample_n must not be negative, not -3"),
+])
+def test_run_rejects_an_out_of_range_count_as_a_config_error(bundle_dir, tmp_path, override, error):
+    config = _run_config(bundle_dir, tmp_path / "config.json", toxicity_backend="file",
+                         toxicity_path=str(bundle_dir / "toxicity_cache.jsonl"), **override)
+    result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(tmp_path / "run")])
+    assert result.exit_code == 2, result.output
+    assert f"error [config]: stage config: {error}" in result.output
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("topics", "--k", "0"), ("group", "--k", "0"), ("detect", "--k", "-1"),
+    ("flag", "--sample", "-3"),
+    ("score", "--rps", "0"), ("score", "--rps", "-2"), ("score", "--rps", "nan"), ("score", "--rps", "inf"),
+])
+def test_stage_commands_reject_an_out_of_range_count_as_a_usage_error(
+    bundle_dir, run_dir, corpus_bin, tmp_path, command, option, value,
+):
+    args = {**_stage_args(bundle_dir, run_dir, corpus_bin, tmp_path)[command], option: value}
+    result = CliRunner().invoke(main, [command, *(part for kv in args.items() for part in kv)])
+    assert result.exit_code == 2, result.output
+    assert f"Invalid value for '{option}'" in result.output
+    assert not (tmp_path / "out").exists()

@@ -75,7 +75,7 @@ def test_boolean_and_date_encodings():
         has_location=True, description_len=42,
         created_at=BASE_TS - 10 * 86400,
     )
-    tweets = [make_tweet(i, "p", f"word{i} more text", BASE_TS + i * 3600) for i in range(4)]
+    tweets = [make_tweet(i, f"word{i} more text", BASE_TS + i * 3600) for i in range(4)]
     tl = make_timeline("p", tweets=tweets, metadata=meta)
     values, _ = extract_features("p", _bundle(tl), _counts(), meta)
     assert values[FEATURE_NAMES.index("verified")] == 1.0
@@ -91,10 +91,10 @@ def test_golden_profile_vector_recomputed_from_oracles():
     from the already-tested metric functions."""
     day = 86400
     tweets = [
-        make_tweet(0, "p", "The cat sat on the mat.", BASE_TS),
-        make_tweet(1, "p", "The cat sat on the mat.", BASE_TS + day),
-        make_tweet(2, "p", "dogs bark loudly outside tonight", BASE_TS + 2 * day, hashtags=["dogs"]),
-        make_tweet(3, "p", "RT @x echo", BASE_TS + 3 * day, is_retweet=True),
+        make_tweet(0, "The cat sat on the mat.", BASE_TS),
+        make_tweet(1, "The cat sat on the mat.", BASE_TS + day),
+        make_tweet(2, "dogs bark loudly outside tonight", BASE_TS + 2 * day, hashtags=["dogs"]),
+        make_tweet(3, "RT @x echo", BASE_TS + 3 * day, is_retweet=True),
     ]
     meta = ProfileMetadata(followers=8, following=2, statuses=100,
                            created_at=BASE_TS - 100 * day)

@@ -1,17 +1,20 @@
+import dataclasses
 import gzip
 import random
 import re
 import string
+import tracemalloc
 import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mission_profiler import ingest
+from mission_profiler import ingest, synth
 from mission_profiler.ingest import (
     _EMOJI_TABLE,
     IngestError,
+    Tweet,
     load_corpus,
     load_timelines,
     normalize_tweet,
@@ -180,8 +183,9 @@ def test_duplicate_tweet_id_kept_once(tmp_path):
     assert corpus.ingest_stats.duplicates == 1
     kept = corpus.profiles["a"].tweets
     assert len(kept) == 11
-    # first occurrence wins
-    assert [t for t in kept if t.tweet_id == "a-3"][0].text_raw == rows[3]["text"]
+    # first occurrence wins: the duplicate's text differs
+    assert [t for t in kept if t.tweet_id == "a-3"][0].text_norm == normalize_tweet(rows[3]["text"])
+    assert normalize_tweet(dup["text"]) != normalize_tweet(rows[3]["text"])
 
 
 def test_conservation_per_profile_and_global(tmp_path):
@@ -324,18 +328,18 @@ def test_unique_simple():
 
 
 def test_unique_all_retweets():
-    tweets = [make_tweet(i, "p", "same thing", BASE_TS + i, is_retweet=True) for i in range(3)]
+    tweets = [make_tweet(i, "same thing", BASE_TS + i, is_retweet=True) for i in range(3)]
     tl = make_timeline("p", tweets=tweets)
     assert unique_tweets(tl) == []
 
 
 def test_unique_mixed():
     tweets = [
-        make_tweet(0, "p", "alpha beta", BASE_TS),
-        make_tweet(1, "p", "RT @someone alpha beta", BASE_TS + 1, is_retweet=True),
-        make_tweet(2, "p", "gamma delta", BASE_TS + 2),
-        make_tweet(3, "p", "alpha beta", BASE_TS + 3),
-        make_tweet(4, "p", "epsilon", BASE_TS + 4),
+        make_tweet(0, "alpha beta", BASE_TS),
+        make_tweet(1, "RT @someone alpha beta", BASE_TS + 1, is_retweet=True),
+        make_tweet(2, "gamma delta", BASE_TS + 2),
+        make_tweet(3, "alpha beta", BASE_TS + 3),
+        make_tweet(4, "epsilon", BASE_TS + 4),
     ]
     tl = make_timeline("p", tweets=tweets)
     assert [t.tweet_id for t in unique_tweets(tl)] == ["0", "2", "4"]
@@ -351,7 +355,7 @@ def test_unique_preserves_order_on_permutations():
     texts = [f"text {i}" for i in range(8)] * 2
     for _ in range(20):
         rng.shuffle(texts)
-        tweets = [make_tweet(i, "p", t, BASE_TS + i) for i, t in enumerate(texts)]
+        tweets = [make_tweet(i, t, BASE_TS + i) for i, t in enumerate(texts)]
         tl = make_timeline("p", tweets=tweets)
         uniq = unique_tweets(tl)
         positions = [next(i for i, t in enumerate(tweets) if t.text_norm == u.text_norm) for u in uniq]
@@ -398,3 +402,39 @@ def test_save_corpus_closes_its_file(tmp_path):
         warnings.simplefilter("always")
         save_corpus(corpus, tmp_path / "corpus.bin")
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+# -- the tweet record ------------------------------------------------------------
+
+def test_a_tweet_keeps_only_the_fields_later_stages_read():
+    names = [f.name for f in dataclasses.fields(Tweet)]
+    assert names == ["tweet_id", "text_norm", "timestamp", "is_retweet", "hashtags", "urls"]
+
+
+@pytest.mark.parametrize("mentions", ['"many"', "1e999", "[1]"])
+def test_a_bad_mention_count_is_still_a_malformed_line(tmp_path, mentions):
+    # the count is checked though not kept
+    path = tmp_path / "tweets.jsonl"
+    write_tweet_lines(path, _profile_rows("a", 10))
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(f'{{"tweet_id":"a-x","profile_id":"a","text":"t","created_at":{BASE_TS},"mentions":{mentions}}}\n')
+    stats = load_timelines(path).ingest_stats
+    assert (stats.malformed, stats.kept_tweets) == (1, 10)
+    with pytest.raises(IngestError, match="^line 11: "):
+        load_timelines(path, strict=True)
+
+
+def test_a_loaded_corpus_holds_under_650_bytes_a_tweet(tmp_path):
+    # 520 bytes a tweet on this bundle; a record that also kept each tweet's
+    # raw text, profile id and mention count held 790
+    paths = synth.write_bundle(synth.generate(synth.default_specs(30, 30), K=20, seed=5), tmp_path)
+    load_timelines(paths["tweets"], paths["profiles"])  # the regex and emoji caches, once
+    tracemalloc.start()
+    try:
+        corpus = load_timelines(paths["tweets"], paths["profiles"])
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n_tweets = corpus.ingest_stats.kept_tweets
+    assert n_tweets > 2000
+    assert retained < 650 * n_tweets

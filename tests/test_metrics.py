@@ -175,7 +175,7 @@ def test_hist_counts_sum_to_n_minus_one():
 
 def _timeline_with_tags(n_tweets, tags_per_tweet):
     tweets = [
-        make_tweet(i, "p", f"text {i}", BASE_TS + i, hashtags=tags_per_tweet[i] if i < len(tags_per_tweet) else [])
+        make_tweet(i, f"text {i}", BASE_TS + i, hashtags=tags_per_tweet[i] if i < len(tags_per_tweet) else [])
         for i in range(n_tweets)
     ]
     return make_timeline("p", tweets=tweets)
@@ -191,8 +191,8 @@ def test_hashtag_ratio():
 
 def test_hashtag_case_insensitive_unique():
     tl = make_timeline("p", tweets=[
-        make_tweet(0, "p", "x", BASE_TS, hashtags=["A"]),
-        make_tweet(1, "p", "y", BASE_TS + 1, hashtags=["a"]),
+        make_tweet(0, "x", BASE_TS, hashtags=["A"]),
+        make_tweet(1, "y", BASE_TS + 1, hashtags=["a"]),
     ])
     stats = hashtag_url_stats(tl)
     assert stats["total_hashtags"] == 2
@@ -209,8 +209,8 @@ def test_no_hashtags_all_zero():
 
 def test_url_stats():
     tl = make_timeline("p", tweets=[
-        make_tweet(0, "p", "x", BASE_TS, urls=["https://a.example/1", "https://a.example/1"]),
-        make_tweet(1, "p", "y", BASE_TS + 1, urls=["https://b.example/2"]),
+        make_tweet(0, "x", BASE_TS, urls=["https://a.example/1", "https://a.example/1"]),
+        make_tweet(1, "y", BASE_TS + 1, urls=["https://b.example/2"]),
     ])
     stats = hashtag_url_stats(tl)
     assert stats["total_urls"] == 3
@@ -281,10 +281,10 @@ def test_missing_metadata_gives_nulls():
 
 def test_bundle_counts():
     tweets = [
-        make_tweet(0, "p", "alpha beta gamma", BASE_TS),
-        make_tweet(1, "p", "alpha beta gamma", BASE_TS + 60),
-        make_tweet(2, "p", "RT @x something", BASE_TS + 120, is_retweet=True),
-        make_tweet(3, "p", "delta epsilon", BASE_TS + 86400 * 2),
+        make_tweet(0, "alpha beta gamma", BASE_TS),
+        make_tweet(1, "alpha beta gamma", BASE_TS + 60),
+        make_tweet(2, "RT @x something", BASE_TS + 120, is_retweet=True),
+        make_tweet(3, "delta epsilon", BASE_TS + 86400 * 2),
     ]
     tl = make_timeline("p", tweets=tweets)
     row = compute_metric_bundle(tl, ScoreCache())
@@ -336,6 +336,6 @@ def test_row_keys_are_the_metrics_jsonl_keys():
 def test_delta_days_hist_has_string_keys_in_day_order():
     day = 86400
     ts = [BASE_TS, BASE_TS + 10 * day, BASE_TS + 12 * day, BASE_TS + 12 * day + 5]
-    tweets = [make_tweet(i, "p", "x", t) for i, t in enumerate(ts)]
+    tweets = [make_tweet(i, "x", t) for i, t in enumerate(ts)]
     hist = activity_metrics(make_timeline("p", tweets=tweets))["delta_days_hist"]
     assert list(hist.items()) == [("0", 1), ("2", 1), ("10", 1)]
