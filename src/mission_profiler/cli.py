@@ -42,9 +42,9 @@ def ingest(tweets: str, profiles: str | None, strict: bool, out: str) -> None:
     """Load tweet/profile JSONL into the versioned corpus cache."""
     try:
         corpus = load_timelines(tweets, profiles, strict=strict)
+        save_corpus(corpus, out)
     except Exception as exc:
         _fail("ingest", exc)
-    save_corpus(corpus, out)
     for message in ingest_warnings(corpus):
         _warn(message)
     stats = corpus.ingest_stats
@@ -84,12 +84,13 @@ def score(corpus_path, backend, toxicity_file, bot_file, toxicity_cache, bot_cac
             raise ValueError("--toxicity-file is required for the file backend")
         bot = bot_cache and scores.bot_scores(corpus, "file" if bot_file else "mock", bot_file)
         cache = scores.toxicity_scores(corpus, backend, toxicity_file, mock_value, toxicity_cache, rate_limit=rps)
+        cache.save(toxicity_cache)
+        if bot_cache:
+            bot.save(bot_cache)
     except Exception as exc:
         _fail("score", exc)
-    cache.save(toxicity_cache)
     click.echo(f"toxicity: {len(cache.toxicity)} scored, {len(cache.missing)} missing")
     if bot_cache:
-        bot.save(bot_cache)
         click.echo(f"bots: {len(bot.bots)} profiles scored")
 
 
@@ -106,19 +107,19 @@ def topics_cmd(corpus_path, tpv_path, catalog_path, baseline, k_topics, seed, ou
     write the baseline vectors. Give later commands the checked --tpv file
     itself."""
     out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
         if baseline and not corpus_path:
             raise ValueError("--corpus is required with --baseline")
         if not baseline and not tpv_path:
             raise ValueError("either --tpv or --baseline is required")
         corpus = load_corpus(corpus_path) if baseline else None
         tpvs, catalog = topic_vectors(k_topics, seed, None if baseline else tpv_path, catalog_path, corpus)
+        if baseline:
+            topics.save_tpvs(tpvs, out_dir / "tpvs.jsonl")
+        catalog.save(out_dir / "catalog.tsv")
     except Exception as exc:
         _fail("topics", exc)
-    if baseline:
-        topics.save_tpvs(tpvs, out_dir / "tpvs.jsonl")
-    catalog.save(out_dir / "catalog.tsv")
     click.echo(f"{len(tpvs)} topic vectors over K={k_topics}; catalog with {catalog.K} topics")
 
 
@@ -135,9 +136,9 @@ def group(corpus_path, tpv_path, catalog_path, k_topics, out, cdf_csv) -> None:
         corpus = load_corpus(corpus_path)
         tpvs, catalog = topic_vectors(k_topics, 0, tpv_path, catalog_path)  # a seed only for the baseline
         groups, cdf_rows = group_profiles(corpus, catalog, tpvs, _warn)
+        write_groups(groups, cdf_rows, out, cdf_csv)
     except Exception as exc:
         _fail("group", exc)
-    write_groups(groups, cdf_rows, out, cdf_csv)
     sizes = {g: len(v) for g, v in groups["groups"].items() if v}
     click.echo(f"group sizes: {sizes}")
 
@@ -151,9 +152,9 @@ def metrics_cmd(corpus_path, toxicity_cache, out) -> None:
     try:
         corpus = load_corpus(corpus_path)
         rows = metric_rows(corpus, scores.load_score_source(toxicity_cache), _warn)
+        write_metrics(rows, out)
     except Exception as exc:
         _fail("metrics", exc)
-    write_metrics(rows, out)
     click.echo(f"metrics for {len(corpus.profiles)} profiles -> {out}")
 
 
@@ -172,7 +173,7 @@ def _tox_gate(ctx: click.Context, param: click.Parameter, value: str) -> tuple[s
 @click.option("--toxicity-cache", required=True, type=click.Path(exists=True))
 @click.option("--groups", "groups_path", required=True, type=click.Path(exists=True))
 @click.option("--group", "group_name", default="VIII", help="entropy group to designate")
-@click.option("--min-cluster", type=int, default=detector.DEFAULT_MIN_CLUSTER)
+@click.option("--min-cluster", type=click.IntRange(min=1), default=detector.DEFAULT_MIN_CLUSTER)
 @click.option("--tox-gate", default="p75", callback=_tox_gate, help="pNN percentile or abs:X absolute gate")
 @click.option("--k", "k_topics", type=click.IntRange(min=1), default=topics.DEFAULT_K)
 @click.option("--out", required=True, type=click.Path())
@@ -187,9 +188,9 @@ def detect(corpus_path, tpv_path, catalog_path, toxicity_cache, groups_path,
         payload = designate(
             corpus, tpvs, catalog, aggs, partition, group_name, min_cluster, tox_gate, _warn
         )
+        write_json(out, payload)
     except Exception as exc:
         _fail("detect", exc)
-    write_json(out, payload)
     on = sum(1 for d in payload["designations"] if d["label"] == detector.ON_MISSION)
     click.echo(f"{on} on-mission / {len(payload['designations']) - on} not-on-mission in group {group_name}")
 
@@ -277,9 +278,9 @@ def ablate(labels_path, features_path, seed, out) -> None:
     try:
         X, y = _labeled_matrix(features_path, labels_path)
         table, _ = classifier.ablation(X, y, seed)
+        write_json(out, {"table": table})
     except Exception as exc:
         _fail("classify", exc)
-    write_json(out, {"table": table})
     for group_name, cells in table.items():
         line = " ".join(
             f"{kind}: f1={cells[kind]['f1']:.3f}/acc={cells[kind]['accuracy']:.3f}"
@@ -331,9 +332,9 @@ def flag(model_path, features_path, groups_path, group_range, exclude_group, sam
         names = group_range or [g for g in diversity.GROUP_NAMES if g != exclude_group]
         wild_groups = group_matrices(ids, X, partition, names)
         result = classifier.flag_in_wild(model, wild_groups, sample_n, seed)
+        write_json(out, result)
     except Exception as exc:
         _fail("classify", exc)
-    write_json(out, result)
     for row in result["table"]:
         pct = f"{row['pct_flagged']:.1f}%" if row["pct_flagged"] is not None else "-"
         click.echo(f"group {row['group']:>6s}: {row['flagged']}/{row['total']} flagged ({pct})")

@@ -9,14 +9,13 @@ encodes as account age in days.
 from __future__ import annotations
 
 import hashlib
-import json
 
 import numpy as np
 
 from .ingest import ProfileMetadata
 from .readability import LEXICAL_KEYS
 from .topics import CATEGORIES
-from .util import canonical_dumps
+from .util import canonical_dumps, loads_line
 
 GROUP_CONTENT = "content"
 GROUP_AUXILIARY = "auxiliary"
@@ -150,12 +149,12 @@ def save_features(ids: list[str], X: np.ndarray, M: np.ndarray, path) -> None:
 def load_features(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     """(ids, X, M) as save_features takes them, rows sorted by profile id."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
+        header = loads_line(fh.readline())
         if header.get("format") != "mission-profiler-features":
             raise ValueError(f"not a feature file: {path}")
         if header.get("catalog_hash") != catalog_hash():
             raise ValueError("feature file was produced with a different catalog")
-        rows = sorted((json.loads(line) for line in fh if line.strip()), key=lambda row: row["profile_id"])
+        rows = sorted((loads_line(line) for line in fh if line.strip()), key=lambda row: row["profile_id"])
     X = np.array([row["values"] for row in rows], dtype=float).reshape(len(rows), N_FEATURES)
     M = np.array([row["mask"] for row in rows], dtype=bool).reshape(len(rows), N_FEATURES)
     return [row["profile_id"] for row in rows], X, M

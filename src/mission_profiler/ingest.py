@@ -8,7 +8,6 @@ count. All types are immutable after ingest and safe to share across threads.
 """
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
@@ -16,7 +15,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable
 
-from .util import canonical_dumps
+from .util import canonical_dumps, loads_line
 
 MIN_TWEETS_PER_PROFILE = 10
 TOKEN_MIN = 10
@@ -236,7 +235,7 @@ def _parse_line(line: str, lineno: int, parse: Callable[[dict, int], object]):
     """parse(obj, lineno) of the line's JSON object. Whatever makes the line
     malformed, a number out of range included, raises IngestError naming it."""
     try:
-        obj = json.loads(line)
+        obj = loads_line(line)
         if not isinstance(obj, dict):
             raise IngestError("expected a JSON object", lineno)
         return parse(obj, lineno)
@@ -415,7 +414,7 @@ def load_corpus(path: str | Path) -> Corpus:
     import gzip
 
     with gzip.open(path, "rb") as gz:
-        payload = json.loads(gz.read().decode("utf-8"))
+        payload = loads_line(gz.read().decode("utf-8"))
     if payload.get("format") != CORPUS_CACHE_FORMAT:
         raise IngestError(f"not a corpus cache: {path}")
     if payload.get("version") != CORPUS_CACHE_VERSION:

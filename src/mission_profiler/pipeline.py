@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import os
 import warnings
@@ -43,7 +42,9 @@ import numpy as np
 from . import classifier, detector, diversity, features, metrics, scores, topics
 from .ingest import Corpus, load_timelines
 from .readability import LEXICAL_KEYS
-from .util import canonical_dumps, derive_seed, percentile, read_json, sha256_file, sha256_text, write_json
+from .util import (
+    canonical_dumps, derive_seed, loads_line, percentile, read_json, sha256_file, sha256_text, write_json,
+)
 
 EXIT_CODES = {
     "config": 2,
@@ -154,6 +155,8 @@ class RunConfig:
             raise PipelineError("config", f"unknown entropy group {self.detect_group!r}")
         if self.K < 1:
             raise PipelineError("config", f"K must be at least 1, not {self.K}")
+        if self.min_cluster < 1:
+            raise PipelineError("config", f"min_cluster must be at least 1, not {self.min_cluster}")
         if self.sample_n < 0:
             raise PipelineError("config", f"sample_n must not be negative, not {self.sample_n}")
         mock_value = self.mock_toxicity_value
@@ -855,7 +858,7 @@ def _load_metrics(path: Path) -> list[dict]:
         fh.readline()  # header with config hash
         for line in fh:
             if line.strip():
-                rows.append(json.loads(line))
+                rows.append(loads_line(line))
     return rows
 
 

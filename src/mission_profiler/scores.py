@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .ingest import Corpus
-from .util import canonical_dumps
+from .util import canonical_dumps, loads_line
 
 CACHE_FORMAT = "mission-profiler-score-cache"
 CACHE_VERSION = 1
@@ -135,7 +135,7 @@ class ScoreCache:
 
 def _json_object(line: str, path: str | Path, lineno: int) -> dict:
     try:
-        row = json.loads(line)
+        row = loads_line(line)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: row {lineno}: bad json: {exc}") from None
     if not isinstance(row, dict):
@@ -180,7 +180,7 @@ class HTTPToxicityClient:
         except urllib.error.URLError as exc:
             raise BackendUnavailable(str(exc)) from exc
         try:
-            parsed = json.loads(payload)
+            parsed = loads_line(payload)
         except json.JSONDecodeError as exc:
             raise ScoreError(f"unparseable response: {payload[:80]!r}") from exc
         if isinstance(parsed, dict):
@@ -294,7 +294,7 @@ def load_score_source(path: str | Path) -> ScoreCache:
             if not line.strip():
                 continue
             try:
-                row = json.loads(line)
+                row = loads_line(line)
             except json.JSONDecodeError:
                 row = None
             if isinstance(row, dict) and "tweet_id" in row and "score" in row:

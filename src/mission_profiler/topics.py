@@ -15,10 +15,13 @@ import numpy as np
 
 from .ingest import Corpus, topic_model_eligible
 from .scores import ScoreCache
-from .util import canonical_dumps, median
+from .util import canonical_dumps, loads_line, median
 
 DEFAULT_K = 200
 RENORM_TOLERANCE = 1e-3
+# rows that load_tpvs converts to floats at once: larger blocks convert no
+# faster, and their lists of Python floats raise the peak memory of a run
+_TPV_BLOCK_ROWS = 256
 
 CATEGORIES = (
     "everyday",
@@ -97,14 +100,16 @@ def load_tpvs(path: str | Path, K: int) -> dict[str, np.ndarray]:
     Rows whose probabilities sum within 1e-3 of 1 are renormalized; larger
     deviations, wrong dimensions, negative entries and NaN or infinite
     entries are rejected with their row number. When several rows are bad,
-    the first one is reported. Rows are parsed one at a time but checked
-    and renormalized as one (n, K) matrix; each returned vector is a row of
-    that matrix. Vectors come in tweet-id order, so later sums do not
-    depend on the line order; of repeated ids, the last row wins.
+    the first one is reported. Rows are parsed one at a time, converted to
+    floats in blocks of _TPV_BLOCK_ROWS, and checked and renormalized as one
+    (n, K) matrix; each returned vector is a row of that matrix. Vectors
+    come in tweet-id order, so later sums do not depend on the line order;
+    of repeated ids, the last row wins.
     """
     ids: list[str] = []
-    rows: list[np.ndarray] = []
     linenos: list[int] = []
+    block: list = []  # the probs lists of rows not yet converted
+    blocks: list[np.ndarray] = []
     error: Exception | None = None
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -112,23 +117,31 @@ def load_tpvs(path: str | Path, K: int) -> dict[str, np.ndarray]:
                 if not line.strip():
                     continue
                 try:
-                    row = json.loads(line)
+                    row = loads_line(line)
                 except json.JSONDecodeError as exc:
                     raise TPVError(f"bad json: {exc}", lineno) from exc
                 try:
                     tweet_id = str(row["tweet_id"])
-                    probs = np.asarray(row["probs"], dtype=float)
+                    probs = row["probs"]
                 except (KeyError, TypeError, ValueError) as exc:
                     raise TPVError(f"bad row: {exc}", lineno) from exc
-                if probs.shape != (K,):
-                    _validate_tpv(probs, K, lineno)
+                if type(probs) is not list or len(probs) != K:
+                    _tpv_row(probs, K, lineno)  # raises: these are not K numbers
                 ids.append(tweet_id)
-                rows.append(probs)
                 linenos.append(lineno)
+                block.append(probs)
+                if len(block) == _TPV_BLOCK_ROWS:
+                    full, block = block, []
+                    _convert_block(full, linenos[-len(full):], K, blocks)
         except Exception as exc:  # raised below, after the rows before it are checked
             error = exc
-    matrix = np.stack(rows) if rows else np.empty((0, K))
-    del rows
+    if block:  # rows before any error above, so a bad one among them comes first
+        try:
+            _convert_block(block, linenos[-len(block):], K, blocks)
+        except Exception as exc:
+            error = exc
+    matrix = np.concatenate(blocks) if blocks else np.empty((0, K))
+    del blocks
     with np.errstate(invalid="ignore"):  # a row holding inf and -inf sums to NaN; its TPVError is the one signal
         sums = matrix.sum(axis=1)
     # a NaN or infinite entry makes its row's sum NaN or infinite
@@ -140,6 +153,37 @@ def load_tpvs(path: str | Path, K: int) -> dict[str, np.ndarray]:
         raise error
     matrix /= sums[:, None]
     return {ids[i]: matrix[i] for i in sorted(range(len(ids)), key=ids.__getitem__)}
+
+
+def _tpv_row(probs, K: int, lineno: int) -> np.ndarray:
+    """One row's probs as a K-vector of floats, or the TPVError of a row
+    that does not convert or has another shape."""
+    try:
+        vector = np.asarray(probs, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise TPVError(f"bad row: {exc}", lineno) from exc
+    if vector.shape != (K,):
+        _validate_tpv(vector, K, lineno)
+    return vector
+
+
+def _convert_block(block: list, linenos: list[int], K: int, blocks: list[np.ndarray]) -> None:
+    """Append the rows of block to blocks as one (n, K) float matrix. A block
+    that does not convert as one converts row by row: the rows before the
+    first bad one are appended, and that row's error is raised."""
+    try:
+        matrix = np.array(block, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        matrix = None
+    if matrix is not None and matrix.shape == (len(block), K):
+        blocks.append(matrix)
+        return
+    rows: list[np.ndarray] = []
+    try:
+        for probs, lineno in zip(block, linenos):
+            rows.append(_tpv_row(probs, K, lineno))
+    finally:
+        blocks.append(np.stack(rows) if rows else np.empty((0, K)))
 
 
 def _validate_tpv(probs: np.ndarray, K: int, lineno: int | None = None) -> None:

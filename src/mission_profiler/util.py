@@ -1,8 +1,12 @@
-"""Shared helpers: canonical JSON serialization, file hashing, seed
-derivation, and the median and percentile of a list of numbers.
+"""Shared helpers: canonical JSON serialization, the one JSON line
+decoder, file hashing, seed derivation, and the median and percentile of a
+list of numbers.
 
 Every JSON artifact the pipeline writes goes through ``canonical_dumps`` so
-that identical inputs produce byte-identical outputs.
+that identical inputs produce byte-identical outputs. Every reader of a
+JSONL line, or of one whole JSON document held in a string, decodes it with
+``loads_line``: the value, and any error with its message, are those of
+``json.loads``.
 """
 from __future__ import annotations
 
@@ -22,12 +26,32 @@ def canonical_dumps(obj: Any) -> str:
     return _CANONICAL.encode(obj)
 
 
+# one decoder for every line, with json.loads' settings
+_DECODER = json.JSONDecoder()
+_JSON_WHITESPACE = " \t\n\r"
+
+
+def loads_line(line: str) -> Any:
+    """json.loads(line): the same value, or the same exception with the same
+    message. The decoder's C scanner reads the value from the first
+    character; a line it rejects, or that holds more than JSON whitespace
+    after the value, goes to json.loads itself, which decodes it (leading
+    whitespace) or raises (no value, a BOM, extra data)."""
+    try:
+        value, end = _DECODER.raw_decode(line)
+    except ValueError:  # a JSONDecodeError, or an integer over the digit limit
+        return json.loads(line)
+    if line[end:].strip(_JSON_WHITESPACE):
+        return json.loads(line)
+    return value
+
+
 def write_json(path: str | Path, obj: Any) -> None:
     Path(path).write_text(canonical_dumps(obj) + "\n", encoding="utf-8")
 
 
 def read_json(path: str | Path) -> Any:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    return loads_line(Path(path).read_text(encoding="utf-8"))
 
 
 def sha256_file(path: str | Path) -> str:

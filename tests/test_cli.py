@@ -729,6 +729,26 @@ def test_every_command_fails_on_an_unreadable_input_with_its_stage_error(
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("command, option, exit_code", [
+    ("ingest", "--out", 10), ("score", "--toxicity-cache", 11), ("score", "--bot-cache", 11),
+    ("topics", "--out", 12), ("group", "--out", 13), ("metrics", "--out", 14), ("detect", "--out", 15),
+    ("ablate", "--out", 17), ("flag", "--out", 17),
+])
+def test_every_command_fails_on_an_out_path_it_cannot_write_with_its_stage_error(
+    bundle_dir, run_dir, corpus_bin, tmp_path, command, option, exit_code,
+):
+    # a file stands where the out path needs a directory, which topics, making
+    # its out dir with its parents, cannot create either
+    not_a_dir = tmp_path / "missing"
+    not_a_dir.write_text("")
+    args = {**_stage_args(bundle_dir, run_dir, corpus_bin, tmp_path)[command], option: str(not_a_dir / "out")}
+    result = CliRunner().invoke(main, [command, *(part for kv in args.items() for part in kv)])
+    assert result.exit_code == exit_code, result.output
+    assert type(result.exception) is SystemExit  # an uncaught exception would end in a traceback
+    assert result.stderr.startswith("error ["), result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_a_version_1_corpus_cache_is_refused_by_load_corpus_and_the_stage_commands(
     bundle_dir, corpus_bin, tmp_path,
 ):
@@ -781,6 +801,8 @@ def test_ingest_command_warns_as_the_ingest_stage_of_a_run(bundle_dir, tmp_path,
     ({"K": -1}, "K must be at least 1, not -1"),
     ({"K": 0}, "K must be at least 1, not 0"),
     ({"sample_n": -3}, "sample_n must not be negative, not -3"),
+    ({"min_cluster": 0}, "min_cluster must be at least 1, not 0"),
+    ({"min_cluster": -5}, "min_cluster must be at least 1, not -5"),
 ])
 def test_run_rejects_an_out_of_range_count_as_a_config_error(bundle_dir, tmp_path, override, error):
     config = _run_config(bundle_dir, tmp_path / "config.json", toxicity_backend="file",
@@ -793,6 +815,7 @@ def test_run_rejects_an_out_of_range_count_as_a_config_error(bundle_dir, tmp_pat
 
 @pytest.mark.parametrize("command, option, value", [
     ("topics", "--k", "0"), ("group", "--k", "0"), ("detect", "--k", "-1"),
+    ("detect", "--min-cluster", "0"), ("detect", "--min-cluster", "-5"),
     ("flag", "--sample", "-3"),
     ("score", "--rps", "0"), ("score", "--rps", "-2"), ("score", "--rps", "nan"), ("score", "--rps", "inf"),
 ])

@@ -1,7 +1,8 @@
 """Every module-level import of the package is used, so an import that a
 deletion leaves behind fails here. A name listed in a module's __all__
 counts as used: the package re-exports it. A file-backend run loads no
-module that only another backend or a replaced helper needs."""
+module that only another backend or a replaced helper needs. Only util.py
+calls json.loads: every other module decodes JSON with util.loads_line."""
 import ast
 import json
 import os
@@ -59,6 +60,31 @@ def test_unused_imports_finds_what_nothing_reads():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
 def test_every_module_level_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def json_loads_calls(source: str) -> list[str]:
+    """The lines that call json.loads, or import loads from json."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and _dotted(node.func) == "json.loads":
+            found.append(f"json.loads (line {node.lineno})")
+        elif isinstance(node, ast.ImportFrom) and node.module == "json" and any(a.name == "loads" for a in node.names):
+            found.append(f"from json import loads (line {node.lineno})")
+    return found
+
+
+def test_json_loads_calls_finds_each_way_of_calling_it():
+    source = (
+        "import json\nfrom json import loads as parse\nfrom .util import loads_line\n"
+        "def f(line):\n    json.dumps(line)\n    loads_line(line)\n    return json.loads(line)\n"
+    )
+    assert json_loads_calls(source) == ["from json import loads (line 2)", "json.loads (line 7)"]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "util.py"), ids=lambda path: path.name)
+def test_only_util_calls_json_loads(path):
+    assert json_loads_calls(path.read_text(encoding="utf-8")) == []
 
 
 # the HTTP stack (for the http backend alone), statistics (one median) and

@@ -4,7 +4,7 @@ import string
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mission_profiler import readability
@@ -18,6 +18,7 @@ from mission_profiler.readability import (
     mtld,
     readability_metrics,
     sentence_count,
+    syllable_counts,
 )
 
 
@@ -182,20 +183,29 @@ def test_profile_skips_empty_tweets():
 
 
 def test_formulas_count_each_words_syllables_once(monkeypatch):
-    calls = Counter()
+    sent = Counter()
 
-    def counting(word):
-        calls[word] += 1
-        return count_syllables(word)
+    def counting(words):
+        sent.update(words)
+        return syllable_counts(words)
 
-    monkeypatch.setattr(readability, "count_syllables", counting)
-    readability._syllables.cache_clear()
-    try:
-        readability_metrics(["the quick brown fox jumps.", "the lazy dog sleeps! the fox runs"])
-    finally:
-        readability._syllables.cache_clear()
-    assert set(calls) == {"the", "quick", "brown", "fox", "jumps.", "lazy", "dog", "sleeps!", "runs"}
-    assert set(calls.values()) == {1}
+    monkeypatch.setattr(readability, "syllable_counts", counting)
+    monkeypatch.setattr(readability, "_SYLLABLE_MEMO", {})
+    readability_metrics(["the quick brown fox jumps.", "the lazy dog sleeps! the fox runs"])
+    readability_metrics(["the fox runs", "a lazy cat"])
+    assert set(sent) == {"the", "quick", "brown", "fox", "jumps.", "lazy", "dog", "sleeps!", "runs", "a", "cat"}
+    assert set(sent.values()) == {1}
+
+
+def test_the_syllable_memo_keeps_its_bound(monkeypatch):
+    memo = {}
+    monkeypatch.setattr(readability, "_SYLLABLE_MEMO", memo)
+    monkeypatch.setattr(readability, "_MEMO_WORDS", 4)
+    for text in ["one two three", "four five", "six seven eight nine ten", "one two"]:
+        tokens = text.split()
+        assert readability._token_syllables(tokens).tolist() == [count_syllables(w) for w in tokens]
+        assert len(memo) <= 4
+    assert set(memo) == {"one", "two"}  # the last call's new words, after the third left the memo empty
 
 
 def test_profile_metrics_equal_the_per_formula_averages_exactly():
@@ -318,3 +328,45 @@ def test_letter_count_matches_the_regex_version_on_every_ascii_character():
 )
 def test_mtld_factors_match_the_float_ratio_version(tokens, threshold):
     assert readability._mtld_factors(tokens, threshold) == _reference_mtld_factors(tokens, threshold)
+
+
+# -- the bulk paths against the single-word and single-text functions ------------------
+
+# no whitespace, so each is a token of str.split: exceptions in any case and
+# with punctuation, the final sigma, and characters that lower-case to ASCII
+_WORDS = st.one_of(
+    st.text(st.characters().filter(lambda c: not c.isspace()), max_size=12),
+    st.sampled_from(sorted(readability._SYLLABLE_EXCEPTIONS)).flatmap(
+        lambda w: st.sampled_from([w, w.upper(), w.title(), f"{w}.", f"'{w}!", f"{w}\u03a3", f"\u0130{w[1:]}"])),
+    st.sampled_from(["", "\u03a3", "A\u03a3", "\u03a3\u03a3", "\u03c2", "make\u03a3", "\u212a", "e", "E",
+                     "le", "table", "rhythm", "eye", "caf\u00e9", "na\u00efve", "\u0130dea", "x_y", "123"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_WORDS, max_size=40))
+@example(sorted(readability._SYLLABLE_EXCEPTIONS) + ["", "Idea\u03a3", "\u03a3", ""])
+def test_syllable_counts_equal_count_syllables_word_by_word(words):
+    assert syllable_counts(words) == [count_syllables(w) for w in words]
+
+
+def test_syllable_counts_of_words_that_hold_a_newline():
+    words = ["idea\nidea", "", "banana", "\n", "make"]
+    assert syllable_counts(words) == [count_syllables(w) for w in words]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_TEXTS, min_size=1, max_size=12))
+def test_profile_metrics_equal_the_single_text_averages_bit_for_bit(tweets):
+    texts = [t for t in tweets if t.strip()]
+    m = readability_metrics(tweets)
+    if not texts:
+        assert m is None
+        return
+    n = len(texts)
+    for key, single in [("flesch_ease", flesch_reading_ease), ("flesch_kincaid_grade", flesch_kincaid_grade),
+                        ("linsear_write", linsear_write), ("ari", automated_readability_index)]:
+        values = [single(t) for t in texts]
+        assert all(type(v) is float for v in values)
+        expected = sum(values) / n
+        assert type(m[key]) is float and m[key].hex() == expected.hex(), key

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mission_profiler import topics
 from mission_profiler.ingest import load_timelines
 from mission_profiler.scores import ScoreCache
 from mission_profiler.topics import (
@@ -325,6 +326,51 @@ def test_a_later_json_error_does_not_hide_an_earlier_bad_row(tmp_path):
         load_tpvs(path, K=2)
     assert err.value.lineno == 2
     assert str(err.value) == "row 2: probabilities sum to 1.200000"
+
+
+# rows of K entries that only the conversion of their block to floats finds
+# bad, and one that only the matrix check finds bad
+_BLOCK_CORRUPTIONS = {
+    "nested": lambda probs: [[p] for p in probs],
+    "dict_entry": lambda probs: [{"a": 1.0}] + probs[1:],
+    "string_entry": lambda probs: ["x"] + probs[1:],
+    "ragged_entry": lambda probs: [[0.5, 0.5]] + probs[1:],
+    "overflow": lambda probs: [10**400] + probs[1:],
+    "negative": lambda probs: [-1e-9] + probs[1:],
+}
+_B = topics._TPV_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("corruptions", [
+    [],
+    *([(_B - 1, kind)] for kind in _BLOCK_CORRUPTIONS),  # the last row of the first block
+    *([(_B, kind)] for kind in _BLOCK_CORRUPTIONS),  # the first row of the second block
+    *([(_B + 10, kind), (_B + 20, "json")] for kind in _BLOCK_CORRUPTIONS),  # before a later JSON error
+    [(_B - 1, "nested"), (_B + 5, "negative")],
+    [(_B - 1, "negative"), (_B + 5, "nested")],
+    [(_B + 3, "negative"), (_B + 5, "nested")],  # both in the block that does not convert as one
+    [(2 * _B + 3, "dict_entry"), (2 * _B + 4, "json")],
+], ids=lambda corruptions: "-".join(f"{row}:{kind}" for row, kind in corruptions) or "clean")
+def test_load_tpvs_over_several_blocks_matches_the_row_at_a_time_reference(tmp_path, corruptions):
+    K = 3
+    matrix = np.random.default_rng(7).dirichlet(np.ones(K), size=2 * _B + 100)
+    lines = [json.dumps({"tweet_id": f"t{i:05d}", "probs": [float(p) for p in v]}) for i, v in enumerate(matrix)]
+    for row, kind in corruptions:
+        if kind == "json":
+            lines[row] = '{"tweet_id": "t", "probs": ['
+        else:
+            probs = _BLOCK_CORRUPTIONS[kind]([float(p) for p in matrix[row]])
+            lines[row] = json.dumps({"tweet_id": f"t{row:05d}", "probs": probs})
+    path = tmp_path / "tpv.jsonl"
+    # a blank line every 100 rows: line numbers run ahead of row numbers
+    path.write_text("".join(("\n" if i % 100 == 0 else "") + line + "\n" for i, line in enumerate(lines)),
+                    encoding="utf-8")
+    got, expected = _outcome(load_tpvs, path, K), _outcome(_reference_load_tpvs, path, K)
+    assert got[0] == expected[0]
+    if got[0] == "ok":
+        _assert_same_vectors(got[1], expected[1])
+    else:
+        assert got == expected
 
 
 # -- per-topic aggregation ---------------------------------------------------------

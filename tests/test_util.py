@@ -1,5 +1,7 @@
-"""util.median and util.percentile against the library functions they
-stand in for: statistics.median and numpy's default percentile."""
+"""util.median, util.percentile and util.loads_line against the library
+functions they stand in for: statistics.median, numpy's default percentile
+and json.loads."""
+import json
 import math
 import statistics
 
@@ -7,7 +9,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mission_profiler.util import median, percentile
+from mission_profiler.util import loads_line, median, percentile
 
 INTS = st.integers(-(2**53), 2**53)
 FLOATS = st.floats(-1e300, 1e300)  # finite, with room for b - a
@@ -44,3 +46,47 @@ def test_percentile_is_numpys_default_percentile(xs, q):
 
 def test_a_maximum_of_negative_zero_at_q100_is_positive_zero_as_in_numpy():
     assert repr(percentile([-1.0, -0.0], 100)) == repr(float(np.percentile([-1.0, -0.0], 100))) == "0.0"
+
+
+# JSON values with NaN, infinities, integers beyond 64 bits and strings of
+# any character, lone surrogates among them
+_JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.floats(), st.integers(-(2**70), 2**70), st.sampled_from([2**64, -(2**64) - 1]),
+        st.text(st.characters(exclude_categories=())), st.sampled_from(["\ud800", "a\udfffb", "\ud83d\ude00"]),
+    ),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=8,
+)
+# what may come before or after a value on a line: JSON whitespace, other
+# whitespace, a BOM, a second value ("Extra data") and stray characters
+_AROUND = st.lists(
+    st.sampled_from([" ", "\t", "\n", "\r", "\r\n", "\x0b", "\x0c", "\xa0", "\u2028", "\ufeff", "0", "{}", "x", ",",
+                     "NaN", "]", "\ud800"]),
+    max_size=3,
+).map("".join)
+
+
+def _decoded(fn, line):
+    try:
+        return "ok", repr(fn(line))  # repr: NaN equals itself, and -0.0 differs from 0.0
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.one_of(
+        _JSON_VALUES.map(json.dumps),
+        _JSON_VALUES.map(lambda v: json.dumps(v, ensure_ascii=False)),
+        st.sampled_from(["NaN", "-Infinity", "Infinity", "1" + "0" * 5000, '"\\ud800"', '"\\udc00x"', "[1,", "",
+                         '{"a": 1} {"b": 2}', "nul", "1e999", "-0", "1.0e-400"]),
+        st.text(max_size=8),
+    ),
+    _AROUND, _AROUND,
+)
+@example('{"tweet_id": "t1"}', "", "\n")
+@example("[1]", "\ufeff", "")
+def test_loads_line_is_json_loads(value, before, after):
+    line = before + value + after
+    assert _decoded(loads_line, line) == _decoded(json.loads, line)
