@@ -108,19 +108,19 @@ def topics_cmd(corpus_path, tpv_path, catalog_path, baseline, k_topics, seed, ou
     itself."""
     out_dir = Path(out)
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
         if baseline and not corpus_path:
             raise ValueError("--corpus is required with --baseline")
         if not baseline and not tpv_path:
             raise ValueError("either --tpv or --baseline is required")
         corpus = load_corpus(corpus_path) if baseline else None
         tpvs, catalog = topic_vectors(k_topics, seed, None if baseline else tpv_path, catalog_path, corpus)
+        out_dir.mkdir(parents=True, exist_ok=True)  # once the inputs are read: a failed command leaves none
         if baseline:
-            topics.save_tpvs(tpvs, out_dir / "tpvs.jsonl")
+            topics.save_tpvs(*tpvs, out_dir / "tpvs.jsonl")
         catalog.save(out_dir / "catalog.tsv")
     except Exception as exc:
         _fail("topics", exc)
-    click.echo(f"{len(tpvs)} topic vectors over K={k_topics}; catalog with {catalog.K} topics")
+    click.echo(f"{len(tpvs[0])} topic vectors over K={k_topics}; catalog with {catalog.K} topics")
 
 
 @main.command()

@@ -48,20 +48,19 @@ class AgreementReport:
     n_categories: int
 
 
-def global_topic_average(
-    tpvs, n_profiles: int, per_tweet_mean: bool = False
-) -> np.ndarray:
-    """Elementwise sum of all tweet topic vectors over the profile count.
+def global_topic_average(tpvs, n_profiles: int, per_tweet_mean: bool = False) -> np.ndarray:
+    """Elementwise sum of the tweet topic vectors, the rows of an (n, K)
+    array or a list of K-vectors, over the profile count.
 
     per_tweet_mean=True divides by the tweet count instead, removing the
     dependence on tweets-per-profile.
     """
-    tpvs = list(tpvs)
-    if not tpvs:
+    tpvs = np.asarray(tpvs)
+    if not len(tpvs):
         raise ValueError("no topic vectors")
     if n_profiles < 1:
         raise ValueError("profile count must be >= 1")
-    total = np.sum(np.stack(tpvs), axis=0)
+    total = np.sum(tpvs, axis=0)
     denom = len(tpvs) if per_tweet_mean else n_profiles
     avg = total / denom
     zeros = avg == 0.0
@@ -75,11 +74,11 @@ def global_topic_average(
 
 
 def ntpv(profile_tpvs, global_avg: np.ndarray, profile_id: str = "") -> NormalizedTPV:
-    """Profile mean topic vector divided elementwise by the global average."""
-    vectors = list(profile_tpvs)
-    if not vectors:
+    """The mean of a profile's topic vectors (array rows or a list) over the global average, elementwise."""
+    vectors = np.asarray(profile_tpvs)
+    if not len(vectors):
         raise ValueError("profile has no topic vectors")
-    return NormalizedTPV(profile_id=profile_id, ntpv=np.mean(np.stack(vectors), axis=0) / global_avg)
+    return NormalizedTPV(profile_id=profile_id, ntpv=np.mean(vectors, axis=0) / global_avg)
 
 
 def assign_topic_labels(ntpvs: dict[str, NormalizedTPV]) -> dict[str, int]:

@@ -34,9 +34,8 @@ def category_counts(
     counts = {c: 0 for c in CATEGORIES}
     for tweet in timeline.tweets:
         topic = assignments.get(tweet.tweet_id)
-        if topic is None:
-            continue
-        counts[catalog.category(topic)] += 1
+        if topic is not None:
+            counts[catalog.category(topic)] += 1
     return counts
 
 

@@ -200,10 +200,10 @@ def ingest_warnings(corpus: Corpus) -> list[str]:
 
 def topic_vectors(
     K: int, seed: int, tpvs_path: str | None, catalog_path: str | None, corpus: Corpus | None = None,
-) -> tuple[dict[str, np.ndarray], topics.TopicCatalog]:
-    """Topic vectors read from tpvs_path, or made by the keyword-hash
-    baseline over corpus when it is None, and the topic catalog (the demo
-    one when catalog_path is None)."""
+) -> tuple[tuple[list[str], np.ndarray], topics.TopicCatalog]:
+    """Topic vectors as (ids, matrix), read from tpvs_path or made by the
+    keyword-hash baseline over corpus when it is None, and the topic
+    catalog (the demo one when catalog_path is None)."""
     if tpvs_path is None:
         tpvs = topics.baseline_topic_assigner(corpus, K, derive_seed(seed, "topics", "baseline"))
     else:
@@ -215,31 +215,33 @@ def topic_vectors(
 
 
 def corpus_topic_aggregates(
-    corpus: Corpus, tpvs: dict[str, np.ndarray], cache: scores.ScoreCache, K: int, warn: Warn,
+    corpus: Corpus, tpvs: tuple[list[str], np.ndarray], cache: scores.ScoreCache, K: int, warn: Warn,
 ) -> dict[int, dict]:
     """The aggregates.json rows by topic: tweet counts and median toxicity
     over the corpus's own tweets; vectors of tweets outside the corpus are
     left out."""
-    own = _corpus_vectors(corpus, tpvs)
-    if len(own) < len(tpvs):
-        warn(f"{len(tpvs) - len(own)} topic vectors reference unknown tweets")
-    if not own:
+    own_ids, own = _corpus_vectors(corpus, tpvs)
+    if len(own_ids) < len(tpvs[0]):
+        warn(f"{len(tpvs[0]) - len(own_ids)} topic vectors reference unknown tweets")
+    if not own_ids:
         warn("no tweet in the corpus has a topic vector")
-    return topics.topic_aggregates(topics.assign_dominant_topics(own), cache, K)
+    return topics.topic_aggregates(topics.assign_dominant_topics(own_ids, own), cache, K)
 
 
-def _corpus_vectors(corpus: Corpus, tpvs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """The vectors of the corpus's own tweets, in the order of tpvs."""
+def _corpus_vectors(corpus: Corpus, tpvs: tuple[list[str], np.ndarray]) -> tuple[list[str], np.ndarray]:
+    """The ids and rows of the corpus's own tweets: tpvs itself when every row is theirs."""
+    ids, matrix = tpvs
     known_ids = {t.tweet_id for t in corpus.all_tweets()}
-    return {tid: v for tid, v in tpvs.items() if tid in known_ids}
+    own = [i for i, tid in enumerate(ids) if tid in known_ids]
+    return tpvs if len(own) == len(ids) else ([ids[i] for i in own], matrix[own])
 
 
 def group_profiles(
-    corpus: Corpus, catalog: topics.TopicCatalog, tpvs: dict[str, np.ndarray], warn: Warn,
+    corpus: Corpus, catalog: topics.TopicCatalog, tpvs: tuple[list[str], np.ndarray], warn: Warn,
 ) -> tuple[dict, list[tuple[str, float]]]:
     """Entropy groups: the groups.json payload (partition, and entropy and
     category vector per profile) and the sorted (group, H) CDF rows."""
-    assignments = topics.assign_dominant_topics(tpvs)
+    assignments = topics.assign_dominant_topics(*tpvs)
     cpv: dict[str, tuple[float, ...]] = {}
     entropy: dict[str, float] = {}
     for profile_id in sorted(corpus.profiles):
@@ -267,7 +269,7 @@ def metric_rows(corpus: Corpus, cache: scores.ScoreCache, warn: Warn) -> list[di
 
 def designate(
     corpus: Corpus,
-    tpvs: dict[str, np.ndarray],
+    tpvs: tuple[list[str], np.ndarray],
     catalog: topics.TopicCatalog,
     aggs: dict[int, dict],
     partition: dict[str, list[str]],
@@ -285,11 +287,12 @@ def designate(
     if not members:
         warn(f"entropy group {group} is empty; nothing to designate")
         return payload
-    global_avg = detector.global_topic_average(_corpus_vectors(corpus, tpvs).values(), len(corpus.profiles))
+    global_avg = detector.global_topic_average(_corpus_vectors(corpus, tpvs)[1], len(corpus.profiles))
+    row_of = {tid: i for i, tid in enumerate(tpvs[0])}
     ntpvs = {}
     for profile_id in members:
-        vectors = [tpvs[t.tweet_id] for t in corpus.profiles[profile_id].tweets if t.tweet_id in tpvs]
-        ntpvs[profile_id] = detector.ntpv(vectors, global_avg, profile_id)
+        rows = [row_of[t.tweet_id] for t in corpus.profiles[profile_id].tweets if t.tweet_id in row_of]
+        ntpvs[profile_id] = detector.ntpv(tpvs[1][rows], global_avg, profile_id)
     labels = detector.assign_topic_labels(ntpvs)
     clusters, designations = detector.detect_clusters(
         members, labels, aggs,
@@ -310,13 +313,13 @@ def designate(
 
 
 def feature_vectors(
-    corpus: Corpus, catalog: topics.TopicCatalog, tpvs: dict[str, np.ndarray], rows: list[dict],
+    corpus: Corpus, catalog: topics.TopicCatalog, tpvs: tuple[list[str], np.ndarray], rows: list[dict],
 ) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Classifier features per profile, from its metrics row and the
     category counts of its topic-covered tweets: the profile ids in
     order, and row i of the values X and of the imputation mask M is
     profile ids[i]'s."""
-    assignments = topics.assign_dominant_topics(tpvs)
+    assignments = topics.assign_dominant_topics(*tpvs)
     row_of = {row["profile_id"]: row for row in rows}
     ids = sorted(corpus.profiles)
     X = np.zeros((len(ids), features.N_FEATURES))
@@ -626,13 +629,11 @@ def _topics(pipe: Pipeline, a: Inputs, out: Outputs, warn: Warn) -> dict:
     cfg = pipe.config
     corpus = a["corpus"].get()
     try:
-        tpvs, catalog = topic_vectors(
-            cfg.K, cfg.seed, None if cfg.use_baseline_topics else cfg.tpvs, cfg.catalog, corpus
-        )
+        tpvs, catalog = topic_vectors(cfg.K, cfg.seed, None if cfg.use_baseline_topics else cfg.tpvs, cfg.catalog, corpus)
     except (topics.TPVError, topics.CatalogError, OSError) as exc:
         raise PipelineError("topics", str(exc)) from exc
     if "tpvs" in out:  # baseline vectors: hand on what a cache hit reads back
-        topics.save_tpvs(tpvs, out["tpvs"])
+        topics.save_tpvs(*tpvs, out["tpvs"])
         tpvs = topics.load_tpvs(out["tpvs"], cfg.K)
     aggs = corpus_topic_aggregates(corpus, tpvs, a["toxicity"].get(), cfg.K, warn)
     catalog.save(out["catalog"])

@@ -1,8 +1,8 @@
 """Topic probability vectors, the topic->category catalog, and aggregates.
 
-Topic vectors are produced by an external model and ingested from JSONL;
-a deterministic keyword-hash assigner stands in for that model in tests
-and demos.
+Topic vectors come from an external model as JSONL, or from a keyword-hash
+stand-in for that model in tests and demos. Both are held as (ids, matrix):
+the sorted tweet ids, each once, and a float (n, K) matrix of their vectors.
 """
 from __future__ import annotations
 
@@ -94,17 +94,16 @@ class TopicCatalog:
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def load_tpvs(path: str | Path, K: int) -> dict[str, np.ndarray]:
-    """Load {"tweet_id", "probs"} JSONL rows into K-vectors.
+def load_tpvs(path: str | Path, K: int) -> tuple[list[str], np.ndarray]:
+    """Load {"tweet_id", "probs"} JSONL rows as (ids, matrix) of K-vectors.
 
     Rows whose probabilities sum within 1e-3 of 1 are renormalized; larger
     deviations, wrong dimensions, negative entries and NaN or infinite
     entries are rejected with their row number. When several rows are bad,
     the first one is reported. Rows are parsed one at a time, converted to
     floats in blocks of _TPV_BLOCK_ROWS, and checked and renormalized as one
-    (n, K) matrix; each returned vector is a row of that matrix. Vectors
-    come in tweet-id order, so later sums do not depend on the line order;
-    of repeated ids, the last row wins.
+    (n, K) matrix. Its rows come in tweet-id order, so later sums do not
+    depend on the line order; of repeated ids, the last row wins.
     """
     ids: list[str] = []
     linenos: list[int] = []
@@ -152,7 +151,14 @@ def load_tpvs(path: str | Path, K: int) -> dict[str, np.ndarray]:
     if error is not None:
         raise error
     matrix /= sums[:, None]
-    return {ids[i]: matrix[i] for i in sorted(range(len(ids)), key=ids.__getitem__)}
+    return _by_tweet_id(ids, matrix)
+
+
+def _by_tweet_id(ids: list[str], matrix: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The sorted distinct ids and their rows; of repeated ids, the last row wins."""
+    row_of = {tweet_id: i for i, tweet_id in enumerate(ids)}
+    order = sorted(row_of)
+    return (ids, matrix) if order == ids else (order, matrix[[row_of[t] for t in order]])
 
 
 def _tpv_row(probs, K: int, lineno: int) -> np.ndarray:
@@ -183,7 +189,7 @@ def _convert_block(block: list, linenos: list[int], K: int, blocks: list[np.ndar
         for probs, lineno in zip(block, linenos):
             rows.append(_tpv_row(probs, K, lineno))
     finally:
-        blocks.append(np.stack(rows) if rows else np.empty((0, K)))
+        blocks.append(np.asarray(rows, dtype=float).reshape(-1, K))
 
 
 def _validate_tpv(probs: np.ndarray, K: int, lineno: int | None = None) -> None:
@@ -201,19 +207,15 @@ def _validate_tpv(probs: np.ndarray, K: int, lineno: int | None = None) -> None:
         raise TPVError("all-zero probability vector", lineno)
 
 
-def save_tpvs(tpvs: dict[str, np.ndarray], path: str | Path) -> None:
+def save_tpvs(ids: list[str], matrix: np.ndarray, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for tweet_id in sorted(tpvs):
-            row = {"tweet_id": tweet_id, "probs": np.asarray(tpvs[tweet_id], dtype=float).tolist()}
-            fh.write(canonical_dumps(row) + "\n")
+        for tweet_id, probs in zip(ids, matrix):
+            fh.write(canonical_dumps({"tweet_id": tweet_id, "probs": probs.tolist()}) + "\n")
 
 
-def assign_dominant_topics(tpvs: dict[str, np.ndarray]) -> dict[str, int]:
-    """The argmax topic of every vector, taken over all of them at once;
-    ties break to the lowest index."""
-    if not tpvs:
-        return {}
-    return dict(zip(tpvs, np.argmax(np.stack(list(tpvs.values())), axis=1).tolist()))
+def assign_dominant_topics(ids: list[str], matrix: np.ndarray) -> dict[str, int]:
+    """The argmax topic of every row, by id; ties break to the lowest index."""
+    return dict(zip(ids, np.argmax(matrix, axis=1).tolist()))
 
 
 def topic_aggregates(assignments: dict[str, int], cache: ScoreCache, K: int) -> dict[int, dict]:
@@ -242,20 +244,19 @@ def _hash_bucket(token: str, K: int, seed: int) -> int:
     return int.from_bytes(digest[:8], "big") % K
 
 
-def baseline_topic_assigner(corpus: Corpus, K: int, seed: int) -> dict[str, np.ndarray]:
+def baseline_topic_assigner(corpus: Corpus, K: int, seed: int) -> tuple[list[str], np.ndarray]:
     """Keyword-hash stand-in for the external topic model.
 
     Each tweet's tokens hash into K buckets and the bucket counts normalize
     into a probability vector; identical (text, seed) always give identical
     vectors. Only length-eligible unique tweets are covered, mirroring the
     coverage of the real model; each has at least ingest.TOKEN_MIN tokens,
-    so no vector is all zero.
+    so no vector is all zero. Returns (ids, matrix), as load_tpvs does.
     """
-    tpvs: dict[str, np.ndarray] = {}
-    for profile_id in sorted(corpus.profiles):
-        for tweet in topic_model_eligible(corpus.profiles[profile_id]):
-            counts = np.zeros(K, dtype=float)
-            for token in tweet.text_norm.split():
-                counts[_hash_bucket(token, K, seed)] += 1.0
-            tpvs[tweet.tweet_id] = counts / counts.sum()
-    return tpvs
+    tweets = [t for p in sorted(corpus.profiles) for t in topic_model_eligible(corpus.profiles[p])]
+    matrix = np.zeros((len(tweets), K))
+    for i, tweet in enumerate(tweets):
+        for token in tweet.text_norm.split():
+            matrix[i, _hash_bucket(token, K, seed)] += 1.0
+    matrix /= matrix.sum(axis=1, keepdims=True)
+    return _by_tweet_id([t.tweet_id for t in tweets], matrix)

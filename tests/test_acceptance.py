@@ -130,11 +130,11 @@ def test_criterion_5_ntpv_sanity(acceptance_bundle):
         result2 = ntpv(tpvs, avg2, "solo")
         assert np.all(np.abs(result2.ntpv - 1.0) <= 1e-9)
 
-        bundle_tpvs = load_tpvs(acceptance_bundle["paths"]["tpvs"], K=20)
+        _ids, bundle_tpvs = load_tpvs(acceptance_bundle["paths"]["tpvs"], K=20)
         n_profiles = len({t["profile_id"] for t in acceptance_bundle["bundle"].tweets})
-        avg3 = global_topic_average(bundle_tpvs.values(), n_profiles)
+        avg3 = global_topic_average(bundle_tpvs, n_profiles)
         totals = [0.0] * 20
-        for vec in bundle_tpvs.values():  # second pass, entrywise python sums
+        for vec in bundle_tpvs:  # second pass, entrywise python sums
             for k in range(20):
                 totals[k] += float(vec[k])
         oracle = np.array([t / n_profiles for t in totals])

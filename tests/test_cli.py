@@ -540,6 +540,18 @@ def test_topics_command_checks_the_given_vectors_and_writes_only_the_catalog(bun
     assert "row 1: expected 20 probabilities" in result.output
 
 
+@pytest.mark.parametrize("flags", [["--tpv", "bad.jsonl", "--k", "3"], ["--baseline", "--k", "3"]],
+                         ids=["bad_tpv", "baseline_without_corpus"])
+def test_a_failed_topics_command_leaves_no_out_directory(tmp_path, flags):
+    (tmp_path / "bad.jsonl").write_text("not json\n", encoding="utf-8")
+    flags = [str(tmp_path / f) if f.endswith(".jsonl") else f for f in flags]
+    out = tmp_path / "new" / "dir"
+    result = CliRunner().invoke(main, ["topics", *flags, "--out", str(out)])
+    assert result.exit_code == 12, result.output
+    assert result.stderr.startswith("error [topics]: "), result.stderr
+    assert not (tmp_path / "new").exists()
+
+
 def test_metrics_command(bundle_dir, corpus_bin, tmp_path):
     out = tmp_path / "metrics.jsonl"
     result = CliRunner().invoke(main, [

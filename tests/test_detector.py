@@ -55,6 +55,10 @@ def test_streaming_oracle_agreement():
             totals[k] += float(v[k])
     oracle = [t / 37 for t in totals]
     assert np.allclose(avg, oracle, atol=1e-9)
+    # the same vectors as the rows of one (n, K) array give the same bits
+    matrix = np.array(tpvs)
+    assert global_topic_average(matrix, n_profiles=37).tobytes() == avg.tobytes()
+    assert ntpv(matrix[:40], avg).ntpv.tobytes() == ntpv(tpvs[:40], avg).ntpv.tobytes()
 
 
 def test_no_tpvs_raises():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mission_profiler import ingest, synth
+from mission_profiler import ingest, synth, topics
 from mission_profiler.ingest import (
     _EMOJI_TABLE,
     IngestError,
@@ -438,3 +438,18 @@ def test_a_loaded_corpus_holds_under_650_bytes_a_tweet(tmp_path):
     n_tweets = corpus.ingest_stats.kept_tweets
     assert n_tweets > 2000
     assert retained < 650 * n_tweets
+
+
+def test_loaded_topic_vectors_hold_under_300_bytes_a_vector(tmp_path):
+    # 240 bytes a vector on this bundle: 160 for its row of floats, the rest
+    # its tweet id; a dict of one array per row held 382
+    paths = synth.write_bundle(synth.generate(synth.default_specs(30, 30), K=20, seed=5), tmp_path)
+    topics.load_tpvs(paths["tpvs"], K=20)  # warm-up
+    tracemalloc.start()
+    try:
+        ids, _matrix = topics.load_tpvs(paths["tpvs"], K=20)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ids) > 2000
+    assert retained < 300 * len(ids)

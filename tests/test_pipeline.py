@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -150,6 +151,51 @@ def test_topic_vectors_of_tweets_outside_the_corpus_leave_the_designations_uncha
         run_pipeline(config, tmp_path / "with_orphans")
     for name in ("topics/aggregates.json", "group/groups.json", "detect/designations.json"):
         assert (tmp_path / "with_orphans" / name).read_bytes() == (tmp_path / "run" / name).read_bytes(), name
+
+
+_PINNED_DIGESTS = {
+    "user": {
+        "topics/aggregates.json": "a98572f27fe4bef9934019f8337adc7ab0f6cdd39d68f714a85cafa6c9974ad6",
+        "group/groups.json": "4f5e28549cdbe92f4c1b9d0e2d964bdba3843f36ddec05180339058f1008bf3d",
+        "detect/designations.json": "33cbd78cecf6fe0d6652c152df5b0eeb5659abb030b6d2e15d4a13eb2a03a5b5",
+        "features/features.jsonl": "a2bd225b37b939bee70bf4166cee06760119355f5abb7d6ca086a84795355a81",
+    },
+    "baseline": {
+        "topics/tpvs.jsonl": "ffb11591f57f9c601e8d8068bb6ebb6cb9242b20c60626bb35f77cc2dafd1b71",
+        "topics/aggregates.json": "3daadfc6fd3f673ca9a76a231cb4fbe91c8f68b4895a998800db34ed0089a8bb",
+        "group/groups.json": "8219ad73662fe3d407998ebdbd14dfa0c16dba22517dcc881b72d73493f2546a",
+        "detect/designations.json": "ea20b9621acdd63ed03217e75cde818e943a41969f8c6b1d16b8f5202da82de6",
+        "features/features.jsonl": "6d2ba09b6cd5e4b8edc11d9f504f9cd64f24c9020efe6a87df1755305a49953a",
+    },
+}
+
+
+@pytest.mark.parametrize("source", sorted(_PINNED_DIGESTS))
+def test_cold_run_topic_artifact_digests_pinned(tmp_path, source):
+    # digests of what the stages that read topic vectors wrote for this bundle;
+    # two runs of the same code agree with each other, these also catch a change
+    # of bytes between versions of the code
+    paths = _small_bundle(tmp_path)
+    if source == "user":
+        _append_orphan_vectors(paths["tpvs"], n=2)
+        first = json.loads(paths["tpvs"].read_text(encoding="utf-8").splitlines()[0])
+        with open(paths["tpvs"], "a", encoding="utf-8") as fh:  # a repeated id: its last row wins
+            fh.write(json.dumps({"tweet_id": first["tweet_id"], "probs": first["probs"][::-1]}) + "\n")
+        config = _config(paths)
+    else:
+        config = _config(paths, tpvs=None, use_baseline_topics=True)
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run_pipeline(config, out)
+    got = {}
+    for rel in _PINNED_DIGESTS[source]:
+        data = (out / rel).read_bytes()
+        if rel == "features/features.jsonl":
+            data = data.split(b"\n", 1)[1]  # the header line
+        data = data.replace(config.config_hash().encode(), b"")  # the hash covers the input paths
+        got[rel] = hashlib.sha256(data).hexdigest()
+    assert got == _PINNED_DIGESTS[source]
 
 
 def test_stale_cache_aborts(tmp_path):

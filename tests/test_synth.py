@@ -84,7 +84,7 @@ def test_on_mission_entropy_lands_in_diverse_groups():
 
     bundle = generate(default_specs(30, 30), K=20, seed=42)
     catalog = TopicCatalog.demo(20)
-    assignments = assign_dominant_topics(bundle.tpvs)
+    assignments = assign_dominant_topics(list(bundle.tpvs), np.array(list(bundle.tpvs.values())))
     by_profile: dict[str, list[int]] = {}
     for tweet in bundle.tweets:
         topic = assignments[tweet["tweet_id"]]
@@ -104,7 +104,7 @@ def test_on_mission_entropy_lands_in_diverse_groups():
 
 def test_mission_topic_toxicity_gap_at_least_point_two():
     bundle = generate(default_specs(30, 30), K=20, seed=42)
-    assignments = assign_dominant_topics(bundle.tpvs)
+    assignments = assign_dominant_topics(list(bundle.tpvs), np.array(list(bundle.tpvs.values())))
 
     def dominant_topic_median_tox(profile_id):
         topics_count: dict[int, int] = {}

@@ -39,7 +39,7 @@ def _write_tpv_rows(path, rows):
 def test_renormalized_within_tolerance(tmp_path):
     path = tmp_path / "tpv.jsonl"
     _write_tpv_rows(path, [{"tweet_id": "t1", "probs": [0.25, 0.25, 0.25, 0.2505]}])
-    tpvs = load_tpvs(path, K=4)
+    tpvs = dict(zip(*load_tpvs(path, K=4)))
     assert tpvs["t1"].sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -95,7 +95,7 @@ def test_generated_fixture_loads_with_unit_sums(tmp_path):
         rows.append({"tweet_id": f"t{i}", "probs": [float(x) for x in p]})
     path = tmp_path / "tpv.jsonl"
     _write_tpv_rows(path, rows)
-    tpvs = load_tpvs(path, K=8)
+    tpvs = dict(zip(*load_tpvs(path, K=8)))
     assert len(tpvs) == 1000
     for v in tpvs.values():
         assert abs(v.sum() - 1.0) < 1e-9
@@ -106,7 +106,7 @@ def test_load_tpvs_returns_the_vectors_in_tweet_id_order(tmp_path):
     rows = [{"tweet_id": f"t{i:03d}", "probs": [float(x) for x in rng.dirichlet(np.ones(8))]}
             for i in reversed(range(300))]
     _write_tpv_rows(tmp_path / "in.jsonl", rows)
-    tpvs = load_tpvs(tmp_path / "in.jsonl", K=8)
+    tpvs = dict(zip(*load_tpvs(tmp_path / "in.jsonl", K=8)))
     assert list(tpvs) == sorted(row["tweet_id"] for row in rows)
     by_id = {row["tweet_id"]: np.asarray(row["probs"]) for row in rows}
     assert all(np.array_equal(v, by_id[k] / by_id[k].sum()) for k, v in tpvs.items())
@@ -115,7 +115,7 @@ def test_load_tpvs_returns_the_vectors_in_tweet_id_order(tmp_path):
 # -- dominant topic --------------------------------------------------------------
 
 def _dominant(v):
-    return assign_dominant_topics({"t": v})["t"]
+    return assign_dominant_topics(["t"], v[None, :])["t"]
 
 
 def test_dominant_argmax():
@@ -220,6 +220,10 @@ def _assert_same_vectors(got, expected):
         assert got[tweet_id].dtype == v.dtype and got[tweet_id].tobytes() == v.tobytes(), tweet_id
 
 
+def _load_tpv_map(path, K):
+    return dict(zip(*load_tpvs(path, K)))
+
+
 def _outcome(fn, *args):
     try:
         return "ok", fn(*args)
@@ -242,7 +246,7 @@ def test_load_tpvs_matches_the_row_at_a_time_reference(tmp_path_factory, drawn, 
     K, ids, matrix = drawn
     path = tmp_path_factory.mktemp("tpv") / "tpv.jsonl"
     _write_rows(path, ids, matrix, blank_every)
-    got, expected = _outcome(load_tpvs, path, K), _outcome(_reference_load_tpvs, path, K)
+    got, expected = _outcome(_load_tpv_map, path, K), _outcome(_reference_load_tpvs, path, K)
     assert got[0] == expected[0]
     if got[0] == "ok":
         _assert_same_vectors(got[1], expected[1])
@@ -258,9 +262,11 @@ def test_save_tpvs_and_argmax_match_the_references(tmp_path_factory, drawn, norm
         with np.errstate(all="ignore"):
             matrix = matrix / matrix.sum(axis=1, keepdims=True)
     tpvs = {tweet_id: v.copy() for tweet_id, v in zip(ids, matrix)}
-    assert assign_dominant_topics(tpvs) == _reference_assign_dominant_topics(tpvs)
+    order = sorted(tpvs)
+    rows = np.array([tpvs[t] for t in order]).reshape(len(order), K)
+    assert assign_dominant_topics(order, rows) == _reference_assign_dominant_topics(tpvs)
     d = tmp_path_factory.mktemp("save")
-    got = _outcome(save_tpvs, tpvs, d / "new.jsonl")
+    got = _outcome(save_tpvs, order, rows, d / "new.jsonl")
     expected = _outcome(_reference_save_tpvs, tpvs, d / "ref.jsonl")
     assert got == expected  # ("ok", None), or the same ValueError for NaN and inf
     assert (d / "new.jsonl").read_bytes() == (d / "ref.jsonl").read_bytes()
@@ -308,7 +314,7 @@ def test_malformed_tpv_files_raise_what_the_reference_raises(tmp_path_factory, d
             lines[i] = _corrupt(kind, ids[i], matrix[i])
     path = tmp_path_factory.mktemp("bad") / "tpv.jsonl"
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    got, expected = _outcome(load_tpvs, path, K), _outcome(_reference_load_tpvs, path, K)
+    got, expected = _outcome(_load_tpv_map, path, K), _outcome(_reference_load_tpvs, path, K)
     assert got[0] == expected[0]
     if got[0] == "ok":
         _assert_same_vectors(got[1], expected[1])
@@ -365,7 +371,7 @@ def test_load_tpvs_over_several_blocks_matches_the_row_at_a_time_reference(tmp_p
     # a blank line every 100 rows: line numbers run ahead of row numbers
     path.write_text("".join(("\n" if i % 100 == 0 else "") + line + "\n" for i, line in enumerate(lines)),
                     encoding="utf-8")
-    got, expected = _outcome(load_tpvs, path, K), _outcome(_reference_load_tpvs, path, K)
+    got, expected = _outcome(_load_tpv_map, path, K), _outcome(_reference_load_tpvs, path, K)
     assert got[0] == expected[0]
     if got[0] == "ok":
         _assert_same_vectors(got[1], expected[1])
@@ -464,7 +470,7 @@ def test_identical_tweets_identical_tpvs():
     from mission_profiler.ingest import Corpus, IngestStats
 
     corpus = Corpus(profiles={"a": tl_a, "b": tl_b}, ingest_stats=IngestStats())
-    tpvs = baseline_topic_assigner(corpus, K=20, seed=1)
+    tpvs = dict(zip(*baseline_topic_assigner(corpus, K=20, seed=1)))
     a, b = tpvs["a-0"], tpvs["b-0"]
     assert np.array_equal(a, b)
 
@@ -474,7 +480,7 @@ def test_single_token_tweet_one_hot():
 
     tl = make_timeline("a", texts=[" ".join(["solo"] * 10)])  # ten tokens: eligible for the topic model
     corpus = Corpus(profiles={"a": tl}, ingest_stats=IngestStats())
-    tpvs = baseline_topic_assigner(corpus, K=20, seed=1)
+    tpvs = dict(zip(*baseline_topic_assigner(corpus, K=20, seed=1)))
     v = tpvs["a-0"]
     assert v.max() == 1.0
     assert v.sum() == 1.0
@@ -484,13 +490,14 @@ def test_golden_baseline_tpv_file(tmp_path):
     corpus = load_timelines(DATA / "golden_corpus_tweets.jsonl")
     tpvs = baseline_topic_assigner(corpus, K=20, seed=42)
     out = tmp_path / "tpv.jsonl"
-    save_tpvs(tpvs, out)
+    save_tpvs(*tpvs, out)
     golden = (DATA / "golden_baseline_tpv_seed42.jsonl").read_bytes()
     assert out.read_bytes() == golden
 
 
 def test_assignments_cover_tpv_map():
     corpus = load_timelines(DATA / "golden_corpus_tweets.jsonl")
-    tpvs = baseline_topic_assigner(corpus, K=20, seed=42)
-    assignments = assign_dominant_topics(tpvs)
+    ids, matrix = baseline_topic_assigner(corpus, K=20, seed=42)
+    tpvs = dict(zip(ids, matrix))
+    assignments = assign_dominant_topics(ids, matrix)
     assert set(assignments) == set(tpvs)
