@@ -10,7 +10,9 @@ topic weights.
 """
 from __future__ import annotations
 
+import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,49 +120,31 @@ def top3_gap(weights: np.ndarray) -> tuple[float, float] | None:
 
 
 def overlap_evidence(members: list[str], metadata: dict[str, ProfileMetadata | None]) -> dict:
-    """Friendship and retweet overlap within a cluster, as the
-    "friend_overlap" and "shared_retweet_ratio" keys of its row.
+    """Friendship and retweet overlap within a cluster of distinct members,
+    as the "friend_overlap" and "shared_retweet_ratio" keys of its row.
 
-    friend_overlap is the fraction of member pairs connected as friends
-    (either direction); shared_retweet_ratio is the fraction of members
-    sharing at least one retweeted id with another member. Both are None
-    when no member carries the underlying data.
+    friend_overlap is the fraction of connected member pairs (either lists
+    the other as a friend) among the pairs where at least one member lists
+    friends; shared_retweet_ratio is the fraction of members sharing a
+    retweeted id with another member. Each is None when no member carries
+    its data, friend_overlap also when no pair counts.
     """
-    friends = {
-        m: set(meta.friends_ids)
-        for m in members
-        if (meta := metadata.get(m)) is not None and meta.friends_ids is not None
-    }
-    retweets = {
-        m: set(meta.retweeted_ids)
-        for m in members
-        if (meta := metadata.get(m)) is not None and meta.retweeted_ids is not None
-    }
+    metas = {m: meta for m in members if (meta := metadata.get(m)) is not None}
+    friends = {m: meta.friends_ids for m, meta in metas.items() if meta.friends_ids is not None}
+    retweets = [set(meta.retweeted_ids) for meta in metas.values() if meta.retweeted_ids is not None]
 
     friend_overlap = None
     if friends:
-        pairs = 0
-        connected = 0
-        ordered = sorted(members)
-        for i, a in enumerate(ordered):
-            for b in ordered[i + 1:]:
-                if a not in friends and b not in friends:
-                    continue
-                pairs += 1
-                if b in friends.get(a, ()) or a in friends.get(b, ()):
-                    connected += 1
-        friend_overlap = connected / pairs if pairs else None
+        inside = set(members)
+        connected = {(a, b) if a < b else (b, a) for a, ids in friends.items() for b in ids if b in inside and b != a}
+        # the pairs of which at least one member lists friends
+        pairs = math.comb(len(members), 2) - math.comb(len(members) - len(friends), 2)
+        friend_overlap = len(connected) / pairs if pairs else None
 
     shared_retweet_ratio = None
     if retweets:
-        sharing = 0
-        for m in members:
-            mine = retweets.get(m)
-            if mine is None:
-                continue
-            others = set().union(*(retweets[o] for o in retweets if o != m)) if len(retweets) > 1 else set()
-            if mine & others:
-                sharing += 1
+        holders = Counter(r for ids in retweets for r in ids)
+        sharing = sum(any(holders[r] > 1 for r in ids) for ids in retweets)
         shared_retweet_ratio = sharing / len(members)
 
     return {"friend_overlap": friend_overlap, "shared_retweet_ratio": shared_retweet_ratio}

@@ -38,6 +38,8 @@ _MENTION_RE = re.compile(r"@(?<![\w@]@)\w+")
 _VS16 = "️"
 # the last second datetime can hold, 9999-12-31T23:59:59Z; a later time is malformed
 MAX_TIMESTAMP = int(datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc).timestamp())
+# the largest profile count, the int64 maximum; a larger or negative one is malformed
+MAX_COUNT = 2**63 - 1
 
 
 class IngestError(ValueError):
@@ -255,8 +257,8 @@ def _parse_tweet(obj: dict, lineno: int) -> tuple[str, Tweet]:
     ts = _parse_timestamp(obj["created_at"], lineno)
     if not isinstance(text_raw, str):
         raise IngestError("text must be a string", lineno)
-    hashtags = tuple(str(h).lstrip("#").lower() for h in obj.get("hashtags") or [])
-    urls = tuple(str(u) for u in obj.get("urls") or [])
+    hashtags = tuple(str(h).lstrip("#").lower() for h in _array(obj, "hashtags", lineno) or [])
+    urls = tuple(str(u) for u in _array(obj, "urls", lineno) or [])
     int(obj.get("mentions", 0))
     return profile_id, Tweet(
         tweet_id=tweet_id,
@@ -268,38 +270,37 @@ def _parse_tweet(obj: dict, lineno: int) -> tuple[str, Tweet]:
     )
 
 
-def _parse_metadata(obj: dict, lineno: int) -> ProfileMetadata:
-    def count(key: str) -> int:
-        value = int(obj.get(key, 0) or 0)
-        if value < 0:
-            raise IngestError(f"negative count for {key}", lineno)
-        return value
+def _array(obj: dict, key: str, lineno: int) -> list | None:
+    """obj[key], a JSON array, or None when it is null or absent; any other value makes the line malformed."""
+    value = obj.get(key)
+    if value is not None and not isinstance(value, list):
+        raise IngestError(f"{key} must be an array", lineno)
+    return value
 
-    withheld = obj.get("withheld_countries", 0)
-    if isinstance(withheld, list):
-        withheld = len(withheld)
+
+def _parse_metadata(obj: dict, lineno: int) -> ProfileMetadata:
+    counts = {key: obj.get(key) for key in ("followers", "following", "listed", "statuses", "favourites")}
+    withheld = obj.get("withheld_countries")
+    counts["withheld_countries"] = len(withheld) if isinstance(withheld, list) else withheld
+    description_len = obj.get("description_len")
+    counts["description_len"] = len(str(obj.get("description") or "")) if description_len is None else description_len
+    for key, value in counts.items():
+        counts[key] = int(value or 0)
+        if not 0 <= counts[key] <= MAX_COUNT:
+            raise IngestError(f"count out of range for {key}", lineno)
     has_location = obj.get("has_location")
     if has_location is None:
         has_location = bool(str(obj.get("location") or "").strip())
-    description_len = obj.get("description_len")
-    if description_len is None:
-        description_len = len(str(obj.get("description") or ""))
     created = obj.get("created_at")
-    friends = obj.get("friends_ids")
-    retweeted = obj.get("retweeted_ids")
+    friends = _array(obj, "friends_ids", lineno)
+    retweeted = _array(obj, "retweeted_ids", lineno)
     return ProfileMetadata(
-        followers=count("followers"),
-        following=count("following"),
-        listed=count("listed"),
-        statuses=count("statuses"),
-        favourites=count("favourites"),
+        **counts,
         protected=bool(obj.get("protected", False)),
         verified=bool(obj.get("verified", False)),
         geo_enabled=bool(obj.get("geo_enabled", False)),
         contributors_enabled=bool(obj.get("contributors_enabled", False)),
-        withheld_countries=int(withheld or 0),
         has_location=bool(has_location),
-        description_len=int(description_len or 0),
         created_at=_parse_timestamp(created, lineno) if created is not None else None,
         friends_ids=tuple(str(f) for f in friends) if friends is not None else None,
         retweeted_ids=tuple(str(r) for r in retweeted) if retweeted is not None else None,

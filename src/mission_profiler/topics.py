@@ -166,7 +166,7 @@ def _tpv_row(probs, K: int, lineno: int) -> np.ndarray:
     that does not convert or has another shape."""
     try:
         vector = np.asarray(probs, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise TPVError(f"bad row: {exc}", lineno) from exc
     if vector.shape != (K,):
         _validate_tpv(vector, K, lineno)

@@ -540,6 +540,14 @@ def test_topics_command_checks_the_given_vectors_and_writes_only_the_catalog(bun
     assert "row 1: expected 20 probabilities" in result.output
 
 
+def test_a_probability_too_large_for_a_float_stops_the_topics_command_with_its_row(tmp_path):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"tweet_id": "t", "probs": [' + str(10**400) + ', 0.0]}\n')
+    result = CliRunner().invoke(main, ["topics", "--tpv", str(bad), "--k", "2", "--out", str(tmp_path / "out")])
+    assert result.exit_code == 12, result.output
+    assert result.stderr.startswith("error [topics]: row 1: bad row: "), result.stderr
+
+
 @pytest.mark.parametrize("flags", [["--tpv", "bad.jsonl", "--k", "3"], ["--baseline", "--k", "3"]],
                          ids=["bad_tpv", "baseline_without_corpus"])
 def test_a_failed_topics_command_leaves_no_out_directory(tmp_path, flags):

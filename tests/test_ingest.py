@@ -279,6 +279,8 @@ def test_a_tweet_time_out_of_range_is_one_malformed_line(tmp_path, created_at):
 @pytest.mark.parametrize("field,value", [
     ("followers", "1e999"), ("listed", "Infinity"), ("withheld_countries", "1e999"),
     *(("created_at", v) for v in OUT_OF_RANGE_TIMES),
+    *(pytest.param(f, str(10**400), id=f"{f}-10**400") for f in ("followers", "description_len", "withheld_countries")),
+    ("description_len", "-7"), ("withheld_countries", "-5"),
 ])
 def test_a_metadata_number_out_of_range_is_a_malformed_line(tmp_path, field, value):
     tweets, profiles = tmp_path / "tweets.jsonl", tmp_path / "profiles.jsonl"
@@ -289,6 +291,59 @@ def test_a_metadata_number_out_of_range_is_a_malformed_line(tmp_path, field, val
     assert corpus.profiles["b"].metadata is None  # the line is skipped, as any malformed one
     with pytest.raises(IngestError, match="^line 2: "):
         load_timelines(tweets, profiles, strict=True)
+
+
+def test_the_int64_maximum_is_a_valid_count(tmp_path):
+    tweets, profiles = tmp_path / "tweets.jsonl", tmp_path / "profiles.jsonl"
+    write_tweet_lines(tweets, _profile_rows("a", 10))
+    profiles.write_text(f'{{"profile_id":"a","followers":{2**63 - 1},"withheld_countries":0,"description_len":{2**63 - 1}}}\n')
+    meta = load_timelines(tweets, profiles, strict=True).profiles["a"].metadata
+    assert meta.followers == meta.description_len == ingest.MAX_COUNT == 2**63 - 1
+
+
+# a string was read as its characters and an object as its keys
+NOT_ARRAYS = ['"#maga"', '"http://x.y"', '"12345"', '{"a": 1}', "7", "true"]
+
+
+@pytest.mark.parametrize("field", ["hashtags", "urls"])
+@pytest.mark.parametrize("value", NOT_ARRAYS)
+def test_a_tweet_list_field_that_is_no_array_is_a_malformed_line(tmp_path, field, value):
+    path = tmp_path / "tweets.jsonl"
+    write_tweet_lines(path, _profile_rows("a", 10))
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(f'{{"tweet_id":"a-x","profile_id":"a","text":"t","created_at":{BASE_TS},"{field}":{value}}}\n')
+    corpus = load_timelines(path)
+    assert corpus.ingest_stats.malformed == 1
+    assert corpus.ingest_stats.conserved()
+    assert len(corpus.profiles["a"].tweets) == 10
+    with pytest.raises(IngestError, match=f"^line 11: {field} must be an array"):
+        load_timelines(path, strict=True)
+
+
+@pytest.mark.parametrize("field", ["friends_ids", "retweeted_ids"])
+@pytest.mark.parametrize("value", NOT_ARRAYS)
+def test_a_profile_id_list_that_is_no_array_is_a_malformed_line(tmp_path, field, value):
+    tweets, profiles = tmp_path / "tweets.jsonl", tmp_path / "profiles.jsonl"
+    write_tweet_lines(tweets, _profile_rows("a", 10) + _profile_rows("b", 10))
+    profiles.write_text(f'{{"profile_id":"a","followers":3}}\n{{"profile_id":"b","{field}":{value}}}\n')
+    corpus = load_timelines(tweets, profiles)
+    assert corpus.profiles["b"].metadata is None
+    assert corpus.ingest_stats.malformed_profile_lines == 1
+    with pytest.raises(IngestError, match=f"^line 2: {field} must be an array"):
+        load_timelines(tweets, profiles, strict=True)
+
+
+def test_a_null_or_absent_list_field_keeps_its_meaning(tmp_path):
+    tweets, profiles = tmp_path / "tweets.jsonl", tmp_path / "profiles.jsonl"
+    rows = _profile_rows("a", 10)
+    rows[0].update(hashtags=None, urls=None)
+    del rows[1]["hashtags"], rows[1]["urls"]
+    write_tweet_lines(tweets, rows)
+    profiles.write_text('{"profile_id":"a","friends_ids":null,"retweeted_ids":[]}\n')
+    corpus = load_timelines(tweets, profiles, strict=True)
+    assert all(t.hashtags == () and t.urls == () for t in corpus.profiles["a"].tweets)
+    assert corpus.profiles["a"].metadata.friends_ids is None
+    assert corpus.profiles["a"].metadata.retweeted_ids == ()
 
 
 def test_malformed_profile_lines_are_counted_apart_from_the_tweet_lines(tmp_path):

@@ -1036,6 +1036,22 @@ def test_malformed_profile_lines_are_counted_and_warned_about(tmp_path):
     assert manifest["warnings"] == ["ingest: 1 malformed profile metadata lines were skipped"]
 
 
+@pytest.mark.parametrize("field,value", [
+    pytest.param("followers", str(10**400), id="followers-10**400"),
+    pytest.param("description_len", str(10**400), id="description_len-10**400"),
+    ("friends_ids", '"12345"'),
+])
+def test_a_later_malformed_line_for_a_profile_is_skipped_and_the_run_completes(tmp_path, field, value):
+    # a count too large for a float used to kill the metrics or features stage with an OverflowError
+    paths = _small_bundle(tmp_path)
+    profile_id = json.loads(Path(paths["profiles"]).read_text(encoding="utf-8").splitlines()[0])["profile_id"]
+    with open(paths["profiles"], "a", encoding="utf-8") as fh:
+        fh.write(f'{{"profile_id": "{profile_id}", "{field}": {value}}}\n')
+    with pytest.warns(UserWarning, match="ingest: 1 malformed profile metadata lines were skipped"):
+        report = run_pipeline(_config(paths), tmp_path / "run")
+    assert report["ingest_stats"]["malformed_profile_lines"] == 1
+
+
 def test_rebuilt_report_keeps_the_warnings_of_cached_stages(tmp_path):
     paths = _small_bundle(tmp_path)
     tox = Path(paths["toxicity"])

@@ -87,6 +87,14 @@ def test_a_nan_or_infinite_probability_is_rejected_with_its_row(tmp_path, value)
     assert str(err.value) == "row 2: non-finite probability"
 
 
+def test_a_probability_too_large_for_a_float_is_rejected_with_its_row(tmp_path):
+    # an integer written out in digits converts to no float: it raised a bare OverflowError
+    path = tmp_path / "tpv.jsonl"
+    path.write_text('{"tweet_id": "a", "probs": [0.5, 0.5]}\n{"tweet_id": "b", "probs": [' + str(10**400) + ', 0.0]}\n')
+    with pytest.raises(TPVError, match="^row 2: bad row: "):
+        load_tpvs(path, K=2)
+
+
 def test_generated_fixture_loads_with_unit_sums(tmp_path):
     rng = np.random.default_rng(5)
     rows = []
@@ -168,7 +176,7 @@ def _reference_load_tpvs(path, K):
             try:
                 tweet_id = str(row["tweet_id"])
                 probs = np.asarray(row["probs"], dtype=float)
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise TPVError(f"bad row: {exc}", lineno) from exc
             tpvs[tweet_id] = _reference_validate_tpv(probs, K, lineno)
     return {tweet_id: tpvs[tweet_id] for tweet_id in sorted(tpvs)}
