@@ -38,30 +38,6 @@ class TrainConfig:
         return dict(self.__dict__)
 
 
-@dataclass
-class EvalReport:
-    tp: int
-    tn: int
-    fp: int
-    fn: int
-
-    @property
-    def f1(self) -> float:
-        denom = 2 * self.tp + self.fp + self.fn
-        return 2 * self.tp / denom if denom else 0.0
-
-    @property
-    def accuracy(self) -> float:
-        total = self.tp + self.tn + self.fp + self.fn
-        return (self.tp + self.tn) / total if total else 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "tp": self.tp, "tn": self.tn, "fp": self.fp, "fn": self.fn,
-            "f1": self.f1, "accuracy": self.accuracy,
-        }
-
-
 class MinMaxScaler:
     """Per-feature [0, 1] scaling learned on the training split only.
 
@@ -548,18 +524,24 @@ def train(
     )
 
 
-def evaluate(predictions: np.ndarray, labels: np.ndarray) -> EvalReport:
-    """Confusion counts with the on-mission class (1) positive."""
+def evaluate(predictions: np.ndarray, labels: np.ndarray) -> dict:
+    """Confusion counts with the on-mission class (1) positive, and the F1
+    and accuracy they give: the {"tp", "tn", "fp", "fn", "f1", "accuracy"}
+    row of eval.json and ablation.json."""
     preds = np.asarray(predictions, int)
     y = np.asarray(labels, int)
     if preds.shape != y.shape:
         raise ValueError("prediction/label length mismatch")
-    return EvalReport(
-        tp=int(((preds == 1) & (y == 1)).sum()),
-        tn=int(((preds == 0) & (y == 0)).sum()),
-        fp=int(((preds == 1) & (y == 0)).sum()),
-        fn=int(((preds == 0) & (y == 1)).sum()),
-    )
+    tp = int(((preds == 1) & (y == 1)).sum())
+    tn = int(((preds == 0) & (y == 0)).sum())
+    fp = int(((preds == 1) & (y == 0)).sum())
+    fn = int(((preds == 0) & (y == 1)).sum())
+    total = tp + tn + fp + fn
+    return {
+        "tp": tp, "tn": tn, "fp": fp, "fn": fn,
+        "f1": 2 * tp / (2 * tp + fp + fn) if 2 * tp + fp + fn else 0.0,
+        "accuracy": (tp + tn) / total if total else 0.0,
+    }
 
 
 def train_and_evaluate(
@@ -569,29 +551,27 @@ def train_and_evaluate(
     kind: str = KIND_SVM,
     feature_group: str = "all",
     config: TrainConfig | None = None,
-) -> tuple[TrainedModel, EvalReport]:
+) -> tuple[TrainedModel, dict]:
     """Fit one model on the 80% split_80_20(y, seed) keeps for training and
-    score it on the held-out 20%."""
+    score it on the held-out 20%: the model and its evaluate row."""
     y = np.asarray(y, int)
     train_idx, test_idx = split_80_20(y, seed)
     model = train(kind, X_raw[train_idx], y[train_idx], seed, feature_group, config)
-    report = evaluate(model.predict(X_raw[test_idx]), y[test_idx])
-    return model, report
+    return model, evaluate(model.predict(X_raw[test_idx]), y[test_idx])
 
 
 def ablation(
     X_raw: np.ndarray, y: np.ndarray, seed: int, config: TrainConfig | None = None,
 ) -> tuple[dict[str, dict[str, dict]], dict[str, dict[str, TrainedModel]]]:
     """Every feature group x model kind through train_and_evaluate, so all
-    cells share one split. Returns the F1/accuracy table and the fitted
-    models, both keyed by group, then kind."""
+    cells share one split. Returns the table of evaluate rows and the
+    fitted models, both keyed by group, then kind."""
     table: dict[str, dict[str, dict]] = {}
     models: dict[str, dict[str, TrainedModel]] = {}
     for group in ("content", "auxiliary", "activity_profile", "all"):
         table[group], models[group] = {}, {}
         for kind in MODEL_KINDS:
-            models[group][kind], report = train_and_evaluate(X_raw, y, seed, kind, group, config)
-            table[group][kind] = report.as_dict()
+            models[group][kind], table[group][kind] = train_and_evaluate(X_raw, y, seed, kind, group, config)
     return table, models
 
 

@@ -207,8 +207,8 @@ def kappa(ratings) -> None:
     except Exception as exc:
         _fail("detect", exc)
     click.echo(
-        f"kappa={report.kappa:.4f} over {report.n_items} items, "
-        f"{report.n_raters} raters, {report.n_categories} categories"
+        f"kappa={report['kappa']:.4f} over {report['n_items']} items, "
+        f"{report['n_raters']} raters, {report['n_categories']} categories"
     )
 
 
@@ -247,7 +247,7 @@ def train(labels_path, features_path, kind, feature_group, seed, out) -> None:
         model.save(out)
     except Exception as exc:
         _fail("classify", exc)
-    click.echo(f"{kind_full}: held-out f1={report.f1:.4f} accuracy={report.accuracy:.4f} -> {out}")
+    click.echo(f"{kind_full}: held-out f1={report['f1']:.4f} accuracy={report['accuracy']:.4f} -> {out}")
 
 
 @main.command()
@@ -263,8 +263,8 @@ def evaluate(model_path, features_path, labels_path) -> None:
     except Exception as exc:
         _fail("classify", exc)
     click.echo(
-        f"tp={report.tp} tn={report.tn} fp={report.fp} fn={report.fn} "
-        f"f1={report.f1:.4f} accuracy={report.accuracy:.4f}"
+        f"tp={report['tp']} tn={report['tn']} fp={report['fp']} fn={report['fn']} "
+        f"f1={report['f1']:.4f} accuracy={report['accuracy']:.4f}"
     )
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,28 +25,6 @@ NOT_ON_MISSION = "not_on_mission"
 
 DEFAULT_MIN_CLUSTER = 3
 DEFAULT_TOX_PERCENTILE = 75.0
-
-
-@dataclass(frozen=True)
-class NormalizedTPV:
-    profile_id: str
-    ntpv: np.ndarray
-
-
-@dataclass
-class MissionDesignation:
-    profile_id: str
-    label: str  # on_mission | not_on_mission
-    cluster_id: str | None
-    evidence: dict = field(default_factory=dict)
-
-
-@dataclass
-class AgreementReport:
-    kappa: float
-    n_items: int
-    n_raters: int
-    n_categories: int
 
 
 def global_topic_average(tpvs, n_profiles: int, per_tweet_mean: bool = False) -> np.ndarray:
@@ -75,18 +52,18 @@ def global_topic_average(tpvs, n_profiles: int, per_tweet_mean: bool = False) ->
     return avg
 
 
-def ntpv(profile_tpvs, global_avg: np.ndarray, profile_id: str = "") -> NormalizedTPV:
+def ntpv(profile_tpvs, global_avg: np.ndarray) -> np.ndarray:
     """The mean of a profile's topic vectors (array rows or a list) over the global average, elementwise."""
     vectors = np.asarray(profile_tpvs)
     if not len(vectors):
         raise ValueError("profile has no topic vectors")
-    return NormalizedTPV(profile_id=profile_id, ntpv=np.mean(vectors, axis=0) / global_avg)
+    return np.mean(vectors, axis=0) / global_avg
 
 
-def assign_topic_labels(ntpvs: dict[str, NormalizedTPV]) -> dict[str, int]:
+def assign_topic_labels(ntpvs: dict[str, np.ndarray]) -> dict[str, int]:
     """Each profile's topic label: the argmax of its nTPV, ties to the
     lowest topic index."""
-    return {profile_id: int(np.argmax(ntpvs[profile_id].ntpv)) for profile_id in sorted(ntpvs)}
+    return {profile_id: int(np.argmax(ntpvs[profile_id])) for profile_id in sorted(ntpvs)}
 
 
 def toxicity_threshold(
@@ -157,15 +134,17 @@ def detect_clusters(
     min_cluster: int = DEFAULT_MIN_CLUSTER,
     tox_gate: tuple[str, float] = ("percentile", DEFAULT_TOX_PERCENTILE),
     metadata: dict[str, ProfileMetadata | None] | None = None,
-    ntpvs: dict[str, NormalizedTPV] | None = None,
-) -> tuple[list[dict], dict[str, MissionDesignation]]:
+    ntpvs: dict[str, np.ndarray] | None = None,
+) -> tuple[list[dict], dict[str, dict]]:
     """Group profiles by shared topic label and designate on-mission members.
 
     A cluster is on-mission when it has at least min_cluster members and
     its label topic's median toxicity clears the gate; every profile in
     the group receives exactly one designation. Clusters come as rows
     ("cluster_id", "topic_label", "size", "topic_median_toxicity",
-    "on_mission" and the overlap_evidence keys), largest first.
+    "on_mission" and the overlap_evidence keys), largest first;
+    designations as rows ("profile_id", "label", "cluster_id",
+    "topic_label" and "evidence"), keyed by profile id.
     """
     if not group:
         raise ValueError("empty profile group")
@@ -178,7 +157,7 @@ def detect_clusters(
         by_label.setdefault(labels[profile_id], []).append(profile_id)
 
     clusters: list[dict] = []
-    designations: dict[str, MissionDesignation] = {}
+    designations: dict[str, dict] = {}
     ordered = sorted(by_label.items(), key=lambda kv: (-len(kv[1]), kv[0]))
     for topic_label, members in ordered:
         tox = aggregates[topic_label]["median_toxicity"] if topic_label in aggregates else None
@@ -197,23 +176,25 @@ def detect_clusters(
         for profile_id in members:
             gaps = None
             if ntpvs is not None and profile_id in ntpvs:
-                gaps = top3_gap(ntpvs[profile_id].ntpv)
-            designations[profile_id] = MissionDesignation(
-                profile_id=profile_id,
-                label=ON_MISSION if on_mission else NOT_ON_MISSION,
-                cluster_id=cluster_id,
-                evidence={
+                gaps = top3_gap(ntpvs[profile_id])
+            designations[profile_id] = {
+                "profile_id": profile_id,
+                "label": ON_MISSION if on_mission else NOT_ON_MISSION,
+                "cluster_id": cluster_id,
+                "topic_label": topic_label,
+                "evidence": {
                     "cluster_size": len(members),
                     "topic_median_tox": tox,
                     **overlap,
                     "top3_gaps": list(gaps) if gaps else None,
                 },
-            )
+            }
     return clusters, designations
 
 
-def fleiss_kappa(ratings: list[list]) -> AgreementReport:
-    """Chance-corrected agreement for a fixed rater count per item.
+def fleiss_kappa(ratings: list[list]) -> dict:
+    """Chance-corrected agreement for a fixed rater count per item, as
+    {"kappa", "n_items", "n_raters", "n_categories"}.
 
     ratings is an items x raters matrix of category labels. Kappa is 1 on
     unanimous matrices and near 0 for independent uniform raters.
@@ -242,9 +223,4 @@ def fleiss_kappa(ratings: list[list]) -> AgreementReport:
         kappa = 1.0  # single observed category: agreement is trivially perfect
     else:
         kappa = (p_bar - p_expected) / (1.0 - p_expected)
-    return AgreementReport(
-        kappa=float(kappa),
-        n_items=n_items,
-        n_raters=n_raters,
-        n_categories=len(categories),
-    )
+    return {"kappa": float(kappa), "n_items": n_items, "n_raters": n_raters, "n_categories": len(categories)}

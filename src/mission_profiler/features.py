@@ -147,14 +147,27 @@ def save_features(ids: list[str], X: np.ndarray, M: np.ndarray, path) -> None:
 
 
 def load_features(path) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """(ids, X, M) as save_features takes them, rows sorted by profile id."""
+    """(ids, X, M) as save_features takes them, rows sorted by profile id.
+    A repeated profile id, or values or a mask of other than N_FEATURES
+    items, raises ValueError naming its line."""
+    rows: dict[str, dict] = {}
     with open(path, "r", encoding="utf-8") as fh:
         header = loads_line(fh.readline())
         if header.get("format") != "mission-profiler-features":
             raise ValueError(f"not a feature file: {path}")
         if header.get("catalog_hash") != catalog_hash():
             raise ValueError("feature file was produced with a different catalog")
-        rows = sorted((loads_line(line) for line in fh if line.strip()), key=lambda row: row["profile_id"])
-    X = np.array([row["values"] for row in rows], dtype=float).reshape(len(rows), N_FEATURES)
-    M = np.array([row["mask"] for row in rows], dtype=bool).reshape(len(rows), N_FEATURES)
-    return [row["profile_id"] for row in rows], X, M
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            row = loads_line(line)
+            if row["profile_id"] in rows:
+                raise ValueError(f"line {lineno}: profile {row['profile_id']} has an earlier row")
+            for key in ("values", "mask"):
+                if len(row[key]) != N_FEATURES:
+                    raise ValueError(f"line {lineno}: {key} holds {len(row[key])} items, not {N_FEATURES}")
+            rows[row["profile_id"]] = row
+    ids = sorted(rows)
+    X = np.array([rows[p]["values"] for p in ids], dtype=float).reshape(len(ids), N_FEATURES)
+    M = np.array([rows[p]["mask"] for p in ids], dtype=bool).reshape(len(ids), N_FEATURES)
+    return ids, X, M

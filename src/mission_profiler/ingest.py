@@ -264,7 +264,7 @@ def _parse_tweet(obj: dict, lineno: int) -> tuple[str, Tweet]:
         tweet_id=tweet_id,
         text_norm=normalize_tweet(text_raw),
         timestamp=ts,
-        is_retweet=bool(obj.get("is_retweet", False)),
+        is_retweet=bool(_flag(obj, "is_retweet", lineno)),
         hashtags=hashtags,
         urls=urls,
     )
@@ -278,6 +278,14 @@ def _array(obj: dict, key: str, lineno: int) -> list | None:
     return value
 
 
+def _flag(obj: dict, key: str, lineno: int) -> bool | None:
+    """obj[key], a JSON true or false, or None when it is null or absent; any other value makes the line malformed."""
+    value = obj.get(key)
+    if value is not None and not isinstance(value, bool):
+        raise IngestError(f"{key} must be true or false", lineno)
+    return value
+
+
 def _parse_metadata(obj: dict, lineno: int) -> ProfileMetadata:
     counts = {key: obj.get(key) for key in ("followers", "following", "listed", "statuses", "favourites")}
     withheld = obj.get("withheld_countries")
@@ -288,7 +296,7 @@ def _parse_metadata(obj: dict, lineno: int) -> ProfileMetadata:
         counts[key] = int(value or 0)
         if not 0 <= counts[key] <= MAX_COUNT:
             raise IngestError(f"count out of range for {key}", lineno)
-    has_location = obj.get("has_location")
+    has_location = _flag(obj, "has_location", lineno)
     if has_location is None:
         has_location = bool(str(obj.get("location") or "").strip())
     created = obj.get("created_at")
@@ -296,11 +304,11 @@ def _parse_metadata(obj: dict, lineno: int) -> ProfileMetadata:
     retweeted = _array(obj, "retweeted_ids", lineno)
     return ProfileMetadata(
         **counts,
-        protected=bool(obj.get("protected", False)),
-        verified=bool(obj.get("verified", False)),
-        geo_enabled=bool(obj.get("geo_enabled", False)),
-        contributors_enabled=bool(obj.get("contributors_enabled", False)),
-        has_location=bool(has_location),
+        protected=bool(_flag(obj, "protected", lineno)),
+        verified=bool(_flag(obj, "verified", lineno)),
+        geo_enabled=bool(_flag(obj, "geo_enabled", lineno)),
+        contributors_enabled=bool(_flag(obj, "contributors_enabled", lineno)),
+        has_location=has_location,
         created_at=_parse_timestamp(created, lineno) if created is not None else None,
         friends_ids=tuple(str(f) for f in friends) if friends is not None else None,
         retweeted_ids=tuple(str(r) for r in retweeted) if retweeted is not None else None,

@@ -292,7 +292,7 @@ def designate(
     ntpvs = {}
     for profile_id in members:
         rows = [row_of[t.tweet_id] for t in corpus.profiles[profile_id].tweets if t.tweet_id in row_of]
-        ntpvs[profile_id] = detector.ntpv(tpvs[1][rows], global_avg, profile_id)
+        ntpvs[profile_id] = detector.ntpv(tpvs[1][rows], global_avg)
     labels = detector.assign_topic_labels(ntpvs)
     clusters, designations = detector.detect_clusters(
         members, labels, aggs,
@@ -302,8 +302,7 @@ def designate(
         ntpvs=ntpvs,
     )
     payload["designations"] = [
-        {**vars(designations[p]), "topic_label": labels[p], "topic_category": catalog.category(labels[p])}
-        for p in sorted(designations)
+        {**designations[p], "topic_category": catalog.category(labels[p])} for p in sorted(designations)
     ]
     payload["clusters"] = [
         {**c, "pct_of_group": 100.0 * c["size"] / len(members), "category": catalog.category(c["topic_label"])}

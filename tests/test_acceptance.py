@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from mission_profiler.classifier import EvalReport, evaluate
+from mission_profiler.classifier import evaluate
 from mission_profiler.detector import (
     ON_MISSION,
     NOT_ON_MISSION,
@@ -121,14 +121,14 @@ def test_criterion_5_ntpv_sanity(acceptance_bundle):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # zero-mass topic floor is expected here
             avg = global_topic_average([tpv], n_profiles=1)
-        result = ntpv([tpv], avg, "solo")
+        result = ntpv([tpv], avg)
         support = tpv > 0
-        assert np.all(np.abs(result.ntpv[support] - 1.0) <= 1e-9)
+        assert np.all(np.abs(result[support] - 1.0) <= 1e-9)
         # and under per-tweet-mean normalization for a multi-tweet profile
         tpvs = [np.array([0.3, 0.7]), np.array([0.5, 0.5]), np.array([0.1, 0.9])]
         avg2 = global_topic_average(tpvs, n_profiles=1, per_tweet_mean=True)
-        result2 = ntpv(tpvs, avg2, "solo")
-        assert np.all(np.abs(result2.ntpv - 1.0) <= 1e-9)
+        result2 = ntpv(tpvs, avg2)
+        assert np.all(np.abs(result2 - 1.0) <= 1e-9)
 
         _ids, bundle_tpvs = load_tpvs(acceptance_bundle["paths"]["tpvs"], K=20)
         n_profiles = len({t["profile_id"] for t in acceptance_bundle["bundle"].tweets})
@@ -148,8 +148,8 @@ def test_criterion_6_cluster_designation():
         assignments, aggs = _skewed_cluster_fixture()
         labels = _label_map(assignments)
         clusters, designations = detect_clusters(sorted(assignments), labels, aggs)
-        on = sum(1 for d in designations.values() if d.label == ON_MISSION)
-        not_on = sum(1 for d in designations.values() if d.label == NOT_ON_MISSION)
+        on = sum(1 for d in designations.values() if d["label"] == ON_MISSION)
+        not_on = sum(1 for d in designations.values() if d["label"] == NOT_ON_MISSION)
         assert (on, not_on) == (96, 72)
 
 
@@ -186,8 +186,9 @@ def test_criterion_7_classifier_suite(acceptance_bundle, run42):
             tn = int(((p == 0) & (y == 0)).sum())
             fp = int(((p == 1) & (y == 0)).sum())
             fn = int(((p == 0) & (y == 1)).sum())
-            assert (rep.tp, rep.tn, rep.fp, rep.fn) == (tp, tn, fp, fn)
-            assert rep.f1 == EvalReport(tp=tp, tn=tn, fp=fp, fn=fn).f1
+            assert (rep["tp"], rep["tn"], rep["fp"], rep["fn"]) == (tp, tn, fp, fn)
+            assert rep["f1"] == (2 * tp / (2 * tp + fp + fn) if 2 * tp + fp + fn else 0.0)
+            assert rep["accuracy"] == (tp + tn) / n
         assert run42["run_seconds"] < 60.0
 
 
@@ -209,10 +210,10 @@ def test_criterion_8_determinism(acceptance_bundle, run42, tmp_path):
 def test_criterion_9_fleiss_kappa():
     with criterion(9, "kappa exact on unanimity, near zero for random raters"):
         unanimous = [["x", "x", "x"] for _ in range(25)]
-        assert fleiss_kappa(unanimous).kappa == 1.0
+        assert fleiss_kappa(unanimous)["kappa"] == 1.0
         rng = random.Random(42)
         ratings = [[rng.choice(["a", "b"]) for _ in range(2)] for _ in range(10_000)]
-        assert abs(fleiss_kappa(ratings).kappa) <= 0.05
+        assert abs(fleiss_kappa(ratings)["kappa"]) <= 0.05
 
 
 def test_criterion_10_robustness(tmp_path):

@@ -13,7 +13,6 @@ from mission_profiler.classifier import (
     KIND_SVM,
     KIND_TREE,
     DecisionTree,
-    EvalReport,
     LinearSVM,
     MinMaxScaler,
     RandomForest,
@@ -107,8 +106,8 @@ def test_split_too_small_raises():
 def test_svm_separable_blobs_perfect():
     X, y = make_blobs(200, margin=1.0, seed=7)
     model, report = train_and_evaluate(X, y, seed=7, kind=KIND_SVM)
-    assert report.accuracy == 1.0
-    assert report.f1 == 1.0
+    assert report["accuracy"] == 1.0
+    assert report["f1"] == 1.0
 
 
 def test_svm_loss_non_increasing_overall():
@@ -482,7 +481,7 @@ def test_forest_at_least_tree_minus_margin():
     X, y = make_blobs(200, margin=0.2, seed=11)
     _, tree_report = train_and_evaluate(X, y, seed=11, kind=KIND_TREE)
     _, forest_report = train_and_evaluate(X, y, seed=11, kind=KIND_FOREST)
-    assert forest_report.accuracy >= tree_report.accuracy - 0.02
+    assert forest_report["accuracy"] >= tree_report["accuracy"] - 0.02
 
 
 def test_forest_deterministic_per_seed():
@@ -510,23 +509,25 @@ def test_forest_single_class_bootstrap_grows_a_leaf():
 # -- evaluation ---------------------------------------------------------------------
 
 def test_eval_hand_values():
-    report = EvalReport(tp=3, fp=1, fn=2, tn=4)
-    assert report.f1 == pytest.approx(2 * 3 / (2 * 3 + 1 + 2))  # 0.667
-    assert report.accuracy == pytest.approx(0.7)
+    # three true positives, one false positive, two false negatives, four true negatives
+    report = evaluate(np.array([1, 1, 1, 1, 0, 0, 0, 0, 0, 0]), np.array([1, 1, 1, 0, 1, 1, 0, 0, 0, 0]))
+    assert (report["tp"], report["fp"], report["fn"], report["tn"]) == (3, 1, 2, 4)
+    assert report["f1"] == pytest.approx(2 * 3 / (2 * 3 + 1 + 2))  # 0.667
+    assert report["accuracy"] == pytest.approx(0.7)
 
 
 def test_eval_perfect():
     preds = np.array([1, 0, 1, 0])
     report = evaluate(preds, preds.copy())
-    assert report.f1 == 1.0
-    assert report.accuracy == 1.0
+    assert report["f1"] == 1.0
+    assert report["accuracy"] == 1.0
 
 
 def test_eval_all_positive_on_balanced():
     y = np.array([1] * 50 + [0] * 50)
     report = evaluate(np.ones(100, dtype=int), y)
-    assert report.accuracy == pytest.approx(0.5)
-    assert report.f1 == pytest.approx(2 / 3)
+    assert report["accuracy"] == pytest.approx(0.5)
+    assert report["f1"] == pytest.approx(2 / 3)
 
 
 def test_eval_matches_naive_oracle_on_random_vectors():
@@ -540,10 +541,10 @@ def test_eval_matches_naive_oracle_on_random_vectors():
         tn = sum(1 for a, b in zip(p, y) if a == 0 and b == 0)
         fp = sum(1 for a, b in zip(p, y) if a == 1 and b == 0)
         fn = sum(1 for a, b in zip(p, y) if a == 0 and b == 1)
-        assert (report.tp, report.tn, report.fp, report.fn) == (tp, tn, fp, fn)
+        assert (report["tp"], report["tn"], report["fp"], report["fn"]) == (tp, tn, fp, fn)
         f1 = 2 * tp / (2 * tp + fp + fn) if (2 * tp + fp + fn) else 0.0
-        assert report.f1 == pytest.approx(f1)
-        assert report.accuracy == pytest.approx((tp + tn) / n)
+        assert report["f1"] == pytest.approx(f1)
+        assert report["accuracy"] == pytest.approx((tp + tn) / n)
 
 
 # -- scaling absorption ----------------------------------------------------------------
@@ -602,7 +603,7 @@ def test_ablation_cells_are_the_train_and_evaluate_fits(tmp_path):
         assert list(models[group]) == list(table[group]) == [KIND_SVM, KIND_TREE, KIND_FOREST]
         for kind in table[group]:
             model, report = train_and_evaluate(X_pad, y, 35, kind, group, cfg)
-            assert table[group][kind] == report.as_dict()
+            assert table[group][kind] == report
             model.save(tmp_path / "alone.json")
             models[group][kind].save(tmp_path / "cell.json")
             assert (tmp_path / "cell.json").read_bytes() == (tmp_path / "alone.json").read_bytes()

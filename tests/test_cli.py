@@ -467,6 +467,35 @@ def test_labeled_commands_fail_as_a_run_on_a_labels_row_without_a_label_or_a_fil
     assert f"error [classify]: {labels}: {error}" in result.output
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate", "ablate", "flag"])
+@pytest.mark.parametrize("defect, error", [
+    ("repeat", "line 3: profile {first} has an earlier row"),
+    ("narrow", "line 2: values holds 39 items, not 40"),
+])
+def test_feature_commands_fail_as_a_run_on_a_repeated_or_misshapen_feature_row(
+    bundle_dir, run_dir, tmp_path, command, defect, error,
+):
+    lines = (run_dir / "features" / "features.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    first = json.loads(lines[1])
+    if defect == "repeat":
+        lines.insert(2, lines[1])
+    else:
+        lines[1] = canonical_dumps({**first, "values": first["values"][:-1]}) + "\n"
+    features = tmp_path / "features.jsonl"
+    features.write_text("".join(lines), encoding="utf-8")
+    labels = ["--labels", str(bundle_dir / "labels.csv")]
+    model = ["--model", str(run_dir / "classify" / "model_linear_svm.json")]
+    out = ["--out", str(tmp_path / "out.json")]
+    args = {
+        "train": labels + out, "ablate": labels + out, "evaluate": labels + model,
+        "flag": model + out + ["--groups", str(run_dir / "group" / "groups.json")],
+    }[command]
+    result = CliRunner().invoke(main, [command, "--features", str(features), *args])
+    assert result.exit_code == 17
+    assert f"error [classify]: {error.format(first=first['profile_id'])}" in result.output
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_run_with_a_config_file_that_is_not_json_is_a_config_error(tmp_path):
     config = tmp_path / "config.json"
     config.write_text('{"tweets": "tweets.jsonl",')

@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from mission_profiler.detector import (
     NOT_ON_MISSION,
     ON_MISSION,
-    MissionDesignation,
-    NormalizedTPV,
     assign_topic_labels,
     detect_clusters,
     fleiss_kappa,
@@ -59,7 +57,7 @@ def test_streaming_oracle_agreement():
     # the same vectors as the rows of one (n, K) array give the same bits
     matrix = np.array(tpvs)
     assert global_topic_average(matrix, n_profiles=37).tobytes() == avg.tobytes()
-    assert ntpv(matrix[:40], avg).ntpv.tobytes() == ntpv(tpvs[:40], avg).ntpv.tobytes()
+    assert ntpv(matrix[:40], avg).tobytes() == ntpv(tpvs[:40], avg).tobytes()
 
 
 def test_no_tpvs_raises():
@@ -78,14 +76,14 @@ def test_per_tweet_mean_flag():
 def test_single_profile_single_tweet_all_ones():
     tpv = np.array([0.4, 0.6])
     avg = global_topic_average([tpv], n_profiles=1)
-    result = ntpv([tpv], avg, "p")
-    assert np.allclose(result.ntpv, [1.0, 1.0], atol=1e-9)
+    result = ntpv([tpv], avg)
+    assert np.allclose(result, [1.0, 1.0], atol=1e-9)
 
 
 def test_profile_mean_equal_to_global_average_is_all_ones():
     avg = np.array([0.2, 0.3, 0.5])
     result = ntpv([np.array([0.1, 0.4, 0.5]), np.array([0.3, 0.2, 0.5])], avg)
-    assert np.allclose(result.ntpv, [1.0, 1.0, 1.0])
+    assert np.allclose(result, [1.0, 1.0, 1.0])
 
 
 def test_focused_profile_exceeds_one_on_its_topic():
@@ -95,9 +93,9 @@ def test_focused_profile_exceeds_one_on_its_topic():
     avg = global_topic_average(a + b, n_profiles=2)
     # hand oracle: avg = [2.0, 6.0] / 2 = [1.0, 3.0]; b mean = [0, 1]
     assert np.allclose(avg, [1.0, 3.0])
-    result = ntpv(b, avg, "b")
-    assert np.allclose(result.ntpv, [0.0, 1.0 / 3.0])
-    assert int(np.argmax(result.ntpv)) == 1
+    result = ntpv(b, avg)
+    assert np.allclose(result, [0.0, 1.0 / 3.0])
+    assert int(np.argmax(result)) == 1
 
 
 def test_ntpv_argmax_invariant_to_positive_scaling():
@@ -105,9 +103,9 @@ def test_ntpv_argmax_invariant_to_positive_scaling():
     base = [rng.dirichlet(np.ones(12)) for _ in range(30)]
     avg = global_topic_average(base, n_profiles=5)
     mine = base[:7]
-    label_before = int(np.argmax(ntpv(mine, avg).ntpv))
+    label_before = int(np.argmax(ntpv(mine, avg)))
     scaled_avg = global_topic_average([v * 4.2 for v in base], n_profiles=5)
-    label_after = int(np.argmax(ntpv([v * 4.2 for v in mine], scaled_avg).ntpv))
+    label_after = int(np.argmax(ntpv([v * 4.2 for v in mine], scaled_avg)))
     assert label_before == label_after
 
 
@@ -142,8 +140,8 @@ def _aggs(tox_by_topic, K=8):
 
 def test_assign_labels():
     ntpvs = {
-        "a": NormalizedTPV("a", np.array([0.1, 2.0, 0.3, 0, 0, 0, 0, 0])),
-        "b": NormalizedTPV("b", np.array([1.5, 1.5, 0, 0, 0, 0, 0, 0])),
+        "a": np.array([0.1, 2.0, 0.3, 0, 0, 0, 0, 0]),
+        "b": np.array([1.5, 1.5, 0, 0, 0, 0, 0, 0]),
     }
     assert assign_topic_labels(ntpvs) == {"a": 1, "b": 0}  # tie -> lowest index
 
@@ -194,8 +192,8 @@ def test_skewed_cluster_fixture_yields_96_on_mission():
     assignments, aggs = _skewed_cluster_fixture()
     labels = _label_map(assignments)
     clusters, designations = detect_clusters(sorted(assignments), labels, aggs)
-    on = [p for p, d in designations.items() if d.label == ON_MISSION]
-    not_on = [p for p, d in designations.items() if d.label == NOT_ON_MISSION]
+    on = [p for p, d in designations.items() if d["label"] == ON_MISSION]
+    not_on = [p for p, d in designations.items() if d["label"] == NOT_ON_MISSION]
     assert len(on) == 96
     assert len(not_on) == 72
     sizes = sorted((c["size"] for c in clusters if c["on_mission"]), reverse=True)
@@ -214,7 +212,7 @@ def test_cluster_rows_carry_the_designation_file_keys():
         {"cluster_id": "t1", "topic_label": 1, "size": 1, "topic_median_toxicity": 0.1, "on_mission": False,
          "friend_overlap": None, "shared_retweet_ratio": None},
     ]
-    assert designations["a"].evidence == {
+    assert designations["a"]["evidence"] == {
         "cluster_size": 3, "topic_median_tox": 0.9, "friend_overlap": 0.5, "shared_retweet_ratio": None,
         "top3_gaps": None,
     }
@@ -224,7 +222,7 @@ def test_all_singletons_zero_on_mission():
     assignments = {f"p{i}": i for i in range(10)}
     aggs = {i: _agg(i, 1, 0.9) for i in range(10)}
     _, designations = detect_clusters(sorted(assignments), _label_map(assignments), aggs)
-    assert all(d.label == NOT_ON_MISSION for d in designations.values())
+    assert all(d["label"] == NOT_ON_MISSION for d in designations.values())
 
 
 def test_low_toxicity_cluster_gated_out():
@@ -233,7 +231,7 @@ def test_low_toxicity_cluster_gated_out():
     _, designations = detect_clusters(
         sorted(assignments), _label_map(assignments), aggs, tox_gate=("absolute", 0.1)
     )
-    assert all(d.label == NOT_ON_MISSION for d in designations.values())
+    assert all(d["label"] == NOT_ON_MISSION for d in designations.values())
 
 
 def test_every_profile_designated_exactly_once():
@@ -254,7 +252,7 @@ def test_on_mission_count_monotone_in_thresholds():
     def count_on(min_cluster, tox):
         _, d = detect_clusters(group, labels, aggs, min_cluster=min_cluster,
                                tox_gate=("absolute", tox))
-        return sum(1 for x in d.values() if x.label == ON_MISSION)
+        return sum(1 for x in d.values() if x["label"] == ON_MISSION)
 
     for tox in np.linspace(0, 1, 8):
         counts = [count_on(mc, tox) for mc in range(1, 12)]
@@ -453,17 +451,17 @@ def test_overlap_evidence_of_a_2000_member_cluster_is_fast():
 def test_unanimous_kappa_is_one():
     ratings = [["x", "x", "x"] for _ in range(10)]
     report = fleiss_kappa(ratings)
-    assert report.kappa == 1.0
-    assert report.n_items == 10
-    assert report.n_raters == 3
-    assert report.n_categories == 1
+    assert report["kappa"] == 1.0
+    assert report["n_items"] == 10
+    assert report["n_raters"] == 3
+    assert report["n_categories"] == 1
 
 
 def test_random_raters_kappa_near_zero():
     rng = random.Random(42)
     ratings = [[rng.choice(["a", "b"]) for _ in range(2)] for _ in range(10_000)]
     report = fleiss_kappa(ratings)
-    assert abs(report.kappa) < 0.05
+    assert abs(report["kappa"]) < 0.05
 
 
 def test_hand_worked_matrix():
@@ -475,8 +473,8 @@ def test_hand_worked_matrix():
         ["A", "B", "B"],
     ]
     report = fleiss_kappa(ratings)
-    assert report.kappa == pytest.approx(1 / 3, abs=1e-12)
-    assert report.n_categories == 2
+    assert report["kappa"] == pytest.approx(1 / 3, abs=1e-12)
+    assert report["n_categories"] == 2
 
 
 def test_kappa_bounds_fuzz():
@@ -487,7 +485,7 @@ def test_kappa_bounds_fuzz():
         cats = ["a", "b", "c"][: rng.randint(1, 3)]
         ratings = [[rng.choice(cats) for _ in range(n_raters)] for _ in range(n_items)]
         report = fleiss_kappa(ratings)
-        assert -1.0 <= report.kappa <= 1.0
+        assert -1.0 <= report["kappa"] <= 1.0
 
 
 def test_kappa_validates_shape():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,37 @@ def test_load_rejects_foreign_catalog(tmp_path):
     path = tmp_path / "features.jsonl"
     path.write_text('{"format": "mission-profiler-features", "version": 1, "catalog_hash": "beef"}\n')
     with pytest.raises(ValueError):
+        load_features(path)
+
+
+def _rows_file(path, rows):
+    """A feature file holding, for each (profile_id, n_values, n_mask), a row
+    of that many zero values and unset mask bits."""
+    save_features([], np.zeros((0, N_FEATURES)), np.zeros((0, N_FEATURES), dtype=bool), path)
+    with open(path, "a", encoding="utf-8") as fh:
+        for profile_id, n_values, n_mask in rows:
+            fh.write(json.dumps({"profile_id": profile_id, "values": [0.0] * n_values, "mask": [False] * n_mask}) + "\n")
+
+
+def test_a_repeated_profile_id_is_refused_naming_its_line(tmp_path):
+    # it used to load as ['a', 'a', 'b'], so a train/test split could hold the profile twice
+    path = tmp_path / "features.jsonl"
+    _rows_file(path, [(p, N_FEATURES, N_FEATURES) for p in ("a", "b", "a")])
+    with pytest.raises(ValueError, match="^line 4: profile a has an earlier row$"):
+        load_features(path)
+
+
+@pytest.mark.parametrize("n_values, n_mask, message", [
+    (N_FEATURES - 1, N_FEATURES, f"values holds {N_FEATURES - 1} items"),
+    (N_FEATURES + 1, N_FEATURES, f"values holds {N_FEATURES + 1} items"),
+    (N_FEATURES, N_FEATURES - 1, f"mask holds {N_FEATURES - 1} items"),
+    (N_FEATURES, 0, "mask holds 0 items"),
+])
+def test_a_row_of_the_wrong_width_is_refused_naming_its_line(tmp_path, n_values, n_mask, message):
+    # numpy's "inhomogeneous shape" error used to name no row
+    path = tmp_path / "features.jsonl"
+    _rows_file(path, [("a", N_FEATURES, N_FEATURES), ("b", N_FEATURES, N_FEATURES), ("c", n_values, n_mask)])
+    with pytest.raises(ValueError, match=f"^line 4: {message}, not {N_FEATURES}$"):
         load_features(path)
 
 

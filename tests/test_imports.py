@@ -1,10 +1,14 @@
 """Every module-level import of the package is used, so an import that a
 deletion leaves behind fails here. A name listed in a module's __all__
-counts as used: the package re-exports it. A file-backend run loads no
+counts as used: the package re-exports it. Every module-level function
+and class of the package is named somewhere in the package or its tests
+outside its own definition, so a definition that a deletion orphans fails
+here too. A file-backend run loads no
 module that only another backend or a replaced helper needs. Only util.py
 calls json.loads: every other module decodes JSON with util.loads_line."""
 import ast
 import json
+from collections import Counter
 import os
 import subprocess
 import sys
@@ -15,6 +19,7 @@ import pytest
 from test_pipeline import _config, _small_bundle
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mission_profiler"
+TESTS = Path(__file__).resolve().parent
 
 
 def _dotted(node: ast.AST) -> str | None:
@@ -60,6 +65,64 @@ def test_unused_imports_finds_what_nothing_reads():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
 def test_every_module_level_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _identifiers(tree: ast.AST) -> Counter:
+    """How often each name, attribute or imported name occurs in tree."""
+    found: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            found[node.name] += 1
+    return found
+
+
+def _registered_command(node: ast.AST) -> bool:
+    """Whether a @main.command(...) or @main.group(...) decorator registers it with click."""
+    return any(
+        isinstance(d, ast.Call) and _dotted(d.func) in ("main.command", "main.group")
+        for d in getattr(node, "decorator_list", [])
+    )
+
+
+def dead_definitions(sources: dict[str, str], checked: list[str]) -> list[str]:
+    """The module-level functions and classes of the checked sources that
+    no source names outside their own definition; a CLI command is exempt."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    named = sum((_identifiers(tree) for tree in trees.values()), Counter())
+    dead = []
+    for name in checked:
+        for node in trees[name].body:
+            if (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and not _registered_command(node)
+                and named[node.name] == _identifiers(node)[node.name]  # recursion names only itself
+            ):
+                dead.append(f"{name}: {node.name} (line {node.lineno})")
+    return dead
+
+
+def test_dead_definitions_finds_what_nothing_names():
+    sources = {
+        "a.py": (
+            "import click\n@click.group()\ndef main(): pass\n@main.command()\ndef cmd(): pass\n"
+            "def used(): pass\ndef recursive(n): return recursive(n - 1)\nclass Orphan: pass\n"
+            "class Kept: pass\ndef _private(): pass\n"
+        ),
+        "b.py": "from a import used\nimport a\nx = a.Kept\ndef test(): return main\n",
+    }
+    assert dead_definitions(sources, ["a.py"]) == [
+        "a.py: recursive (line 7)", "a.py: Orphan (line 8)", "a.py: _private (line 10)",
+    ]
+
+
+def test_every_module_level_function_and_class_is_named_elsewhere():
+    package = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    tests = {f"tests/{path.name}": path.read_text(encoding="utf-8") for path in sorted(TESTS.glob("*.py"))}
+    assert dead_definitions({**package, **tests}, sorted(package)) == []
 
 
 def json_loads_calls(source: str) -> list[str]:

@@ -346,6 +346,58 @@ def test_a_null_or_absent_list_field_keeps_its_meaning(tmp_path):
     assert corpus.profiles["a"].metadata.retweeted_ids == ()
 
 
+# "false" was read as true, as was any non-empty string, and 0 and 1 as numbers
+NOT_FLAGS = ['"false"', '"true"', '""', "0", "1", "[]", '{"a": 1}']
+PROFILE_FLAGS = ["protected", "verified", "geo_enabled", "contributors_enabled", "has_location"]
+
+
+@pytest.mark.parametrize("value", NOT_FLAGS)
+def test_a_retweet_flag_that_is_no_boolean_is_a_malformed_line(tmp_path, value):
+    path = tmp_path / "tweets.jsonl"
+    write_tweet_lines(path, _profile_rows("a", 10))
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(f'{{"tweet_id":"a-x","profile_id":"a","text":"t","created_at":{BASE_TS},"is_retweet":{value}}}\n')
+    corpus = load_timelines(path)
+    assert corpus.ingest_stats.malformed == 1
+    assert corpus.ingest_stats.conserved()
+    assert len(corpus.profiles["a"].tweets) == 10
+    with pytest.raises(IngestError, match="^line 11: is_retweet must be true or false"):
+        load_timelines(path, strict=True)
+
+
+@pytest.mark.parametrize("field", PROFILE_FLAGS)
+@pytest.mark.parametrize("value", NOT_FLAGS)
+def test_a_profile_flag_that_is_no_boolean_is_a_malformed_line(tmp_path, field, value):
+    tweets, profiles = tmp_path / "tweets.jsonl", tmp_path / "profiles.jsonl"
+    write_tweet_lines(tweets, _profile_rows("a", 10) + _profile_rows("b", 10))
+    profiles.write_text(f'{{"profile_id":"a","followers":3}}\n{{"profile_id":"b","{field}":{value}}}\n')
+    corpus = load_timelines(tweets, profiles)
+    assert corpus.profiles["b"].metadata is None
+    assert corpus.ingest_stats.malformed_profile_lines == 1
+    with pytest.raises(IngestError, match=f"^line 2: {field} must be true or false"):
+        load_timelines(tweets, profiles, strict=True)
+
+
+def test_a_null_or_absent_flag_keeps_its_default(tmp_path):
+    tweets, profiles = tmp_path / "tweets.jsonl", tmp_path / "profiles.jsonl"
+    rows = _profile_rows("a", 10) + _profile_rows("b", 10) + _profile_rows("c", 10)
+    rows[0]["is_retweet"] = None
+    del rows[1]["is_retweet"]
+    rows[2]["is_retweet"] = True
+    write_tweet_lines(tweets, rows)
+    profiles.write_text(
+        '{"profile_id":"a",' + ",".join(f'"{f}":null' for f in PROFILE_FLAGS) + ',"location":"somewhere"}\n'
+        '{"profile_id":"b","location":"somewhere","has_location":false}\n'
+        '{"profile_id":"c",' + ",".join(f'"{f}":true' for f in PROFILE_FLAGS) + "}\n"
+    )
+    corpus = load_timelines(tweets, profiles, strict=True)
+    assert [t.is_retweet for t in corpus.profiles["a"].tweets[:3]] == [False, False, True]
+    a, b, c = (corpus.profiles[p].metadata for p in "abc")
+    assert [getattr(a, f) for f in PROFILE_FLAGS] == [False, False, False, False, True]  # from the location
+    assert b.has_location is False
+    assert all(getattr(c, f) is True for f in PROFILE_FLAGS)
+
+
 def test_malformed_profile_lines_are_counted_apart_from_the_tweet_lines(tmp_path):
     # they used to be skipped without a count
     tweets, profiles = tmp_path / "tweets.jsonl", tmp_path / "profiles.jsonl"

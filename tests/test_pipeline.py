@@ -159,6 +159,8 @@ _PINNED_DIGESTS = {
         "group/groups.json": "4f5e28549cdbe92f4c1b9d0e2d964bdba3843f36ddec05180339058f1008bf3d",
         "detect/designations.json": "33cbd78cecf6fe0d6652c152df5b0eeb5659abb030b6d2e15d4a13eb2a03a5b5",
         "features/features.jsonl": "a2bd225b37b939bee70bf4166cee06760119355f5abb7d6ca086a84795355a81",
+        "classify/eval.json": "29f0d305ea45d2ba6c6ae2dbdabe764ef26088e5a52f6cedc86a2128b8747cab",
+        "classify/ablation.json": "3e5861d1a0c35b6530aa2c20800c30d3bff257668cfb5e989d02ac3140e73c14",
     },
     "baseline": {
         "topics/tpvs.jsonl": "ffb11591f57f9c601e8d8068bb6ebb6cb9242b20c60626bb35f77cc2dafd1b71",
@@ -166,13 +168,16 @@ _PINNED_DIGESTS = {
         "group/groups.json": "8219ad73662fe3d407998ebdbd14dfa0c16dba22517dcc881b72d73493f2546a",
         "detect/designations.json": "ea20b9621acdd63ed03217e75cde818e943a41969f8c6b1d16b8f5202da82de6",
         "features/features.jsonl": "6d2ba09b6cd5e4b8edc11d9f504f9cd64f24c9020efe6a87df1755305a49953a",
+        "classify/eval.json": "7f7c509b6b8191e66a2d310d9cb4d92fa1ed61c866e759a7cf30d4f33b9d3df9",
+        "classify/ablation.json": "0e7b18da3c241754ab1b931b82132778120d3528bf0fc68615053d809a320d96",
     },
 }
 
 
 @pytest.mark.parametrize("source", sorted(_PINNED_DIGESTS))
 def test_cold_run_topic_artifact_digests_pinned(tmp_path, source):
-    # digests of what the stages that read topic vectors wrote for this bundle;
+    # digests of what the stages that read topic vectors, and the classifier's
+    # evaluation rows, wrote for this bundle;
     # two runs of the same code agree with each other, these also catch a change
     # of bytes between versions of the code
     paths = _small_bundle(tmp_path)
