@@ -27,12 +27,13 @@ DEFAULT_MIN_CLUSTER = 3
 DEFAULT_TOX_PERCENTILE = 75.0
 
 
-def global_topic_average(tpvs, n_profiles: int, per_tweet_mean: bool = False) -> np.ndarray:
+def global_topic_average(tpvs, n_profiles: int, per_tweet_mean: bool = False, warn=None) -> np.ndarray:
     """Elementwise sum of the tweet topic vectors, the rows of an (n, K)
     array or a list of K-vectors, over the profile count.
 
     per_tweet_mean=True divides by the tweet count instead, removing the
-    dependence on tweets-per-profile.
+    dependence on tweets-per-profile. The warning for topics of zero
+    average goes to warn(text) when given, else to warnings.warn.
     """
     tpvs = np.asarray(tpvs)
     if not len(tpvs):
@@ -44,10 +45,11 @@ def global_topic_average(tpvs, n_profiles: int, per_tweet_mean: bool = False) ->
     avg = total / denom
     zeros = avg == 0.0
     if np.any(zeros):
-        warnings.warn(
-            f"{int(zeros.sum())} topics have zero global average; floored to {EPSILON}",
-            stacklevel=2,
-        )
+        message = f"{int(zeros.sum())} topics have zero global average; floored to {EPSILON}"
+        if warn is None:
+            warnings.warn(message, stacklevel=2)
+        else:
+            warn(message)
         avg = np.where(zeros, EPSILON, avg)
     return avg
 

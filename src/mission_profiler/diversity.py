@@ -14,7 +14,6 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .ingest import ProfileTimeline
 from .topics import CATEGORIES, TopicCatalog
 
 GROUP_NAMES = ("I", "II", "III", "IV", "V", "VI", "VII", "VIII")
@@ -27,28 +26,17 @@ class DiversityError(ValueError):
     pass
 
 
-def category_counts(
-    timeline: ProfileTimeline, catalog: TopicCatalog, assignments: dict[str, int]
-) -> dict[str, int]:
-    """Tweet counts per category over the profile's TPV-covered tweets."""
-    counts = {c: 0 for c in CATEGORIES}
-    for tweet in timeline.tweets:
-        topic = assignments.get(tweet.tweet_id)
-        if topic is not None:
-            counts[catalog.category(topic)] += 1
-    return counts
+def row_categories(catalog: TopicCatalog, matrix: np.ndarray) -> np.ndarray:
+    """The index in CATEGORIES of each row's argmax topic; ties break to the
+    lowest topic index."""
+    of_topic = np.array([CATEGORIES.index(c) for c in catalog.category_of], dtype=np.intp)
+    return of_topic[np.argmax(matrix, axis=1)]
 
 
-def category_probability(
-    timeline: ProfileTimeline, catalog: TopicCatalog, assignments: dict[str, int]
-) -> tuple[float, ...]:
-    """The profile's category probability vector: indexed like CATEGORIES,
-    summing to 1."""
-    counts = category_counts(timeline, catalog, assignments)
-    total = sum(counts.values())
-    if total == 0:
-        raise DiversityError(f"profile {timeline.profile_id} has no TPV-covered tweets")
-    return tuple(counts[c] / total for c in CATEGORIES)
+def category_counts(rows: list[int], categories: np.ndarray) -> np.ndarray:
+    """Tweet counts per category, indexed like CATEGORIES, over a profile's
+    matrix rows (its TPV-covered tweets); categories is row_categories'."""
+    return np.bincount(categories[rows], minlength=len(CATEGORIES))
 
 
 def shannon_entropy(cpv) -> float:
@@ -66,11 +54,13 @@ def assign_group(entropy_H: float) -> str:
     return GROUP_NAMES[bisect_right(GROUP_BOUNDARIES, h)]
 
 
-def diversity_profile(
-    timeline: ProfileTimeline, catalog: TopicCatalog, assignments: dict[str, int]
-) -> tuple[tuple[float, ...], float]:
-    """The profile's category probability vector and its entropy H."""
-    cpv = category_probability(timeline, catalog, assignments)
+def diversity_profile(counts: np.ndarray) -> tuple[tuple[float, ...], float]:
+    """The category probability vector of a profile's category counts
+    (indexed like CATEGORIES, summing to 1) and its entropy H."""
+    total = int(counts.sum())
+    if total == 0:
+        raise DiversityError("profile has no TPV-covered tweets")
+    cpv = tuple((counts / total).tolist())
     return cpv, shannon_entropy(cpv)
 
 

@@ -9,6 +9,7 @@ encodes as account age in days.
 from __future__ import annotations
 
 import hashlib
+import sys
 
 import numpy as np
 
@@ -148,8 +149,9 @@ def save_features(ids: list[str], X: np.ndarray, M: np.ndarray, path) -> None:
 
 def load_features(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     """(ids, X, M) as save_features takes them, rows sorted by profile id.
-    A repeated profile id, or values or a mask of other than N_FEATURES
-    items, raises ValueError naming its line."""
+    A repeated profile id, values or a mask of other than N_FEATURES items,
+    a value that is not a finite JSON number (a boolean is not one), or a
+    mask item that is not true or false raises ValueError naming its line."""
     rows: dict[str, dict] = {}
     with open(path, "r", encoding="utf-8") as fh:
         header = loads_line(fh.readline())
@@ -166,6 +168,10 @@ def load_features(path) -> tuple[list[str], np.ndarray, np.ndarray]:
             for key in ("values", "mask"):
                 if len(row[key]) != N_FEATURES:
                     raise ValueError(f"line {lineno}: {key} holds {len(row[key])} items, not {N_FEATURES}")
+            if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in row["values"]):
+                raise ValueError(f"line {lineno}: values holds an item that is not a finite number")
+            if not all(type(m) is bool for m in row["mask"]):
+                raise ValueError(f"line {lineno}: mask holds an item that is not true or false")
             rows[row["profile_id"]] = row
     ids = sorted(rows)
     X = np.array([rows[p]["values"] for p in ids], dtype=float).reshape(len(ids), N_FEATURES)

@@ -214,26 +214,29 @@ def topic_vectors(
     return tpvs, catalog
 
 
+def topic_rows(corpus: Corpus, ids: list[str]) -> dict[str, list[int]]:
+    """Each profile's rows of the topic-vector matrix (ids[i] is row i), in
+    profile-id order: those of its tweets that have a vector, in timeline
+    order. The one join of the corpus to the topic vectors."""
+    row_of = {tweet_id: i for i, tweet_id in enumerate(ids)}
+    return {p: [row_of[t.tweet_id] for t in corpus.profiles[p].tweets if t.tweet_id in row_of]
+            for p in sorted(corpus.profiles)}
+
+
 def corpus_topic_aggregates(
     corpus: Corpus, tpvs: tuple[list[str], np.ndarray], cache: scores.ScoreCache, K: int, warn: Warn,
 ) -> dict[int, dict]:
     """The aggregates.json rows by topic: tweet counts and median toxicity
     over the corpus's own tweets; vectors of tweets outside the corpus are
     left out."""
-    own_ids, own = _corpus_vectors(corpus, tpvs)
-    if len(own_ids) < len(tpvs[0]):
-        warn(f"{len(tpvs[0]) - len(own_ids)} topic vectors reference unknown tweets")
-    if not own_ids:
-        warn("no tweet in the corpus has a topic vector")
-    return topics.topic_aggregates(topics.assign_dominant_topics(own_ids, own), cache, K)
-
-
-def _corpus_vectors(corpus: Corpus, tpvs: tuple[list[str], np.ndarray]) -> tuple[list[str], np.ndarray]:
-    """The ids and rows of the corpus's own tweets: tpvs itself when every row is theirs."""
     ids, matrix = tpvs
-    known_ids = {t.tweet_id for t in corpus.all_tweets()}
-    own = [i for i, tid in enumerate(ids) if tid in known_ids]
-    return tpvs if len(own) == len(ids) else ([ids[i] for i in own], matrix[own])
+    own = sorted(set().union(*topic_rows(corpus, ids).values()))
+    if len(own) < len(ids):
+        warn(f"{len(ids) - len(own)} topic vectors reference unknown tweets")
+    if not own:
+        warn("no tweet in the corpus has a topic vector")
+    topic = np.argmax(matrix, axis=1).tolist()
+    return topics.topic_aggregates({ids[i]: topic[i] for i in own}, cache, K)
 
 
 def group_profiles(
@@ -241,14 +244,13 @@ def group_profiles(
 ) -> tuple[dict, list[tuple[str, float]]]:
     """Entropy groups: the groups.json payload (partition, and entropy and
     category vector per profile) and the sorted (group, H) CDF rows."""
-    assignments = topics.assign_dominant_topics(*tpvs)
+    categories = diversity.row_categories(catalog, tpvs[1])
     cpv: dict[str, tuple[float, ...]] = {}
     entropy: dict[str, float] = {}
-    for profile_id in sorted(corpus.profiles):
+    for profile_id, rows in topic_rows(corpus, tpvs[0]).items():
         try:
             cpv[profile_id], entropy[profile_id] = diversity.diversity_profile(
-                corpus.profiles[profile_id], catalog, assignments
-            )
+                diversity.category_counts(rows, categories))
         except diversity.DiversityError:  # no TPV-covered tweet
             continue
     ungrouped = len(corpus.profiles) - len(cpv)
@@ -281,18 +283,23 @@ def designate(
     """On-mission designations and topic clusters within one entropy
     group: the designations.json payload. The global topic average sums
     the vectors of the corpus's own tweets; vectors of tweets outside the
-    corpus are left out."""
+    corpus are left out. A member that is not in the corpus or has no
+    tweet with a topic vector raises ValueError naming it."""
     members = partition.get(group, [])
     payload: dict = {"group": group, "designations": [], "clusters": []}
     if not members:
         warn(f"entropy group {group} is empty; nothing to designate")
         return payload
-    global_avg = detector.global_topic_average(_corpus_vectors(corpus, tpvs)[1], len(corpus.profiles))
-    row_of = {tid: i for i, tid in enumerate(tpvs[0])}
-    ntpvs = {}
+    ids, matrix = tpvs
+    rows = topic_rows(corpus, ids)
     for profile_id in members:
-        rows = [row_of[t.tweet_id] for t in corpus.profiles[profile_id].tweets if t.tweet_id in row_of]
-        ntpvs[profile_id] = detector.ntpv(tpvs[1][rows], global_avg)
+        if not rows.get(profile_id):
+            reason = "is not in the corpus" if profile_id not in rows else "has no tweet with a topic vector"
+            raise ValueError(f"group {group} member {profile_id} {reason}")
+    own = sorted(set().union(*rows.values()))
+    own_matrix = matrix if len(own) == len(ids) else matrix[own]  # no copy when every row is the corpus's
+    global_avg = detector.global_topic_average(own_matrix, len(corpus.profiles), warn=warn)
+    ntpvs = {profile_id: detector.ntpv(matrix[rows[profile_id]], global_avg) for profile_id in members}
     labels = detector.assign_topic_labels(ntpvs)
     clusters, designations = detector.detect_clusters(
         members, labels, aggs,
@@ -318,15 +325,15 @@ def feature_vectors(
     category counts of its topic-covered tweets: the profile ids in
     order, and row i of the values X and of the imputation mask M is
     profile ids[i]'s."""
-    assignments = topics.assign_dominant_topics(*tpvs)
+    categories = diversity.row_categories(catalog, tpvs[1])
     row_of = {row["profile_id"]: row for row in rows}
     ids = sorted(corpus.profiles)
     X = np.zeros((len(ids), features.N_FEATURES))
     M = np.zeros((len(ids), features.N_FEATURES), dtype=bool)
-    for i, profile_id in enumerate(ids):
-        timeline = corpus.profiles[profile_id]
-        counts = diversity.category_counts(timeline, catalog, assignments)
-        X[i], M[i] = features.extract_features(profile_id, row_of[profile_id], counts, timeline.metadata)
+    for i, (profile_id, covered) in enumerate(topic_rows(corpus, tpvs[0]).items()):
+        counts = dict(zip(topics.CATEGORIES, diversity.category_counts(covered, categories).tolist()))
+        metadata = corpus.profiles[profile_id].metadata
+        X[i], M[i] = features.extract_features(profile_id, row_of[profile_id], counts, metadata)
     return ids, X, M
 
 

@@ -213,11 +213,6 @@ def save_tpvs(ids: list[str], matrix: np.ndarray, path: str | Path) -> None:
             fh.write(canonical_dumps({"tweet_id": tweet_id, "probs": probs.tolist()}) + "\n")
 
 
-def assign_dominant_topics(ids: list[str], matrix: np.ndarray) -> dict[str, int]:
-    """The argmax topic of every row, by id; ties break to the lowest index."""
-    return dict(zip(ids, np.argmax(matrix, axis=1).tolist()))
-
-
 def topic_aggregates(assignments: dict[str, int], cache: ScoreCache, K: int) -> dict[int, dict]:
     """Per-topic tweet counts and median toxicity over scored tweets: the
     aggregates.json rows ("topic", "tweet_count", "median_toxicity"), by topic."""

@@ -14,6 +14,7 @@ from mission_profiler.synth import default_specs, generate, write_bundle
 from mission_profiler.util import canonical_dumps, derive_seed
 
 from conftest import BAD_LABELS, FailingScorer, FakeClock, tweet_row, write_tweet_lines, BASE_TS
+from test_pipeline import _zero_topic
 
 
 def _run_config(bundle_dir, path, **overrides):
@@ -412,6 +413,58 @@ def test_flag_command(bundle_dir, run_dir, tmp_path):
     ])
     assert result.exit_code == 0, result.output
     assert "flagged" in result.output
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "ablate", "flag"])
+def test_classify_commands_refuse_a_feature_file_holding_a_null_value(bundle_dir, run_dir, tmp_path, command):
+    lines = (run_dir / "features" / "features.jsonl").read_text().splitlines(keepends=True)
+    row = json.loads(lines[2])
+    row["values"][0] = None
+    features = tmp_path / "features.jsonl"
+    features.write_text("".join(lines[:2] + [json.dumps(row) + "\n"] + lines[3:]))
+    args = {
+        "train": ["--labels", str(bundle_dir / "labels.csv"), "--out", str(tmp_path / "model.json")],
+        "evaluate": ["--labels", str(bundle_dir / "labels.csv"),
+                     "--model", str(run_dir / "classify" / "model_linear_svm.json")],
+        "ablate": ["--labels", str(bundle_dir / "labels.csv"), "--out", str(tmp_path / "ablation.json")],
+        "flag": ["--model", str(run_dir / "classify" / "model_linear_svm.json"),
+                 "--groups", str(run_dir / "group" / "groups.json"), "--out", str(tmp_path / "wild.json")],
+    }[command]
+    result = CliRunner().invoke(main, [command, "--features", str(features), *args])
+    assert result.exit_code == 17, result.output
+    assert "error [classify]: line 3: values holds an item that is not a finite number" in result.output
+    assert not (tmp_path / "model.json").exists() and not (tmp_path / "wild.json").exists()
+
+
+def _detect_args(bundle_dir, corpus_bin, tpvs, groups, out):
+    return [
+        "detect", "--corpus", str(corpus_bin), "--tpv", str(tpvs), "--k", "20",
+        "--toxicity-cache", str(bundle_dir / "toxicity_cache.jsonl"),
+        "--groups", str(groups), "--group", "VII", "--out", str(out),
+    ]
+
+
+def test_detect_command_names_a_group_member_the_corpus_lacks(bundle_dir, run_dir, corpus_bin, tmp_path):
+    groups = json.loads((run_dir / "group" / "groups.json").read_text())
+    groups["groups"]["VII"].append("ghost-0001")
+    path = tmp_path / "groups.json"
+    path.write_text(json.dumps(groups))
+    out = tmp_path / "designations.json"
+    result = CliRunner().invoke(main, _detect_args(bundle_dir, corpus_bin, bundle_dir / "tpvs.jsonl", path, out))
+    assert result.exit_code == 15, result.output
+    assert "error [detect]: group VII member ghost-0001 is not in the corpus" in result.output
+    assert not out.exists()
+
+
+def test_detect_command_prints_the_zero_global_average_warning_as_a_warning(bundle_dir, run_dir, corpus_bin, tmp_path):
+    tpvs = tmp_path / "tpvs.jsonl"
+    tpvs.write_text((bundle_dir / "tpvs.jsonl").read_text())
+    _zero_topic(tpvs)
+    out = tmp_path / "designations.json"
+    groups = run_dir / "group" / "groups.json"
+    result = CliRunner().invoke(main, _detect_args(bundle_dir, corpus_bin, tpvs, groups, out))
+    assert result.exit_code == 0, result.output
+    assert "warning: 1 topics have zero global average; floored to 1e-12" in result.output
 
 
 def test_group_command(bundle_dir, corpus_bin, tmp_path):

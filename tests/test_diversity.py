@@ -13,64 +13,77 @@ from mission_profiler.diversity import (
     MAX_ENTROPY,
     DiversityError,
     assign_group,
-    category_probability,
+    category_counts,
     diversity_profile,
     group_partition,
+    row_categories,
     shannon_entropy,
 )
 from mission_profiler.topics import CATEGORIES, TopicCatalog
 
-from conftest import make_timeline
-
 
 # -- category probability ---------------------------------------------------------
 
-def _timeline_with_topics(profile_id, topics):
-    texts = [f"tweet number {i} about something" for i in range(len(topics))]
-    tl = make_timeline(profile_id, texts=texts)
-    assignments = {t.tweet_id: topic for t, topic in zip(tl.tweets, topics)}
-    return tl, assignments
+def _profile_with_topics(topics, K=8):
+    """A profile whose tweets have one-hot topic vectors of the given topics:
+    its matrix rows (all of them) and their categories under the demo catalog."""
+    matrix = np.eye(K)[topics]
+    return list(range(len(topics))), row_categories(TopicCatalog.demo(K), matrix)
+
+
+def _cpv(rows, categories):
+    return diversity_profile(category_counts(rows, categories))[0]
 
 
 def test_cpv_fractions():
-    catalog = TopicCatalog.demo(8)  # topic i -> category i
     politics = CATEGORIES.index("politics")
     everyday = CATEGORIES.index("everyday")
-    tl, assignments = _timeline_with_topics("p", [politics] * 4 + [everyday] * 6)
-    cpv = category_probability(tl, catalog, assignments)
+    rows, categories = _profile_with_topics([politics] * 4 + [everyday] * 6)  # topic i -> category i
+    cpv = _cpv(rows, categories)
     assert cpv[politics] == pytest.approx(0.4)
     assert cpv[everyday] == pytest.approx(0.6)
     assert sum(cpv) == pytest.approx(1.0)
 
 
 def test_cpv_one_hot():
-    catalog = TopicCatalog.demo(8)
-    tl, assignments = _timeline_with_topics("p", [2] * 5)
-    cpv = category_probability(tl, catalog, assignments)
+    cpv = _cpv(*_profile_with_topics([2] * 5))
     assert cpv[2] == 1.0
     assert sum(cpv) == 1.0
 
 
 def test_cpv_uniform_eight():
-    catalog = TopicCatalog.demo(8)
-    tl, assignments = _timeline_with_topics("p", list(range(8)))
-    cpv = category_probability(tl, catalog, assignments)
+    cpv = _cpv(*_profile_with_topics(list(range(8))))
     assert all(v == pytest.approx(0.125) for v in cpv)
 
 
 def test_cpv_no_covered_tweets_raises():
-    catalog = TopicCatalog.demo(8)
-    tl, _ = _timeline_with_topics("p", [0])
+    _, categories = _profile_with_topics([0])
     with pytest.raises(DiversityError):
-        category_probability(tl, catalog, {})
+        _cpv([], categories)
 
 
 def test_cpv_ignores_uncovered_tweets():
-    catalog = TopicCatalog.demo(8)
-    tl, assignments = _timeline_with_topics("p", [1] * 4)
-    partial = {k: v for k, v in list(assignments.items())[:2]}
-    cpv = category_probability(tl, catalog, partial)
+    rows, categories = _profile_with_topics([1] * 4)
+    partial = rows[:2]
+    cpv = _cpv(partial, categories)
     assert cpv[1] == 1.0
+    assert category_counts(partial, categories).sum() == 2
+
+
+def test_row_categories_follow_the_catalog_and_break_ties_to_the_lowest_topic():
+    catalog = TopicCatalog.demo(20)  # topic i -> category i % 8
+    matrix = np.zeros((3, 20))
+    matrix[0, 9] = 1.0
+    matrix[1, [12, 3]] = 0.5  # a tie: topic 3 wins
+    matrix[2, 19] = 1.0
+    assert row_categories(catalog, matrix).tolist() == [1, 3, 3]
+    assert row_categories(catalog, np.zeros((0, 20))).tolist() == []
+
+
+def test_category_counts_are_indexed_like_categories():
+    categories = np.array([7, 0, 7, 2])
+    assert category_counts([0, 2, 3, 0], categories).tolist() == [0, 0, 1, 0, 0, 0, 0, 3]
+    assert category_counts([], categories).tolist() == [0] * len(CATEGORIES)
 
 
 # -- entropy ------------------------------------------------------------------------
@@ -112,10 +125,13 @@ def test_entropy_bounded_by_support_size():
 
 @given(st.lists(st.integers(min_value=0, max_value=50), min_size=8, max_size=8).filter(any))
 def test_entropy_matches_scipy(counts):
-    # category_probability divides each category's count by the total
+    # diversity_profile divides each category's count by the total
     total = sum(counts)
     p = np.asarray([c / total for c in counts])
     assert abs(shannon_entropy(p) - stats.entropy(counts)) <= 1e-12
+    cpv, h = diversity_profile(np.asarray(counts))
+    assert cpv == tuple(p.tolist())
+    assert h == shannon_entropy(p)
 
 
 # -- group binning -----------------------------------------------------------------
@@ -204,9 +220,8 @@ def test_partition_covers_everything():
 
 
 def test_diversity_profile_end_to_end():
-    catalog = TopicCatalog.demo(8)
-    tl, assignments = _timeline_with_topics("p", list(range(8)))
-    cpv, h = diversity_profile(tl, catalog, assignments)
+    rows, categories = _profile_with_topics(list(range(8)))
+    cpv, h = diversity_profile(category_counts(rows, categories))
     assert cpv == (0.125,) * 8
     assert assign_group(h) == "VIII"
     assert h == pytest.approx(math.log(8), abs=1e-12)

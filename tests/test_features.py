@@ -197,6 +197,34 @@ def test_a_row_of_the_wrong_width_is_refused_naming_its_line(tmp_path, n_values,
         load_features(path)
 
 
+@pytest.mark.parametrize("key, item", [
+    ("values", None), ("values", True), ("values", "1.5"), ("values", float("nan")), ("values", float("inf")),
+    ("values", 10**400), ("values", [0.0]), ("mask", "no"), ("mask", 0), ("mask", None),
+], ids=["null", "true", "string", "nan", "inf", "int-beyond-float", "list", "mask-string", "mask-0", "mask-null"])
+def test_a_value_or_mask_item_of_the_wrong_kind_is_refused_naming_its_line(tmp_path, key, item):
+    # a null value used to load as NaN with its mask bit unset, and "no" as a set mask bit
+    path = tmp_path / "features.jsonl"
+    _rows_file(path, [("a", N_FEATURES, N_FEATURES)])
+    row = {"profile_id": "b", "values": [0.0] * N_FEATURES, "mask": [False] * N_FEATURES}
+    row[key][3] = item
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(row) + "\n")
+    kind = "a finite number" if key == "values" else "true or false"
+    with pytest.raises(ValueError, match=f"^line 3: {key} holds an item that is not {kind}$"):
+        load_features(path)
+
+
+def test_integer_values_load_as_floats(tmp_path):
+    path = tmp_path / "features.jsonl"
+    _rows_file(path, [])
+    row = {"profile_id": "a", "values": [3] + [0.0] * (N_FEATURES - 1), "mask": [True] * N_FEATURES}
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(row) + "\n")
+    ids, X, M = load_features(path)
+    assert X[0, 0] == 3.0 and X.dtype == float
+    assert M[0].tolist() == row["mask"]
+
+
 def test_catalog_hash_stable():
     assert catalog_hash() == catalog_hash()
     assert len(catalog_hash()) == 64

@@ -8,9 +8,13 @@ import warnings
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from mission_profiler import classifier, features, ingest, metrics, pipeline, scores, topics
+from mission_profiler import classifier, detector, diversity, features, ingest, metrics, pipeline, scores, topics
+from mission_profiler.ingest import Corpus, ProfileTimeline
 from mission_profiler.pipeline import (
     Pipeline,
     PipelineError,
@@ -21,9 +25,10 @@ from mission_profiler.pipeline import (
 )
 from mission_profiler.readability import LEXICAL_KEYS
 from mission_profiler.synth import default_specs, generate, write_bundle
+from mission_profiler.topics import CATEGORIES, TopicCatalog
 from mission_profiler.util import sha256_file
 
-from conftest import BAD_LABELS, FailingScorer, tweet_row, write_tweet_lines, BASE_TS
+from conftest import BAD_LABELS, FailingScorer, make_tweet, tweet_row, write_tweet_lines, BASE_TS
 from test_detector import _linear_percentile
 
 
@@ -153,6 +158,17 @@ def test_topic_vectors_of_tweets_outside_the_corpus_leave_the_designations_uncha
         assert (tmp_path / "with_orphans" / name).read_bytes() == (tmp_path / "run" / name).read_bytes(), name
 
 
+def _share_tweet_ids(path, n=40):
+    """Give n tweets of the file to a second profile too: each copy keeps the
+    tweet id, text and time, under the profile that follows its own in id order."""
+    rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines() if line.strip()]
+    profile_ids = sorted({row["profile_id"] for row in rows})
+    with open(path, "a", encoding="utf-8") as fh:
+        for row in rows[:n]:
+            following = profile_ids[(profile_ids.index(row["profile_id"]) + 1) % len(profile_ids)]
+            fh.write(json.dumps({**row, "profile_id": following}) + "\n")
+
+
 _PINNED_DIGESTS = {
     "user": {
         "topics/aggregates.json": "a98572f27fe4bef9934019f8337adc7ab0f6cdd39d68f714a85cafa6c9974ad6",
@@ -161,6 +177,14 @@ _PINNED_DIGESTS = {
         "features/features.jsonl": "a2bd225b37b939bee70bf4166cee06760119355f5abb7d6ca086a84795355a81",
         "classify/eval.json": "29f0d305ea45d2ba6c6ae2dbdabe764ef26088e5a52f6cedc86a2128b8747cab",
         "classify/ablation.json": "3e5861d1a0c35b6530aa2c20800c30d3bff257668cfb5e989d02ac3140e73c14",
+    },
+    "shared": {
+        "topics/aggregates.json": "91699184984b147a7526af42b7b85662a5cf6932b3efe48b1ecbf097af6130d2",
+        "group/groups.json": "d14e55419f6f62f59e36778191961950d52de787605674684a699e3fc59bb1e7",
+        "detect/designations.json": "79e6d8ce3bec33922904c8d25d1ae5c4ba30900a8f0360324f12897ce7fd6ef4",
+        "features/features.jsonl": "2a9c54f3f9a5d5ed7669792928fd1b5a2226a161be87580636a304a5f8f2ceb2",
+        "classify/eval.json": "cb867f2b90889f23016bbfd510cf0ad0289f2923bb7449f3c4536f83cad2724f",
+        "classify/ablation.json": "461ebe129e0fd5e88da6c3243189d943ed27c70695949a85f7bb8f33a90da24b",
     },
     "baseline": {
         "topics/tpvs.jsonl": "ffb11591f57f9c601e8d8068bb6ebb6cb9242b20c60626bb35f77cc2dafd1b71",
@@ -181,7 +205,10 @@ def test_cold_run_topic_artifact_digests_pinned(tmp_path, source):
     # two runs of the same code agree with each other, these also catch a change
     # of bytes between versions of the code
     paths = _small_bundle(tmp_path)
-    if source == "user":
+    if source == "shared":
+        _share_tweet_ids(paths["tweets"])
+        config = _config(paths)
+    elif source == "user":
         _append_orphan_vectors(paths["tpvs"], n=2)
         first = json.loads(paths["tpvs"].read_text(encoding="utf-8").splitlines()[0])
         with open(paths["tpvs"], "a", encoding="utf-8") as fh:  # a repeated id: its last row wins
@@ -201,6 +228,181 @@ def test_cold_run_topic_artifact_digests_pinned(tmp_path, source):
         data = data.replace(config.config_hash().encode(), b"")  # the hash covers the input paths
         got[rel] = hashlib.sha256(data).hexdigest()
     assert got == _PINNED_DIGESTS[source]
+
+
+# -- the corpus joined to the topic vectors ---------------------------------------
+# The dict-based join that topic_rows replaced, kept verbatim as a reference:
+# the topics and detect stages' own-vector filter, the tweet -> topic dict, the
+# timeline-based category counts of group and features, and detect's member rows.
+
+
+def _reference_corpus_topic_aggregates(corpus, tpvs, cache, K, warn):
+    own_ids, own = _reference_corpus_vectors(corpus, tpvs)
+    if len(own_ids) < len(tpvs[0]):
+        warn(f"{len(tpvs[0]) - len(own_ids)} topic vectors reference unknown tweets")
+    if not own_ids:
+        warn("no tweet in the corpus has a topic vector")
+    return topics.topic_aggregates(_reference_dominant_topics(own_ids, own), cache, K)
+
+
+def _reference_corpus_vectors(corpus, tpvs):
+    """The ids and rows of the corpus's own tweets: tpvs itself when every row is theirs."""
+    ids, matrix = tpvs
+    known_ids = {t.tweet_id for t in corpus.all_tweets()}
+    own = [i for i, tid in enumerate(ids) if tid in known_ids]
+    return tpvs if len(own) == len(ids) else ([ids[i] for i in own], matrix[own])
+
+
+def _reference_dominant_topics(ids, matrix):
+    """The argmax topic of every row, by id; ties break to the lowest index."""
+    return dict(zip(ids, np.argmax(matrix, axis=1).tolist()))
+
+
+def _reference_category_counts(timeline, catalog, assignments):
+    """Tweet counts per category over the profile's TPV-covered tweets."""
+    counts = {c: 0 for c in CATEGORIES}
+    for tweet in timeline.tweets:
+        topic = assignments.get(tweet.tweet_id)
+        if topic is not None:
+            counts[catalog.category(topic)] += 1
+    return counts
+
+
+def _reference_member_rows(corpus, tpvs, members):
+    row_of = {tid: i for i, tid in enumerate(tpvs[0])}
+    return {
+        profile_id: [row_of[t.tweet_id] for t in corpus.profiles[profile_id].tweets if t.tweet_id in row_of]
+        for profile_id in members
+    }
+
+
+@st.composite
+def _joined_corpora(draw):
+    """A corpus of 0-6 profiles over a pool of tweet ids, so that profiles
+    share ids, and topic vectors as (ids, matrix) for some of the pool (the
+    rest of the tweets have none) and for 0-5 ids no profile holds."""
+    pool = draw(st.integers(1, 30))
+    profiles = {}
+    for p in range(draw(st.integers(0, 6))):
+        picked = draw(st.lists(st.integers(0, pool - 1), unique=True, max_size=12))
+        tweets = tuple(make_tweet(f"t{i}", ts=BASE_TS + draw(st.integers(0, 5))) for i in picked)
+        profiles[f"p{p}"] = ProfileTimeline(profile_id=f"p{p}", tweets=tweets)
+    covered = draw(st.sets(st.integers(0, pool - 1)))
+    ids = sorted({f"t{i}" for i in covered} | {f"orphan-{i}" for i in range(draw(st.integers(0, 5)))})
+    K = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrix = rng.integers(0, 3, size=(len(ids), K)).astype(float)  # few levels: argmax ties
+    matrix[:, 0] += matrix.sum(axis=1) == 0
+    matrix /= matrix.sum(axis=1, keepdims=True)
+    return Corpus(profiles=profiles), (ids, matrix), TopicCatalog.demo(K)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_joined_corpora())
+@example((  # every vector is the corpus's own; p1 shares t0 and has an uncovered tweet, p2 has no covered one
+    Corpus(profiles={
+        p: ProfileTimeline(profile_id=p, tweets=tuple(make_tweet(t) for t in tweet_ids))
+        for p, tweet_ids in {"p0": ["t0", "t1"], "p1": ["t2", "t0"], "p2": ["t3"]}.items()
+    }),
+    (["t0", "t1", "t2"], np.array([[0.5, 0.5], [0.2, 0.8], [1.0, 0.0]])),
+    TopicCatalog.demo(2),
+))
+def test_the_topic_row_join_gives_what_the_dict_based_reference_gave(drawn):
+    corpus, tpvs, catalog = drawn
+    ids, matrix = tpvs
+    K = matrix.shape[1]
+    rows = pipeline.topic_rows(corpus, ids)
+    assert list(rows) == sorted(corpus.profiles)
+
+    # per-profile category counts, and the groups' category vectors made from them
+    assignments = _reference_dominant_topics(*tpvs)
+    categories = diversity.row_categories(catalog, matrix)
+    expected_counts = {p: _reference_category_counts(corpus.profiles[p], catalog, assignments) for p in rows}
+    for profile_id, covered in rows.items():
+        counts = diversity.category_counts(covered, categories)
+        assert dict(zip(CATEGORIES, counts.tolist())) == expected_counts[profile_id]
+    groups, _ = pipeline.group_profiles(corpus, catalog, tpvs, lambda text: None)
+    expected_cpv = {
+        p: tuple(counts[c] / sum(counts.values()) for c in CATEGORIES)
+        for p, counts in expected_counts.items() if any(counts.values())
+    }
+    assert groups["cpv"] == expected_cpv
+
+    # own rows: the aggregates, their warnings, and the vectors the global average sums
+    cache = scores.ScoreCache()
+    for i, tweet_id in enumerate(ids[::2]):
+        cache.put_toxicity(tweet_id, i % 5 / 4)
+    got_warnings, expected_warnings = [], []
+    aggs = pipeline.corpus_topic_aggregates(corpus, tpvs, cache, K, got_warnings.append)
+    assert aggs == _reference_corpus_topic_aggregates(corpus, tpvs, cache, K, expected_warnings.append)
+    assert got_warnings == expected_warnings
+    members = [p for p, covered in rows.items() if covered]
+    if not members:
+        return
+    seen = {"members": []}
+    real_average, real_ntpv = detector.global_topic_average, detector.ntpv
+
+    def average(vectors, n_profiles, **kwargs):
+        seen["own"] = vectors
+        return real_average(vectors, n_profiles, **kwargs)
+
+    def ntpv(vectors, global_avg):
+        seen["members"].append(vectors)
+        return real_ntpv(vectors, global_avg)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(detector, "global_topic_average", average)
+        mp.setattr(detector, "ntpv", ntpv)
+        pipeline.designate(corpus, tpvs, catalog, aggs, {"I": members}, "I", 1, ("absolute", 0.5), lambda text: None)
+    own = _reference_corpus_vectors(corpus, tpvs)[1]
+    assert (seen["own"] is matrix) == (own is matrix)  # no copy when every vector is the corpus's own
+    assert seen["own"].tobytes() == own.tobytes()
+    # nTPV rows: each member's vectors, in timeline order
+    expected_rows = _reference_member_rows(corpus, tpvs, members)
+    assert [v.tobytes() for v in seen["members"]] == [matrix[expected_rows[p]].tobytes() for p in members]
+
+
+def _zero_topic(path, topic=19):
+    """Move the mass of one topic in every vector of the file to topic 0."""
+    rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines() if line.strip()]
+    for row in rows:
+        row["probs"][0] += row["probs"][topic]
+        row["probs"][topic] = 0.0
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+
+
+def test_a_topic_of_zero_global_average_is_a_detect_warning_of_the_run(tmp_path):
+    paths = _small_bundle(tmp_path)
+    _zero_topic(paths["tpvs"])
+    config, out = _config(paths), tmp_path / "run"
+    message = "detect: 1 topics have zero global average; floored to 1e-12"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cold = run_pipeline(config, out)
+    assert message in cold["warnings"]
+    assert [str(w.message) for w in caught].count(message) == 1  # once, in the stage's words
+    assert json.loads((out / "detect" / "manifest.json").read_text())["warnings"] == [message]
+    (out / "report" / "report.json").unlink()
+    assert run_pipeline(config, out) == cold  # a warm rerun keeps it
+
+
+@pytest.mark.parametrize("member, reason", [
+    ("ghost-0001", "is not in the corpus"),
+    (None, "has no tweet with a topic vector"),
+])
+def test_a_group_member_without_topic_vectors_is_named_in_the_detect_error(tmp_path, member, reason):
+    paths = _small_bundle(tmp_path)
+    corpus = ingest.load_timelines(paths["tweets"], paths["profiles"])
+    tpvs, catalog = pipeline.topic_vectors(20, 11, str(paths["tpvs"]), None)
+    if member is None:  # a profile whose vectors are left out
+        member = sorted(corpus.profiles)[0]
+        held = {t.tweet_id for t in corpus.profiles[member].tweets}
+        keep = [i for i, tweet_id in enumerate(tpvs[0]) if tweet_id not in held]
+        tpvs = ([tpvs[0][i] for i in keep], tpvs[1][keep])
+    aggs = pipeline.corpus_topic_aggregates(corpus, tpvs, scores.ScoreCache(), 20, lambda text: None)
+    partition = {"VIII": sorted(corpus.profiles)[1:4] + [member]}
+    with pytest.raises(ValueError, match=f"^group VIII member {member} {reason}$"):
+        pipeline.designate(corpus, tpvs, catalog, aggs, partition, "VIII", 3, ("absolute", 0.5), lambda text: None)
 
 
 def test_stale_cache_aborts(tmp_path):

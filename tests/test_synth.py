@@ -3,7 +3,7 @@ import statistics
 import numpy as np
 import pytest
 
-from mission_profiler.diversity import assign_group, shannon_entropy
+from mission_profiler.diversity import assign_group, row_categories, shannon_entropy
 from mission_profiler.ingest import load_timelines
 from mission_profiler.metrics import burstiness
 from mission_profiler.synth import (
@@ -14,7 +14,7 @@ from mission_profiler.synth import (
     load_specs,
     write_bundle,
 )
-from mission_profiler.topics import TopicCatalog, assign_dominant_topics
+from mission_profiler.topics import TopicCatalog
 
 
 def small_specs(n=10):
@@ -84,18 +84,18 @@ def test_on_mission_entropy_lands_in_diverse_groups():
 
     bundle = generate(default_specs(30, 30), K=20, seed=42)
     catalog = TopicCatalog.demo(20)
-    assignments = assign_dominant_topics(list(bundle.tpvs), np.array(list(bundle.tpvs.values())))
+    categories = row_categories(catalog, np.array(list(bundle.tpvs.values())))
+    category_of = dict(zip(bundle.tpvs, categories.tolist()))
     by_profile: dict[str, list[int]] = {}
     for tweet in bundle.tweets:
-        topic = assignments[tweet["tweet_id"]]
-        by_profile.setdefault(tweet["profile_id"], []).append(topic)
+        by_profile.setdefault(tweet["profile_id"], []).append(category_of[tweet["tweet_id"]])
     entropies = {}
-    for pid, topics_list in by_profile.items():
-        counts = {c: 0 for c in CATEGORIES}
-        for t in topics_list:
-            counts[catalog.category(t)] += 1
-        total = sum(counts.values())
-        cp = np.array([counts[c] / total for c in CATEGORIES])
+    for pid, category_list in by_profile.items():
+        counts = [0] * len(CATEGORIES)
+        for c in category_list:
+            counts[c] += 1
+        total = sum(counts)
+        cp = np.array([n / total for n in counts])
         entropies[pid] = shannon_entropy(cp)
     mission_h = [h for p, h in entropies.items() if bundle.labels[p] == "on_mission"]
     mean_h = sum(mission_h) / len(mission_h)
@@ -104,7 +104,7 @@ def test_on_mission_entropy_lands_in_diverse_groups():
 
 def test_mission_topic_toxicity_gap_at_least_point_two():
     bundle = generate(default_specs(30, 30), K=20, seed=42)
-    assignments = assign_dominant_topics(list(bundle.tpvs), np.array(list(bundle.tpvs.values())))
+    assignments = dict(zip(bundle.tpvs, np.argmax(np.array(list(bundle.tpvs.values())), axis=1).tolist()))
 
     def dominant_topic_median_tox(profile_id):
         topics_count: dict[int, int] = {}

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mission_profiler import topics
+from mission_profiler.diversity import row_categories
 from mission_profiler.ingest import load_timelines
 from mission_profiler.scores import ScoreCache
 from mission_profiler.topics import (
@@ -16,7 +17,6 @@ from mission_profiler.topics import (
     RENORM_TOLERANCE,
     TopicCatalog,
     TPVError,
-    assign_dominant_topics,
     baseline_topic_assigner,
     load_tpvs,
     save_tpvs,
@@ -123,7 +123,8 @@ def test_load_tpvs_returns_the_vectors_in_tweet_id_order(tmp_path):
 # -- dominant topic --------------------------------------------------------------
 
 def _dominant(v):
-    return assign_dominant_topics(["t"], v[None, :])["t"]
+    # the demo catalog of at most 8 topics maps topic i to category i
+    return int(row_categories(TopicCatalog.demo(len(v)), v[None, :])[0])
 
 
 def test_dominant_argmax():
@@ -189,7 +190,7 @@ def _reference_save_tpvs(tpvs, path):
             fh.write(json.dumps(row, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n")
 
 
-def _reference_assign_dominant_topics(tpvs):
+def _reference_dominant_topics(tpvs):
     return {tweet_id: int(np.argmax(v)) for tweet_id, v in tpvs.items()}
 
 
@@ -272,7 +273,9 @@ def test_save_tpvs_and_argmax_match_the_references(tmp_path_factory, drawn, norm
     tpvs = {tweet_id: v.copy() for tweet_id, v in zip(ids, matrix)}
     order = sorted(tpvs)
     rows = np.array([tpvs[t] for t in order]).reshape(len(order), K)
-    assert assign_dominant_topics(order, rows) == _reference_assign_dominant_topics(tpvs)
+    catalog, dominant = TopicCatalog.demo(K), _reference_dominant_topics(tpvs)
+    expected = [CATEGORIES.index(catalog.category(dominant[t])) for t in order]
+    assert row_categories(catalog, rows).tolist() == expected
     d = tmp_path_factory.mktemp("save")
     got = _outcome(save_tpvs, order, rows, d / "new.jsonl")
     expected = _outcome(_reference_save_tpvs, tpvs, d / "ref.jsonl")
@@ -507,5 +510,6 @@ def test_assignments_cover_tpv_map():
     corpus = load_timelines(DATA / "golden_corpus_tweets.jsonl")
     ids, matrix = baseline_topic_assigner(corpus, K=20, seed=42)
     tpvs = dict(zip(ids, matrix))
-    assignments = assign_dominant_topics(ids, matrix)
-    assert set(assignments) == set(tpvs)
+    categories = row_categories(TopicCatalog.demo(20), matrix)
+    assert len(categories) == len(tpvs) == len(ids)
+    assert set(categories.tolist()) <= set(range(len(CATEGORIES)))
