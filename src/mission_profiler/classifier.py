@@ -8,6 +8,7 @@ reproduce byte-identical model files.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -112,18 +113,7 @@ class LinearSVM:
 
     def fit(self, X: np.ndarray, y: np.ndarray, config: TrainConfig, seed: int = 0) -> "LinearSVM":
         _require_two_classes(y)
-        y_signed = np.where(np.asarray(y) > 0, 1.0, -1.0)
-        n, f = X.shape
-        # rows times their signs: exact, as the signs are +-1, so the margins
-        # and the hinge subgradient keep every bit of y * (Xb @ w) and y * Xb
-        yXb = y_signed[:, None] * np.hstack([X, np.ones((n, 1))])
-        lam = 1.0 / (config.svm_c * n)
-        w_full = np.zeros(f + 1)
-        for t in range(1, config.svm_epochs + 1):
-            violating = yXb @ w_full < 1.0
-            grad = lam * w_full
-            grad = grad - yXb[violating].sum(axis=0) / n  # no violation subtracts 0.0: a no-op
-            w_full = w_full - grad / (lam * t)
+        w_full = _svm_weights(X, y, [list(range(X.shape[1]))], config)[0]
         self.w = w_full[:-1]
         self.b = float(w_full[-1])
         return self
@@ -142,6 +132,39 @@ class LinearSVM:
         return cls(w=np.asarray(params["w"], float), b=float(params["b"]))
 
 
+def _svm_weights(X: np.ndarray, y: np.ndarray, groups: list[list[int]], config: TrainConfig) -> list[np.ndarray]:
+    """LinearSVM's weights, bias last, fitted on the columns groups[g] of X
+    for each g, all in one epoch loop.
+
+    Each group keeps its own margins, yXb_g @ w_g. The violating rows of
+    every group are summed in one reduction of the C-ordered matrix
+    [yXb_0 | yXb_1 | ...] where the violating mask, spread over each
+    group's columns, is set: each column adds its rows one after another
+    from 0.0, so every group gets the bits yXb_g[violating].sum(axis=0)
+    gives. (An F-ordered matrix would be summed pairwise, with other last
+    bits.)
+    """
+    y_signed = np.where(np.asarray(y) > 0, 1.0, -1.0)
+    n = len(y_signed)
+    # rows times their signs: exact, as the signs are +-1, so the margins
+    # and the hinge subgradient keep every bit of y * (Xb @ w) and y * Xb
+    yXb = [y_signed[:, None] * np.hstack([X[:, cols], np.ones((n, 1))]) for cols in groups]
+    stacked = np.hstack(yXb)
+    widths = [m.shape[1] for m in yXb]
+    lam = 1.0 / (config.svm_c * n)
+    w = np.zeros(stacked.shape[1])
+    parts = np.split(w, np.cumsum(widths)[:-1])  # each group's weights, views of w
+    margins = np.empty((len(groups), n))
+    violating = np.empty(margins.shape, dtype=bool)
+    for t in range(1, config.svm_epochs + 1):
+        for m, part, out in zip(yXb, parts, margins):
+            np.dot(m, part, out=out)  # the BLAS call of m @ part, without the ufunc dispatch
+        np.less(margins, 1.0, out=violating)
+        grad = lam * w - np.add.reduce(stacked, axis=0, where=violating.T.repeat(widths, axis=1)) / n
+        w -= grad / (lam * t)
+    return [part.copy() for part in parts]
+
+
 class DecisionTree:
     """CART with Gini impurity and midpoint thresholds.
 
@@ -157,9 +180,7 @@ class DecisionTree:
 
     def fit(self, X: np.ndarray, y: np.ndarray, config: TrainConfig, seed: int = 0) -> "DecisionTree":
         _require_two_classes(y)
-        y = np.asarray(y, int)
-        rows = np.arange(len(y))
-        self.root = _grow_trees(X, y, [rows], [None], config.tree_max_depth, config.tree_min_samples_split)[0]
+        self.root = _grow(X, y, seed, [list(range(X.shape[1]))], config, forests=False)[0][0]
         return self
 
     def decision_scores(self, X: np.ndarray) -> np.ndarray:
@@ -182,12 +203,121 @@ class DecisionTree:
 _SPLIT_BATCH_CELLS = 1 << 12
 
 
-def _draw_features(rng: random.Random | None, n_features: int) -> list[int]:
-    """Every feature without an RNG, else sqrt(F) of them drawn from it."""
-    if rng is None:
-        return list(range(n_features))
-    k = max(1, int(round(math.sqrt(n_features))))
-    return sorted(rng.sample(range(n_features), k))
+def _sample_features(words: np.ndarray, n: int, k: int, count: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The first count results of sorted(rng.sample(range(n), k)) for each
+    row of words, the 32-bit words an RNG yields from there on, as a
+    (rows x count x k) array, and how many words of each row they use;
+    None when a row runs out of words.
+
+    CPython's sample picks from a shrinking pool when the pool is no larger
+    than the set it would keep otherwise: pick i takes place
+    j = randbelow(n - i) and moves the pool's last item there. Otherwise it
+    draws j = randbelow(n) again until j is new. randbelow(m) takes the top
+    m.bit_length() bits of one word and draws again while they reach m.
+    """
+    rows, length = words.shape
+    from_pool = n <= 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
+    bounds = [n - i for i in range(k)] if from_pool else [n]
+    # per bound m: for each place of a row, the next word at or after it
+    # whose top m.bit_length() bits lie below m, length where none is left
+    # (two padding places, so a row that runs out stays in its row); a
+    # word's top bits lie below m where the word lies below m << shift
+    width = length + 2
+    place = np.arange(width, dtype=np.min_scalar_type(width))
+    ahead = {}
+    for m in bounds:
+        shift = 32 - m.bit_length()
+        kept = np.where(words < (m << shift), place[:length], place[length])
+        table = np.full((rows, width), length, dtype=place.dtype)
+        np.minimum.accumulate(kept[:, ::-1], axis=1, out=table[:, length - 1::-1])
+        ahead[m] = table.ravel()
+    row_start = np.arange(rows) * width
+    taken = np.empty((rows, count, k), dtype=np.intp)  # the word each draw takes
+    used = np.zeros(rows, dtype=np.intp)
+    for c in range(count):
+        if from_pool:
+            for i, m in enumerate(bounds):
+                taken[:, c, i] = ahead[m].take(row_start + used)
+                used = taken[:, c, i] + 1
+            continue
+        # from the set: draw again while the draw is already chosen
+        chosen = np.zeros((rows, n), dtype=bool)
+        got = np.zeros(rows, dtype=np.intp)
+        while len(r := np.flatnonzero(got < k)):
+            q = ahead[n].take(row_start[r] + used[r])
+            j = words[r, np.minimum(q, length - 1)] >> (32 - n.bit_length())
+            new = (q < length) & ~chosen[r, j]
+            taken[r[new], c, got[r[new]]] = q[new]
+            chosen[r[new], j[new]] = True
+            got[r[new]] += 1
+            used[r] = q + 1
+            if (q == length).any():
+                return None
+    if (used > length).any():
+        return None
+    picks = words[np.arange(rows)[:, None, None], taken] >> np.array([32 - m.bit_length() for m in bounds])
+    if from_pool:
+        # a pick is a place in what is left of the pool; the pool's last
+        # item moves into the place taken
+        flat = picks.reshape(-1, k)
+        pool = np.tile(np.arange(n, dtype=np.min_scalar_type(n)), (len(flat), 1))
+        each = np.arange(len(flat))
+        for i, j in enumerate(flat.T.copy()):
+            flat[:, i] = pool[each, j]
+            pool[each, j] = pool[:, n - i - 1]
+    picks.sort(axis=2)
+    return picks, used
+
+
+# Split searches per tree whose candidate columns _ForestDraws emulates at
+# once, after a first chunk of half as many (the trees of a small sample
+# search few nodes); its temporaries take about 5 KB a tree.
+_DRAW_CHUNK = 8
+
+
+class _ForestDraws:
+    """The candidate columns of every forest tree's split searches.
+
+    Tree i of each forest draws from the RNG rngs[i], after its bootstrap:
+    its s-th split search takes the columns at the places
+    sorted(rng.sample(range(F), k)) of its group's column list, F long,
+    k = sqrt(F) rounded, as the s-th sample call on that RNG draws them.
+    The forests read one word stream per tree number, each from its own
+    place in it; _sample_features emulates their sample calls for every
+    tree at once, a chunk of searches at a time.
+    """
+
+    def __init__(self, rngs: list[random.Random], groups: list[list[int]]):
+        self.rngs = rngs
+        self.words = np.empty((len(rngs), 0), dtype=np.uint32)
+        # the smallest dtype: every search's columns are kept until the grow ends
+        self.groups = [np.asarray(cols, dtype=np.min_scalar_type(max(cols))) for cols in groups]
+        self.at = [np.zeros(len(rngs), dtype=np.intp) for _ in groups]  # each forest's next word, per stream
+        self.searches: list[list[np.ndarray]] = [[] for _ in groups]  # each forest's (trees x k) columns, per search
+
+    def search(self, g: int, s: int) -> np.ndarray:
+        """The candidate columns of search s of forest g's trees, (trees x k)."""
+        searches, cols = self.searches[g], self.groups[g]
+        while s >= len(searches):
+            n = len(cols)
+            k = max(1, int(round(math.sqrt(n))))
+            count = _DRAW_CHUNK if searches else _DRAW_CHUNK // 2
+            length = 2 * count * k + 64  # a draw takes under two words on average
+            while (drawn := _sample_features(self._words(self.at[g], length), n, k, count)) is None:
+                length *= 2
+            picks, used = drawn
+            self.at[g] += used
+            searches.extend(cols[picks[:, c]] for c in range(count))
+        return searches[s]
+
+    def _words(self, at: np.ndarray, length: int) -> np.ndarray:
+        """length words of each stream from its place at, drawing more as needed."""
+        short = int(at.max()) + length - self.words.shape[1]
+        if short > 0:
+            m = max(short, self.words.shape[1])
+            more = [np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), dtype="<u4") for rng in self.rngs]
+            self.words = np.hstack([self.words, np.stack(more)])
+        return self.words.take((at + np.arange(len(at)) * self.words.shape[1])[:, None] + np.arange(length))
 
 
 def _bootstrap(rng: random.Random, n: int) -> np.ndarray:
@@ -271,59 +401,100 @@ def _route(roots: list[dict], X: np.ndarray) -> np.ndarray:
 def _grow_trees(
     X: np.ndarray,
     y: np.ndarray,
-    samples: list[np.ndarray],
-    rngs: list[random.Random | None],
+    trees: list[tuple[np.ndarray, int, int | None]],
+    groups: list[list[int]],
+    search,
     max_depth: int,
     min_split: int,
 ) -> list[dict]:
-    """Grow one CART per sample in lockstep; returns their root nodes.
+    """Grow one CART per entry of trees in lockstep; returns their roots.
 
-    Tree t grows on the rows samples[t] of X and y (0/1 labels) and draws
-    its candidate features from rngs[t] (None: every feature). Each tree
-    takes its nodes in depth-first preorder from its own stack, left child
-    first, so its RNG draws come in the order a recursive build makes them.
-    Each step takes from every tree the next node that needs a split search
-    and scores them together, at most _SPLIT_BATCH_CELLS grid cells a batch
-    (a node larger than that is scored alone).
+    Tree (rows, g, i) grows on those rows of X and y (0/1 labels) and
+    splits on the columns groups[g] of X, an ascending list; a node stores
+    its split column's place in that list. Its s-th split search considers
+    every column of the list when i is None, else the columns
+    search(g, s)[i]. Each tree takes its nodes in depth-first preorder from
+    its own stack, left child first, so its s-th search is the s-th node a
+    recursive build searches. Each step takes from every tree the next
+    node that needs a split search and scores them together, in batches of
+    one candidate count and at most _SPLIT_BATCH_CELLS grid cells (a node
+    larger than that is scored alone).
     """
     X = np.asarray(X, float)
+    XT = np.ascontiguousarray(X.T)  # a column's values in one run
     ranked = _rank_cells(X, y)
-    n_features = X.shape[1]
-    roots: list[dict | None] = [None] * len(samples)
+    every = [np.asarray(cols, dtype=np.intp) for cols in groups]
+    places = [{col: place for place, col in enumerate(cols)} for cols in groups]
+    roots: list[dict | None] = [None] * len(trees)
     # a pending node: its rows, its positives, the depth left below it and
     # the slot its dict goes into
-    stacks = [[(rows, int(np.count_nonzero(y[rows])), max_depth, roots, t)] for t, rows in enumerate(samples)]
-    while True:
-        step = []  # per tree: its next node to search, with the candidate features drawn for it
-        for t, stack in enumerate(stacks):
+    stacks = [[(rows, int(np.count_nonzero(y[rows])), max_depth, roots, t)] for t, (rows, _, _) in enumerate(trees)]
+    growing = range(len(trees))
+    for s in itertools.count():
+        by_count: dict[int, list] = {}  # this step's searches, by candidate count
+        for t in growing:
+            stack = stacks[t]
             while stack:
                 rows, n_pos, depth_left, holder, key = stack.pop()
                 if depth_left <= 0 or len(rows) < min_split or n_pos in (0, len(rows)):
                     holder[key] = _leaf(len(rows), n_pos)
                     continue
-                step.append((rows, _draw_features(rngs[t], n_features), t, n_pos, depth_left, holder, key))
+                _, g, i = trees[t]
+                feats = every[g] if i is None else search(g, s)[i]
+                by_count.setdefault(len(feats), []).append((rows, feats, t, n_pos, depth_left, holder, key))
                 break
-        if not step:
+        if not by_count:
             return roots
-        step.sort(key=lambda entry: -len(entry[0]))  # a batch pads its nodes to its first
-        start = 0
-        while start < len(step):
-            cells = len(step[start][0]) * len(step[start][1])
-            batch = step[start:start + max(1, _SPLIT_BATCH_CELLS // max(1, cells))]
-            start += len(batch)
-            feats = np.array([entry[1] for entry in batch], dtype=np.intp)
-            splits = _best_splits(X, y, [entry[0] for entry in batch], feats, ranked)
-            for (rows, _, t, n_pos, depth_left, holder, key), split in zip(batch, splits):
-                if split is None:
-                    holder[key] = _leaf(len(rows), n_pos)
-                    continue
-                feature, threshold = split
-                go_left = X[rows, feature] <= threshold
-                left, right = rows[go_left], rows[~go_left]
-                left_pos = int(np.count_nonzero(y[left]))
-                holder[key] = node = {"leaf": False, "feature": feature, "threshold": threshold}
-                stacks[t].append((right, n_pos - left_pos, depth_left - 1, node, "right"))
-                stacks[t].append((left, left_pos, depth_left - 1, node, "left"))
+        growing = [entry[2] for step in by_count.values() for entry in step]
+        for step in by_count.values():
+            step.sort(key=lambda entry: -len(entry[0]))  # a batch pads its nodes to its first
+            start = 0
+            while start < len(step):
+                cells = len(step[start][0]) * len(step[start][1])
+                batch = step[start:start + max(1, _SPLIT_BATCH_CELLS // max(1, cells))]
+                start += len(batch)
+                feats = np.stack([entry[1] for entry in batch]).astype(np.intp, copy=False)
+                splits = _best_splits(X, y, [entry[0] for entry in batch], feats, ranked)
+                for (rows, _, t, n_pos, depth_left, holder, key), split in zip(batch, splits):
+                    if split is None:
+                        holder[key] = _leaf(len(rows), n_pos)
+                        continue
+                    feature, threshold = split
+                    go_left = XT[feature].take(rows) <= threshold
+                    left, right = rows[go_left], rows[~go_left]
+                    left_pos = int(np.count_nonzero(y.take(left)))
+                    holder[key] = node = {"leaf": False, "feature": places[trees[t][1]][feature], "threshold": threshold}
+                    stacks[t].append((right, n_pos - left_pos, depth_left - 1, node, "right"))
+                    stacks[t].append((left, left_pos, depth_left - 1, node, "left"))
+
+
+def _grow(
+    X: np.ndarray, y: np.ndarray, seed: int, groups: list[list[int]], config: TrainConfig,
+    trees: bool = True, forests: bool = True,
+) -> tuple[list[dict], list[list[dict]]]:
+    """The root of each column list's CART (when trees) and the roots of
+    its forest (when forests), all grown in one _grow_trees call.
+
+    Tree i of a forest draws its bootstrap, then its candidate columns,
+    from Random(derive_seed(seed, "tree", i)). That seed is the same in
+    every forest, so the forests share tree i's bootstrap, drawn once, and
+    read the same word stream after it.
+    """
+    y = np.asarray(y, int)
+    n = len(y)
+    row = np.min_scalar_type(max(n - 1, 0))  # every tree holds its pending rows at once: the smallest dtype
+    specs = [(np.arange(n, dtype=row), g, None) for g in range(len(groups))] if trees else []
+    search = None
+    if forests:
+        rngs = [random.Random(derive_seed(seed, "tree", i)) for i in range(config.forest_trees)]
+        boots = [_bootstrap(rng, n).astype(row) for rng in rngs]
+        search = _ForestDraws(rngs, groups).search
+        specs += [(rows, g, i) for g in range(len(groups)) for i, rows in enumerate(boots)]
+    # a bootstrap may draw one class only; that tree is one leaf
+    roots = _grow_trees(X, y, specs, groups, search, config.tree_max_depth, config.tree_min_samples_split)
+    single, rest = (roots[:len(groups)], roots[len(groups):]) if trees else ([], roots)
+    size = config.forest_trees
+    return single, [rest[g * size:(g + 1) * size] for g in range(len(groups))] if forests else []
 
 
 def _best_splits(
@@ -403,16 +574,7 @@ class RandomForest:
 
     def fit(self, X: np.ndarray, y: np.ndarray, config: TrainConfig, seed: int = 0) -> "RandomForest":
         _require_two_classes(y)
-        n = X.shape[0]
-        y = np.asarray(y, int)
-        samples, rngs = [], []
-        for i in range(config.forest_trees):
-            # each tree's RNG draws its bootstrap, then its candidate features
-            rng = random.Random(derive_seed(seed, "tree", i))
-            samples.append(_bootstrap(rng, n))
-            rngs.append(rng)
-        # a bootstrap may draw one class only; that tree is one leaf
-        roots = _grow_trees(X, y, samples, rngs, config.tree_max_depth, config.tree_min_samples_split)
+        roots = _grow(X, y, seed, [list(range(X.shape[1]))], config, trees=False)[1][0]
         self.trees = [DecisionTree(root) for root in roots]
         return self
 
@@ -479,19 +641,31 @@ class TrainedModel:
 
     @classmethod
     def load(cls, path) -> "TrainedModel":
+        """The model a save wrote to path. A file that is not a JSON object,
+        names an unknown kind, lacks a key, or holds w, mins or maxs of
+        another length than feature_indices raises ValueError naming it."""
         payload = read_json(path)
-        if payload.get("format") != MODEL_FORMAT:
+        if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
             raise ValueError(f"not a model file: {path}")
         if payload.get("version") != MODEL_VERSION:
             raise ValueError(f"unsupported model version {payload.get('version')}")
-        kind = payload["kind"]
-        model = _MODEL_CLASSES[kind].from_params(payload["parameters"])
+        kind = payload.get("kind")
+        if kind not in _MODEL_CLASSES:
+            raise ValueError(f"{path}: unknown model kind {kind!r}")
+        try:
+            model = _MODEL_CLASSES[kind].from_params(payload["parameters"])
+            scaler = MinMaxScaler.from_dict(payload["scaler"])
+            indices = list(payload["feature_indices"])
+            seed = int(payload["seed"])
+        except KeyError as exc:
+            raise ValueError(f"{path}: no {exc.args[0]!r}") from exc
+        lengths = {"w": model.w} if kind == KIND_SVM else {}
+        lengths.update(mins=scaler.mins, maxs=scaler.maxs)
+        for name, values in lengths.items():
+            if np.shape(values) != (len(indices),):
+                raise ValueError(f"{path}: {name} does not hold one value per feature index ({len(indices)})")
         return cls(
-            kind=kind,
-            model=model,
-            scaler=MinMaxScaler.from_dict(payload["scaler"]),
-            feature_indices=list(payload["feature_indices"]),
-            seed=int(payload["seed"]),
+            kind=kind, model=model, scaler=scaler, feature_indices=indices, seed=seed,
             config=TrainConfig(**payload.get("config", {})),
         )
 
@@ -511,17 +685,40 @@ def train(
     """
     if kind not in _MODEL_CLASSES:
         raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
+    return _fit(X_raw, y, seed, [feature_group], [kind], config)[0][kind]
+
+
+def _fit(
+    X_raw: np.ndarray, y: np.ndarray, seed: int, feature_groups, kinds, config: TrainConfig | None,
+) -> list[dict[str, TrainedModel]]:
+    """Each model kind of kinds fitted on each feature group's columns of
+    raw (unscaled) features, all in one pass: the SVMs in one epoch loop,
+    the trees and forests in one lockstep grow. One scaler fitted on every
+    column serves every group: a group's scaler is its columns' mins and
+    maxs, and its scaled columns hold the same bits as the group's own."""
     config = config or TrainConfig()
-    if feature_group == "all":
-        indices = list(range(X_raw.shape[1]))
-    else:
-        indices = group_indices(feature_group)
-    X_sub = X_raw[:, indices]
-    scaler = MinMaxScaler().fit(X_sub)
-    model = _MODEL_CLASSES[kind]().fit(scaler.transform(X_sub), np.asarray(y, int), config, seed=seed)
-    return TrainedModel(
-        kind=kind, model=model, scaler=scaler, feature_indices=indices, seed=seed, config=config
-    )
+    y = np.asarray(y, int)
+    groups = [list(range(X_raw.shape[1])) if group == "all" else group_indices(group) for group in feature_groups]
+    scaler = MinMaxScaler().fit(X_raw)
+    X = scaler.transform(X_raw)
+    _require_two_classes(y)
+    fitted: dict[str, list] = {}
+    if KIND_SVM in kinds:
+        fitted[KIND_SVM] = [LinearSVM(w[:-1], float(w[-1])) for w in _svm_weights(X, y, groups, config)]
+    if KIND_TREE in kinds or KIND_FOREST in kinds:
+        trees, forests = _grow(X, y, seed, groups, config, KIND_TREE in kinds, KIND_FOREST in kinds)
+        fitted[KIND_TREE] = [DecisionTree(root) for root in trees]
+        fitted[KIND_FOREST] = [RandomForest([DecisionTree(root) for root in roots]) for roots in forests]
+    return [
+        {
+            kind: TrainedModel(
+                kind=kind, model=fitted[kind][g], scaler=MinMaxScaler(scaler.mins[cols], scaler.maxs[cols]),
+                feature_indices=cols, seed=seed, config=config,
+            )
+            for kind in kinds
+        }
+        for g, cols in enumerate(groups)
+    ]
 
 
 def evaluate(predictions: np.ndarray, labels: np.ndarray) -> dict:
@@ -563,15 +760,19 @@ def train_and_evaluate(
 def ablation(
     X_raw: np.ndarray, y: np.ndarray, seed: int, config: TrainConfig | None = None,
 ) -> tuple[dict[str, dict[str, dict]], dict[str, dict[str, TrainedModel]]]:
-    """Every feature group x model kind through train_and_evaluate, so all
-    cells share one split. Returns the table of evaluate rows and the
-    fitted models, both keyed by group, then kind."""
-    table: dict[str, dict[str, dict]] = {}
-    models: dict[str, dict[str, TrainedModel]] = {}
-    for group in ("content", "auxiliary", "activity_profile", "all"):
-        table[group], models[group] = {}, {}
-        for kind in MODEL_KINDS:
-            models[group][kind], table[group][kind] = train_and_evaluate(X_raw, y, seed, kind, group, config)
+    """Every feature group x model kind fitted on one split_80_20(y, seed)
+    in one pass, each cell the model and evaluate row train_and_evaluate
+    gives. Returns the table of evaluate rows and the fitted models, both
+    keyed by group, then kind."""
+    y = np.asarray(y, int)
+    train_idx, test_idx = split_80_20(y, seed)
+    groups = ("content", "auxiliary", "activity_profile", "all")
+    models = dict(zip(groups, _fit(X_raw[train_idx], y[train_idx], seed, groups, MODEL_KINDS, config)))
+    X_test, y_test = X_raw[test_idx], y[test_idx]
+    table = {
+        group: {kind: evaluate(model.predict(X_test), y_test) for kind, model in cells.items()}
+        for group, cells in models.items()
+    }
     return table, models
 
 

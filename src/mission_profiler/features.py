@@ -149,9 +149,11 @@ def save_features(ids: list[str], X: np.ndarray, M: np.ndarray, path) -> None:
 
 def load_features(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     """(ids, X, M) as save_features takes them, rows sorted by profile id.
-    A repeated profile id, values or a mask of other than N_FEATURES items,
-    a value that is not a finite JSON number (a boolean is not one), or a
-    mask item that is not true or false raises ValueError naming its line."""
+    A row that is not an object holding a string profile_id, values and
+    mask, a repeated profile id, values or a mask that is not a list of
+    N_FEATURES items, a value that is not a finite JSON number (a boolean
+    is not one), or a mask item that is not true or false raises
+    ValueError naming its line."""
     rows: dict[str, dict] = {}
     with open(path, "r", encoding="utf-8") as fh:
         header = loads_line(fh.readline())
@@ -163,9 +165,18 @@ def load_features(path) -> tuple[list[str], np.ndarray, np.ndarray]:
             if not line.strip():
                 continue
             row = loads_line(line)
+            if not isinstance(row, dict):
+                raise ValueError(f"line {lineno}: not a JSON object")
+            for key in ("profile_id", "values", "mask"):
+                if key not in row:
+                    raise ValueError(f"line {lineno}: no {key}")
+            if not isinstance(row["profile_id"], str):
+                raise ValueError(f"line {lineno}: profile_id is not a string")
             if row["profile_id"] in rows:
                 raise ValueError(f"line {lineno}: profile {row['profile_id']} has an earlier row")
             for key in ("values", "mask"):
+                if not isinstance(row[key], list):
+                    raise ValueError(f"line {lineno}: {key} is not a list")
                 if len(row[key]) != N_FEATURES:
                     raise ValueError(f"line {lineno}: {key} holds {len(row[key])} items, not {N_FEATURES}")
             if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in row["values"]):

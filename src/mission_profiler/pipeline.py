@@ -283,8 +283,9 @@ def designate(
     """On-mission designations and topic clusters within one entropy
     group: the designations.json payload. The global topic average sums
     the vectors of the corpus's own tweets; vectors of tweets outside the
-    corpus are left out. A member that is not in the corpus or has no
-    tweet with a topic vector raises ValueError naming it."""
+    corpus are left out. A member that is listed twice, is not in the
+    corpus or has no tweet with a topic vector raises ValueError naming
+    it."""
     members = partition.get(group, [])
     payload: dict = {"group": group, "designations": [], "clusters": []}
     if not members:
@@ -292,7 +293,11 @@ def designate(
         return payload
     ids, matrix = tpvs
     rows = topic_rows(corpus, ids)
+    seen: set[str] = set()
     for profile_id in members:
+        if profile_id in seen:
+            raise ValueError(f"group {group} member {profile_id} is listed twice")
+        seen.add(profile_id)
         if not rows.get(profile_id):
             reason = "is not in the corpus" if profile_id not in rows else "has no tweet with a topic vector"
             raise ValueError(f"group {group} member {profile_id} {reason}")

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import random
 import tracemalloc
 
@@ -24,8 +25,9 @@ from mission_profiler.classifier import (
     split_80_20,
     _best_splits,
     _bootstrap,
-    _draw_features,
     _rank_cells,
+    _sample_features,
+    _svm_weights,
     train,
     train_and_evaluate,
 )
@@ -129,6 +131,46 @@ def test_svm_loss_non_increasing_overall():
     assert after_1000 <= after_10 <= 1.0
 
 
+def _reference_svm(X, y, config):
+    """The per-model epoch loop the batched one replaced: weights, bias last."""
+    y_signed = np.where(np.asarray(y) > 0, 1.0, -1.0)
+    n, f = X.shape
+    yXb = y_signed[:, None] * np.hstack([X, np.ones((n, 1))])
+    lam = 1.0 / (config.svm_c * n)
+    w_full = np.zeros(f + 1)
+    for t in range(1, config.svm_epochs + 1):
+        violating = yXb @ w_full < 1.0
+        grad = lam * w_full
+        grad = grad - yXb[violating].sum(axis=0) / n
+        w_full = w_full - grad / (lam * t)
+    return w_full
+
+
+@st.composite
+def _svm_problems(draw):
+    n = draw(st.integers(2, 150))
+    f = draw(st.integers(1, 45))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    X = rng.random((n, f))
+    if draw(st.booleans()):  # ties
+        X = np.round(X * 3) / 3
+    X[:, draw(st.lists(st.integers(0, f - 1), max_size=4))] = 0.0  # constant columns, as scaling leaves them
+    y = rng.integers(0, 2, n)
+    y[:2] = [0, 1]
+    groups = draw(st.lists(st.lists(st.integers(0, f - 1), min_size=1, unique=True).map(sorted), min_size=1, max_size=4))
+    config = TrainConfig(svm_c=draw(st.sampled_from([0.1, 1.0, 10.0])), svm_epochs=draw(st.integers(1, 300)))
+    return X, y, groups, config
+
+
+@settings(max_examples=120, deadline=None)
+@given(_svm_problems())
+def test_batched_svm_loop_matches_the_per_model_loop_bit_for_bit(problem):
+    X, y, groups, config = problem
+    for cols, w_full in zip(groups, _svm_weights(X, y, groups, config)):
+        assert w_full.tobytes() == _reference_svm(X[:, cols], y, config).tobytes()
+
+
 def test_svm_single_class_raises():
     X = np.zeros((10, 2))
     with pytest.raises(ValueError):
@@ -190,6 +232,14 @@ def test_tree_respects_max_depth():
     assert depth(tree.root) <= 3
 
 
+def _reference_draw(rng, n_features):
+    """The candidate features of one split search: every feature without an
+    RNG, else sqrt(F) of them drawn from it, one sample call a search."""
+    if rng is None:
+        return list(range(n_features))
+    return sorted(rng.sample(range(n_features), max(1, int(round(n_features ** 0.5)))))
+
+
 def _reference_best_split(rng, X, y):
     """The scalar split search that the prefix-count scan replaced: one Gini
     impurity per threshold, walked feature by feature over the candidate
@@ -204,7 +254,7 @@ def _reference_best_split(rng, X, y):
 
     n = len(y)
     best = None
-    for feature in _draw_features(rng, X.shape[1]):
+    for feature in _reference_draw(rng, X.shape[1]):
         column = X[:, feature]
         order = np.argsort(column, kind="stable")
         sorted_vals = column[order]
@@ -249,7 +299,7 @@ _NEAR_TIE_Y = np.array([0, 0, 0, 0, 0, 1, 0, 1])
 def test_batched_split_search_matches_the_scalar_reference_per_node(batch):
     X, y, nodes, seeds = batch
     fast_rngs = [None] * len(nodes) if seeds is None else [random.Random(s) for s in seeds]
-    feats = np.array([_draw_features(rng, X.shape[1]) for rng in fast_rngs], dtype=np.intp)
+    feats = np.array([_reference_draw(rng, X.shape[1]) for rng in fast_rngs], dtype=np.intp)
     splits = _best_splits(X, y, nodes, feats, _rank_cells(X, y))
     for j, rows in enumerate(nodes):
         slow_rng = None if seeds is None else random.Random(seeds[j])
@@ -360,6 +410,33 @@ def test_bulk_bootstrap_draws_what_randrange_draws(seed):
         bulk, loop = random.Random(derive_seed(seed, n)), random.Random(derive_seed(seed, n))
         assert _bootstrap(bulk, n).tolist() == [loop.randrange(n) for _ in range(n)], n
         assert bulk.getstate() == loop.getstate(), n
+
+
+def _words(rng, m):
+    return np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), dtype="<u4")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 199), st.integers(0, 2**32 - 1), st.integers(1, 12))
+@example(22, 0, 12)  # the smallest population sample takes with its set of draws, k = 5
+@example(86, 1, 12)  # and again with k = 9
+def test_bulk_sample_draws_what_sample_draws_call_after_call(n, seed, count):
+    k = max(1, int(round(n ** 0.5)))
+    streams = [random.Random(derive_seed(seed, s)) for s in range(3)]
+    words = np.stack([_words(rng, 64 * count * k) for rng in streams])
+    picks, used = _sample_features(words, n, k, count)
+    for s, (row, n_used) in enumerate(zip(picks, used.tolist())):
+        loop = random.Random(derive_seed(seed, s))
+        assert row.tolist() == [sorted(loop.sample(range(n), k)) for _ in range(count)], s
+        advanced = random.Random(derive_seed(seed, s))
+        advanced.getrandbits(32 * n_used)
+        assert advanced.getstate() == loop.getstate(), s  # it took the words the sample calls took
+
+
+def test_bulk_sample_reports_a_stream_that_runs_out():
+    words = _words(random.Random(3), 40)[None, :]
+    assert _sample_features(words, 40, 6, 8) is None  # 48 draws cannot come from 40 words
+    assert _sample_features(words, 40, 6, 1) is not None
 
 
 class _MostlyHighWords(random.Random):
@@ -609,6 +686,62 @@ def test_ablation_cells_are_the_train_and_evaluate_fits(tmp_path):
             assert (tmp_path / "cell.json").read_bytes() == (tmp_path / "alone.json").read_bytes()
 
 
+@st.composite
+def _tied_ablations(draw):
+    import mission_profiler.features as feats
+
+    n = draw(st.integers(8, 30))
+    levels = draw(st.integers(2, 4))
+    values = draw(st.lists(st.integers(0, levels - 1), min_size=n * 6, max_size=n * 6))
+    X = np.zeros((n, feats.N_FEATURES))
+    spread = draw(st.lists(st.integers(0, feats.N_FEATURES - 1), min_size=6, max_size=6, unique=True))
+    X[:, spread] = np.asarray(values, float).reshape(n, 6) / draw(st.sampled_from([1.0, 3.0, 7.0]))
+    n_pos = draw(st.integers(2, max(2, n // 4)))  # few positives
+    y = np.asarray(draw(st.permutations([1] * n_pos + [0] * (n - n_pos))), int)
+    config = TrainConfig(
+        svm_epochs=draw(st.integers(1, 40)),
+        tree_max_depth=draw(st.integers(0, 5)),
+        tree_min_samples_split=draw(st.integers(1, 4)),
+        forest_trees=draw(st.integers(1, 6)),
+    )
+    return X, y, config, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_tied_ablations())
+def test_every_ablation_cell_is_the_fit_train_and_evaluate_makes(problem):
+    X, y, config, seed = problem
+    table, models = ablation(X, y, seed, config)
+    train_idx, _ = split_80_20(y, seed)
+    for group, cells in models.items():
+        for kind, model in cells.items():
+            alone, report = train_and_evaluate(X, y, seed, kind, group, config)
+            assert table[group][kind] == report
+            assert model.feature_indices == alone.feature_indices
+            assert model.scaler.as_dict() == alone.scaler.as_dict()
+            assert model.model.params_dict() == alone.model.params_dict(), (group, kind)
+        # and each cell is what the per-model references fit on the group's own scaled columns
+        X_train = X[train_idx][:, cells[KIND_SVM].feature_indices]
+        scaled = MinMaxScaler().fit(X_train).transform(X_train)
+        w_full = _reference_svm(scaled, y[train_idx], config)
+        assert cells[KIND_SVM].model.params_dict() == {"w": w_full[:-1].tolist(), "b": float(w_full[-1])}
+        assert cells[KIND_TREE].model.params_dict() == _reference_tree(scaled, y[train_idx], config, None)
+        assert cells[KIND_FOREST].model.params_dict() == _reference_forest(scaled, y[train_idx], config, seed)
+
+
+def test_ablation_draws_each_bootstrap_once(monkeypatch):
+    # the four forests' tree i share its seed, so they share its bootstrap
+    import mission_profiler.classifier as classifier
+
+    calls = []
+    real = classifier._bootstrap
+    monkeypatch.setattr(classifier, "_bootstrap", lambda rng, n: calls.append(n) or real(rng, n))
+    X, y = make_blobs(60, seed=37)
+    config = TrainConfig(forest_trees=7, svm_epochs=5)
+    ablation(_padded(X), y, 37, config)
+    assert len(calls) == config.forest_trees
+
+
 # -- model files -------------------------------------------------------------------------
 
 def test_model_save_load_round_trip(tmp_path):
@@ -622,6 +755,32 @@ def test_model_save_load_round_trip(tmp_path):
         path2 = tmp_path / f"{kind}-2.json"
         loaded.save(path2)
         assert path.read_bytes() == path2.read_bytes()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda p: ["a list"], "not a model file"),
+    (lambda p: {**p, "kind": "gbm"}, "unknown model kind 'gbm'"),
+    (lambda p: {k: v for k, v in p.items() if k != "parameters"}, "no 'parameters'"),
+    (lambda p: {k: v for k, v in p.items() if k != "scaler"}, "no 'scaler'"),
+    (lambda p: {**p, "scaler": {"mins": p["scaler"]["mins"]}}, "no 'maxs'"),
+    (lambda p: {**p, "parameters": {"b": 0.0, "w": 5}}, "w does not hold one value per feature index"),
+    (lambda p: {**p, "parameters": {"b": 0.0, "w": p["parameters"]["w"][:-1]}}, "w does not hold one value"),
+    (lambda p: {**p, "scaler": {"mins": p["scaler"]["mins"] + [0.0], "maxs": p["scaler"]["maxs"]}},
+     "mins does not hold one value"),
+    (lambda p: {**p, "scaler": {"mins": p["scaler"]["mins"], "maxs": [p["scaler"]["maxs"]]}},
+     "maxs does not hold one value"),
+], ids=["not-an-object", "unknown-kind", "no-parameters", "no-scaler", "no-maxs", "w-scalar", "w-short",
+        "mins-long", "maxs-nested"])
+def test_a_bad_model_file_is_refused_naming_it(tmp_path, edit, message):
+    # an unknown kind used to fail as KeyError('gbm'), a missing key as KeyError('parameters'),
+    # and "w": 5 loaded
+    X, y = make_blobs(40, seed=45, dims=3)
+    path = tmp_path / "model.json"
+    train(KIND_SVM, X, y, seed=45).save(path)
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    with pytest.raises(ValueError, match=message) as raised:
+        TrainedModel.load(path)
+    assert str(path) in str(raised.value)
 
 
 def test_model_byte_identical_across_retrains(tmp_path):

@@ -436,6 +436,24 @@ def test_classify_commands_refuse_a_feature_file_holding_a_null_value(bundle_dir
     assert not (tmp_path / "model.json").exists() and not (tmp_path / "wild.json").exists()
 
 
+@pytest.mark.parametrize("row, message", [
+    ({"values": []}, "no profile_id"),
+    ({"profile_id": "x", "values": 5, "mask": []}, "values is not a list"),
+    (["x"], "not a JSON object"),
+], ids=["no-id", "values-int", "not-an-object"])
+def test_flag_names_the_line_of_a_feature_row_of_the_wrong_shape(run_dir, tmp_path, row, message):
+    lines = (run_dir / "features" / "features.jsonl").read_text().splitlines(keepends=True)
+    features = tmp_path / "features.jsonl"
+    features.write_text("".join(lines[:2] + [json.dumps(row) + "\n"] + lines[2:]))
+    result = CliRunner().invoke(main, [
+        "flag", "--model", str(run_dir / "classify" / "model_linear_svm.json"), "--features", str(features),
+        "--groups", str(run_dir / "group" / "groups.json"), "--out", str(tmp_path / "wild.json"),
+    ])
+    assert result.exit_code == 17, result.output
+    assert f"error [classify]: line 3: {message}\n" in result.output
+    assert not (tmp_path / "wild.json").exists()
+
+
 def _detect_args(bundle_dir, corpus_bin, tpvs, groups, out):
     return [
         "detect", "--corpus", str(corpus_bin), "--tpv", str(tpvs), "--k", "20",
@@ -453,6 +471,20 @@ def test_detect_command_names_a_group_member_the_corpus_lacks(bundle_dir, run_di
     result = CliRunner().invoke(main, _detect_args(bundle_dir, corpus_bin, bundle_dir / "tpvs.jsonl", path, out))
     assert result.exit_code == 15, result.output
     assert "error [detect]: group VII member ghost-0001 is not in the corpus" in result.output
+    assert not out.exists()
+
+
+def test_detect_command_refuses_a_group_member_listed_twice(bundle_dir, run_dir, corpus_bin, tmp_path):
+    # the repeated member used to count twice in its cluster's size and in pct_of_group
+    groups = json.loads((run_dir / "group" / "groups.json").read_text())
+    members = groups["groups"]["VII"]
+    members.append(members[0])
+    path = tmp_path / "groups.json"
+    path.write_text(json.dumps(groups))
+    out = tmp_path / "designations.json"
+    result = CliRunner().invoke(main, _detect_args(bundle_dir, corpus_bin, bundle_dir / "tpvs.jsonl", path, out))
+    assert result.exit_code == 15, result.output
+    assert f"error [detect]: group VII member {members[0]} is listed twice" in result.output
     assert not out.exists()
 
 

@@ -214,6 +214,26 @@ def test_a_value_or_mask_item_of_the_wrong_kind_is_refused_naming_its_line(tmp_p
         load_features(path)
 
 
+@pytest.mark.parametrize("line, message", [
+    ('["a"]', "not a JSON object"),
+    ('"a"', "not a JSON object"),
+    ('{"values": [], "mask": []}', "no profile_id"),
+    ('{"profile_id": "b", "mask": []}', "no values"),
+    ('{"profile_id": "b", "values": []}', "no mask"),
+    ('{"profile_id": 7, "values": [], "mask": []}', "profile_id is not a string"),
+    ('{"profile_id": "b", "values": 5, "mask": []}', "values is not a list"),
+    (json.dumps({"profile_id": "b", "values": [0.0] * N_FEATURES, "mask": {"x": 1}}), "mask is not a list"),
+], ids=["list", "string", "no-id", "no-values", "no-mask", "int-id", "values-int", "mask-object"])
+def test_a_row_of_the_wrong_shape_is_refused_naming_its_line(tmp_path, line, message):
+    # these used to escape as a bare KeyError or TypeError naming no line
+    path = tmp_path / "features.jsonl"
+    _rows_file(path, [("a", N_FEATURES, N_FEATURES)])
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+    with pytest.raises(ValueError, match=f"^line 3: {message}$"):
+        load_features(path)
+
+
 def test_integer_values_load_as_floats(tmp_path):
     path = tmp_path / "features.jsonl"
     _rows_file(path, [])

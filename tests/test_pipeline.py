@@ -1029,10 +1029,13 @@ def test_every_file_a_stage_writes_is_a_manifest_output(tmp_path):
 
 
 def test_classify_takes_its_evaluation_and_models_from_the_ablations_fits(tmp_path, monkeypatch):
-    # counted as the benchmark's tracer counts fits: by rebinding classifier.train
+    # the ablation fits its twelve cells in one pass of classifier._fit
     fits = []
-    real_train = classifier.train
-    monkeypatch.setattr(classifier, "train", lambda kind, *a, **k: fits.append(kind) or real_train(kind, *a, **k))
+    real_fit = classifier._fit
+    monkeypatch.setattr(
+        classifier, "_fit", lambda X, y, seed, groups, kinds, config: fits.append((tuple(groups), tuple(kinds)))
+        or real_fit(X, y, seed, groups, kinds, config),
+    )
     paths = _small_bundle(tmp_path)
     out = tmp_path / "run"
     run_pipeline(_config(paths), out)
@@ -1044,7 +1047,7 @@ def test_classify_takes_its_evaluation_and_models_from_the_ablations_fits(tmp_pa
     labeled = [p for p in ids if p in labels]
     assert len(labeled) >= 5
     assert evaluation["n_train"] + evaluation["n_test"] == len(labeled)
-    assert len(fits) == 12  # 4 feature groups x 3 kinds, each fitted once
+    assert fits == [(("content", "auxiliary", "activity_profile", "all"), classifier.MODEL_KINDS)]
 
 
 def test_skipped_classify_removes_an_earlier_runs_models(tmp_path):
