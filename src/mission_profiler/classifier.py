@@ -2,13 +2,13 @@
 
 Linear SVM trained by full-batch subgradient descent on L2-regularized
 hinge loss; CART decision tree splitting on Gini impurity; random forest
-of bootstrapped CARTs with sqrt(F) feature sampling per split. Everything
+of bootstrapped CARTs with sqrt(F) feature sampling per split, every
+random draw a splitmix64 output keyed by (seed, tree, node). Everything
 is seeded and serializes to versioned JSON so that identical inputs
 reproduce byte-identical model files.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -203,147 +203,22 @@ class DecisionTree:
 _SPLIT_BATCH_CELLS = 1 << 12
 
 
-def _sample_features(words: np.ndarray, n: int, k: int, count: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """The first count results of sorted(rng.sample(range(n), k)) for each
-    row of words, the 32-bit words an RNG yields from there on, as a
-    (rows x count x k) array, and how many words of each row they use;
-    None when a row runs out of words.
+def _keyed(keys: np.ndarray, nodes, count: int) -> np.ndarray:
+    """count draws for each row, (rows x count) uint64: draw i of row j is
+    splitmix64 of the counter i + 1, offset by keys[j] ^ nodes[j] * golden
+    (the (i + 1)-th output of a splitmix64 stream seeded there).
 
-    CPython's sample picks from a shrinking pool when the pool is no larger
-    than the set it would keep otherwise: pick i takes place
-    j = randbelow(n - i) and moves the pool's last item there. Otherwise it
-    draws j = randbelow(n) again until j is new. randbelow(m) takes the top
-    m.bit_length() bits of one word and draws again while they reach m.
+    Counter-based, as in Salmon et al.'s generators: a row's draws depend
+    on its key and node only, never on the draws made before. Every
+    operation is on arrays, which wrap mod 2**64 without a warning.
     """
-    rows, length = words.shape
-    from_pool = n <= 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
-    bounds = [n - i for i in range(k)] if from_pool else [n]
-    # per bound m: for each place of a row, the next word at or after it
-    # whose top m.bit_length() bits lie below m, length where none is left
-    # (two padding places, so a row that runs out stays in its row); a
-    # word's top bits lie below m where the word lies below m << shift
-    width = length + 2
-    place = np.arange(width, dtype=np.min_scalar_type(width))
-    ahead = {}
-    for m in bounds:
-        shift = 32 - m.bit_length()
-        kept = np.where(words < (m << shift), place[:length], place[length])
-        table = np.full((rows, width), length, dtype=place.dtype)
-        np.minimum.accumulate(kept[:, ::-1], axis=1, out=table[:, length - 1::-1])
-        ahead[m] = table.ravel()
-    row_start = np.arange(rows) * width
-    taken = np.empty((rows, count, k), dtype=np.intp)  # the word each draw takes
-    used = np.zeros(rows, dtype=np.intp)
-    for c in range(count):
-        if from_pool:
-            for i, m in enumerate(bounds):
-                taken[:, c, i] = ahead[m].take(row_start + used)
-                used = taken[:, c, i] + 1
-            continue
-        # from the set: draw again while the draw is already chosen
-        chosen = np.zeros((rows, n), dtype=bool)
-        got = np.zeros(rows, dtype=np.intp)
-        while len(r := np.flatnonzero(got < k)):
-            q = ahead[n].take(row_start[r] + used[r])
-            j = words[r, np.minimum(q, length - 1)] >> (32 - n.bit_length())
-            new = (q < length) & ~chosen[r, j]
-            taken[r[new], c, got[r[new]]] = q[new]
-            chosen[r[new], j[new]] = True
-            got[r[new]] += 1
-            used[r] = q + 1
-            if (q == length).any():
-                return None
-    if (used > length).any():
-        return None
-    picks = words[np.arange(rows)[:, None, None], taken] >> np.array([32 - m.bit_length() for m in bounds])
-    if from_pool:
-        # a pick is a place in what is left of the pool; the pool's last
-        # item moves into the place taken
-        flat = picks.reshape(-1, k)
-        pool = np.tile(np.arange(n, dtype=np.min_scalar_type(n)), (len(flat), 1))
-        each = np.arange(len(flat))
-        for i, j in enumerate(flat.T.copy()):
-            flat[:, i] = pool[each, j]
-            pool[each, j] = pool[:, n - i - 1]
-    picks.sort(axis=2)
-    return picks, used
-
-
-# Split searches per tree whose candidate columns _ForestDraws emulates at
-# once, after a first chunk of half as many (the trees of a small sample
-# search few nodes); its temporaries take about 5 KB a tree.
-_DRAW_CHUNK = 8
-
-
-class _ForestDraws:
-    """The candidate columns of every forest tree's split searches.
-
-    Tree i of each forest draws from the RNG rngs[i], after its bootstrap:
-    its s-th split search takes the columns at the places
-    sorted(rng.sample(range(F), k)) of its group's column list, F long,
-    k = sqrt(F) rounded, as the s-th sample call on that RNG draws them.
-    The forests read one word stream per tree number, each from its own
-    place in it; _sample_features emulates their sample calls for every
-    tree at once, a chunk of searches at a time.
-    """
-
-    def __init__(self, rngs: list[random.Random], groups: list[list[int]]):
-        self.rngs = rngs
-        self.words = np.empty((len(rngs), 0), dtype=np.uint32)
-        # the smallest dtype: every search's columns are kept until the grow ends
-        self.groups = [np.asarray(cols, dtype=np.min_scalar_type(max(cols))) for cols in groups]
-        self.at = [np.zeros(len(rngs), dtype=np.intp) for _ in groups]  # each forest's next word, per stream
-        self.searches: list[list[np.ndarray]] = [[] for _ in groups]  # each forest's (trees x k) columns, per search
-
-    def search(self, g: int, s: int) -> np.ndarray:
-        """The candidate columns of search s of forest g's trees, (trees x k)."""
-        searches, cols = self.searches[g], self.groups[g]
-        while s >= len(searches):
-            n = len(cols)
-            k = max(1, int(round(math.sqrt(n))))
-            count = _DRAW_CHUNK if searches else _DRAW_CHUNK // 2
-            length = 2 * count * k + 64  # a draw takes under two words on average
-            while (drawn := _sample_features(self._words(self.at[g], length), n, k, count)) is None:
-                length *= 2
-            picks, used = drawn
-            self.at[g] += used
-            searches.extend(cols[picks[:, c]] for c in range(count))
-        return searches[s]
-
-    def _words(self, at: np.ndarray, length: int) -> np.ndarray:
-        """length words of each stream from its place at, drawing more as needed."""
-        short = int(at.max()) + length - self.words.shape[1]
-        if short > 0:
-            m = max(short, self.words.shape[1])
-            more = [np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), dtype="<u4") for rng in self.rngs]
-            self.words = np.hstack([self.words, np.stack(more)])
-        return self.words.take((at + np.arange(len(at)) * self.words.shape[1])[:, None] + np.arange(length))
-
-
-def _bootstrap(rng: random.Random, n: int) -> np.ndarray:
-    """n row numbers below n, exactly as [rng.randrange(n) for _ in range(n)]
-    draws them, leaving rng in the same state.
-
-    CPython's randrange(n) takes the top n.bit_length() bits of one 32-bit
-    word per getrandbits call and draws again while they reach n. Here the
-    words come in one oversized getrandbits call (word i is bits 32i to
-    32i + 31); the state is then rewound and advanced by the words used.
-    """
-    shift = 32 - n.bit_length()
-    state = rng.getstate()
-    # n kept words take 2**bit_length words on average; the margin is over
-    # four standard deviations, so a second, larger draw is rare
-    m = (1 << n.bit_length()) + 8 * math.isqrt(n) + 64
-    while True:
-        words = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), dtype="<u4") >> shift
-        kept = np.flatnonzero(words < n)
-        if len(kept) >= n:
-            break
-        rng.setstate(state)
-        m *= 2
-    rng.setstate(state)
-    rng.getrandbits(32 * (int(kept[n - 1]) + 1))
-    return words[kept[:n]].astype(np.intp)
+    golden = 0x9E3779B97F4A7C15  # splitmix64's increment, 2**64 over the golden ratio
+    keys = np.asarray(keys, dtype=np.uint64)
+    nodes = np.broadcast_to(np.asarray(nodes, dtype=np.uint64), keys.shape)
+    z = (keys ^ nodes * golden)[:, None] + np.arange(1, count + 1, dtype=np.uint64) * golden
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    return z ^ (z >> 31)
 
 
 def _leaf(n: int, n_pos: int) -> dict:
@@ -399,26 +274,24 @@ def _route(roots: list[dict], X: np.ndarray) -> np.ndarray:
 
 
 def _grow_trees(
-    X: np.ndarray,
-    y: np.ndarray,
-    trees: list[tuple[np.ndarray, int, int | None]],
-    groups: list[list[int]],
-    search,
-    max_depth: int,
-    min_split: int,
+    X: np.ndarray, y: np.ndarray, trees: list[tuple[np.ndarray, int, int | None]], groups: list[list[int]],
+    draw, max_depth: int, min_split: int,
 ) -> list[dict]:
     """Grow one CART per entry of trees in lockstep; returns their roots.
 
     Tree (rows, g, i) grows on those rows of X and y (0/1 labels) and
     splits on the columns groups[g] of X, an ascending list; a node stores
-    its split column's place in that list. Its s-th split search considers
-    every column of the list when i is None, else the columns
-    search(g, s)[i]. Each tree takes its nodes in depth-first preorder from
-    its own stack, left child first, so its s-th search is the s-th node a
-    recursive build searches. Each step takes from every tree the next
-    node that needs a split search and scores them together, in batches of
-    one candidate count and at most _SPLIT_BATCH_CELLS grid cells (a node
-    larger than that is scored alone).
+    its split column's place in that list. Nodes are numbered heap-style:
+    the root is 1 and node j's children are 2j and 2j + 1, mod 2**64. A
+    node's split search considers every column of the list when i is None,
+    else the places in the list that draw(numbers, nodes, F) returns in the
+    node's row, where numbers and nodes hold the tree and node numbers of
+    several nodes and F is the list's length. Each step takes from every
+    tree the next node on its stack that needs a split search, draws the
+    candidates of all its sampled nodes of one group in one draw call, and
+    scores them together, in batches of one candidate count and at most
+    _SPLIT_BATCH_CELLS grid cells (a node larger than that is scored
+    alone).
     """
     X = np.asarray(X, float)
     XT = np.ascontiguousarray(X.T)  # a column's values in one run
@@ -426,36 +299,45 @@ def _grow_trees(
     every = [np.asarray(cols, dtype=np.intp) for cols in groups]
     places = [{col: place for place, col in enumerate(cols)} for cols in groups]
     roots: list[dict | None] = [None] * len(trees)
-    # a pending node: its rows, its positives, the depth left below it and
-    # the slot its dict goes into
-    stacks = [[(rows, int(np.count_nonzero(y[rows])), max_depth, roots, t)] for t, (rows, _, _) in enumerate(trees)]
+    # a pending node: its rows, its positives, the depth left below it, its
+    # number and the slot its dict goes into
+    stacks = [[(rows, int(np.count_nonzero(y[rows])), max_depth, 1, roots, t)] for t, (rows, _, _) in enumerate(trees)]
     growing = range(len(trees))
-    for s in itertools.count():
-        by_count: dict[int, list] = {}  # this step's searches, by candidate count
+    while True:
+        step: dict[tuple[int, bool], list] = {}  # this step's searches, by group and whether sampled
         for t in growing:
             stack = stacks[t]
             while stack:
-                rows, n_pos, depth_left, holder, key = stack.pop()
+                rows, n_pos, depth_left, _, holder, key = pending = stack.pop()
                 if depth_left <= 0 or len(rows) < min_split or n_pos in (0, len(rows)):
                     holder[key] = _leaf(len(rows), n_pos)
                     continue
                 _, g, i = trees[t]
-                feats = every[g] if i is None else search(g, s)[i]
-                by_count.setdefault(len(feats), []).append((rows, feats, t, n_pos, depth_left, holder, key))
+                step.setdefault((g, i is not None), []).append((t, pending))
                 break
-        if not by_count:
+        if not step:
             return roots
-        growing = [entry[2] for step in by_count.values() for entry in step]
-        for step in by_count.values():
-            step.sort(key=lambda entry: -len(entry[0]))  # a batch pads its nodes to its first
+        by_count: dict[int, list] = {}  # the searches with their candidate columns, by candidate count
+        for (g, sampled), searches in step.items():
+            if sampled:
+                numbers = np.array([trees[t][2] for t, _ in searches])
+                nodes = np.array([pending[3] for _, pending in searches], dtype=np.uint64)
+                feats = every[g][draw(numbers, nodes, len(every[g]))]
+            else:
+                feats = [every[g]] * len(searches)
+            for (t, pending), cols in zip(searches, feats):
+                by_count.setdefault(len(cols), []).append((t, pending, cols))
+        growing = [t for batch in by_count.values() for t, _, _ in batch]
+        for searches in by_count.values():
+            searches.sort(key=lambda entry: -len(entry[1][0]))  # a batch pads its nodes to its first
             start = 0
-            while start < len(step):
-                cells = len(step[start][0]) * len(step[start][1])
-                batch = step[start:start + max(1, _SPLIT_BATCH_CELLS // max(1, cells))]
+            while start < len(searches):
+                cells = len(searches[start][1][0]) * len(searches[start][2])
+                batch = searches[start:start + max(1, _SPLIT_BATCH_CELLS // max(1, cells))]
                 start += len(batch)
-                feats = np.stack([entry[1] for entry in batch]).astype(np.intp, copy=False)
-                splits = _best_splits(X, y, [entry[0] for entry in batch], feats, ranked)
-                for (rows, _, t, n_pos, depth_left, holder, key), split in zip(batch, splits):
+                feats = np.stack([cols for _, _, cols in batch])
+                splits = _best_splits(X, y, [pending[0] for _, pending, _ in batch], feats, ranked)
+                for (t, (rows, n_pos, depth_left, number, holder, key), _), split in zip(batch, splits):
                     if split is None:
                         holder[key] = _leaf(len(rows), n_pos)
                         continue
@@ -464,8 +346,9 @@ def _grow_trees(
                     left, right = rows[go_left], rows[~go_left]
                     left_pos = int(np.count_nonzero(y.take(left)))
                     holder[key] = node = {"leaf": False, "feature": places[trees[t][1]][feature], "threshold": threshold}
-                    stacks[t].append((right, n_pos - left_pos, depth_left - 1, node, "right"))
-                    stacks[t].append((left, left_pos, depth_left - 1, node, "left"))
+                    child = 2 * number % (1 << 64)
+                    stacks[t].append((right, n_pos - left_pos, depth_left - 1, child + 1, node, "right"))
+                    stacks[t].append((left, left_pos, depth_left - 1, child, node, "left"))
 
 
 def _grow(
@@ -475,23 +358,29 @@ def _grow(
     """The root of each column list's CART (when trees) and the roots of
     its forest (when forests), all grown in one _grow_trees call.
 
-    Tree i of a forest draws its bootstrap, then its candidate columns,
-    from Random(derive_seed(seed, "tree", i)). That seed is the same in
-    every forest, so the forests share tree i's bootstrap, drawn once, and
-    read the same word stream after it.
+    Tree i of a forest is keyed by derive_seed(seed, "tree", i). Its
+    bootstrap is _keyed(key, 0, n) % n; at node j it considers the
+    k = sqrt(F) rounded places of its F columns whose draws in
+    _keyed(key, j, F) are smallest, in ascending order. The key is the same
+    in every forest, so the forests share tree i's bootstrap, drawn once.
     """
     y = np.asarray(y, int)
     n = len(y)
     row = np.min_scalar_type(max(n - 1, 0))  # every tree holds its pending rows at once: the smallest dtype
     specs = [(np.arange(n, dtype=row), g, None) for g in range(len(groups))] if trees else []
-    search = None
+    draw = None
     if forests:
-        rngs = [random.Random(derive_seed(seed, "tree", i)) for i in range(config.forest_trees)]
-        boots = [_bootstrap(rng, n).astype(row) for rng in rngs]
-        search = _ForestDraws(rngs, groups).search
+        keys = np.array([derive_seed(seed, "tree", i) for i in range(config.forest_trees)], dtype=np.uint64)
+
+        def draw(numbers: np.ndarray, nodes: np.ndarray, width: int) -> np.ndarray:
+            k = max(1, round(math.sqrt(width)))
+            smallest = np.argsort(_keyed(keys[numbers], nodes, width), axis=1, kind="stable")[:, :k]
+            return np.sort(smallest, axis=1)
+
+        boots = (_keyed(keys, 0, n) % n).astype(row)
         specs += [(rows, g, i) for g in range(len(groups)) for i, rows in enumerate(boots)]
     # a bootstrap may draw one class only; that tree is one leaf
-    roots = _grow_trees(X, y, specs, groups, search, config.tree_max_depth, config.tree_min_samples_split)
+    roots = _grow_trees(X, y, specs, groups, draw, config.tree_max_depth, config.tree_min_samples_split)
     single, rest = (roots[:len(groups)], roots[len(groups):]) if trees else ([], roots)
     size = config.forest_trees
     return single, [rest[g * size:(g + 1) * size] for g in range(len(groups))] if forests else []
@@ -565,7 +454,10 @@ def _best_splits(
 
 
 class RandomForest:
-    """Bootstrap ensemble of CARTs with per-tree derived seeds."""
+    """Bootstrap ensemble of CARTs. Tree i is keyed by
+    derive_seed(seed, "tree", i); its bootstrap and each node's sqrt(F)
+    candidate features are _keyed draws for that key and the node's heap
+    number (0 for the bootstrap), so no draw depends on grow order."""
 
     kind = KIND_FOREST
 
@@ -617,6 +509,9 @@ class TrainedModel:
         return self.model.decision_scores(self._prepare(X_raw))
 
     def _prepare(self, X_raw: np.ndarray) -> np.ndarray:
+        width = np.shape(X_raw)[1]
+        if max(self.feature_indices, default=-1) >= width:
+            raise ValueError(f"the model reads feature column {max(self.feature_indices)}; the matrix has {width} columns")
         return self.scaler.transform(X_raw[:, self.feature_indices])
 
     def save(self, path, extra: dict | None = None) -> None:
@@ -642,23 +537,30 @@ class TrainedModel:
     @classmethod
     def load(cls, path) -> "TrainedModel":
         """The model a save wrote to path. A file that is not a JSON object,
-        names an unknown kind, lacks a key, or holds w, mins or maxs of
-        another length than feature_indices raises ValueError naming it."""
+        comes from another feature catalog, names an unknown kind, lacks a
+        key, holds feature_indices that are not distinct non-negative
+        integers, or holds w, mins or maxs of another length than
+        feature_indices raises ValueError naming it."""
         payload = read_json(path)
         if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
             raise ValueError(f"not a model file: {path}")
         if payload.get("version") != MODEL_VERSION:
             raise ValueError(f"unsupported model version {payload.get('version')}")
+        if payload.get("catalog_hash") != catalog_hash():
+            raise ValueError(f"{path}: model was trained on a different feature catalog")
         kind = payload.get("kind")
         if kind not in _MODEL_CLASSES:
             raise ValueError(f"{path}: unknown model kind {kind!r}")
         try:
             model = _MODEL_CLASSES[kind].from_params(payload["parameters"])
             scaler = MinMaxScaler.from_dict(payload["scaler"])
-            indices = list(payload["feature_indices"])
+            indices = payload["feature_indices"]
             seed = int(payload["seed"])
         except KeyError as exc:
             raise ValueError(f"{path}: no {exc.args[0]!r}") from exc
+        if not (isinstance(indices, list) and all(type(i) is int and i >= 0 for i in indices)
+                and len(set(indices)) == len(indices)):
+            raise ValueError(f"{path}: feature_indices is not a list of distinct non-negative integers")
         lengths = {"w": model.w} if kind == KIND_SVM else {}
         lengths.update(mins=scaler.mins, maxs=scaler.maxs)
         for name, values in lengths.items():

@@ -160,7 +160,7 @@ def load_features(path) -> tuple[list[str], np.ndarray, np.ndarray]:
         if header.get("format") != "mission-profiler-features":
             raise ValueError(f"not a feature file: {path}")
         if header.get("catalog_hash") != catalog_hash():
-            raise ValueError("feature file was produced with a different catalog")
+            raise ValueError(f"{path}: feature file was produced with a different catalog")
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue

@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -24,9 +25,8 @@ from mission_profiler.classifier import (
     flag_in_wild,
     split_80_20,
     _best_splits,
-    _bootstrap,
+    _keyed,
     _rank_cells,
-    _sample_features,
     _svm_weights,
     train,
     train_and_evaluate,
@@ -240,10 +240,10 @@ def _reference_draw(rng, n_features):
     return sorted(rng.sample(range(n_features), max(1, int(round(n_features ** 0.5)))))
 
 
-def _reference_best_split(rng, X, y):
+def _reference_best_split(features, X, y):
     """The scalar split search that the prefix-count scan replaced: one Gini
     impurity per threshold, walked feature by feature over the candidate
-    features drawn from rng (None: every feature)."""
+    features, an ascending list."""
 
     def gini(counts):
         total = counts.sum()
@@ -254,7 +254,7 @@ def _reference_best_split(rng, X, y):
 
     n = len(y)
     best = None
-    for feature in _reference_draw(rng, X.shape[1]):
+    for feature in features:
         column = X[:, feature]
         order = np.argsort(column, kind="stable")
         sorted_vals = column[order]
@@ -303,21 +303,48 @@ def test_batched_split_search_matches_the_scalar_reference_per_node(batch):
     splits = _best_splits(X, y, nodes, feats, _rank_cells(X, y))
     for j, rows in enumerate(nodes):
         slow_rng = None if seeds is None else random.Random(seeds[j])
-        assert splits[j] == _reference_best_split(slow_rng, X[rows], y[rows]), j
+        assert splits[j] == _reference_best_split(_reference_draw(slow_rng, X.shape[1]), X[rows], y[rows]), j
         if seeds is not None:  # each node drew what the reference drew, no more
             assert fast_rngs[j].getstate() == slow_rng.getstate()
 
 
-def _reference_tree(X, y, config, rng):
-    """The recursive builder the lockstep grower replaced, on the scalar
-    split search: one node at a time in depth-first preorder."""
+_MASK = 2**64 - 1
 
-    def build(X, y, depth_left):
+
+def _reference_splitmix(key, node, count):
+    """count draws of the splitmix64 stream seeded with key ^ node * golden,
+    one Python int at a time, masked to 64 bits."""
+    state = (key ^ node * 0x9E3779B97F4A7C15) & _MASK
+    draws = []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & _MASK
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        draws.append(z ^ (z >> 31))
+    return draws
+
+
+def _reference_candidates(key, node, n_features):
+    """Every feature without a key, else the sqrt(F) features whose draws
+    for (key, node) are smallest, ascending."""
+    if key is None:
+        return list(range(n_features))
+    draws = _reference_splitmix(key, node, n_features)
+    k = max(1, int(round(n_features ** 0.5)))
+    return sorted(sorted(range(n_features), key=draws.__getitem__)[:k])
+
+
+def _reference_tree(X, y, config, key):
+    """The recursive builder the lockstep grower replaced, on the scalar
+    split search: one node at a time in depth-first preorder, node j's
+    children numbered 2j and 2j + 1 from a root numbered 1."""
+
+    def build(X, y, depth_left, node):
         n_pos = int((y == 1).sum())
         leaf = {"leaf": True, "n": len(y), "n_pos": n_pos, "cls": int(n_pos * 2 > len(y))}
         if depth_left <= 0 or len(y) < config.tree_min_samples_split or len(set(y.tolist())) == 1:
             return leaf
-        split = _reference_best_split(rng, X, y)
+        split = _reference_best_split(_reference_candidates(key, node, X.shape[1]), X, y)
         if split is None:
             return leaf
         feature, threshold = split
@@ -326,21 +353,37 @@ def _reference_tree(X, y, config, rng):
             "leaf": False,
             "feature": feature,
             "threshold": threshold,
-            "left": build(X[go_left], y[go_left], depth_left - 1),
-            "right": build(X[~go_left], y[~go_left], depth_left - 1),
+            "left": build(X[go_left], y[go_left], depth_left - 1, 2 * node),
+            "right": build(X[~go_left], y[~go_left], depth_left - 1, 2 * node + 1),
         }
 
-    return {"root": build(X, y, config.tree_max_depth)}
+    return {"root": build(X, y, config.tree_max_depth, 1)}
 
 
 def _reference_forest(X, y, config, seed):
     n = len(y)
     trees = []
     for i in range(config.forest_trees):
-        rng = random.Random(derive_seed(seed, "tree", i))
-        sample = [rng.randrange(n) for _ in range(n)]
-        trees.append(_reference_tree(X[sample], y[sample], config, rng))
+        key = derive_seed(seed, "tree", i)
+        sample = [draw % n for draw in _reference_splitmix(key, 0, n)]
+        trees.append(_reference_tree(X[sample], y[sample], config, key))
     return {"trees": trees}
+
+
+def test_keyed_draws_are_splitmix64():
+    # the first outputs of splitmix64 seeded with 0, as published with it
+    assert _keyed(np.zeros(1, np.uint64), 0, 3).tolist() == [[0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)), min_size=1, max_size=6),
+       st.integers(0, 50))
+def test_keyed_draws_match_the_scalar_reference(rows, count):
+    keys, nodes = (np.array(column, dtype=np.uint64) for column in zip(*rows))
+    got = _keyed(keys, nodes, count)
+    assert got.shape == (len(rows), count) and got.dtype == np.uint64
+    assert got.tolist() == [_reference_splitmix(key, node, count) for key, node in rows]
+    assert _keyed(keys[::-1], nodes[::-1], count).tolist() == got[::-1].tolist()  # a row's draws ignore the others
 
 
 @st.composite
@@ -400,81 +443,6 @@ def test_forest_fit_working_memory_is_bounded():
         tracemalloc.stop()
     assert len(forest.trees) == 100
     assert peak - retained < 2_000_000
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1])
-def test_bulk_bootstrap_draws_what_randrange_draws(seed):
-    # the bulk draw rests on CPython's randrange(n): the top n.bit_length()
-    # bits of one 32-bit word, drawn again while they reach n
-    for n in [*range(1, 301), 1023, 1024, 1025, 2047, 2048, 2049, 4097]:
-        bulk, loop = random.Random(derive_seed(seed, n)), random.Random(derive_seed(seed, n))
-        assert _bootstrap(bulk, n).tolist() == [loop.randrange(n) for _ in range(n)], n
-        assert bulk.getstate() == loop.getstate(), n
-
-
-def _words(rng, m):
-    return np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), dtype="<u4")
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 199), st.integers(0, 2**32 - 1), st.integers(1, 12))
-@example(22, 0, 12)  # the smallest population sample takes with its set of draws, k = 5
-@example(86, 1, 12)  # and again with k = 9
-def test_bulk_sample_draws_what_sample_draws_call_after_call(n, seed, count):
-    k = max(1, int(round(n ** 0.5)))
-    streams = [random.Random(derive_seed(seed, s)) for s in range(3)]
-    words = np.stack([_words(rng, 64 * count * k) for rng in streams])
-    picks, used = _sample_features(words, n, k, count)
-    for s, (row, n_used) in enumerate(zip(picks, used.tolist())):
-        loop = random.Random(derive_seed(seed, s))
-        assert row.tolist() == [sorted(loop.sample(range(n), k)) for _ in range(count)], s
-        advanced = random.Random(derive_seed(seed, s))
-        advanced.getrandbits(32 * n_used)
-        assert advanced.getstate() == loop.getstate(), s  # it took the words the sample calls took
-
-
-def test_bulk_sample_reports_a_stream_that_runs_out():
-    words = _words(random.Random(3), 40)[None, :]
-    assert _sample_features(words, 40, 6, 8) is None  # 48 draws cannot come from 40 words
-    assert _sample_features(words, 40, 6, 1) is not None
-
-
-class _MostlyHighWords(random.Random):
-    """A word stream in which 7 of 8 words are all ones, which randrange(n)
-    rejects for every n, so one oversized bulk draw falls short."""
-
-    def seed(self, a=None, version=2):
-        self.words = random.Random(a)
-        self.at = 0
-        self.wide_draws = 0
-
-    def _word(self):
-        self.at += 1
-        word = self.words.getrandbits(32)
-        return word if word % 8 == 0 else 0xFFFFFFFF
-
-    def getrandbits(self, k):
-        n_words = max(1, -(-k // 32))
-        self.wide_draws += n_words > 1
-        words = [self._word() for _ in range(n_words)]
-        if k < 32:
-            return words[0] >> (32 - k)
-        return sum(word << (32 * i) for i, word in enumerate(words))
-
-    def getstate(self):
-        return self.at, self.words.getstate()
-
-    def setstate(self, state):
-        self.at, words = state
-        self.words.setstate(words)
-
-
-@pytest.mark.parametrize("n", [20, 100, 129])
-def test_bulk_bootstrap_draws_again_when_the_oversized_draw_falls_short(n):
-    bulk, loop = _MostlyHighWords(5), _MostlyHighWords(5)
-    assert _bootstrap(bulk, n).tolist() == [loop.randrange(n) for _ in range(n)]
-    assert bulk.getstate() == loop.getstate()
-    assert bulk.wide_draws >= 3  # a draw that fell short, a larger one, and the advance
 
 
 def _reference_leaf_ratios(root, X):
@@ -542,10 +510,11 @@ def _pin_matrix():
 
 @pytest.mark.parametrize("kind, digest", [
     (KIND_TREE, "cac76710612761533eea6ca2d7ba8c3003da0c8ad24cf4bcde0be41c80ef916e"),
-    (KIND_FOREST, "2cb25f6a36fbecc16f18c8c6c2c66971cfe17b70eab4ae4ccaec5d73187a3d7c"),
+    (KIND_FOREST, "64d9dbfb7c22ec88c08326f8038461fd2d34c76e6224942a7aea76d5723ed837"),
 ])
 def test_model_file_digest_pinned(tmp_path, kind, digest):
-    # digests of the files the scalar split search wrote for this matrix
+    # digests of the files the scalar split search wrote for this matrix; the
+    # forest's since its draws are keyed by (seed, tree, node)
     X, y = _pin_matrix()
     path = tmp_path / f"model_{kind}.json"
     train(kind, X, y, seed=7).save(path)
@@ -664,6 +633,19 @@ def test_ablation_table_shape_and_ranges():
             assert 0.0 <= table[g][k]["accuracy"] <= 1.0
 
 
+def test_ablation_emits_no_warning():
+    # a numpy warning here would land in report.json's warnings
+    import mission_profiler.features as feats
+
+    rng = np.random.default_rng(39)
+    X = rng.random((60, feats.N_FEATURES))
+    y = (X[:, 0] + rng.normal(scale=0.3, size=60) > 0.5).astype(int)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table, _ = ablation(X, y, 39, TrainConfig(forest_trees=20, svm_epochs=50))
+    assert len(table) == 4
+
+
 def test_ablation_deterministic():
     X, y = make_blobs(60, seed=33)
     cfg = TrainConfig(forest_trees=5, svm_epochs=100)
@@ -730,16 +712,31 @@ def test_every_ablation_cell_is_the_fit_train_and_evaluate_makes(problem):
 
 
 def test_ablation_draws_each_bootstrap_once(monkeypatch):
-    # the four forests' tree i share its seed, so they share its bootstrap
+    # the four forests' tree i share its key, so they share its bootstrap,
+    # the draws at node 0, drawn for every tree in one call
     import mission_profiler.classifier as classifier
 
-    calls = []
-    real = classifier._bootstrap
-    monkeypatch.setattr(classifier, "_bootstrap", lambda rng, n: calls.append(n) or real(rng, n))
+    boots = []
+    real = classifier._keyed
+
+    def keyed(keys, nodes, count):
+        if not np.any(nodes):
+            boots.append(len(keys))
+        return real(keys, nodes, count)
+
+    monkeypatch.setattr(classifier, "_keyed", keyed)
     X, y = make_blobs(60, seed=37)
     config = TrainConfig(forest_trees=7, svm_epochs=5)
-    ablation(_padded(X), y, 37, config)
-    assert len(calls) == config.forest_trees
+    _, models = ablation(_padded(X), y, 37, config)
+    assert boots == [config.forest_trees]
+
+    def positives(node):  # the positive rows of a tree's bootstrap, summed over its leaves
+        return node["n_pos"] if node["leaf"] else positives(node["left"]) + positives(node["right"])
+
+    forests = [cells[KIND_FOREST].model.trees for cells in models.values()]
+    counts = [[positives(tree.root) for tree in trees] for trees in forests]
+    assert counts[0] == counts[1] == counts[2] == counts[3]
+    assert len(set(counts[0])) > 1  # and the trees' bootstraps differ
 
 
 # -- model files -------------------------------------------------------------------------
@@ -769,11 +766,18 @@ def test_model_save_load_round_trip(tmp_path):
      "mins does not hold one value"),
     (lambda p: {**p, "scaler": {"mins": p["scaler"]["mins"], "maxs": [p["scaler"]["maxs"]]}},
      "maxs does not hold one value"),
+    (lambda p: {**p, "feature_indices": [0, 1, -1]}, "feature_indices is not a list of distinct"),
+    (lambda p: {**p, "feature_indices": [0, 1, 1]}, "feature_indices is not a list of distinct"),
+    (lambda p: {**p, "feature_indices": [0, True, 2]}, "feature_indices is not a list of distinct"),
+    (lambda p: {**p, "feature_indices": "012"}, "feature_indices is not a list of distinct"),
+    (lambda p: {**p, "catalog_hash": "beef"}, "different feature catalog"),
+    (lambda p: {k: v for k, v in p.items() if k != "catalog_hash"}, "different feature catalog"),
 ], ids=["not-an-object", "unknown-kind", "no-parameters", "no-scaler", "no-maxs", "w-scalar", "w-short",
-        "mins-long", "maxs-nested"])
+        "mins-long", "maxs-nested", "index-negative", "index-repeated", "index-bool", "indices-string",
+        "other-catalog", "no-catalog"])
 def test_a_bad_model_file_is_refused_naming_it(tmp_path, edit, message):
     # an unknown kind used to fail as KeyError('gbm'), a missing key as KeyError('parameters'),
-    # and "w": 5 loaded
+    # and "w": 5, a feature index of -1 and a file of another catalog loaded
     X, y = make_blobs(40, seed=45, dims=3)
     path = tmp_path / "model.json"
     train(KIND_SVM, X, y, seed=45).save(path)
@@ -781,6 +785,18 @@ def test_a_bad_model_file_is_refused_naming_it(tmp_path, edit, message):
     with pytest.raises(ValueError, match=message) as raised:
         TrainedModel.load(path)
     assert str(path) in str(raised.value)
+
+
+def test_a_model_reading_a_column_past_the_matrix_is_refused(tmp_path):
+    # this used to fail as a bare IndexError naming no column count
+    X, y = make_blobs(40, seed=45, dims=3)
+    path = tmp_path / "model.json"
+    train(KIND_SVM, X, y, seed=45).save(path)
+    path.write_text(json.dumps({**json.loads(path.read_text()), "feature_indices": [0, 1, 99]}))
+    model = TrainedModel.load(path)
+    with pytest.raises(ValueError, match="reads feature column 99; the matrix has 40 columns"):
+        model.predict(np.zeros((5, 40)))
+    assert model.predict(np.zeros((5, 100))).shape == (5,)
 
 
 def test_model_byte_identical_across_retrains(tmp_path):

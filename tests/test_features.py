@@ -162,8 +162,9 @@ def test_a_file_without_rows_loads_as_an_empty_matrix(tmp_path):
 def test_load_rejects_foreign_catalog(tmp_path):
     path = tmp_path / "features.jsonl"
     path.write_text('{"format": "mission-profiler-features", "version": 1, "catalog_hash": "beef"}\n')
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="produced with a different catalog") as raised:
         load_features(path)
+    assert str(path) in str(raised.value)  # as its other header errors name it
 
 
 def _rows_file(path, rows):
