@@ -3,15 +3,18 @@
 Linear SVM trained by full-batch subgradient descent on L2-regularized
 hinge loss; CART decision tree splitting on Gini impurity; random forest
 of bootstrapped CARTs with sqrt(F) feature sampling per split, every
-random draw a splitmix64 output keyed by (seed, tree, node). Everything
-is seeded and serializes to versioned JSON so that identical inputs
-reproduce byte-identical model files.
+random draw a splitmix64 output keyed by (seed, tree, node). A fitted
+model is a TrainedModel, which holds what its versioned JSON file holds:
+the SVM's weights and bias or the trees' node dicts, and the training
+split's per-feature mins and maxs. Everything is seeded, so identical
+inputs reproduce byte-identical model files, and a file whose contents
+prediction could not use fails to load, naming the file.
 """
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,38 +42,15 @@ class TrainConfig:
         return dict(self.__dict__)
 
 
-class MinMaxScaler:
-    """Per-feature [0, 1] scaling learned on the training split only.
-
-    Constant features map to 0; values outside the training range clip.
-    """
-
-    def __init__(self, mins: np.ndarray | None = None, maxs: np.ndarray | None = None):
-        self.mins = mins
-        self.maxs = maxs
-
-    def fit(self, X: np.ndarray) -> "MinMaxScaler":
-        if X.size == 0:
-            raise ValueError("empty training matrix")
-        self.mins = X.min(axis=0)
-        self.maxs = X.max(axis=0)
-        return self
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        if self.mins is None or self.maxs is None:
-            raise ValueError("scaler not fitted")
-        span = self.maxs - self.mins
-        safe = np.where(span == 0, 1.0, span)
-        scaled = (X - self.mins) / safe
-        scaled = np.where(span == 0, 0.0, scaled)
-        return np.clip(scaled, 0.0, 1.0)
-
-    def as_dict(self) -> dict:
-        return {"mins": [float(v) for v in self.mins], "maxs": [float(v) for v in self.maxs]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MinMaxScaler":
-        return cls(np.asarray(d["mins"], float), np.asarray(d["maxs"], float))
+def _scale(X: np.ndarray, mins: np.ndarray, maxs: np.ndarray) -> np.ndarray:
+    """Each column of X mapped to [0, 1] by the training split's mins and
+    maxs: a constant training column maps to 0, and values outside the
+    training range clip."""
+    span = maxs - mins
+    safe = np.where(span == 0, 1.0, span)
+    scaled = (X - mins) / safe
+    scaled = np.where(span == 0, 0.0, scaled)
+    return np.clip(scaled, 0.0, 1.0)
 
 
 def split_80_20(labels: np.ndarray, seed: int) -> tuple[list[int], list[int]]:
@@ -97,44 +77,13 @@ def split_80_20(labels: np.ndarray, seed: int) -> tuple[list[int], list[int]]:
     return train, test
 
 
-class LinearSVM:
-    """Hinge-loss linear classifier, full-batch subgradient descent.
-
-    Objective: (lambda/2)||w||^2 + mean hinge with lambda = 1/(C*n), the
-    classic C-SVM scaling, minimized on the 1/(lambda*t) schedule. The
-    bias rides along as an appended constant feature.
-    """
-
-    kind = KIND_SVM
-
-    def __init__(self, w: np.ndarray | None = None, b: float = 0.0):
-        self.w = w
-        self.b = b
-
-    def fit(self, X: np.ndarray, y: np.ndarray, config: TrainConfig, seed: int = 0) -> "LinearSVM":
-        _require_two_classes(y)
-        w_full = _svm_weights(X, y, [list(range(X.shape[1]))], config)[0]
-        self.w = w_full[:-1]
-        self.b = float(w_full[-1])
-        return self
-
-    def decision_scores(self, X: np.ndarray) -> np.ndarray:
-        return X @ self.w + self.b
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return (self.decision_scores(X) >= 0.0).astype(int)
-
-    def params_dict(self) -> dict:
-        return {"w": [float(v) for v in self.w], "b": float(self.b)}
-
-    @classmethod
-    def from_params(cls, params: dict) -> "LinearSVM":
-        return cls(w=np.asarray(params["w"], float), b=float(params["b"]))
-
-
 def _svm_weights(X: np.ndarray, y: np.ndarray, groups: list[list[int]], config: TrainConfig) -> list[np.ndarray]:
-    """LinearSVM's weights, bias last, fitted on the columns groups[g] of X
-    for each g, all in one epoch loop.
+    """A linear SVM's weights, bias last, fitted on the columns groups[g]
+    of X for each g, all in one epoch loop.
+
+    Full-batch subgradient descent on (lambda/2)||w||^2 + mean hinge with
+    lambda = 1/(C*n), the classic C-SVM scaling, on the 1/(lambda*t)
+    schedule; the bias rides along as an appended constant feature.
 
     Each group keeps its own margins, yXb_g @ w_g. The violating rows of
     every group are summed in one reduction of the C-ordered matrix
@@ -163,38 +112,6 @@ def _svm_weights(X: np.ndarray, y: np.ndarray, groups: list[list[int]], config: 
         grad = lam * w - np.add.reduce(stacked, axis=0, where=violating.T.repeat(widths, axis=1)) / n
         w -= grad / (lam * t)
     return [part.copy() for part in parts]
-
-
-class DecisionTree:
-    """CART with Gini impurity and midpoint thresholds.
-
-    Ties between candidate splits resolve to the lowest feature index and
-    threshold, so training is fully deterministic. Every split considers
-    every feature; a forest grows its trees with sampled features.
-    """
-
-    kind = KIND_TREE
-
-    def __init__(self, root: dict | None = None):
-        self.root = root
-
-    def fit(self, X: np.ndarray, y: np.ndarray, config: TrainConfig, seed: int = 0) -> "DecisionTree":
-        _require_two_classes(y)
-        self.root = _grow(X, y, seed, [list(range(X.shape[1]))], config, forests=False)[0][0]
-        return self
-
-    def decision_scores(self, X: np.ndarray) -> np.ndarray:
-        return _route([self.root], X)[0]
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return (self.decision_scores(X) > 0.5).astype(int)
-
-    def params_dict(self) -> dict:
-        return {"root": self.root}
-
-    @classmethod
-    def from_params(cls, params: dict) -> "DecisionTree":
-        return cls(root=params["root"])
 
 
 # Cells of the padded (nodes x candidate features x rows) grid that one
@@ -356,7 +273,9 @@ def _grow(
     trees: bool = True, forests: bool = True,
 ) -> tuple[list[dict], list[list[dict]]]:
     """The root of each column list's CART (when trees) and the roots of
-    its forest (when forests), all grown in one _grow_trees call.
+    its forest (when forests), all grown in one _grow_trees call. A CART's
+    splits consider every column of its list; a tie between candidate
+    splits goes to the lowest place and threshold, so growth is deterministic.
 
     Tree i of a forest is keyed by derive_seed(seed, "tree", i). Its
     bootstrap is _keyed(key, 0, n) % n; at node j it considers the
@@ -453,74 +372,48 @@ def _best_splits(
     return splits
 
 
-class RandomForest:
-    """Bootstrap ensemble of CARTs. Tree i is keyed by
-    derive_seed(seed, "tree", i); its bootstrap and each node's sqrt(F)
-    candidate features are _keyed draws for that key and the node's heap
-    number (0 for the bootstrap), so no draw depends on grow order."""
-
-    kind = KIND_FOREST
-
-    def __init__(self, trees: list[DecisionTree] | None = None):
-        self.trees = trees or []
-
-    def fit(self, X: np.ndarray, y: np.ndarray, config: TrainConfig, seed: int = 0) -> "RandomForest":
-        _require_two_classes(y)
-        roots = _grow(X, y, seed, [list(range(X.shape[1]))], config, trees=False)[1][0]
-        self.trees = [DecisionTree(root) for root in roots]
-        return self
-
-    def decision_scores(self, X: np.ndarray) -> np.ndarray:
-        return _route([t.root for t in self.trees], X).mean(axis=0)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return (self.decision_scores(X) >= 0.5).astype(int)
-
-    def params_dict(self) -> dict:
-        return {"trees": [t.params_dict() for t in self.trees]}
-
-    @classmethod
-    def from_params(cls, params: dict) -> "RandomForest":
-        return cls(trees=[DecisionTree.from_params(p) for p in params["trees"]])
-
-
-_MODEL_CLASSES = {KIND_SVM: LinearSVM, KIND_TREE: DecisionTree, KIND_FOREST: RandomForest}
-
-
-def _require_two_classes(y) -> None:
-    classes = set(int(v) for v in np.asarray(y).ravel())
-    if len(classes) < 2:
-        raise ValueError(f"training labels contain a single class: {sorted(classes)}")
-
-
 @dataclass
 class TrainedModel:
+    """A fitted model as its model_*.json holds it: the kind, the file's
+    parameters ({"w", "b"}, {"root"} or {"trees": [{"root"}, ...]}), the
+    scaler's per-feature mins and maxs, the feature columns it reads, and
+    the seed and config it was trained with."""
+
     kind: str
-    model: object
-    scaler: MinMaxScaler
+    parameters: dict
+    mins: np.ndarray
+    maxs: np.ndarray
     feature_indices: list[int]
     seed: int
-    config: TrainConfig = field(default_factory=TrainConfig)
+    config: TrainConfig
 
     def predict(self, X_raw: np.ndarray) -> np.ndarray:
-        return self.model.predict(self._prepare(X_raw))
+        """1 where the SVM's margin is >= 0, the tree's leaf holds more
+        positives than negatives, or the forest's mean leaf ratio is >= 0.5."""
+        scores = self.decision_scores(X_raw)
+        if self.kind == KIND_TREE:
+            return (scores > 0.5).astype(int)
+        return (scores >= (0.0 if self.kind == KIND_SVM else 0.5)).astype(int)
 
     def decision_scores(self, X_raw: np.ndarray) -> np.ndarray:
-        return self.model.decision_scores(self._prepare(X_raw))
-
-    def _prepare(self, X_raw: np.ndarray) -> np.ndarray:
+        """The SVM's margin, or each row's leaf ratio n_pos / n averaged over
+        the tree's root or the forest's roots, on the scaled columns."""
         width = np.shape(X_raw)[1]
         if max(self.feature_indices, default=-1) >= width:
             raise ValueError(f"the model reads feature column {max(self.feature_indices)}; the matrix has {width} columns")
-        return self.scaler.transform(X_raw[:, self.feature_indices])
+        X = _scale(X_raw[:, self.feature_indices], self.mins, self.maxs)
+        if self.kind == KIND_SVM:
+            return X @ np.asarray(self.parameters["w"], float) + self.parameters["b"]
+        trees = [self.parameters] if self.kind == KIND_TREE else self.parameters["trees"]
+        return _route([tree["root"] for tree in trees], X).mean(axis=0)
 
     def save(self, path, extra: dict | None = None) -> None:
         payload = {
             "format": MODEL_FORMAT,
             "version": MODEL_VERSION,
             "kind": self.kind,
-            "parameters": self.model.params_dict(),
-            "scaler": self.scaler.as_dict(),
+            "parameters": self.parameters,
+            "scaler": {"mins": self.mins.tolist(), "maxs": self.maxs.tolist()},
             "feature_indices": self.feature_indices,
             "feature_names": [
                 FEATURE_NAMES[i] if i < len(FEATURE_NAMES) else f"f{i}"
@@ -536,40 +429,94 @@ class TrainedModel:
 
     @classmethod
     def load(cls, path) -> "TrainedModel":
-        """The model a save wrote to path. A file that is not a JSON object,
-        comes from another feature catalog, names an unknown kind, lacks a
-        key, holds feature_indices that are not distinct non-negative
-        integers, or holds w, mins or maxs of another length than
-        feature_indices raises ValueError naming it."""
+        """The model a save wrote to path. A file that is not a model file,
+        or whose payload _payload_problem finds fault with, raises
+        ValueError naming it."""
         payload = read_json(path)
         if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
             raise ValueError(f"not a model file: {path}")
-        if payload.get("version") != MODEL_VERSION:
-            raise ValueError(f"unsupported model version {payload.get('version')}")
-        if payload.get("catalog_hash") != catalog_hash():
-            raise ValueError(f"{path}: model was trained on a different feature catalog")
-        kind = payload.get("kind")
-        if kind not in _MODEL_CLASSES:
-            raise ValueError(f"{path}: unknown model kind {kind!r}")
-        try:
-            model = _MODEL_CLASSES[kind].from_params(payload["parameters"])
-            scaler = MinMaxScaler.from_dict(payload["scaler"])
-            indices = payload["feature_indices"]
-            seed = int(payload["seed"])
-        except KeyError as exc:
-            raise ValueError(f"{path}: no {exc.args[0]!r}") from exc
-        if not (isinstance(indices, list) and all(type(i) is int and i >= 0 for i in indices)
-                and len(set(indices)) == len(indices)):
-            raise ValueError(f"{path}: feature_indices is not a list of distinct non-negative integers")
-        lengths = {"w": model.w} if kind == KIND_SVM else {}
-        lengths.update(mins=scaler.mins, maxs=scaler.maxs)
-        for name, values in lengths.items():
-            if np.shape(values) != (len(indices),):
-                raise ValueError(f"{path}: {name} does not hold one value per feature index ({len(indices)})")
+        problem = _payload_problem(payload)
+        if problem:
+            raise ValueError(f"{path}: {problem}")
+        mins, maxs = (np.asarray(payload["scaler"][key], float) for key in ("mins", "maxs"))
         return cls(
-            kind=kind, model=model, scaler=scaler, feature_indices=indices, seed=seed,
-            config=TrainConfig(**payload.get("config", {})),
+            payload["kind"], payload["parameters"], mins, maxs, payload["feature_indices"], payload["seed"],
+            TrainConfig(**payload.get("config", {})),
         )
+
+
+def _finite(value) -> bool:
+    """Whether value is a JSON number (not a boolean) that a float holds finitely."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an integer past the float range
+        return False
+
+
+def _payload_problem(payload: dict) -> str | None:
+    """What keeps a model file's payload from loading, or None. Past its
+    version, catalog, kind and keys, it checks all that decision_scores
+    reads, and the seed and config that a save writes back."""
+    if payload.get("version") != MODEL_VERSION:
+        return f"unsupported model version {payload.get('version')}"
+    if payload.get("catalog_hash") != catalog_hash():
+        return "model was trained on a different feature catalog"
+    kind = payload.get("kind")
+    if kind not in MODEL_KINDS:
+        return f"unknown model kind {kind!r}"
+    parameters, scaler = payload.get("parameters"), payload.get("scaler")
+    for name, holder, keys in (
+        ("payload", payload, ("parameters", "scaler", "feature_indices", "seed")),
+        ("parameters", parameters, {KIND_SVM: ("w", "b"), KIND_TREE: ("root",), KIND_FOREST: ("trees",)}[kind]),
+        ("scaler", scaler, ("mins", "maxs")),
+    ):
+        if not isinstance(holder, dict):
+            return f"{name} is not an object"
+        missing = [key for key in keys if key not in holder]
+        if missing:
+            return f"no {missing[0]!r}"
+    indices = payload["feature_indices"]
+    if not (isinstance(indices, list) and all(type(i) is int and i >= 0 for i in indices)
+            and len(set(indices)) == len(indices)):
+        return "feature_indices is not a list of distinct non-negative integers"
+    if type(payload["seed"]) is not int:
+        return "seed is not an integer"
+    config, fields = payload.get("config", {}), TrainConfig().as_dict()
+    if not (isinstance(config, dict) and all(
+            name in fields and (_finite(value) if name == "svm_c" else type(value) is int)
+            for name, value in config.items())):
+        return "config is not an object of TrainConfig's fields: integers, and a number for svm_c"
+    vectors = {"w": parameters["w"]} if kind == KIND_SVM else {}
+    vectors.update(mins=scaler["mins"], maxs=scaler["maxs"])
+    for name, values in vectors.items():
+        if not isinstance(values, list) or len(values) != len(indices):
+            return f"{name} does not hold one value per feature index ({len(indices)})"
+        if not all(map(_finite, values)):
+            return f"{name} holds a value that is not a finite number"
+    if kind == KIND_SVM:
+        return None if _finite(parameters["b"]) else "b is not a finite number"
+    trees = [parameters] if kind == KIND_TREE else parameters["trees"]
+    if not (isinstance(trees, list) and trees and all(isinstance(tree, dict) for tree in trees)):
+        return "trees is not a list of one or more objects"
+    if not all("root" in tree for tree in trees):
+        return "no 'root'"
+    nodes = [tree["root"] for tree in trees]
+    for node in nodes:  # grows as it goes, as in _route
+        if not (isinstance(node, dict) and type(node.get("leaf")) is bool):
+            return "a tree node has no boolean 'leaf'"
+        if node["leaf"]:
+            n, n_pos = node.get("n"), node.get("n_pos")
+            if not (type(n) is int and type(n_pos) is int and 0 <= n_pos <= n):
+                return "a leaf does not hold integers 0 <= n_pos <= n"
+            continue
+        if not (type(node.get("feature")) is int and 0 <= node["feature"] < len(indices)):
+            return f"a split's feature is not a place in feature_indices (0 to {len(indices) - 1})"
+        if not _finite(node.get("threshold")):
+            return "a split's threshold is not a finite number"
+        if "left" not in node or "right" not in node:
+            return "a split lacks its 'left' or 'right' node"
+        nodes += (node["left"], node["right"])
+    return None
 
 
 def train(
@@ -585,7 +532,7 @@ def train(
     "all" means every column of X_raw; named groups select their catalog
     columns and require a catalog-width matrix.
     """
-    if kind not in _MODEL_CLASSES:
+    if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
     return _fit(X_raw, y, seed, [feature_group], [kind], config)[0][kind]
 
@@ -595,30 +542,27 @@ def _fit(
 ) -> list[dict[str, TrainedModel]]:
     """Each model kind of kinds fitted on each feature group's columns of
     raw (unscaled) features, all in one pass: the SVMs in one epoch loop,
-    the trees and forests in one lockstep grow. One scaler fitted on every
-    column serves every group: a group's scaler is its columns' mins and
-    maxs, and its scaled columns hold the same bits as the group's own."""
+    the trees and forests in one lockstep grow. One scaling of every
+    column serves every group: a group's mins and maxs are its columns'
+    part of them, and its scaled columns hold the same bits as its own."""
     config = config or TrainConfig()
     y = np.asarray(y, int)
     groups = [list(range(X_raw.shape[1])) if group == "all" else group_indices(group) for group in feature_groups]
-    scaler = MinMaxScaler().fit(X_raw)
-    X = scaler.transform(X_raw)
-    _require_two_classes(y)
-    fitted: dict[str, list] = {}
+    if X_raw.size == 0:
+        raise ValueError("empty training matrix")
+    mins, maxs = X_raw.min(axis=0), X_raw.max(axis=0)
+    X = _scale(X_raw, mins, maxs)
+    if len(set(y.tolist())) < 2:
+        raise ValueError(f"training labels contain a single class: {sorted(set(y.tolist()))}")
+    parameters: dict[str, list[dict]] = {}
     if KIND_SVM in kinds:
-        fitted[KIND_SVM] = [LinearSVM(w[:-1], float(w[-1])) for w in _svm_weights(X, y, groups, config)]
+        parameters[KIND_SVM] = [{"w": w[:-1].tolist(), "b": float(w[-1])} for w in _svm_weights(X, y, groups, config)]
     if KIND_TREE in kinds or KIND_FOREST in kinds:
         trees, forests = _grow(X, y, seed, groups, config, KIND_TREE in kinds, KIND_FOREST in kinds)
-        fitted[KIND_TREE] = [DecisionTree(root) for root in trees]
-        fitted[KIND_FOREST] = [RandomForest([DecisionTree(root) for root in roots]) for roots in forests]
+        parameters[KIND_TREE] = [{"root": root} for root in trees]
+        parameters[KIND_FOREST] = [{"trees": [{"root": root} for root in roots]} for roots in forests]
     return [
-        {
-            kind: TrainedModel(
-                kind=kind, model=fitted[kind][g], scaler=MinMaxScaler(scaler.mins[cols], scaler.maxs[cols]),
-                feature_indices=cols, seed=seed, config=config,
-            )
-            for kind in kinds
-        }
+        {kind: TrainedModel(kind, parameters[kind][g], mins[cols], maxs[cols], cols, seed, config) for kind in kinds}
         for g, cols in enumerate(groups)
     ]
 

@@ -14,10 +14,6 @@ from mission_profiler.classifier import (
     KIND_FOREST,
     KIND_SVM,
     KIND_TREE,
-    DecisionTree,
-    LinearSVM,
-    MinMaxScaler,
-    RandomForest,
     TrainConfig,
     TrainedModel,
     ablation,
@@ -25,8 +21,11 @@ from mission_profiler.classifier import (
     flag_in_wild,
     split_80_20,
     _best_splits,
+    _grow,
     _keyed,
     _rank_cells,
+    _route,
+    _scale,
     _svm_weights,
     train,
     train_and_evaluate,
@@ -52,28 +51,23 @@ XOR_Y = np.array([0, 1, 1, 0])
 
 # -- scaler -------------------------------------------------------------------
 
+def _fitted_scale(X):
+    """X scaled by its own column ranges, as a fit scales its training rows."""
+    return _scale(X, X.min(axis=0), X.max(axis=0))
+
+
 def test_scaler_column():
-    s = MinMaxScaler().fit(np.array([[0.0], [5.0], [10.0]]))
-    out = s.transform(np.array([[0.0], [5.0], [10.0]]))
+    out = _fitted_scale(np.array([[0.0], [5.0], [10.0]]))
     assert np.allclose(out.ravel(), [0.0, 0.5, 1.0])
 
 
 def test_scaler_constant_column_maps_to_zero():
-    s = MinMaxScaler().fit(np.array([[7.0], [7.0]]))
-    assert np.allclose(s.transform(np.array([[7.0], [7.0]])).ravel(), [0.0, 0.0])
+    assert np.allclose(_fitted_scale(np.array([[7.0], [7.0]])).ravel(), [0.0, 0.0])
 
 
 def test_scaler_clips_out_of_range():
-    s = MinMaxScaler().fit(np.array([[0.0], [10.0]]))
-    out = s.transform(np.array([[-5.0], [15.0]]))
+    out = _scale(np.array([[-5.0], [15.0]]), np.array([0.0]), np.array([10.0]))
     assert np.allclose(out.ravel(), [0.0, 1.0])
-
-
-def test_scaler_round_trip():
-    s = MinMaxScaler().fit(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    s2 = MinMaxScaler.from_dict(s.as_dict())
-    X = np.array([[2.0, 3.0]])
-    assert np.allclose(s.transform(X), s2.transform(X))
 
 
 # -- split ---------------------------------------------------------------------
@@ -114,19 +108,18 @@ def test_svm_separable_blobs_perfect():
 
 def test_svm_loss_non_increasing_overall():
     X, y = make_blobs(120, seed=3)
-    scaled = MinMaxScaler().fit(X).transform(X)
+    scaled = _fitted_scale(X)
     y_signed = np.where(y > 0, 1.0, -1.0)
 
-    def objective(svm, config):
+    def objective(config):
         # (lambda/2)||w||^2 + mean hinge, the bias regularized along with w
+        w_full = _svm_weights(scaled, y, [[0, 1]], config)[0]
         lam = 1.0 / (config.svm_c * len(y))
-        w_full = np.append(svm.w, svm.b)
-        hinge = np.maximum(0.0, 1.0 - y_signed * svm.decision_scores(scaled))
+        hinge = np.maximum(0.0, 1.0 - y_signed * (scaled @ w_full[:-1] + w_full[-1]))
         return lam / 2.0 * (w_full @ w_full) + hinge.mean()
 
-    short, full = TrainConfig(svm_epochs=10), TrainConfig()
-    after_10 = objective(LinearSVM().fit(scaled, y, short), short)
-    after_1000 = objective(LinearSVM().fit(scaled, y, full), full)
+    after_10 = objective(TrainConfig(svm_epochs=10))
+    after_1000 = objective(TrainConfig())
     # zero weights, before the first epoch, score a hinge of 1 on every row
     assert after_1000 <= after_10 <= 1.0
 
@@ -173,14 +166,13 @@ def test_batched_svm_loop_matches_the_per_model_loop_bit_for_bit(problem):
 
 def test_svm_single_class_raises():
     X = np.zeros((10, 2))
-    with pytest.raises(ValueError):
-        LinearSVM().fit(X, np.zeros(10), TrainConfig())
+    with pytest.raises(ValueError, match="single class"):
+        train(KIND_SVM, X, np.zeros(10), seed=0)
 
 
 def test_xor_svm_at_most_three_quarters():
-    scaled = MinMaxScaler().fit(XOR_X).transform(XOR_X)
-    svm = LinearSVM().fit(scaled, XOR_Y, TrainConfig())
-    acc = float((svm.predict(scaled) == XOR_Y).mean())
+    svm = train(KIND_SVM, XOR_X, XOR_Y, seed=0)
+    acc = float((svm.predict(XOR_X) == XOR_Y).mean())
     assert acc <= 0.75
 
 
@@ -197,7 +189,7 @@ def test_xor_no_linear_separator_exists():
 # -- decision tree ------------------------------------------------------------------
 
 def test_xor_tree_fits_at_depth_two():
-    tree = DecisionTree().fit(XOR_X, XOR_Y, TrainConfig(tree_max_depth=2))
+    tree = train(KIND_TREE, XOR_X, XOR_Y, seed=0, config=TrainConfig(tree_max_depth=2))
     assert np.array_equal(tree.predict(XOR_X), XOR_Y)
 
 
@@ -209,15 +201,13 @@ def test_tree_reaches_perfect_training_accuracy_on_distinct_rows():
         y = rng.integers(0, 2, size=n)
         if len(set(y.tolist())) < 2:
             continue
-        tree = DecisionTree().fit(X, y, TrainConfig(tree_max_depth=10_000))
+        tree = train(KIND_TREE, X, y, seed=0, config=TrainConfig(tree_max_depth=10_000))
         assert float((tree.predict(X) == y).mean()) == 1.0
 
 
 def test_tree_deterministic():
     X, y = make_blobs(100, seed=2)
-    t1 = DecisionTree().fit(X, y, TrainConfig())
-    t2 = DecisionTree().fit(X, y, TrainConfig())
-    assert t1.params_dict() == t2.params_dict()
+    assert train(KIND_TREE, X, y, seed=0).parameters == train(KIND_TREE, X, y, seed=0).parameters
 
 
 def test_tree_respects_max_depth():
@@ -228,8 +218,8 @@ def test_tree_respects_max_depth():
             return 0
         return 1 + max(depth(node["left"]), depth(node["right"]))
 
-    tree = DecisionTree().fit(X, y, TrainConfig(tree_max_depth=3))
-    assert depth(tree.root) <= 3
+    tree = train(KIND_TREE, X, y, seed=0, config=TrainConfig(tree_max_depth=3))
+    assert depth(tree.parameters["root"]) <= 3
 
 
 def _reference_draw(rng, n_features):
@@ -408,19 +398,17 @@ def _tied_forests(draw):
 @given(_tied_forests())
 def test_lockstep_grower_matches_the_recursive_reference(problem):
     X, y, config, seed = problem
-    forest = RandomForest().fit(X, y, config, seed=seed)
-    assert forest.params_dict() == _reference_forest(X, y, config, seed)
-    tree = DecisionTree().fit(X, y, config)
-    assert tree.params_dict() == _reference_tree(X, y, config, None)
+    trees, forests = _grow(X, y, seed, [list(range(X.shape[1]))], config)
+    assert {"trees": [{"root": root} for root in forests[0]]} == _reference_forest(X, y, config, seed)
+    assert {"root": trees[0]} == _reference_tree(X, y, config, None)
 
 
 def test_lockstep_grower_covers_single_class_bootstraps_and_depth_cut_offs():
     X = np.round(np.random.default_rng(6).random((20, 5)) * 3) / 3
     y = np.array([1, 1] + [0] * 18)
     config = TrainConfig(tree_max_depth=2, forest_trees=40)
-    forest = RandomForest().fit(X, y, config, seed=4)
-    assert forest.params_dict() == _reference_forest(X, y, config, seed=4)
-    roots = [t.root for t in forest.trees]
+    roots = _grow(X, y, 4, [list(range(5))], config, trees=False)[1][0]
+    assert {"trees": [{"root": root} for root in roots]} == _reference_forest(X, y, config, seed=4)
     assert any(root["leaf"] and root["n_pos"] == 0 for root in roots)
 
     def depth(node):
@@ -437,11 +425,11 @@ def test_forest_fit_working_memory_is_bounded():
     y = (X[:, 0] + rng.normal(scale=0.3, size=128) > 0.5).astype(int)
     tracemalloc.start()
     try:
-        forest = RandomForest().fit(X, y, TrainConfig(), seed=1)
+        forest = train(KIND_FOREST, X, y, seed=1)
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(forest.trees) == 100
+    assert len(forest.parameters["trees"]) == 100
     assert peak - retained < 2_000_000
 
 
@@ -492,11 +480,16 @@ _route_trees = st.recursive(
 def test_array_routing_matches_the_dict_walk(roots, rows):
     X = np.asarray(rows, float)
     votes = np.stack([_reference_leaf_ratios(root, X) for root in roots])
-    forest = RandomForest([DecisionTree(root) for root in roots])
+    assert _route(roots, X).tobytes() == votes.tobytes()
+
+    def model(kind, parameters):  # rows in [0, 1] scale to themselves
+        return TrainedModel(kind, parameters, np.zeros(3), np.ones(3), [0, 1, 2], 0, TrainConfig())
+
+    forest = model(KIND_FOREST, {"trees": [{"root": root} for root in roots]})
     assert forest.decision_scores(X).tobytes() == votes.mean(axis=0).tobytes()
     assert np.array_equal(forest.predict(X), (votes.mean(axis=0) >= 0.5).astype(int))
     for root, expected in zip(roots, votes):
-        tree = DecisionTree(root)
+        tree = model(KIND_TREE, {"root": root})
         assert tree.decision_scores(X).tobytes() == expected.tobytes()
         assert np.array_equal(tree.predict(X), (expected > 0.5).astype(int))
 
@@ -533,23 +526,23 @@ def test_forest_at_least_tree_minus_margin():
 def test_forest_deterministic_per_seed():
     X, y = make_blobs(60, seed=13)
     config = TrainConfig(forest_trees=10)
-    f1 = RandomForest().fit(X, y, config, seed=99)
-    f2 = RandomForest().fit(X, y, config, seed=99)
-    assert f1.params_dict() == f2.params_dict()
-    f3 = RandomForest().fit(X, y, config, seed=100)
-    assert f1.params_dict() != f3.params_dict()
+    f1 = train(KIND_FOREST, X, y, seed=99, config=config)
+    f2 = train(KIND_FOREST, X, y, seed=99, config=config)
+    assert f1.parameters == f2.parameters
+    f3 = train(KIND_FOREST, X, y, seed=100, config=config)
+    assert f1.parameters != f3.parameters
 
 
 def test_forest_single_class_bootstrap_grows_a_leaf():
     # 2 positives in 12 rows: some of the 100 bootstraps draw no positive
     X = np.random.default_rng(3).random((12, 4))
     y = np.array([1, 1] + [0] * 10)
-    forest = RandomForest().fit(X, y, TrainConfig(), seed=1)
-    single = [t.root for t in forest.trees if t.root["leaf"] and t.root["n_pos"] == 0]
+    forest = train(KIND_FOREST, X, y, seed=1)
+    single = [t["root"] for t in forest.parameters["trees"] if t["root"]["leaf"] and t["root"]["n_pos"] == 0]
     assert single and all(root["n"] == 12 for root in single)
     assert forest.predict(X).shape == (12,)
     with pytest.raises(ValueError, match="single class"):
-        RandomForest().fit(X, np.zeros(12, dtype=int), TrainConfig(), seed=1)
+        train(KIND_FOREST, X, np.zeros(12, dtype=int), seed=1)
 
 
 # -- evaluation ---------------------------------------------------------------------
@@ -700,15 +693,14 @@ def test_every_ablation_cell_is_the_fit_train_and_evaluate_makes(problem):
             alone, report = train_and_evaluate(X, y, seed, kind, group, config)
             assert table[group][kind] == report
             assert model.feature_indices == alone.feature_indices
-            assert model.scaler.as_dict() == alone.scaler.as_dict()
-            assert model.model.params_dict() == alone.model.params_dict(), (group, kind)
+            assert (model.mins.tobytes(), model.maxs.tobytes()) == (alone.mins.tobytes(), alone.maxs.tobytes())
+            assert model.parameters == alone.parameters, (group, kind)
         # and each cell is what the per-model references fit on the group's own scaled columns
-        X_train = X[train_idx][:, cells[KIND_SVM].feature_indices]
-        scaled = MinMaxScaler().fit(X_train).transform(X_train)
+        scaled = _fitted_scale(X[train_idx][:, cells[KIND_SVM].feature_indices])
         w_full = _reference_svm(scaled, y[train_idx], config)
-        assert cells[KIND_SVM].model.params_dict() == {"w": w_full[:-1].tolist(), "b": float(w_full[-1])}
-        assert cells[KIND_TREE].model.params_dict() == _reference_tree(scaled, y[train_idx], config, None)
-        assert cells[KIND_FOREST].model.params_dict() == _reference_forest(scaled, y[train_idx], config, seed)
+        assert cells[KIND_SVM].parameters == {"w": w_full[:-1].tolist(), "b": float(w_full[-1])}
+        assert cells[KIND_TREE].parameters == _reference_tree(scaled, y[train_idx], config, None)
+        assert cells[KIND_FOREST].parameters == _reference_forest(scaled, y[train_idx], config, seed)
 
 
 def test_ablation_draws_each_bootstrap_once(monkeypatch):
@@ -733,8 +725,8 @@ def test_ablation_draws_each_bootstrap_once(monkeypatch):
     def positives(node):  # the positive rows of a tree's bootstrap, summed over its leaves
         return node["n_pos"] if node["leaf"] else positives(node["left"]) + positives(node["right"])
 
-    forests = [cells[KIND_FOREST].model.trees for cells in models.values()]
-    counts = [[positives(tree.root) for tree in trees] for trees in forests]
+    forests = [cells[KIND_FOREST].parameters["trees"] for cells in models.values()]
+    counts = [[positives(tree["root"]) for tree in trees] for trees in forests]
     assert counts[0] == counts[1] == counts[2] == counts[3]
     assert len(set(counts[0])) > 1  # and the trees' bootstraps differ
 
@@ -743,44 +735,99 @@ def test_ablation_draws_each_bootstrap_once(monkeypatch):
 
 def test_model_save_load_round_trip(tmp_path):
     X, y = make_blobs(80, seed=41, dims=40)
+    # the training rows, and rows below and above the training range, which the scaling clips
+    rows = np.vstack([X, X.min(axis=0) - 1.0, X.max(axis=0) + 1.0, X * 2.5])
     for kind in (KIND_SVM, KIND_TREE, KIND_FOREST):
         model = train(kind, X, y, seed=41, config=TrainConfig(forest_trees=5))
         path = tmp_path / f"{kind}.json"
         model.save(path)
         loaded = TrainedModel.load(path)
-        assert np.array_equal(model.predict(X), loaded.predict(X))
+        assert loaded.decision_scores(rows).tobytes() == model.decision_scores(rows).tobytes()
+        assert np.array_equal(model.predict(rows), loaded.predict(rows))
         path2 = tmp_path / f"{kind}-2.json"
         loaded.save(path2)
         assert path.read_bytes() == path2.read_bytes()
 
 
-@pytest.mark.parametrize("edit, message", [
-    (lambda p: ["a list"], "not a model file"),
-    (lambda p: {**p, "kind": "gbm"}, "unknown model kind 'gbm'"),
-    (lambda p: {k: v for k, v in p.items() if k != "parameters"}, "no 'parameters'"),
-    (lambda p: {k: v for k, v in p.items() if k != "scaler"}, "no 'scaler'"),
-    (lambda p: {**p, "scaler": {"mins": p["scaler"]["mins"]}}, "no 'maxs'"),
-    (lambda p: {**p, "parameters": {"b": 0.0, "w": 5}}, "w does not hold one value per feature index"),
-    (lambda p: {**p, "parameters": {"b": 0.0, "w": p["parameters"]["w"][:-1]}}, "w does not hold one value"),
-    (lambda p: {**p, "scaler": {"mins": p["scaler"]["mins"] + [0.0], "maxs": p["scaler"]["maxs"]}},
+def _at_root(change):
+    """An edit of a tree file's payload, or a forest file's, that applies
+    change to the root of its tree, or of its last tree."""
+
+    def edit(payload):
+        parameters = payload["parameters"]
+        change((parameters["trees"][-1] if "trees" in parameters else parameters)["root"])
+        return payload
+
+    return edit
+
+
+_CONFIG = TrainConfig().as_dict()
+
+
+@pytest.mark.parametrize("kind, edit, message", [
+    (KIND_SVM, lambda p: ["a list"], "not a model file"),
+    (KIND_SVM, lambda p: {**p, "kind": "gbm"}, "unknown model kind 'gbm'"),
+    (KIND_SVM, lambda p: {k: v for k, v in p.items() if k != "parameters"}, "no 'parameters'"),
+    (KIND_SVM, lambda p: {k: v for k, v in p.items() if k != "scaler"}, "no 'scaler'"),
+    (KIND_SVM, lambda p: {**p, "scaler": {"mins": p["scaler"]["mins"]}}, "no 'maxs'"),
+    (KIND_SVM, lambda p: {**p, "parameters": {"b": 0.0, "w": 5}}, "w does not hold one value per feature index"),
+    (KIND_SVM, lambda p: {**p, "parameters": {"b": 0.0, "w": p["parameters"]["w"][:-1]}}, "w does not hold one value"),
+    (KIND_SVM, lambda p: {**p, "scaler": {"mins": p["scaler"]["mins"] + [0.0], "maxs": p["scaler"]["maxs"]}},
      "mins does not hold one value"),
-    (lambda p: {**p, "scaler": {"mins": p["scaler"]["mins"], "maxs": [p["scaler"]["maxs"]]}},
+    (KIND_SVM, lambda p: {**p, "scaler": {"mins": p["scaler"]["mins"], "maxs": [p["scaler"]["maxs"]]}},
      "maxs does not hold one value"),
-    (lambda p: {**p, "feature_indices": [0, 1, -1]}, "feature_indices is not a list of distinct"),
-    (lambda p: {**p, "feature_indices": [0, 1, 1]}, "feature_indices is not a list of distinct"),
-    (lambda p: {**p, "feature_indices": [0, True, 2]}, "feature_indices is not a list of distinct"),
-    (lambda p: {**p, "feature_indices": "012"}, "feature_indices is not a list of distinct"),
-    (lambda p: {**p, "catalog_hash": "beef"}, "different feature catalog"),
-    (lambda p: {k: v for k, v in p.items() if k != "catalog_hash"}, "different feature catalog"),
+    (KIND_SVM, lambda p: {**p, "feature_indices": [0, 1, -1]}, "feature_indices is not a list of distinct"),
+    (KIND_SVM, lambda p: {**p, "feature_indices": [0, 1, 1]}, "feature_indices is not a list of distinct"),
+    (KIND_SVM, lambda p: {**p, "feature_indices": [0, True, 2]}, "feature_indices is not a list of distinct"),
+    (KIND_SVM, lambda p: {**p, "feature_indices": "012"}, "feature_indices is not a list of distinct"),
+    (KIND_SVM, lambda p: {**p, "catalog_hash": "beef"}, "different feature catalog"),
+    (KIND_SVM, lambda p: {k: v for k, v in p.items() if k != "catalog_hash"}, "different feature catalog"),
+    (KIND_SVM, lambda p: {**p, "seed": "abc"}, "seed is not an integer"),
+    (KIND_SVM, lambda p: {**p, "seed": True}, "seed is not an integer"),
+    (KIND_SVM, lambda p: {**p, "seed": 1.5}, "seed is not an integer"),
+    (KIND_SVM, lambda p: {**p, "config": {"gamma": 1}}, "config is not an object of TrainConfig's fields"),
+    (KIND_SVM, lambda p: {**p, "config": [1]}, "config is not an object of TrainConfig's fields"),
+    (KIND_SVM, lambda p: {**p, "config": {**_CONFIG, "svm_epochs": 2.5}}, "config is not an object"),
+    (KIND_SVM, lambda p: {**p, "config": {**_CONFIG, "forest_trees": True}}, "config is not an object"),
+    (KIND_SVM, lambda p: {**p, "config": {**_CONFIG, "svm_c": "1"}}, "config is not an object"),
+    (KIND_SVM, lambda p: {**p, "parameters": {**p["parameters"], "b": "x"}}, "b is not a finite number"),
+    (KIND_SVM, lambda p: {**p, "parameters": {**p["parameters"], "b": float("inf")}}, "b is not a finite number"),
+    (KIND_SVM, lambda p: {**p, "parameters": {**p["parameters"], "w": [0.0, float("nan"), 1.0]}},
+     "w holds a value that is not a finite number"),
+    (KIND_SVM, lambda p: {**p, "scaler": {**p["scaler"], "mins": [0.0, 0.0, 10**400]}},
+     "mins holds a value that is not a finite number"),
+    (KIND_TREE, _at_root(lambda root: root.update(feature=99)), r"a split's feature is not a place in feature_indices \(0 to 2\)"),
+    (KIND_TREE, _at_root(lambda root: root.update(feature=-1)), "a split's feature is not a place"),
+    (KIND_TREE, _at_root(lambda root: root.update(feature=True)), "a split's feature is not a place"),
+    (KIND_TREE, _at_root(lambda root: root.pop("leaf")), "a tree node has no boolean 'leaf'"),
+    (KIND_TREE, _at_root(lambda root: root["right"].update(leaf=1)), "a tree node has no boolean 'leaf'"),
+    (KIND_TREE, _at_root(lambda root: root.update(threshold="x")), "a split's threshold is not a finite number"),
+    (KIND_TREE, _at_root(lambda root: root.pop("right")), "a split lacks its 'left' or 'right' node"),
+    (KIND_TREE, _at_root(lambda root: root.update(leaf=True, n=3, n_pos=4)), "a leaf does not hold integers"),
+    (KIND_TREE, _at_root(lambda root: root.update(leaf=True, n=-1, n_pos=-1)), "a leaf does not hold integers"),
+    (KIND_TREE, _at_root(lambda root: root.update(leaf=True, n=4.0, n_pos=1)), "a leaf does not hold integers"),
+    (KIND_FOREST, lambda p: {**p, "parameters": {"trees": []}}, "trees is not a list of one or more objects"),
+    (KIND_FOREST, lambda p: {**p, "parameters": {"trees": [5]}}, "trees is not a list of one or more objects"),
+    (KIND_FOREST, _at_root(lambda root: root.update(feature=99)), "a split's feature is not a place"),
+    (KIND_FOREST, _at_root(lambda root: root["left"].pop("leaf")), "a tree node has no boolean 'leaf'"),
 ], ids=["not-an-object", "unknown-kind", "no-parameters", "no-scaler", "no-maxs", "w-scalar", "w-short",
         "mins-long", "maxs-nested", "index-negative", "index-repeated", "index-bool", "indices-string",
-        "other-catalog", "no-catalog"])
-def test_a_bad_model_file_is_refused_naming_it(tmp_path, edit, message):
+        "other-catalog", "no-catalog", "seed-string", "seed-bool", "seed-float", "config-unknown-field",
+        "config-list", "config-float-epochs", "config-bool-trees", "config-string-c", "b-string", "b-infinite",
+        "w-nan", "mins-past-float", "tree-feature-past", "tree-feature-negative",
+        "tree-feature-bool", "tree-no-leaf", "tree-child-leaf-int", "tree-threshold-string",
+        "tree-no-right", "leaf-n-pos-over-n", "leaf-negative", "leaf-float-n", "forest-no-trees",
+        "forest-tree-not-object", "forest-feature-past", "forest-child-no-leaf"])
+def test_a_bad_model_file_is_refused_naming_it(tmp_path, kind, edit, message):
     # an unknown kind used to fail as KeyError('gbm'), a missing key as KeyError('parameters'),
-    # and "w": 5, a feature index of -1 and a file of another catalog loaded
+    # "w": 5, a feature index of -1 and a file of another catalog loaded; a config field
+    # other than TrainConfig's failed as a bare TypeError, a seed "abc" or a b "x" as a
+    # bare ValueError, and a seed true or 1.5 loaded; a split's feature 99 failed at
+    # predict as a bare IndexError, -1 split on the last column, a root without "leaf"
+    # was a bare KeyError, and a forest of no tree predicted 0 under RuntimeWarnings
     X, y = make_blobs(40, seed=45, dims=3)
     path = tmp_path / "model.json"
-    train(KIND_SVM, X, y, seed=45).save(path)
+    train(kind, X, y, seed=45, config=TrainConfig(forest_trees=3)).save(path)
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))
     with pytest.raises(ValueError, match=message) as raised:
         TrainedModel.load(path)

@@ -1,11 +1,12 @@
 """Every module-level import of the package is used, so an import that a
 deletion leaves behind fails here. A name listed in a module's __all__
 counts as used: the package re-exports it. Every module-level function
-and class of the package is named somewhere in the package or its tests
-outside its own definition, so a definition that a deletion orphans fails
-here too. A file-backend run loads no
-module that only another backend or a replaced helper needs. Only util.py
-calls json.loads: every other module decodes JSON with util.loads_line."""
+and class of the package, and every method of such a class but a dunder,
+is named somewhere in the package or its tests outside its own
+definition, so a definition that a deletion orphans fails here too. A
+file-backend run loads no module that only another backend or a replaced
+helper needs. Only util.py calls json.loads: every other module decodes
+JSON with util.loads_line."""
 import ast
 import json
 from collections import Counter
@@ -89,19 +90,25 @@ def _registered_command(node: ast.AST) -> bool:
 
 
 def dead_definitions(sources: dict[str, str], checked: list[str]) -> list[str]:
-    """The module-level functions and classes of the checked sources that
-    no source names outside their own definition; a CLI command is exempt."""
+    """The module-level functions and classes of the checked sources, and
+    the methods of those classes, that no source names outside their own
+    definition; a CLI command and a dunder method are exempt."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
     named = sum((_identifiers(tree) for tree in trees.values()), Counter())
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     dead = []
     for name in checked:
         for node in trees[name].body:
-            if (
-                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                and not _registered_command(node)
-                and named[node.name] == _identifiers(node)[node.name]  # recursion names only itself
-            ):
-                dead.append(f"{name}: {node.name} (line {node.lineno})")
+            if not isinstance(node, (*functions, ast.ClassDef)) or _registered_command(node):
+                continue
+            methods = [
+                (f"{node.name}.{method.name}", method) for method in getattr(node, "body", [])
+                if isinstance(node, ast.ClassDef) and isinstance(method, functions)
+                and not (method.name.startswith("__") and method.name.endswith("__"))
+            ]
+            for label, definition in [(node.name, node), *methods]:
+                if named[definition.name] == _identifiers(definition)[definition.name]:  # recursion names only itself
+                    dead.append(f"{name}: {label} (line {definition.lineno})")
     return dead
 
 
@@ -110,12 +117,13 @@ def test_dead_definitions_finds_what_nothing_names():
         "a.py": (
             "import click\n@click.group()\ndef main(): pass\n@main.command()\ndef cmd(): pass\n"
             "def used(): pass\ndef recursive(n): return recursive(n - 1)\nclass Orphan: pass\n"
-            "class Kept: pass\ndef _private(): pass\n"
+            "class Kept:\n    def __eq__(self, other): pass\n    def called(self): pass\n"
+            "    def loop(self): return self.loop()\ndef _private(): pass\n"
         ),
-        "b.py": "from a import used\nimport a\nx = a.Kept\ndef test(): return main\n",
+        "b.py": "from a import used\nimport a\nx = a.Kept().called()\ndef test(): return main\n",
     }
     assert dead_definitions(sources, ["a.py"]) == [
-        "a.py: recursive (line 7)", "a.py: Orphan (line 8)", "a.py: _private (line 10)",
+        "a.py: recursive (line 7)", "a.py: Orphan (line 8)", "a.py: Kept.loop (line 12)", "a.py: _private (line 13)",
     ]
 
 
