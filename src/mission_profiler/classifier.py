@@ -3,7 +3,8 @@
 Linear SVM trained by full-batch subgradient descent on L2-regularized
 hinge loss; CART decision tree splitting on Gini impurity; random forest
 of bootstrapped CARTs with sqrt(F) feature sampling per split, every
-random draw a splitmix64 output keyed by (seed, tree, node). A fitted
+random draw a splitmix64 output keyed by (seed, tree, node). All the
+trees of a fit grow together, one level of every tree a pass. A fitted
 model is a TrainedModel, which holds what its versioned JSON file holds:
 the SVM's weights and bias or the trees' node dicts, and the training
 split's per-feature mins and maxs. Everything is seeded, so identical
@@ -116,7 +117,9 @@ def _svm_weights(X: np.ndarray, y: np.ndarray, groups: list[list[int]], config: 
 
 # Cells of the padded (nodes x candidate features x rows) grid that one
 # batched split search fills. Its temporaries peak at about 110 bytes a
-# cell, so a batch holds about 0.45 MB, however many trees grow in lockstep.
+# cell, so a batch holds about 0.45 MB, however many nodes a level holds.
+# Drawing k of F candidates takes F <= k(k + 1) keys a node, and a node
+# searched holds 2 rows or more, so the cap bounds a batch's draws too.
 _SPLIT_BATCH_CELLS = 1 << 12
 
 
@@ -190,119 +193,88 @@ def _route(roots: list[dict], X: np.ndarray) -> np.ndarray:
     return ratio[at]
 
 
-def _grow_trees(
-    X: np.ndarray, y: np.ndarray, trees: list[tuple[np.ndarray, int, int | None]], groups: list[list[int]],
-    draw, max_depth: int, min_split: int,
-) -> list[dict]:
-    """Grow one CART per entry of trees in lockstep; returns their roots.
-
-    Tree (rows, g, i) grows on those rows of X and y (0/1 labels) and
-    splits on the columns groups[g] of X, an ascending list; a node stores
-    its split column's place in that list. Nodes are numbered heap-style:
-    the root is 1 and node j's children are 2j and 2j + 1, mod 2**64. A
-    node's split search considers every column of the list when i is None,
-    else the places in the list that draw(numbers, nodes, F) returns in the
-    node's row, where numbers and nodes hold the tree and node numbers of
-    several nodes and F is the list's length. Each step takes from every
-    tree the next node on its stack that needs a split search, draws the
-    candidates of all its sampled nodes of one group in one draw call, and
-    scores them together, in batches of one candidate count and at most
-    _SPLIT_BATCH_CELLS grid cells (a node larger than that is scored
-    alone).
-    """
-    X = np.asarray(X, float)
-    XT = np.ascontiguousarray(X.T)  # a column's values in one run
-    ranked = _rank_cells(X, y)
-    every = [np.asarray(cols, dtype=np.intp) for cols in groups]
-    places = [{col: place for place, col in enumerate(cols)} for cols in groups]
-    roots: list[dict | None] = [None] * len(trees)
-    # a pending node: its rows, its positives, the depth left below it, its
-    # number and the slot its dict goes into
-    stacks = [[(rows, int(np.count_nonzero(y[rows])), max_depth, 1, roots, t)] for t, (rows, _, _) in enumerate(trees)]
-    growing = range(len(trees))
-    while True:
-        step: dict[tuple[int, bool], list] = {}  # this step's searches, by group and whether sampled
-        for t in growing:
-            stack = stacks[t]
-            while stack:
-                rows, n_pos, depth_left, _, holder, key = pending = stack.pop()
-                if depth_left <= 0 or len(rows) < min_split or n_pos in (0, len(rows)):
-                    holder[key] = _leaf(len(rows), n_pos)
-                    continue
-                _, g, i = trees[t]
-                step.setdefault((g, i is not None), []).append((t, pending))
-                break
-        if not step:
-            return roots
-        by_count: dict[int, list] = {}  # the searches with their candidate columns, by candidate count
-        for (g, sampled), searches in step.items():
-            if sampled:
-                numbers = np.array([trees[t][2] for t, _ in searches])
-                nodes = np.array([pending[3] for _, pending in searches], dtype=np.uint64)
-                feats = every[g][draw(numbers, nodes, len(every[g]))]
-            else:
-                feats = [every[g]] * len(searches)
-            for (t, pending), cols in zip(searches, feats):
-                by_count.setdefault(len(cols), []).append((t, pending, cols))
-        growing = [t for batch in by_count.values() for t, _, _ in batch]
-        for searches in by_count.values():
-            searches.sort(key=lambda entry: -len(entry[1][0]))  # a batch pads its nodes to its first
-            start = 0
-            while start < len(searches):
-                cells = len(searches[start][1][0]) * len(searches[start][2])
-                batch = searches[start:start + max(1, _SPLIT_BATCH_CELLS // max(1, cells))]
-                start += len(batch)
-                feats = np.stack([cols for _, _, cols in batch])
-                splits = _best_splits(X, y, [pending[0] for _, pending, _ in batch], feats, ranked)
-                for (t, (rows, n_pos, depth_left, number, holder, key), _), split in zip(batch, splits):
-                    if split is None:
-                        holder[key] = _leaf(len(rows), n_pos)
-                        continue
-                    feature, threshold = split
-                    go_left = XT[feature].take(rows) <= threshold
-                    left, right = rows[go_left], rows[~go_left]
-                    left_pos = int(np.count_nonzero(y.take(left)))
-                    holder[key] = node = {"leaf": False, "feature": places[trees[t][1]][feature], "threshold": threshold}
-                    child = 2 * number % (1 << 64)
-                    stacks[t].append((right, n_pos - left_pos, depth_left - 1, child + 1, node, "right"))
-                    stacks[t].append((left, left_pos, depth_left - 1, child, node, "left"))
-
-
 def _grow(
     X: np.ndarray, y: np.ndarray, seed: int, groups: list[list[int]], config: TrainConfig,
     trees: bool = True, forests: bool = True,
 ) -> tuple[list[dict], list[list[dict]]]:
     """The root of each column list's CART (when trees) and the roots of
-    its forest (when forests), all grown in one _grow_trees call. A CART's
-    splits consider every column of its list; a tie between candidate
-    splits goes to the lowest place and threshold, so growth is deterministic.
+    its forest (when forests), all grown together, one level of every tree
+    a pass. A tree splits on the columns of its list, an ascending list of
+    columns of X, and a node stores its split column's place in that list.
+    A CART's splits consider every column of its list; a tie between
+    candidate splits goes to the lowest place and threshold, so growth is
+    deterministic.
 
-    Tree i of a forest is keyed by derive_seed(seed, "tree", i). Its
-    bootstrap is _keyed(key, 0, n) % n; at node j it considers the
-    k = sqrt(F) rounded places of its F columns whose draws in
-    _keyed(key, j, F) are smallest, in ascending order. The key is the same
-    in every forest, so the forests share tree i's bootstrap, drawn once.
+    Nodes are numbered heap-style: the root is 1 and node j's children are
+    2j and 2j + 1, mod 2**64. Tree i of a forest is keyed by
+    derive_seed(seed, "tree", i). Its bootstrap is _keyed(key, 0, n) % n; at
+    node j it considers the k = sqrt(F) rounded places of its F columns
+    whose draws in _keyed(key, j, F) are smallest, in ascending order. The
+    key is the same in every forest, so the forests share tree i's
+    bootstrap, drawn once. Each pass scores a level's nodes of one column
+    list, sampled or not, in batches of at most _SPLIT_BATCH_CELLS grid
+    cells (a node larger than that is scored alone), and draws a batch's
+    candidates in one _keyed call.
     """
+    X = np.asarray(X, float)
     y = np.asarray(y, int)
+    XT = np.ascontiguousarray(X.T)  # a column's values in one run
+    ranked = _rank_cells(X, y)
     n = len(y)
-    row = np.min_scalar_type(max(n - 1, 0))  # every tree holds its pending rows at once: the smallest dtype
-    specs = [(np.arange(n, dtype=row), g, None) for g in range(len(groups))] if trees else []
-    draw = None
+    row = np.min_scalar_type(max(n - 1, 0))  # a level holds the rows of every tree at once: the smallest dtype
+    every = [np.asarray(cols, dtype=np.intp) for cols in groups]
+    places = [{col: place for place, col in enumerate(cols)} for cols in groups]
+    single = [{} for _ in groups] if trees else []
+    roots = [[{} for _ in range(config.forest_trees)] for _ in groups] if forests else []
+    # a pending node: its tree (column list, forest tree number or None), its
+    # rows, its positives, its number, and its dict, filled in once it is done
+    level = [((g, None), np.arange(n, dtype=row), int(np.count_nonzero(y)), 1, root) for g, root in enumerate(single)]
     if forests:
         keys = np.array([derive_seed(seed, "tree", i) for i in range(config.forest_trees)], dtype=np.uint64)
-
-        def draw(numbers: np.ndarray, nodes: np.ndarray, width: int) -> np.ndarray:
-            k = max(1, round(math.sqrt(width)))
-            smallest = np.argsort(_keyed(keys[numbers], nodes, width), axis=1, kind="stable")[:, :k]
-            return np.sort(smallest, axis=1)
-
-        boots = (_keyed(keys, 0, n) % n).astype(row)
-        specs += [(rows, g, i) for g in range(len(groups)) for i, rows in enumerate(boots)]
-    # a bootstrap may draw one class only; that tree is one leaf
-    roots = _grow_trees(X, y, specs, groups, draw, config.tree_max_depth, config.tree_min_samples_split)
-    single, rest = (roots[:len(groups)], roots[len(groups):]) if trees else ([], roots)
-    size = config.forest_trees
-    return single, [rest[g * size:(g + 1) * size] for g in range(len(groups))] if forests else []
+        boots = (_keyed(keys, 0, n) % n).astype(row)  # a bootstrap may draw one class only; that tree is one leaf
+        counts = np.count_nonzero(y[boots], axis=1).tolist()
+        level += [((g, i), boots[i], counts[i], 1, root)
+                  for g, forest in enumerate(roots) for i, root in enumerate(forest)]
+    depth_left = config.tree_max_depth
+    while level:
+        searches: dict[tuple[int, bool], list] = {}  # this level's searches, by column list and whether sampled
+        for pending in level:
+            (g, i), rows, n_pos, _, node = pending
+            if depth_left <= 0 or len(rows) < config.tree_min_samples_split or n_pos in (0, len(rows)):
+                node.update(_leaf(len(rows), n_pos))
+            else:
+                searches.setdefault((g, i is not None), []).append(pending)
+        level = []
+        for (g, sampled), pending in searches.items():
+            width = len(every[g])
+            k = max(1, round(math.sqrt(width))) if sampled else width
+            pending.sort(key=lambda entry: -len(entry[1]))  # a batch pads its nodes to its first
+            while pending:
+                batch = pending[:max(1, _SPLIT_BATCH_CELLS // (len(pending[0][1]) * k))]
+                del pending[:len(batch)]  # so a node's rows are freed once its children hold theirs
+                if sampled:
+                    numbers = np.array([i for (_, i), *_ in batch])
+                    nodes = np.array([number for *_, number, _ in batch], dtype=np.uint64)
+                    smallest = np.argsort(_keyed(keys[numbers], nodes, width), axis=1, kind="stable")[:, :k]
+                    feats = every[g][np.sort(smallest, axis=1)]
+                else:
+                    feats = np.broadcast_to(every[g], (len(batch), width))
+                splits = _best_splits(X, y, [rows for _, rows, *_ in batch], feats, ranked)
+                for (tree, rows, n_pos, number, node), split in zip(batch, splits):
+                    if split is None:
+                        node.update(_leaf(len(rows), n_pos))
+                        continue
+                    feature, threshold = split
+                    go_left = XT[feature].take(rows) <= threshold
+                    left_pos = int(np.count_nonzero(y.take(rows[go_left])))
+                    node.update(leaf=False, feature=places[g][feature], threshold=threshold, left={}, right={})
+                    child = 2 * number % (1 << 64)
+                    level += [
+                        (tree, rows[go_left], left_pos, child, node["left"]),
+                        (tree, rows[~go_left], n_pos - left_pos, child + 1, node["right"]),
+                    ]
+        depth_left -= 1
+    return single, roots
 
 
 def _best_splits(
@@ -372,6 +344,15 @@ def _best_splits(
     return splits
 
 
+def _classes(kind: str, scores: np.ndarray) -> np.ndarray:
+    """1 where the SVM's margin is >= 0, the tree's leaf holds more
+    positives than negatives (its ratio is > 0.5), or the forest's mean
+    leaf ratio is >= 0.5, else 0."""
+    if kind == KIND_TREE:
+        return (scores > 0.5).astype(int)
+    return (scores >= (0.0 if kind == KIND_SVM else 0.5)).astype(int)
+
+
 @dataclass
 class TrainedModel:
     """A fitted model as its model_*.json holds it: the kind, the file's
@@ -388,12 +369,8 @@ class TrainedModel:
     config: TrainConfig
 
     def predict(self, X_raw: np.ndarray) -> np.ndarray:
-        """1 where the SVM's margin is >= 0, the tree's leaf holds more
-        positives than negatives, or the forest's mean leaf ratio is >= 0.5."""
-        scores = self.decision_scores(X_raw)
-        if self.kind == KIND_TREE:
-            return (scores > 0.5).astype(int)
-        return (scores >= (0.0 if self.kind == KIND_SVM else 0.5)).astype(int)
+        """The 0/1 class _classes gives each row's decision score."""
+        return _classes(self.kind, self.decision_scores(X_raw))
 
     def decision_scores(self, X_raw: np.ndarray) -> np.ndarray:
         """The SVM's margin, or each row's leaf ratio n_pos / n averaged over
@@ -453,6 +430,18 @@ def _finite(value) -> bool:
         return False
 
 
+def _config_problem(config: TrainConfig) -> str | None:
+    """The first field of config that a fit cannot use, named, or None:
+    svm_c must be a finite number above 0, svm_epochs and forest_trees at
+    least 1."""
+    if not (math.isfinite(config.svm_c) and config.svm_c > 0):
+        return f"svm_c is {config.svm_c!r}; it must be a finite number above 0"
+    for name in ("svm_epochs", "forest_trees"):
+        if getattr(config, name) < 1:
+            return f"{name} is {getattr(config, name)!r}; it must be at least 1"
+    return None
+
+
 def _payload_problem(payload: dict) -> str | None:
     """What keeps a model file's payload from loading, or None. Past its
     version, catalog, kind and keys, it checks all that decision_scores
@@ -486,6 +475,9 @@ def _payload_problem(payload: dict) -> str | None:
             name in fields and (_finite(value) if name == "svm_c" else type(value) is int)
             for name, value in config.items())):
         return "config is not an object of TrainConfig's fields: integers, and a number for svm_c"
+    problem = _config_problem(TrainConfig(**config))
+    if problem:
+        return f"config: {problem}"
     vectors = {"w": parameters["w"]} if kind == KIND_SVM else {}
     vectors.update(mins=scaler["mins"], maxs=scaler["maxs"])
     for name, values in vectors.items():
@@ -542,10 +534,15 @@ def _fit(
 ) -> list[dict[str, TrainedModel]]:
     """Each model kind of kinds fitted on each feature group's columns of
     raw (unscaled) features, all in one pass: the SVMs in one epoch loop,
-    the trees and forests in one lockstep grow. One scaling of every
-    column serves every group: a group's mins and maxs are its columns'
-    part of them, and its scaled columns hold the same bits as its own."""
+    the trees and forests in one _grow, level by level. One scaling of
+    every column serves every group: a group's mins and maxs are its
+    columns' part of them, and its scaled columns hold the same bits as
+    its own. A config that _config_problem finds fault with raises
+    ValueError naming the field."""
     config = config or TrainConfig()
+    problem = _config_problem(config)
+    if problem:
+        raise ValueError(problem)
     y = np.asarray(y, int)
     groups = [list(range(X_raw.shape[1])) if group == "all" else group_indices(group) for group in feature_groups]
     if X_raw.size == 0:
@@ -641,8 +638,8 @@ def flag_in_wild(
     flagged_all = 0
     for group in sorted(groups):
         ids, X = groups[group]
-        preds = model.predict(X)
         scores = model.decision_scores(X)
+        preds = _classes(model.kind, scores)
         flagged = int(preds.sum())
         total_all += len(ids)
         flagged_all += flagged

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -417,6 +418,17 @@ def test_lockstep_grower_covers_single_class_bootstraps_and_depth_cut_offs():
     assert max(depth(root) for root in roots) == 2
 
 
+@settings(max_examples=60, deadline=None)
+@given(_tied_forests())
+def test_a_tree_does_not_depend_on_the_trees_grown_beside_it(problem):
+    X, y, config, seed = problem
+    groups = [list(range(X.shape[1])), list(range(0, X.shape[1], 2))]
+    trees, forests = _grow(X, y, seed, groups, dataclasses.replace(config, forest_trees=7))
+    assert _grow(X, y, seed, groups, dataclasses.replace(config, forest_trees=3)) == (
+        trees, [forest[:3] for forest in forests])
+    assert _grow(X, y, seed, groups, config, forests=False) == (trees, [])
+
+
 def test_forest_fit_working_memory_is_bounded():
     # the batched split search holds a fixed number of grid cells at a time,
     # whatever the number of trees in lockstep
@@ -790,6 +802,10 @@ _CONFIG = TrainConfig().as_dict()
     (KIND_SVM, lambda p: {**p, "config": {**_CONFIG, "svm_epochs": 2.5}}, "config is not an object"),
     (KIND_SVM, lambda p: {**p, "config": {**_CONFIG, "forest_trees": True}}, "config is not an object"),
     (KIND_SVM, lambda p: {**p, "config": {**_CONFIG, "svm_c": "1"}}, "config is not an object"),
+    (KIND_SVM, lambda p: {**p, "config": {**_CONFIG, "svm_c": 0.0}}, "config: svm_c is 0.0; it must be a finite number above 0"),
+    (KIND_SVM, lambda p: {**p, "config": {"svm_c": -1}}, "config: svm_c is -1; it must be a finite number above 0"),
+    (KIND_SVM, lambda p: {**p, "config": {**_CONFIG, "svm_epochs": 0}}, "config: svm_epochs is 0; it must be at least 1"),
+    (KIND_FOREST, lambda p: {**p, "config": {**_CONFIG, "forest_trees": 0}}, "config: forest_trees is 0; it must be at least 1"),
     (KIND_SVM, lambda p: {**p, "parameters": {**p["parameters"], "b": "x"}}, "b is not a finite number"),
     (KIND_SVM, lambda p: {**p, "parameters": {**p["parameters"], "b": float("inf")}}, "b is not a finite number"),
     (KIND_SVM, lambda p: {**p, "parameters": {**p["parameters"], "w": [0.0, float("nan"), 1.0]}},
@@ -813,7 +829,8 @@ _CONFIG = TrainConfig().as_dict()
 ], ids=["not-an-object", "unknown-kind", "no-parameters", "no-scaler", "no-maxs", "w-scalar", "w-short",
         "mins-long", "maxs-nested", "index-negative", "index-repeated", "index-bool", "indices-string",
         "other-catalog", "no-catalog", "seed-string", "seed-bool", "seed-float", "config-unknown-field",
-        "config-list", "config-float-epochs", "config-bool-trees", "config-string-c", "b-string", "b-infinite",
+        "config-list", "config-float-epochs", "config-bool-trees", "config-string-c", "config-zero-c",
+        "config-negative-c", "config-zero-epochs", "config-zero-trees", "b-string", "b-infinite",
         "w-nan", "mins-past-float", "tree-feature-past", "tree-feature-negative",
         "tree-feature-bool", "tree-no-leaf", "tree-child-leaf-int", "tree-threshold-string",
         "tree-no-right", "leaf-n-pos-over-n", "leaf-negative", "leaf-float-n", "forest-no-trees",
@@ -824,7 +841,8 @@ def test_a_bad_model_file_is_refused_naming_it(tmp_path, kind, edit, message):
     # other than TrainConfig's failed as a bare TypeError, a seed "abc" or a b "x" as a
     # bare ValueError, and a seed true or 1.5 loaded; a split's feature 99 failed at
     # predict as a bare IndexError, -1 split on the last column, a root without "leaf"
-    # was a bare KeyError, and a forest of no tree predicted 0 under RuntimeWarnings
+    # was a bare KeyError, and a forest of no tree predicted 0 under RuntimeWarnings;
+    # a config of svm_c 0, svm_epochs 0 or forest_trees 0 loaded
     X, y = make_blobs(40, seed=45, dims=3)
     path = tmp_path / "model.json"
     train(kind, X, y, seed=45, config=TrainConfig(forest_trees=3)).save(path)
@@ -832,6 +850,21 @@ def test_a_bad_model_file_is_refused_naming_it(tmp_path, kind, edit, message):
     with pytest.raises(ValueError, match=message) as raised:
         TrainedModel.load(path)
     assert str(path) in str(raised.value)
+
+
+@pytest.mark.parametrize("kind, config, message", [
+    (KIND_SVM, TrainConfig(svm_c=0.0), "svm_c is 0.0; it must be a finite number above 0"),
+    (KIND_SVM, TrainConfig(svm_c=float("nan")), "svm_c is nan; it must be a finite number above 0"),
+    (KIND_SVM, TrainConfig(svm_epochs=0), "svm_epochs is 0; it must be at least 1"),
+    (KIND_FOREST, TrainConfig(forest_trees=0), "forest_trees is 0; it must be at least 1"),
+    (KIND_TREE, TrainConfig(forest_trees=-2), "forest_trees is -2; it must be at least 1"),
+], ids=["c-zero", "c-nan", "epochs-zero", "trees-zero", "trees-negative"])
+def test_a_fit_refuses_a_config_it_cannot_use_naming_the_field(kind, config, message):
+    # svm_c 0 used to fail as a bare ZeroDivisionError, and forest_trees 0 fitted a
+    # forest of no tree that predicted 0 under RuntimeWarnings
+    X, y = make_blobs(40, seed=45, dims=3)
+    with pytest.raises(ValueError, match=message):
+        train(kind, X, y, seed=45, config=config)
 
 
 def test_a_model_reading_a_column_past_the_matrix_is_refused(tmp_path):
@@ -873,6 +906,31 @@ def test_flag_counts():
     assert row["pct_flagged"] == pytest.approx(100.0 * preds.sum() / 20)
     assert len(result["designations"]) == 20
     assert len(result["samples"]["II"]) == 5
+
+
+def test_flag_routes_each_group_once(monkeypatch):
+    # each group's rows used to go down the forest twice: once for its
+    # predictions, once for its decision scores
+    import mission_profiler.classifier as classifier
+
+    routed = []
+    real = classifier._route
+
+    def route(roots, X):
+        routed.append(len(X))
+        return real(roots, X)
+
+    X, y = make_blobs(100, seed=53, dims=40)
+    model = train(KIND_FOREST, X, y, seed=53, config=TrainConfig(forest_trees=5))
+    rng = np.random.default_rng(5)
+    groups = {"II": ([f"a{i}" for i in range(40)], rng.normal(size=(40, 40))),
+              "III": ([f"b{i}" for i in range(25)], rng.normal(size=(25, 40)))}
+    expected = [(int(p), float(s)) for _, rows in groups.values() for p, s in
+                zip(model.predict(rows), model.decision_scores(rows))]
+    monkeypatch.setattr(classifier, "_route", route)
+    result = flag_in_wild(model, groups, sample_n=5, seed=1)
+    assert routed == [40, 25]
+    assert [(d["prediction"], d["decision_score"]) for d in result["designations"]] == expected
 
 
 def test_flag_empty_group():
