@@ -13,6 +13,7 @@ prediction could not use fails to load, naming the file.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -115,11 +116,12 @@ def _svm_weights(X: np.ndarray, y: np.ndarray, groups: list[list[int]], config: 
     return [part.copy() for part in parts]
 
 
-# Cells of the padded (nodes x candidate features x rows) grid that one
-# batched split search fills. Its temporaries peak at about 110 bytes a
-# cell, so a batch holds about 0.45 MB, however many nodes a level holds.
-# Drawing k of F candidates takes F <= k(k + 1) keys a node, and a node
-# searched holds 2 rows or more, so the cap bounds a batch's draws too.
+# Cells of the padded (nodes x candidate features x distinct rows) grid
+# one batched split search fills. Its temporaries peak at about 70 bytes a
+# cell (tracemalloc, many_profiles ablation), about 0.3 MB a full batch,
+# however many nodes a level holds. Drawing k of F candidates takes F <=
+# k(k + 1) keys a node of 2 distinct rows or more, so the cap bounds a
+# batch's draws too.
 _SPLIT_BATCH_CELLS = 1 << 12
 
 
@@ -141,19 +143,13 @@ def _keyed(keys: np.ndarray, nodes, count: int) -> np.ndarray:
     return z ^ (z >> 31)
 
 
-def _leaf(n: int, n_pos: int) -> dict:
-    # majority class; exact tie goes to the negative class
-    return {"leaf": True, "n": n, "n_pos": n_pos, "cls": int(n_pos * 2 > n)}
-
-
 def _rank_cells(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sort keys for the split search and the values they stand for.
 
-    Keys are (features x rows + 1): each cell's 2 * (dense rank of its
-    value in its column) + its row's label, then an even padding key above
-    every real one, in the smallest unsigned dtype that holds it. Values
-    are (features x most distinct values in a column): each column's
-    distinct values in ascending order, zero-filled.
+    Keys are (features x rows): each cell's 2 * (dense rank of its value
+    in its column) + its row's label, in the smallest unsigned dtype that
+    holds every key. Values are (features x most distinct values in a
+    column): each column's distinct values in ascending order, zero-filled.
     """
     n_features = X.shape[1]
     order = np.argsort(X, axis=0)
@@ -163,8 +159,8 @@ def _rank_cells(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     width = int(sorted_rank[-1].max(initial=0)) + 1
     values = np.zeros((n_features, width))
     values[np.arange(n_features), sorted_rank] = sorted_vals
-    keys = np.full((n_features, len(X) + 1), 2 * width, dtype=np.min_scalar_type(2 * width))
-    np.put_along_axis(keys[:, :-1], order.T, (2 * sorted_rank + np.asarray(y)[order]).T, axis=1)
+    keys = np.empty((n_features, len(X)), dtype=np.min_scalar_type(2 * width - 1))
+    np.put_along_axis(keys, order.T, (2 * sorted_rank + np.asarray(y)[order]).T, axis=1)
     return keys, values
 
 
@@ -211,137 +207,162 @@ def _grow(
     node j it considers the k = sqrt(F) rounded places of its F columns
     whose draws in _keyed(key, j, F) are smallest, in ascending order. The
     key is the same in every forest, so the forests share tree i's
-    bootstrap, drawn once. Each pass scores a level's nodes of one column
-    list, sampled or not, in batches of at most _SPLIT_BATCH_CELLS grid
-    cells (a node larger than that is scored alone), and draws a batch's
-    candidates in one _keyed call.
+    bootstrap, drawn once.
+
+    A level is arrays: each node's column list, forest tree number (-1 for
+    a CART), heap number and distinct row count, and its distinct rows with
+    how often it holds each (a bootstrap's repeat is a count), node after
+    node. A pass scores one list's nodes, sampled or not, in _best_splits
+    batches of at most _SPLIT_BATCH_CELLS grid cells (a larger node alone).
+    The node dicts are made once growth ends, one list a level.
     """
-    X = np.asarray(X, float)
-    y = np.asarray(y, int)
-    XT = np.ascontiguousarray(X.T)  # a column's values in one run
-    ranked = _rank_cells(X, y)
-    n = len(y)
-    row = np.min_scalar_type(max(n - 1, 0))  # a level holds the rows of every tree at once: the smallest dtype
-    every = [np.asarray(cols, dtype=np.intp) for cols in groups]
-    places = [{col: place for place, col in enumerate(cols)} for cols in groups]
-    single = [{} for _ in groups] if trees else []
-    roots = [[{} for _ in range(config.forest_trees)] for _ in groups] if forests else []
-    # a pending node: its tree (column list, forest tree number or None), its
-    # rows, its positives, its number, and its dict, filled in once it is done
-    level = [((g, None), np.arange(n, dtype=row), int(np.count_nonzero(y)), 1, root) for g, root in enumerate(single)]
+    X, y = np.asarray(X, float), np.asarray(y, int)
+    ranked, labels, n = _rank_cells(X, y), y > 0, len(y)
+    small = np.min_scalar_type(n)  # holds a row number and a count
+    groups = [np.asarray(cols, dtype=np.intp) for cols in groups]
+    place = np.zeros((len(groups), X.shape[1]), dtype=np.intp)  # place[g, column]: its place in list g
+    for g, cols in enumerate(groups):
+        place[g, cols] = np.arange(len(cols))
+    # the first level: each list's CART holds every row once, then tree i of
+    # each list's forest its bootstrap's distinct rows, counted as drawn
+    carts, forest_trees = len(groups) if trees else 0, config.forest_trees if forests else 0
+    group = np.concatenate([np.arange(carts), np.repeat(np.arange(len(groups)), forest_trees)])
+    tree = np.concatenate([np.full(carts, -1), np.tile(np.arange(forest_trees), len(groups))])
+    number = np.ones(len(group), dtype=np.uint64)
+    rows, counts, sizes = [np.tile(np.arange(n, dtype=small), carts)], [np.ones(carts * n, small)], [np.full(carts, n)]
     if forests:
-        keys = np.array([derive_seed(seed, "tree", i) for i in range(config.forest_trees)], dtype=np.uint64)
-        boots = (_keyed(keys, 0, n) % n).astype(row)  # a bootstrap may draw one class only; that tree is one leaf
-        counts = np.count_nonzero(y[boots], axis=1).tolist()
-        level += [((g, i), boots[i], counts[i], 1, root)
-                  for g, forest in enumerate(roots) for i, root in enumerate(forest)]
-    depth_left = config.tree_max_depth
-    while level:
-        searches: dict[tuple[int, bool], list] = {}  # this level's searches, by column list and whether sampled
-        for pending in level:
-            (g, i), rows, n_pos, _, node = pending
-            if depth_left <= 0 or len(rows) < config.tree_min_samples_split or n_pos in (0, len(rows)):
-                node.update(_leaf(len(rows), n_pos))
-            else:
-                searches.setdefault((g, i is not None), []).append(pending)
-        level = []
-        for (g, sampled), pending in searches.items():
-            width = len(every[g])
-            k = max(1, round(math.sqrt(width))) if sampled else width
-            pending.sort(key=lambda entry: -len(entry[1]))  # a batch pads its nodes to its first
-            while pending:
-                batch = pending[:max(1, _SPLIT_BATCH_CELLS // (len(pending[0][1]) * k))]
-                del pending[:len(batch)]  # so a node's rows are freed once its children hold theirs
+        keys = np.array([derive_seed(seed, "tree", i) for i in range(forest_trees)], dtype=np.uint64)
+        boots = (_keyed(keys, 0, n) % n).astype(np.intp)  # a bootstrap may draw one class only; that tree is one leaf
+        drawn = np.bincount((boots + np.arange(0, boots.size, n)[:, None]).ravel(), minlength=boots.size).reshape(-1, n)
+        rows += [np.nonzero(drawn)[1].astype(small)] * len(groups)
+        counts += [drawn[drawn > 0].astype(small)] * len(groups)
+        sizes += [np.count_nonzero(drawn, axis=1)] * len(groups)
+        del boots, drawn
+    rows, counts, sizes = np.concatenate(rows), np.concatenate(counts), np.concatenate(sizes)
+    levels = []  # each level's nodes: split or not, split place and threshold, rows and positive rows counted
+    for depth in range(config.tree_max_depth, -1, -1):
+        starts = np.cumsum(sizes) - sizes
+        total = np.add.reduceat(counts, starts, dtype=np.intp)
+        positive = np.add.reduceat(np.where(labels[rows], counts, 0), starts, dtype=np.intp)
+        searched = (positive > 0) & (positive < total) & (total >= config.tree_min_samples_split) & (depth > 0)
+        feature, threshold = np.full(len(sizes), -1), np.zeros(len(sizes))
+        for (g, cols), sampled in itertools.product(enumerate(groups), (False, True)):
+            pending = np.flatnonzero(searched & (group == g) & ((tree >= 0) == sampled))
+            pending = pending[np.argsort(n - sizes[pending], kind="stable")]  # a batch pads its nodes to its first
+            k = max(1, round(math.sqrt(len(cols)))) if sampled else len(cols)
+            while len(pending):
+                batch = pending[:max(1, _SPLIT_BATCH_CELLS // (int(sizes[pending[0]]) * k))]
+                pending = pending[len(batch):]
                 if sampled:
-                    numbers = np.array([i for (_, i), *_ in batch])
-                    nodes = np.array([number for *_, number, _ in batch], dtype=np.uint64)
-                    smallest = np.argsort(_keyed(keys[numbers], nodes, width), axis=1, kind="stable")[:, :k]
-                    feats = every[g][np.sort(smallest, axis=1)]
+                    draws = _keyed(keys[tree[batch]], number[batch], len(cols))
+                    feats = cols[np.sort(np.argsort(draws, axis=1, kind="stable")[:, :k], axis=1)]
                 else:
-                    feats = np.broadcast_to(every[g], (len(batch), width))
-                splits = _best_splits(X, y, [rows for _, rows, *_ in batch], feats, ranked)
-                for (tree, rows, n_pos, number, node), split in zip(batch, splits):
-                    if split is None:
-                        node.update(_leaf(len(rows), n_pos))
-                        continue
-                    feature, threshold = split
-                    go_left = XT[feature].take(rows) <= threshold
-                    left_pos = int(np.count_nonzero(y.take(rows[go_left])))
-                    node.update(leaf=False, feature=places[g][feature], threshold=threshold, left={}, right={})
-                    child = 2 * number % (1 << 64)
-                    level += [
-                        (tree, rows[go_left], left_pos, child, node["left"]),
-                        (tree, rows[~go_left], n_pos - left_pos, child + 1, node["right"]),
-                    ]
-        depth_left -= 1
-    return single, roots
+                    feats = np.broadcast_to(cols, (len(batch), k))
+                feature[batch], threshold[batch] = _best_splits(
+                    rows, counts, starts[batch], sizes[batch], feats, ranked)
+        split = feature >= 0
+        levels.append((split, place[group, feature], threshold, total, positive))
+        if not split.any():
+            break
+        # child 2s of the s-th split node gets its rows <= the threshold, child 2s + 1 the others
+        kept = np.repeat(split, sizes)
+        rows, counts, sizes = rows[kept], counts[kept], sizes[split]
+        child = np.repeat(np.arange(0, 2 * len(sizes), 2), sizes)
+        child += X[rows, np.repeat(feature[split], sizes)] > np.repeat(threshold[split], sizes)
+        order = np.argsort(child, kind="stable")
+        rows, counts, sizes = rows[order], counts[order], np.bincount(child, minlength=2 * len(sizes))
+        group, tree = np.repeat(group[split], 2), np.repeat(tree[split], 2)
+        number = (2 * number[split][:, None] + np.arange(2, dtype=np.uint64)).ravel()
+    # every node's dict, deepest level first: a split holds the next two dicts of
+    # the level below, a leaf its majority class (an exact tie is negative)
+    below: list[dict] = []
+    while levels:
+        split, at, cut, held, pos = levels.pop()
+        kids = iter(below)
+        below = [
+            {"leaf": False, "feature": f, "threshold": t, "left": next(kids), "right": next(kids)} if s
+            else {"leaf": True, "n": m, "n_pos": p, "cls": c}
+            for s, f, t, m, p, c in zip(*(a.tolist() for a in (split, at, cut, held, pos, (2 * pos > held) * 1)))
+        ]
+    return below[:carts], [below[carts + g * forest_trees:][:forest_trees] for g in range(len(groups))] if forests else []
 
 
 def _best_splits(
-    X: np.ndarray,
-    y: np.ndarray,
-    rows: list[np.ndarray],
-    feats: np.ndarray,
+    rows: np.ndarray, counts: np.ndarray, starts: np.ndarray, sizes: np.ndarray, feats: np.ndarray,
     ranked: tuple[np.ndarray, np.ndarray],
-) -> list[tuple[int, float] | None]:
-    """CART split search of several nodes at once.
-
-    Node j holds the rows rows[j] of X (finite floats) and y (0/1 labels)
+) -> tuple[np.ndarray, np.ndarray]:
+    """CART split search of several nodes at once: each node's feature and
+    threshold, feature -1 where no candidate column holds two distinct
+    values. Node j holds the distinct rows rows[starts[j]:][:sizes[j]] of X
+    (finite floats) and y (0/1), each as often as counts says at its place,
     and may split on the columns feats[j]; ranked is _rank_cells(X, y).
+
     The nodes' sort keys lie in one grid padded to the largest, (nodes x
-    features x rows), and each column is sorted within its node: a key's
-    rank orders the values and its low bit is the label. Prefix counts give every cut's weighted Gini impurity,
-    and each node walks its cuts between distinct values feature by
-    feature. Returns (feature, threshold) per node, or None where no
-    candidate column holds two distinct values. Zero-gain splits are
-    allowed (a first cut on symmetric data like XOR improves nothing by
-    itself but enables pure children).
+    features x distinct rows), each shifted left to hold its row's count,
+    and each column is sorted within its node. Running sums of the counts
+    and of the positive rows' counts give every cut's weighted Gini
+    impurity, bit for bit the score of the node that repeats each row count
+    times. Each node walks its cuts between distinct values feature by
+    feature; a cut replaces the best so far only when it scores more than
+    1e-15 below it, which keeps the first least score unless a score lies
+    within 1e-14 above it (only such a node walks its cuts one by one).
+    Zero-gain splits are allowed: a first cut on symmetric data like XOR
+    improves nothing by itself but enables pure children.
     """
     keys, values = ranked
-    sizes = np.array([len(r) for r in rows])
-    width = int(sizes.max())
-    in_node = np.arange(width) < sizes[:, None]
-    padded = np.full(in_node.shape, keys.shape[1] - 1)  # the padding key's cell
-    padded[in_node] = np.concatenate(rows)
-    grid = keys.take(feats[:, :, None] * keys.shape[1] + padded[:, None, :])
+    feature, threshold = np.full(len(sizes), -1), np.zeros(len(sizes))
+    width, k = int(sizes.max(initial=0)), feats.shape[1]
+    # a node's padding repeats its last row with count 0: it sorts among
+    # that row's equal values, so it adds no cut and nothing to a sum
+    slot = starts[:, None] + np.minimum(np.arange(width), sizes[:, None] - 1)  # each grid row's place in rows
+    weight = np.where(np.arange(width) < sizes[:, None], counts.take(slot), 0)
+    shift = int(weight.max(initial=0)).bit_length()
+    cell = np.min_scalar_type((2 * values.shape[1] - 1) << shift | ((1 << shift) - 1))  # holds every key and count
+    grid = keys.take(feats[:, :, None] * keys.shape[1] + rows.take(slot)[:, None, :]).astype(cell, copy=False)
+    grid <<= shift
+    grid |= weight.astype(cell)[:, None, :]
     grid.sort(axis=-1)
-    rank = grid >> 1
-    # cut i of a column lies after its sorted row i; only cuts between
-    # distinct values are scored, from prefix counts of the positives
-    cuts = (rank[..., :-1] != rank[..., 1:]) & (np.arange(1, width) < sizes[:, None, None])
-    flat = np.flatnonzero(cuts)
-    column, i = np.divmod(flat, width - 1)  # column: node * candidate features + its place among them
-    node = column // feats.shape[1]
-    prefix = np.cumsum(grid & 1, axis=-1, dtype=np.intp).reshape(feats.size, width)
-    pos_left = prefix[column, i].astype(float)
-    n = sizes[node].astype(float)
-    n_left = i + 1.0
-    n_right = n - n_left
-    neg_left = n_left - pos_left
-    pos_right = prefix[column, sizes[node] - 1] - pos_left
+    rank = grid >> (shift + 1)
+    # a cut lies between two sorted cells of a column whose ranks differ
+    flat = np.flatnonzero(rank[..., :-1] != rank[..., 1:])
+    if not len(flat):
+        return feature, threshold
+    column = flat // (width - 1)  # node * candidate features + its place among them
+    cut, node = flat + column, column // k  # cut: the grid cell left of the cut
+    # one running sum over the grid holds both of a cut's sums: a cell adds
+    # count * (2**bits + label), and no column's positive count reaches 2**bits
+    bits = int(weight.sum()).bit_length()
+    label, count = np.divmod(np.arange(2 << shift), 1 << shift)  # of a cell's low bits
+    sums = np.zeros(grid.size + 1, dtype=np.intp)
+    np.cumsum((count * ((1 << bits) + label)).take(grid.ravel() & ((2 << shift) - 1)), out=sums[1:])
+    before = sums[:-1:width]  # each column's sums before its first cell
+    left, held = sums.take(cut + 1) - before.take(column), (sums[width::width] - before).take(column)
+    n_left, pos_left = (left >> bits).astype(float), (left & (1 << bits) - 1).astype(float)
+    n, pos = held >> bits, held & (1 << bits) - 1
+    n_right, neg_left = n - n_left, n_left - pos_left
+    pos_right = pos - pos_left
     neg_right = n_right - pos_right
     # keep this operation order: saved thresholds depend on the scores' last bits
     gini_left = 1.0 - ((neg_left / n_left) ** 2 + (pos_left / n_left) ** 2)
     gini_right = 1.0 - ((neg_right / n_right) ** 2 + (pos_right / n_right) ** 2)
-    walk = np.full(cuts.size, np.inf)
-    walk[flat] = (n_left * gini_left + n_right * gini_right) / n
-    # feature-major walk of each node's cuts; only a strict running minimum
-    # can pass the tolerance rule below
-    walk = walk.reshape(len(rows), -1)
-    before = np.minimum.accumulate(walk, axis=1)
-    lower = np.concatenate([walk[:, :1] < np.inf, walk[:, 1:] < before[:, :-1]], axis=1)
-    best: dict[int, tuple[int, float]] = {}
-    for j, at, score in zip(*(index.tolist() for index in np.nonzero(lower)), walk[lower].tolist()):
-        if j not in best or score < best[j][1] - 1e-15:
-            best[j] = (at, score)
-    won = np.fromiter(best, np.intp, len(best))
-    col, i = np.divmod(np.fromiter((at for at, _ in best.values()), np.intp, len(best)), width - 1)
-    feature = feats[won, col]
-    threshold = (values[feature, rank[won, col, i]] + values[feature, rank[won, col, i + 1]]) / 2.0
-    splits: list[tuple[int, float] | None] = [None] * len(rows)
-    for j, split in zip(best, zip(feature.tolist(), threshold.tolist())):
-        splits[j] = split
-    return splits
+    score = (n_left * gini_left + n_right * gini_right) / n
+    # each node's cuts are a run of score in walk order
+    first = np.flatnonzero(np.concatenate([[True], node[1:] != node[:-1]]))
+    ends = np.append(first[1:], len(score))
+    least = np.minimum.reduceat(score, first).repeat(ends - first)
+    hit, near = score == least, score <= least + 1e-14
+    best = np.minimum.reduceat(np.where(hit, np.arange(len(score)), len(score)), first)
+    if np.count_nonzero(near) > np.count_nonzero(hit):
+        for run in np.flatnonzero(np.logical_or.reduceat(near & ~hit, first)).tolist():
+            low = math.inf
+            for i, value in enumerate(score[first[run]:ends[run]].tolist(), first[run]):
+                if value < low - 1e-15:
+                    best[run], low = i, value
+    won, rank = node[best], rank.ravel()
+    feature[won] = feats.ravel()[column[best]]
+    row = feature[won] * values.shape[1]  # the won features' rows of values
+    threshold[won] = (values.take(row + rank.take(cut[best])) + values.take(row + rank.take(cut[best] + 1))) / 2.0
+    return feature, threshold
 
 
 def _classes(kind: str, scores: np.ndarray) -> np.ndarray:

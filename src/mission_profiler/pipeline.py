@@ -836,10 +836,15 @@ PLOTS = (
 )
 
 
+_LABEL_CLASSES = {"on_mission": 1, "1": 1, "true": 1, "genuine": 0, "not_on_mission": 0, "0": 0, "false": 0}
+
+
 def load_labels_csv(path: str) -> dict[str, int]:
-    """profile_id,label CSV; on_mission (or 1/true) is the positive class.
-    A file that is not UTF-8, or a row without a label column, raises
-    ValueError naming the file and row."""
+    """profile_id,label CSV: on_mission, 1 or true is the positive class and
+    genuine, not_on_mission, 0 or false the negative, in any case and with
+    spaces around. A file that is not UTF-8, a row without a label column
+    or with any other label, and a profile id listed twice raise ValueError
+    naming the file and row."""
     data = Path(path).read_bytes()
     try:
         text = data.decode("utf-8")
@@ -853,7 +858,12 @@ def load_labels_csv(path: str) -> dict[str, int]:
             continue
         if len(row) < 2:
             raise ValueError(f"{path}: row {reader.line_num}: no label column")
-        labels[row[0]] = 1 if row[1].strip().lower() in ("on_mission", "1", "true") else 0
+        label = _LABEL_CLASSES.get(row[1].strip().lower())
+        if label is None:
+            raise ValueError(f"{path}: row {reader.line_num}: label {row[1]!r} is none of {', '.join(_LABEL_CLASSES)}")
+        if row[0] in labels:
+            raise ValueError(f"{path}: row {reader.line_num}: profile {row[0]} has an earlier row")
+        labels[row[0]] = label
     return labels
 
 

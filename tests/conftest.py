@@ -68,10 +68,15 @@ def write_tweet_lines(path, rows):
 
 
 # labels files a load stops on, and the end of the error it gives: a row
-# without a label column, and bytes that are not UTF-8
+# without a label column, bytes that are not UTF-8, a label that is no
+# class (both used to load as genuine) and a profile listed twice (the
+# last row used to win)
 BAD_LABELS = [
     (b"profile_id,label\np1,on_mission\n\np2\n", "row 4: no label column"),
     (b"profile_id,label\np1,on_mission\np2,genu\xefne\n", "row 3: not UTF-8 text"),
+    (b"profile_id,label\np1,on-mission\n", "row 2: label 'on-mission' is none of on_mission, 1, true, genuine, "
+                                           "not_on_mission, 0, false"),
+    (b"profile_id,label\np2,on_mission\np3,genuine\np2,genuine\n", "row 4: profile p2 has an earlier row"),
 ]
 
 

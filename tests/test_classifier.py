@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mission_profiler.classifier import (
@@ -291,12 +291,47 @@ def test_batched_split_search_matches_the_scalar_reference_per_node(batch):
     X, y, nodes, seeds = batch
     fast_rngs = [None] * len(nodes) if seeds is None else [random.Random(s) for s in seeds]
     feats = np.array([_reference_draw(rng, X.shape[1]) for rng in fast_rngs], dtype=np.intp)
-    splits = _best_splits(X, y, nodes, feats, _rank_cells(X, y))
+    distinct = [np.unique(rows, return_counts=True) for rows in nodes]
+    sizes = np.array([len(rows) for rows, _ in distinct])
+    feature, threshold = _best_splits(
+        np.concatenate([rows for rows, _ in distinct]), np.concatenate([counts for _, counts in distinct]),
+        np.cumsum(sizes) - sizes, sizes, feats, _rank_cells(X, y))
+    splits = [None if f < 0 else (f, t) for f, t in zip(feature.tolist(), threshold.tolist())]
     for j, rows in enumerate(nodes):
         slow_rng = None if seeds is None else random.Random(seeds[j])
         assert splits[j] == _reference_best_split(_reference_draw(slow_rng, X.shape[1]), X[rows], y[rows]), j
         if seeds is not None:  # each node drew what the reference drew, no more
             assert fast_rngs[j].getstate() == slow_rng.getstate()
+
+
+@st.composite
+def _counted_batches(draw):
+    """Nodes given as distinct row numbers, in any order, and a count for
+    each, into one tied matrix; some counts need many bits."""
+    n = draw(st.integers(2, 20))
+    f = draw(st.integers(1, 6))
+    values = draw(st.lists(st.integers(0, 2), min_size=n * f, max_size=n * f))
+    X = np.asarray(values, float).reshape(n, f) / draw(st.sampled_from([1.0, 3.0]))
+    y = np.asarray(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), int)
+    count = st.integers(1, 4) | st.integers(1, 300)
+    nodes = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True), min_size=1, max_size=4))
+    return X, y, [(np.asarray(rows), np.asarray([draw(count) for _ in rows])) for rows in nodes]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_counted_batches())
+@example((_NEAR_TIE_X, _NEAR_TIE_Y, [(np.array([6, 0, 7, 1, 2]), np.array([1, 20000, 1, 3, 2]))]))
+def test_a_node_of_distinct_rows_and_counts_splits_as_its_rows_repeated(batch):
+    X, y, nodes = batch
+    sizes = np.array([len(rows) for rows, _ in nodes])
+    feats = np.broadcast_to(np.arange(X.shape[1]), (len(nodes), X.shape[1]))
+    feature, threshold = _best_splits(
+        np.concatenate([rows for rows, _ in nodes]), np.concatenate([counts for _, counts in nodes]),
+        np.cumsum(sizes) - sizes, sizes, feats, _rank_cells(X, y))
+    for j, (rows, counts) in enumerate(nodes):
+        expanded = np.repeat(rows, counts)
+        expected = _reference_best_split(range(X.shape[1]), X[expanded], y[expanded])
+        assert (None if feature[j] < 0 else (int(feature[j]), float(threshold[j]))) == expected, j
 
 
 _MASK = 2**64 - 1
@@ -402,6 +437,44 @@ def test_lockstep_grower_matches_the_recursive_reference(problem):
     trees, forests = _grow(X, y, seed, [list(range(X.shape[1]))], config)
     assert {"trees": [{"root": root} for root in forests[0]]} == _reference_forest(X, y, config, seed)
     assert {"root": trees[0]} == _reference_tree(X, y, config, None)
+
+
+@st.composite
+def _tied_forests_over_lists(draw):
+    """A _tied_forests problem and two or three ascending column lists of
+    different widths, so that each samples its own k = sqrt(F) rounded."""
+    X, y, config, seed = draw(_tied_forests())
+    assume(X.shape[1] >= 3)
+    widths = draw(st.lists(st.integers(1, X.shape[1]), min_size=2, max_size=3, unique_by=lambda w: round(w ** 0.5)))
+    return X, y, config, seed, [sorted(draw(st.permutations(range(X.shape[1])))[:w]) for w in widths]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_tied_forests_over_lists())
+def test_one_grow_over_several_column_lists_matches_the_reference_on_each_list(problem):
+    X, y, config, seed, groups = problem
+    trees, forests = _grow(X, y, seed, groups, config)
+    for cols, root, roots in zip(groups, trees, forests):
+        assert {"root": root} == _reference_tree(X[:, cols], y, config, None)
+        assert {"trees": [{"root": tree} for tree in roots]} == _reference_forest(X[:, cols], y, config, seed)
+
+
+def _leaves(node):
+    return [node] if node["leaf"] else _leaves(node["left"]) + _leaves(node["right"])
+
+
+@settings(max_examples=80, deadline=None)
+@given(_tied_forests())
+def test_a_forest_tree_s_leaves_count_its_bootstrap_s_rows_and_positives(problem):
+    # a row the bootstrap drew twice is one row counted twice, never lost or dropped
+    X, y, config, seed = problem
+    n = len(y)
+    roots = _grow(X, y, seed, [list(range(X.shape[1]))], config, trees=False)[1][0]
+    for i, root in enumerate(roots):
+        boot = _keyed(np.array([derive_seed(seed, "tree", i)], dtype=np.uint64), 0, n)[0] % n
+        leaves = _leaves(root)
+        assert sum(leaf["n"] for leaf in leaves) == n
+        assert sum(leaf["n_pos"] for leaf in leaves) == np.count_nonzero(y[boot])
 
 
 def test_lockstep_grower_covers_single_class_bootstraps_and_depth_cut_offs():

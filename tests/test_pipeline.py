@@ -649,6 +649,15 @@ def test_a_labels_row_without_a_label_or_a_labels_file_that_is_not_utf8_is_a_cla
     assert str(err.value) == f"stage classify: {labels}: {error}"
 
 
+def test_labels_load_in_any_case_and_with_spaces_around(tmp_path):
+    labels = tmp_path / "labels.csv"
+    labels.write_text(
+        "profile_id,label\np1, On_Mission \np2,TRUE\np3,1\np4,Genuine\np5, not_on_mission\np6,False\np7,0\n",
+        encoding="utf-8",
+    )
+    assert pipeline.load_labels_csv(str(labels)) == {"p1": 1, "p2": 1, "p3": 1, "p4": 0, "p5": 0, "p6": 0, "p7": 0}
+
+
 def test_tox_gate_parsing():
     assert parse_tox_gate("p75") == ("percentile", 75.0)
     assert parse_tox_gate("abs:0.14") == ("absolute", 0.14)
