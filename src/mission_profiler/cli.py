@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import sys
 from pathlib import Path
@@ -24,9 +25,23 @@ def main() -> None:
     """Batch profiling of social-media timelines for on-mission behavior."""
 
 
-def _fail(stage: str, exc: Exception) -> None:
-    click.echo(f"error [{stage}]: {exc}", err=True)
-    sys.exit(PipelineError(stage, str(exc)).exit_code)
+def _fails_as(stage: str):
+    """Wrap a command so that its failure prints `error [<stage>]: …` and
+    exits with the stage's code; a PipelineError names its own stage.
+    click's own exceptions pass through, so a usage error exits 2."""
+    def wrap(fn):
+        @functools.wraps(fn)
+        def command(*args, **kwargs):
+            try:
+                return fn(*args, **kwargs)
+            except click.ClickException:
+                raise
+            except Exception as exc:
+                failed = exc if isinstance(exc, PipelineError) else PipelineError(stage, str(exc))
+                click.echo(f"error [{failed.stage}]: {exc}", err=True)
+                sys.exit(failed.exit_code)
+        return command
+    return wrap
 
 
 def _warn(message: str) -> None:
@@ -34,17 +49,15 @@ def _warn(message: str) -> None:
 
 
 @main.command()
+@_fails_as("ingest")
 @click.option("--tweets", required=True, type=click.Path(exists=True))
 @click.option("--profiles", type=click.Path(exists=True))
 @click.option("--strict", is_flag=True, default=False)
 @click.option("--out", required=True, type=click.Path())
 def ingest(tweets: str, profiles: str | None, strict: bool, out: str) -> None:
     """Load tweet/profile JSONL into the versioned corpus cache."""
-    try:
-        corpus = load_timelines(tweets, profiles, strict=strict)
-        save_corpus(corpus, out)
-    except Exception as exc:
-        _fail("ingest", exc)
+    corpus = load_timelines(tweets, profiles, strict=strict)
+    save_corpus(corpus, out)
     for message in ingest_warnings(corpus):
         _warn(message)
     stats = corpus.ingest_stats
@@ -62,6 +75,7 @@ def _finite(ctx, param, value: float | None) -> float | None:
 
 
 @main.command()
+@_fails_as("score")
 @click.option("--corpus", "corpus_path", required=True, type=click.Path(exists=True))
 @click.option("--backend", type=click.Choice(["mock", "file", "http"]), default="mock")
 @click.option("--toxicity-file", type=click.Path(exists=True), help="precomputed scores for the file backend")
@@ -78,23 +92,21 @@ def score(corpus_path, backend, toxicity_file, bot_file, toxicity_cache, bot_cac
     and http resume from --toxicity-cache for the corpus's tweets only."""
     if bot_file and not bot_cache:
         raise click.UsageError("--bot-file needs --bot-cache, the file its bot scores are saved to")
-    try:
-        corpus = load_corpus(corpus_path)
-        if backend == "file" and not toxicity_file:
-            raise ValueError("--toxicity-file is required for the file backend")
-        bot = bot_cache and scores.bot_scores(corpus, "file" if bot_file else "mock", bot_file)
-        cache = scores.toxicity_scores(corpus, backend, toxicity_file, mock_value, toxicity_cache, rate_limit=rps)
-        cache.save(toxicity_cache)
-        if bot_cache:
-            bot.save(bot_cache)
-    except Exception as exc:
-        _fail("score", exc)
+    corpus = load_corpus(corpus_path)
+    if backend == "file" and not toxicity_file:
+        raise ValueError("--toxicity-file is required for the file backend")
+    bot = bot_cache and scores.bot_scores(corpus, "file" if bot_file else "mock", bot_file)
+    cache = scores.toxicity_scores(corpus, backend, toxicity_file, mock_value, toxicity_cache, rate_limit=rps)
+    cache.save(toxicity_cache)
+    if bot_cache:
+        bot.save(bot_cache)
     click.echo(f"toxicity: {len(cache.toxicity)} scored, {len(cache.missing)} missing")
     if bot_cache:
         click.echo(f"bots: {len(bot.bots)} profiles scored")
 
 
 @main.command("topics")
+@_fails_as("topics")
 @click.option("--corpus", "corpus_path", type=click.Path(exists=True))
 @click.option("--tpv", "tpv_path", type=click.Path(exists=True))
 @click.option("--catalog", "catalog_path", type=click.Path(exists=True))
@@ -107,23 +119,21 @@ def topics_cmd(corpus_path, tpv_path, catalog_path, baseline, k_topics, seed, ou
     write the baseline vectors. Give later commands the checked --tpv file
     itself."""
     out_dir = Path(out)
-    try:
-        if baseline and not corpus_path:
-            raise ValueError("--corpus is required with --baseline")
-        if not baseline and not tpv_path:
-            raise ValueError("either --tpv or --baseline is required")
-        corpus = load_corpus(corpus_path) if baseline else None
-        tpvs, catalog = topic_vectors(k_topics, seed, None if baseline else tpv_path, catalog_path, corpus)
-        out_dir.mkdir(parents=True, exist_ok=True)  # once the inputs are read: a failed command leaves none
-        if baseline:
-            topics.save_tpvs(*tpvs, out_dir / "tpvs.jsonl")
-        catalog.save(out_dir / "catalog.tsv")
-    except Exception as exc:
-        _fail("topics", exc)
+    if baseline and not corpus_path:
+        raise ValueError("--corpus is required with --baseline")
+    if not baseline and not tpv_path:
+        raise ValueError("either --tpv or --baseline is required")
+    corpus = load_corpus(corpus_path) if baseline else None
+    tpvs, catalog = topic_vectors(k_topics, seed, None if baseline else tpv_path, catalog_path, corpus)
+    out_dir.mkdir(parents=True, exist_ok=True)  # once the inputs are read: a failed command leaves none
+    if baseline:
+        topics.save_tpvs(*tpvs, out_dir / "tpvs.jsonl")
+    catalog.save(out_dir / "catalog.tsv")
     click.echo(f"{len(tpvs[0])} topic vectors over K={k_topics}; catalog with {catalog.K} topics")
 
 
 @main.command()
+@_fails_as("group")
 @click.option("--corpus", "corpus_path", required=True, type=click.Path(exists=True))
 @click.option("--tpv", "tpv_path", required=True, type=click.Path(exists=True))
 @click.option("--catalog", "catalog_path", type=click.Path(exists=True))
@@ -132,29 +142,24 @@ def topics_cmd(corpus_path, tpv_path, catalog_path, baseline, k_topics, seed, ou
 @click.option("--cdf-csv", type=click.Path())
 def group(corpus_path, tpv_path, catalog_path, k_topics, out, cdf_csv) -> None:
     """Assign profiles to entropy groups and export the partition."""
-    try:
-        corpus = load_corpus(corpus_path)
-        tpvs, catalog = topic_vectors(k_topics, 0, tpv_path, catalog_path)  # a seed only for the baseline
-        groups, cdf_rows = group_profiles(corpus, catalog, tpvs, _warn)
-        write_groups(groups, cdf_rows, out, cdf_csv)
-    except Exception as exc:
-        _fail("group", exc)
+    corpus = load_corpus(corpus_path)
+    tpvs, catalog = topic_vectors(k_topics, 0, tpv_path, catalog_path)  # a seed only for the baseline
+    groups, cdf_rows = group_profiles(corpus, catalog, tpvs, _warn)
+    write_groups(groups, cdf_rows, out, cdf_csv)
     sizes = {g: len(v) for g, v in groups["groups"].items() if v}
     click.echo(f"group sizes: {sizes}")
 
 
 @main.command("metrics")
+@_fails_as("metrics")
 @click.option("--corpus", "corpus_path", required=True, type=click.Path(exists=True))
 @click.option("--toxicity-cache", required=True, type=click.Path(exists=True))
 @click.option("--out", required=True, type=click.Path())
 def metrics_cmd(corpus_path, toxicity_cache, out) -> None:
     """Compute the per-profile metric battery into metrics.jsonl."""
-    try:
-        corpus = load_corpus(corpus_path)
-        rows = metric_rows(corpus, scores.load_score_source(toxicity_cache), _warn)
-        write_metrics(rows, out)
-    except Exception as exc:
-        _fail("metrics", exc)
+    corpus = load_corpus(corpus_path)
+    rows = metric_rows(corpus, scores.load_score_source(toxicity_cache), _warn)
+    write_metrics(rows, out)
     click.echo(f"metrics for {len(corpus.profiles)} profiles -> {out}")
 
 
@@ -167,12 +172,14 @@ def _tox_gate(ctx: click.Context, param: click.Parameter, value: str) -> tuple[s
 
 
 @main.command()
+@_fails_as("detect")
 @click.option("--corpus", "corpus_path", required=True, type=click.Path(exists=True))
 @click.option("--tpv", "tpv_path", required=True, type=click.Path(exists=True))
 @click.option("--catalog", "catalog_path", type=click.Path(exists=True))
 @click.option("--toxicity-cache", required=True, type=click.Path(exists=True))
 @click.option("--groups", "groups_path", required=True, type=click.Path(exists=True))
-@click.option("--group", "group_name", default="VIII", help="entropy group to designate")
+@click.option("--group", "group_name", default="VIII", callback=lambda ctx, param, name: _entropy_group(name),
+              help="entropy group to designate")
 @click.option("--min-cluster", type=click.IntRange(min=1), default=detector.DEFAULT_MIN_CLUSTER)
 @click.option("--tox-gate", default="p75", callback=_tox_gate, help="pNN percentile or abs:X absolute gate")
 @click.option("--k", "k_topics", type=click.IntRange(min=1), default=topics.DEFAULT_K)
@@ -180,32 +187,27 @@ def _tox_gate(ctx: click.Context, param: click.Parameter, value: str) -> tuple[s
 def detect(corpus_path, tpv_path, catalog_path, toxicity_cache, groups_path,
            group_name, min_cluster, tox_gate, k_topics, out) -> None:
     """Designate on-mission profiles within one entropy group."""
-    try:
-        corpus = load_corpus(corpus_path)
-        tpvs, catalog = topic_vectors(k_topics, 0, tpv_path, catalog_path)
-        aggs = corpus_topic_aggregates(corpus, tpvs, scores.load_score_source(toxicity_cache), k_topics, _warn)
-        partition = read_json(groups_path)["groups"]
-        payload = designate(
-            corpus, tpvs, catalog, aggs, partition, group_name, min_cluster, tox_gate, _warn
-        )
-        write_json(out, payload)
-    except Exception as exc:
-        _fail("detect", exc)
+    corpus = load_corpus(corpus_path)
+    tpvs, catalog = topic_vectors(k_topics, 0, tpv_path, catalog_path)
+    aggs = corpus_topic_aggregates(corpus, tpvs, scores.load_score_source(toxicity_cache), k_topics, _warn)
+    partition = read_json(groups_path)["groups"]
+    payload = designate(
+        corpus, tpvs, catalog, aggs, partition, group_name, min_cluster, tox_gate, _warn
+    )
+    write_json(out, payload)
     on = sum(1 for d in payload["designations"] if d["label"] == detector.ON_MISSION)
     click.echo(f"{on} on-mission / {len(payload['designations']) - on} not-on-mission in group {group_name}")
 
 
 @main.command()
+@_fails_as("detect")
 @click.option("--ratings", required=True, type=click.Path(exists=True),
               help="CSV, one row per item, one column per rater")
 def kappa(ratings) -> None:
     """Inter-annotator agreement for a ratings matrix."""
-    try:
-        with open(ratings, "r", encoding="utf-8") as fh:
-            rows = [row for row in csv.reader(fh) if row]
-        report = detector.fleiss_kappa(rows)
-    except Exception as exc:
-        _fail("detect", exc)
+    with open(ratings, "r", encoding="utf-8") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    report = detector.fleiss_kappa(rows)
     click.echo(
         f"kappa={report['kappa']:.4f} over {report['n_items']} items, "
         f"{report['n_raters']} raters, {report['n_categories']} categories"
@@ -213,25 +215,24 @@ def kappa(ratings) -> None:
 
 
 @main.command("synth")
+@_fails_as("config")
 @click.option("--spec", "spec_path", type=click.Path(exists=True), help="JSON archetype spec")
 @click.option("--seed", type=int, default=42)
 @click.option("--out", required=True, type=click.Path())
 def synth_cmd(spec_path, seed, out) -> None:
     """Generate a seeded synthetic bundle with ground-truth labels."""
-    try:
-        if spec_path:
-            specs, K = synth.load_specs(spec_path)
-        else:
-            specs, K = synth.default_specs(), 20
-        bundle = synth.generate(specs, K, seed)
-        paths = synth.write_bundle(bundle, out)
-    except Exception as exc:
-        _fail("config", exc)
+    if spec_path:
+        specs, K = synth.load_specs(spec_path)
+    else:
+        specs, K = synth.default_specs(), 20
+    bundle = synth.generate(specs, K, seed)
+    paths = synth.write_bundle(bundle, out)
     n = sum(s.n_profiles for s in specs)
     click.echo(f"{n} profiles / {len(bundle.tweets)} tweets -> {paths['tweets'].parent}")
 
 
 @main.command()
+@_fails_as("classify")
 @click.option("--labels", "labels_path", required=True, type=click.Path(exists=True))
 @click.option("--features", "features_path", required=True, type=click.Path(exists=True))
 @click.option("--model", "kind", type=click.Choice(["svm", "tree", "forest"]), default="svm")
@@ -241,27 +242,22 @@ def synth_cmd(spec_path, seed, out) -> None:
 def train(labels_path, features_path, kind, feature_group, seed, out) -> None:
     """Train one classifier on labeled feature vectors (80/20 split)."""
     kind_full = {"svm": classifier.KIND_SVM, "tree": classifier.KIND_TREE, "forest": classifier.KIND_FOREST}[kind]
-    try:
-        X, y = _labeled_matrix(features_path, labels_path)
-        model, report = classifier.train_and_evaluate(X, y, seed, kind=kind_full, feature_group=feature_group)
-        model.save(out)
-    except Exception as exc:
-        _fail("classify", exc)
+    X, y = _labeled_matrix(features_path, labels_path)
+    model, report = classifier.train_and_evaluate(X, y, seed, kind=kind_full, feature_group=feature_group)
+    model.save(out)
     click.echo(f"{kind_full}: held-out f1={report['f1']:.4f} accuracy={report['accuracy']:.4f} -> {out}")
 
 
 @main.command()
+@_fails_as("classify")
 @click.option("--model", "model_path", required=True, type=click.Path(exists=True))
 @click.option("--features", "features_path", required=True, type=click.Path(exists=True))
 @click.option("--labels", "labels_path", required=True, type=click.Path(exists=True))
 def evaluate(model_path, features_path, labels_path) -> None:
     """Evaluate a saved model against labeled features."""
-    try:
-        X, y = _labeled_matrix(features_path, labels_path)
-        model = classifier.TrainedModel.load(model_path)
-        report = classifier.evaluate(model.predict(X), y)
-    except Exception as exc:
-        _fail("classify", exc)
+    X, y = _labeled_matrix(features_path, labels_path)
+    model = classifier.TrainedModel.load(model_path)
+    report = classifier.evaluate(model.predict(X), y)
     click.echo(
         f"tp={report['tp']} tn={report['tn']} fp={report['fp']} fn={report['fn']} "
         f"f1={report['f1']:.4f} accuracy={report['accuracy']:.4f}"
@@ -269,18 +265,16 @@ def evaluate(model_path, features_path, labels_path) -> None:
 
 
 @main.command()
+@_fails_as("classify")
 @click.option("--labels", "labels_path", required=True, type=click.Path(exists=True))
 @click.option("--features", "features_path", required=True, type=click.Path(exists=True))
 @click.option("--seed", type=int, default=42)
 @click.option("--out", required=True, type=click.Path())
 def ablate(labels_path, features_path, seed, out) -> None:
     """Feature-group x model-kind ablation on one shared split."""
-    try:
-        X, y = _labeled_matrix(features_path, labels_path)
-        table, _ = classifier.ablation(X, y, seed)
-        write_json(out, {"table": table})
-    except Exception as exc:
-        _fail("classify", exc)
+    X, y = _labeled_matrix(features_path, labels_path)
+    table, _ = classifier.ablation(X, y, seed)
+    write_json(out, {"table": table})
     for group_name, cells in table.items():
         line = " ".join(
             f"{kind}: f1={cells[kind]['f1']:.3f}/acc={cells[kind]['accuracy']:.3f}"
@@ -314,6 +308,7 @@ def _group_selection(ctx, param, selection: str | None) -> list[str] | None:
 
 
 @main.command()
+@_fails_as("classify")
 @click.option("--model", "model_path", required=True, type=click.Path(exists=True))
 @click.option("--features", "features_path", required=True, type=click.Path(exists=True))
 @click.option("--groups", "groups_path", required=True, type=click.Path(exists=True))
@@ -325,35 +320,29 @@ def _group_selection(ctx, param, selection: str | None) -> list[str] | None:
 @click.option("--out", required=True, type=click.Path())
 def flag(model_path, features_path, groups_path, group_range, exclude_group, sample_n, seed, out) -> None:
     """Apply a trained model to the remaining entropy groups."""
-    try:
-        ids, X, _ = load_features(features_path)
-        model = classifier.TrainedModel.load(model_path)
-        partition = read_json(groups_path)["groups"]
-        names = group_range or [g for g in diversity.GROUP_NAMES if g != exclude_group]
-        wild_groups = group_matrices(ids, X, partition, names)
-        result = classifier.flag_in_wild(model, wild_groups, sample_n, seed)
-        write_json(out, result)
-    except Exception as exc:
-        _fail("classify", exc)
+    ids, X, _ = load_features(features_path)
+    model = classifier.TrainedModel.load(model_path)
+    partition = read_json(groups_path)["groups"]
+    names = group_range or [g for g in diversity.GROUP_NAMES if g != exclude_group]
+    wild_groups = group_matrices(ids, X, partition, names)
+    result = classifier.flag_in_wild(model, wild_groups, sample_n, seed)
+    write_json(out, result)
     for row in result["table"]:
         pct = f"{row['pct_flagged']:.1f}%" if row["pct_flagged"] is not None else "-"
         click.echo(f"group {row['group']:>6s}: {row['flagged']}/{row['total']} flagged ({pct})")
 
 
 @main.command()
+@_fails_as("config")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--seed", type=int, default=None, help="override the config seed")
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def run(config_path, seed, out_dir) -> None:
     """Run the full pipeline: ingest through report; cached stages are reused."""
-    try:
-        config = RunConfig.from_file(config_path)
-        if seed is not None:
-            config.seed = seed
-        report_payload = run_pipeline(config, out_dir)
-    except PipelineError as exc:
-        click.echo(f"error [{exc.stage}]: {exc}", err=True)
-        sys.exit(exc.exit_code)
+    config = RunConfig.from_file(config_path)
+    if seed is not None:
+        config.seed = seed
+    report_payload = run_pipeline(config, out_dir)
     click.echo(f"report: {Path(out_dir) / 'report' / 'report.json'}")
     counts = report_payload.get("designation_counts", {})
     click.echo(
@@ -364,7 +353,7 @@ def run(config_path, seed, out_dir) -> None:
 
 def _labeled_matrix(features_path: str, labels_path: str):
     ids, X, _ = load_features(features_path)
-    X, y = labeled_rows(ids, X, load_labels_csv(labels_path))
+    X, y = labeled_rows(ids, X, load_labels_csv(labels_path), _warn)
     if len(ids) > len(y):
         click.echo(f"note: {len(ids) - len(y)} feature rows have no label and were dropped", err=True)
     return X, y

@@ -147,16 +147,28 @@ def save_features(ids: list[str], X: np.ndarray, M: np.ndarray, path) -> None:
             }) + "\n")
 
 
+def _json_object(line: str, where: str) -> dict:
+    """The JSON object on a line; anything else raises ValueError starting with where."""
+    try:
+        row = loads_line(line)
+    except ValueError as exc:  # a JSONDecodeError, or an integer over the digit limit
+        raise ValueError(f"{where}: bad json: {exc}") from None
+    if not isinstance(row, dict):
+        raise ValueError(f"{where}: not a JSON object")
+    return row
+
+
 def load_features(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     """(ids, X, M) as save_features takes them, rows sorted by profile id.
-    A row that is not an object holding a string profile_id, values and
-    mask, a repeated profile id, values or a mask that is not a list of
-    N_FEATURES items, a value that is not a finite JSON number (a boolean
-    is not one), or a mask item that is not true or false raises
+    A header that is not a feature file's raises ValueError naming the
+    file. A row that is not a JSON object holding a string profile_id,
+    values and mask, a repeated profile id, values or a mask that is not a
+    list of N_FEATURES items, a value that is not a finite JSON number (a
+    boolean is not one), or a mask item that is not true or false raises
     ValueError naming its line."""
     rows: dict[str, dict] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        header = loads_line(fh.readline())
+        header = _json_object(fh.readline(), f"{path}: line 1")
         if header.get("format") != "mission-profiler-features":
             raise ValueError(f"not a feature file: {path}")
         if header.get("catalog_hash") != catalog_hash():
@@ -164,9 +176,7 @@ def load_features(path) -> tuple[list[str], np.ndarray, np.ndarray]:
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            row = loads_line(line)
-            if not isinstance(row, dict):
-                raise ValueError(f"line {lineno}: not a JSON object")
+            row = _json_object(line, f"line {lineno}")
             for key in ("profile_id", "values", "mask"):
                 if key not in row:
                     raise ValueError(f"line {lineno}: no {key}")

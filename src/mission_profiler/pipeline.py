@@ -356,10 +356,15 @@ def group_matrices(
     return matrices
 
 
-def labeled_rows(ids: list[str], X: np.ndarray, labels: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
+def labeled_rows(ids: list[str], X: np.ndarray, labels: dict[str, int], warn: Warn) -> tuple[np.ndarray, np.ndarray]:
     """The rows of X (ids[i] is row i) whose profile has a label, in the
-    order of ids, and their 0/1 labels: what the classifier trains on."""
+    order of ids, and their 0/1 labels: what the classifier trains on. A
+    label that matches no row is dropped with a warning naming the first five."""
     keep = [i for i, pid in enumerate(ids) if pid in labels]
+    if len(keep) < len(labels):
+        lost = sorted(labels.keys() - set(ids))
+        warn(f"{len(lost)} labels match no profile and were dropped: {', '.join(map(repr, lost[:5]))}"
+             + (", ..." if len(lost) > 5 else ""))
     return X[keep], np.asarray([labels[ids[i]] for i in keep], dtype=int)
 
 
@@ -515,7 +520,8 @@ class Pipeline:
     # -- stages ----------------------------------------------------------------
 
     def run(self) -> dict:
-        """Execute all stages; returns the report payload."""
+        """Execute all stages; returns the report payload. Any failure of a
+        stage raises PipelineError naming it, from the original exception."""
         lock = self.out / ".lock"
         fd = _take_lock(lock)
         self._digests = {}  # every run reads every file's bytes again
@@ -525,7 +531,12 @@ class Pipeline:
             os.write(fd, str(os.getpid()).encode())
             os.close(fd)
             for name in STAGES:  # through self, so a wrapped stage_<name> is the one run
-                getattr(self, f"stage_{name}")()
+                try:
+                    getattr(self, f"stage_{name}")()
+                except PipelineError:
+                    raise
+                except Exception as exc:  # its compute, a read of an earlier artifact, a write or its manifest
+                    raise PipelineError(name, str(exc)) from exc
             return self._artifacts["report"].get()
         finally:
             lock.unlink(missing_ok=True)
@@ -606,10 +617,7 @@ def _holder_is_gone(lock: Path) -> bool:
 
 def _ingest(pipe: Pipeline, a: Inputs, out: Outputs, warn: Warn) -> dict:
     cfg = pipe.config
-    try:
-        corpus = load_timelines(cfg.tweets, cfg.profiles, strict=cfg.strict)
-    except Exception as exc:
-        raise PipelineError("ingest", str(exc)) from exc
+    corpus = load_timelines(cfg.tweets, cfg.profiles, strict=cfg.strict)
     for message in ingest_warnings(corpus):
         warn(message)
     return {"corpus": corpus}
@@ -624,8 +632,6 @@ def _score(pipe: Pipeline, a: Inputs, out: Outputs, warn: Warn) -> dict:
         cache = scores.toxicity_scores(corpus, cfg.toxicity_backend, cfg.toxicity_path, cfg.mock_toxicity_value, resume)
     except scores.BackendUnavailable as exc:
         raise PipelineError("score", f"backend unavailable: {exc}") from exc
-    except (OSError, ValueError) as exc:
-        raise PipelineError("score", str(exc)) from exc
     unscored = sum(1 for t in corpus.all_tweets() if t.tweet_id not in cache.toxicity)
     if unscored:
         warn(f"{unscored} tweets have no toxicity score")
@@ -639,10 +645,7 @@ def _score(pipe: Pipeline, a: Inputs, out: Outputs, warn: Warn) -> dict:
 def _topics(pipe: Pipeline, a: Inputs, out: Outputs, warn: Warn) -> dict:
     cfg = pipe.config
     corpus = a["corpus"].get()
-    try:
-        tpvs, catalog = topic_vectors(cfg.K, cfg.seed, None if cfg.use_baseline_topics else cfg.tpvs, cfg.catalog, corpus)
-    except (topics.TPVError, topics.CatalogError, OSError) as exc:
-        raise PipelineError("topics", str(exc)) from exc
+    tpvs, catalog = topic_vectors(cfg.K, cfg.seed, None if cfg.use_baseline_topics else cfg.tpvs, cfg.catalog, corpus)
     if "tpvs" in out:  # baseline vectors: hand on what a cache hit reads back
         topics.save_tpvs(*tpvs, out["tpvs"])
         tpvs = topics.load_tpvs(out["tpvs"], cfg.K)
@@ -668,10 +671,7 @@ def _detect(pipe: Pipeline, a: Inputs, out: Outputs, warn: Warn) -> dict:
     cfg = pipe.config
     values = [a[key].get() for key in ("corpus", "tpvs", "catalog", "aggregates")]
     partition = a["groups"].get()["groups"]
-    try:
-        payload = designate(*values, partition, cfg.detect_group, cfg.min_cluster, parse_tox_gate(cfg.tox_gate), warn)
-    except (ValueError, KeyError) as exc:
-        raise PipelineError("detect", str(exc)) from exc
+    payload = designate(*values, partition, cfg.detect_group, cfg.min_cluster, parse_tox_gate(cfg.tox_gate), warn)
     payload = with_config_hash(pipe.hash, payload)
     write_json(out["detect"], payload)
     return {"detect": payload}
@@ -686,11 +686,8 @@ def _features(pipe: Pipeline, a: Inputs, out: Outputs, warn: Warn) -> dict:
 def _classify(pipe: Pipeline, a: Inputs, out: Outputs, warn: Warn) -> dict:
     cfg = pipe.config
     ids, X, _mask = a["features"].get()
-    try:
-        labels = load_labels_csv(cfg.labels) if cfg.labels else _labels_from_designations(a["detect"].get())
-    except ValueError as exc:
-        raise PipelineError("classify", str(exc)) from exc
-    X_lab, y_lab = labeled_rows(ids, X, labels)
+    labels = load_labels_csv(cfg.labels) if cfg.labels else _labels_from_designations(a["detect"].get())
+    X_lab, y_lab = labeled_rows(ids, X, labels, warn)
     skip_reason = None
     if len(y_lab) < 5:
         skip_reason = f"only {len(y_lab)} labeled profiles"
@@ -701,10 +698,7 @@ def _classify(pipe: Pipeline, a: Inputs, out: Outputs, warn: Warn) -> dict:
         skipped = {"config_hash": pipe.hash, "skipped": skip_reason}
         payloads = dict.fromkeys(("classify_eval", "classify_ablation", "classify_wild"), skipped)
     else:
-        try:
-            table, models = classifier.ablation(X_lab, y_lab, derive_seed(cfg.seed, "classify"))
-        except ValueError as exc:
-            raise PipelineError("classify", str(exc)) from exc
+        table, models = classifier.ablation(X_lab, y_lab, derive_seed(cfg.seed, "classify"))
         # the all-features row is the stage's evaluation and its saved models
         for kind, model in models["all"].items():
             model.save(out[f"classify_model_{kind.split('_')[-1]}"], extra={"config_hash": pipe.hash})

@@ -144,7 +144,7 @@ def load_tpvs(path: str | Path, K: int) -> tuple[list[str], np.ndarray]:
     with np.errstate(invalid="ignore"):  # a row holding inf and -inf sums to NaN; its TPVError is the one signal
         sums = matrix.sum(axis=1)
     # a NaN or infinite entry makes its row's sum NaN or infinite
-    bad = (matrix < 0).any(axis=1) | ~np.isfinite(sums) | (np.abs(sums - 1.0) > RENORM_TOLERANCE) | (sums == 0.0)
+    bad = (matrix < 0).any(axis=1) | ~np.isfinite(sums) | (np.abs(sums - 1.0) > RENORM_TOLERANCE)
     if bad.any():
         first = int(np.argmax(bad))
         _validate_tpv(matrix[first], K, linenos[first])
@@ -193,7 +193,8 @@ def _convert_block(block: list, linenos: list[int], K: int, blocks: list[np.ndar
 
 
 def _validate_tpv(probs: np.ndarray, K: int, lineno: int | None = None) -> None:
-    """Raise the TPVError for one bad vector; the one place each is worded."""
+    """Raise the TPVError for one bad vector; the one place each is worded.
+    An all-zero vector fails the sum check."""
     if probs.ndim != 1 or probs.shape[0] != K:
         raise TPVError(f"expected {K} probabilities, got {probs.shape}", lineno)
     if np.any(probs < 0):
@@ -203,8 +204,6 @@ def _validate_tpv(probs: np.ndarray, K: int, lineno: int | None = None) -> None:
     total = float(probs.sum())
     if abs(total - 1.0) > RENORM_TOLERANCE:
         raise TPVError(f"probabilities sum to {total:.6f}", lineno)
-    if total == 0.0:
-        raise TPVError("all-zero probability vector", lineno)
 
 
 def save_tpvs(ids: list[str], matrix: np.ndarray, path: str | Path) -> None:

@@ -1,4 +1,8 @@
+import errno
+import importlib
 import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -116,3 +120,29 @@ def acceptance_bundle(tmp_path_factory):
     config_path = out / "config.json"
     config_path.write_text(json.dumps(config, indent=1))
     return {"bundle": bundle, "paths": paths, "config": config, "config_path": config_path, "dir": out}
+
+
+# writes that a test makes fail as on a full disk, one stage each: (stage,
+# module, function, the end of the path the function fails for, or None
+# for every call); the last is the topics stage's manifest
+NO_SPACE = [
+    ("group", "pipeline", "write_json", "group/groups.json"),
+    ("metrics", "pipeline", "write_metrics", None),
+    ("features", "features", "save_features", None),
+    ("report", "pipeline", "write_json", "report/report.json"),
+    ("topics", "pipeline", "write_json", "topics/manifest.json"),
+]
+
+
+def fill_disk_for(monkeypatch, module, name, suffix):
+    """Make mission_profiler.<module>.<name> raise OSError(ENOSPC) when its
+    first argument is a path ending in suffix, or on every call when suffix is None."""
+    target = importlib.import_module(f"mission_profiler.{module}")
+    write = getattr(target, name)
+
+    def full(*args, **kwargs):
+        if suffix is None or Path(args[0]).as_posix().endswith(suffix):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return write(*args, **kwargs)
+
+    monkeypatch.setattr(target, name, full)

@@ -9,11 +9,13 @@ from click.testing import CliRunner
 from mission_profiler import scores
 from mission_profiler.cli import main
 from mission_profiler.ingest import IngestError, load_corpus
-from mission_profiler.pipeline import topic_vectors
+from mission_profiler.pipeline import EXIT_CODES, topic_vectors
 from mission_profiler.synth import default_specs, generate, write_bundle
 from mission_profiler.util import canonical_dumps, derive_seed
 
-from conftest import BAD_LABELS, FailingScorer, FakeClock, tweet_row, write_tweet_lines, BASE_TS
+from conftest import (
+    BAD_LABELS, NO_SPACE, FailingScorer, FakeClock, fill_disk_for, tweet_row, write_tweet_lines, BASE_TS,
+)
 from test_pipeline import _zero_topic
 
 
@@ -595,6 +597,109 @@ def test_stage_failure_exit_code(tmp_path):
     config.write_text(json.dumps({"tweets": str(tmp_path / "missing.jsonl")}))
     result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(tmp_path / "run")])
     assert result.exit_code == 2  # config failure class
+
+
+def _file_run_config(bundle_dir, path, **overrides):
+    return _run_config(bundle_dir, path, toxicity_backend="file",
+                       toxicity_path=str(bundle_dir / "toxicity_cache.jsonl"), **overrides)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("stage, module, name, suffix", NO_SPACE)
+def test_run_exits_with_the_code_of_the_stage_a_full_disk_stops(
+    bundle_dir, tmp_path, monkeypatch, stage, module, name, suffix,
+):
+    config = _file_run_config(bundle_dir, tmp_path / "config.json")
+    fill_disk_for(monkeypatch, module, name, suffix)
+    result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(tmp_path / "run")])
+    assert result.exit_code == EXIT_CODES[stage], result.output
+    assert type(result.exception) is SystemExit
+    assert result.stderr == f"error [{stage}]: stage {stage}: [Errno 28] No space left on device\n", result.stderr
+
+
+def test_run_exits_10_when_a_strict_ingest_meets_a_malformed_line(bundle_dir, tmp_path):
+    tweets = tmp_path / "tweets.jsonl"
+    lines = (bundle_dir / "tweets.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    tweets.write_text("".join(lines) + "not json\n", encoding="utf-8")
+    config = _file_run_config(bundle_dir, tmp_path / "config.json", tweets=str(tweets), strict=True)
+    result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(tmp_path / "run")])
+    assert result.exit_code == 10, result.output
+    assert result.stderr.startswith(f"error [ingest]: stage ingest: line {len(lines) + 1}: "), result.stderr
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_run_into_the_out_dir_of_another_config_exits_3(bundle_dir, tmp_path):
+    config = _file_run_config(bundle_dir, tmp_path / "config.json")
+    runner, out = CliRunner(), str(tmp_path / "run")
+    assert runner.invoke(main, ["run", "--config", str(config), "--out", out]).exit_code == 0
+    result = runner.invoke(main, ["run", "--config", str(config), "--seed", "6", "--out", out])
+    assert result.exit_code == 3, result.output
+    assert result.stderr.startswith("error [stale-cache]: stage ingest: out dir holds artifacts"), result.stderr
+
+
+def test_run_with_an_out_dir_it_cannot_make_is_a_config_error(bundle_dir, tmp_path):
+    # it used to end in a FileExistsError traceback, exit 1
+    config = _file_run_config(bundle_dir, tmp_path / "config.json")
+    (tmp_path / "file").write_text("")
+    result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(tmp_path / "file" / "run")])
+    assert result.exit_code == 2, result.output
+    assert type(result.exception) is SystemExit
+    assert result.stderr.startswith("error [config]: "), result.stderr
+
+
+def test_detect_command_rejects_a_group_that_is_not_of_groups_i_to_viii(bundle_dir, run_dir, corpus_bin, tmp_path):
+    # --group VIIII used to exit 0 with a "group is empty" warning, where a run exits 2
+    out = tmp_path / "designations.json"
+    args = _detect_args(bundle_dir, corpus_bin, bundle_dir / "tpvs.jsonl", run_dir / "group" / "groups.json", out)
+    args[args.index("--group") + 1] = "VIIII"
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "Invalid value for '--group'" in result.output
+    assert "'VIIII' is not an entropy group" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "ablate"])
+def test_labeled_commands_warn_of_labels_that_match_no_profile(bundle_dir, run_dir, tmp_path, command):
+    labels = tmp_path / "labels.csv"
+    labels.write_text((bundle_dir / "labels.csv").read_text(encoding="utf-8") + "ghost,genuine\n", encoding="utf-8")
+    args = ["--labels", str(labels), "--features", str(run_dir / "features" / "features.jsonl")]
+    if command == "evaluate":
+        args += ["--model", str(run_dir / "classify" / "model_linear_svm.json")]
+    else:
+        args += ["--out", str(tmp_path / "out.json")]
+    result = CliRunner().invoke(main, [command, *args])
+    assert result.exit_code == 0, result.output
+    assert "warning: 1 labels match no profile and were dropped: 'ghost'" in result.stderr.splitlines()
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "ablate", "flag"])
+@pytest.mark.parametrize("defect, error", [
+    ("garbled", "line 3: bad json: "),
+    ("empty", "{path}: line 1: bad json: "),
+    ("list-header", "{path}: line 1: not a JSON object"),
+])
+def test_feature_commands_name_the_line_of_a_garbled_feature_file(
+    bundle_dir, run_dir, tmp_path, command, defect, error,
+):
+    lines = (run_dir / "features" / "features.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    features = tmp_path / "features.jsonl"
+    features.write_text({
+        "garbled": "".join(lines[:2] + ["{garbled\n"] + lines[2:]),
+        "empty": "",
+        "list-header": "[]\n" + "".join(lines[1:]),
+    }[defect], encoding="utf-8")
+    labels = ["--labels", str(bundle_dir / "labels.csv")]
+    model = ["--model", str(run_dir / "classify" / "model_linear_svm.json")]
+    out = ["--out", str(tmp_path / "out.json")]
+    args = {
+        "train": labels + out, "ablate": labels + out, "evaluate": labels + model,
+        "flag": model + out + ["--groups", str(run_dir / "group" / "groups.json")],
+    }[command]
+    result = CliRunner().invoke(main, [command, "--features", str(features), *args])
+    assert result.exit_code == 17, result.output
+    assert result.stderr.startswith(f"error [classify]: {error.format(path=features)}"), result.stderr
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_flag_group_range_parsing():

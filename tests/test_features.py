@@ -235,6 +235,33 @@ def test_a_row_of_the_wrong_shape_is_refused_naming_its_line(tmp_path, line, mes
         load_features(path)
 
 
+@pytest.mark.parametrize("line", ["{garbled", '{"profile_id": "b",', "[1, 2", "1" * 5000],
+                         ids=["garbled", "cut-short", "open-list", "int-over-the-digit-limit"])
+def test_a_row_that_is_not_json_is_refused_naming_its_line(tmp_path, line):
+    # it used to escape as a bare JSONDecodeError naming no line of the file
+    path = tmp_path / "features.jsonl"
+    _rows_file(path, [("a", N_FEATURES, N_FEATURES)])
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+    with pytest.raises(ValueError, match="^line 3: bad json: "):
+        load_features(path)
+
+
+@pytest.mark.parametrize("header, error", [
+    ("", "bad json: "),
+    ("{garbled\n", "bad json: "),
+    ("[]\n", "not a JSON object"),
+    ('"mission-profiler-features"\n', "not a JSON object"),
+], ids=["empty", "garbled", "list", "string"])
+def test_a_header_that_is_not_a_json_object_is_refused_naming_the_file(tmp_path, header, error):
+    # an empty file used to raise a bare JSONDecodeError, and a list an AttributeError
+    path = tmp_path / "features.jsonl"
+    path.write_text(header, encoding="utf-8")
+    with pytest.raises(ValueError) as raised:
+        load_features(path)
+    assert str(raised.value).startswith(f"{path}: line 1: {error}")
+
+
 def test_integer_values_load_as_floats(tmp_path):
     path = tmp_path / "features.jsonl"
     _rows_file(path, [])

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -28,7 +29,7 @@ from mission_profiler.synth import default_specs, generate, write_bundle
 from mission_profiler.topics import CATEGORIES, TopicCatalog
 from mission_profiler.util import sha256_file
 
-from conftest import BAD_LABELS, FailingScorer, make_tweet, tweet_row, write_tweet_lines, BASE_TS
+from conftest import BAD_LABELS, NO_SPACE, FailingScorer, fill_disk_for, make_tweet, tweet_row, write_tweet_lines, BASE_TS
 from test_detector import _linear_percentile
 
 
@@ -573,6 +574,37 @@ def test_a_partial_score_save_cut_short_leaves_the_earlier_file(tmp_path, monkey
     assert _score_file(out) == _score_file(tmp_path / "clean")
 
 
+@pytest.mark.parametrize("stage, module, name, suffix", NO_SPACE)
+def test_a_full_disk_in_a_stage_s_write_or_manifest_stops_the_run_with_that_stage_s_code(
+    tmp_path, monkeypatch, stage, module, name, suffix,
+):
+    # these used to end the run with a bare OSError, exit 1
+    paths = _small_bundle(tmp_path)
+    fill_disk_for(monkeypatch, module, name, suffix)
+    out = tmp_path / "run"
+    with pytest.raises(PipelineError) as err:
+        run_pipeline(_config(paths), out)
+    cause = err.value.__cause__
+    assert isinstance(cause, OSError) and cause.errno == errno.ENOSPC
+    assert (err.value.stage, err.value.exit_code) == (stage, pipeline.EXIT_CODES[stage])
+    assert str(err.value) == f"stage {stage}: {cause}"
+    assert not (out / ".lock").exists()
+
+
+def test_a_stage_s_pipeline_error_passes_through_the_run_unchanged(tmp_path, monkeypatch):
+    monkeypatch.delenv("MISSION_PROFILER_TOXICITY_URL", raising=False)
+    paths = _small_bundle(tmp_path)
+    with pytest.raises(PipelineError) as err:
+        run_pipeline(_config(paths, toxicity_backend="http"), tmp_path / "run")
+    assert str(err.value).startswith("stage score: backend unavailable: ")
+    assert isinstance(err.value.__cause__, scores.BackendUnavailable)
+
+
+def test_every_stage_and_every_failure_outside_the_stages_has_an_exit_code():
+    assert set(pipeline.EXIT_CODES) == {*pipeline.STAGES, "config", "stale-cache", "lock"}
+    assert len(set(pipeline.EXIT_CODES.values())) == len(pipeline.EXIT_CODES)
+
+
 @pytest.mark.parametrize("kind", ["toxicity", "bot"])
 @pytest.mark.parametrize("path", [None, "no_such_scores.csv"])
 def test_a_file_backend_needs_an_existing_score_file(tmp_path, kind, path):
@@ -593,6 +625,28 @@ def test_missing_input_is_config_error(tmp_path):
         RunConfig(tweets=str(tmp_path / "nope.jsonl")).validate()
     assert err.value.stage == "config"
     assert err.value.exit_code == 2
+
+
+@pytest.mark.parametrize("overrides, error", [
+    ({"profiles": "no_profiles.jsonl"}, "profiles file not found: "),
+    ({"tpvs": "no_tpvs.jsonl"}, "tpv file not found: "),
+    ({"catalog": "no_catalog.tsv"}, "catalog file not found: "),
+    ({"tpvs": None}, "either tpvs or use_baseline_topics is required"),
+    ({"toxicity_backend": "perspective"}, "unknown toxicity backend 'perspective'"),
+    ({"bot_backend": "botometer"}, "unknown bot backend 'botometer'"),
+    ({"detect_group": "IX"}, "unknown entropy group 'IX'"),
+])
+def test_a_config_naming_a_missing_file_or_an_unknown_choice_is_a_config_error(tmp_path, overrides, error):
+    paths = _small_bundle(tmp_path)
+    cfg = _config(paths, **{
+        key: str(tmp_path / value) if key in ("profiles", "tpvs", "catalog") and value else value
+        for key, value in overrides.items()
+    })
+    with pytest.raises(PipelineError) as err:
+        Pipeline(cfg, tmp_path / "run")
+    assert (err.value.stage, err.value.exit_code) == ("config", 2)
+    assert str(err.value).startswith(f"stage config: {error}")
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("field, value", [
@@ -647,6 +701,34 @@ def test_a_labels_row_without_a_label_or_a_labels_file_that_is_not_utf8_is_a_cla
     assert err.value.stage == "classify"
     assert err.value.exit_code == 17
     assert str(err.value) == f"stage classify: {labels}: {error}"
+
+
+def test_a_label_that_matches_no_profile_is_a_classify_warning_in_the_report_and_manifest(tmp_path):
+    # a stray space in an id used to lose that label without a word
+    paths = _small_bundle(tmp_path)
+    rows = Path(paths["labels"]).read_text(encoding="utf-8").splitlines()
+    first, label = rows[1].split(",")
+    rows[1] = f"{first} ,{label}"
+    labels = tmp_path / "labels.csv"
+    labels.write_text("\n".join(rows + ["ghost,genuine"]) + "\n", encoding="utf-8")
+    warning = f"classify: 2 labels match no profile and were dropped: {f'{first} '!r}, 'ghost'"
+    out = tmp_path / "run"
+    with pytest.warns(UserWarning, match="labels match no profile"):
+        report = run_pipeline(_config(paths, labels=str(labels)), out)
+    assert warning in report["warnings"]
+    assert warning in json.loads((out / "classify" / "manifest.json").read_text())["warnings"]
+    assert json.loads((out / "classify" / "eval.json").read_text())["n_test"] > 0
+
+
+def test_labeled_rows_names_the_first_five_labels_that_match_no_profile():
+    warned = []
+    X = np.arange(6.0).reshape(3, 2)
+    labels = {"p1 ": 1, "p2": 0, "p3": 1, **{f"g{i}": 0 for i in range(6)}}
+    X_lab, y = pipeline.labeled_rows(["p1", "p2", "p3"], X, labels, warned.append)
+    assert X_lab.tolist() == X[1:].tolist() and y.tolist() == [0, 1]
+    assert warned == ["7 labels match no profile and were dropped: 'g0', 'g1', 'g2', 'g3', 'g4', ..."]
+    pipeline.labeled_rows(["p2", "p3"], X[1:], {"p2": 0, "p3": 1}, warned.append)
+    assert len(warned) == 1
 
 
 def test_labels_load_in_any_case_and_with_spaces_around(tmp_path):

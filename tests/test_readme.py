@@ -1,14 +1,14 @@
 """README's shell examples name only commands and options the CLI has, so
 a renamed or removed option fails here rather than in a reader's shell;
-README names every file a run writes, and its Install section every
-package the program and its tests need."""
+README names every file a run writes, and every exit code, and its
+Install section every package the program and its tests need."""
 import re
 import shlex
 import tomllib
 from pathlib import Path
 
 from mission_profiler.cli import main
-from mission_profiler.pipeline import STAGE_TABLE
+from mission_profiler.pipeline import EXIT_CODES, STAGE_TABLE
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 PYPROJECT = README.parent / "pyproject.toml"
@@ -63,3 +63,8 @@ def test_readme_install_section_names_every_dependency_and_test_requirement():
     names = [re.match(r"[A-Za-z0-9_.-]+", requirement).group() for requirement in requirements]
     install = re.search(r"^## Install\n(.*?)^## ", README.read_text(encoding="utf-8"), flags=re.S | re.M).group(1)
     assert [name for name in names if f"`{name}`" not in install] == []
+
+
+def test_readme_exit_code_table_gives_every_exit_code():
+    rows = re.findall(r"^\| (\d+) \| `([a-z-]+)`", README.read_text(encoding="utf-8"), flags=re.M)
+    assert {name: int(code) for code, name in rows} == EXIT_CODES
