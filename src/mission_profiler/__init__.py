@@ -9,32 +9,3 @@ profiles in the remaining groups.
 """
 
 __version__ = "0.1.0"
-
-from .diversity import assign_group, shannon_entropy
-from .ingest import load_timelines, normalize_tweet, topic_model_eligible, unique_tweets
-from .metrics import burstiness, burstiness_from_cv, gini_index, time_delta_histogram
-from .readability import mtld, readability_metrics
-from .detector import fleiss_kappa, global_topic_average, ntpv, top3_gap
-from .pipeline import RunConfig, run_pipeline
-
-__all__ = [
-    "__version__",
-    "assign_group",
-    "burstiness",
-    "burstiness_from_cv",
-    "fleiss_kappa",
-    "gini_index",
-    "global_topic_average",
-    "load_timelines",
-    "mtld",
-    "normalize_tweet",
-    "ntpv",
-    "readability_metrics",
-    "run_pipeline",
-    "RunConfig",
-    "shannon_entropy",
-    "time_delta_histogram",
-    "top3_gap",
-    "topic_model_eligible",
-    "unique_tweets",
-]

@@ -92,9 +92,9 @@ def score(corpus_path, backend, toxicity_file, bot_file, toxicity_cache, bot_cac
     and http resume from --toxicity-cache for the corpus's tweets only."""
     if bot_file and not bot_cache:
         raise click.UsageError("--bot-file needs --bot-cache, the file its bot scores are saved to")
-    corpus = load_corpus(corpus_path)
     if backend == "file" and not toxicity_file:
-        raise ValueError("--toxicity-file is required for the file backend")
+        raise click.UsageError("--toxicity-file is required for the file backend")
+    corpus = load_corpus(corpus_path)
     bot = bot_cache and scores.bot_scores(corpus, "file" if bot_file else "mock", bot_file)
     cache = scores.toxicity_scores(corpus, backend, toxicity_file, mock_value, toxicity_cache, rate_limit=rps)
     cache.save(toxicity_cache)
@@ -120,9 +120,9 @@ def topics_cmd(corpus_path, tpv_path, catalog_path, baseline, k_topics, seed, ou
     itself."""
     out_dir = Path(out)
     if baseline and not corpus_path:
-        raise ValueError("--corpus is required with --baseline")
+        raise click.UsageError("--corpus is required with --baseline")
     if not baseline and not tpv_path:
-        raise ValueError("either --tpv or --baseline is required")
+        raise click.UsageError("either --tpv or --baseline is required")
     corpus = load_corpus(corpus_path) if baseline else None
     tpvs, catalog = topic_vectors(k_topics, seed, None if baseline else tpv_path, catalog_path, corpus)
     out_dir.mkdir(parents=True, exist_ok=True)  # once the inputs are read: a failed command leaves none

@@ -16,7 +16,7 @@ import numpy as np
 from .ingest import ProfileMetadata
 from .readability import LEXICAL_KEYS
 from .topics import CATEGORIES
-from .util import canonical_dumps, loads_line
+from .util import canonical_dumps, json_object
 
 GROUP_CONTENT = "content"
 GROUP_AUXILIARY = "auxiliary"
@@ -147,17 +147,6 @@ def save_features(ids: list[str], X: np.ndarray, M: np.ndarray, path) -> None:
             }) + "\n")
 
 
-def _json_object(line: str, where: str) -> dict:
-    """The JSON object on a line; anything else raises ValueError starting with where."""
-    try:
-        row = loads_line(line)
-    except ValueError as exc:  # a JSONDecodeError, or an integer over the digit limit
-        raise ValueError(f"{where}: bad json: {exc}") from None
-    if not isinstance(row, dict):
-        raise ValueError(f"{where}: not a JSON object")
-    return row
-
-
 def load_features(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     """(ids, X, M) as save_features takes them, rows sorted by profile id.
     A header that is not a feature file's raises ValueError naming the
@@ -168,7 +157,7 @@ def load_features(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     ValueError naming its line."""
     rows: dict[str, dict] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        header = _json_object(fh.readline(), f"{path}: line 1")
+        header = json_object(fh.readline(), f"{path}: line 1")
         if header.get("format") != "mission-profiler-features":
             raise ValueError(f"not a feature file: {path}")
         if header.get("catalog_hash") != catalog_hash():
@@ -176,7 +165,7 @@ def load_features(path) -> tuple[list[str], np.ndarray, np.ndarray]:
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            row = _json_object(line, f"line {lineno}")
+            row = json_object(line, f"line {lineno}")
             for key in ("profile_id", "values", "mask"):
                 if key not in row:
                     raise ValueError(f"line {lineno}: no {key}")

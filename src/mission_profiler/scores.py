@@ -9,7 +9,6 @@ save/load round-trip is byte-stable; cached entries are never re-fetched.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import os
 import time
@@ -17,7 +16,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .ingest import Corpus
-from .util import canonical_dumps, loads_line
+from .util import canonical_dumps, json_object, loads_line
 
 CACHE_FORMAT = "mission-profiler-score-cache"
 CACHE_VERSION = 1
@@ -107,7 +106,7 @@ class ScoreCache:
     def load(cls, path: str | Path) -> "ScoreCache":
         cache = cls()
         with open(path, "r", encoding="utf-8") as fh:
-            header = _json_object(fh.readline(), path, 1)
+            header = json_object(fh.readline(), f"{path}: row 1")
             if header.get("format") != CACHE_FORMAT:
                 raise ValueError(f"not a score cache: {path}")
             if header.get("version") != CACHE_VERSION:
@@ -115,7 +114,7 @@ class ScoreCache:
             for lineno, line in enumerate(fh, start=2):
                 if not line.strip():
                     continue
-                row = _json_object(line, path, lineno)
+                row = json_object(line, f"{path}: row {lineno}")
                 kind = row.get("kind")
                 try:
                     if kind == "toxicity":
@@ -131,16 +130,6 @@ class ScoreCache:
                 except (TypeError, ValueError) as exc:  # an unknown kind, or a score not in [0, 1]
                     raise ValueError(f"{path}: row {lineno}: {exc}") from None
         return cache
-
-
-def _json_object(line: str, path: str | Path, lineno: int) -> dict:
-    try:
-        row = loads_line(line)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: row {lineno}: bad json: {exc}") from None
-    if not isinstance(row, dict):
-        raise ValueError(f"{path}: row {lineno}: not a JSON object")
-    return row
 
 
 class HTTPToxicityClient:
@@ -181,7 +170,7 @@ class HTTPToxicityClient:
             raise BackendUnavailable(str(exc)) from exc
         try:
             parsed = loads_line(payload)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer over the digit limit
             raise ScoreError(f"unparseable response: {payload[:80]!r}") from exc
         if isinstance(parsed, dict):
             parsed = parsed.get("score")
@@ -295,7 +284,7 @@ def load_score_source(path: str | Path) -> ScoreCache:
                 continue
             try:
                 row = loads_line(line)
-            except json.JSONDecodeError:
+            except ValueError:  # a JSONDecodeError, or an integer over the digit limit
                 row = None
             if isinstance(row, dict) and "tweet_id" in row and "score" in row:
                 rows.append((lineno, [row["tweet_id"], row["score"]]))

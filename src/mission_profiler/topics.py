@@ -7,7 +7,6 @@ the sorted tweet ids, each once, and a float (n, K) matrix of their vectors.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -98,18 +97,17 @@ def load_tpvs(path: str | Path, K: int) -> tuple[list[str], np.ndarray]:
     """Load {"tweet_id", "probs"} JSONL rows as (ids, matrix) of K-vectors.
 
     Rows whose probabilities sum within 1e-3 of 1 are renormalized; larger
-    deviations, wrong dimensions, negative entries and NaN or infinite
-    entries are rejected with their row number. When several rows are bad,
-    the first one is reported. Rows are parsed one at a time, converted to
-    floats in blocks of _TPV_BLOCK_ROWS, and checked and renormalized as one
-    (n, K) matrix. Its rows come in tweet-id order, so later sums do not
-    depend on the line order; of repeated ids, the last row wins.
+    deviations, wrong dimensions, negative entries, NaN or infinite entries
+    and integers too long to read are rejected with their row number. When
+    several rows are bad, the first one is reported. Rows are checked one
+    block of _TPV_BLOCK_ROWS at a time as they are read, and a line that
+    does not read as a row is reported once the rows before it are checked.
+    The matrix's rows come in tweet-id order, so later sums do not depend
+    on the line order; of repeated ids, the last row wins.
     """
     ids: list[str] = []
-    linenos: list[int] = []
-    block: list = []  # the probs lists of rows not yet converted
     blocks: list[np.ndarray] = []
-    error: Exception | None = None
+    pending: list[tuple[int, object]] = []  # (line number, probs) of the rows not yet checked
     with open(path, "r", encoding="utf-8") as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
@@ -117,41 +115,21 @@ def load_tpvs(path: str | Path, K: int) -> tuple[list[str], np.ndarray]:
                     continue
                 try:
                     row = loads_line(line)
-                except json.JSONDecodeError as exc:
+                except ValueError as exc:  # a JSONDecodeError, or an integer over the digit limit
                     raise TPVError(f"bad json: {exc}", lineno) from exc
                 try:
-                    tweet_id = str(row["tweet_id"])
-                    probs = row["probs"]
+                    ids.append(str(row["tweet_id"]))
+                    pending.append((lineno, row["probs"]))
                 except (KeyError, TypeError, ValueError) as exc:
                     raise TPVError(f"bad row: {exc}", lineno) from exc
-                if type(probs) is not list or len(probs) != K:
-                    _tpv_row(probs, K, lineno)  # raises: these are not K numbers
-                ids.append(tweet_id)
-                linenos.append(lineno)
-                block.append(probs)
-                if len(block) == _TPV_BLOCK_ROWS:
-                    full, block = block, []
-                    _convert_block(full, linenos[-len(full):], K, blocks)
-        except Exception as exc:  # raised below, after the rows before it are checked
-            error = exc
-    if block:  # rows before any error above, so a bad one among them comes first
-        try:
-            _convert_block(block, linenos[-len(block):], K, blocks)
-        except Exception as exc:
-            error = exc
-    matrix = np.concatenate(blocks) if blocks else np.empty((0, K))
-    del blocks
-    with np.errstate(invalid="ignore"):  # a row holding inf and -inf sums to NaN; its TPVError is the one signal
-        sums = matrix.sum(axis=1)
-    # a NaN or infinite entry makes its row's sum NaN or infinite
-    bad = (matrix < 0).any(axis=1) | ~np.isfinite(sums) | (np.abs(sums - 1.0) > RENORM_TOLERANCE)
-    if bad.any():
-        first = int(np.argmax(bad))
-        _validate_tpv(matrix[first], K, linenos[first])
-    if error is not None:
-        raise error
-    matrix /= sums[:, None]
-    return _by_tweet_id(ids, matrix)
+                if len(pending) == _TPV_BLOCK_ROWS:
+                    block, pending = pending, []  # taken first, so the handler below does not check it again
+                    blocks.append(_checked_block(block, K))
+        except (OSError, ValueError):  # a bad line (a TPVError) or a read error: a bad row before it comes first
+            _checked_block(pending, K)
+            raise
+    blocks.append(_checked_block(pending, K))
+    return _by_tweet_id(ids, np.concatenate(blocks))
 
 
 def _by_tweet_id(ids: list[str], matrix: np.ndarray) -> tuple[list[str], np.ndarray]:
@@ -161,49 +139,43 @@ def _by_tweet_id(ids: list[str], matrix: np.ndarray) -> tuple[list[str], np.ndar
     return (ids, matrix) if order == ids else (order, matrix[[row_of[t] for t in order]])
 
 
-def _tpv_row(probs, K: int, lineno: int) -> np.ndarray:
-    """One row's probs as a K-vector of floats, or the TPVError of a row
-    that does not convert or has another shape."""
+def _checked_block(rows: list[tuple[int, object]], K: int) -> np.ndarray:
+    """The probs of (line number, probs) rows as one (n, K) float matrix,
+    each row renormalized; or the TPVError of the first bad row. A block
+    that does not convert as one is walked to its first row that does not
+    convert or has another shape, and the rows before that one are checked
+    first. Every TPVError about a row's probs is worded here."""
+    if not rows:
+        return np.empty((0, K))
     try:
-        vector = np.asarray(probs, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise TPVError(f"bad row: {exc}", lineno) from exc
-    if vector.shape != (K,):
-        _validate_tpv(vector, K, lineno)
-    return vector
-
-
-def _convert_block(block: list, linenos: list[int], K: int, blocks: list[np.ndarray]) -> None:
-    """Append the rows of block to blocks as one (n, K) float matrix. A block
-    that does not convert as one converts row by row: the rows before the
-    first bad one are appended, and that row's error is raised."""
-    try:
-        matrix = np.array(block, dtype=float)
+        matrix = np.array([probs for _, probs in rows], dtype=float)
     except (TypeError, ValueError, OverflowError):
         matrix = None
-    if matrix is not None and matrix.shape == (len(block), K):
-        blocks.append(matrix)
-        return
-    rows: list[np.ndarray] = []
-    try:
-        for probs, lineno in zip(block, linenos):
-            rows.append(_tpv_row(probs, K, lineno))
-    finally:
-        blocks.append(np.asarray(rows, dtype=float).reshape(-1, K))
-
-
-def _validate_tpv(probs: np.ndarray, K: int, lineno: int | None = None) -> None:
-    """Raise the TPVError for one bad vector; the one place each is worded.
-    An all-zero vector fails the sum check."""
-    if probs.ndim != 1 or probs.shape[0] != K:
-        raise TPVError(f"expected {K} probabilities, got {probs.shape}", lineno)
-    if np.any(probs < 0):
-        raise TPVError("negative probability", lineno)
-    if not np.all(np.isfinite(probs)):
-        raise TPVError("non-finite probability", lineno)
-    total = float(probs.sum())
-    if abs(total - 1.0) > RENORM_TOLERANCE:
-        raise TPVError(f"probabilities sum to {total:.6f}", lineno)
+    if matrix is None or matrix.shape != (len(rows), K):
+        for i, (lineno, probs) in enumerate(rows):
+            try:
+                shape = np.asarray(probs, dtype=float).shape
+                if shape != (K,):
+                    raise TPVError(f"expected {K} probabilities, got {shape}", lineno)
+            except (TypeError, ValueError, OverflowError) as exc:  # a TPVError is a ValueError
+                _checked_block(rows[:i], K)  # a bad row before it comes first
+                if isinstance(exc, TPVError):
+                    raise
+                raise TPVError(f"bad row: {exc}", lineno) from exc
+    with np.errstate(invalid="ignore"):  # a row holding inf and -inf sums to NaN; its TPVError is the one signal
+        sums = matrix.sum(axis=1)
+    # a NaN or infinite entry makes its row's sum NaN or infinite
+    bad = (matrix < 0).any(axis=1) | ~np.isfinite(sums) | (np.abs(sums - 1.0) > RENORM_TOLERANCE)
+    if bad.any():
+        first = int(np.argmax(bad))
+        probs, lineno = matrix[first], rows[first][0]
+        if np.any(probs < 0):
+            raise TPVError("negative probability", lineno)
+        if not np.all(np.isfinite(probs)):
+            raise TPVError("non-finite probability", lineno)
+        raise TPVError(f"probabilities sum to {float(probs.sum()):.6f}", lineno)
+    matrix /= sums[:, None]
+    return matrix
 
 
 def save_tpvs(ids: list[str], matrix: np.ndarray, path: str | Path) -> None:

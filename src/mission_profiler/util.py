@@ -6,7 +6,7 @@ Every JSON artifact the pipeline writes goes through ``canonical_dumps`` so
 that identical inputs produce byte-identical outputs. Every reader of a
 JSONL line, or of one whole JSON document held in a string, decodes it with
 ``loads_line``: the value, and any error with its message, are those of
-``json.loads``.
+``json.loads``. ``json_object`` reads a line that must hold an object.
 """
 from __future__ import annotations
 
@@ -44,6 +44,17 @@ def loads_line(line: str) -> Any:
     if line[end:].strip(_JSON_WHITESPACE):
         return json.loads(line)
     return value
+
+
+def json_object(line: str, where: str) -> dict:
+    """The JSON object on a line; anything else raises ValueError starting with where."""
+    try:
+        row = loads_line(line)
+    except ValueError as exc:  # a JSONDecodeError, or an integer over the digit limit
+        raise ValueError(f"{where}: bad json: {exc}") from None
+    if not isinstance(row, dict):
+        raise ValueError(f"{where}: not a JSON object")
+    return row
 
 
 def write_json(path: str | Path, obj: Any) -> None:

@@ -11,6 +11,7 @@ from mission_profiler.cli import main
 from mission_profiler.ingest import IngestError, load_corpus
 from mission_profiler.pipeline import EXIT_CODES, topic_vectors
 from mission_profiler.synth import default_specs, generate, write_bundle
+from mission_profiler.topics import TopicCatalog
 from mission_profiler.util import canonical_dumps, derive_seed
 
 from conftest import (
@@ -617,6 +618,22 @@ def test_run_exits_with_the_code_of_the_stage_a_full_disk_stops(
     assert result.stderr == f"error [{stage}]: stage {stage}: [Errno 28] No space left on device\n", result.stderr
 
 
+def test_a_catalog_of_another_k_stops_a_run_in_topics_and_cli_group_in_group(bundle_dir, corpus_bin, tmp_path):
+    catalog = tmp_path / "catalog.tsv"
+    TopicCatalog.demo(8).save(catalog)
+    config = _file_run_config(bundle_dir, tmp_path / "config.json", catalog=str(catalog))
+    result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(tmp_path / "run")])
+    assert result.exit_code == 12, result.output
+    assert result.stderr == "error [topics]: stage topics: catalog has K=8, config has K=20\n", result.stderr
+    result = CliRunner().invoke(main, [
+        "group", "--corpus", str(corpus_bin), "--tpv", str(bundle_dir / "tpvs.jsonl"), "--catalog", str(catalog),
+        "--k", "20", "--out", str(tmp_path / "groups.json"),
+    ])
+    assert result.exit_code == 13, result.output
+    assert result.stderr == "error [group]: catalog has K=8, config has K=20\n", result.stderr
+    assert not (tmp_path / "groups.json").exists()
+
+
 def test_run_exits_10_when_a_strict_ingest_meets_a_malformed_line(bundle_dir, tmp_path):
     tweets = tmp_path / "tweets.jsonl"
     lines = (bundle_dir / "tweets.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
@@ -767,8 +784,7 @@ def test_a_probability_too_large_for_a_float_stops_the_topics_command_with_its_r
     assert result.stderr.startswith("error [topics]: row 1: bad row: "), result.stderr
 
 
-@pytest.mark.parametrize("flags", [["--tpv", "bad.jsonl", "--k", "3"], ["--baseline", "--k", "3"]],
-                         ids=["bad_tpv", "baseline_without_corpus"])
+@pytest.mark.parametrize("flags", [["--tpv", "bad.jsonl", "--k", "3"]], ids=["bad_tpv"])
 def test_a_failed_topics_command_leaves_no_out_directory(tmp_path, flags):
     (tmp_path / "bad.jsonl").write_text("not json\n", encoding="utf-8")
     flags = [str(tmp_path / f) if f.endswith(".jsonl") else f for f in flags]
@@ -776,6 +792,22 @@ def test_a_failed_topics_command_leaves_no_out_directory(tmp_path, flags):
     result = CliRunner().invoke(main, ["topics", *flags, "--out", str(out)])
     assert result.exit_code == 12, result.output
     assert result.stderr.startswith("error [topics]: "), result.stderr
+    assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("args, error", [
+    (["topics", "--k", "3", "--out", "new/dir"], "either --tpv or --baseline is required"),
+    (["topics", "--baseline", "--k", "3", "--out", "new/dir"], "--corpus is required with --baseline"),
+    (["score", "--corpus", "garbage.bin", "--backend", "file", "--toxicity-cache", "new/tox.jsonl"],
+     "--toxicity-file is required for the file backend"),
+], ids=["topics_without_tpv_or_baseline", "topics_baseline_without_corpus", "score_file_without_toxicity_file"])
+def test_a_missing_option_combination_is_a_usage_error_before_any_input_is_read(tmp_path, args, error):
+    # an unreadable corpus, or none: the usage error comes first
+    (tmp_path / "garbage.bin").write_bytes(b"not a corpus")
+    args = [str(tmp_path / a) if a == "garbage.bin" or a.startswith("new/") else a for a in args]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert error in result.stderr and "error [" not in result.stderr, result.stderr
     assert not (tmp_path / "new").exists()
 
 

@@ -159,6 +159,14 @@ def test_a_file_without_rows_loads_as_an_empty_matrix(tmp_path):
     assert M.dtype == bool
 
 
+def test_load_rejects_a_header_of_another_format_naming_the_file(tmp_path):
+    path = tmp_path / "features.jsonl"
+    path.write_text('{"format": "mission-profiler-score-cache", "version": 1}\n')
+    with pytest.raises(ValueError) as raised:
+        load_features(path)
+    assert str(raised.value) == f"not a feature file: {path}"
+
+
 def test_load_rejects_foreign_catalog(tmp_path):
     path = tmp_path / "features.jsonl"
     path.write_text('{"format": "mission-profiler-features", "version": 1, "catalog_hash": "beef"}\n')

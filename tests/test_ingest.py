@@ -3,6 +3,7 @@ import gzip
 import random
 import re
 import string
+import time
 import tracemalloc
 import warnings
 
@@ -217,6 +218,64 @@ def test_strict_mode_reports_line_number(tmp_path):
     with pytest.raises(IngestError) as err:
         load_timelines(path, strict=True)
     assert "line 5" in str(err.value)
+
+
+@pytest.mark.parametrize("created_at, error", [
+    (True, "created_at must be a timestamp"),
+    ("yesterday", "unparseable timestamp 'yesterday'"),
+    ([BASE_TS], f"unparseable timestamp [{BASE_TS}]"),
+    (0, "non-positive timestamp 0"),
+    (-60, "non-positive timestamp -60"),
+], ids=["boolean", "unparseable_string", "list", "zero", "negative"])
+def test_a_tweet_time_that_is_no_timestamp_is_one_malformed_line(tmp_path, created_at, error):
+    path = tmp_path / "tweets.jsonl"
+    write_tweet_lines(path, _profile_rows("a", 10) + [tweet_row("a-x", "a", ts=created_at)])
+    corpus = load_timelines(path)
+    assert corpus.ingest_stats.malformed == 1
+    assert len(corpus.profiles["a"].tweets) == 10
+    with pytest.raises(IngestError) as err:
+        load_timelines(path, strict=True)
+    assert str(err.value) == f"line 11: {error}"
+
+
+def test_a_naive_iso_time_reads_as_utc(tmp_path, monkeypatch):
+    rows = _profile_rows("a", 10, start=1622548800 - 3600)  # 2021-06-01T12:00:00Z, less an hour
+    rows[-1]["created_at"] = "2021-06-01T12:00:00"
+    path = tmp_path / "tweets.jsonl"
+    write_tweet_lines(path, rows)
+    monkeypatch.setenv("TZ", "XYZ+05")  # read as local time, it would be 5 hours later
+    time.tzset()
+    try:
+        assert load_timelines(path, strict=True).profiles["a"].last_timestamp() == 1622548800
+    finally:
+        monkeypatch.undo()
+        time.tzset()
+
+
+@pytest.mark.parametrize("line, error", [
+    ('["a-x", "a", "ten tokens"]\n', "line 11: expected a JSON object"),
+    ('{"tweet_id": "a-x", "profile_id": "a", "text": 5, "created_at": ' + str(BASE_TS) + '}\n',
+     "line 11: text must be a string"),
+], ids=["not_an_object", "text_not_a_string"])
+def test_a_tweet_line_of_another_shape_is_one_malformed_line(tmp_path, line, error):
+    path = tmp_path / "tweets.jsonl"
+    write_tweet_lines(path, _profile_rows("a", 10))
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(line)
+    assert load_timelines(path).ingest_stats.malformed == 1
+    with pytest.raises(IngestError) as err:
+        load_timelines(path, strict=True)
+    assert str(err.value) == error
+
+
+def test_strict_mode_refuses_a_profile_created_after_its_last_tweet(tmp_path):
+    tweets, profiles = tmp_path / "tweets.jsonl", tmp_path / "profiles.jsonl"
+    write_tweet_lines(tweets, _profile_rows("a", 10))
+    write_tweet_lines(profiles, [{"profile_id": "a", "created_at": BASE_TS + 9 * 60 + 1}])
+    assert load_timelines(tweets, profiles).profiles["a"].metadata.created_at == BASE_TS + 9 * 60 + 1
+    with pytest.raises(IngestError) as err:
+        load_timelines(tweets, profiles, strict=True)
+    assert str(err.value) == "line 1: created_at after last tweet for profile a"
 
 
 def test_iso_timestamps_and_sorting(tmp_path):

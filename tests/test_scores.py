@@ -233,7 +233,14 @@ def test_cache_row_without_a_key_is_a_value_error_naming_file_and_row(tmp_path):
         ScoreCache.load(path)
 
 
-@pytest.mark.parametrize("row, error", [("5", "not a JSON object"), ("{bad", "bad json")])
+OVERLONG_INTEGER = "1" + "0" * 5000  # a JSON integer over Python's 4,300-digit limit for reading one
+
+
+@pytest.mark.parametrize("row, error", [
+    ("5", "not a JSON object"), ("{bad", "bad json"),
+    pytest.param('{"kind": "toxicity", "tweet_id": "t1", "score": ' + OVERLONG_INTEGER + "}",
+                 "bad json: Exceeds the limit", id="overlong_integer"),
+])
 def test_cache_row_that_is_no_json_object_is_a_value_error_naming_file_and_row(tmp_path, row, error):
     path = tmp_path / "cache.jsonl"
     header = json.dumps({"format": CACHE_FORMAT, "version": CACHE_VERSION})
@@ -253,6 +260,20 @@ def test_cache_row_with_a_huge_integer_score_is_a_value_error_naming_file_and_ro
         ScoreCache.load(path)
 
 
+@pytest.mark.parametrize("header, row, error", [
+    ({"format": "another-format", "version": CACHE_VERSION}, None, "not a score cache: {path}"),
+    ({"format": CACHE_FORMAT, "version": CACHE_VERSION + 1}, None, f"unsupported score cache version {CACHE_VERSION + 1}"),
+    ({"format": CACHE_FORMAT, "version": CACHE_VERSION}, {"kind": "scores", "tweet_id": "t1"},
+     "{path}: row 2: unknown cache row kind 'scores'"),
+], ids=["format", "version", "row_kind"])
+def test_a_cache_of_another_format_or_version_or_row_kind_is_refused(tmp_path, header, row, error):
+    path = tmp_path / "cache.jsonl"
+    path.write_text("".join(json.dumps(line) + "\n" for line in (header, row) if line is not None))
+    with pytest.raises(ValueError) as err:
+        ScoreCache.load(path)
+    assert str(err.value) == error.format(path=path)
+
+
 def test_cache_row_with_a_score_that_is_no_number_is_a_value_error_naming_file_and_row(tmp_path):
     path = tmp_path / "cache.jsonl"
     header = json.dumps({"format": CACHE_FORMAT, "version": CACHE_VERSION})
@@ -264,6 +285,13 @@ def test_cache_row_with_a_score_that_is_no_number_is_a_value_error_naming_file_a
 def test_table_row_with_a_huge_integer_score_is_an_invalid_row(tmp_path):
     path = tmp_path / "scores.jsonl"
     path.write_text('{"tweet_id": "t0", "score": 0.5}\n{"tweet_id": "t1", "score": ' + HUGE_INTEGER + "}\n")
+    with pytest.raises(ValueError, match=r"^1 invalid score rows \(rows 2\)$"):
+        load_score_source(path)
+
+
+def test_table_row_with_an_overlong_integer_is_an_invalid_row(tmp_path):
+    path = tmp_path / "scores.jsonl"
+    path.write_text('{"tweet_id": "t0", "score": 0.5}\n{"tweet_id": "t1", "score": ' + OVERLONG_INTEGER + "}\n")
     with pytest.raises(ValueError, match=r"^1 invalid score rows \(rows 2\)$"):
         load_score_source(path)
 
@@ -427,12 +455,14 @@ def test_http_client_treats_429_and_5xx_as_an_unavailable_backend(status, monkey
 
 
 class _HugeScores(_Statuses):
-    """Answers a score too large for a float to texts ending in 2."""
+    """Answers a score too large for a float (or the integer `score`) to texts ending in 2."""
+
+    score = HUGE_INTEGER
 
     def do_POST(self):
         text = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["text"]
         self.texts.append(text)
-        body = ('{"score": ' + (HUGE_INTEGER if text.endswith("2") else "0.25") + "}").encode()
+        body = ('{"score": ' + (self.score if text.endswith("2") else "0.25") + "}").encode()
         self.send_response(200)
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
@@ -442,6 +472,15 @@ class _HugeScores(_Statuses):
 def test_http_response_with_a_huge_integer_score_is_retried_then_listed_as_missing(clock, monkeypatch):
     monkeypatch.setattr(scores, "MAX_RETRIES", 1)
     handler = type("HugeScores", (_HugeScores,), {"texts": []})
+    cache = _score_against(handler, monkeypatch)
+    assert sorted(cache.toxicity) == ["p0-0", "p0-1", "p0-3", "p0-4"]
+    assert cache.missing == {"p0-2"}
+    assert handler.texts.count("tweet 0 2") == 2  # tried, then retried once
+
+
+def test_http_response_with_an_overlong_integer_is_retried_then_listed_as_missing(clock, monkeypatch):
+    monkeypatch.setattr(scores, "MAX_RETRIES", 1)
+    handler = type("OverlongScores", (_HugeScores,), {"score": OVERLONG_INTEGER, "texts": []})
     cache = _score_against(handler, monkeypatch)
     assert sorted(cache.toxicity) == ["p0-0", "p0-1", "p0-3", "p0-4"]
     assert cache.missing == {"p0-2"}

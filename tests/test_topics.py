@@ -95,6 +95,28 @@ def test_a_probability_too_large_for_a_float_is_rejected_with_its_row(tmp_path):
         load_tpvs(path, K=2)
 
 
+def test_an_overlong_integer_is_bad_json_with_its_row(tmp_path):
+    path = tmp_path / "tpv.jsonl"
+    path.write_text('{"tweet_id": "a", "probs": [0.5, 0.5]}\n'
+                    '{"tweet_id": "b", "probs": [1' + "0" * 5000 + ', 0.0]}\n', encoding="utf-8")
+    with pytest.raises(TPVError, match=r"^row 2: bad json: Exceeds the limit") as err:
+        load_tpvs(path, K=2)
+    assert err.value.lineno == 2
+
+
+@pytest.mark.parametrize("rows, error", [
+    ([{"tweet_id": f"t{i}", "probs": [[0.5], [0.5]]} for i in range(3)], "row 1: expected 2 probabilities, got (2, 1)"),
+    ([{"tweet_id": "t0", "probs": [[0.5, 0.5]]}], "row 1: expected 2 probabilities, got (1, 2)"),
+], ids=["every_row_nested", "one_row_of_one_row"])
+def test_a_block_of_rows_with_the_right_size_but_another_shape_is_refused(tmp_path, rows, error):
+    # a block reshaped to (n, K) after it converts would accept both files
+    path = tmp_path / "tpv.jsonl"
+    _write_tpv_rows(path, rows)
+    with pytest.raises(TPVError) as err:
+        load_tpvs(path, K=2)
+    assert str(err.value) == error
+
+
 def test_generated_fixture_loads_with_unit_sums(tmp_path):
     rng = np.random.default_rng(5)
     rows = []
@@ -345,6 +367,18 @@ def test_a_later_json_error_does_not_hide_an_earlier_bad_row(tmp_path):
     assert str(err.value) == "row 2: probabilities sum to 1.200000"
 
 
+def test_a_read_error_does_not_hide_an_earlier_bad_row(tmp_path):
+    # the bad row opens a block, and bytes that are not UTF-8 come 240 rows
+    # (over 8 KB, so in a later chunk of the decoder) on, in the same block
+    B = topics._TPV_BLOCK_ROWS
+    good = json.dumps({"tweet_id": "a", "probs": [0.5, 0.5]}).encode() + b"\n"
+    path = tmp_path / "tpv.jsonl"
+    path.write_bytes(good * B + b'{"tweet_id": "b", "probs": [0.9, 0.3]}\n' + good * 240 + b'{"tweet_id": "\xff"}\n')
+    with pytest.raises(TPVError) as err:
+        load_tpvs(path, K=2)
+    assert str(err.value) == f"row {B + 1}: probabilities sum to 1.200000"
+
+
 # rows of K entries that only the conversion of their block to floats finds
 # bad, and one that only the matrix check finds bad
 _BLOCK_CORRUPTIONS = {
@@ -461,6 +495,19 @@ def test_catalog_requires_full_cover(tmp_path):
     path = tmp_path / "catalog.tsv"
     path.write_text("0\teveryday\n2\tpolitics\n")
     with pytest.raises(CatalogError):
+        TopicCatalog.load(path)
+
+
+@pytest.mark.parametrize("text, error", [
+    ("0\teveryday\n1 politics\n", "line 2: expected 'index<TAB>category'"),
+    ("0\teveryday\nx\tpolitics\n", "line 2: expected 'index<TAB>category'"),
+    ("0\teveryday\n1\tpolitics\n0\tsports\n", "line 3: duplicate topic index 0"),
+    ("# a comment\n\n", "empty catalog"),
+], ids=["no_tab", "no_index", "duplicate", "empty"])
+def test_catalog_load_names_what_is_wrong(tmp_path, text, error):
+    path = tmp_path / "catalog.tsv"
+    path.write_text(text)
+    with pytest.raises(CatalogError, match=f"^{error}$"):
         TopicCatalog.load(path)
 
 
