@@ -17,7 +17,7 @@ from .pipeline import (
     labeled_rows, load_labels_csv, metric_rows, parse_tox_gate, run_pipeline, topic_vectors, write_groups,
     write_metrics,
 )
-from .util import read_json, write_json
+from .util import json_object, write_json
 
 
 @click.group()
@@ -46,6 +46,17 @@ def _fails_as(stage: str):
 
 def _warn(message: str) -> None:
     click.echo(f"warning: {message}", err=True)
+
+
+def _read_groups(path: str) -> dict[str, list[str]]:
+    """The partition in a groups file: an object whose `groups` maps each
+    group name to a list of profile ids; anything else raises naming the file."""
+    partition = json_object(Path(path).read_text(encoding="utf-8"), path).get("groups")
+    if not isinstance(partition, dict) or not all(
+        isinstance(ids, list) and all(isinstance(p, str) for p in ids) for ids in partition.values()
+    ):
+        raise ValueError(f"{path}: 'groups' is not an object mapping each group name to a list of profile ids")
+    return partition
 
 
 @main.command()
@@ -190,7 +201,7 @@ def detect(corpus_path, tpv_path, catalog_path, toxicity_cache, groups_path,
     corpus = load_corpus(corpus_path)
     tpvs, catalog = topic_vectors(k_topics, 0, tpv_path, catalog_path)
     aggs = corpus_topic_aggregates(corpus, tpvs, scores.load_score_source(toxicity_cache), k_topics, _warn)
-    partition = read_json(groups_path)["groups"]
+    partition = _read_groups(groups_path)
     payload = designate(
         corpus, tpvs, catalog, aggs, partition, group_name, min_cluster, tox_gate, _warn
     )
@@ -322,7 +333,7 @@ def flag(model_path, features_path, groups_path, group_range, exclude_group, sam
     """Apply a trained model to the remaining entropy groups."""
     ids, X, _ = load_features(features_path)
     model = classifier.TrainedModel.load(model_path)
-    partition = read_json(groups_path)["groups"]
+    partition = _read_groups(groups_path)
     names = group_range or [g for g in diversity.GROUP_NAMES if g != exclude_group]
     wild_groups = group_matrices(ids, X, partition, names)
     result = classifier.flag_in_wild(model, wild_groups, sample_n, seed)

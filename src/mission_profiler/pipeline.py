@@ -19,10 +19,11 @@ Results pass to later stages in memory; a file is read back only when
 its stage was a cache hit and a later stage misses; a user file parsed
 unchanged (the corpus, topic vectors, score files) is not copied but
 parsed again, and later manifests record its digest. A run hashes each
-file at most once. Every manifest records the config hash, and so do
-the JSON, CSV and metrics files from aggregates.json on; the score
-caches, tpvs.jsonl, catalog.tsv and features.jsonl hold data only. All
-randomness derives from the single top-level seed.
+file at most once and reads each manifest once. Every manifest records
+the config hash, and so do the JSON, CSV and metrics files from
+aggregates.json on; the score caches, tpvs.jsonl, catalog.tsv and
+features.jsonl hold data only. All randomness derives from the single
+top-level seed.
 """
 from __future__ import annotations
 
@@ -444,18 +445,29 @@ class Pipeline:
         self.hash = config.config_hash()
         self.warnings: list[str] = []
         self._digests: dict[str, str] = {}  # real path -> sha256, for one run
+        self._reals: dict[str | Path, str] = {}  # path as given -> real path, for one run
+        self._manifests: dict[str, dict | None] = {}  # by stage, as this run first read them
         self._artifacts: dict[str, Artifact] = {}  # by name, as the stages of this run left them
+        self._declared: dict[str, dict[str, Path]] = {}  # each stage's declared files by name, built once
+        for stage, spec in STAGE_TABLE.items():
+            d = self.out / stage
+            self._declared[stage] = {file: d / file for file, _ in spec.outputs.values()}
 
     # -- stage cache plumbing ------------------------------------------------
 
     def _manifest(self, stage: str) -> dict | None:
-        """The stage's manifest as the last run left it; None when there is
-        none, or it is cut short or garbled as a killed write leaves it."""
-        try:
-            manifest = read_json(self.out / stage / "manifest.json")
-        except (OSError, ValueError):
-            return None
-        return manifest if isinstance(manifest, dict) else None
+        """The stage's manifest as the last run left it, read once per run;
+        None when there is none, when it is cut short or garbled as a killed
+        write leaves it, or when a field the runner reads has the wrong type:
+        `outputs` and `warnings` lists of strings, `output_hashes` an object
+        of strings."""
+        if stage not in self._manifests:
+            try:
+                manifest = read_json(self.out / stage / "manifest.json")
+            except (OSError, ValueError):
+                manifest = None
+            self._manifests[stage] = manifest if _well_formed(manifest) else None
+        return self._manifests[stage]
 
     def _cached(self, stage: str, inputs: dict[str, str]) -> bool:
         manifest = self._manifest(stage)
@@ -468,47 +480,63 @@ class Pipeline:
             )
         if manifest.get("inputs") != inputs:
             return False
+        declared = self._declared[stage]
         listed = manifest.get("outputs", [])
-        if _undeclared(stage, listed):  # a file the stage no longer writes: the runner deletes it
+        if any(name not in declared for name in listed):  # a file the stage no longer writes: the runner deletes it
             return False
         # a manifest without output digests (older runs wrote none) is a miss
-        digests = manifest.get("output_hashes") or {}
-        d = self.out / stage
-        hit = all(
-            name in digests and (d / name).is_file() and self._digest(d / name) == digests[name]
-            for name in listed
-        )
+        digests = manifest.get("output_hashes", {})
+        try:
+            hit = all(name in digests and self._digest(declared[name]) == digests[name] for name in listed)
+        except OSError:  # a listed output that is gone or is no file
+            return False
         if hit:  # the report lists a cached stage's warnings as if it had run
             self.warnings.extend(manifest.get("warnings", []))
         return hit
 
     def _write_manifest(self, stage: str, inputs: dict[str, str], outputs: list[str], extra: dict | None) -> None:
-        d = self.out / stage
+        declared = self._declared[stage]
         payload = {
             "stage": stage,
             "config_hash": self.hash,
             "inputs": inputs,
             "outputs": sorted(outputs),
-            "output_hashes": {name: self._digest(d / name) for name in sorted(outputs)},
+            "output_hashes": {name: self._digest(declared[name]) for name in sorted(outputs)},
         }
         if extra:
             payload.update(extra)
         warned = [w for w in self.warnings if w.startswith(f"{stage}: ")]
         if warned:
             payload["warnings"] = warned
-        write_json(d / "manifest.json", payload)
+        write_json(self.out / stage / "manifest.json", payload)
 
     def _digest(self, path: str | Path) -> str:
         """sha256 of a file, read from disk the first time this run asks."""
-        key = os.path.realpath(path)
+        key = self._real(path)
         if key not in self._digests:
             self._digests[key] = sha256_file(key)
         return self._digests[key]
 
+    def _real(self, path: str | Path) -> str:
+        """os.path.realpath(path), resolved the first time this run asks. A
+        name that is no link lies in its directory's real path, so the files
+        of one directory share one resolution of it."""
+        real = self._reals.get(path)
+        if real is None:
+            head, tail = os.path.split(path)
+            if tail in ("", ".", "..") or os.path.islink(path):
+                real = os.path.realpath(path)
+            else:
+                real = os.path.join(self._real(head), tail)
+            self._reals[path] = real
+        return real
+
     def _forget(self, paths) -> None:
-        """Drop the memoised digests of files this run rewrote or deleted."""
+        """Drop the memoised digests of files this run rewrote or deleted;
+        each is resolved again, as its new file may replace a link."""
         for path in paths:
-            self._digests.pop(os.path.realpath(path), None)
+            self._reals.pop(path, None)
+            self._digests.pop(self._real(path), None)
 
     def _input_hashes(self, paths: dict[str, str | Path]) -> dict[str, str]:
         return {name: self._digest(p) for name, p in sorted(paths.items())}
@@ -524,7 +552,10 @@ class Pipeline:
         stage raises PipelineError naming it, from the original exception."""
         lock = self.out / ".lock"
         fd = _take_lock(lock)
-        self._digests = {}  # every run reads every file's bytes again
+        # every run reads every file's bytes, resolves its paths and reads its manifests again
+        self._digests = {}
+        self._reals = {}
+        self._manifests = {}
         self._artifacts = {}
         self.warnings = []
         try:
@@ -553,14 +584,17 @@ class Pipeline:
             name: ({key: files[key] for key in keys if key in files}, partial(parse, cfg))
             for name, (keys, parse) in spec.parses.items() if any(key in files for key in keys)
         }
-        out = {name: self.out / stage / file for name, (file, _) in spec.outputs.items()}
+        declared = self._declared[stage]
+        out = {name: declared[file] for name, (file, _) in spec.outputs.items()}
         values = {}
-        if not self._cached(stage, hashes):
+        if self._cached(stage, hashes):
+            present = self._manifest(stage).get("outputs", [])  # each one just hashed as recorded
+        else:
             d = self.out / stage
             d.mkdir(parents=True, exist_ok=True)
             # files an earlier run's code wrote and listed, deleted only inside the stage dir
-            for name in _undeclared(stage, (self._manifest(stage) or {}).get("outputs", [])):
-                stale = isinstance(name, str) and d / name
+            for name in (self._manifest(stage) or {}).get("outputs", []):
+                stale = name not in declared and d / name
                 if stale and stale.resolve().is_relative_to(d.resolve()) and stale.is_file():
                     stale.unlink()
             for path in out.values():
@@ -569,20 +603,27 @@ class Pipeline:
             writes = {name: path for name, path in out.items() if name not in found}
             values = spec.compute(self, inputs, writes, partial(self._warn, stage))
             self._forget(out.values())
-            written = [spec.outputs[name][0] for name, path in writes.items() if path.exists()]
-            self._write_manifest(stage, hashes, written, spec.extra and spec.extra(values))
-        for name, (_, load) in spec.outputs.items():  # then the stage's own files that a later stage reads
-            if load and name not in found and (name in values or out[name].exists()):
+            present = [spec.outputs[name][0] for name, path in writes.items() if path.exists()]
+            self._write_manifest(stage, hashes, present, spec.extra and spec.extra(values))
+        for name, (file, load) in spec.outputs.items():  # then the stage's own files that a later stage reads
+            if load and name not in found and (name in values or file in present):
                 found[name] = ({name: out[name]}, partial(load, out[name], cfg))
         for name, (paths, load) in found.items():  # a value this run did not compute is read on first use
             self._artifacts[name] = Artifact(paths, (lambda v=values[name]: v) if name in values else lru_cache(load))
 
 
-def _undeclared(stage: str, listed) -> list:
-    """The names a manifest lists as outputs that the stage's row does not
-    declare: files written by earlier code."""
-    declared = [file for file, _ in STAGE_TABLE[stage].outputs.values()]
-    return [name for name in listed if name not in declared]
+def _well_formed(manifest) -> bool:
+    """True for a manifest object whose lists and digests the runner reads
+    hold strings; absent fields are allowed, as in older manifests."""
+    if not isinstance(manifest, dict):
+        return False
+    outputs = manifest.get("outputs", [])
+    digests = manifest.get("output_hashes", {})
+    warned = manifest.get("warnings", [])
+    return (
+        isinstance(outputs, list) and isinstance(digests, dict) and isinstance(warned, list)
+        and all(isinstance(text, str) for text in (*outputs, *digests.values(), *warned))
+    )
 
 
 def _take_lock(lock: Path) -> int:

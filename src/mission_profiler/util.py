@@ -65,11 +65,19 @@ def read_json(path: str | Path) -> Any:
     return loads_line(Path(path).read_text(encoding="utf-8"))
 
 
+# bytes sha256_file reads at a time, into one buffer per call
+_HASH_CHUNK = 1 << 16
+
+
 def sha256_file(path: str | Path) -> str:
+    """sha256 of a file's bytes, read into one buffer made for this call
+    rather than into a new bytes object per chunk."""
     h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
+    buf = bytearray(_HASH_CHUNK)
+    view = memoryview(buf)
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buf):
+            h.update(view[:n])
     return h.hexdigest()
 
 

@@ -491,6 +491,35 @@ def test_detect_command_refuses_a_group_member_listed_twice(bundle_dir, run_dir,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, code, stage", [("detect", 15, "detect"), ("flag", 17, "classify")])
+@pytest.mark.parametrize("content, problem", [
+    ('{"partition": {}}', "'groups' is not an object mapping each group name to a list of profile ids"),
+    ("[1]", "not a JSON object"),
+    ('{"groups": [["p1"]]}', "'groups' is not an object mapping each group name to a list of profile ids"),
+    ('{"groups": {"VII": "p1"}}', "'groups' is not an object mapping each group name to a list of profile ids"),
+    ('{"groups": {"VII": [1]}}', "'groups' is not an object mapping each group name to a list of profile ids"),
+    ('{"groups": ', "bad json"),
+], ids=["no-groups", "a-list", "groups-a-list", "members-a-string", "member-an-int", "cut-short"])
+def test_detect_and_flag_name_a_groups_file_of_the_wrong_shape(
+    bundle_dir, run_dir, corpus_bin, tmp_path, command, code, stage, content, problem,
+):
+    # the file used to fail as `'groups'` or `list indices must be integers or slices, not str`, naming no file
+    path = tmp_path / "groups.json"
+    path.write_text(content)
+    out = tmp_path / "out.json"
+    if command == "detect":
+        args = _detect_args(bundle_dir, corpus_bin, bundle_dir / "tpvs.jsonl", path, out)
+    else:
+        args = [
+            "flag", "--model", str(run_dir / "classify" / "model_linear_svm.json"),
+            "--features", str(run_dir / "features" / "features.jsonl"), "--groups", str(path), "--out", str(out),
+        ]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == code, result.output
+    assert f"error [{stage}]: {path}: {problem}" in result.output
+    assert not out.exists()
+
+
 def test_detect_command_prints_the_zero_global_average_warning_as_a_warning(bundle_dir, run_dir, corpus_bin, tmp_path):
     tpvs = tmp_path / "tpvs.jsonl"
     tpvs.write_text((bundle_dir / "tpvs.jsonl").read_text())

@@ -1280,6 +1280,85 @@ def test_manifest_without_output_digests_is_a_miss(tmp_path, monkeypatch):
     assert {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
 
+@pytest.mark.parametrize("field, value", [
+    ("outputs", 5), ("outputs", None), ("outputs", [5]),
+    ("output_hashes", 5), ("output_hashes", {"metrics.jsonl": 5}),
+    ("warnings", 5), ("warnings", "metrics: x"), ("warnings", [5]),
+])
+def test_a_manifest_field_of_the_wrong_type_is_a_miss(tmp_path, monkeypatch, field, value):
+    # `outputs: 5` and `warnings: 5` used to stop the run with "'int' object is not iterable", and
+    # `warnings: "metrics: x"` put each of its characters in a rebuilt report's warnings
+    paths = _small_bundle(tmp_path)
+    config = _config(paths)
+    out = tmp_path / "run"
+    run_pipeline(config, out)
+    before = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    manifest_path = out / "metrics" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest[field] = value
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    (out / "report" / "report.json").unlink()  # rebuilt from the warnings of every stage
+    hits = _count_cache_hits(monkeypatch)
+    run_pipeline(config, out)
+    assert [name for name, hit in zip(pipeline.STAGES, hits) if not hit] == ["metrics", "report"]
+    assert {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+
+def test_a_warm_rerun_resolves_each_path_at_most_once(tmp_path, monkeypatch):
+    paths = _small_bundle(tmp_path)
+    config = _config(paths)
+    out = tmp_path / "run"
+    run_pipeline(config, out)
+    resolved: list[str] = []
+    realpath = os.path.realpath
+    monkeypatch.setattr(os.path, "realpath", lambda path, **kw: resolved.append(os.fspath(path)) or realpath(path, **kw))
+    hits = _count_cache_hits(monkeypatch)
+    run_pipeline(config, out)
+    assert hits == [True] * len(pipeline.STAGES)
+    assert sorted(resolved) == sorted(set(resolved))
+
+
+def test_the_runner_resolves_a_path_as_realpath_does(tmp_path, monkeypatch):
+    # the runner keys digests by real path, resolving each directory once per run
+    paths = _small_bundle(tmp_path)
+    pipe = Pipeline(_config(paths), tmp_path / "run")
+    (tmp_path / "d" / "e").mkdir(parents=True)
+    (tmp_path / "d" / "e" / "f.txt").write_text("x", encoding="utf-8")
+    (tmp_path / "ld").symlink_to(tmp_path / "d")
+    (tmp_path / "d" / "lf").symlink_to("e/f.txt")
+    (tmp_path / "d" / "le").symlink_to("../d/e")
+    (tmp_path / "loop").symlink_to("loop")
+    monkeypatch.chdir(tmp_path)
+    names = [
+        "d/e/f.txt", "ld/e/f.txt", "d/lf", "ld/lf", "d/le/f.txt", "ld/le/../e/f.txt", "d/e/../../ld/lf",
+        "missing/x", "d/missing", "ld/missing/y", "loop", "loop/x", "d/./e/f.txt", "d//e//f.txt", "./d", "d/e/",
+        "ld/le/..", "", ".", "..", "/", str(tmp_path / "ld" / "le" / "f.txt"),
+    ]
+    for name in names:
+        for path in (name, Path(name)):
+            assert pipe._real(path) == os.path.realpath(path), path
+
+
+def test_an_output_replaced_by_a_link_is_rebuilt_and_recorded_as_written(tmp_path, monkeypatch):
+    paths = _small_bundle(tmp_path)
+    config = _config(paths)
+    out = tmp_path / "run"
+    run_pipeline(config, out)
+    before = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    metric_rows = out / "metrics" / "metrics.jsonl"
+    elsewhere = tmp_path / "elsewhere.jsonl"
+    elsewhere.write_bytes(metric_rows.read_bytes()[:-1])
+    metric_rows.unlink()
+    metric_rows.symlink_to(elsewhere)
+    run_pipeline(config, out)
+    assert not metric_rows.is_symlink()
+    assert {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+    _assert_manifests_match_disk(out, paths)
+    hits = _count_cache_hits(monkeypatch)
+    run_pipeline(config, out)
+    assert hits == [True] * len(pipeline.STAGES)
+
+
 @pytest.mark.parametrize("damage", [
     pytest.param(lambda data: data[:40], id="cut-short"),
     pytest.param(lambda data: b"[]", id="not-an-object"),

@@ -1,15 +1,18 @@
-"""util.median, util.percentile and util.loads_line against the library
-functions they stand in for: statistics.median, numpy's default percentile
-and json.loads."""
+"""util.median, util.percentile, util.loads_line and util.sha256_file
+against the library functions they stand in for: statistics.median, numpy's
+default percentile, json.loads and hashlib.sha256 of the file's bytes."""
+import hashlib
 import json
 import math
+import random
 import statistics
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mission_profiler.util import loads_line, median, percentile
+from mission_profiler.util import _HASH_CHUNK, loads_line, median, percentile, sha256_file
 
 INTS = st.integers(-(2**53), 2**53)
 FLOATS = st.floats(-1e300, 1e300)  # finite, with room for b - a
@@ -90,3 +93,13 @@ def _decoded(fn, line):
 def test_loads_line_is_json_loads(value, before, after):
     line = before + value + after
     assert _decoded(loads_line, line) == _decoded(json.loads, line)
+
+
+@pytest.mark.parametrize("size", [
+    0, 1, _HASH_CHUNK - 1, _HASH_CHUNK, _HASH_CHUNK + 1, 3 * _HASH_CHUNK + 12345,
+], ids=["empty", "one-byte", "a-byte-under-the-buffer", "one-buffer", "a-byte-over", "buffers-and-a-tail"])
+def test_sha256_file_is_the_sha256_of_the_files_bytes(tmp_path, size):
+    path = tmp_path / "data.bin"
+    path.write_bytes(random.Random(size).randbytes(size))
+    assert sha256_file(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert sha256_file(str(path)) == sha256_file(path)
