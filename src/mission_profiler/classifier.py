@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import FEATURE_NAMES, catalog_hash, group_indices
+from .features import FEATURE_GROUPS, FEATURE_NAMES, catalog_hash, group_indices
 from .util import derive_seed, read_json, write_json
 
 MODEL_FORMAT = "mission-profiler-model"
@@ -626,7 +626,7 @@ def ablation(
     keyed by group, then kind."""
     y = np.asarray(y, int)
     train_idx, test_idx = split_80_20(y, seed)
-    groups = ("content", "auxiliary", "activity_profile", "all")
+    groups = (*FEATURE_GROUPS, "all")
     models = dict(zip(groups, _fit(X_raw[train_idx], y[train_idx], seed, groups, MODEL_KINDS, config)))
     X_test, y_test = X_raw[test_idx], y[test_idx]
     table = {

@@ -10,7 +10,7 @@ from pathlib import Path
 import click
 
 from . import classifier, detector, diversity, scores, synth, topics
-from .features import load_features
+from .features import FEATURE_GROUPS, load_features
 from .ingest import load_corpus, load_timelines, save_corpus
 from .pipeline import (
     PipelineError, RunConfig, corpus_topic_aggregates, designate, group_matrices, group_profiles, ingest_warnings,
@@ -247,7 +247,7 @@ def synth_cmd(spec_path, seed, out) -> None:
 @click.option("--labels", "labels_path", required=True, type=click.Path(exists=True))
 @click.option("--features", "features_path", required=True, type=click.Path(exists=True))
 @click.option("--model", "kind", type=click.Choice(["svm", "tree", "forest"]), default="svm")
-@click.option("--feature-group", type=click.Choice(["content", "auxiliary", "activity_profile", "all"]), default="all")
+@click.option("--feature-group", type=click.Choice([*FEATURE_GROUPS, "all"]), default="all")
 @click.option("--seed", type=int, default=42)
 @click.option("--out", required=True, type=click.Path())
 def train(labels_path, features_path, kind, feature_group, seed, out) -> None:
@@ -335,7 +335,7 @@ def flag(model_path, features_path, groups_path, group_range, exclude_group, sam
     model = classifier.TrainedModel.load(model_path)
     partition = _read_groups(groups_path)
     names = group_range or [g for g in diversity.GROUP_NAMES if g != exclude_group]
-    wild_groups = group_matrices(ids, X, partition, names)
+    wild_groups = group_matrices(ids, X, partition, names, _warn)
     result = classifier.flag_in_wild(model, wild_groups, sample_n, seed)
     write_json(out, result)
     for row in result["table"]:

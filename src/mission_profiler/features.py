@@ -14,7 +14,6 @@ import sys
 import numpy as np
 
 from .ingest import ProfileMetadata
-from .readability import LEXICAL_KEYS
 from .topics import CATEGORIES
 from .util import canonical_dumps, json_object
 
@@ -65,21 +64,6 @@ FEATURE_GROUPS = (GROUP_CONTENT, GROUP_AUXILIARY, GROUP_ACTIVITY_PROFILE)
 N_FEATURES = len(FEATURE_CATALOG)
 
 
-# features read under the same name from a metrics row
-_ROW_FEATURES = (
-    *LEXICAL_KEYS, "total_hashtags", "unique_hashtags",
-    "hashtags_per_tweet", "total_urls", "unique_urls", "urls_per_tweet",
-    "n_tweets", "n_retweets", "n_unique", "burstiness", "median_delta_days",
-)
-# features of profiles with metadata, read from it under the same name,
-# except account age, which the metrics row derives from the creation date
-_METADATA_FEATURES = (
-    "has_location", "description_len", "protected", "followers", "following",
-    "listed", "account_age_days", "favourites", "geo_enabled", "verified",
-    "statuses", "contributors_enabled", "withheld_countries",
-)
-
-
 def catalog_hash() -> str:
     text = "\n".join(f"{name}:{group}" for name, group in FEATURE_CATALOG)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -101,31 +85,21 @@ def extract_features(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One profile's feature values and imputation mask (True where the raw
     value was missing and imputed to 0) from its metrics.jsonl row
-    (metrics.compute_metric_bundle)."""
-    values = np.zeros(N_FEATURES, dtype=float)
-    mask = np.zeros(N_FEATURES, dtype=bool)
-
-    def put(name: str, value) -> None:
-        idx = FEATURE_NAMES.index(name)
-        if value is None:
-            mask[idx] = True
-            return
-        values[idx] = float(value)
-
-    for category in CATEGORIES:
-        count = category_tweet_counts.get(category) if category_tweet_counts else None
-        put(f"tweets_{category}", count)
-
-    put("median_toxicity", metric_row["toxicity_median"])
-    for name in _ROW_FEATURES:
-        put(name, metric_row[name])
-
-    for name in _METADATA_FEATURES:
-        if metadata is None:
-            put(name, None)
-        else:
-            put(name, metric_row[name] if name == "account_age_days" else getattr(metadata, name))
-
+    (metrics.compute_metric_bundle). Every feature is read by one rule:
+    tweets_<category> is the category's count, median_toxicity the row's
+    toxicity_median, and any other the row's value under its own name,
+    else the metadata's attribute of that name, else missing."""
+    counts = category_tweet_counts or {}
+    raw = [
+        counts.get(name.removeprefix("tweets_")) if name.startswith("tweets_")
+        else metric_row["toxicity_median"] if name == "median_toxicity"
+        else metric_row[name] if name in metric_row
+        else None if metadata is None
+        else getattr(metadata, name)
+        for name in FEATURE_NAMES
+    ]
+    mask = np.array([value is None for value in raw])
+    values = np.array([0.0 if value is None else float(value) for value in raw])
     if not np.all(np.isfinite(values)):
         bad = [FEATURE_NAMES[i] for i in np.flatnonzero(~np.isfinite(values))]
         raise ValueError(f"non-finite feature values for {profile_id}: {bad}")

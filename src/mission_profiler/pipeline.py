@@ -343,15 +343,23 @@ def feature_vectors(
     return ids, X, M
 
 
+def _first_five(ids: list[str]) -> str:
+    return ", ".join(map(repr, ids[:5])) + (", ..." if len(ids) > 5 else "")
+
+
 def group_matrices(
-    ids: list[str], X: np.ndarray, partition: dict[str, list[str]], names: list[str],
+    ids: list[str], X: np.ndarray, partition: dict[str, list[str]], names: list[str], warn: Warn,
 ) -> dict[str, tuple[list[str], np.ndarray]]:
     """For each entropy group in names, its profiles that have a feature
-    row (ids[i] is row i of X) and those rows, to flag with a model."""
+    row (ids[i] is row i of X) and those rows, to flag with a model. A
+    member without a row is dropped with a warning naming the first five."""
     index_of = {pid: i for i, pid in enumerate(ids)}
     matrices = {}
     for group, members in partition.items():
         if group in names:
+            lost = sorted(p for p in members if p not in index_of)
+            if lost:
+                warn(f"group {group}: {len(lost)} members have no feature row and were dropped: {_first_five(lost)}")
             rows = [index_of[p] for p in members if p in index_of]
             matrices[group] = ([ids[i] for i in rows], X[rows])
     return matrices
@@ -364,8 +372,7 @@ def labeled_rows(ids: list[str], X: np.ndarray, labels: dict[str, int], warn: Wa
     keep = [i for i, pid in enumerate(ids) if pid in labels]
     if len(keep) < len(labels):
         lost = sorted(labels.keys() - set(ids))
-        warn(f"{len(lost)} labels match no profile and were dropped: {', '.join(map(repr, lost[:5]))}"
-             + (", ..." if len(lost) > 5 else ""))
+        warn(f"{len(lost)} labels match no profile and were dropped: {_first_five(lost)}")
     return X[keep], np.asarray([labels[ids[i]] for i in keep], dtype=int)
 
 
@@ -748,7 +755,7 @@ def _classify(pipe: Pipeline, a: Inputs, out: Outputs, warn: Warn) -> dict:
         # flag the remaining entropy groups with the all-features linear SVM;
         # its saved file holds every float in repr, so `flag` on it gives the same table
         partition = a["groups"].get()["groups"]
-        wild_groups = group_matrices(ids, X, partition, [g for g in partition if g != cfg.detect_group])
+        wild_groups = group_matrices(ids, X, partition, [g for g in partition if g != cfg.detect_group], warn)
         wild = classifier.flag_in_wild(
             models["all"][classifier.KIND_SVM], wild_groups, cfg.sample_n, derive_seed(cfg.seed, "wild"))
         payloads = {

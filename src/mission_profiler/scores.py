@@ -50,6 +50,14 @@ def _check_unit(value, what: str) -> float:
     return number
 
 
+def _json_score(value):
+    """value when it is a JSON number, else TypeError: float() reads true
+    as 1.0 and "0.5" as 0.5, but neither is a score."""
+    if type(value) not in (int, float):
+        raise TypeError(f"score {value!r} is not a number")
+    return value
+
+
 class ScoreCache:
     """Toxicity and bot scores with per-entry provenance and a missing set."""
 
@@ -118,16 +126,17 @@ class ScoreCache:
                 kind = row.get("kind")
                 try:
                     if kind == "toxicity":
-                        cache.put_toxicity(row["tweet_id"], row["score"], row.get("source", "unknown"))
+                        cache.put_toxicity(row["tweet_id"], _json_score(row["score"]), row.get("source", "unknown"))
                     elif kind == "bots":
-                        cache.put_bots(row["profile_id"], row["overall"], row["spammer"], row.get("source", "unknown"))
+                        cache.put_bots(row["profile_id"], _json_score(row["overall"]), _json_score(row["spammer"]),
+                                       row.get("source", "unknown"))
                     elif kind == "missing":
                         cache.missing.add(row["tweet_id"])
                     else:
                         raise ValueError(f"unknown cache row kind {kind!r}")
                 except KeyError as exc:
                     raise ValueError(f"{path}: row {lineno} ({kind!r}) lacks the key {exc}") from None
-                except (TypeError, ValueError) as exc:  # an unknown kind, or a score not in [0, 1]
+                except (TypeError, ValueError) as exc:  # an unknown kind, or a score not a number in [0, 1]
                     raise ValueError(f"{path}: row {lineno}: {exc}") from None
         return cache
 
@@ -172,11 +181,10 @@ class HTTPToxicityClient:
             parsed = loads_line(payload)
         except ValueError as exc:  # a JSONDecodeError, or an integer over the digit limit
             raise ScoreError(f"unparseable response: {payload[:80]!r}") from exc
-        if isinstance(parsed, dict):
-            parsed = parsed.get("score")
-        if not isinstance(parsed, (int, float)):
-            raise ScoreError(f"no score in response for tweet {tweet_id}")
-        return parsed  # ScoreCache.put_toxicity checks it
+        try:  # ScoreCache.put_toxicity checks the range
+            return _json_score(parsed.get("score") if isinstance(parsed, dict) else parsed)
+        except TypeError:
+            raise ScoreError(f"no score in response for tweet {tweet_id}") from None
 
 
 def score_toxicity(
@@ -268,7 +276,8 @@ def load_score_source(path: str | Path) -> ScoreCache:
     """Read a score file: a cache as ScoreCache.save writes it, or a table
     of (tweet_id, score) and (profile_id, overall, spammer) rows as CSV
     (an optional header row) or JSONL objects. A table row that does not
-    parse, has another shape or holds a score outside [0, 1] is invalid;
+    parse, has another shape or holds a score outside [0, 1] is invalid,
+    as is a JSONL score that is not a JSON number;
     any invalid row raises ValueError listing the first five row numbers."""
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline()
@@ -284,13 +293,15 @@ def load_score_source(path: str | Path) -> ScoreCache:
                 continue
             try:
                 row = loads_line(line)
-            except ValueError:  # a JSONDecodeError, or an integer over the digit limit
-                row = None
-            if isinstance(row, dict) and "tweet_id" in row and "score" in row:
-                rows.append((lineno, [row["tweet_id"], row["score"]]))
-            elif isinstance(row, dict) and "profile_id" in row and "overall" in row:
-                rows.append((lineno, [row["profile_id"], row["overall"], row.get("spammer", 0.0)]))
-            else:
+                if isinstance(row, dict) and "tweet_id" in row and "score" in row:
+                    rows.append((lineno, [row["tweet_id"], _json_score(row["score"])]))
+                elif isinstance(row, dict) and "profile_id" in row and "overall" in row:
+                    rows.append((lineno, [
+                        row["profile_id"], _json_score(row["overall"]), _json_score(row.get("spammer", 0.0)),
+                    ]))
+                else:
+                    rejects.append(lineno)
+            except (TypeError, ValueError):  # not JSON, too long an integer, or a score that is not a number
                 rejects.append(lineno)
     else:
         rows = [(lineno, row) for lineno, row in enumerate(csv.reader(lines), start=1) if row]

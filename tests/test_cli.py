@@ -584,6 +584,22 @@ def test_labeled_commands_fail_as_a_run_on_a_labels_row_without_a_label_or_a_fil
     assert f"error [classify]: {labels}: {error}" in result.output
 
 
+def test_flag_warns_of_group_members_without_a_feature_row(run_dir, tmp_path):
+    features = run_dir / "features" / "features.jsonl"
+    real = json.loads(features.read_text(encoding="utf-8").splitlines()[1])["profile_id"]
+    groups = tmp_path / "groups.json"
+    groups.write_text(json.dumps({"groups": {"II": ["ghost2", real, "ghost1"]}}), encoding="utf-8")
+    result = CliRunner().invoke(main, [
+        "flag", "--model", str(run_dir / "classify" / "model_linear_svm.json"), "--features", str(features),
+        "--groups", str(groups), "--group-range", "II", "--out", str(tmp_path / "wild.json"),
+    ])
+    assert result.exit_code == 0, result.output
+    assert result.stderr.splitlines() == [
+        "warning: group II: 2 members have no feature row and were dropped: 'ghost1', 'ghost2'",
+    ]
+    assert "/1 flagged" in result.stdout
+
+
 @pytest.mark.parametrize("command", ["train", "evaluate", "ablate", "flag"])
 @pytest.mark.parametrize("defect, error", [
     ("repeat", "line 3: profile {first} has an earlier row"),

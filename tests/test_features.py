@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -19,6 +20,7 @@ from mission_profiler.scores import ScoreCache
 from mission_profiler.topics import CATEGORIES
 
 from conftest import BASE_TS, make_timeline, make_tweet
+from test_metrics import METRICS_JSONL_KEYS
 
 
 def _bundle(timeline, scores=None):
@@ -52,6 +54,17 @@ def test_group_indices_disjoint_cover():
         i for g in ("content", "auxiliary", "activity_profile") for i in group_indices(g)
     )
     assert seen == list(range(N_FEATURES))
+
+
+def test_each_feature_has_one_source_a_metrics_row_key_or_a_metadata_field():
+    # extract_features reads tweets_<category> from the counts, median_toxicity
+    # from the row's toxicity_median, and any other name from the row, else
+    # from the metadata: a misspelt name, or one in both, fails here
+    assert [n for n in FEATURE_NAMES if n.startswith("tweets_")] == [f"tweets_{c}" for c in CATEGORIES]
+    fields = {field.name for field in dataclasses.fields(ProfileMetadata)}
+    read = [n for n in FEATURE_NAMES if not n.startswith("tweets_") and n != "median_toxicity"]
+    assert [n for n in read if (n in METRICS_JSONL_KEYS) == (n in fields)] == []
+    assert "toxicity_median" in METRICS_JSONL_KEYS
 
 
 def test_null_toxicity_imputes_zero_with_mask():

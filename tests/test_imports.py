@@ -1,8 +1,8 @@
 """Every module-level import of the package is used, so an import that a
 deletion leaves behind fails here. A name listed in a module's __all__
-counts as used: the package re-exports it. Every module-level function
-and class of the package, and every method of such a class but a dunder,
-is named somewhere in the package or its tests outside its own
+counts as used: the package re-exports it. Every module-level function,
+class and constant of the package, and every method of such a class, but
+a dunder, is named somewhere in the package or its tests outside its own
 definition, so a definition that a deletion orphans fails here too. A
 file-backend run loads no module that only another backend or a replaced
 helper needs. Only util.py calls json.loads: every other module decodes
@@ -89,25 +89,36 @@ def _registered_command(node: ast.AST) -> bool:
     )
 
 
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def dead_definitions(sources: dict[str, str], checked: list[str]) -> list[str]:
-    """The module-level functions and classes of the checked sources, and
-    the methods of those classes, that no source names outside their own
-    definition; a CLI command and a dunder method are exempt."""
+    """The module-level functions, classes and constants (names an
+    assignment binds) of the checked sources, and the methods of those
+    classes, that no source names outside their own definition; a CLI
+    command and a dunder are exempt."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
     named = sum((_identifiers(tree) for tree in trees.values()), Counter())
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     dead = []
     for name in checked:
         for node in trees[name].body:
-            if not isinstance(node, (*functions, ast.ClassDef)) or _registered_command(node):
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [
+                    (bound.id, bound.id, node) for target in targets for bound in ast.walk(target)
+                    if isinstance(bound, ast.Name) and not _dunder(bound.id)
+                ]
+            elif isinstance(node, (*functions, ast.ClassDef)) and not _registered_command(node):
+                defined = [(node.name, node.name, node)] + [
+                    (f"{node.name}.{method.name}", method.name, method) for method in getattr(node, "body", [])
+                    if isinstance(node, ast.ClassDef) and isinstance(method, functions) and not _dunder(method.name)
+                ]
+            else:
                 continue
-            methods = [
-                (f"{node.name}.{method.name}", method) for method in getattr(node, "body", [])
-                if isinstance(node, ast.ClassDef) and isinstance(method, functions)
-                and not (method.name.startswith("__") and method.name.endswith("__"))
-            ]
-            for label, definition in [(node.name, node), *methods]:
-                if named[definition.name] == _identifiers(definition)[definition.name]:  # recursion names only itself
+            for label, defined_name, definition in defined:
+                if named[defined_name] == _identifiers(definition)[defined_name]:  # recursion names only itself
                     dead.append(f"{name}: {label} (line {definition.lineno})")
     return dead
 
@@ -119,11 +130,13 @@ def test_dead_definitions_finds_what_nothing_names():
             "def used(): pass\ndef recursive(n): return recursive(n - 1)\nclass Orphan: pass\n"
             "class Kept:\n    def __eq__(self, other): pass\n    def called(self): pass\n"
             "    def loop(self): return self.loop()\ndef _private(): pass\n"
+            "__version__ = '1'\nKEPT = 1\nORPHAN: int = 2\nA, (B, _C) = 1, (2, 3)\nCOUNT = COUNT + 1\n"
         ),
-        "b.py": "from a import used\nimport a\nx = a.Kept().called()\ndef test(): return main\n",
+        "b.py": "from a import used\nimport a\nx = a.Kept().called() + a.KEPT + a.A\ndef test(): return main\n",
     }
     assert dead_definitions(sources, ["a.py"]) == [
         "a.py: recursive (line 7)", "a.py: Orphan (line 8)", "a.py: Kept.loop (line 12)", "a.py: _private (line 13)",
+        "a.py: ORPHAN (line 16)", "a.py: B (line 17)", "a.py: _C (line 17)", "a.py: COUNT (line 18)",
     ]
 
 

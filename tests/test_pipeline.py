@@ -731,6 +731,17 @@ def test_labeled_rows_names_the_first_five_labels_that_match_no_profile():
     assert len(warned) == 1
 
 
+def test_group_matrices_names_the_first_five_members_without_a_feature_row():
+    warned = []
+    X = np.arange(6.0).reshape(3, 2)
+    partition = {"II": ["p2", *(f"g{i}" for i in range(6))], "III": ["p3", "p1"], "VIII": ["ghost"]}
+    groups = pipeline.group_matrices(["p1", "p2", "p3"], X, partition, ["II", "III"], warned.append)
+    assert {g: (ids, rows.tolist()) for g, (ids, rows) in groups.items()} == {
+        "II": (["p2"], [[2.0, 3.0]]), "III": (["p3", "p1"], [[4.0, 5.0], [0.0, 1.0]]),
+    }
+    assert warned == ["group II: 6 members have no feature row and were dropped: 'g0', 'g1', 'g2', 'g3', 'g4', ..."]
+
+
 def test_labels_load_in_any_case_and_with_spaces_around(tmp_path):
     labels = tmp_path / "labels.csv"
     labels.write_text(

@@ -282,6 +282,32 @@ def test_cache_row_with_a_score_that_is_no_number_is_a_value_error_naming_file_a
         ScoreCache.load(path)
 
 
+@pytest.mark.parametrize("score", [True, False, "0.5", "1"], ids=["true", "false", "string", "string_integer"])
+def test_a_jsonl_table_score_that_is_no_json_number_makes_an_invalid_row(tmp_path, score):
+    path = tmp_path / "scores.jsonl"
+    rows = [{"tweet_id": "t0", "score": 0.5}, {"tweet_id": "t1", "score": score},
+            {"profile_id": "p1", "overall": score, "spammer": 0.1}, {"profile_id": "p2", "overall": 0.1, "spammer": score}]
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    with pytest.raises(ValueError, match=r"^3 invalid score rows \(rows 2, 3, 4\)$"):
+        load_score_source(path)
+    (tmp_path / "scores.csv").write_text("t0,0.5\nt1,1\n")  # a CSV score is text, read as a number
+    assert load_score_source(tmp_path / "scores.csv").toxicity == {"t0": 0.5, "t1": 1.0}
+
+
+@pytest.mark.parametrize("row", [
+    {"kind": "toxicity", "tweet_id": "t1", "score": True},
+    {"kind": "toxicity", "tweet_id": "t1", "score": "0.5"},
+    {"kind": "bots", "profile_id": "p1", "overall": False, "spammer": 0.1},
+    {"kind": "bots", "profile_id": "p1", "overall": 0.1, "spammer": "0"},
+], ids=["toxicity_true", "toxicity_string", "overall_false", "spammer_string"])
+def test_cache_row_with_a_score_that_is_no_json_number_is_a_value_error_naming_file_and_row(tmp_path, row):
+    path = tmp_path / "cache.jsonl"
+    header = json.dumps({"format": CACHE_FORMAT, "version": CACHE_VERSION})
+    path.write_text(header + "\n" + json.dumps(row) + "\n")
+    with pytest.raises(ValueError, match=r"cache\.jsonl: row 2: score .+ is not a number$"):
+        ScoreCache.load(path)
+
+
 def test_table_row_with_a_huge_integer_score_is_an_invalid_row(tmp_path):
     path = tmp_path / "scores.jsonl"
     path.write_text('{"tweet_id": "t0", "score": 0.5}\n{"tweet_id": "t1", "score": ' + HUGE_INTEGER + "}\n")
@@ -481,6 +507,18 @@ def test_http_response_with_a_huge_integer_score_is_retried_then_listed_as_missi
 def test_http_response_with_an_overlong_integer_is_retried_then_listed_as_missing(clock, monkeypatch):
     monkeypatch.setattr(scores, "MAX_RETRIES", 1)
     handler = type("OverlongScores", (_HugeScores,), {"score": OVERLONG_INTEGER, "texts": []})
+    cache = _score_against(handler, monkeypatch)
+    assert sorted(cache.toxicity) == ["p0-0", "p0-1", "p0-3", "p0-4"]
+    assert cache.missing == {"p0-2"}
+    assert handler.texts.count("tweet 0 2") == 2  # tried, then retried once
+
+
+@pytest.mark.parametrize("score", ["true", "false", '"0.5"'])
+def test_http_response_with_a_score_that_is_no_json_number_is_retried_then_listed_as_missing(
+    clock, monkeypatch, score,
+):
+    monkeypatch.setattr(scores, "MAX_RETRIES", 1)
+    handler = type("TextScores", (_HugeScores,), {"score": score, "texts": []})
     cache = _score_against(handler, monkeypatch)
     assert sorted(cache.toxicity) == ["p0-0", "p0-1", "p0-3", "p0-4"]
     assert cache.missing == {"p0-2"}
