@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import FEATURE_GROUPS, FEATURE_NAMES, catalog_hash, group_indices
-from .util import derive_seed, read_json, write_json
+from .util import derive_seed, finite_number, read_json, write_json
 
 MODEL_FORMAT = "mission-profiler-model"
 MODEL_VERSION = 1
@@ -439,14 +439,6 @@ class TrainedModel:
         )
 
 
-def _finite(value) -> bool:
-    """Whether value is a JSON number (not a boolean) that a float holds finitely."""
-    try:
-        return type(value) in (int, float) and math.isfinite(value)
-    except OverflowError:  # an integer past the float range
-        return False
-
-
 def _config_problem(config: TrainConfig) -> str | None:
     """The first field of config that a fit cannot use, named, or None:
     svm_c must be a finite number above 0, svm_epochs and forest_trees at
@@ -489,7 +481,7 @@ def _payload_problem(payload: dict) -> str | None:
         return "seed is not an integer"
     config, fields = payload.get("config", {}), TrainConfig().as_dict()
     if not (isinstance(config, dict) and all(
-            name in fields and (_finite(value) if name == "svm_c" else type(value) is int)
+            name in fields and (finite_number(value) if name == "svm_c" else type(value) is int)
             for name, value in config.items())):
         return "config is not an object of TrainConfig's fields: integers, and a number for svm_c"
     problem = _config_problem(TrainConfig(**config))
@@ -500,10 +492,10 @@ def _payload_problem(payload: dict) -> str | None:
     for name, values in vectors.items():
         if not isinstance(values, list) or len(values) != len(indices):
             return f"{name} does not hold one value per feature index ({len(indices)})"
-        if not all(map(_finite, values)):
+        if not all(map(finite_number, values)):
             return f"{name} holds a value that is not a finite number"
     if kind == KIND_SVM:
-        return None if _finite(parameters["b"]) else "b is not a finite number"
+        return None if finite_number(parameters["b"]) else "b is not a finite number"
     trees = [parameters] if kind == KIND_TREE else parameters["trees"]
     if not (isinstance(trees, list) and trees and all(isinstance(tree, dict) for tree in trees)):
         return "trees is not a list of one or more objects"
@@ -520,7 +512,7 @@ def _payload_problem(payload: dict) -> str | None:
             continue
         if not (type(node.get("feature")) is int and 0 <= node["feature"] < len(indices)):
             return f"a split's feature is not a place in feature_indices (0 to {len(indices) - 1})"
-        if not _finite(node.get("threshold")):
+        if not finite_number(node.get("threshold")):
             return "a split's threshold is not a finite number"
         if "left" not in node or "right" not in node:
             return "a split lacks its 'left' or 'right' node"
@@ -648,24 +640,18 @@ def flag_in_wild(
     designations with decision scores, and a seeded random sample of
     flagged/unflagged profiles per group for manual annotation.
     """
+    def row(group: str, total: int, flagged: int) -> dict:
+        return {"group": group, "total": total, "flagged": flagged,
+                "pct_flagged": 100.0 * flagged / total if total else None}
+
     table = []
     designations = []
     samples: dict[str, list[str]] = {}
-    total_all = 0
-    flagged_all = 0
     for group in sorted(groups):
         ids, X = groups[group]
         scores = model.decision_scores(X)
         preds = _classes(model.kind, scores)
-        flagged = int(preds.sum())
-        total_all += len(ids)
-        flagged_all += flagged
-        table.append({
-            "group": group,
-            "total": len(ids),
-            "flagged": flagged,
-            "pct_flagged": 100.0 * flagged / len(ids) if ids else None,
-        })
+        table.append(row(group, len(ids), int(preds.sum())))
         for pid, pred, score in zip(ids, preds, scores):
             designations.append({
                 "profile_id": pid,
@@ -677,10 +663,5 @@ def flag_in_wild(
         pool = sorted(ids)
         rng.shuffle(pool)
         samples[group] = sorted(pool[:sample_n])
-    table.append({
-        "group": "total",
-        "total": total_all,
-        "flagged": flagged_all,
-        "pct_flagged": 100.0 * flagged_all / total_all if total_all else None,
-    })
+    table.append(row("total", sum(r["total"] for r in table), sum(r["flagged"] for r in table)))
     return {"table": table, "designations": designations, "samples": samples}

@@ -69,8 +69,7 @@ def ingest(tweets: str, profiles: str | None, strict: bool, out: str) -> None:
     """Load tweet/profile JSONL into the versioned corpus cache."""
     corpus = load_timelines(tweets, profiles, strict=strict)
     save_corpus(corpus, out)
-    for message in ingest_warnings(corpus):
-        _warn(message)
+    ingest_warnings(corpus, _warn)
     stats = corpus.ingest_stats
     click.echo(
         f"kept {stats.kept_profiles} profiles / {stats.kept_tweets} tweets "

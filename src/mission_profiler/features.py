@@ -9,13 +9,13 @@ encodes as account age in days.
 from __future__ import annotations
 
 import hashlib
-import sys
+import itertools
 
 import numpy as np
 
 from .ingest import ProfileMetadata
 from .topics import CATEGORIES
-from .util import canonical_dumps, json_object
+from .util import finite_number, json_object, write_jsonl
 
 GROUP_CONTENT = "content"
 GROUP_AUXILIARY = "auxiliary"
@@ -108,17 +108,12 @@ def extract_features(
 
 def save_features(ids: list[str], X: np.ndarray, M: np.ndarray, path) -> None:
     """Write row i of X and of the mask M as profile ids[i]'s, in the order given."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_dumps({
-            "format": "mission-profiler-features",
-            "version": 1,
-            "catalog_hash": catalog_hash(),
-            "n_features": N_FEATURES,
-        }) + "\n")
-        for profile_id, values, mask in zip(ids, X, M):
-            fh.write(canonical_dumps({
-                "profile_id": profile_id, "values": values.tolist(), "mask": mask.tolist(),
-            }) + "\n")
+    header = {"format": "mission-profiler-features", "version": 1, "catalog_hash": catalog_hash(),
+              "n_features": N_FEATURES}
+    write_jsonl(path, itertools.chain([header], (
+        {"profile_id": profile_id, "values": values.tolist(), "mask": mask.tolist()}
+        for profile_id, values, mask in zip(ids, X, M)
+    )))
 
 
 def load_features(path) -> tuple[list[str], np.ndarray, np.ndarray]:
@@ -152,7 +147,7 @@ def load_features(path) -> tuple[list[str], np.ndarray, np.ndarray]:
                     raise ValueError(f"line {lineno}: {key} is not a list")
                 if len(row[key]) != N_FEATURES:
                     raise ValueError(f"line {lineno}: {key} holds {len(row[key])} items, not {N_FEATURES}")
-            if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in row["values"]):
+            if not all(map(finite_number, row["values"])):
                 raise ValueError(f"line {lineno}: values holds an item that is not a finite number")
             if not all(type(m) is bool for m in row["mask"]):
                 raise ValueError(f"line {lineno}: mask holds an item that is not true or false")

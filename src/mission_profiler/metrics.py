@@ -102,20 +102,16 @@ def activity_metrics(timeline: ProfileTimeline) -> dict:
 
 
 def hashtag_url_stats(timeline: ProfileTimeline) -> dict:
+    """Total, unique and per-tweet counts of the hashtags and of the URLs;
+    uniqueness is case-insensitive (hashtags arrive lowercased at ingest)."""
     n_tweets = len(timeline.tweets)
-    tags = [tag for tweet in timeline.tweets for tag in tweet.hashtags]
-    urls = [url for tweet in timeline.tweets for url in tweet.urls]
-    # uniqueness is case-insensitive (hashtags arrive lowercased at ingest)
-    unique_tags = {t.lower() for t in tags}
-    unique_urls = {u.lower() for u in urls}
-    return {
-        "total_hashtags": len(tags),
-        "unique_hashtags": len(unique_tags),
-        "hashtags_per_tweet": len(tags) / n_tweets if n_tweets else 0.0,
-        "total_urls": len(urls),
-        "unique_urls": len(unique_urls),
-        "urls_per_tweet": len(urls) / n_tweets if n_tweets else 0.0,
-    }
+    row = {}
+    for name in ("hashtags", "urls"):
+        items = [item for tweet in timeline.tweets for item in getattr(tweet, name)]
+        row[f"total_{name}"] = len(items)
+        row[f"unique_{name}"] = len({item.lower() for item in items})
+        row[f"{name}_per_tweet"] = len(items) / n_tweets if n_tweets else 0.0
+    return row
 
 
 def toxicity_metrics(timeline: ProfileTimeline, cache: ScoreCache) -> dict:

@@ -44,7 +44,7 @@ from . import classifier, detector, diversity, features, metrics, scores, topics
 from .ingest import Corpus, load_timelines
 from .readability import LEXICAL_KEYS
 from .util import (
-    canonical_dumps, derive_seed, loads_line, percentile, read_json, sha256_file, sha256_text, write_json,
+    canonical_dumps, derive_seed, loads_line, percentile, read_json, sha256_file, sha256_text, write_json, write_jsonl,
 )
 
 EXIT_CODES = {
@@ -191,12 +191,12 @@ Warn = Callable[[str], None]
 # both call them. `warn` receives the text of each warning.
 
 
-def ingest_warnings(corpus: Corpus) -> list[str]:
-    """The texts of the ingest warnings for a loaded corpus."""
-    out = [] if corpus.profiles else ["corpus is empty after filtering"]
+def ingest_warnings(corpus: Corpus, warn: Warn) -> None:
+    """Warn of an empty corpus and of skipped profile metadata lines."""
+    if not corpus.profiles:
+        warn("corpus is empty after filtering")
     if corpus.ingest_stats.malformed_profile_lines:
-        out.append(f"{corpus.ingest_stats.malformed_profile_lines} malformed profile metadata lines were skipped")
-    return out
+        warn(f"{corpus.ingest_stats.malformed_profile_lines} malformed profile metadata lines were skipped")
 
 
 def topic_vectors(
@@ -324,25 +324,6 @@ def designate(
     return payload
 
 
-def feature_vectors(
-    corpus: Corpus, catalog: topics.TopicCatalog, tpvs: tuple[list[str], np.ndarray], rows: list[dict],
-) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Classifier features per profile, from its metrics row and the
-    category counts of its topic-covered tweets: the profile ids in
-    order, and row i of the values X and of the imputation mask M is
-    profile ids[i]'s."""
-    categories = diversity.row_categories(catalog, tpvs[1])
-    row_of = {row["profile_id"]: row for row in rows}
-    ids = sorted(corpus.profiles)
-    X = np.zeros((len(ids), features.N_FEATURES))
-    M = np.zeros((len(ids), features.N_FEATURES), dtype=bool)
-    for i, (profile_id, covered) in enumerate(topic_rows(corpus, tpvs[0]).items()):
-        counts = dict(zip(topics.CATEGORIES, diversity.category_counts(covered, categories).tolist()))
-        metadata = corpus.profiles[profile_id].metadata
-        X[i], M[i] = features.extract_features(profile_id, row_of[profile_id], counts, metadata)
-    return ids, X, M
-
-
 def _first_five(ids: list[str]) -> str:
     return ", ".join(map(repr, ids[:5])) + (", ..." if len(ids) > 5 else "")
 
@@ -402,11 +383,7 @@ def write_groups(groups: dict, cdf_rows, groups_path, cdf_path, config_hash: str
 
 
 def write_metrics(rows: list[dict], path, config_hash: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if config_hash is not None:
-            fh.write(canonical_dumps({"config_hash": config_hash}) + "\n")
-        for row in rows:
-            fh.write(canonical_dumps(row) + "\n")
+    write_jsonl(path, rows if config_hash is None else [{"config_hash": config_hash}, *rows])
 
 
 @dataclass(frozen=True)
@@ -545,9 +522,6 @@ class Pipeline:
             self._reals.pop(path, None)
             self._digests.pop(self._real(path), None)
 
-    def _input_hashes(self, paths: dict[str, str | Path]) -> dict[str, str]:
-        return {name: self._digest(p) for name, p in sorted(paths.items())}
-
     def _warn(self, stage: str, message: str) -> None:
         self.warnings.append(f"{stage}: {message}")
         warnings.warn(f"{stage}: {message}", stacklevel=3)
@@ -585,7 +559,8 @@ class Pipeline:
         spec, cfg = STAGE_TABLE[stage], self.config
         files = {key: path for key, path in spec.files(cfg).items() if path}
         inputs = {key: self._artifacts[key] for key in spec.inputs if key in self._artifacts}
-        hashes = self._input_hashes({**{k: p for a in inputs.values() for k, p in a.paths.items()}, **files})
+        sources = {**{k: p for a in inputs.values() for k, p in a.paths.items()}, **files}
+        hashes = {key: self._digest(path) for key, path in sorted(sources.items())}
         # each artifact handed on: its files by manifest key and its reader; first those parsed from user files
         found = {
             name: ({key: files[key] for key in keys if key in files}, partial(parse, cfg))
@@ -666,8 +641,7 @@ def _holder_is_gone(lock: Path) -> bool:
 def _ingest(pipe: Pipeline, a: Inputs, out: Outputs, warn: Warn) -> dict:
     cfg = pipe.config
     corpus = load_timelines(cfg.tweets, cfg.profiles, strict=cfg.strict)
-    for message in ingest_warnings(corpus):
-        warn(message)
+    ingest_warnings(corpus, warn)
     return {"corpus": corpus}
 
 
@@ -726,7 +700,19 @@ def _detect(pipe: Pipeline, a: Inputs, out: Outputs, warn: Warn) -> dict:
 
 
 def _features(pipe: Pipeline, a: Inputs, out: Outputs, warn: Warn) -> dict:
-    ids, X, M = feature_vectors(a["corpus"].get(), a["catalog"].get(), a["tpvs"].get(), a["metrics"].get())
+    """Classifier features per profile, from its metrics row and the
+    category counts of its topic-covered tweets: row i of the values X and
+    of the imputation mask M is profile ids[i]'s."""
+    corpus, (tpv_ids, matrix) = a["corpus"].get(), a["tpvs"].get()
+    categories = diversity.row_categories(a["catalog"].get(), matrix)
+    row_of = {row["profile_id"]: row for row in a["metrics"].get()}
+    ids = sorted(corpus.profiles)
+    X = np.zeros((len(ids), features.N_FEATURES))
+    M = np.zeros((len(ids), features.N_FEATURES), dtype=bool)
+    for i, (profile_id, covered) in enumerate(topic_rows(corpus, tpv_ids).items()):
+        counts = dict(zip(topics.CATEGORIES, diversity.category_counts(covered, categories).tolist()))
+        metadata = corpus.profiles[profile_id].metadata
+        X[i], M[i] = features.extract_features(profile_id, row_of[profile_id], counts, metadata)
     features.save_features(ids, X, M, out["features"])
     return {"features": (ids, X, M)}
 

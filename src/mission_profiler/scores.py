@@ -69,11 +69,13 @@ class ScoreCache:
         self._bot_source: dict[str, str] = {}
 
     def put_toxicity(self, tweet_id: str, score: float, source: str = "unknown") -> None:
+        tweet_id = str(tweet_id)  # an id is text in every reader
         self.toxicity[tweet_id] = _check_unit(score, "toxicity score")
         self._tox_source[tweet_id] = source
         self.missing.discard(tweet_id)
 
     def put_bots(self, profile_id: str, overall: float, spammer: float, source: str = "unknown") -> None:
+        profile_id = str(profile_id)
         self.bots[profile_id] = {
             "overall": _check_unit(overall, "bot score"), "spammer": _check_unit(spammer, "spammer score"),
         }
@@ -131,7 +133,7 @@ class ScoreCache:
                         cache.put_bots(row["profile_id"], _json_score(row["overall"]), _json_score(row["spammer"]),
                                        row.get("source", "unknown"))
                     elif kind == "missing":
-                        cache.missing.add(row["tweet_id"])
+                        cache.missing.add(str(row["tweet_id"]))
                     else:
                         raise ValueError(f"unknown cache row kind {kind!r}")
                 except KeyError as exc:
@@ -275,11 +277,12 @@ def bot_scores(corpus: Corpus, backend: str, source: str | None) -> ScoreCache:
 def load_score_source(path: str | Path) -> ScoreCache:
     """Read a score file: a cache as ScoreCache.save writes it, or a table
     of (tweet_id, score) and (profile_id, overall, spammer) rows as CSV
-    (an optional header row) or JSONL objects. A table row that does not
+    (a first row whose first field is tweet_id or profile_id is a header)
+    or JSONL objects; ids are read as text. A table row that does not
     parse, has another shape or holds a score outside [0, 1] is invalid,
-    as is a JSONL score that is not a JSON number;
-    any invalid row raises ValueError listing the first five row numbers."""
-    with open(path, "r", encoding="utf-8") as fh:
+    as is a JSONL score that is not a JSON number; any invalid row raises
+    ValueError listing the first five row numbers."""
+    with open(path, "r", encoding="utf-8-sig") as fh:  # a table may start with a byte order mark
         first = fh.readline()
         if first.lstrip().startswith("{") and CACHE_FORMAT in first:
             return ScoreCache.load(path)
@@ -305,17 +308,14 @@ def load_score_source(path: str | Path) -> ScoreCache:
                 rejects.append(lineno)
     else:
         rows = [(lineno, row) for lineno, row in enumerate(csv.reader(lines), start=1) if row]
-        if rows and rows[0][0] == 1:
-            try:
-                float(rows[0][1][-1])
-            except ValueError:  # a header row
-                del rows[0]
+        if rows and rows[0][0] == 1 and rows[0][1][0] in ("tweet_id", "profile_id"):  # a header row
+            del rows[0]
     for lineno, row in rows:
         try:
             if len(row) == 2:
-                cache.put_toxicity(str(row[0]), row[1], source="precomputed")
+                cache.put_toxicity(row[0], row[1], source="precomputed")
             elif len(row) == 3:
-                cache.put_bots(str(row[0]), row[1], row[2], source="precomputed")
+                cache.put_bots(row[0], row[1], row[2], source="precomputed")
             else:
                 rejects.append(lineno)
         except (TypeError, ValueError):

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .scores import ScoreCache
-from .util import canonical_dumps, derive_seed, read_json
+from .util import derive_seed, read_json, write_jsonl
 
 BURST_PATTERNS = ("periodic", "poisson", "bursty")
 GENUINE = "genuine"
@@ -298,16 +298,12 @@ def write_bundle(bundle: SynthBundle, out_dir: str | Path) -> dict[str, Path]:
         "toxicity": out / "toxicity_cache.jsonl",
         "labels": out / "labels.csv",
     }
-    with open(paths["tweets"], "w", encoding="utf-8") as fh:
-        for tweet in bundle.tweets:
-            fh.write(canonical_dumps(tweet) + "\n")
-    with open(paths["profiles"], "w", encoding="utf-8") as fh:
-        for profile in bundle.profiles:
-            fh.write(canonical_dumps(profile) + "\n")
-    with open(paths["tpvs"], "w", encoding="utf-8") as fh:
-        for tweet_id in sorted(bundle.tpvs):
-            row = {"tweet_id": tweet_id, "probs": [round(float(p), 9) for p in bundle.tpvs[tweet_id]]}
-            fh.write(canonical_dumps(row) + "\n")
+    write_jsonl(paths["tweets"], bundle.tweets)
+    write_jsonl(paths["profiles"], bundle.profiles)
+    write_jsonl(paths["tpvs"], (
+        {"tweet_id": tweet_id, "probs": [round(float(p), 9) for p in bundle.tpvs[tweet_id]]}
+        for tweet_id in sorted(bundle.tpvs)
+    ))
     bundle.toxicity.save(paths["toxicity"])
     with open(paths["labels"], "w", encoding="utf-8") as fh:
         fh.write("profile_id,label\n")

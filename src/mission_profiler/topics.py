@@ -14,7 +14,7 @@ import numpy as np
 
 from .ingest import Corpus, topic_model_eligible
 from .scores import ScoreCache
-from .util import canonical_dumps, loads_line, median
+from .util import loads_line, median, write_jsonl
 
 DEFAULT_K = 200
 RENORM_TOLERANCE = 1e-3
@@ -77,6 +77,8 @@ class TopicCatalog:
                 idx = int(idx_str)
             except ValueError as exc:
                 raise CatalogError(f"line {lineno}: expected 'index<TAB>category'") from exc
+            if idx < 0:
+                raise CatalogError(f"line {lineno}: negative topic index {idx}")
             if idx in mapping:
                 raise CatalogError(f"line {lineno}: duplicate topic index {idx}")
             mapping[idx] = category
@@ -179,9 +181,7 @@ def _checked_block(rows: list[tuple[int, object]], K: int) -> np.ndarray:
 
 
 def save_tpvs(ids: list[str], matrix: np.ndarray, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for tweet_id, probs in zip(ids, matrix):
-            fh.write(canonical_dumps({"tweet_id": tweet_id, "probs": probs.tolist()}) + "\n")
+    write_jsonl(path, ({"tweet_id": tweet_id, "probs": probs.tolist()} for tweet_id, probs in zip(ids, matrix)))
 
 
 def topic_aggregates(assignments: dict[str, int], cache: ScoreCache, K: int) -> dict[int, dict]:

@@ -1,18 +1,20 @@
-"""Shared helpers: canonical JSON serialization, the one JSON line
-decoder, file hashing, seed derivation, and the median and percentile of a
-list of numbers.
+"""Shared helpers: canonical JSON serialization, the one JSONL writer, the
+one JSON line decoder, the one finite-number check, file hashing, seed
+derivation, and the median and percentile of a list of numbers.
 
 Every JSON artifact the pipeline writes goes through ``canonical_dumps`` so
-that identical inputs produce byte-identical outputs. Every reader of a
-JSONL line, or of one whole JSON document held in a string, decodes it with
-``loads_line``: the value, and any error with its message, are those of
-``json.loads``. ``json_object`` reads a line that must hold an object.
+that identical inputs produce byte-identical outputs; ``write_jsonl`` writes
+one such line per object. Every reader of a JSONL line, or of one whole JSON
+document held in a string, decodes it with ``loads_line``: the value, and
+any error with its message, are those of ``json.loads``. ``json_object``
+reads a line that must hold an object.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import math
+import sys
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -57,8 +59,21 @@ def json_object(line: str, where: str) -> dict:
     return row
 
 
+def finite_number(value: Any) -> bool:
+    """Whether value is a JSON number (not a boolean) that a float holds
+    finitely: NaN, the infinities and integers past the float range are not."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
 def write_json(path: str | Path, obj: Any) -> None:
     Path(path).write_text(canonical_dumps(obj) + "\n", encoding="utf-8")
+
+
+def write_jsonl(path: str | Path, objs: Iterable[Any]) -> None:
+    """One canonical_dumps line per object, in the order given."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for obj in objs:
+            fh.write(canonical_dumps(obj) + "\n")
 
 
 def read_json(path: str | Path) -> Any:

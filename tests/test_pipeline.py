@@ -231,6 +231,42 @@ def test_cold_run_topic_artifact_digests_pinned(tmp_path, source):
     assert got == _PINNED_DIGESTS[source]
 
 
+_PINNED_BUNDLE_DIGESTS = {
+    "tweets": "fa94520d939ab4606c7e9e4f8d1c63412c10bb9ea11823682bc934e43d02bf48",
+    "profiles": "8c3207d00a596a30bda04b4db9f76b624b54c3ef8d584430bc870d1c164acd6d",
+    "tpvs": "51ab9ee9553960838d205307f654cea6eb022fcc80e20219da7703441c62ffc7",
+    "toxicity": "be1b38c25d79d4a720feb4496a3fc9fc0361a8a9b77f3d97c01e8de6555de93b",
+    "labels": "569add3a3be1bbe90c6827109bdfb3d70c37717517cce44845157385103becfe",
+}
+
+
+def test_small_bundle_file_digests_pinned(tmp_path):
+    # the bytes synth.write_bundle writes for this seed; the benchmark's inputs come from the same writer
+    paths = _small_bundle(tmp_path)
+    assert {name: sha256_file(paths[name]) for name in _PINNED_BUNDLE_DIGESTS} == _PINNED_BUNDLE_DIGESTS
+
+
+_PINNED_RUN_DIGESTS = {
+    "metrics/metrics.jsonl": "bcbb12d44fd12fd8b57150f0451c1b69247105eae8246c0ac79213bf52133dec",
+    "features/features.jsonl": "044737bb952aadef60d94e4cc3e9b193edf8eab4ff33940ae6f73033e3e6a8eb",
+    "classify/wild.json": "e0d8bf85b03d7e959060017596bed60361a768fbec34a6136c9a7850e335997c",
+}
+
+
+def test_cold_run_metrics_features_and_wild_digests_pinned(tmp_path):
+    # the whole of each file, features.jsonl's header included, less the config hash
+    config = _config(_small_bundle(tmp_path))
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run_pipeline(config, out)
+    got = {
+        rel: hashlib.sha256((out / rel).read_bytes().replace(config.config_hash().encode(), b"")).hexdigest()
+        for rel in _PINNED_RUN_DIGESTS
+    }
+    assert got == _PINNED_RUN_DIGESTS
+
+
 # -- the corpus joined to the topic vectors ---------------------------------------
 # The dict-based join that topic_rows replaced, kept verbatim as a reference:
 # the topics and detect stages' own-vector filter, the tweet -> topic dict, the

@@ -322,6 +322,36 @@ def test_table_row_with_an_overlong_integer_is_an_invalid_row(tmp_path):
         load_score_source(path)
 
 
+@pytest.mark.parametrize("text", ["t1,abc\nt2,0.5\n", "t1,\nt2,0.5\n", "id,score\nt2,0.5\n"],
+                         ids=["not_a_number", "empty_score", "unknown_header"])
+def test_a_csv_first_row_is_a_header_only_when_it_names_the_id_column(tmp_path, text):
+    # only a first field naming the id column makes a header; any other first row is data
+    path = tmp_path / "scores.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=r"^1 invalid score rows \(rows 1\)$"):
+        load_score_source(path)
+    for header in ("tweet_id,score\n", "\ufefftweet_id,score\n", "\ufeff"):  # the last without a header
+        path.write_text(header + "t2,0.5\n", encoding="utf-8")
+        assert load_score_source(path).toxicity == {"t2": 0.5}
+
+
+@pytest.mark.parametrize("kind, row", [
+    ("toxicity", {"kind": "toxicity", "score": 0.5}),
+    ("bots", {"kind": "bots", "overall": 0.5, "spammer": 0.1}),
+    ("missing", {"kind": "missing"}),
+], ids=["toxicity", "bots", "missing"])
+def test_a_cache_id_that_is_no_string_loads_as_text_and_saves_again(tmp_path, kind, row):
+    # every reader reads an id as text, so the next save sorts them together
+    key = "profile_id" if kind == "bots" else "tweet_id"
+    path = tmp_path / "cache.jsonl"
+    header = json.dumps({"format": CACHE_FORMAT, "version": CACHE_VERSION})
+    path.write_text(header + "\n" + "".join(json.dumps({**row, key: id_}) + "\n" for id_ in (5, "a")))
+    cache = ScoreCache.load(path)
+    assert sorted(getattr(cache, kind)) == ["5", "a"]
+    cache.save(tmp_path / "again.jsonl")
+    assert sorted(getattr(ScoreCache.load(tmp_path / "again.jsonl"), kind)) == ["5", "a"]
+
+
 def test_scores_validated_into_unit_interval():
     cache = ScoreCache()
     with pytest.raises(ValueError):

@@ -511,6 +511,17 @@ def test_catalog_load_names_what_is_wrong(tmp_path, text, error):
         TopicCatalog.load(path)
 
 
+@pytest.mark.parametrize("text, error", [
+    ("-1\teveryday\n0\tpolitics\n1\tsports\n", "line 1: negative topic index -1"),
+    ("0\teveryday\n1\tpolitics\n-1\tsports\n", "line 3: negative topic index -1"),
+], ids=["first", "last"])
+def test_catalog_with_a_negative_topic_index_names_its_line(tmp_path, text, error):
+    path = tmp_path / "catalog.tsv"
+    path.write_text(text)
+    with pytest.raises(CatalogError, match=f"^{error}$"):
+        TopicCatalog.load(path)
+
+
 def test_catalog_has_exactly_eight_categories():
     assert len(CATEGORIES) == 8
     assert set(CATEGORIES) == {
